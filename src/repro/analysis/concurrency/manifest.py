@@ -65,8 +65,9 @@ REPO_ROOT = Path(__file__).resolve().parents[4]
 ENTRY_TABLE: "tuple[tuple, ...]" = (
     ("Session", ("prepare", "execute"), "src/repro/engine/session.py",
      "shared", True),
-    ("IndexCache", ("get", "put", "put_if_absent", "invalidate_relation",
-                    "clear"), "src/repro/engine/cache.py", "shared", True),
+    ("IndexCache", ("get", "put", "put_if_absent", "predecessor",
+                    "invalidate_relation", "clear"),
+     "src/repro/engine/cache.py", "shared", True),
     ("Metrics", ("inc", "observe", "merge"), "src/repro/obs/metrics.py",
      "shared", True),
     ("Tracer", ("add_span",), "src/repro/obs/trace.py", "shared", True),

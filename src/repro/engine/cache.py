@@ -13,8 +13,18 @@ set) is stored under
 where the fingerprint is :meth:`repro.storage.relation.Relation.
 fingerprint` — ``(storage identity, version)``.  Mutating a relation
 bumps the shared version counter, so every entry built against the old
-contents silently stops matching and ages out; no invalidation hooks,
-no back-pointers from relations into caches.
+contents stops matching; no invalidation hooks, no back-pointers from
+relations into caches.
+
+Relations are append-only, so an entry of an older version is not
+garbage: it was built from the first ``rows`` rows of the storage, and
+the current version is those rows plus the ones appended since.  Each
+entry records that row count; on a miss the prepare stage asks for the
+:meth:`~IndexCache.predecessor` of the key it missed on and, where the
+structure kind can grow, publishes a private copy extended by the
+appended rows instead of a rebuild.  Either way, publishing a newer
+version drops the older entries of the same storage and spec — they can
+never be hit again and would only occupy the byte budget.
 
 Eviction is LRU under two budgets: an entry-count cap and a byte budget
 fed by per-structure estimates (``memory_usage()`` when the structure
@@ -38,6 +48,10 @@ from repro.storage.relation import Relation
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 #: fallback per-value byte estimate when a structure reports no usage
 APPROX_BYTES_PER_VALUE = 64
+
+
+def _version_of(key: tuple) -> int:
+    return key[0][1]
 
 
 def estimate_structure_bytes(structure: object, tuples: int, arity: int) -> int:
@@ -90,13 +104,17 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("value", "bytes", "fingerprint", "built_depth")
+    __slots__ = ("value", "bytes", "fingerprint", "rows", "built_depth")
 
     def __init__(self, value: object, bytes_: int, fingerprint: tuple,
+                 rows: "int | None" = None,
                  built_depth: "int | None" = None):
         self.value = value
         self.bytes = bytes_
         self.fingerprint = fingerprint
+        #: how many leading rows of the storage the value was built from
+        #: (None: not recorded — the entry never serves as a predecessor)
+        self.rows = rows
         #: lazy adapters only: how many trie levels were materialized
         #: when the entry was last charged (None for eager structures)
         self.built_depth = built_depth
@@ -140,9 +158,17 @@ class IndexCache:
         return self.max_bytes > 0 and (self.max_entries is None
                                        or self.max_entries > 0)
 
-    def key_for(self, relation: Relation, suffix: tuple) -> tuple:
-        """Full cache key: the relation's fingerprint + the spec suffix."""
-        return (relation.fingerprint(), *suffix)
+    def key_for(self, relation: Relation, suffix: tuple,
+                version: "int | None" = None) -> tuple:
+        """Full cache key: the relation's fingerprint + the spec suffix.
+
+        ``version`` keys an explicit version of the relation's storage —
+        the one a :meth:`~repro.storage.relation.Relation.snapshot` was
+        taken at — instead of whatever it is by now.
+        """
+        storage_id, current = relation.fingerprint()
+        return ((storage_id, current if version is None else version),
+                *suffix)
 
     def get(self, key: tuple) -> "object | None":
         """The cached structure, marking it most-recently-used; else None."""
@@ -179,7 +205,28 @@ class IndexCache:
         if evicted:
             self.metrics.inc("cache.evict", evicted)
 
+    def predecessor(self, key: tuple) -> "tuple[object, int] | None":
+        """The newest older version of ``key``'s structure, if cached.
+
+        ``(structure, rows)`` of the entry with ``key``'s storage
+        identity and spec suffix and the highest version below
+        ``key``'s — a structure over the first ``rows`` rows of a
+        storage whose current contents only append to them.  The caller
+        must treat it as immutable: prepared joins may be probing it.
+        Not a lookup: no counter moves and the LRU order is untouched.
+        """
+        version = _version_of(key)
+        with self._lock:
+            older = [other for other in self._other_versions(key)
+                     if _version_of(other) < version
+                     and self._entries[other].rows is not None]
+            if not older:
+                return None
+            entry = self._entries[max(older, key=_version_of)]
+        return entry.value, entry.rows
+
     def put_if_absent(self, key: tuple, value: object, bytes_: int,
+                      rows: "int | None" = None,
                       built_depth: "int | None" = None) -> object:
         """Publish a built structure unless one is already cached.
 
@@ -190,28 +237,57 @@ class IndexCache:
         is counted as ``cache.race`` (its build was wasted work, not a
         store).  Returns the canonical structure to use.
 
-        ``built_depth`` seeds the lazy-adapter depth component (see
-        :meth:`upgrade_depth`); eager structures leave it ``None``.
+        A store supersedes every older version of the same storage and
+        spec: those entries can never be hit again, so they are dropped
+        here (counted as ``cache.evict``) instead of holding bytes until
+        LRU reaches them.  ``CLOSE_ON_INVALIDATE`` structures among them
+        are closed after the lock is released, as
+        :meth:`invalidate_relation` does; anything else is only dropped
+        (superseded shard columns are released by their finalizer).  By
+        the same rule a publisher that arrives after a *newer* version
+        is not stored at all: it keeps its own structure, and is counted
+        as ``cache.race`` too.
+
+        ``rows`` records how many leading rows of the storage ``value``
+        was built from, which makes the entry usable as a
+        :meth:`predecessor`.  ``built_depth`` seeds the lazy-adapter
+        depth component (see :meth:`upgrade_depth`); eager structures
+        leave it ``None``.
         """
         if not self.enabled:
             return value
-        evicted = 0
+        version = _version_of(key)
+        stored = False
+        dropped = 0
+        closeable = []
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
                 self._entries.move_to_end(key)
+                value = existing.value
             else:
-                self._entries[key] = _Entry(value, bytes_, key[0],
-                                            built_depth=built_depth)
-                self._bytes += bytes_
-                self._stores += 1
-                evicted = self._evict_to_budget()
-        if existing is not None:
+                others = self._other_versions(key)
+                stored = all(_version_of(other) < version for other in others)
+                if stored:
+                    for other in others:
+                        superseded = self._entries[other].value
+                        if getattr(superseded, "CLOSE_ON_INVALIDATE", False):
+                            closeable.append(superseded)
+                        self._drop(other)
+                    self._entries[key] = _Entry(value, bytes_, key[0],
+                                                rows=rows,
+                                                built_depth=built_depth)
+                    self._bytes += bytes_
+                    self._stores += 1
+                    dropped = len(others) + self._evict_to_budget()
+        if not stored:
             self.metrics.inc("cache.race")
-            return existing.value
+            return value
+        for superseded in closeable:
+            superseded.close()
         self.metrics.inc("cache.store")
-        if evicted:
-            self.metrics.inc("cache.evict", evicted)
+        if dropped:
+            self.metrics.inc("cache.evict", dropped)
         return value
 
     def upgrade_depth(self, key: tuple, built_depth: int, bytes_: int) -> bool:
@@ -253,8 +329,10 @@ class IndexCache:
         """Drop every entry built from ``relation``'s storage, any version.
 
         Fingerprint mismatches already keep stale entries from being
-        *served*; this additionally releases their memory eagerly (used
-        by :meth:`Session.invalidate`).  Returns the number dropped.
+        *served*, and a newer version's store drops them; this releases
+        their memory before that (used by :meth:`Session.invalidate`) —
+        at the price of the next prepare rebuilding from scratch, with
+        no predecessor left to extend.  Returns the number dropped.
 
         Structures that advertise ``CLOSE_ON_INVALIDATE`` (partially
         built lazy adapters) are additionally ``close()``\\ d — *after*
@@ -292,6 +370,13 @@ class IndexCache:
             self.metrics.inc("cache.evict", dropped)
 
     # ------------------------------------------------------------------
+    def _other_versions(self, key: tuple) -> list:   # repro: borrows-lock[_lock]
+        """Keys of ``key``'s storage and spec suffix at any other version."""
+        storage_id, suffix = key[0][0], key[1:]
+        return [other for other, entry in self._entries.items()
+                if entry.fingerprint[0] == storage_id
+                and other[1:] == suffix and other != key]
+
     def _drop(self, key: tuple) -> None:   # repro: borrows-lock[_lock]
         entry = self._entries.pop(key)
         self._bytes -= entry.bytes

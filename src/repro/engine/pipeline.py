@@ -38,10 +38,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
+from itertools import islice
 
 from repro.analysis.plancheck import check_join_plan, check_plan
 from repro.core.adapter import IndexAdapter
-from repro.core.config import SonicConfig
+from repro.core.config import MAX_EXTEND_LOAD, SonicConfig
 from repro.core.envflag import resolve_flag
 from repro.engine.cache import IndexCache, estimate_structure_bytes
 from repro.engine.ir import (
@@ -59,7 +60,11 @@ from repro.engine.prepared import PreparedJoin
 from repro.errors import ConfigurationError, QueryError, SchemaError
 from repro.indexes.lazy import LAZY_CAPABLE_KINDS, LazyTrieAdapter
 from repro.indexes.registry import make_index
-from repro.joins.binary import build_stage_table, plan_pipeline
+from repro.joins.binary import (
+    build_stage_table,
+    extend_stage_table,
+    plan_pipeline,
+)
 from repro.joins.executor import ALGORITHMS, ENGINES, resolve_relations
 from repro.joins.results import Stopwatch
 from repro.obs.observer import NULL_OBSERVER
@@ -74,7 +79,7 @@ from repro.planner.optimizer import (
 from repro.planner.qptree import connectivity_order
 from repro.planner.query import Atom, JoinQuery, parse_query
 from repro.storage.catalog import Catalog
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, Snapshot
 
 #: index options each algorithm can honor; anything else raises
 #: ConfigurationError at plan time (the seed swallowed them silently)
@@ -227,16 +232,21 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     ``(relation fingerprint, spec suffix)`` — a hit skips the build
     entirely (and two atoms over the same stored relation with the same
     spec share one build *within* a single prepare, the self-join alias
-    case).  Without one, every structure is built fresh — the cold-path
-    contract of :func:`repro.joins.join`.
+    case).  A miss first asks the cache for the structure's newest older
+    version: relations only grow by appending, so where the kind can be
+    extended (:func:`_extend_structure`) a private copy of that base
+    plus the rows appended since replaces the rebuild.  Without a
+    cache, every structure is built fresh — the cold-path contract of
+    :func:`repro.joins.join`.
 
     The wall time spent building is returned on the prepared join as
     ``build_seconds`` and charged to the **first** execution's
     ``metrics.build_seconds`` (§5.15's build-included timing); repeat
     executions report zero build.  Cache hit/miss counters live in the
     cache's own metrics registry and are mirrored into an enabled
-    observer; fresh builds are recorded as ``build_index`` spans either
-    way.
+    observer, as are ``cache.extend`` / ``cache.extend_rows`` (misses
+    served by extension, and the rows they applied); a fresh build is
+    recorded as a ``build_index`` span, an extension as ``extend_index``.
     """
     observer = obs if obs is not None else NULL_OBSERVER
     obs_enabled = observer.enabled
@@ -249,11 +259,12 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     with observer.tracer.span("prepare"):
         for spec in join_plan.iter_specs():
             relation = bound.relations[spec.alias]
+            suffix = spec.cache_key_suffix()
             key = None
             structure = None
             if use_cache:
                 try:
-                    key = cache.key_for(relation, spec.cache_key_suffix())
+                    key = cache.key_for(relation, suffix)
                 except TypeError:
                     key = None  # unhashable option value: uncacheable spec
                 if key is not None:
@@ -264,33 +275,58 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
             if structure is None:
                 if obs_enabled:
                     build_t0 = Stopwatch.now_ns()
-                structure = _build_structure(spec, relation)
+                snapshot = base = None
+                if key is not None:
+                    # one consistent read names the version and the rows:
+                    # the structure is made from exactly ``count`` rows
+                    # and published under exactly that version's key,
+                    # even when an extend() landed after the lookup above
+                    snapshot = relation.snapshot()
+                    key = cache.key_for(relation, suffix, snapshot.version)
+                    base = cache.predecessor(key)
+                if base is not None:
+                    structure = _extend_structure(spec, relation, snapshot,
+                                                  *base)
+                appended = None   # rows an extension applied; None: rebuilt
+                if structure is None:
+                    structure = _build_structure(spec, relation, snapshot)
+                else:
+                    appended = snapshot.count - base[1]
+                    cache.metrics.inc("cache.extend")
+                    cache.metrics.inc("cache.extend_rows", appended)
+                tuples = len(relation) if snapshot is None else snapshot.count
                 if obs_enabled:
                     duration = Stopwatch.now_ns() - build_t0
                     observer.record_build(spec.alias, duration)
-                    observer.tracer.add_span("build_index", build_t0, duration,
-                                             alias=spec.alias, index=spec.kind,
-                                             tuples=len(relation))
+                    if appended is None:
+                        observer.tracer.add_span(
+                            "build_index", build_t0, duration,
+                            alias=spec.alias, index=spec.kind, tuples=tuples)
+                    else:
+                        observer.metrics.inc("cache.extend")
+                        observer.metrics.inc("cache.extend_rows", appended)
+                        observer.tracer.add_span(
+                            "extend_index", build_t0, duration,
+                            alias=spec.alias, index=spec.kind,
+                            tuples=tuples, appended=appended)
                 if key is not None:
                     # compare-and-swap publish: when another thread built
                     # the same key first, adopt its structure so every
                     # concurrent preparer shares one canonical build and
                     # the LRU byte accounting never double-charges
+                    built_depth = None
                     if isinstance(structure, LazyTrieAdapter):
                         # hook the deepen callback *before* publishing, so
                         # no descent can slip between publish and hookup;
                         # a CAS loss discards this adapter (nothing built
                         # yet) and adopts the winner's, callback included
                         structure.on_deepen = _depth_upgrader(
-                            cache, key, len(relation), relation.arity)
-                        structure = cache.put_if_absent(
-                            key, structure, estimate_structure_bytes(
-                                structure, len(relation), relation.arity),
-                            built_depth=structure.built_depth)
-                    else:
-                        structure = cache.put_if_absent(
-                            key, structure, estimate_structure_bytes(
-                                structure, len(relation), relation.arity))
+                            cache, key, tuples, relation.arity)
+                        built_depth = structure.built_depth
+                    structure = cache.put_if_absent(
+                        key, structure, estimate_structure_bytes(
+                            structure, tuples, relation.arity),
+                        rows=tuples, built_depth=built_depth)
             structures[spec.alias] = structure
     build_seconds = watch.lap()
     return PreparedJoin(bound, join_plan, structures, build_seconds)
@@ -657,25 +693,34 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
 # Structure builders (the prepare stage's workhorses)
 # ----------------------------------------------------------------------
 
-def _build_structure(spec: IndexSpec, relation: Relation) -> object:
-    """Build the structure a spec describes, from ``relation``'s rows."""
+def _build_structure(spec: IndexSpec, relation: Relation,
+                     snapshot: "Snapshot | None" = None) -> object:
+    """Build the structure a spec describes, from ``relation``'s rows.
+
+    ``snapshot`` pins the build to exactly the rows the cache key names
+    (the first ``count``, whatever has been appended since); without one
+    — the cold path, nothing keyed — the relation is read as it is.
+    """
+    tuples = len(relation) if snapshot is None else snapshot.count
+    rows = islice(relation.rows, tuples)
     if spec.kind == HASHTABLE_KIND:
         key_arity = spec.key_arity or 0
-        return build_stage_table(relation, spec.permutation[:key_arity],
+        return build_stage_table(rows, spec.permutation[:key_arity],
                                  spec.permutation[key_arity:])
     if spec.kind == TUPLESET_KIND:
-        return frozenset(relation.rows)
+        return frozenset(rows)
     if spec.lazy:
         # O(1) prepare: pin the column snapshot, build nothing — levels
         # materialize on first descent and their cost surfaces in the
         # executing run's metrics.build_seconds (§5.15 accounting)
         return LazyTrieAdapter(relation, spec.kind, spec.attribute_order,
-                               spec.permutation, options=dict(spec.options))
+                               spec.permutation, options=dict(spec.options),
+                               snapshot=snapshot)
     options = dict(spec.options)
     presort = options.pop("sorted", False)
     if spec.kind == "sonic":
         config = SonicConfig.for_tuples(
-            max(len(relation), 1),
+            max(tuples, 1),
             bucket_size=options.pop("bucket_size", 8),
             overallocation=options.pop("overallocation", 2.0),
         )
@@ -683,7 +728,45 @@ def _build_structure(spec: IndexSpec, relation: Relation) -> object:
     else:
         index = make_index(spec.kind, relation.arity, **options)
     adapter = IndexAdapter(relation, index, spec.attribute_order)
-    adapter.build()
+    adapter.build(snapshot)
     if presort:
         index.rows  # force the SortedTrie sort inside the build phase
     return index
+
+
+def _extend_structure(spec: IndexSpec, relation: Relation,
+                      snapshot: Snapshot, base: object,
+                      base_rows: int) -> "object | None":
+    """``base`` brought up to ``snapshot`` by the rows appended since.
+
+    ``base`` is the structure ``spec`` describes over the first
+    ``base_rows`` rows of ``relation``'s storage; ``snapshot`` is a later
+    read of it.  Returns a private copy of ``base`` that answers as a
+    fresh build over ``snapshot``'s rows would — ``base`` itself is
+    never written, prepared joins may be probing it — or ``None`` where
+    the ordinary rebuild is the answer: every kind but an eager Sonic
+    index and the binary stage table; a Sonic index the appended rows
+    could take past :data:`~repro.core.config.MAX_EXTEND_LOAD` (the
+    rebuild then sizes the levels for the new row count); and one that
+    has lost, or would lose, its
+    :attr:`~repro.core.sonic.SonicIndex.exclusive_buckets` (late inserts
+    into packed overflow runs make its chains many times longer than a
+    rebuild's).
+    """
+    perm = spec.permutation
+    if spec.kind == HASHTABLE_KIND:
+        key_arity = spec.key_arity or 0
+        return extend_stage_table(
+            base, islice(relation.rows, base_rows, snapshot.count),
+            perm[:key_arity], perm[key_arity:])
+    if spec.kind != "sonic" or spec.lazy:
+        return None
+    appended = snapshot.count - base_rows
+    if (not base.exclusive_buckets
+            or len(base) + appended > MAX_EXTEND_LOAD * base.config.capacity):
+        return None
+    index = base.fork()
+    # on an index that already holds tuples build_bulk is Alg. 2 insert,
+    # row by row, over the values a fresh build would take from the columns
+    index.build_bulk(tuple(snapshot.columns[i][base_rows:] for i in perm))
+    return index if index.exclusive_buckets else None

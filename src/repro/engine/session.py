@@ -23,11 +23,17 @@ through the staged pipeline (:mod:`repro.engine.pipeline`):
 Cache coherence is by *fingerprint*, not invalidation hooks: mutating a
 relation (:meth:`~repro.storage.relation.Relation.insert` /
 :meth:`~repro.storage.relation.Relation.extend`) bumps its shared
-version counter, so the next prepare misses the stale entries and
-rebuilds — :meth:`Session.execute` therefore always sees current data,
-while an already-:meth:`~Session.prepare`-d join keeps its snapshot
-until re-prepared.  :meth:`invalidate` additionally releases stale
-entries' memory eagerly.
+version counter, so the next prepare misses the stale entries —
+:meth:`Session.execute` therefore always sees current data, while an
+already-:meth:`~Session.prepare`-d join keeps its snapshot until
+re-prepared.  A miss is not a rebuild, though: relations only grow by
+appending, so the prepare stage copies the stale structure, applies the
+appended rows to the copy and publishes that (Sonic indexes and binary
+stage tables; every other kind rebuilds, as does a Sonic index grown
+past its load ceiling or out of its buckets), and the store drops the
+stale entry it supersedes.
+:meth:`invalidate` releases a relation's entries before that — which
+also takes away the base the next prepare would have extended.
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ class Session:
         built index — the per-shard index builds happen inside worker
         processes.  Call :meth:`PreparedJoin.close` on a sharded
         prepared join to stop its worker pool; the cached segments
-        themselves are released when their cache entries age out.
+        themselves are released when their cache entries are evicted
+        or superseded by a newer version's partitioning.
         """
         if obs is not None:
             observer = obs
@@ -147,8 +154,9 @@ class Session:
 
         Accepts a relation or a name resolved against the session
         source.  Purely a memory-release aid — stale entries already
-        stop matching once the relation's version moves on.  Returns
-        the number of entries dropped.
+        stop matching once the relation's version moves on, and are
+        dropped when their successor is stored.  Returns the number of
+        entries dropped.
         """
         if isinstance(relation, str):
             if isinstance(self.source, Catalog):

@@ -20,15 +20,15 @@ the full arity in one step.  Two builds bound the total work at roughly
 twice an eager build, while the headline case — a join that only ever
 exercises a prefix of the attribute order — pays for that prefix only.
 
-**Snapshot pinning.**  The adapter snapshots the relation's column
-arrays at construction time under a version-stable retry loop.  All
-levels — whenever they materialize — are built from that one snapshot,
-so a concurrent ``relation.extend()`` can never produce a trie whose
-levels mix old and new rows: readers either see the pinned pre-extend
-state at every depth or (after re-prepare) a fresh adapter.  Cache
-invalidation calls :meth:`close`, which detaches the cache upgrade
-callback; a reader still holding the adapter keeps descending into the
-pinned snapshot safely.
+**Snapshot pinning.**  The adapter pins the relation's column arrays
+at construction time (:meth:`~repro.storage.relation.Relation.snapshot`,
+one consistent read).  All levels — whenever they materialize — are
+built from that one snapshot, so a concurrent ``relation.extend()`` can
+never produce a trie whose levels mix old and new rows: readers either
+see the pinned pre-extend state at every depth or (after re-prepare) a
+fresh adapter.  Cache invalidation calls :meth:`close`, which detaches
+the cache upgrade callback; a reader still holding the adapter keeps
+descending into the pinned snapshot safely.
 
 **Thread safety** follows the engine's lock discipline: one internal
 lock guards state transitions, the published state is a single
@@ -138,20 +138,15 @@ class LazyTrieAdapter:
                  attribute_order: Sequence[str],
                  permutation: Sequence[int],
                  options: "Mapping[str, object] | None" = None,
-                 on_deepen=None):
+                 on_deepen=None, snapshot=None):
         if kind not in LAZY_CAPABLE_KINDS:
             raise ValueError(
                 f"index kind {kind!r} has no level-at-a-time build; "
                 f"lazy adapters support {LAZY_CAPABLE_KINDS}")
-        # version-stable column snapshot: Relation.columns() fills its
-        # per-position cache lazily, so a concurrent extend() between two
-        # column materializations could hand us mismatched lengths — the
-        # version check detects the race and retries
-        while True:
-            version = relation.version
-            columns = relation.columns()
-            if relation.version == version:
-                break
+        # the columns every level will ever be built from: one
+        # consistent read (the session cache passes the snapshot it
+        # keyed this adapter by)
+        columns = relation.columns() if snapshot is None else snapshot.columns
         self._columns = tuple(columns[p] for p in permutation)
         self.arity = len(self._columns)
         #: snapshot cardinality (root-level advisory count, no build)

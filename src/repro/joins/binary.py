@@ -15,7 +15,7 @@ data.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import QueryError
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
@@ -60,20 +60,41 @@ def plan_pipeline(query: JoinQuery, relations: dict[str, Relation],
     return stages, tuple(bound)
 
 
-def build_stage_table(relation: Relation, key_positions: Sequence[int],
+def build_stage_table(rows: Iterable[tuple], key_positions: Sequence[int],
                       payload_positions: Sequence[int],
                       ) -> dict[tuple, list[tuple]]:
     """One stage's hash table: key columns → list of payload projections.
 
-    Standalone so the engine's prepare stage can build (and the session
-    cache can reuse) a stage table outside any driver instance.
+    ``rows`` is a relation or any iterable of its rows.  Standalone so
+    the engine's prepare stage can build (and the session cache can
+    reuse) a stage table outside any driver instance.
     """
     table: dict[tuple, list[tuple]] = {}
-    for row in relation:
+    for row in rows:
         key = tuple(row[p] for p in key_positions)
         table.setdefault(key, []).append(
             tuple(row[p] for p in payload_positions))
     return table
+
+
+def extend_stage_table(table: dict[tuple, list[tuple]],
+                       appended: Iterable[tuple],
+                       key_positions: Sequence[int],
+                       payload_positions: Sequence[int],
+                       ) -> dict[tuple, list[tuple]]:
+    """The table a rebuild over ``table``'s rows + ``appended`` would give.
+
+    ``table`` is not touched — a prepared join may still be probing it:
+    the result is a shallow copy in which every key the appended rows
+    hit maps to a *new* payload list, old payloads first, as a rebuild in
+    row order would place them.
+    """
+    extended = table.copy()
+    for key, payloads in build_stage_table(appended, key_positions,
+                                           payload_positions).items():
+        old = table.get(key)
+        extended[key] = old + payloads if old else payloads
+    return extended
 
 
 class BinaryHashJoin:

@@ -112,7 +112,7 @@ def build_sharded_columns(relation: Relation, partition_position: "int | None",
             if segment is not None:
                 segments.append(segment)
         shard_handles = tuple(tuple(handles) for _ in range(workers))
-        lengths = (len(relation),) * workers
+        lengths = (len(arrays[0]),) * workers
     else:
         row_order, bounds = partition_order(arrays[partition_position],
                                             workers)

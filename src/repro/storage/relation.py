@@ -7,13 +7,18 @@ targets, row-major keeps index builds (which consume whole tuples) simple
 and fast, while the column views serve the workload generators and the
 binary-join build sides.
 
-Relations are *mostly* immutable: the only mutations are the explicit
-append-style methods :meth:`Relation.insert` and :meth:`Relation.extend`,
-which bump a **version counter** shared by every
-:meth:`~Relation.renamed` view of the same storage.  ``(storage identity,
-version)`` — :meth:`Relation.fingerprint` — is the cache key component
-the session-scoped index cache (:mod:`repro.engine.cache`) uses to
-detect that a cached index no longer reflects the relation.
+Relations are *append-only*: the only mutations are the explicit
+methods :meth:`Relation.insert` and :meth:`Relation.extend`, which bump
+a **version counter** shared by every :meth:`~Relation.renamed` view of
+the same storage.  ``(storage identity, version)`` —
+:meth:`Relation.fingerprint` — is the cache key component the
+session-scoped index cache (:mod:`repro.engine.cache`) uses to detect
+that a cached index no longer reflects the relation; because rows are
+only ever appended, the first ``n`` rows of any version are the first
+``n`` rows of every later one, which is what lets that cache *extend* a
+structure built at an older version instead of rebuilding it
+(:meth:`Relation.snapshot` is the one consistent read it keys and
+builds from).
 
 Relations are the unit every join algorithm in :mod:`repro.joins` consumes;
 the ``Relation`` here plays the role of the paper's ``Relation<IndexAdapter,
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +51,30 @@ def _column_array(values: list) -> np.ndarray:
         array = np.empty(len(values), dtype=object)
         array[:] = values
         return array
+
+
+def _appended_array(array: np.ndarray, values: list) -> np.ndarray:
+    """``array`` followed by ``values``, under :func:`_column_array`'s rule.
+
+    A new array, never a write into ``array`` — readers holding the old
+    one keep a consistent column of the old version.  When exactly one
+    side is ``object`` the other is widened to it (the column's dtype
+    class flips, or an object column receives plain integers).
+    """
+    tail = _column_array(values)
+    if array.dtype != tail.dtype:
+        array, tail = array.astype(object), tail.astype(object)
+    return np.concatenate((array, tail))
+
+
+class Snapshot(NamedTuple):
+    """One consistent read of a relation (:meth:`Relation.snapshot`)."""
+
+    version: int
+    #: rows present at ``version``: ``relation.rows[:count]``, for good
+    count: int
+    #: column arrays of exactly those rows, in schema position order
+    columns: tuple[np.ndarray, ...]
 
 
 class Relation:
@@ -137,14 +167,33 @@ class Relation:
         return self._array(self.schema.position(attribute))
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """All columns as numpy arrays, in schema position order."""
-        return tuple(self._array(i) for i in range(self.arity))
+        """All columns as numpy arrays, in schema position order.
+
+        One consistent read: every array has the same length, even with
+        an :meth:`extend` racing the call (see :meth:`snapshot`).
+        """
+        return self.snapshot().columns
+
+    def snapshot(self) -> Snapshot:
+        """Version, row count and column arrays, read together.
+
+        Taken under the mutation lock, so the three agree: ``columns``
+        hold exactly the first ``count`` rows, which are the contents at
+        ``version``.  The index cache keys a structure by this version
+        and builds it from these rows — reading the fingerprint and the
+        columns separately would let an :meth:`extend` slip in between
+        and publish newer contents under the older key.
+        """
+        with self._mutlock:
+            return Snapshot(self._version[0], len(self._rows),
+                            tuple(self._filled_array(i)
+                                  for i in range(self.arity)))
 
     def column_dtype_class(self, attribute: str) -> str:
         """``"int64"`` or ``"object"`` — the columnar-contract verdict.
 
-        The verdict is cached alongside the column array (one validation
-        pass per column per version, under the mutation lock), so kernel
+        The verdict is cached alongside the column array (written with it
+        under the mutation lock, on fill and on every append), so kernel
         callers can branch on the int64/object split without re-probing
         the array's dtype, and renamed views agree by construction.
         """
@@ -164,17 +213,22 @@ class Relation:
         array = self._arrays.get(position)
         if array is None:
             with self._mutlock:
-                array = self._arrays.get(position)
-                if array is None:
-                    array = _column_array(
-                        [row[position] for row in self._rows])
-                    self._arrays[position] = array
-                    # the dtype-class verdict rides along with the array:
-                    # filled under the same lock, cleared by the same
-                    # extend(), shared by the same renamed views
-                    self._dtype_classes[position] = (
-                        "int64" if array.dtype == np.int64 else "object")
+                array = self._filled_array(position)
         return array
+
+    def _filled_array(self, position: int) -> np.ndarray:   # repro: borrows-lock[_mutlock]
+        array = self._arrays.get(position)
+        if array is None:
+            array = _column_array([row[position] for row in self._rows])
+            self._set_array(position, array)
+        return array
+
+    def _set_array(self, position: int, array: np.ndarray) -> None:   # repro: borrows-lock[_mutlock]
+        self._arrays[position] = array
+        # the dtype-class verdict rides along with the array: written
+        # under the same lock, shared by the same renamed views
+        self._dtype_classes[position] = (
+            "int64" if array.dtype == np.int64 else "object")
 
     # ------------------------------------------------------------------
     # Mutation and cache identity
@@ -202,12 +256,15 @@ class Relation:
         self.extend((row,))
 
     def extend(self, rows: Iterable[tuple]) -> None:
-        """Append tuples, invalidating column caches and the fingerprint.
+        """Append tuples, moving the fingerprint on.
 
         The column/array caches and version counter are shared with every
-        renamed view, so all views observe the mutation consistently; any
-        session-cached index keyed on the old fingerprint simply stops
-        matching and ages out of the cache.
+        renamed view, so all views observe the mutation consistently.
+        Materialized column arrays are kept and grow by the appended
+        rows' values (new arrays — a reader holding an old one keeps the
+        old version's column).  A session-cached index keyed on the
+        old fingerprint stops matching; the next prepare extends it with
+        the appended rows or rebuilds, and drops it either way.
         """
         arity = self.arity
         appended = []
@@ -224,8 +281,9 @@ class Relation:
         with self._mutlock:
             self._rows.extend(appended)
             self._columns.clear()
-            self._arrays.clear()
-            self._dtype_classes.clear()
+            for position, array in list(self._arrays.items()):
+                self._set_array(position, _appended_array(
+                    array, [row[position] for row in appended]))
             self._version[0] += 1
 
     # ------------------------------------------------------------------

@@ -1,0 +1,384 @@
+"""The append-aware index cache: a write extends, it does not rebuild.
+
+Relations are append-only, so on a miss the prepare stage takes the
+newest older version of the structure from the cache, copies it and
+applies only the appended rows (:func:`repro.engine.pipeline.
+_extend_structure`).  These tests hold that path to the one contract
+that matters — a session read answers exactly as a cold ``join()`` over
+the same rows — across every plan family, and pin the mechanism itself:
+which misses extend, which fall back to a rebuild, what happens to the
+superseded entry, and that the base is never written.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import Relation, Session, join
+from repro.core.config import MAX_EXTEND_LOAD
+from repro.core.sonic import SonicIndex
+from repro.obs.observer import JoinObserver
+
+TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
+CORE_EAR = "E1=E(a,b), E2=E(b,c), E3=E(c,a), F(a,d)"
+
+GENERIC_TUPLE = {"algorithm": "generic", "index": "sonic", "engine": "tuple"}
+GENERIC_BATCH = {"algorithm": "generic", "index": "sonic", "engine": "batch"}
+#: every plan family a session can be asked for, with the query it reads
+CONFIGS = [
+    (TRIANGLE, GENERIC_TUPLE),
+    (TRIANGLE, GENERIC_BATCH),
+    (CORE_EAR, {"algorithm": "binary"}),
+    (CORE_EAR, {"algorithm": "unified", "engine": "batch"}),
+    (TRIANGLE, {**GENERIC_BATCH, "lazy": True}),
+]
+SHARDED = (TRIANGLE, {**GENERIC_BATCH, "parallel": 2})
+
+#: beyond int64: the column's dtype class flips to ``object`` while the
+#: values stay mutually ordered (the batch engine sorts its candidates)
+BIG = 2 ** 70
+
+
+def base_tables() -> dict:
+    edges = [(a, (a * 3 + k) % 7) for a in range(7) for k in (1, 2, 4)]
+    ears = [(a, 100 + a % 3) for a in range(7)]
+    return {"E": Relation("E", ("src", "dst"), edges),
+            "F": Relation("F", ("src", "tag"), ears)}
+
+
+# one write: (relation, kind, two small integers that shape its rows)
+_writes = st.tuples(
+    st.sampled_from(["E", "F"]),
+    st.sampled_from(["present", "new_key", "random", "big", "empty",
+                     "growth"]),
+    st.integers(0, 6), st.integers(0, 6))
+_steps = st.lists(st.one_of(_writes, st.just("read")), min_size=1,
+                  max_size=8)
+
+
+def rows_for(relation: Relation, kind: str, x: int, y: int) -> list:
+    if kind == "present":       # nothing new: a set index must not grow
+        return [relation.rows[x % len(relation)],
+                relation.rows[y % len(relation)]]
+    if kind == "new_key":       # opens first-level keys no old row has
+        return [(50 + len(relation), x), (51 + len(relation), y)]
+    if kind == "random":
+        return [(x, y), (y, x), (x, (x + 1) % 7)]
+    if kind == "big":           # flips both columns' dtype class
+        return [(x, BIG + y), (BIG + y, x)]
+    if kind == "empty":
+        return []
+    # growth: more rows than the base's capacity leaves room for
+    return [(x + i, (y + 2 * i) % 9) for i in range(len(relation))]
+
+
+def span_names(observer: JoinObserver) -> list:
+    return [span["name"] for span in observer.tracer.as_dicts()]
+
+
+def check_reads(session: Session, tables: dict, configs) -> None:
+    for query, options in configs:
+        got = session.execute(query, **options).count
+        want = join(query, tables, **options).count
+        assert got == want, (query, options)
+
+
+def replay(steps, configs) -> Session:
+    tables = base_tables()
+    session = Session(tables)
+    check_reads(session, tables, configs)      # warm: bases to extend
+    for step in steps:
+        if step == "read":
+            check_reads(session, tables, configs)
+        else:
+            name, kind, x, y = step
+            tables[name].extend(rows_for(tables[name], kind, x, y))
+    check_reads(session, tables, configs)
+    return session
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=_steps)
+# a dtype flip between two extensions of the same base
+@example(steps=[("E", "random", 1, 2), "read", ("E", "big", 3, 4), "read",
+                ("E", "present", 0, 1)])
+# growth past the load ceiling, then extension of the rebuilt index
+@example(steps=[("E", "growth", 0, 0), "read", ("E", "new_key", 1, 1)])
+# two writes behind one read: the delta spans both
+@example(steps=[("F", "new_key", 2, 3), ("F", "present", 0, 0),
+                ("E", "random", 5, 6)])
+@example(steps=[("E", "empty", 0, 0), "read"])
+def test_session_reads_equal_cold_joins(steps):
+    session = replay(steps, CONFIGS)
+    session.close()
+
+
+@settings(max_examples=4, deadline=None)
+@given(steps=_steps)
+@example(steps=[("E", "random", 1, 2), "read", ("E", "big", 3, 4)])
+def test_sharded_reads_equal_cold_joins(steps):
+    # shard columns are never extended, only superseded — same contract
+    session = replay(steps, [SHARDED])
+    assert session.metrics.get("cache.extend") == 0
+    session.close()
+
+
+# ----------------------------------------------------------------------
+# the mechanism
+# ----------------------------------------------------------------------
+class TestExtendOrRebuild:
+    def test_a_write_is_served_by_extension(self):
+        tables = base_tables()
+        session = Session(tables)
+        session.execute(TRIANGLE, **GENERIC_BATCH)
+        tables["E"].extend([(0, 6), (6, 0)])
+        observer = JoinObserver()
+        result = session.execute(TRIANGLE, obs=observer, **GENERIC_BATCH)
+        assert result.count == join(TRIANGLE, tables, **GENERIC_BATCH).count
+        # the triangle holds E under two attribute orders: both missed,
+        # both had a predecessor, neither was rebuilt
+        assert session.metrics.get("cache.extend") == 2
+        assert session.metrics.get("cache.extend_rows") == 4
+        assert observer.metrics.get("cache.extend") == 2
+        names = span_names(observer)
+        assert names.count("extend_index") == 2
+        assert "build_index" not in names
+        span = next(s for s in observer.tracer.as_dicts()
+                    if s["name"] == "extend_index")
+        assert span["args"] == {"alias": "E1", "index": "sonic",
+                                "tuples": len(tables["E"]), "appended": 2}
+
+    def test_stage_tables_extend_in_row_order(self):
+        tables = base_tables()
+        session = Session(tables)
+        first = session.prepare(CORE_EAR, algorithm="binary")
+        old_tables = {alias: {key: list(rows) for key, rows in table.items()}
+                      for alias, table in first.structures.items()}
+        tables["F"].extend([(0, 7), (0, 8), (9, 9)])
+        tables["E"].extend([(0, 6)])
+        second = session.prepare(CORE_EAR, algorithm="binary")
+        # F leads the pipeline; E1 and E2 share one table, E3 has its own
+        assert session.metrics.get("cache.extend") == 2
+        cold = join(CORE_EAR, tables, algorithm="binary", materialize=True)
+        # a bag in row order: same rows in the same sequence as a rebuild
+        assert second.execute(materialize=True).rows == cold.rows
+        # the superseded tables were copied, not written
+        for alias, table in first.structures.items():
+            assert table == old_tables[alias]
+
+    def test_growth_past_the_load_ceiling_rebuilds(self):
+        tables = base_tables()
+        session = Session(tables)
+        before = session.prepare(TRIANGLE, **GENERIC_TUPLE)
+        capacity = before.structures["E1"].config.capacity
+        room = int(MAX_EXTEND_LOAD * capacity) - len(before.structures["E1"])
+        tables["E"].extend([(200 + i, 300 + i) for i in range(room + 1)])
+        observer = JoinObserver()
+        after = session.prepare(TRIANGLE, obs=observer, **GENERIC_TUPLE)
+        assert session.metrics.get("cache.extend") == 0
+        assert span_names(observer).count("build_index") == 2
+        # rebuilt at the new size, not at the base's
+        assert after.structures["E1"].config.capacity > capacity
+        assert after.execute().count == join(TRIANGLE, tables).count
+        # ... and the rebuilt index is extended in turn
+        tables["E"].extend([(0, 6)])
+        assert session.execute(TRIANGLE, **GENERIC_TUPLE).count == \
+            join(TRIANGLE, tables).count
+        assert session.metrics.get("cache.extend") == 2
+
+    def test_exactly_at_the_ceiling_still_extends(self):
+        tables = base_tables()
+        session = Session(tables)
+        before = session.prepare(TRIANGLE, **GENERIC_TUPLE)
+        index = before.structures["E1"]
+        room = int(MAX_EXTEND_LOAD * index.config.capacity) - len(index)
+        tables["E"].extend([(200 + i, 300 + i) for i in range(room)])
+        session.prepare(TRIANGLE, **GENERIC_TUPLE)
+        assert session.metrics.get("cache.extend") == 2
+
+    def test_three_columns_extend_only_with_exclusive_buckets(self):
+        # three columns: children live in their parent's bucket.  While no
+        # bucket has overflowed a late child still lands beside its
+        # siblings; once one has, chains of old parents would grow through
+        # whatever the bulk build packed behind them — so that rebuilds
+        query = "R(a,b,c), S(a,b,d)"
+        options = {**GENERIC_BATCH, "sonic_overallocation": 4.0}
+        rows = [(a, b, a + b) for a in range(4) for b in range(4)]
+        tables = {"R": Relation("R", ("a", "b", "c"), rows),
+                  "S": Relation("S", ("a", "b", "d"), rows[::2])}
+        session = Session(tables)
+
+        def read() -> SonicIndex:
+            prepared = session.prepare(query, **options)
+            assert prepared.execute().count == join(
+                query, tables, **options).count
+            return prepared.structures["R"]
+
+        assert read().exclusive_buckets
+        tables["R"].extend([(0, 1, 50), (4, 0, 0)])    # old parent, new one
+        assert read().exclusive_buckets
+        assert session.metrics.get("cache.extend") == 1
+        # more children than parent 0's eight-slot bucket holds: the fork
+        # overflows, is thrown away, and the index is rebuilt ...
+        tables["R"].extend([(0, 2, 60 + i) for i in range(8)])
+        assert not read().exclusive_buckets
+        assert session.metrics.get("cache.extend") == 1
+        # ... and a base without exclusive buckets is not extended again
+        tables["R"].extend([(3, 3, 3)])
+        read()
+        assert session.metrics.get("cache.extend") == 1
+
+    @pytest.mark.parametrize("options", [
+        {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"},
+        {"algorithm": "recursive"}, {**GENERIC_BATCH, "lazy": True},
+        {"algorithm": "generic", "index": "sortedtrie"},
+    ], ids=lambda o: "-".join(str(v) for v in o.values()))
+    def test_other_kinds_keep_rebuilding(self, options):
+        tables = base_tables()
+        session = Session(tables)
+        session.execute(TRIANGLE, **options)
+        tables["E"].extend([(0, 6), (6, 0)])
+        assert session.execute(TRIANGLE, **options).count == \
+            join(TRIANGLE, tables, **options).count
+        assert session.metrics.get("cache.extend") == 0
+
+    def test_cold_join_never_extends(self):
+        tables = base_tables()
+        observer = JoinObserver()
+        join(TRIANGLE, tables, obs=observer, **GENERIC_BATCH)
+        assert observer.metrics.get("cache.extend") == 0
+        assert "extend_index" not in span_names(observer)
+
+
+class TestSupersededEntries:
+    def test_dead_versions_leave_the_byte_budget(self):
+        tables = base_tables()
+        session = Session(tables)
+        session.execute(TRIANGLE, **GENERIC_BATCH)
+        one_version = session.cache_stats()
+        for step in range(5):
+            tables["E"].extend([(step, 6)])
+            session.execute(TRIANGLE, **GENERIC_BATCH)
+        stats = session.cache_stats()
+        # one live entry per attribute order, however many versions passed
+        assert stats.entries == one_version.entries == 2
+        assert stats.bytes == one_version.bytes
+        assert stats.evictions == 10
+        assert session.metrics.get("cache.evict") == 10
+        assert stats.stores - stats.evictions == stats.entries
+
+    def test_superseded_lazy_adapters_are_closed(self):
+        tables = base_tables()
+        session = Session(tables)
+        options = {**GENERIC_BATCH, "lazy": True}
+        stale = session.prepare(TRIANGLE, **options)
+        adapters = list(stale.structures.values())
+        assert not any(adapter.closed for adapter in adapters)
+        truth = stale.execute().count
+        tables["E"].extend([(0, 6), (6, 0), (6, 3)])
+        session.execute(TRIANGLE, **options)
+        # closed like invalidate() closes them: no cache upgrades from a
+        # superseded adapter, but its pinned snapshot still answers
+        assert all(adapter.closed for adapter in adapters)
+        assert stale.execute().count == truth
+
+    def test_prepared_join_outlives_its_superseded_base(self):
+        tables = base_tables()
+        session = Session(tables)
+        # (the binary pipeline scans its leading atom live, so that one
+        # reads CORE_EAR, where the unwritten F leads and E is all tables)
+        for query, options in ((TRIANGLE, GENERIC_TUPLE),
+                               (CORE_EAR, {"algorithm": "binary"})):
+            pinned = session.prepare(query, **options)
+            before = pinned.execute().count
+            held = set(map(id, pinned.structures.values()))
+            # closes new triangles through old rows, so a base written in
+            # place would show
+            tables["E"].extend([(0, 6), (6, 0), (1, 0), (5, 1)])
+            fresh = session.prepare(query, **options)
+            assert session.metrics.get("cache.extend") > 0
+            assert fresh.execute().count == join(query, tables,
+                                                 **options).count
+            assert fresh.execute().count != before
+            # the base is out of the cache, and still answers as it did
+            cached = {id(entry.value)
+                      for entry in session.cache._entries.values()}
+            assert not held & cached
+            assert pinned.execute().count == before
+
+
+# ----------------------------------------------------------------------
+# key and contents come from one read
+# ----------------------------------------------------------------------
+class TestSnapshotCoherence:
+    def test_extend_between_lookup_and_build_is_not_double_applied(self):
+        tables = base_tables()
+        edges = tables["E"]
+        session = Session(tables)
+        lookup_done = threading.Event()
+        write_done = threading.Event()
+        real_get = session.cache.get
+
+        def get_then_wait_for_writer(key):
+            found = real_get(key)
+            if not lookup_done.is_set():
+                # the key above was computed before the write below
+                lookup_done.set()
+                assert write_done.wait(timeout=30)
+            return found
+
+        def writer():
+            assert lookup_done.wait(timeout=30)
+            edges.extend([(0, 6), (6, 0), (6, 3)])
+            write_done.set()
+
+        session.cache.get = get_then_wait_for_writer
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            prepared = session.prepare(TRIANGLE, **GENERIC_TUPLE)
+        finally:
+            session.cache.get = real_get
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+        # every entry is keyed by the version whose rows it holds
+        for key, entry in session.cache._entries.items():
+            assert isinstance(entry.value, SonicIndex)
+            assert entry.rows == len(entry.value)      # rows are distinct
+            assert entry.fingerprint == edges.fingerprint()
+            assert entry.rows == len(edges)
+        assert prepared.execute().count == join(TRIANGLE, tables).count
+        # so the next extension starts where the entry really ends
+        edges.extend([(3, 6), (1, 0)])
+        assert session.execute(TRIANGLE, **GENERIC_TUPLE).count == \
+            join(TRIANGLE, tables).count
+        assert session.metrics.get("cache.extend") == 2
+
+    def test_relation_snapshot_is_one_consistent_read(self):
+        relation = Relation("R", ("a", "b"), [(i, i) for i in range(50)])
+        stop = threading.Event()
+
+        def writer():
+            step = 0
+            while not stop.is_set():
+                relation.extend([(step, BIG if step % 7 == 0 else step)])
+                step += 1
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            for _ in range(300):
+                version, count, columns = relation.snapshot()
+                assert {len(column) for column in columns} == {count}
+                assert count == 50 + version
+                assert list(zip(*(c.tolist() for c in columns))) == \
+                    relation.rows[:count]
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()

@@ -8,8 +8,9 @@ single-threaded ground truth, and the cache counters must stay coherent:
 
 * ``stores − evictions == entries`` — put_if_absent is the only publish
   path, so the identity survives any interleaving;
-* ``store + race == miss`` — every miss builds and then either publishes
-  or adopts the winner's structure;
+* ``store + race == miss`` — every miss builds (or extends an older
+  version's structure) and then either publishes or adopts the winner's
+  structure;
 * ``hits + misses == executions × lookups-per-execution`` — the prepare
   stage performs a deterministic number of cache lookups per query shape
   regardless of interleaving.
@@ -211,6 +212,49 @@ class TestConcurrentInvalidation:
             mutator.join(timeout=JOIN_TIMEOUT)
         assert not mutator.is_alive()
         assert_counters_coherent(session)
+
+    def test_inserts_take_the_extension_path_under_load(self, ground_truth):
+        # no eager invalidation: every worker inserts a disconnected edge
+        # and reads right after, so misses find an older version in the
+        # cache and are served by copy-and-extend (Sonic, stage tables)
+        # while other threads still probe the base; the relation also
+        # more than doubles, which forces rebuilds past the load ceiling
+        edges = make_edges()
+        session = Session({"E": edges})
+        triangle_cases = [i for i, (query, _) in enumerate(CASES)
+                          if query == TRIANGLE]
+
+        def worker(tid):
+            for step in range(ITERATIONS):
+                edges.insert((10_000 + tid * ITERATIONS + step,
+                              20_000 + tid * ITERATIONS + step))
+                case = triangle_cases[(tid + step) % len(triangle_cases)]
+                query, kwargs = CASES[case]
+                result = session.execute(query, materialize=True,
+                                         **kwargs)
+                assert sorted(result.rows) == ground_truth[case], \
+                    (tid, case, kwargs)
+
+        run_threads(worker)
+        assert_counters_coherent(session)
+        assert session.metrics.get("cache.extend") > 0
+        # a join prepared now keeps its structures through the next write,
+        # which republishes every spec and drops all the older versions
+        pinned = [session.prepare(CASES[case][0], **CASES[case][1])
+                  for case in triangle_cases]
+        edges.insert((1, 0))   # closes a triangle through old rows
+        for case in triangle_cases:
+            session.execute(CASES[case][0], **CASES[case][1])
+        # (a binary plan whose atom order moved with the statistics leaves
+        # a spec nobody asks for again; that one waits for LRU as before)
+        keys = list(session.cache._entries)
+        assert len({key[1:] for key in keys}) == len(keys)
+        assert sum(key[0] == edges.fingerprint() for key in keys) >= 6
+        assert_counters_coherent(session)
+        for case, prepared in zip(triangle_cases, pinned):
+            if CASES[case][1]["algorithm"] != "binary":  # scans E1 live
+                assert sorted(prepared.execute(materialize=True).rows) \
+                    == ground_truth[case], case
 
     def test_concurrent_extend_through_aliased_views(self):
         # extends race through renamed views sharing one storage; the

@@ -82,3 +82,50 @@ class TestOperations:
     def test_sample_empty(self):
         relation = Relation("R", ("a",), [])
         assert relation.sample_rows(5, random.Random(1)) == []
+
+
+class TestColumnsSurviveAppends:
+    """``extend`` grows the materialized columns; it does not drop them."""
+
+    @staticmethod
+    def rederived(relation):
+        fresh = Relation(relation.name, relation.schema, relation.rows)
+        return fresh.columns(), fresh.dtype_classes()
+
+    @pytest.mark.parametrize("appended", [
+        [(7, 8, 9)],                          # int64 stays int64
+        [(7, "x", 2 ** 70)],                  # two columns flip to object
+        [(7, "x", 9), (8, 1, 2)],             # ints after the flip
+    ], ids=["int", "flip", "flip-then-int"])
+    def test_appended_columns_equal_rederived_ones(self, relation, appended):
+        relation.columns()
+        relation.column("b")
+        relation.extend(appended)
+        columns, classes = self.rederived(relation)
+        for got, want in zip(relation.columns(), columns):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert relation.dtype_classes() == classes
+        assert relation.column("b") == [row[1] for row in relation.rows]
+
+    def test_readers_keep_the_old_columns(self, relation):
+        view = relation.renamed(("x", "y", "z"))
+        old_arrays = relation.columns()
+        old_list = relation.column("a")
+        view.extend([(9, "s", 9)])
+        assert [len(array) for array in old_arrays] == [3, 3, 3]
+        assert old_list == [1, 1, 2]
+        assert old_arrays[1].dtype == "int64"
+        # the view shares the storage, so it sees the grown columns
+        assert view.column_array("y").tolist() == [2, 5, 2, "s"]
+        assert view.column_dtype_class("y") == "object"
+
+    def test_snapshot_names_version_count_and_columns(self, relation):
+        version, count, columns = relation.snapshot()
+        assert (version, count) == (0, 3)
+        relation.extend([(4, 4, 4), (5, 5, 5)])
+        relation.extend([])                   # no rows, no new version
+        later = relation.snapshot()
+        assert (later.version, later.count) == (1, 5)
+        assert [len(column) for column in columns] == [3, 3, 3]
+        assert later.columns[0].tolist() == [1, 1, 2, 4, 5]
