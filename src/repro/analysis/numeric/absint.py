@@ -74,9 +74,9 @@ NUMPY_KERNELS = frozenset({
 })
 #: kernels whose first argument must be sorted and contiguous (RA805)
 SORTED_INPUT_KERNELS = frozenset({"searchsorted"})
-#: batch-cursor entry points: their array arguments enter the
-#: vectorised probe kernels (repro.indexes.base.SyncedBatchCursor)
-BATCH_ENTRY_METHODS = frozenset({"probe_many", "candidates", "count_many"})
+#: the columnar trie's vectorised entry points: their array arguments
+#: enter its packed-key kernels (repro.indexes.columnar.ColumnarTrie)
+BATCH_ENTRY_METHODS = frozenset({"probe", "child_ranges"})
 #: index constructors recognised by the abstract interpreter (the value
 #: becomes an :class:`~repro.analysis.numeric.lattice.IndexValue`)
 INDEX_CONSTRUCTORS = frozenset({

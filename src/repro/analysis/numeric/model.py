@@ -14,11 +14,11 @@ The model combines three layers:
   :mod:`~repro.analysis.dataflow.hotloop`;
 * a flow-insensitive scan for per-tuple ``insert()`` build loops on
   values constructed from the known index constructors — RA806;
-* the columnar-contract checks over ``column_array``-style helpers,
-  ``SUPPORTS_BATCH`` classes and ``Relation.columns()`` callers —
-  RA807 — plus the reaching-defs-powered dead-materialisation check
-  (RA808), which reuses :func:`repro.analysis.dataflow.reaching.function_scope`
-  to restrict itself to true locals.
+* the columnar-contract checks over ``column_array``-style helpers
+  and ``Relation.columns()`` callers — RA807 — plus the
+  reaching-defs-powered dead-materialisation check (RA808), which reuses
+  :func:`repro.analysis.dataflow.reaching.function_scope` to restrict
+  itself to true locals.
 """
 
 from __future__ import annotations
@@ -286,26 +286,7 @@ def _scan_columnar_contract(tree: ast.AST, aliases: dict, add) -> None:
                     "an object array in a try/except (the documented "
                     "int64-or-object split)")
 
-    # (b) SUPPORTS_BATCH indexes must accept int64 arrays unconverted
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        declares_batch = any(
-            isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            and _assigns_true(stmt, "SUPPORTS_BATCH")
-            for stmt in cls.body)
-        if not declares_batch:
-            continue
-        for sub in ast.walk(cls):
-            if (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "astype"):
-                add(sub, "RA807", "error",
-                    f"SUPPORTS_BATCH index {cls.name} converts an array "
-                    "with .astype(); the batch contract requires "
-                    "accepting int64 column arrays without conversion")
-
-    # (c) columns()/column_array callers mixing in kernel calls must
+    # (b) columns()/column_array callers mixing in kernel calls must
     # branch on the dtype split somewhere in the same function
     for func in ast.walk(tree):
         if not isinstance(func, _FUNCS):
@@ -346,19 +327,6 @@ def _is_pure_delegator(func: ast.AST) -> bool:
                     and isinstance(stmt.value.value, str))]
     return (len(body) == 1 and isinstance(body[0], ast.Return)
             and isinstance(body[0].value, ast.Call))
-
-
-def _assigns_true(stmt: ast.stmt, name: str) -> bool:
-    if isinstance(stmt, ast.Assign):
-        targets = stmt.targets
-        value = stmt.value
-    elif isinstance(stmt, ast.AnnAssign):
-        targets = [stmt.target]
-        value = stmt.value
-    else:  # pragma: no cover - caller filters
-        return False
-    named = any(isinstance(t, ast.Name) and t.id == name for t in targets)
-    return named and isinstance(value, ast.Constant) and value.value is True
 
 
 # ----------------------------------------------------------------------

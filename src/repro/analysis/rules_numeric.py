@@ -23,10 +23,12 @@ exactly like the RA4xx/RA5xx/RA7xx families.
   path exists (SonicIndex/SortedTrie/make_index constructions).
 * **RA807** — the int64-or-object columnar contract:
   ``column_array``-style helpers must attempt int64 and fall back to
-  object in a try/except; ``SUPPORTS_BATCH`` indexes must accept int64
-  arrays without ``.astype`` conversion; ``Relation.columns()``/
-  ``column_array`` callers feeding kernels must branch on the dtype
-  split.  Error severity throughout.
+  object in a try/except; ``Relation.columns()``/``column_array``
+  callers feeding kernels must branch on the dtype split.  (That the
+  batch engine's structure takes int64 columns unconverted is no longer
+  a class flag to lint: ``ColumnarTrie`` refuses anything else when it
+  is built, and the plan stage routes object columns to the tuple
+  engine.)  Error severity throughout.
 * **RA808** — dead array materialisation: an array is built but only
   its length/shape is ever read (reaching-defs-scope-powered).
 

@@ -103,20 +103,6 @@ class IndexAdapter:
     # ------------------------------------------------------------------
     # Probe-side helpers used by the Generic Join
     # ------------------------------------------------------------------
-    @property
-    def supports_batch(self) -> bool:
-        """Does the wrapped index ship a native vectorized batch kernel?
-
-        ``engine="auto"`` picks the batch driver only when every adapter
-        in the join answers True (the fallback shim would join correctly
-        but without the constant-factor win).
-        """
-        return self.index.SUPPORTS_BATCH
-
-    def batch_cursor(self):
-        """A fresh :class:`~repro.indexes.base.BatchCursor` over the index."""
-        return self.index.batch_cursor()
-
     def position_of(self, attribute: str) -> int:
         """Index level of ``attribute`` (its rank in this adapter's order)."""
         try:

@@ -56,7 +56,6 @@ from repro.core.config import SonicConfig
 from repro.core.hashing import hash_key
 from repro.errors import CapacityError, ConfigurationError, SchemaError
 from repro.indexes.base import (
-    CursorBatchCursor,
     PrefixCursor,
     TupleIndex,
     bulk_columns,
@@ -126,7 +125,6 @@ class SonicIndex(TupleIndex):
     """The Sonic hash table (Fig 3): fast build *and* fast prefix lookups."""
 
     NAME: ClassVar[str] = "sonic"
-    SUPPORTS_BATCH: ClassVar[bool] = True
     SUPPORTS_BULK_BUILD: ClassVar[bool] = True
 
     def __init__(self, arity: int, config: SonicConfig | None = None,
@@ -883,13 +881,6 @@ class SonicIndex(TupleIndex):
         """
         return SonicCursor(self)
 
-    def batch_cursor(self) -> "SonicBatchCursor":
-        """Native vectorized probe kernel (the batch Generic Join's API).
-
-        See :class:`SonicBatchCursor` for the kernel design.
-        """
-        return SonicBatchCursor(self)
-
     # ------------------------------------------------------------------
     # Patch instrumentation (Figs 10 & 12, §5.13)
     # ------------------------------------------------------------------
@@ -1252,32 +1243,3 @@ class SonicCursor(PrefixCursor):
             if slot == capacity:
                 slot = 0
         return False
-
-
-class SonicBatchCursor(CursorBatchCursor):
-    """Batched bucket probing over a :class:`SonicIndex`.
-
-    One :class:`SonicCursor` descends incrementally (one hash probe per
-    bound component, Alg. 3); at each visited node the designated bucket's
-    chain is scanned once and its distinct keys frozen into a sorted
-    array.  ``probe_many`` then resolves a whole candidate vector with a
-    single ``np.searchsorted`` against that array — the bucket hashing of
-    the tuple-at-a-time path, amortized and vectorized.  Inner depths
-    inherit Sonic's rare grandparent-level false positives (§3.3); the
-    final depth builds its array from payload-verified rows, so batch
-    joins stay exact.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, index: SonicIndex):
-        super().__init__(SonicCursor(index))
-
-    def _children_array(self, frame, depth: int):
-        array = super()._children_array(frame, depth)
-        if self._metrics.enabled:
-            # one bucket-chain walk per materialized node: the unit of
-            # probe work the memo amortizes away on revisits
-            self._metrics.inc("sonic.node_walks")
-            self._metrics.observe("sonic.node_children", array.size)
-        return array

@@ -17,6 +17,7 @@ from repro.engine.cache import (
     estimate_structure_bytes,
 )
 from repro.engine.ir import (
+    COLUMNAR_KIND,
     HASHTABLE_KIND,
     TUPLESET_KIND,
     BoundQuery,
@@ -35,6 +36,7 @@ __all__ = [
     "ALGORITHMS",
     "ENGINES",
     "BoundQuery",
+    "COLUMNAR_KIND",
     "CacheStats",
     "DEFAULT_CACHE_BYTES",
     "HASHTABLE_KIND",

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.indexes.columnar import ColumnarTrie
 from repro.planner.optimizer import PlanChoice
 from repro.planner.query import JoinQuery
 from repro.storage.relation import Relation
@@ -33,6 +34,10 @@ from repro.storage.relation import Relation
 #: structure kinds that are not index-registry entries but still cacheable
 HASHTABLE_KIND = "hashtable"     # binary pipeline stage table
 TUPLESET_KIND = "tupleset"       # recursive NPRR frozen row set
+#: the batch Generic Join's columnar trie: engine-owned like the stage
+#: table — under ``engine="batch"`` it is built *instead of* the
+#: ``index=`` kind, which nothing would probe
+COLUMNAR_KIND = ColumnarTrie.NAME
 
 
 def canonical_options(options: "Mapping[str, object] | None",
@@ -63,6 +68,10 @@ class IndexSpec:
     (the Free Join COLT strategy promoted from probe-time memoization to
     a build strategy).  Only kinds with level-at-a-time bulk builds
     qualify (RA309 in :mod:`repro.analysis.plancheck`).
+
+    ``kind`` names what the prepare stage *builds*: a registry index
+    for the tuple engine, :data:`COLUMNAR_KIND` for every atom of a
+    batch-engine plan (``JoinPlan.index`` keeps what the caller asked).
     """
 
     alias: str
@@ -85,6 +94,33 @@ class IndexSpec:
         if self.lazy:
             return suffix + ("lazy",)
         return suffix
+
+
+def built_kind(node: "PlanStage | JoinPlan") -> str:
+    """The structure kind a generic plan or stage has built per atom —
+    its specs say — which under the batch engine is not the ``index``
+    the caller named."""
+    return node.index_specs[0].kind if node.index_specs else node.index
+
+
+def _describe_head(node: "PlanStage | JoinPlan") -> str:
+    """``algorithm/engine index=… built=…`` — what was asked, then what
+    is built for it when the two differ, then why the engine is what it
+    is when that was resolved rather than given."""
+    head = node.algorithm
+    if node.engine:
+        head += f"/{node.engine}"
+    if node.index:
+        head += f" index={node.index}"
+        if built_kind(node) != node.index:
+            head += f" built={built_kind(node)}"
+    if node.engine_note:
+        head += f" [{node.engine_note}]"
+    if node.total_order:
+        head += f" order={','.join(node.total_order)}"
+    if node.atom_order:
+        head += f" atoms={','.join(node.atom_order)}"
+    return head
 
 
 #: alias prefix that marks an atom as fed by a child stage's output
@@ -129,18 +165,11 @@ class PlanStage:
     index_specs: tuple[IndexSpec, ...] = ()
     children: "tuple[PlanStage, ...]" = ()
     choice: "PlanChoice | None" = None
+    engine_note: str = ""
 
     def describe(self, indent: int = 0) -> str:
         """The nested multi-line stage form (EXPLAIN / tests)."""
-        head = self.algorithm
-        if self.engine:
-            head += f"/{self.engine}"
-        if self.index:
-            head += f" index={self.index}"
-        if self.total_order:
-            head += f" order={','.join(self.total_order)}"
-        if self.atom_order:
-            head += f" atoms={','.join(self.atom_order)}"
+        head = _describe_head(self)
         if any(spec.lazy for spec in self.index_specs):
             head += " lazy"
         lines = [("  " * indent) + f"- stage {self.label}: {head}"]
@@ -178,7 +207,9 @@ class JoinPlan:
 
     ``algorithm`` is always resolved (never ``"auto"``); ``engine`` is
     only meaningful for the generic algorithm and is likewise resolved
-    (``"tuple"`` or ``"batch"``).  ``total_order`` is empty for the
+    (``"tuple"`` or ``"batch"`` — batch only over int64-class columns,
+    whatever was asked).  ``index`` is the kind the caller named; each
+    spec's ``kind`` is what gets built.  ``total_order`` is empty for the
     binary pipeline, whose order lives in ``atom_order`` instead.
     ``choice`` carries the hybrid optimizer's rationale when it ran
     (``algorithm="auto"`` or a profiled run).
@@ -200,6 +231,10 @@ class JoinPlan:
     choice: "PlanChoice | None" = None
     sharding: "ShardingSpec | None" = None
     root_stage: "PlanStage | None" = None
+    #: why ``engine`` is what it is, when the plan stage resolved it
+    #: (``"auto"``, or ``"batch"`` over columns it cannot hold) — also
+    #: appended to ``choice.reason`` when the optimizer ran
+    engine_note: str = ""
 
     def spec_for(self, alias: str) -> IndexSpec:
         """The :class:`IndexSpec` prepared for atom ``alias``."""
@@ -230,15 +265,7 @@ class JoinPlan:
         Flat plans render one line; unified plans append the nested
         stage-tree form, one indented line per stage.
         """
-        head = f"{self.algorithm}"
-        if self.engine:
-            head += f"/{self.engine}"
-        if self.index:
-            head += f" index={self.index}"
-        if self.total_order:
-            head += f" order={','.join(self.total_order)}"
-        if self.atom_order:
-            head += f" atoms={','.join(self.atom_order)}"
+        head = _describe_head(self)
         if self.sharding is not None:
             head += f" {self.sharding.describe()}"
         if self.root_stage is not None:

@@ -46,6 +46,7 @@ from repro.core.config import MAX_EXTEND_LOAD, SonicConfig
 from repro.core.envflag import resolve_flag
 from repro.engine.cache import IndexCache, estimate_structure_bytes
 from repro.engine.ir import (
+    COLUMNAR_KIND,
     HASHTABLE_KIND,
     TUPLESET_KIND,
     BoundQuery,
@@ -58,6 +59,7 @@ from repro.engine.ir import (
 )
 from repro.engine.prepared import PreparedJoin
 from repro.errors import ConfigurationError, QueryError, SchemaError
+from repro.indexes.columnar import ColumnarTrie
 from repro.indexes.lazy import LAZY_CAPABLE_KINDS, LazyTrieAdapter
 from repro.indexes.registry import make_index
 from repro.joins.binary import (
@@ -413,20 +415,55 @@ def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
 # Per-algorithm planners
 # ----------------------------------------------------------------------
 
-def _resolve_generic_engine(index: str, engine: str) -> str:
-    if engine == "auto":
-        # SUPPORTS_BATCH is a class attribute, so one arity-2 probe
-        # instance answers for every adapter the prepare stage will build
-        return "batch" if make_index(index, 2).SUPPORTS_BATCH else "tuple"
-    return engine
+def _resolve_generic_engine(atoms: "Sequence[Atom]",
+                            relations: Mapping[str, Relation],
+                            engine: str) -> tuple[str, str]:
+    """``(engine, note)``: the batch engine where it can run, else tuple.
+
+    The batch driver reads int64 columns (a columnar trie sorts and
+    packs them), so ``"auto"`` — and ``"batch"`` itself — resolve to it
+    only when every column of ``atoms`` (the atoms a Generic Join will
+    read) is int64-class, a property of the input
+    (:meth:`~repro.storage.relation.Relation.dtype_classes`).
+    Results are identical either way, so asking for batch over object
+    columns is not an error; ``note`` says what happened whenever the
+    engine was resolved rather than given.
+    """
+    if engine == "tuple":
+        return engine, ""
+    for atom in atoms:
+        if "object" in relations[atom.alias].dtype_classes():
+            return "tuple", (f"engine={engine}: tuple, {atom.alias} holds a "
+                             "non-int64 column the columnar trie cannot sort")
+    note = "engine=auto: batch, every joined column is int64" \
+        if engine == "auto" else ""
+    return "batch", note
 
 
-def _generic_options(index: str, kwargs: dict) -> dict:
+def _noted(choice, note: str):
+    """``choice`` with the engine note appended to its reason."""
+    if choice is None or not note:
+        return choice
+    return replace(choice, reason=f"{choice.reason}; {note}")
+
+
+def _generic_structure(index: str, engine: str, kwargs: dict,
+                       ) -> tuple[str, dict]:
+    """``(kind, options)`` of the structure a generic plan builds per atom.
+
+    The batch driver reads columnar tries and nothing else — Sonic's
+    levels are Python lists, readable one key at a time — so under it
+    the ``index=`` kind is not built and its options have nothing to
+    configure (they stay accepted: the engine is a property of the data,
+    and the same call must work when it resolves to tuple).
+    """
+    if engine == "batch":
+        return COLUMNAR_KIND, {}
     options = dict(kwargs.get("index_options") or {})
     if index == "sonic":
         options["bucket_size"] = kwargs.get("sonic_bucket_size", 8)
         options["overallocation"] = kwargs.get("sonic_overallocation", 2.0)
-    return options
+    return index, options
 
 
 def _resolve_lazy(index: str, kwargs: dict) -> bool:
@@ -441,17 +478,18 @@ def _resolve_lazy(index: str, kwargs: dict) -> bool:
 def _plan_generic(query: JoinQuery, relations: Mapping[str, Relation],
                   total: tuple[str, ...], index: str, engine: str,
                   dynamic_seed: bool, choice, kwargs: dict) -> JoinPlan:
-    engine = _resolve_generic_engine(index, engine)
-    options = _generic_options(index, kwargs)
+    engine, note = _resolve_generic_engine(query.atoms, relations, engine)
+    kind, options = _generic_structure(index, engine, kwargs)
     lazy = _resolve_lazy(index, kwargs)
     specs = tuple(
-        _structure_spec(relations[atom.alias], atom.alias, index, total,
+        _structure_spec(relations[atom.alias], atom.alias, kind, total,
                         options, lazy=lazy)
         for atom in query.atoms
     )
     return JoinPlan(query=query, algorithm="generic", engine=engine,
                     index=index, total_order=total, index_specs=specs,
-                    dynamic_seed=dynamic_seed, choice=choice)
+                    dynamic_seed=dynamic_seed, choice=_noted(choice, note),
+                    engine_note=note)
 
 
 def _plan_hashtrie(query: JoinQuery, relations: Mapping[str, Relation],
@@ -544,21 +582,31 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
     the unified plan never does worse than the better flat plan by
     construction of the split.
     """
-    engine = _resolve_generic_engine(index, engine)
-    options = _generic_options(index, kwargs)
+    core = cyclic_core(Hypergraph.from_query(query))
+    aliases = [atom.alias for atom in query.atoms]
+    mixed = bool(core) and core != set(aliases)
+    # the engine is resolved over the atoms a Generic Join stage reads:
+    # the cyclic core, or everything when the optimizer keeps the whole
+    # query on WCOJ; binary stages read rows, whatever their dtype
+    if mixed:
+        generic_atoms = [atom for atom in query.atoms if atom.alias in core]
+    else:
+        generic_atoms = [] if choice.algorithm == "binary" else query.atoms
+    engine, note = _resolve_generic_engine(generic_atoms, relations, engine)
+    kind, options = _generic_structure(index, engine, kwargs)
     lazy = _resolve_lazy(index, kwargs)
 
     def generic_stage(label: str, sub_query: JoinQuery,
                       total: tuple[str, ...], stage_choice) -> PlanStage:
         specs = tuple(
-            _structure_spec(relations[atom.alias], atom.alias, index, total,
+            _structure_spec(relations[atom.alias], atom.alias, kind, total,
                             options, lazy=lazy)
             for atom in sub_query.atoms
         )
         return PlanStage(label=label, algorithm="generic", query=sub_query,
                          output=total, engine=engine, index=index,
                          total_order=total, index_specs=specs,
-                         choice=stage_choice)
+                         choice=_noted(stage_choice, note), engine_note=note)
 
     def binary_stage(label: str, sub_query: JoinQuery,
                      atom_order: Sequence[str],
@@ -579,13 +627,9 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
                          atom_order=tuple(atom_order), index_specs=specs,
                          children=children, choice=stage_choice)
 
-    core = cyclic_core(Hypergraph.from_query(query))
-    aliases = [atom.alias for atom in query.atoms]
-
-    if core and core != set(aliases):
+    if mixed:
         # mixed plan: WCOJ over the cyclic core, binary ears on top
-        core_atoms = tuple(a for a in query.atoms if a.alias in core)
-        core_query = JoinQuery(core_atoms)
+        core_query = JoinQuery(tuple(generic_atoms))
         core_order = tuple(connectivity_order(core_query))
         core_choice = HybridOptimizer().choose(core_query, stats)
         child = generic_stage("core", core_query, core_order, core_choice)
@@ -632,8 +676,9 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
         root = generic_stage("root", query, total, choice)
 
     return JoinPlan(query=query, algorithm="unified", engine=engine,
-                    index=index, dynamic_seed=dynamic_seed, choice=choice,
-                    root_stage=root)
+                    index=index, dynamic_seed=dynamic_seed,
+                    choice=_noted(choice, note), root_stage=root,
+                    engine_note=note)
 
 
 def _structure_spec(relation: Relation, alias: str, kind: str,
@@ -716,6 +761,10 @@ def _build_structure(spec: IndexSpec, relation: Relation,
         return LazyTrieAdapter(relation, spec.kind, spec.attribute_order,
                                spec.permutation, options=dict(spec.options),
                                snapshot=snapshot)
+    if spec.kind == COLUMNAR_KIND:
+        columns = (relation.columns() if snapshot is None
+                   else snapshot.columns)
+        return ColumnarTrie(tuple(columns[i] for i in spec.permutation))
     options = dict(spec.options)
     presort = options.pop("sorted", False)
     if spec.kind == "sonic":

@@ -27,8 +27,13 @@ every call.
 from __future__ import annotations
 
 from repro.core.adapter import IndexAdapter
-from repro.core.envflag import resolve_flag
-from repro.engine.ir import BoundQuery, JoinPlan, PlanStage, stage_alias
+from repro.engine.ir import (
+    BoundQuery,
+    JoinPlan,
+    PlanStage,
+    built_kind,
+    stage_alias,
+)
 from repro.joins.batch import GenericJoinBatch
 from repro.joins.binary import BinaryHashJoin
 from repro.joins.executor import attach_profile
@@ -37,7 +42,7 @@ from repro.joins.hashtrie_join import HashTrieJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.recursive import RecursiveJoin
 from repro.joins.results import JoinResult
-from repro.obs.observer import JoinObserver, NULL_OBSERVER
+from repro.obs.observer import JoinObserver, NULL_OBSERVER, resolve_observer
 from repro.storage.relation import Relation
 
 
@@ -118,12 +123,7 @@ class PreparedJoin:
         the builds happened at prepare time, under the prepare
         observer.
         """
-        if obs is not None:
-            observer = obs
-        elif resolve_flag(profile, "REPRO_PROFILE"):
-            observer = JoinObserver()
-        else:
-            observer = NULL_OBSERVER
+        observer = resolve_observer(profile, obs)
         # §5.15 build-included timing: the prepare-stage build cost lands
         # on the first execution only
         charge, self._pending_build = self._pending_build, 0.0
@@ -169,7 +169,8 @@ class PreparedJoin:
                           else GenericJoin)
             driver = driver_cls(query, self._adapters, order=plan.total_order,
                                 dynamic_seed=plan.dynamic_seed, obs=observer)
-            driver.metrics.index = plan.index
+            # what was built, which is not always what was asked for
+            driver.metrics.index = built_kind(plan)
             order = plan.total_order
             engine = plan.engine
         driver.metrics.build_seconds = charge
@@ -281,7 +282,7 @@ class PreparedJoin:
             driver = driver_cls(stage.query, adapters,
                                 order=stage.total_order,
                                 dynamic_seed=plan.dynamic_seed, obs=observer)
-            driver.metrics.index = stage.index
+            driver.metrics.index = built_kind(stage)
         result = driver.run(materialize=materialize)
         choice = stage.choice
         estimated = None

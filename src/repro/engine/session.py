@@ -30,8 +30,9 @@ re-prepared.  A miss is not a rebuild, though: relations only grow by
 appending, so the prepare stage copies the stale structure, applies the
 appended rows to the copy and publishes that (Sonic indexes and binary
 stage tables; every other kind rebuilds, as does a Sonic index grown
-past its load ceiling or out of its buckets), and the store drops the
-stale entry it supersedes.
+past its load ceiling or out of its buckets — and the batch engine's
+columnar trie, whose whole build is one packed sort), and the store
+drops the stale entry it supersedes.
 :meth:`invalidate` releases a relation's entries before that — which
 also takes away the base the next prepare would have extended.
 """
@@ -40,13 +41,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.core.envflag import resolve_flag
 from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
 from repro.engine.pipeline import bind, plan, prepare
 from repro.engine.prepared import PreparedJoin
 from repro.joins.results import JoinResult
 from repro.obs.metrics import Metrics
-from repro.obs.observer import JoinObserver, NULL_OBSERVER
+from repro.obs.observer import resolve_observer
 from repro.planner.query import JoinQuery
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -100,6 +100,10 @@ class Session:
         the return value (executable many times) and the build route —
         every index spec goes through the session cache, so repeated
         prepares over unchanged relations skip the build entirely.
+        What is cached follows the resolved engine: the ``index`` kind
+        under ``engine="tuple"``, one columnar trie per relation and
+        attribute order under ``engine="batch"`` (``"auto"``: batch iff
+        every joined column is int64-class).
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning
@@ -110,12 +114,7 @@ class Session:
         themselves are released when their cache entries are evicted
         or superseded by a newer version's partitioning.
         """
-        if obs is not None:
-            observer = obs
-        elif resolve_flag(profile, "REPRO_PROFILE"):
-            observer = JoinObserver()
-        else:
-            observer = NULL_OBSERVER
+        observer = resolve_observer(profile, obs)
         bound = bind(query, self.source, debug=debug, obs=observer)
         join_plan = plan(bound, algorithm=algorithm, index=index, order=order,
                          binary_order=binary_order, engine=engine,
@@ -126,17 +125,23 @@ class Session:
     def execute(self, query: "JoinQuery | str",
                 materialize: bool = False,
                 trace_out: "str | None" = None,
+                profile: "bool | None" = None,
+                obs=None,
                 **kwargs) -> JoinResult:
         """Prepare-and-run in one call, always against current data.
 
         Re-prepares on every call — cheap when the cache is warm, and
         the fingerprint keying makes mutations visible immediately
         (unlike holding on to a :class:`PreparedJoin`, which pins its
-        prepare-time snapshot).
+        prepare-time snapshot).  ``profile`` / ``obs`` resolve to one
+        observer for both halves, so ``result.profile`` covers bind,
+        plan and prepare (cache hits, ``build_index`` / ``extend_index``
+        spans) as well as the probe and its per-level tree.
         """
-        prepared = self.prepare(query, **kwargs)
+        observer = resolve_observer(profile, obs)
+        prepared = self.prepare(query, obs=observer, **kwargs)
         try:
-            return prepared.execute(materialize=materialize,
+            return prepared.execute(materialize=materialize, obs=observer,
                                     trace_out=trace_out)
         finally:
             # one-shot semantics: a sharded prepared join must not leak

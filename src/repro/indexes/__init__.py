@@ -18,27 +18,27 @@ registry name    structure                                        prefix?
 ``surf``         SuRF succinct range filter (approximate)         no
 ``sortedtrie``   Sorted-array trie (LFTJ interface)               yes
 ===============  ==============================================  ========
+
+:class:`~repro.indexes.columnar.ColumnarTrie` is not a registry entry:
+it is the engine-owned structure the batch Generic Join reads (built by
+the prepare stage whatever ``index=`` says), not a §3.1 tuple index.
 """
 
 from repro.indexes.art import AdaptiveRadixTree
 from repro.indexes.base import (
-    BatchCursor,
-    CursorBatchCursor,
-    FallbackBatchCursor,
     FallbackCursor,
     PointIndex,
     PrefixCursor,
-    SyncedBatchCursor,
     TupleIndex,
 )
 from repro.indexes.bitvector import BitVector, BitVectorBuilder
 from repro.indexes.btree import BPlusTree
+from repro.indexes.columnar import ColumnarTrie
 from repro.indexes.hashset import SwissTableSet
 from repro.indexes.hashtrie import HashTrie
 from repro.indexes.hattrie import HatTrie
 from repro.indexes.hierarchical import HierarchicalHashMap
 from repro.indexes.registry import (
-    batch_capable_indexes,
     ensure_registered,
     make_index,
     prefix_capable_indexes,
@@ -51,12 +51,10 @@ from repro.indexes.surf import SuccinctRangeFilter
 
 __all__ = [
     "AdaptiveRadixTree",
-    "BatchCursor",
     "BitVector",
     "BitVectorBuilder",
     "BPlusTree",
-    "CursorBatchCursor",
-    "FallbackBatchCursor",
+    "ColumnarTrie",
     "FallbackCursor",
     "HashTrie",
     "HatTrie",
@@ -68,10 +66,8 @@ __all__ = [
     "SortedTrie",
     "SuccinctRangeFilter",
     "SwissTableSet",
-    "SyncedBatchCursor",
     "TrieIterator",
     "TupleIndex",
-    "batch_capable_indexes",
     "ensure_registered",
     "make_index",
     "prefix_capable_indexes",

@@ -30,7 +30,6 @@ from typing import ClassVar
 import numpy as np
 
 from repro.errors import SchemaError, UnsupportedOperationError
-from repro.obs.metrics import NULL_METRICS
 
 #: shared empty candidate array (int64, the common key dtype)
 EMPTY_VALUES: np.ndarray = np.empty(0, dtype=np.int64)
@@ -112,38 +111,6 @@ def sorted_unique_rows(arrays: "Sequence[np.ndarray]") -> "list[tuple] | None":
         return None
 
 
-def sorted_value_array(values: "Iterable") -> np.ndarray:
-    """``values`` (assumed distinct) as a sorted array.
-
-    The candidate-array constructor shared by the batch kernels; callers
-    are responsible for deduplication (child walks never yield duplicates).
-    """
-    if isinstance(values, np.ndarray):
-        return np.sort(values)
-    return value_array(sorted(values))
-
-
-def membership_mask(sorted_children: np.ndarray,
-                    values: np.ndarray) -> np.ndarray:
-    """Boolean mask: which of ``values`` occur in ``sorted_children``.
-
-    One vectorized binary search per call — the batched rendering of the
-    Generic Join's per-candidate descend probes.
-    """
-    if sorted_children.size == 0 or values.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    if sorted_children.dtype.kind != values.dtype.kind:
-        # e.g. int64 children probed with an object-dtype vector: binary
-        # search would need an ordering across the mixed types, so test
-        # membership under python hashing semantics instead
-        children = set(sorted_children.tolist())
-        return np.fromiter((value in children for value in values.tolist()),
-                           dtype=bool, count=values.size)
-    positions = sorted_children.searchsorted(values)
-    np.minimum(positions, sorted_children.size - 1, out=positions)
-    return sorted_children[positions] == values
-
-
 class TupleIndex(abc.ABC):
     """Abstract base for all tuple indexes in :mod:`repro.indexes`.
 
@@ -156,10 +123,6 @@ class TupleIndex(abc.ABC):
 
     NAME: ClassVar[str] = "abstract"
     SUPPORTS_PREFIX: ClassVar[bool] = True
-    #: does :meth:`batch_cursor` return a *native* vectorized kernel?
-    #: Every prefix-capable index still gets a (per-value) fallback batch
-    #: cursor; this flag is what ``engine="auto"`` keys on.
-    SUPPORTS_BATCH: ClassVar[bool] = False
     #: does :meth:`build_bulk` take a vectorized columnar fast path?
     #: Every index accepts ``build_bulk`` (the default re-rows the columns
     #: and inserts per tuple); adapters consult this flag to decide whether
@@ -319,20 +282,6 @@ class TupleIndex(abc.ABC):
             )
         return FallbackCursor(self)
 
-    def batch_cursor(self) -> "BatchCursor":
-        """A vectorized probe cursor for the batch Generic Join.
-
-        Indexes with native batch kernels (``SUPPORTS_BATCH = True``)
-        override this; the default wraps any prefix-capable index in a
-        per-value shim so every registered structure joins under
-        ``engine="batch"`` unchanged, just without the constant-factor win.
-        """
-        if not self.SUPPORTS_PREFIX:
-            raise UnsupportedOperationError(
-                f"{type(self).__name__} does not support prefix descent"
-            )
-        return FallbackBatchCursor(self)
-
 
 class PrefixCursor(abc.ABC):
     """Incremental descent through an index's prefix hierarchy.
@@ -411,260 +360,6 @@ class FallbackCursor(PrefixCursor):
     @property
     def depth(self) -> int:
         return len(self._prefix)
-
-
-class BatchCursor(abc.ABC):
-    """Vectorized probe interface for the batch Generic Join.
-
-    Where :class:`PrefixCursor` answers one candidate at a time, a batch
-    cursor answers *vectors* of candidates per call — the Free-Join-style
-    batch-at-a-time evaluation that removes interpreter dispatch from the
-    intersection inner loop.  Methods are prefix-addressed (the full bound
-    prefix is passed every call) so the interface is stateless; concrete
-    cursors keep an internal descent stack and sync to the given prefix,
-    which costs O(changed components) under the driver's depth-first
-    access pattern.
-
-    Exactness contract (mirrors :class:`PrefixCursor`): at non-final
-    depths :meth:`candidates` and :meth:`probe_many` may report rare false
-    positives (Sonic's patch ambiguity, §3.3); at the final depth —
-    ``len(prefix) == arity - 1`` — both are exact, verified against stored
-    payloads, so join results are always exact.
-
-    * :meth:`candidates` — sorted, duplicate-free array of next-component
-      values under ``prefix``.
-    * :meth:`probe_many` — boolean mask over ``values``: which extend
-      ``prefix`` into a (apparently) non-empty subtree.
-    * :meth:`count` — advisory subtree size, for seed selection only.
-
-    **Observability.**  Concrete cursors carry a ``_metrics`` reference
-    (the shared :data:`~repro.obs.metrics.NULL_METRICS` by default); a
-    profiled run points it at its live registry via
-    :meth:`attach_metrics`, after which calls record memo hits/misses and
-    array sizes — always behind an ``if self._metrics.enabled`` guard, so
-    the un-profiled path pays one attribute load and branch per call.
-    """
-
-    __slots__ = ()
-
-    def attach_metrics(self, metrics) -> None:
-        """Route this cursor's counters into ``metrics`` (a profiled
-        run's :class:`~repro.obs.metrics.Metrics` registry)."""
-        self._metrics = metrics
-
-    @abc.abstractmethod
-    def candidates(self, prefix: tuple) -> np.ndarray:
-        """Sorted distinct next-component values below ``prefix``."""
-
-    @abc.abstractmethod
-    def probe_many(self, prefix: tuple, values: np.ndarray) -> np.ndarray:
-        """Boolean mask aligned with ``values``: non-empty extensions."""
-
-    @abc.abstractmethod
-    def count(self, prefix: tuple) -> int:
-        """Advisory number of stored tuples below ``prefix``."""
-
-
-class SyncedBatchCursor(BatchCursor):
-    """Shared descent-stack plumbing for native batch kernels.
-
-    Subclasses provide three node-level hooks (``_descend_frame``,
-    ``_children_array``, ``_frame_count``); this base maintains the path
-    stack, syncs it to each call's prefix, and **memoizes one sorted
-    children array (and one advisory count) per distinct prefix** for the
-    cursor's lifetime — Free Join's lazily-built column-oriented trie
-    (COLT): only the nodes the join actually visits are ever materialized,
-    but a node revisited under different outer bindings (E2's subtree
-    under a popular ``b``, reached once per ``(a, b)`` edge) answers from
-    the memo without re-walking the index.  Memo size is bounded by the
-    number of distinct visited prefixes, at most the index's node count;
-    indexes are immutable during a join, so entries never invalidate.
-
-    A frame of ``None`` marks a missing node (descent failed): candidates
-    are empty, probes all-False, count 0.
-    """
-
-    __slots__ = ("_path", "_frames", "_memo", "_counts", "_metrics")
-
-    def __init__(self, root_frame):
-        self._path: list = []
-        self._frames: list = [root_frame]
-        self._memo: dict = {}
-        self._counts: dict = {}
-        self._metrics = NULL_METRICS
-
-    # -- subclass hooks ------------------------------------------------
-    @abc.abstractmethod
-    def _descend_frame(self, frame, depth: int, value):
-        """Child frame of ``frame`` under ``value`` at ``depth``; None if absent."""
-
-    @abc.abstractmethod
-    def _children_array(self, frame, depth: int) -> np.ndarray:
-        """Sorted distinct next-component values of the node ``frame``."""
-
-    @abc.abstractmethod
-    def _frame_count(self, frame, depth: int) -> int:
-        """Advisory subtree size of the node ``frame``."""
-
-    # -- BatchCursor interface -----------------------------------------
-    def _sync(self, prefix: tuple):
-        """Re-anchor the descent stack at ``prefix``; returns the top frame."""
-        path = self._path
-        frames = self._frames
-        common = 0
-        for bound, wanted in zip(path, prefix):
-            if bound != wanted:
-                break
-            common += 1
-        while len(path) > common:
-            path.pop()
-            self._pop_frame(frames.pop())
-        for depth in range(common, len(prefix)):
-            value = prefix[depth]
-            top = frames[-1]
-            frame = None if top is None else self._descend_frame(top, depth, value)
-            path.append(value)
-            frames.append(frame)
-        return frames[-1]
-
-    def _pop_frame(self, frame) -> None:
-        """Hook: a frame (possibly None) left the stack.  Default no-op."""
-
-    def _materialize(self, prefix: tuple) -> np.ndarray:
-        """Memo miss: sync to ``prefix``, walk the node's children once."""
-        frame = self._sync(prefix)
-        if frame is None:
-            array = EMPTY_VALUES
-        else:
-            array = self._children_array(frame, len(self._path))
-        self._memo[prefix] = array
-        return array
-
-    def candidates(self, prefix: tuple) -> np.ndarray:
-        array = self._memo.get(prefix)
-        metrics = self._metrics
-        if array is None:
-            array = self._materialize(prefix)
-            if metrics.enabled:
-                metrics.inc("batch.candidates")
-                metrics.inc("batch.memo_miss")
-                metrics.observe("batch.candidates_size", array.size)
-        elif metrics.enabled:
-            metrics.inc("batch.candidates")
-            metrics.inc("batch.memo_hit")
-            metrics.observe("batch.candidates_size", array.size)
-        return array
-
-    def probe_many(self, prefix: tuple, values: np.ndarray) -> np.ndarray:
-        array = self._memo.get(prefix)
-        if array is None:
-            array = self._materialize(prefix)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("batch.probe_many")
-            metrics.observe("batch.probe_many_size", values.size)
-        return membership_mask(array, values)
-
-    def count(self, prefix: tuple) -> int:
-        cached = self._counts.get(prefix)
-        if cached is None:
-            frame = self._sync(prefix)
-            cached = 0 if frame is None else self._frame_count(frame, len(self._path))
-            self._counts[prefix] = cached
-        return cached
-
-
-#: frame token marking a successful native-cursor descent
-_DESCENDED = object()
-
-
-class CursorBatchCursor(SyncedBatchCursor):
-    """Batch kernel over an index's *native* :class:`PrefixCursor`.
-
-    Keeps a wrapped incremental cursor in lockstep with the descent stack
-    (one ``try_descend``/``ascend`` per changed component — O(1)-ish, the
-    Alg. 3 cost model), materializes each visited node's distinct children
-    into one sorted array exactly once, and answers ``probe_many`` with a
-    single vectorized binary search against it.  A node revisited by many
-    sibling bindings — the common case at the upper levels of a descent —
-    never re-walks its children.
-
-    Exactness is inherited from the wrapped cursor: its ``child_values``
-    may surface inner-depth false positives but is payload-exact at the
-    final depth, so the batch contract holds.
-    """
-
-    __slots__ = ("_cursor",)
-
-    _ROOT = object()
-
-    def __init__(self, cursor: PrefixCursor):
-        self._cursor = cursor
-        super().__init__(self._ROOT)
-
-    def _descend_frame(self, frame, depth: int, value):
-        return _DESCENDED if self._cursor.try_descend(value) else None
-
-    def _pop_frame(self, frame) -> None:
-        if frame is _DESCENDED:
-            self._cursor.ascend()
-
-    def _children_array(self, frame, depth: int) -> np.ndarray:
-        return sorted_value_array(list(self._cursor.child_values()))
-
-    def _frame_count(self, frame, depth: int) -> int:
-        return self._cursor.count()
-
-
-class FallbackBatchCursor(BatchCursor):
-    """Batch shim over any prefix-capable index.
-
-    Correct for every :class:`TupleIndex` whose prefix operations are
-    exact (all registered structures except Sonic, which ships a native
-    kernel).  Each visited node's distinct children are walked once
-    through ``iter_next_values`` and memoized as a sorted array (the
-    index is immutable during a join); ``probe_many`` then answers with
-    one vectorized binary search against that array instead of a
-    per-value ``has_prefix`` loop that re-probed the index from the
-    root for every candidate.
-    """
-
-    __slots__ = ("_index", "_memo", "_metrics")
-
-    def __init__(self, index: TupleIndex):
-        self._index = index
-        self._memo: dict = {}
-        self._metrics = NULL_METRICS
-
-    def candidates(self, prefix: tuple) -> np.ndarray:
-        array = self._memo.get(prefix)
-        metrics = self._metrics
-        if array is None:
-            array = sorted_value_array(self._index.iter_next_values(prefix))
-            self._memo[prefix] = array
-            if metrics.enabled:
-                metrics.inc("batch.candidates")
-                metrics.inc("batch.memo_miss")
-                metrics.observe("batch.candidates_size", array.size)
-        elif metrics.enabled:
-            metrics.inc("batch.candidates")
-            metrics.inc("batch.memo_hit")
-            metrics.observe("batch.candidates_size", array.size)
-        return array
-
-    def probe_many(self, prefix: tuple, values: np.ndarray) -> np.ndarray:
-        array = self._memo.get(prefix)
-        if array is None:
-            array = sorted_value_array(self._index.iter_next_values(prefix))
-            self._memo[prefix] = array
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("batch.probe_many")
-            metrics.observe("batch.probe_many_size", values.size)
-        return membership_mask(array, values)
-
-    def count(self, prefix: tuple) -> int:
-        return self._index.count_prefix(prefix)
 
 
 class PointIndex(TupleIndex):

@@ -46,7 +46,7 @@ from collections.abc import Iterator
 from typing import ClassVar
 
 from repro.errors import SchemaError
-from repro.indexes.base import CursorBatchCursor, PrefixCursor, TupleIndex
+from repro.indexes.base import PrefixCursor, TupleIndex
 
 
 class _Node:
@@ -68,7 +68,6 @@ class HashTrie(TupleIndex):
     """Lazily-expanded trie of hash tables (Umbra's WCOJ index)."""
 
     NAME: ClassVar[str] = "hashtrie"
-    SUPPORTS_BATCH: ClassVar[bool] = True
 
     def __init__(self, arity: int, lazy: bool = True, singleton_pruning: bool = True):
         super().__init__(arity)
@@ -263,10 +262,6 @@ class HashTrie(TupleIndex):
         """Native cursor; descents trigger the same lazy expansion as probes."""
         return HashTrieCursor(self)
 
-    def batch_cursor(self) -> "HashTrieBatchCursor":
-        """Native batch kernel over the lazily-expanded trie."""
-        return HashTrieBatchCursor(self)
-
     def expanded_levels(self) -> int:
         """Deepest expanded level (0 = only the eager first level exists)."""
         deepest = 0
@@ -374,21 +369,3 @@ class HashTrieCursor(PrefixCursor):
         if isinstance(frame, list):
             return len(frame)
         return len(frame.table)
-
-
-class HashTrieBatchCursor(CursorBatchCursor):
-    """Batched probing over the hash trie.
-
-    Wraps a :class:`HashTrieCursor`, so descents trigger exactly the same
-    lazy chain expansion (and pay the same redistribution cost, keeping
-    the Fig 15 comparison honest); each visited node's table keys — or
-    path-filtered chain values — are frozen into one sorted array and
-    candidate vectors resolve against it with a single vectorized binary
-    search instead of one dict probe per candidate.  Exact at every depth
-    (chain frames are filtered against the bound path).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, index: HashTrie):
-        super().__init__(HashTrieCursor(index))

@@ -3,13 +3,12 @@
 Free Join (Wang et al., SIGMOD'23) observes that a WCOJ trie only needs
 the levels the join actually descends into: their COLT (column-oriented
 lazy trie) builds each level on first touch, so a join that dies at an
-early attribute never pays for the deep levels at all.  The engine
-already had the probe-time half of this idea — the
-:class:`~repro.indexes.base.SyncedBatchCursor` memoizes candidate
-arrays per visited prefix — and :class:`LazyTrieAdapter` promotes it to
-a *build-time* strategy: an :class:`~repro.engine.ir.IndexSpec` with
-``lazy=True`` prepares in O(1), and the underlying index is bulk-built
-level-at-a-time the first time a cursor needs that depth.
+early attribute never pays for the deep levels at all.
+:class:`LazyTrieAdapter` is that idea as a *build-time* strategy: an
+:class:`~repro.engine.ir.IndexSpec` with ``lazy=True`` prepares in O(1),
+and the underlying index is bulk-built level-at-a-time the first time a
+cursor — or, under the batch engine, the frontier driver — needs that
+depth.
 
 **Materialization policy.**  The first descent builds a *truncated*
 index of exactly the requested depth — ``make_index(kind, depth)`` over
@@ -19,6 +18,11 @@ exact at its own final depth).  Any later, deeper request rebuilds at
 the full arity in one step.  Two builds bound the total work at roughly
 twice an eager build, while the headline case — a join that only ever
 exercises a prefix of the attribute order — pays for that prefix only.
+Under the batch engine the inner structure is a
+:class:`~repro.indexes.columnar.ColumnarTrie` over the first ``depth``
+columns; a truncated trie numbers the nodes of the levels it has exactly
+as the full one does, so a deepen never invalidates a frontier that is
+already holding node ids.
 
 **Snapshot pinning.**  The adapter pins the relation's column arrays
 at construction time (:meth:`~repro.storage.relation.Relation.snapshot`,
@@ -32,7 +36,7 @@ descending into the pinned snapshot safely.
 
 **Thread safety** follows the engine's lock discipline: one internal
 lock guards state transitions, the published state is a single
-atomically-swapped tuple ``(index, depth, generation)``, and callbacks
+atomically-swapped tuple ``(index, depth)``, and callbacks
 (:attr:`on_deepen`, used by the session cache to upgrade a shallow
 entry's ``built_depth`` in place) run outside the lock.
 
@@ -48,7 +52,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.indexes.base import BatchCursor, PrefixCursor, membership_mask
+from repro.indexes.base import PrefixCursor
+from repro.indexes.columnar import ColumnarTrie
 from repro.indexes.registry import make_index
 from repro.joins.results import Stopwatch
 
@@ -92,43 +97,20 @@ class _Level1Index:
     def memory_usage(self) -> int:
         return int(self._values.nbytes) + 64 * len(self._members)
 
-    def batch_cursor(self) -> "_Level1BatchCursor":
-        return _Level1BatchCursor(self)
-
-
-class _Level1BatchCursor(BatchCursor):
-    __slots__ = ("_index", "_metrics")
-
-    def __init__(self, index: _Level1Index):
-        self._index = index
-        self._metrics = None
-
-    def attach_metrics(self, metrics) -> None:
-        self._metrics = metrics
-
-    def candidates(self, prefix: tuple):
-        return self._index._values
-
-    def probe_many(self, prefix: tuple, values):
-        return membership_mask(self._index._values, values)
-
-    def count(self, prefix: tuple) -> int:
-        return self._index.count_prefix(prefix)
-
 
 class LazyTrieAdapter:
     """A drop-in :class:`~repro.indexes.base.TupleIndex` stand-in whose
     levels materialize on first descent.
 
     Quacks like a built index of the relation's full arity — ``arity``,
-    ``cursor()``, ``batch_cursor()``, ``memory_usage()`` — so
-    :class:`~repro.core.adapter.IndexAdapter` and both Generic Join
-    engines use it unchanged.
+    ``cursor()``, ``memory_usage()`` — so
+    :class:`~repro.core.adapter.IndexAdapter` and the tuple Generic Join
+    use it unchanged; the batch driver asks :meth:`at_depth` for the
+    columnar trie instead.
     """
 
     NAME = "lazy"
     SUPPORTS_PREFIX = True
-    SUPPORTS_BATCH = True
     SUPPORTS_BULK_BUILD = False
     #: cache invalidation must close() us: a fingerprint bump means the
     #: backing relation changed under the snapshot (see module docstring)
@@ -139,7 +121,7 @@ class LazyTrieAdapter:
                  permutation: Sequence[int],
                  options: "Mapping[str, object] | None" = None,
                  on_deepen=None, snapshot=None):
-        if kind not in LAZY_CAPABLE_KINDS:
+        if kind not in LAZY_CAPABLE_KINDS and kind != ColumnarTrie.NAME:
             raise ValueError(
                 f"index kind {kind!r} has no level-at-a-time build; "
                 f"lazy adapters support {LAZY_CAPABLE_KINDS}")
@@ -155,8 +137,8 @@ class LazyTrieAdapter:
         self.attribute_order = tuple(attribute_order)
         self._options = dict(options or {})
         self._lock = threading.Lock()
-        #: atomically-swapped (inner index | None, built depth, generation)
-        self._state: tuple = (None, 0, 0)
+        #: atomically-swapped (inner index | None, built depth)
+        self._state: tuple = (None, 0)
         self._pending_ns = 0
         self._closed = False
         #: called (outside the lock) after every deepening build; the
@@ -177,8 +159,8 @@ class LazyTrieAdapter:
         return self.tuple_count
 
     # ------------------------------------------------------------------
-    def _ensure_depth(self, depth: int) -> tuple:
-        """Materialize at least ``depth`` levels; return (index, generation).
+    def _ensure_depth(self, depth: int):
+        """Materialize at least ``depth`` levels; return the inner index.
 
         Double-checked under the internal lock; the build itself runs
         inside the lock (one canonical build per level set, the same
@@ -187,11 +169,11 @@ class LazyTrieAdapter:
         """
         state = self._state
         if state[1] >= depth:
-            return (state[0], state[2])
+            return state[0]
         with self._lock:
-            inner, built, generation = self._state
+            inner, built = self._state
             if built >= depth:
-                return (inner, generation)
+                return inner
             # first touch builds exactly the requested depth; any deeper
             # request afterwards jumps straight to the full arity, so an
             # adapter rebuilds at most once (≤ ~2x an eager build) while
@@ -201,12 +183,11 @@ class LazyTrieAdapter:
             t0 = Stopwatch.now_ns()
             index, target = self._build_truncated(target)
             self._pending_ns += Stopwatch.now_ns() - t0
-            generation += 1
-            self._state = (index, target, generation)
+            self._state = (index, target)
             callback = self.on_deepen if not self._closed else None
         if callback is not None:
             callback(self)
-        return (index, generation)
+        return index
 
     def _build_truncated(self, depth: int):
         """Bulk-build a ``depth``-level index from the pinned snapshot.
@@ -215,6 +196,8 @@ class LazyTrieAdapter:
         :class:`_Level1Index` (Sonic has no arity-1 form); values that
         admit no total order fall back to a full build.
         """
+        if self.kind == ColumnarTrie.NAME:
+            return ColumnarTrie(self._columns[:depth]), depth
         if depth == 1:
             try:
                 return _Level1Index(self._columns[0]), 1
@@ -274,8 +257,10 @@ class LazyTrieAdapter:
     def cursor(self) -> "LazyCursor":
         return LazyCursor(self)
 
-    def batch_cursor(self) -> "LazyBatchCursor":
-        return LazyBatchCursor(self)
+    def at_depth(self, depth: int) -> ColumnarTrie:
+        """The columnar trie with at least ``depth`` levels built (the
+        batch driver's read path; ``kind`` is the columnar one)."""
+        return self._ensure_depth(depth)
 
     def __repr__(self) -> str:
         return (f"LazyTrieAdapter(kind={self.kind!r}, arity={self.arity}, "
@@ -288,8 +273,8 @@ class LazyCursor(PrefixCursor):
 
     The :class:`~repro.indexes.base.FallbackCursor` pattern — the cursor
     owns only its prefix list and re-addresses the inner index per call —
-    which makes inner-index *generation* changes (a concurrent deepen
-    replacing the truncated index with the full one) harmless: every
+    which makes an inner-index swap (a concurrent deepen replacing the
+    truncated index with the full one) harmless: every
     call fetches the current index at the depth it needs.
     """
 
@@ -301,7 +286,7 @@ class LazyCursor(PrefixCursor):
 
     def try_descend(self, value) -> bool:
         self._prefix.append(value)
-        index, _ = self._adapter._ensure_depth(len(self._prefix))
+        index = self._adapter._ensure_depth(len(self._prefix))
         if index.has_prefix(tuple(self._prefix)):
             return True
         self._prefix.pop()
@@ -311,7 +296,7 @@ class LazyCursor(PrefixCursor):
         self._prefix.pop()
 
     def child_values(self):
-        index, _ = self._adapter._ensure_depth(len(self._prefix) + 1)
+        index = self._adapter._ensure_depth(len(self._prefix) + 1)
         return index.iter_next_values(tuple(self._prefix))
 
     def count(self) -> int:
@@ -319,59 +304,9 @@ class LazyCursor(PrefixCursor):
             # root: answer from the snapshot without building anything —
             # seed selection at depth 0 must not defeat laziness
             return self._adapter.tuple_count
-        index, _ = self._adapter._ensure_depth(len(self._prefix))
+        index = self._adapter._ensure_depth(len(self._prefix))
         return index.count_prefix(tuple(self._prefix))
 
     @property
     def depth(self) -> int:
         return len(self._prefix)
-
-
-class LazyBatchCursor(BatchCursor):
-    """Batch kernel over a :class:`LazyTrieAdapter`.
-
-    Keeps its own per-prefix candidate memo (the COLT memoization the
-    lazy build strategy grew out of), so arrays survive inner-index
-    generation swaps; the wrapped native batch cursor is recreated
-    whenever the generation moves — safe because batch cursors are
-    stateless prefix-addressed kernels.
-    """
-
-    __slots__ = ("_adapter", "_inner", "_generation", "_memo", "_metrics")
-
-    def __init__(self, adapter: LazyTrieAdapter):
-        self._adapter = adapter
-        self._inner = None
-        self._generation = -1
-        self._memo: dict = {}
-        self._metrics = None
-
-    def attach_metrics(self, metrics) -> None:
-        self._metrics = metrics
-        if self._inner is not None:
-            self._inner.attach_metrics(metrics)
-
-    def _inner_cursor(self, depth: int):
-        index, generation = self._adapter._ensure_depth(depth)
-        if generation != self._generation:
-            self._inner = index.batch_cursor()
-            if self._metrics is not None:
-                self._inner.attach_metrics(self._metrics)
-            self._generation = generation
-        return self._inner
-
-    def candidates(self, prefix: tuple):
-        array = self._memo.get(prefix)
-        if array is None:
-            array = self._inner_cursor(len(prefix) + 1).candidates(prefix)
-            self._memo[prefix] = array
-        return array
-
-    def probe_many(self, prefix: tuple, values):
-        return membership_mask(self.candidates(prefix), values)
-
-    def count(self, prefix: tuple) -> int:
-        if not prefix:
-            return self._adapter.tuple_count
-        index, _ = self._adapter._ensure_depth(len(prefix))
-        return index.count_prefix(prefix)

@@ -65,22 +65,6 @@ def prefix_capable_indexes() -> list[str]:
     return names
 
 
-def batch_capable_indexes() -> list[str]:
-    """Names of registered indexes with a *native* vectorized batch kernel.
-
-    These are the structures ``engine="auto"`` will run batch-at-a-time;
-    everything else still joins under ``engine="batch"`` through the
-    per-value fallback shim (see
-    :class:`repro.indexes.base.FallbackBatchCursor`).
-    """
-    names = []
-    for name in sorted(_REGISTRY):
-        probe = _REGISTRY[name](2)
-        if probe.SUPPORTS_BATCH:
-            names.append(name)
-    return names
-
-
 def ensure_registered(names: Iterable[str]) -> None:
     """Raise if any of ``names`` is not registered (harness sanity check)."""
     missing = [n for n in names if n not in _REGISTRY]

@@ -21,16 +21,12 @@ import threading
 from collections.abc import Iterator
 from typing import ClassVar
 
-import numpy as np
-
 from repro.errors import QueryError
 from repro.indexes.base import (
     PrefixCursor,
-    SyncedBatchCursor,
     TupleIndex,
     bulk_columns,
     sorted_unique_rows,
-    value_array,
 )
 
 
@@ -38,7 +34,6 @@ class SortedTrie(TupleIndex):
     """A static trie view over one sorted tuple array."""
 
     NAME: ClassVar[str] = "sortedtrie"
-    SUPPORTS_BATCH: ClassVar[bool] = True
     SUPPORTS_BULK_BUILD: ClassVar[bool] = True
 
     def __init__(self, arity: int):
@@ -46,7 +41,6 @@ class SortedTrie(TupleIndex):
         self._pending: list[tuple] = []
         self._rows: list[tuple] = []
         self._dirty = False
-        self._batch_columns: tuple[np.ndarray, ...] | None = None
         self._flush_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -82,7 +76,6 @@ class SortedTrie(TupleIndex):
             self._rows = rows
             self._pending = []
             self._size = len(rows)
-            self._batch_columns = None
             self._dirty = False
 
     def _ensure_sorted(self) -> None:
@@ -91,7 +84,7 @@ class SortedTrie(TupleIndex):
         The base is already sorted and duplicate-free, so a flush is a
         linear merge of the sorted pending batch into it — not a full
         re-sort of everything ever inserted (this flush sits directly
-        under the probe path of every lookup and batch kernel).
+        under the probe path of every lookup).
 
         The flush is double-check locked: a session cache can hand one
         generic-join ``sortedtrie`` structure to concurrent executors
@@ -120,7 +113,6 @@ class SortedTrie(TupleIndex):
             self._rows = merged
             self._pending = []
             self._size = len(merged)
-            self._batch_columns = None
             self._dirty = False
 
     @property
@@ -203,35 +195,6 @@ class SortedTrie(TupleIndex):
     def cursor(self) -> "SortedTrieCursor":
         """Native cursor: binary-search range narrowing per descend."""
         return SortedTrieCursor(self)
-
-    def batch_cursor(self) -> "SortedTrieBatchCursor":
-        """Native batch kernel: vectorized range intersection (§Free Join).
-
-        Columnar views of the sorted array are materialized lazily, once
-        per index, and shared by every cursor over it.
-        """
-        return SortedTrieBatchCursor(self)
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """Per-component arrays over the sorted rows (lazy, cached).
-
-        Column ``i`` lists component ``i`` of every stored tuple in
-        lexicographic row order — the layout the batch kernel's
-        ``searchsorted`` range narrowing runs on.
-        """
-        self._ensure_sorted()
-        columns = self._batch_columns
-        if columns is None:
-            with self._flush_lock:
-                columns = self._batch_columns
-                if columns is None:
-                    rows = self._rows
-                    columns = tuple(
-                        value_array([row[position] for row in rows])
-                        for position in range(self.arity)
-                    )
-                    self._batch_columns = columns
-        return columns
 
 
 class _Top:
@@ -376,47 +339,4 @@ class SortedTrieCursor(PrefixCursor):
 
     def count(self) -> int:
         low, high = self._ranges[-1]
-        return high - low
-
-
-class SortedTrieBatchCursor(SyncedBatchCursor):
-    """Vectorized :class:`~repro.indexes.base.BatchCursor` over the sorted array.
-
-    A node is a half-open row range sharing the bound prefix; descending is
-    two ``np.searchsorted`` calls on the next column's range slice (the
-    galloping of :class:`SortedTrieCursor`, batched), ``candidates`` is one
-    ``np.unique`` over the slice, and ``probe_many`` is one vectorized
-    binary search of the whole candidate vector against the cached
-    children array.  Exact at every depth.
-    """
-
-    __slots__ = ("_columns", "_arity")
-
-    def __init__(self, trie: SortedTrie):
-        self._columns = trie.columns()
-        self._arity = trie.arity
-        rows = trie.rows
-        super().__init__((0, len(rows)))
-
-    def _descend_frame(self, frame, depth: int, value):
-        if depth >= self._arity:
-            raise QueryError("batch cursor already at full depth")
-        low, high = frame
-        if low >= high:
-            return None
-        window = self._columns[depth][low:high]
-        new_low = low + int(np.searchsorted(window, value, side="left"))
-        new_high = low + int(np.searchsorted(window, value, side="right"))
-        if new_low >= new_high:
-            return None
-        return new_low, new_high
-
-    def _children_array(self, frame, depth: int) -> np.ndarray:
-        if depth >= self._arity:
-            raise QueryError("batch cursor at full depth has no children")
-        low, high = frame
-        return np.unique(self._columns[depth][low:high])
-
-    def _frame_count(self, frame, depth: int) -> int:
-        low, high = frame
         return high - low

@@ -1,65 +1,75 @@
-"""Batch-at-a-time Generic Join — vectorized candidate intersection.
+"""Frontier-at-a-time Generic Join — the batch engine.
 
 :class:`~repro.joins.generic_join.GenericJoin` is worst-case optimal but
 tuple-at-a-time: every candidate value costs a handful of interpreted
-method calls (child walk step, one ``try_descend`` per participating atom,
-the matching ``ascend``\\ s), so interpreter dispatch dominates long before
-the paper's per-level intersection costs become measurable.  Free Join
-(Wang et al., SIGMOD'23) showed that WCOJ trie joins admit *vectorized*
-evaluation with large constant-factor wins; this driver is that execution
-model over the same Alg. 1 structure:
+method calls, so interpreter dispatch dominates long before the paper's
+per-level intersection costs become measurable.  Free Join's vectorized
+execution and Worst-Case Optimal Radix Triejoin (PAPERS.md) keep Alg. 1's
+structure and carry the *whole binding frontier* as columns instead; this
+driver is that execution model over
+:class:`~repro.indexes.columnar.ColumnarTrie` structures.
 
-1. pull every participating atom's candidate values as **one sorted
-   array** (:meth:`~repro.indexes.base.BatchCursor.candidates` — memoized
-   per prefix, so revisited nodes are dict hits);
-2. seed from the smallest array — the Alg. 1 line 9/10 size comparison,
-   evaluated on the exact residual candidate counts instead of the tuple
-   driver's advisory subtree counts;
-3. intersect: each other array filters the seed with **one** vectorized
-   binary-search membership test — Alg. 1 line 15 batched, with early
-   exit when the surviving mask empties;
-4. recurse per surviving value; at the last attribute the whole survivor
-   array is emitted in one call.
+The frontier is one int64 node-id column per atom (the trie node its
+bound prefix leads to), plus the bound-value columns when the result is
+materialised.  One level of the total order is, for a block of frontier
+rows:
 
-Per *batch* the driver executes O(participants) Python operations instead
-of O(candidates x participants) — the intersection inner loop runs inside
-numpy kernels.  Worst-case optimality is untouched: the candidate sets and
-intersection discipline are identical to the tuple driver, only their
-evaluation is batched.
+1. **degrees** — every participating atom's child count under each
+   row's node, read off the trie's CSR ``indptr``;
+2. **seed** — per row, the participant with the fewest children: the
+   Alg. 1 line 9/10 size comparison on exact residual counts
+   (``dynamic_seed=False`` keeps one static seed per level, by base
+   relation size);
+3. **expand** — the seed's children of every row, laid out with
+   ``np.repeat``;
+4. **intersect** — one packed-key ``searchsorted`` per other
+   participant (Alg. 1 line 15), over the survivors of the previous one
+   only.
 
-Exactness follows the same contract as the tuple driver: batch kernels may
-report rare inner-depth false positives (Sonic's patch ambiguity, §3.3),
-but are payload-exact at each atom's final depth, and a false-positive
-prefix yields empty candidate sets below — so emitted results are always
-exact and the two engines agree tuple-for-tuple (property-tested in
-``tests/joins/test_batch_vs_tuple.py``).
+The expanded frontier is cut into blocks of :data:`BLOCK_ROWS` *expanded*
+rows and the blocks are processed depth-first, so live intermediates are
+bounded by depth x block however wide a level gets, while the candidate
+sets and the intersection discipline — hence the per-level intermediate
+counts and worst-case optimality — are exactly the tuple driver's.  Both
+engines agree tuple-for-tuple (``tests/joins/test_frontier_differential.py``).
 
-The driver is index-agnostic: atoms whose indexes lack a native kernel
-(``SUPPORTS_BATCH = False``) join through the per-value fallback shim on
-the same level playing field.  ``joins.executor.join(engine=...)`` selects
-between the two drivers; ``engine="auto"`` requires every adapter to
-advertise a native kernel.
+Per-level ``candidates`` / ``survivors`` / ``seed_counts`` / ``time_ns``
+cost O(1) per block, so they are always collected, through this one
+path; an enabled observer is handed the same accumulators.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
-from repro.indexes.base import membership_mask
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.observer import NULL_OBSERVER, LevelStats
 from repro.planner.qptree import connectivity_order
 from repro.planner.query import JoinQuery
 
+#: expanded frontier rows per block.  Warm ms on the two pinned e2e
+#: graphs (30k-edge triangle / power-law 4-clique; median of 41
+#: interleaved runs): 2 048 rows 18.5 / 36.9, 4 096 16.2 / 30.4, 8 192
+#: 15.2 / 27.7, 16 384 15.1 / 26.5, 32 768 16.4 / 27.0, 65 536 19.3 /
+#: 29.6.  Below ~8k rows the ~25 numpy calls per block dominate; above
+#: ~16k a block's columns leave the cache the next level's gathers want
+#: them in.  8 192 is within 5 % of the best on both at half its memory.
+BLOCK_ROWS = 8192
+
 
 class GenericJoinBatch:
-    """Generic Join over pre-built index adapters, batch-at-a-time.
+    """Generic Join over columnar tries, a block of bindings at a time.
 
     Construction mirrors :class:`~repro.joins.generic_join.GenericJoin`
     (same validation, same total order, same ``dynamic_seed`` ablation
-    knob); only the execution model differs.
+    knob); each adapter wraps a
+    :class:`~repro.indexes.columnar.ColumnarTrie` or a lazy adapter over
+    one.  The tries are only read, so one prepared set serves any number
+    of concurrent runs; everything a run writes lives on the driver.
     """
 
     def __init__(self, query: JoinQuery, adapters: dict[str, IndexAdapter],
@@ -77,206 +87,193 @@ class GenericJoinBatch:
                 f"{query.attributes}"
             )
         self.dynamic_seed = dynamic_seed
-        #: atom aliases in a fixed sequence; cursor/prefix state is kept in
-        #: parallel lists indexed by this sequence
+        #: atom aliases in a fixed sequence; the frontier's node columns
+        #: are kept in a list indexed by this sequence
         self._aliases: tuple[str, ...] = tuple(a.alias for a in query.atoms)
         alias_id = {alias: i for i, alias in enumerate(self._aliases)}
-        #: per attribute depth: ids of the atoms binding it
-        self._participants: list[list[int]] = [
-            [alias_id[atom.alias] for atom in query.atoms_with(attribute)]
-            for attribute in self.order
-        ]
-        #: static seed per depth, as a *position* into the participant
+        self._sources = [adapters[alias].index for alias in self._aliases]
+        #: per level of the total order: ``(atom id, trie depth, has
+        #: deeper levels)`` of every atom binding the attribute
+        self._participants: list[list[tuple[int, int, bool]]] = []
+        for attribute in self.order:
+            level = []
+            for atom in query.atoms_with(attribute):
+                adapter = adapters[atom.alias]
+                depth = adapter.position_of(attribute)
+                level.append((alias_id[atom.alias], depth,
+                              depth + 1 < adapter.index.arity))
+            self._participants.append(level)
+        #: static seed per level, as a *position* into the participant
         #: list (by base relation size); used when dynamic selection is
         #: ablated
         self._static_pos: list[int] = [
-            min(range(len(ids)),
-                key=lambda p: len(adapters[self._aliases[ids[p]]].relation))
-            for ids in self._participants
+            min(range(len(level)),
+                key=lambda p: len(adapters[self._aliases[level[p][0]]].relation))
+            for level in self._participants
         ]
-        #: per-depth scratch lists (saved participant prefixes, fetched
-        #: candidate arrays), preallocated so the recursive probe path
-        #: never builds fresh containers
-        self._saved: list[list] = [[None] * len(ids) for ids in self._participants]
-        self._arrays: list[list] = [[None] * len(ids) for ids in self._participants]
-        self._cursors: list = []
-        self._prefixes: list = []
         self.metrics = JoinMetrics(algorithm="generic_join_batch")
         self.obs = obs if obs is not None else NULL_OBSERVER
 
     # ------------------------------------------------------------------
     def run(self, materialize: bool = False) -> JoinResult:
-        """Execute the join phase (indexes must already be built)."""
-        sink = make_sink(materialize)
+        """Execute the join phase (tries must already be built)."""
+        self._sink = sink = make_sink(materialize)
+        self._materialize = materialize
         watch = Stopwatch()
-        self._cursors = [self.adapters[alias].batch_cursor()
-                         for alias in self._aliases]
-        self._prefixes = [()] * len(self._aliases)
-        binding: list = []
         obs = self.obs
+        labels = [[self._aliases[atom] for atom, _, _ in level]
+                  for level in self._participants]
         if obs.enabled:
-            # batch cursors carry their own counters (memo hits, array
-            # sizes); point them at this run's registry
-            for cursor in self._cursors:
-                cursor.attach_metrics(obs.metrics)
-            stats = obs.init_levels(
-                self.order,
-                [[self._aliases[i] for i in ids] for ids in self._participants],
-            )
-            with obs.tracer.span("probe", algorithm="generic_join_batch",
-                                 engine="batch"):
-                self._join_level_profiled(0, binding, sink, stats)
+            self._stats = obs.init_levels(self.order, labels)
         else:
-            self._join_level(0, binding, sink)
+            self._stats = [LevelStats(attribute, aliases)
+                           for attribute, aliases in zip(self.order, labels)]
+        self._blocks = self._live = self._peak = 0
+        with obs.tracer.span("probe", algorithm="generic_join_batch",
+                             engine="batch"):
+            # the root binding: one row, every atom at its trie's root
+            self._join_level(0, [None] * len(self._aliases), [], 1)
+        if obs.enabled:
+            obs.metrics.inc("frontier.blocks", self._blocks)
+            obs.metrics.inc("frontier.peak_rows", self._peak)
         self.metrics.probe_seconds += watch.lap()
         self.metrics.result_count = sink.count
         return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)
 
     # ------------------------------------------------------------------
-    def _join_level(self, depth: int, binding: list, sink) -> None:
-        participants = self._participants[depth]
-        cursors = self._cursors
-        prefixes = self._prefixes
-        self.metrics.lookups += len(participants)
+    def _join_level(self, level: int, nodes: list, bound: list,
+                    rows: int) -> None:
+        """Bind attribute ``level`` for a block of ``rows`` frontier rows.
 
-        if len(participants) == 1:
-            participant = participants[0]
-            survivors = cursors[participant].candidates(prefixes[participant])
-            if survivors.size == 0:
-                return
-        else:
-            arrays = self._arrays[depth]
-            for position, participant in enumerate(participants):
-                arrays[position] = cursors[participant].candidates(
-                    prefixes[participant])
-            seed_pos = (self._smallest(arrays) if self.dynamic_seed
-                        else self._static_pos[depth])
-            values = arrays[seed_pos]
-            if values.size == 0:
-                return
-            # the intersection step (Alg. 1 line 15), one vectorized
-            # membership test per non-seed array; a rare inner-depth false
-            # positive surviving here dies below, when its now-bound
-            # prefix turns up empty at the atom's exact final depth
-            mask = None
-            for position, array in enumerate(arrays):
-                if position == seed_pos:
-                    continue
-                probe = membership_mask(array, values)
-                mask = probe if mask is None else mask & probe
-                if not mask.any():
-                    return
-            survivors = values[mask]
-            if survivors.size == 0:
-                return
-        count = int(survivors.size)
-        self.metrics.intermediate_tuples += count
-
-        if depth + 1 == len(self.order):
-            # full bindings: one batch emit for the whole survivor vector
-            # (.tolist() converts numpy scalars back to Python values so
-            # results are indistinguishable from the tuple engine's)
-            sink.emit_suffixes(tuple(binding), survivors.tolist())
-            return
-
-        saved = self._saved[depth]
-        for position, participant in enumerate(participants):
-            saved[position] = prefixes[participant]
-        for value in survivors.tolist():
-            for position, participant in enumerate(participants):
-                # extending the bound prefix IS the per-binding work here —
-                # one small tuple per (participant, binding), not hoistable
-                prefixes[participant] = saved[position] + (value,)  # repro: noqa[RA501]
-            binding.append(value)
-            self._join_level(depth + 1, binding, sink)
-            binding.pop()
-        for position, participant in enumerate(participants):
-            prefixes[participant] = saved[position]
-
-    def _join_level_profiled(self, depth: int, binding: list, sink,
-                             stats: list) -> None:
-        """The instrumented twin of :meth:`_join_level`.
-
-        Same join logic plus per-level accumulation into ``stats[depth]``:
-        ``candidates`` counts the *seed array* sizes (the values put up
-        for intersection), ``survivors`` the values emerging from the
-        vectorized membership tests — identical to the tuple engine's
-        survivor counts by construction.  ``time_ns`` is inclusive and is
-        flushed on every return path.  Keep the twins in sync.
+        ``nodes[atom]`` is the block's node-id column for that atom —
+        ``None`` while the atom is still at its root (or has no levels
+        left); ``bound`` holds the block's value columns, in total order,
+        when materialising.
         """
-        st = stats[depth]
+        stats = self._stats[level]
         t0 = Stopwatch.now_ns()
-        participants = self._participants[depth]
-        cursors = self._cursors
-        prefixes = self._prefixes
-        self.metrics.lookups += len(participants)
-
-        if len(participants) == 1:
-            participant = participants[0]
-            survivors = cursors[participant].candidates(prefixes[participant])
-            st.seed_counts[self._aliases[participant]] += 1
-            st.candidates += int(survivors.size)
-            if survivors.size == 0:
-                st.time_ns += Stopwatch.now_ns() - t0
-                return
+        participants = self._participants[level]
+        self.metrics.lookups += rows * len(participants)
+        tries, starts, counts = [], [], []
+        for atom, depth, _ in participants:
+            trie = self._sources[atom].at_depth(depth + 1)
+            parents = nodes[atom]
+            start, end = trie.child_ranges(depth, parents)
+            count = end - start
+            if parents is None:
+                # the root's one range stands for every row of the block
+                start = np.broadcast_to(start, (rows,))
+                count = np.broadcast_to(count, (rows,))
+            tries.append(trie)
+            starts.append(start)
+            counts.append(count)
+        if len(participants) == 1 or not self.dynamic_seed:
+            position = self._static_pos[level]
+            self._expand(level, position, None, tries, starts[position],
+                         counts[position], nodes, bound)
         else:
-            arrays = self._arrays[depth]
-            for position, participant in enumerate(participants):
-                arrays[position] = cursors[participant].candidates(
-                    prefixes[participant])
-            seed_pos = (self._smallest(arrays) if self.dynamic_seed
-                        else self._static_pos[depth])
-            values = arrays[seed_pos]
-            st.seed_counts[self._aliases[participants[seed_pos]]] += 1
-            st.candidates += int(values.size)
-            if values.size == 0:
-                st.time_ns += Stopwatch.now_ns() - t0
-                return
-            mask = None
-            for position, array in enumerate(arrays):
-                if position == seed_pos:
+            seeds = np.argmin(counts, axis=0)
+            for position in range(len(participants)):
+                chosen = np.flatnonzero(seeds == position)
+                if chosen.size == rows:
+                    chosen = None
+                elif chosen.size == 0:
                     continue
-                probe = membership_mask(array, values)
-                mask = probe if mask is None else mask & probe
-                if not mask.any():
-                    st.time_ns += Stopwatch.now_ns() - t0
-                    return
-            survivors = values[mask]
-            if survivors.size == 0:
-                st.time_ns += Stopwatch.now_ns() - t0
-                return
-        count = int(survivors.size)
-        st.survivors += count
-        self.metrics.intermediate_tuples += count
+                self._expand(level, position, chosen, tries,
+                             starts[position], counts[position], nodes, bound)
+                if chosen is None:
+                    break
+        stats.time_ns += Stopwatch.now_ns() - t0
 
-        if depth + 1 == len(self.order):
-            sink.emit_suffixes(tuple(binding), survivors.tolist())
-            st.time_ns += Stopwatch.now_ns() - t0
+    def _expand(self, level: int, position: int,
+                chosen: "np.ndarray | None", tries: list, starts: np.ndarray,
+                counts: np.ndarray, nodes: list, bound: list) -> None:
+        """Expand the rows seeded by participant ``position`` (``chosen``;
+        ``None``: the whole block), a block of expanded rows at a time."""
+        if chosen is not None:
+            starts, counts = starts[chosen], counts[chosen]
+        stats = self._stats[level]
+        seed_alias = self._aliases[self._participants[level][position][0]]
+        stats.seed_counts[seed_alias] += len(counts)
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        stats.candidates += total
+        if total == 0:
             return
+        # expanded row e of frontier row r is child ``e - begins[r]`` of
+        # its node: node id ``starts[r] + e - begins[r]``
+        shifts = starts - ends
+        shifts += counts
+        enabled = self.obs.enabled
+        for low in range(0, total, BLOCK_ROWS):
+            high = min(low + BLOCK_ROWS, total)
+            first = int(ends.searchsorted(low, side="right"))
+            last = int(ends.searchsorted(high, side="left"))
+            spread = counts[first:last + 1].copy()
+            spread[0] = min(int(ends[first]), high) - low
+            if last > first:
+                spread[-1] = high - int(ends[last]) + int(counts[last])
+            source = np.repeat(np.arange(first, last + 1), spread)
+            children = np.repeat(shifts[first:last + 1], spread)
+            children += np.arange(low, high)
+            if chosen is not None:
+                source = chosen[source]
+            size = high - low
+            self._blocks += 1
+            self._live += size
+            if self._live > self._peak:
+                self._peak = self._live
+            if enabled:
+                self.obs.metrics.observe("frontier.rows", size)
+            self._intersect(level, position, tries, source, children,
+                            nodes, bound)
+            self._live -= size
 
-        saved = self._saved[depth]
-        for position, participant in enumerate(participants):
-            saved[position] = prefixes[participant]
-        for value in survivors.tolist():
-            for position, participant in enumerate(participants):
-                prefixes[participant] = saved[position] + (value,)  # repro: noqa[RA501]
-            binding.append(value)
-            self._join_level_profiled(depth + 1, binding, sink, stats)
-            binding.pop()
-        for position, participant in enumerate(participants):
-            prefixes[participant] = saved[position]
-        st.time_ns += Stopwatch.now_ns() - t0
+    def _intersect(self, level: int, position: int, tries: list,
+                   source: np.ndarray, children: np.ndarray, nodes: list,
+                   bound: list) -> None:
+        """Probe one expanded block through the other participants and
+        hand the survivors to the next level (or the sink).
 
-    @staticmethod
-    def _smallest(arrays: list) -> int:
-        """Position of the smallest candidate array — the Alg. 1 line 9/10
-        size comparison, on exact residual counts under the current
-        binding (the arrays are already in hand, so the comparison is
-        free; the tuple driver pays an advisory ``count()`` probe per
-        participant for the same decision)."""
-        best, best_size = 0, arrays[0].size
-        for position in range(1, len(arrays)):
-            size = arrays[position].size
-            if size < best_size:
-                best, best_size = position, size
-        return best
+        ``source[i]`` is the frontier row expanded row ``i`` came from,
+        ``children[i]`` the seed's node it stands on.
+        """
+        participants = self._participants[level]
+        seed_atom, seed_depth, seed_keeps = participants[position]
+        values = tries[position].values[seed_depth][children]
+        #: node-id columns of the participants that have levels left
+        kept = {seed_atom: children} if seed_keeps else {}
+        for other, (atom, depth, keeps) in enumerate(participants):
+            if other == position:
+                continue
+            parents = nodes[atom]
+            if parents is not None:
+                parents = parents[source]
+            found, ids = tries[other].probe(depth, parents, values)
+            if keeps:
+                kept[atom] = ids
+            if not found.all():
+                alive = np.flatnonzero(found)
+                if alive.size == 0:
+                    return
+                values = values[alive]
+                source = source[alive]
+                for key, column in kept.items():
+                    kept[key] = column[alive]
+        survivors = int(values.size)
+        self._stats[level].survivors += survivors
+        self.metrics.intermediate_tuples += survivors
+
+        if self._materialize:
+            bound = [column[source] for column in bound]
+            bound.append(values)
+        if level + 1 == len(self.order):
+            self._sink.emit_columns(bound, survivors)
+            return
+        following = [None] * len(nodes)
+        for atom, column in enumerate(nodes):
+            if column is not None:
+                following[atom] = column[source]
+        for atom, _, _ in participants:
+            following[atom] = kept.get(atom)
+        self._join_level(level + 1, following, bound, survivors)

@@ -42,7 +42,7 @@ from repro.core.envflag import resolve_flag, resolve_str
 from repro.errors import QueryError
 from repro.indexes.registry import make_index
 from repro.joins.results import JoinResult, Stopwatch
-from repro.obs.observer import JoinObserver, NULL_OBSERVER
+from repro.obs.observer import JoinObserver, NULL_OBSERVER, resolve_observer
 from repro.obs.profile import build_profile
 from repro.planner.query import JoinQuery, parse_query
 from repro.storage.catalog import Catalog
@@ -52,8 +52,8 @@ ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive",
               "unified", "auto")
 
 #: execution models for the Generic Join driver: tuple-at-a-time (the
-#: paper's Alg. 1 rendering), batch-at-a-time (vectorized candidate
-#: intersection), or auto (batch iff every adapter has a native kernel)
+#: paper's Alg. 1 rendering), batch (frontier-at-a-time over columnar
+#: tries), or auto (batch iff every joined column is int64-class)
 ENGINES = ("tuple", "batch", "auto")
 
 
@@ -199,14 +199,19 @@ def join(query: "JoinQuery | str",
     order-sensitivity axis).
 
     ``engine`` selects the Generic Join execution model: ``"tuple"``
-    (default, the paper's tuple-at-a-time Alg. 1), ``"batch"``
-    (vectorized candidate intersection,
-    :class:`~repro.joins.batch.GenericJoinBatch`; every index works —
-    structures without a native kernel run through the per-value
-    fallback shim), or ``"auto"`` (batch iff the index advertises
-    ``SUPPORTS_BATCH``).  Both engines produce identical results; only
-    constant factors differ.  The knob is ignored by the non-generic
-    algorithms, which have no batch rendering.
+    (default, the paper's tuple-at-a-time Alg. 1 over ``index``),
+    ``"batch"`` (frontier-at-a-time,
+    :class:`~repro.joins.batch.GenericJoinBatch`: the binding frontier
+    carried as int64 columns over a
+    :class:`~repro.indexes.columnar.ColumnarTrie` per atom — the one
+    structure it reads, so ``index`` and its options are accepted but
+    that index is not built), or ``"auto"`` (batch iff every joined
+    column is int64-class).  Over a non-int64 column — strings,
+    integers beyond int64 — ``"batch"`` runs the tuple engine too, and
+    the plan records why (``JoinPlan.engine_note``, ``describe()``).
+    Both engines produce identical results; only constant factors
+    differ.  The knob is ignored by the non-generic algorithms, which
+    have no batch rendering.
 
     ``**index_kwargs`` carries per-algorithm index options
     (``sonic_bucket_size`` / ``sonic_overallocation`` / ``index_options``
@@ -254,12 +259,7 @@ def join(query: "JoinQuery | str",
     # so the package-level dependency must stay one-directional
     from repro.engine.pipeline import bind, plan, prepare
 
-    if obs is not None:
-        observer = obs
-    elif _profile_enabled(profile):
-        observer = JoinObserver()
-    else:
-        observer = NULL_OBSERVER
+    observer = resolve_observer(profile, obs)
     bound = bind(query, source, debug=debug, obs=observer)
     join_plan = plan(bound, algorithm=algorithm, index=index, order=order,
                      binary_order=binary_order, engine=engine,

@@ -23,13 +23,11 @@ class ResultSink:
     def emit(self, row: tuple) -> None:
         raise NotImplementedError
 
-    def emit_suffixes(self, prefix: tuple, values: Sequence) -> None:
-        """Emit ``prefix + (value,)`` for every value — the batch engine's
-        last-level fast path.  Sinks that never materialize override this
-        to skip per-result tuple construction entirely."""
-        for value in values:
-            # each emitted result IS a fresh tuple; counting sinks override
-            self.emit(prefix + (value,))  # repro: noqa[RA501]
+    def emit_columns(self, columns: Sequence, count: int) -> None:
+        """Emit ``count`` results held as one array per attribute — the
+        batch engine's block emit.  A sink that never materializes is
+        handed no columns at all."""
+        raise NotImplementedError
 
     @property
     def count(self) -> int:
@@ -45,8 +43,8 @@ class CountingSink(ResultSink):
     def emit(self, row: tuple) -> None:
         self._count += 1
 
-    def emit_suffixes(self, prefix: tuple, values: Sequence) -> None:
-        self._count += len(values)
+    def emit_columns(self, columns: Sequence, count: int) -> None:
+        self._count += count
 
     @property
     def count(self) -> int:
@@ -61,6 +59,11 @@ class MaterializingSink(ResultSink):
 
     def emit(self, row: tuple) -> None:
         self.rows.append(row)
+
+    def emit_columns(self, columns: Sequence, count: int) -> None:
+        # .tolist() turns numpy scalars back into Python values, so rows
+        # are indistinguishable from the tuple engine's
+        self.rows.extend(zip(*(column.tolist() for column in columns)))
 
     @property
     def count(self) -> int:

@@ -23,7 +23,7 @@ under concurrency.  Hot loops never see that lock: the RA601 discipline
 keeps per-iteration obs work behind ``enabled`` checks and local
 accumulation, so locked calls happen per phase, not per tuple.
 
-Counter names are dotted strings (``"batch.memo_hit"``); the catalog
+Counter names are dotted strings (``"frontier.blocks"``); the catalog
 lives in ``docs/observability.md``.
 
 For serving, :meth:`Metrics.to_prometheus_text` renders a registry in

@@ -9,13 +9,13 @@ and the index cursors, and finally folds it into a
 :class:`~repro.obs.profile.JoinProfile`.
 
 **Disabled-path contract.**  Drivers receive either an enabled observer
-or :data:`NULL_OBSERVER` and branch exactly once per run on
-``obs.enabled``; the un-profiled probe recursion contains *no*
-observability code at all (the instrumented twin of each ``_join_level``
-only exists on the enabled branch).  That is what keeps the measured
-overhead of carrying this subsystem at noise level — see the
-``obs_overhead`` section of ``BENCH_generic_join.json`` and lint rule
-RA601, which guards the discipline statically.
+or :data:`NULL_OBSERVER`.  The tuple-at-a-time drivers branch exactly
+once per run on ``obs.enabled``; their un-profiled probe recursion
+contains *no* observability code at all (the instrumented twin of each
+``_join_level`` only exists on the enabled branch).  The batch driver
+works a block of bindings at a time, so its :class:`LevelStats` cost
+O(1) per block and are always collected through its one path.  Lint
+rule RA601 guards the discipline statically.
 
 :class:`LevelStats` fields are plain slots mutated with ``+=`` so the
 profiled recursion never makes a method call per binding; the semantic
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.core.envflag import resolve_flag
 from repro.obs.metrics import Metrics, NULL_METRICS
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -105,3 +106,15 @@ class JoinObserver:
 
 #: the shared disabled observer handed to every un-profiled driver
 NULL_OBSERVER = JoinObserver.disabled()
+
+
+def resolve_observer(profile: "bool | None", obs: "JoinObserver | None",
+                     ) -> JoinObserver:
+    """The observer one call runs under: an explicit ``obs`` wins, else
+    ``profile`` (default: the ``REPRO_PROFILE`` environment variable)
+    makes a private one, else the shared disabled one."""
+    if obs is not None:
+        return obs
+    if resolve_flag(profile, "REPRO_PROFILE"):
+        return JoinObserver()
+    return NULL_OBSERVER

@@ -53,9 +53,8 @@ def merge_shard_results(shard_results: "list[dict]",
     else:
         sink = CountingSink()
         for result in shard_results:
-            # counting sinks tally len(values) without materializing, so
-            # a range stands in for the shard's (never-shipped) rows
-            sink.emit_suffixes((), range(result["count"]))
+            # the shard's rows were never shipped, only their count
+            sink.emit_columns((), result["count"])
     metrics = JoinMetrics(
         algorithm=algorithm,
         index=index,

@@ -32,6 +32,14 @@ class TestDtypeTracking:
         ra801 = [f for f in findings if f.rule == "RA801"]
         assert [(f.line, str(f.severity)) for f in ra801] == [(4, "error")]
 
+    def test_object_array_into_a_trie_probe_is_error(self):
+        assert "RA801" in ra8_at(
+            "import numpy as np\n"
+            "def f(trie, parents, values):\n"
+            "    wanted = np.asarray(values, dtype=object)\n"
+            "    return trie.probe(1, parents, wanted)\n"
+        )
+
     def test_int64_array_into_kernel_is_clean(self):
         assert "RA801" not in rules_at(
             "import numpy as np\n"

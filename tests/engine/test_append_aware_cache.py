@@ -38,8 +38,8 @@ CONFIGS = [
 ]
 SHARDED = (TRIANGLE, {**GENERIC_BATCH, "parallel": 2})
 
-#: beyond int64: the column's dtype class flips to ``object`` while the
-#: values stay mutually ordered (the batch engine sorts its candidates)
+#: beyond int64: the column's dtype class flips to ``object``, which
+#: moves a batch-engine read onto the tuple engine from then on
 BIG = 2 ** 70
 
 
@@ -134,11 +134,11 @@ class TestExtendOrRebuild:
     def test_a_write_is_served_by_extension(self):
         tables = base_tables()
         session = Session(tables)
-        session.execute(TRIANGLE, **GENERIC_BATCH)
+        session.execute(TRIANGLE, **GENERIC_TUPLE)
         tables["E"].extend([(0, 6), (6, 0)])
         observer = JoinObserver()
-        result = session.execute(TRIANGLE, obs=observer, **GENERIC_BATCH)
-        assert result.count == join(TRIANGLE, tables, **GENERIC_BATCH).count
+        result = session.execute(TRIANGLE, obs=observer, **GENERIC_TUPLE)
+        assert result.count == join(TRIANGLE, tables, **GENERIC_TUPLE).count
         # the triangle holds E under two attribute orders: both missed,
         # both had a predecessor, neither was rebuilt
         assert session.metrics.get("cache.extend") == 2
@@ -206,7 +206,7 @@ class TestExtendOrRebuild:
         # siblings; once one has, chains of old parents would grow through
         # whatever the bulk build packed behind them — so that rebuilds
         query = "R(a,b,c), S(a,b,d)"
-        options = {**GENERIC_BATCH, "sonic_overallocation": 4.0}
+        options = {**GENERIC_TUPLE, "sonic_overallocation": 4.0}
         rows = [(a, b, a + b) for a in range(4) for b in range(4)]
         tables = {"R": Relation("R", ("a", "b", "c"), rows),
                   "S": Relation("S", ("a", "b", "d"), rows[::2])}
@@ -258,11 +258,11 @@ class TestSupersededEntries:
     def test_dead_versions_leave_the_byte_budget(self):
         tables = base_tables()
         session = Session(tables)
-        session.execute(TRIANGLE, **GENERIC_BATCH)
+        session.execute(TRIANGLE, **GENERIC_TUPLE)
         one_version = session.cache_stats()
         for step in range(5):
             tables["E"].extend([(step, 6)])
-            session.execute(TRIANGLE, **GENERIC_BATCH)
+            session.execute(TRIANGLE, **GENERIC_TUPLE)
         stats = session.cache_stats()
         # one live entry per attribute order, however many versions passed
         assert stats.entries == one_version.entries == 2
@@ -309,6 +309,51 @@ class TestSupersededEntries:
                       for entry in session.cache._entries.values()}
             assert not held & cached
             assert pinned.execute().count == before
+
+
+class TestBatchRebuilds:
+    """Under the batch engine a write is served by a rebuild: the
+    columnar trie's build is one packed sort, cheaper than keeping a
+    forkable structure beside it."""
+
+    def test_a_stale_read_is_one_rebuild_per_attribute_order(self):
+        tables = base_tables()
+        session = Session(tables)
+        session.execute(TRIANGLE, **GENERIC_BATCH)
+        warm = session.cache_stats()
+        tables["E"].extend([(0, 6), (6, 0)])
+        observer = JoinObserver()
+        result = session.execute(TRIANGLE, obs=observer, **GENERIC_BATCH)
+        assert result.count == join(TRIANGLE, tables, **GENERIC_TUPLE).count
+        # E is held under (a,b) — shared by E1 and E2 — and (c,a)
+        builds = [span["args"] for span in observer.tracer.as_dicts()
+                  if span["name"] == "build_index"]
+        assert [b["index"] for b in builds] == ["columnar", "columnar"]
+        assert session.metrics.get("cache.extend") == 0
+        assert "extend_index" not in span_names(observer)
+        # the predecessors left the byte budget: two live entries, charged
+        # what their arrays hold
+        stats = session.cache_stats()
+        assert stats.entries == warm.entries == 2
+        assert stats.evictions == warm.evictions + 2
+        assert stats.bytes == sum(
+            entry.value.memory_usage()
+            for entry in session.cache._entries.values())
+        assert stats.bytes > warm.bytes       # two more rows' worth
+
+    def test_prepared_join_answers_from_its_pinned_trie(self):
+        tables = base_tables()
+        session = Session(tables)
+        pinned = session.prepare(TRIANGLE, **GENERIC_BATCH)
+        before = pinned.execute().count
+        held = set(map(id, pinned.structures.values()))
+        tables["E"].extend([(0, 6), (6, 0), (1, 0), (5, 1)])
+        fresh = session.prepare(TRIANGLE, **GENERIC_BATCH)
+        assert fresh.execute().count == join(TRIANGLE, tables).count
+        assert fresh.execute().count != before
+        cached = {id(entry.value) for entry in session.cache._entries.values()}
+        assert not held & cached
+        assert pinned.execute().count == before
 
 
 # ----------------------------------------------------------------------

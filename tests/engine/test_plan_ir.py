@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.plancheck import check_join_plan, validate_join_plan
 from repro.engine import (
+    COLUMNAR_KIND,
     HASHTABLE_KIND,
     TUPLESET_KIND,
     IndexSpec,
@@ -50,8 +51,30 @@ class TestPlanConstruction:
         assert dict(spec.options)["bucket_size"] == 8
 
     def test_engine_auto_resolves_at_plan_time(self, bound):
-        assert plan(bound, engine="auto", index="sonic").engine == "batch"
-        assert plan(bound, engine="auto", index="btree").engine == "tuple"
+        # batch is a property of the input (every joined column int64),
+        # not of the index kind — which the batch engine does not build
+        for index in ("sonic", "btree"):
+            compiled = plan(bound, engine="auto", index=index)
+            assert compiled.engine == "batch"
+            assert compiled.index == index
+            assert {s.kind for s in compiled.index_specs} == {COLUMNAR_KIND}
+            assert "int64" in compiled.engine_note
+        assert plan(bound, engine="tuple").engine_note == ""
+
+    def test_batch_over_object_columns_resolves_to_tuple(self):
+        names = Relation("N", ("src", "dst"),
+                         [("a", "b"), ("b", "c"), ("c", "a")])
+        bound = bind(TRIANGLE, {"E1": names, "E2": names, "E3": names})
+        for engine in ("auto", "batch"):
+            compiled = plan(bound, engine=engine, algorithm="auto")
+            assert compiled.engine == "tuple"
+            assert {s.kind for s in compiled.index_specs} == {"sonic"}
+            # said where a reader looks: explain() and the plan choice
+            assert "non-int64" in compiled.engine_note
+            assert compiled.engine_note in compiled.describe()
+            assert compiled.engine_note in compiled.choice.reason
+        assert join(TRIANGLE, {"E1": names, "E2": names, "E3": names},
+                    engine="batch").count == 3
 
     def test_auto_algorithm_is_resolved_and_carries_choice(self, bound):
         compiled = plan(bound, algorithm="auto")

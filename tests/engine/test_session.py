@@ -150,6 +150,41 @@ class TestObservability:
         assert result.profile is not None
         assert result.metrics.build_seconds == 0.0
 
+    @pytest.mark.parametrize("options", [
+        {"algorithm": "generic", "engine": "tuple"},
+        {"algorithm": "generic", "engine": "batch"},
+        {"algorithm": "binary"},
+    ], ids=case_id)
+    def test_profiled_session_read_covers_both_halves(self, tables, options):
+        """``Session.execute(profile=True)`` used to profile the prepare
+        half only: the probe ran under the null observer and
+        ``result.profile`` was ``None``."""
+        session = Session(tables)
+        result = session.execute(TRIANGLE, profile=True, **options)
+        profile = result.profile
+        assert profile is not None
+        names = [span["name"] for span in profile.as_dict()["spans"]]
+        assert {"bind", "plan", "prepare", "build_index", "probe"} <= set(names)
+        assert names.count("probe") == 1
+        # the per-level tree: every level saw work and the last one emitted
+        assert len(profile.levels) == 3
+        assert all(level.candidates > 0 for level in profile.levels)
+        assert profile.levels[-1].survivors == result.count > 0
+        assert profile.counters["cache.miss"] >= 2
+        if options.get("engine") == "batch":
+            assert profile.counters["frontier.blocks"] >= 3
+            built = {span["args"]["index"]
+                     for span in profile.as_dict()["spans"]
+                     if span["name"] == "build_index"}
+            assert built == {"columnar"}
+        # an explicit observer is honoured the same way, warm
+        observer = JoinObserver()
+        again = session.execute(TRIANGLE, obs=observer, **options)
+        assert again.profile is not None
+        warm = {span["name"] for span in observer.tracer.as_dicts()}
+        assert {"prepare", "probe"} <= warm and "build_index" not in warm
+        assert observer.metrics.get("cache.hit") >= 2
+
     def test_session_metrics_registry_is_shared(self, tables):
         session = Session(tables)
         session.prepare(TRIANGLE)
@@ -195,16 +230,18 @@ class TestWarmEngineResolution:
     def test_warm_reexecution_keeps_resolved_driver(self, tables):
         with Session(tables) as session:
             prepared = session.prepare(TRIANGLE, engine="auto")
-            assert prepared.plan.engine == "batch"  # sonic has a native kernel
+            assert prepared.plan.engine == "batch"  # every column is int64
             cold = prepared.execute()
             warm = prepared.execute()
         assert cold.metrics.algorithm == "generic_join_batch"
         assert warm.metrics.algorithm == cold.metrics.algorithm
 
-    def test_auto_fallback_driver_is_stable_warm(self, tables):
-        with Session(tables) as session:
-            prepared = session.prepare(TRIANGLE, index="btree", engine="auto")
-            assert prepared.plan.engine == "tuple"  # no native batch kernel
+    def test_auto_fallback_driver_is_stable_warm(self):
+        names = Relation("N", ("src", "dst"),
+                         [("a", "b"), ("b", "c"), ("c", "a")])
+        with Session({"E1": names, "E2": names, "E3": names}) as session:
+            prepared = session.prepare(TRIANGLE, engine="auto")
+            assert prepared.plan.engine == "tuple"  # str columns: no trie
             cold = prepared.execute()
             warm = prepared.execute()
         assert cold.metrics.algorithm == "generic_join"

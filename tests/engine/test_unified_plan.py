@@ -193,7 +193,6 @@ class TestLazyEquivalence:
     def test_root_count_never_builds(self, edges):
         adapter = LazyTrieAdapter(edges, "sonic", ("a", "b"), (0, 1))
         assert adapter.cursor().count() == len(edges)
-        assert adapter.batch_cursor().count(()) == len(edges)
         assert adapter.built_depth == 0
 
     def test_pending_charge_drains_once(self, edges):

@@ -1,28 +1,43 @@
-"""BatchCursor protocol tests across native kernels and the fallback shim.
+"""Columnar-trie unit suite — the structure the batch Generic Join reads.
 
-Each batch cursor is checked against its index's exact prefix interface:
-``candidates`` must equal the sorted distinct next-component values at the
-final depth (payload-exact), ``probe_many`` must agree with ``has_prefix``
-value-by-value, and random out-of-order prefix sequences must not confuse
-the internal descent-stack sync.
+(The file keeps the name of the BatchCursor protocol suite it replaces:
+the questions are the same — candidates, vectorized probes, random
+access order, advisory counts — asked of the one structure that now
+answers them.)
+
+Two references hold :class:`~repro.indexes.columnar.ColumnarTrie` to
+account: a ``dict``-of-sets model of the rows, and the exact prefix
+interface of the registry indexes the *tuple* engine reads over the same
+rows, so the two engines' read paths are compared structure to
+structure.  The overflow guard is exercised by shrinking
+``PACK_LIMIT``: a trie forced onto rank codes and ``np.lexsort`` must
+hold the same arrays and answer every probe as the packed one does.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.indexes import batch_capable_indexes, make_index
-from repro.indexes.base import (
-    EMPTY_VALUES,
-    FallbackBatchCursor,
-    membership_mask,
-    sorted_value_array,
-    value_array,
-)
+from repro.errors import SchemaError
+from repro.indexes import ColumnarTrie, columnar, make_index
+from repro.indexes.base import value_array
 
-#: native kernels plus one fallback-shim structure, all arity 3
+#: tuple-engine structures the trie is compared against, all arity 3
 CURSOR_INDEXES = ("sonic", "sortedtrie", "hashtrie", "btree")
+
+INT64 = np.iinfo(np.int64)
+
+
+def columns_of(rows, arity: int) -> tuple:
+    return tuple(np.array([row[i] for row in rows], dtype=np.int64)
+                 for i in range(arity))
+
+
+def build_trie(rows, arity: int = 3) -> ColumnarTrie:
+    return ColumnarTrie(columns_of(rows, arity))
 
 
 def build_index(name: str, rows):
@@ -41,7 +56,7 @@ def random_rows(count: int, domain: int, seed: int) -> list[tuple]:
 @pytest.fixture(params=CURSOR_INDEXES)
 def indexed(request):
     rows = random_rows(200, 8, seed=3)
-    return request.param, build_index(request.param, rows), rows
+    return build_index(request.param, rows), build_trie(rows), rows
 
 
 def expected_children(rows, prefix):
@@ -49,110 +64,265 @@ def expected_children(rows, prefix):
     return sorted({row[depth] for row in rows if row[:depth] == prefix})
 
 
+# -- the trie read one prefix at a time, through its vectorized calls ------
+def descend(trie: ColumnarTrie, prefix: tuple):
+    """Node id ``prefix`` leads to; None at the root; -1 when absent."""
+    node = None
+    for depth, value in enumerate(prefix):
+        parents = None if node is None else np.array([node])
+        found, ids = trie.probe(depth, parents, np.array([value]))
+        if not found[0]:
+            return -1
+        node = int(ids[0])
+    return node
+
+
+def candidates(trie: ColumnarTrie, prefix: tuple) -> list:
+    node = descend(trie, prefix)
+    if node == -1:
+        return []
+    parents = None if node is None else np.array([node])
+    start, end = trie.child_ranges(len(prefix), parents)
+    return trie.values[len(prefix)][int(start[0]):int(end[0])].tolist()
+
+
+def probe_many(trie: ColumnarTrie, prefix: tuple, values) -> list:
+    node = descend(trie, prefix)
+    if node == -1:
+        return [False] * len(values)
+    values = np.asarray(values, dtype=np.int64)
+    parents = None if node is None else np.full(len(values), node)
+    return trie.probe(len(prefix), parents, values)[0].tolist()
+
+
 class TestCandidates:
     def test_root_candidates_cover_first_components(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
-        got = set(cursor.candidates(()).tolist())
-        assert got >= set(expected_children(rows, ()))
+        index, trie, rows = indexed
+        got = candidates(trie, ())
+        assert got == expected_children(rows, ())
+        # inner depths of an index may add false positives (Sonic §3.3),
+        # never lose a value
+        assert set(index.iter_next_values(())) >= set(got)
 
     def test_final_depth_exact(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
+        index, trie, rows = indexed
         for prefix in sorted({row[:2] for row in rows}):
-            got = cursor.candidates(prefix).tolist()
-            assert got == expected_children(rows, prefix), (name, prefix)
+            got = candidates(trie, prefix)
+            assert got == expected_children(rows, prefix), prefix
+            assert got == sorted(index.iter_next_values(prefix)), prefix
 
     def test_missing_prefix_empty(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
-        assert cursor.candidates((999, 999)).size == 0
+        index, trie, rows = indexed
+        assert candidates(trie, (999, 999)) == []
+        assert list(index.iter_next_values((999, 999))) == []
 
     def test_candidates_sorted_and_distinct(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
+        index, trie, rows = indexed
         for prefix in [(), (rows[0][0],), rows[0][:2]]:
-            values = cursor.candidates(prefix).tolist()
-            assert values == sorted(set(values)), (name, prefix)
+            values = candidates(trie, prefix)
+            assert values == sorted(set(values)), prefix
 
 
 class TestProbeMany:
     def test_agrees_with_has_prefix_at_final_depth(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
-        probe_values = value_array(list(range(10)))
+        index, trie, rows = indexed
         for prefix in sorted({row[:2] for row in rows})[:20]:
-            mask = cursor.probe_many(prefix, probe_values)
+            mask = probe_many(trie, prefix, range(10))
             expected = [index.has_prefix(prefix + (v,)) for v in range(10)]
-            assert mask.tolist() == expected, (name, prefix)
+            assert mask == expected, prefix
 
     def test_empty_values_vector(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
-        mask = cursor.probe_many((), EMPTY_VALUES)
-        assert mask.size == 0
+        index, trie, rows = indexed
+        empty = np.empty(0, dtype=np.int64)
+        found, ids = trie.probe(0, None, empty)
+        assert found.size == 0 and ids.size == 0
+        found, ids = trie.probe(1, empty, empty)
+        assert found.size == 0 and ids.size == 0
 
 
 class TestSync:
     def test_out_of_order_prefix_sequence(self, indexed):
         """Random prefix jumps (backtracks, sibling switches, re-visits)
-        must all answer exactly — the sync/memo layer cannot depend on
-        depth-first access order."""
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
+        must all answer exactly — the trie is immutable and stateless, so
+        access order cannot matter, at any depth."""
+        index, trie, rows = indexed
         rng = random.Random(17)
         prefixes = sorted({row[:2] for row in rows} | {row[:1] for row in rows})
         for _ in range(200):
             prefix = prefixes[rng.randrange(len(prefixes))]
-            got = cursor.candidates(prefix).tolist()
-            expected = expected_children(rows, prefix)
-            if len(prefix) == 2:
-                assert got == expected, (name, prefix)
-            else:
-                assert set(got) >= set(expected), (name, prefix)
+            assert candidates(trie, prefix) == expected_children(rows, prefix)
 
     def test_count_is_positive_on_stored_prefixes(self, indexed):
-        name, index, rows = indexed
-        cursor = index.batch_cursor()
+        index, trie, rows = indexed
         for prefix in sorted({row[:1] for row in rows})[:5]:
-            assert cursor.count(prefix) > 0
-        assert cursor.count((999,)) == 0
+            start, end = trie.child_ranges(1, np.array([descend(trie, prefix)]))
+            # exact child count where the index's count is advisory
+            assert int(end[0] - start[0]) == len(expected_children(rows, prefix))
+            assert index.count_prefix(prefix) > 0
+        assert descend(trie, (999,)) == -1
+        assert index.count_prefix((999,)) == 0
 
 
-class TestRegistryCapabilities:
-    def test_batch_capable_indexes_list_native_kernels(self):
-        capable = set(batch_capable_indexes())
-        assert {"sonic", "sortedtrie", "hashtrie"} <= capable
-        assert "btree" not in capable
+class TestProbe:
+    def test_out_of_range_values_do_not_alias_another_parent(self):
+        # parent 0 holds {0}, parent 1 holds {0, 1}: span 2.  Asking
+        # parent 0 for value 2 packs to 0*2 + 2 == 1*2 + 0 — parent 1's
+        # first key.  Only the range check tells them apart.
+        trie = build_trie([(10, 0), (11, 0), (11, 1)], arity=2)
+        assert trie.codes[1] is None and trie.spans[1] == 2
+        parents = np.array([0, 0, 0, 1, 1])
+        values = np.array([2, -2, 0, 0, -1])
+        found, ids = trie.probe(1, parents, values)
+        assert found.tolist() == [False, False, True, True, False]
+        assert ids[found].tolist() == [0, 1]
 
-    def test_fallback_shim_serves_non_native_indexes(self):
-        index = build_index("btree", [(1, 2, 3), (1, 2, 4)])
-        cursor = index.batch_cursor()
-        assert isinstance(cursor, FallbackBatchCursor)
-        assert cursor.candidates((1, 2)).tolist() == [3, 4]
+    def test_offsets_that_wrap_int64_still_miss(self):
+        # value - lo wraps to a small positive number here
+        trie = build_trie([(INT64.max - 1,), (INT64.max,)], arity=1)
+        found, _ = trie.probe(0, None, np.array([INT64.min, INT64.min + 1, 0]))
+        assert not found.any()
+
+    def test_object_columns_are_refused(self):
+        column = np.empty(2, dtype=object)
+        column[:] = ["a", "b"]
+        with pytest.raises(SchemaError, match="int64"):
+            ColumnarTrie((column,))
+
+
+# -- model-based properties ------------------------------------------------
+_values = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([INT64.min, INT64.min + 1, -2 ** 62, 2 ** 62,
+                     INT64.max - 1, INT64.max]),
+    st.integers(-2 ** 40, 2 ** 40))
+
+
+@st.composite
+def row_sets(draw):
+    arity = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_values] * arity), max_size=30))
+    return arity, rows
+
+
+def model_of(rows, arity: int) -> list:
+    """Per level: ``prefix -> set of next values`` — the dict-of-sets trie."""
+    levels = [{} for _ in range(arity)]
+    levels[0][()] = set()          # the root is there even with no rows
+    for row in rows:
+        for depth in range(arity):
+            levels[depth].setdefault(row[:depth], set()).add(row[depth])
+    return levels
+
+
+def assert_matches_model(trie: ColumnarTrie, rows, arity: int) -> None:
+    model = model_of(rows, arity)
+    assert len(trie) == len(set(rows))
+    for depth in range(arity):
+        prefixes = sorted(model[depth])
+        # node ids of level depth-1 are the ranks of its sorted prefixes
+        assert len(trie.indptr[depth]) == len(prefixes) + 1
+        for node, prefix in enumerate(prefixes):
+            low, high = trie.indptr[depth][node:node + 2]
+            assert trie.values[depth][low:high].tolist() == \
+                sorted(model[depth][prefix])
+            if prefix:
+                assert descend(trie, prefix) == node
+        assert int(trie.indptr[depth][-1]) == len(trie.values[depth])
+    assert trie.memory_usage() == sum(
+        array.nbytes
+        for level in (trie.values, trie.indptr, trie.keys, trie.codes)
+        for array in level if array is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets())
+@example((2, [(INT64.min, 5), (INT64.max, -3), (0, 0), (0, INT64.max)]))
+@example((3, [(0, 0, 0), (0, 0, 0), (0, 1, 0)]))
+@example((1, []))
+def test_level_arrays_match_a_dict_of_sets_model(case):
+    arity, rows = case
+    assert_matches_model(build_trie(rows, arity), rows, arity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_sets(), st.sampled_from([1, 2, 7, 64]))
+def test_packed_and_rank_coded_levels_answer_alike(case, limit):
+    arity, rows = case
+    packed = build_trie(rows, arity)
+    saved = columnar.PACK_LIMIT
+    columnar.PACK_LIMIT = limit     # forces np.lexsort and rank codes
+    try:
+        coded = build_trie(rows, arity)
+    finally:
+        columnar.PACK_LIMIT = saved
+    if rows and limit == 1:
+        assert all(codes is not None for codes in coded.codes)
+    assert_matches_model(coded, rows, arity)
+    rng = random.Random(len(rows))
+    pool = sorted({value for row in rows for value in row}
+                  | {0, 1, -1, INT64.min, INT64.max})
+    for depth in range(arity):
+        assert coded.values[depth].tolist() == packed.values[depth].tolist()
+        assert coded.indptr[depth].tolist() == packed.indptr[depth].tolist()
+        parent_count = len(packed.indptr[depth]) - 1
+        if parent_count == 0:
+            continue
+        values = np.array([rng.choice(pool) for _ in range(40)], dtype=np.int64)
+        parents = (None if depth == 0 else
+                   np.array([rng.randrange(parent_count) for _ in range(40)]))
+        want_found, want_ids = packed.probe(depth, parents, values)
+        got_found, got_ids = coded.probe(depth, parents, values)
+        assert got_found.tolist() == want_found.tolist()
+        assert got_ids[got_found].tolist() == want_ids[want_found].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_sets())
+def test_truncated_and_full_tries_number_shared_levels_identically(case):
+    arity, rows = case
+    full = build_trie(rows, arity)
+    columns = columns_of(rows, arity)
+    for depth in range(1, arity + 1):
+        truncated = ColumnarTrie(columns[:depth])
+        assert truncated.arity == depth
+        for level in range(depth):
+            assert truncated.values[level].tolist() == full.values[level].tolist()
+            assert truncated.indptr[level].tolist() == full.indptr[level].tolist()
+            # same packing decision, so the same keys: a frontier holding
+            # node ids from the truncated trie probes the full one as is
+            assert truncated.keys[level].tolist() == full.keys[level].tolist()
+
+
+def test_extreme_spans_fall_back_to_rank_codes():
+    rows = [(INT64.min, 1), (INT64.max, 2), (0, INT64.min), (0, INT64.max)]
+    trie = build_trie(rows, arity=2)
+    assert trie.codes[0] is not None and trie.codes[1] is not None
+    assert trie.spans == [3, 4]
+    assert_matches_model(trie, rows, 2)
+    moderate = build_trie([(-2 ** 62, 0), (2 ** 62, 1)], arity=2)
+    assert moderate.codes[0] is not None     # hi - lo = 2**63: does not fit
+    assert moderate.codes[1] is None
 
 
 class TestArrayHelpers:
     def test_membership_mask_basic(self):
-        children = np.array([2, 4, 6, 8], dtype=np.int64)
-        values = np.array([1, 2, 5, 8, 9], dtype=np.int64)
-        assert membership_mask(children, values).tolist() == [
-            False, True, False, True, False]
+        # the mask a probe returns: which values are children, and where
+        trie = build_trie([(2,), (4,), (6,), (8,)], arity=1)
+        found, ids = trie.probe(0, None, np.array([1, 2, 5, 8, 9]))
+        assert found.tolist() == [False, True, False, True, False]
+        assert ids[found].tolist() == [0, 3]
 
     def test_membership_mask_empty_children(self):
-        values = np.array([1, 2], dtype=np.int64)
-        assert membership_mask(EMPTY_VALUES, values).tolist() == [False, False]
-
-    def test_membership_mask_mixed_dtypes(self):
-        children = np.array([1, 2, 3], dtype=np.int64)
-        values = np.empty(2, dtype=object)
-        values[:] = [2, "x"]
-        assert membership_mask(children, values).tolist() == [True, False]
+        trie = build_trie([], arity=2)
+        assert len(trie) == 0
+        assert trie.probe(0, None, np.array([1, 2]))[0].tolist() == [False, False]
+        start, end = trie.child_ranges(0, None)
+        assert (end - start).tolist() == [0]
 
     def test_value_array_strings(self):
         array = value_array(["b", "a"])
         assert array.dtype.kind in ("U", "O")
-        assert sorted_value_array(["b", "a"]).tolist() == ["a", "b"]
+        assert array.tolist() == ["b", "a"]
 
     def test_value_array_mixed_falls_back_to_object(self):
         array = value_array([1, "x"])
