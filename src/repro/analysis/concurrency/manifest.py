@@ -74,11 +74,10 @@ ENTRY_TABLE: "tuple[tuple, ...]" = (
     (None, ("bind", "plan", "prepare"), "src/repro/engine/pipeline.py",
      "shared", True),
     (None, ("join",), "src/repro/joins/executor.py", "per-call", True),
+    # also HashTrieJoin's run: the subclass overrides only the seed rule
     ("GenericJoin", ("run",), "src/repro/joins/generic_join.py",
      "per-call", True),
     ("GenericJoinBatch", ("run",), "src/repro/joins/batch.py",
-     "per-call", True),
-    ("HashTrieJoin", ("run",), "src/repro/joins/hashtrie_join.py",
      "per-call", True),
     ("BinaryHashJoin", ("run",), "src/repro/joins/binary.py",
      "per-call", True),

@@ -203,8 +203,7 @@ _OBS_HOT_DIRS = _HOT_DIRS | {"parallel"}
 class UnguardedObsRule(_HotLoopRule):
     """Obs call in an innermost loop outside the ``.enabled`` pattern.
 
-    The ``repro.obs`` contract (see its module docs and the overhead gate
-    in ``benchmarks/bench_trajectory.py``): hot loops in ``joins/``,
+    The ``repro.obs`` contract (see its module docs): hot loops in ``joins/``,
     ``indexes/`` and ``parallel/`` may only call metrics/tracer/observer/
     flight-recorder methods behind an ``if …enabled:`` branch — either an
     ``.enabled`` attribute test or a hoisted flag whose name ends in

@@ -20,8 +20,8 @@ the contention profile (lock acquisitions per stripe), which
 This module is therefore **protocol-only**: the repo's canonical
 measured parallel numbers are the multiprocess sharded execution path
 (:mod:`repro.parallel`, ``join(..., parallel=K)``), which escapes the
-GIL entirely and whose wall-clock scaling is recorded in the
-``parallel`` section of ``BENCH_generic_join.json``.  See DESIGN.md §1.
+GIL entirely and whose wall-clock scaling the end-to-end benchmark's
+``triangle_sharded`` workload measures.  See DESIGN.md §1.
 """
 
 from __future__ import annotations

@@ -255,7 +255,11 @@ class SonicIndex(TupleIndex):
         return hash_key(key, self._seed) % level.capacity
 
     def _probe_first(self, level: _Level, key) -> tuple[int, bool]:
-        """Probe the first level for ``key``; (slot, found)."""
+        """Probe the first level for ``key``; (slot, found).
+
+        Not found: ``slot`` is the free slot an insert would claim, or
+        -1 after a full wrap of a full level — a plain miss to a reader,
+        :class:`~repro.errors.CapacityError` only to :meth:`_claim`."""
         capacity = level.capacity
         slot = self._first_slot(level, key)
         for _ in range(capacity):
@@ -267,14 +271,12 @@ class SonicIndex(TupleIndex):
             if existing == key:
                 return slot, True
             slot = (slot + 1) % capacity
-        raise CapacityError(
-            f"Sonic level 0 full (capacity {capacity}); "
-            f"configure a larger capacity/overallocation"
-        )
+        return -1, False  # every slot taken, none holds the key
 
     def _probe_inner(self, level: _Level, designated: int, key,
                      parent_key) -> tuple[int, bool]:
-        """Probe an inner level from the designated bucket; (slot, found)."""
+        """Probe an inner level from the designated bucket; (slot, found),
+        with :meth:`_probe_first`'s meaning of a slot that is not found."""
         capacity = level.capacity
         bucket_size = level.bucket_size
         slot = designated * bucket_size + hash_key(key, self._seed) % bucket_size
@@ -287,10 +289,7 @@ class SonicIndex(TupleIndex):
             if existing == key and self._parent_matches(level, slot, parent_key):
                 return slot, True
             slot = (slot + 1) % capacity
-        raise CapacityError(
-            f"Sonic level {level.index} full (capacity {capacity}); "
-            f"configure a larger capacity/overallocation"
-        )
+        return -1, False  # every slot taken, none holds the key
 
     def _parent_matches(self, level: _Level, slot: int, parent_key) -> bool:
         bucket = slot // level.bucket_size
@@ -306,6 +305,11 @@ class SonicIndex(TupleIndex):
 
     def _claim(self, level: _Level, slot: int, key,
                designated: int | None = None, parent_key=None) -> None:
+        if slot < 0:
+            raise CapacityError(
+                f"Sonic level {level.index} full (capacity {level.capacity}); "
+                f"configure a larger capacity/overallocation"
+            )
         level.keys[slot] = key
         self._after_claim(level, slot, designated, parent_key)
 

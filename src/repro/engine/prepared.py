@@ -59,55 +59,59 @@ class PreparedJoin:
         self.build_seconds = build_seconds
         self.executions = 0
         self._pending_build = build_seconds
-        #: sharded plans only: does close() own the shared-memory
-        #: segments (cold path), or does the session cache (warm path)?
-        self._owned_shards = owned_shards
+        #: row counts read when the structures were built: a binary
+        #: stage scans its leading atom up to here, so an answer is of
+        #: the prepared version even after an append (the stage tables
+        #: are already pinned to it)
+        self._prepared_rows = {alias: len(relation)
+                               for alias, relation in bound.relations.items()}
         self._runner = None
-        self._assemble()
-
-    # ------------------------------------------------------------------
-    def _assemble(self) -> None:
-        """Driver-ready views over the built structures (cheap wrappers)."""
-        plan, relations = self.plan, self.bound.relations
-        algorithm = plan.algorithm
         if plan.sharding is not None:
             # imported lazily — repro.parallel's worker re-enters the
             # engine pipeline, so module scope stays one-directional
             from repro.parallel.runner import ShardedRunner
 
-            self._runner = ShardedRunner(self.bound, plan, self.structures,
-                                         owned=self._owned_shards)
-            return
-        if algorithm == "unified":
-            # stage drivers assemble per execution: child stages emit
-            # intermediate relations at run time, so there is nothing
-            # useful to wire up ahead of the first execute()
-            return
-        if algorithm in ("generic", "hashtrie"):
-            # adapters are stateless (relation, index, permutation)
-            # wrappers: constructing them does not build anything
-            self._adapters = {
-                alias: IndexAdapter(relations[alias], structure,
-                                    plan.total_order)
-                for alias, structure in self.structures.items()
-            }
-        elif algorithm == "binary":
-            stages = []
-            for spec in plan.index_specs:
-                key_arity = spec.key_arity or 0
-                stages.append({
-                    "alias": spec.alias,
-                    "key_attrs": spec.attribute_order[:key_arity],
-                    "payload_attrs": spec.attribute_order[key_arity:],
-                    "key_positions": spec.permutation[:key_arity],
-                    "payload_positions": spec.permutation[key_arity:],
-                    "table": self.structures[spec.alias],
-                })
-            output = list(self.bound.query.attributes_of(plan.atom_order[0]))
-            for stage in stages:
-                output.extend(stage["payload_attrs"])
-            self._stages = stages
-            self._output_attrs = tuple(output)
+            # ``owned_shards``: does close() own the shared-memory
+            # segments (cold path), or does the session cache (warm path)?
+            self._runner = ShardedRunner(bound, plan, structures,
+                                         owned=owned_shards)
+
+    # ------------------------------------------------------------------
+    def _driver(self, node: "JoinPlan | PlanStage", query, relations: dict,
+                observer):
+        """A fresh driver for ``node`` — the flat plan, or one stage of a
+        unified one — over the shared structures.  Adapters are
+        stateless wrappers: making them builds nothing."""
+        algorithm = node.algorithm
+        if algorithm == "binary":
+            # a child stage's output is made during this execution and
+            # has no prepared count: it is scanned whole
+            leading = node.atom_order[0]
+            rows = self._prepared_rows.get(leading, len(relations[leading]))
+            return BinaryHashJoin(query, relations,
+                                  order=list(node.atom_order), obs=observer,
+                                  prebuilt=(self.structures, rows))
+        if algorithm == "leapfrog":
+            return LeapfrogTrieJoin(query, relations, order=node.total_order,
+                                    obs=observer, tries=self.structures)
+        if algorithm == "recursive":
+            return RecursiveJoin(query, relations, order=node.total_order,
+                                 edges=self.structures)
+        adapters = {
+            atom.alias: IndexAdapter(relations[atom.alias],
+                                     self.structures[atom.alias],
+                                     node.total_order)
+            for atom in query.atoms
+        }
+        if algorithm == "hashtrie":
+            return HashTrieJoin(query, relations, order=node.total_order,
+                                obs=observer, adapters=adapters)
+        driver_cls = GenericJoinBatch if node.engine == "batch" else GenericJoin
+        driver = driver_cls(query, adapters, order=node.total_order,
+                            dynamic_seed=self.plan.dynamic_seed, obs=observer)
+        # what was built, which is not always what was asked for
+        driver.metrics.index = built_kind(node)
+        return driver
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,
@@ -142,46 +146,17 @@ class PreparedJoin:
         if plan.algorithm == "unified":
             return self._execute_unified(materialize, observer, charge,
                                          trace_out)
-        if plan.algorithm == "binary":
-            driver = BinaryHashJoin(
-                query, relations, order=list(plan.atom_order), obs=observer,
-                prebuilt=(self._stages, self._output_attrs))
-            order: tuple[str, ...] = tuple(plan.atom_order)
-            engine = None
-        elif plan.algorithm == "hashtrie":
-            driver = HashTrieJoin(query, relations, order=plan.total_order,
-                                  obs=observer, adapters=self._adapters)
-            order = plan.total_order
-            engine = None
-        elif plan.algorithm == "leapfrog":
-            driver = LeapfrogTrieJoin(query, relations,
-                                      order=plan.total_order, obs=observer,
-                                      tries=self.structures)
-            order = plan.total_order
-            engine = None
-        elif plan.algorithm == "recursive":
-            driver = RecursiveJoin(query, relations, order=plan.total_order,
-                                   edges=self.structures)
-            order = plan.total_order
-            engine = None
-        else:
-            driver_cls = (GenericJoinBatch if plan.engine == "batch"
-                          else GenericJoin)
-            driver = driver_cls(query, self._adapters, order=plan.total_order,
-                                dynamic_seed=plan.dynamic_seed, obs=observer)
-            # what was built, which is not always what was asked for
-            driver.metrics.index = built_kind(plan)
-            order = plan.total_order
-            engine = plan.engine
+        driver = self._driver(plan, query, relations, observer)
         driver.metrics.build_seconds = charge
         result = driver.run(materialize=materialize)
-        lazy_charge = self._drain_lazy_charges()
-        if lazy_charge:
-            # deferred lazy-build time surfaces on the run that actually
-            # materialized the levels (§5.15 build-included timing)
-            result.metrics.build_seconds += lazy_charge
-        return attach_profile(query, result, observer, plan.choice, order,
-                              engine=engine, trace_out=trace_out)
+        # deferred lazy-build time surfaces on the run that actually
+        # materialized the levels (§5.15 build-included timing)
+        result.metrics.build_seconds += self._drain_lazy_charges()
+        return attach_profile(
+            query, result, observer, plan.choice,
+            plan.total_order or plan.atom_order,
+            engine=plan.engine if plan.algorithm == "generic" else None,
+            trace_out=trace_out)
 
     def _drain_lazy_charges(self) -> float:
         """Collect pending lazy materialization time from the structures."""
@@ -213,12 +188,7 @@ class PreparedJoin:
         metrics.algorithm = "unified"
         if plan.index and not metrics.index:
             metrics.index = plan.index
-        lazy_charge = 0.0
-        for structure in self.structures.values():
-            take = getattr(structure, "take_pending_charge", None)
-            if callable(take):
-                lazy_charge += take()
-        metrics.build_seconds += charge + lazy_charge
+        metrics.build_seconds += charge + self._drain_lazy_charges()
         root = plan.root_stage
         order = root.total_order or root.atom_order
         engine = plan.engine if root.algorithm == "generic" else None
@@ -239,7 +209,6 @@ class PreparedJoin:
         stage probe a Generic Join sub-plan's output with zero special
         cases in the drivers.
         """
-        plan = self.plan
         reports: list[dict] = []
         child_runs: list[JoinResult] = []
         for child in stage.children:
@@ -251,38 +220,7 @@ class PreparedJoin:
             feeder = stage_alias(child.label)
             relations[feeder] = Relation(feeder, child.output,
                                          child_result.rows)
-        if stage.algorithm == "binary":
-            stages = []
-            for spec in stage.index_specs:
-                key_arity = spec.key_arity or 0
-                stages.append({
-                    "alias": spec.alias,
-                    "key_attrs": spec.attribute_order[:key_arity],
-                    "payload_attrs": spec.attribute_order[key_arity:],
-                    "key_positions": spec.permutation[:key_arity],
-                    "payload_positions": spec.permutation[key_arity:],
-                    "table": self.structures[spec.alias],
-                })
-            output = list(stage.query.attributes_of(stage.atom_order[0]))
-            for entry in stages:
-                output.extend(entry["payload_attrs"])
-            driver = BinaryHashJoin(stage.query, relations,
-                                    order=list(stage.atom_order),
-                                    obs=observer,
-                                    prebuilt=(stages, tuple(output)))
-        else:
-            adapters = {
-                atom.alias: IndexAdapter(relations[atom.alias],
-                                         self.structures[atom.alias],
-                                         stage.total_order)
-                for atom in stage.query.atoms
-            }
-            driver_cls = (GenericJoinBatch if stage.engine == "batch"
-                          else GenericJoin)
-            driver = driver_cls(stage.query, adapters,
-                                order=stage.total_order,
-                                dynamic_seed=plan.dynamic_seed, obs=observer)
-            driver.metrics.index = built_kind(stage)
+        driver = self._driver(stage, stage.query, relations, observer)
         result = driver.run(materialize=materialize)
         choice = stage.choice
         estimated = None

@@ -25,8 +25,8 @@ granularity of 8192 stays within 30 % of the best granularity.
 These numbers are **simulated, protocol-only** figures.  Since the
 multiprocess sharded execution path landed (:mod:`repro.parallel`,
 ``join(..., parallel=K)``), the repo's canonical measured parallel
-figure is that path's wall-clock scaling, recorded in the ``parallel``
-section of ``BENCH_generic_join.json``; this model remains only to
+figure is that path's wall-clock scaling (the end-to-end benchmark's
+``triangle_sharded`` workload); this model remains only to
 extrapolate the *intra-build locking* behaviour of hardware the GIL
 hides (thread counts, NUMA), which process sharding does not model.
 """

@@ -47,7 +47,7 @@ import numpy as np
 from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
-from repro.obs.observer import NULL_OBSERVER, LevelStats
+from repro.obs.observer import NULL_OBSERVER
 from repro.planner.qptree import connectivity_order
 from repro.planner.query import JoinQuery
 
@@ -123,11 +123,7 @@ class GenericJoinBatch:
         obs = self.obs
         labels = [[self._aliases[atom] for atom, _, _ in level]
                   for level in self._participants]
-        if obs.enabled:
-            self._stats = obs.init_levels(self.order, labels)
-        else:
-            self._stats = [LevelStats(attribute, aliases)
-                           for attribute, aliases in zip(self.order, labels)]
+        self._stats = obs.init_levels(self.order, labels)
         self._blocks = self._live = self._peak = 0
         with obs.tracer.span("probe", algorithm="generic_join_batch",
                              engine="batch"):

@@ -15,7 +15,7 @@ data.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import QueryError
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
@@ -100,17 +100,21 @@ def extend_stage_table(table: dict[tuple, list[tuple]],
 class BinaryHashJoin:
     """Left-deep pipeline of hash joins over a query.
 
-    ``prebuilt`` (the engine's prepared path) is ``(stages,
-    output_attrs)`` where every stage descriptor already carries its
-    ``"table"``; the driver then skips the build phase entirely and
-    ``metrics.build_seconds`` stays zero — the prepare stage owns the
-    build accounting.
+    ``prebuilt`` (the engine's prepared path) is ``(tables,
+    leading_rows)``: every stage's hash table by atom alias, and the
+    leading relation's row count when they were built; the driver then
+    builds nothing and ``metrics.build_seconds`` stays zero — the
+    prepare stage owns the build accounting.
+
+    The leading atom is scanned up to the row count read at build time,
+    so a run started after an append still joins the rows the stage
+    tables were built from (relations are append-only).
     """
 
     def __init__(self, query: JoinQuery, relations: dict[str, Relation],
                  order: Sequence[str] | None = None,
                  stats: Statistics | None = None, obs=None,
-                 prebuilt: "tuple[list[dict], tuple[str, ...]] | None" = None):
+                 prebuilt: "tuple[Mapping[str, dict], int] | None" = None):
         missing = [a.alias for a in query.atoms if a.alias not in relations]
         if missing:
             raise QueryError(f"no relation bound for atoms {missing}")
@@ -129,10 +133,9 @@ class BinaryHashJoin:
         self._plan: list[dict] = []
         self._built = False
         self._output_attrs: tuple[str, ...] = ()
+        self._prebuilt = prebuilt
+        self._leading_rows = 0
         self.obs = obs if obs is not None else NULL_OBSERVER
-        if prebuilt is not None:
-            self._plan, self._output_attrs = prebuilt
-            self._built = True
 
     # ------------------------------------------------------------------
     # Build phase: one hash table per non-leading atom
@@ -146,6 +149,12 @@ class BinaryHashJoin:
         stages, self._output_attrs = plan_pipeline(self.query, self.relations,
                                                    self.order)
         self._plan = stages
+        if self._prebuilt is not None:
+            tables, self._leading_rows = self._prebuilt
+            for stage in stages:
+                stage["table"] = tables[stage["alias"]]
+            return
+        self._leading_rows = len(self.relations[self.order[0]])
         for stage in stages:
             if obs.enabled:
                 table_t0 = Stopwatch.now_ns()
@@ -164,85 +173,61 @@ class BinaryHashJoin:
         self.build()
         sink = make_sink(materialize)
         watch = Stopwatch()
-        leading = self.relations[self.order[0]]
+        leading = self.relations[self.order[0]].rows[:self._leading_rows]
         lead_attrs = self.query.attributes_of(self.order[0])
         binding: dict[str, object] = {}
         obs = self.obs
-        if obs.enabled:
-            # one profile level per pipeline stage: the leading scan,
-            # then each hash probe (label = the stage's atom alias)
-            stats = obs.init_levels(self.order, [[a] for a in self.order])
-            st0 = stats[0]
-            st0.seed_counts[self.order[0]] += 1
+        # one level per pipeline stage: the leading scan, then each hash
+        # probe (label = the stage's atom alias)
+        stats = obs.init_levels(self.order, [[a] for a in self.order])
+        timed = obs.enabled
+        if timed:
             probe_t0 = Stopwatch.now_ns()
-            with obs.tracer.span("probe", algorithm="binary_join"):
-                for row in leading:
-                    for attribute, value in zip(lead_attrs, row):
-                        binding[attribute] = value
-                    self._probe_profiled(0, binding, sink, stats)
-            scanned = len(leading)
-            st0.candidates += scanned
-            st0.survivors += scanned
-            st0.time_ns += Stopwatch.now_ns() - probe_t0
-        else:
+        with obs.tracer.span("probe", algorithm="binary_join"):
             for row in leading:
                 for attribute, value in zip(lead_attrs, row):
                     binding[attribute] = value
-                self._probe(0, binding, sink)
-        self.metrics.probe_seconds += watch.lap()
-        self.metrics.result_count = sink.count
+                self._probe(0, binding, sink, stats, timed)
+        scan = stats[0]
+        scan.candidates = scan.survivors = len(leading)
+        scan.seed_counts[scan.label] = 1
+        if timed:
+            scan.time_ns = Stopwatch.now_ns() - probe_t0
+        metrics = self.metrics
+        for before, st in zip(stats, stats[1:]):
+            # a stage probes its table once per tuple the stage before
+            # it let through, as its own seed
+            st.candidates = st.seed_counts[st.label] = before.survivors
+            metrics.lookups += st.candidates
+            metrics.intermediate_tuples += st.survivors
+        metrics.probe_seconds += watch.lap()
+        metrics.result_count = sink.count
         return JoinResult(attributes=self._output_attrs, sink=sink,
-                          metrics=self.metrics)
+                          metrics=metrics)
 
-    def _probe_profiled(self, stage: int, binding: dict[str, object], sink,
-                        stats: list) -> None:
-        """The instrumented twin of :meth:`_probe` (stage *i* writes into
-        ``stats[i + 1]``; level 0 is the leading scan, accounted by
-        :meth:`run`).  ``candidates`` counts probes arriving at the stage,
-        ``survivors`` the matching payload expansions flowing on.  Keep
-        the twins in sync when touching either."""
-        if stage == len(self._plan):
-            # mirrors _probe's baselined result-tuple construction
-            sink.emit(tuple(binding[a] for a in self._output_attrs))  # repro: noqa[RA502]
-            return
-        st = stats[stage + 1]
-        t0 = Stopwatch.now_ns()
-        step = self._plan[stage]
-        self.metrics.lookups += 1
-        st.candidates += 1
-        st.seed_counts[step["alias"]] += 1
-        # mirrors _probe's baselined per-probe key construction
-        key = tuple(binding[a] for a in step["key_attrs"])  # repro: noqa[RA502]
-        matches = step["table"].get(key)
-        if not matches:
-            st.time_ns += Stopwatch.now_ns() - t0
-            return
-        payload_attrs = step["payload_attrs"]
-        st.survivors += len(matches)
-        for payload in matches:
-            for attribute, value in zip(payload_attrs, payload):
-                binding[attribute] = value
-            self.metrics.intermediate_tuples += 1
-            self._probe_profiled(stage + 1, binding, sink, stats)
-        for attribute in payload_attrs:
-            binding.pop(attribute, None)
-        st.time_ns += Stopwatch.now_ns() - t0
-
-    def _probe(self, stage: int, binding: dict[str, object], sink) -> None:
+    def _probe(self, stage: int, binding: dict[str, object], sink,
+               stats: list, timed: bool) -> None:
+        """Probe stage ``stage``'s table with the current binding and
+        flow every match on.  Stage *i* writes into ``stats[i + 1]``
+        (level 0 is the leading scan, accounted by :meth:`run`):
+        ``survivors`` counts the matching payload expansions flowing on
+        — which are the next stage's ``candidates``."""
         if stage == len(self._plan):
             sink.emit(tuple(binding[a] for a in self._output_attrs))
             return
+        if timed:
+            t0 = Stopwatch.now_ns()
         step = self._plan[stage]
-        self.metrics.lookups += 1
         key = tuple(binding[a] for a in step["key_attrs"])
         matches = step["table"].get(key)
-        if not matches:
-            return
-        payload_attrs = step["payload_attrs"]
-        for payload in matches:
-            for attribute, value in zip(payload_attrs, payload):
-                binding[attribute] = value
-            self.metrics.intermediate_tuples += 1
-            self._probe(stage + 1, binding, sink)
-        for attribute in payload_attrs:
-            binding.pop(attribute, None)
+        if matches:
+            stats[stage + 1].survivors += len(matches)
+            payload_attrs = step["payload_attrs"]
+            for payload in matches:
+                for attribute, value in zip(payload_attrs, payload):
+                    binding[attribute] = value
+                self._probe(stage + 1, binding, sink, stats, timed)
+            for attribute in payload_attrs:
+                binding.pop(attribute, None)
+        if timed:
+            stats[stage + 1].time_ns += Stopwatch.now_ns() - t0

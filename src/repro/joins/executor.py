@@ -92,10 +92,6 @@ def attach_profile(query, result: JoinResult, observer, choice, order,
     return result
 
 
-#: back-compat alias for the pre-engine private name
-_attach_profile = attach_profile
-
-
 def resolve_relations(query: JoinQuery,
                       source: "Catalog | Mapping[str, Relation]",
                       ) -> dict[str, Relation]:
@@ -246,7 +242,8 @@ def join(query: "JoinQuery | str",
     survivors / seed choices / time, the hybrid optimizer's estimated vs
     actual cardinalities, counters, spans).  ``obs`` threads a caller-
     supplied observer instead (e.g. a shared metrics registry, or
-    ``JoinObserver.disabled()`` to pin the un-instrumented path);
+    ``JoinObserver.disabled()`` to pin profiling off whatever
+    ``REPRO_PROFILE`` says);
     ``trace_out`` (default: ``REPRO_TRACE_OUT``) additionally writes the
     span trace as Chrome ``trace_event`` JSON to that path.
 

@@ -54,13 +54,14 @@ from repro.planner.query import JoinQuery
 class GenericJoin:
     """Generic Join over pre-built index adapters.
 
-    **Observability.**  ``obs`` is a
-    :class:`~repro.obs.observer.JoinObserver` (default: the shared
-    disabled one).  The driver branches on ``obs.enabled`` exactly once
-    per run: the un-profiled recursion (:meth:`_join_level`) carries no
-    instrumentation at all, while the enabled path runs its instrumented
-    twin (:meth:`_join_level_profiled`) that accumulates per-level
-    candidates/survivors/cursor movements into ``obs.levels``.
+    **Observability.**  There is one probe recursion
+    (:meth:`_join_level`).  Each invocation counts its candidates,
+    survivors and cursor movements in local ints and flushes them once
+    into that level's :class:`~repro.obs.observer.LevelStats`, which
+    the driver owns (an enabled observer is handed the same objects);
+    ``metrics.lookups`` / ``metrics.intermediate_tuples`` are summed
+    from the levels when the run ends.  ``obs.enabled`` is read once per
+    run and only decides whether invocations read the clock.
     """
 
     def __init__(self, query: JoinQuery, adapters: dict[str, IndexAdapter],
@@ -112,35 +113,49 @@ class GenericJoin:
             [cursors[alias] for alias in aliases]
             for aliases in self._atoms_per_attribute
         ]
-        binding: list = []
         obs = self.obs
-        if obs.enabled:
-            stats = obs.init_levels(self.order, self._atoms_per_attribute)
-            with obs.tracer.span("probe", algorithm="generic_join",
-                                 engine="tuple"):
-                self._join_level_profiled(0, levels, binding, sink, stats)
-        else:
-            self._join_level(0, levels, binding, sink)
-        self.metrics.probe_seconds += watch.lap()
-        self.metrics.result_count = sink.count
-        return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)
+        stats = obs.init_levels(self.order, self._atoms_per_attribute)
+        metrics = self.metrics
+        with obs.tracer.span("probe", algorithm=metrics.algorithm,
+                             engine="tuple"):
+            self._join_level(0, levels, [], sink, stats, obs.enabled)
+        for st in stats:
+            # one child walk per invocation, one seed re-descend per
+            # candidate, one probe per other participant reached: those
+            # that descended (descends minus the seed's) plus the one
+            # refusal of every candidate the seed took and another
+            # dropped (the seed's descends minus survivors)
+            metrics.lookups += (sum(st.seed_counts.values()) + st.candidates
+                                + st.descends - st.survivors)
+            metrics.intermediate_tuples += st.survivors
+        metrics.probe_seconds += watch.lap()
+        metrics.result_count = sink.count
+        return JoinResult(attributes=self.order, sink=sink, metrics=metrics)
 
     # ------------------------------------------------------------------
     def _join_level(self, depth: int, levels: list, binding: list,
-                    sink) -> None:
+                    sink, stats: list, timed: bool) -> None:
+        """Bind attribute ``depth`` under the current partial binding.
+
+        ``stats[depth].time_ns`` is *inclusive*; the profile derives
+        exclusive time by subtracting the next level's total.
+        """
         if depth == len(self.order):
             sink.emit(tuple(binding))
             return
+        if timed:
+            t0 = Stopwatch.now_ns()
         participants = levels[depth]
-        seed_cursor = participants[self._choose_seed_pos(depth, participants)]
+        seed_pos = self._choose_seed_pos(depth, participants)
+        seed_cursor = participants[seed_pos]
+        candidates = survivors = moves = 0
 
-        self.metrics.lookups += 1
         for value in seed_cursor.child_values():
             # every participating atom must accept the candidate — the
             # intersection step (Alg. 1 line 15); the seed re-descends too,
             # verifying candidates its own child walk may have surfaced
             # as inner-level false positives.
-            self.metrics.lookups += 1
+            candidates += 1
             if not seed_cursor.try_descend(value):
                 continue
             descended = 1
@@ -148,16 +163,17 @@ class GenericJoin:
             for cursor in participants:
                 if cursor is seed_cursor:
                     continue
-                self.metrics.lookups += 1
                 if cursor.try_descend(value):
                     descended += 1
                 else:
                     ok = False
                     break
+            moves += descended
             if ok:
-                self.metrics.intermediate_tuples += 1
+                survivors += 1
                 binding.append(value)
-                self._join_level(depth + 1, levels, binding, sink)
+                self._join_level(depth + 1, levels, binding, sink, stats,
+                                 timed)
                 binding.pop()
             # pop exactly the cursors that descended: the seed, then the
             # leading non-seed participants up to the first failure
@@ -170,70 +186,14 @@ class GenericJoin:
                     continue
                 cursor.ascend()
                 descended -= 1
-
-    def _join_level_profiled(self, depth: int, levels: list, binding: list,
-                             sink, stats: list) -> None:
-        """The instrumented twin of :meth:`_join_level`.
-
-        Byte-for-byte the same join logic plus per-level accumulation
-        into ``stats[depth]`` (local ints, flushed once per invocation —
-        never a method call per candidate).  ``time_ns`` is *inclusive*;
-        the profile derives exclusive time by subtracting the next
-        level's total.  Keep the twins in sync when touching either.
-        """
-        if depth == len(self.order):
-            sink.emit(tuple(binding))
-            return
         st = stats[depth]
-        t0 = Stopwatch.now_ns()
-        participants = levels[depth]
-        seed_pos = self._choose_seed_pos(depth, participants)
-        seed_cursor = participants[seed_pos]
-        st.seed_counts[self._atoms_per_attribute[depth][seed_pos]] += 1
-        candidates = survivors = descends = ascends = 0
-
-        self.metrics.lookups += 1
-        for value in seed_cursor.child_values():
-            candidates += 1
-            self.metrics.lookups += 1
-            if not seed_cursor.try_descend(value):
-                continue
-            descends += 1
-            descended = 1
-            ok = True
-            for cursor in participants:
-                if cursor is seed_cursor:
-                    continue
-                self.metrics.lookups += 1
-                if cursor.try_descend(value):
-                    descends += 1
-                    descended += 1
-                else:
-                    ok = False
-                    break
-            if ok:
-                survivors += 1
-                self.metrics.intermediate_tuples += 1
-                binding.append(value)
-                self._join_level_profiled(depth + 1, levels, binding, sink,
-                                          stats)
-                binding.pop()
-            seed_cursor.ascend()
-            ascends += 1
-            descended -= 1
-            for cursor in participants:
-                if descended == 0:
-                    break
-                if cursor is seed_cursor:
-                    continue
-                cursor.ascend()
-                ascends += 1
-                descended -= 1
         st.candidates += candidates
         st.survivors += survivors
-        st.descends += descends
-        st.ascends += ascends
-        st.time_ns += Stopwatch.now_ns() - t0
+        st.descends += moves
+        st.ascends += moves
+        st.seed_counts[st.participants[seed_pos]] += 1
+        if timed:
+            st.time_ns += Stopwatch.now_ns() - t0
 
     def _choose_seed_pos(self, depth: int, participants: list) -> int:
         """Pick the enumeration seed among the atoms binding this attribute.
@@ -246,10 +206,10 @@ class GenericJoin:
         """
         if len(participants) == 1 or not self.dynamic_seed:
             return self._static_seed_pos[depth]
+        self.metrics.lookups += len(participants)
         best_pos = 0
         best_count = None
         for pos, cursor in enumerate(participants):
-            self.metrics.lookups += 1
             count = cursor.count()
             if best_count is None or count < best_count:
                 best_pos, best_count = pos, count

@@ -7,8 +7,9 @@ attribute is fixed up front (the smallest relation containing it), which
 sub-problem" — and, per the paper's §5.15 critique, gives up worst-case
 optimality on workloads where the assumption is wrong.
 
-Structurally the driver mirrors :class:`~repro.joins.generic_join.GenericJoin`
-with three Umbra-specific traits:
+The driver *is* :class:`~repro.joins.generic_join.GenericJoin` — same
+recursion, same intersection discipline — with three Umbra-specific
+traits:
 
 * indexes are always :class:`~repro.indexes.hashtrie.HashTrie` instances
   with lazy expansion and singleton pruning (toggleable for ablation);
@@ -30,14 +31,15 @@ from collections.abc import Sequence
 from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
 from repro.indexes.hashtrie import HashTrie
-from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
-from repro.obs.observer import NULL_OBSERVER
+from repro.joins.executor import build_adapters
+from repro.joins.generic_join import GenericJoin
+from repro.joins.results import JoinMetrics, Stopwatch
 from repro.planner.qptree import connectivity_order
 from repro.planner.query import JoinQuery
 from repro.storage.relation import Relation
 
 
-class HashTrieJoin:
+class HashTrieJoin(GenericJoin):
     """Umbra-style WCOJ over lazily-expanded hash tries."""
 
     def __init__(self, query: JoinQuery, relations: dict[str, Relation],
@@ -48,153 +50,46 @@ class HashTrieJoin:
         missing = [a.alias for a in query.atoms if a.alias not in relations]
         if missing:
             raise QueryError(f"no relation bound for atoms {missing}")
-        self.query = query
-        self.relations = relations
-        self.order: tuple[str, ...] = tuple(order) if order else connectivity_order(query)
-        self.lazy = lazy
-        self.singleton_pruning = singleton_pruning
-        self.metrics = JoinMetrics(algorithm="hashtrie_join", index="hashtrie")
-        # ``adapters`` (the engine's prepared path) are pre-built tries:
-        # the driver skips its build phase and build_seconds stays zero
-        self.adapters: dict[str, IndexAdapter] = adapters or {}
-        self._built = adapters is not None
+        order = tuple(order) if order else connectivity_order(query)
+        build_seconds = 0.0
+        if adapters is None:
+            # ``adapters`` (the engine's prepared path) are pre-built
+            # tries and build_seconds stays zero; otherwise only the
+            # first trie level per relation is built here (lazy mode)
+            watch = Stopwatch()
+            adapters = build_adapters(
+                query, relations, order, index="hashtrie",
+                index_options={"lazy": lazy,
+                               "singleton_pruning": singleton_pruning},
+                obs=obs)
+            build_seconds = watch.lap()
+        super().__init__(query, adapters, order=order, obs=obs)
+        self.metrics = JoinMetrics(algorithm="hashtrie_join", index="hashtrie",
+                                   build_seconds=build_seconds)
         # the anchor relation — the scan side under the weights=1
         # assumption — is the smallest base relation (§5.15)
         self.anchor: str = min((a.alias for a in query.atoms),
                                key=lambda alias: len(relations[alias]))
-        self._atoms_per_attribute: list[list[str]] = [
-            [atom.alias for atom in query.atoms_with(attribute)]
-            for attribute in self.order
+        #: the anchor's position among each depth's participants (-1: absent)
+        self._anchor_pos: list[int] = [
+            aliases.index(self.anchor) if self.anchor in aliases else -1
+            for aliases in self._atoms_per_attribute
         ]
-        self.obs = obs if obs is not None else NULL_OBSERVER
 
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        """Eagerly build only the first trie level per relation (lazy mode)."""
-        if self._built:
-            return
-        self._built = True
-        watch = Stopwatch()
-        obs = self.obs
-        for atom in self.query.atoms:
-            if obs.enabled:
-                adapter_t0 = Stopwatch.now_ns()
-            relation = self.relations[atom.alias]
-            index = HashTrie(relation.arity, lazy=self.lazy,
-                             singleton_pruning=self.singleton_pruning)
-            adapter = IndexAdapter(relation, index, self.order)
-            adapter.build()
-            self.adapters[atom.alias] = adapter
-            if obs.enabled:
-                obs.record_build(atom.alias, Stopwatch.now_ns() - adapter_t0)
-        self.metrics.build_seconds += watch.lap()
-
-    # ------------------------------------------------------------------
-    def run(self, materialize: bool = False) -> JoinResult:
-        self.build()
-        sink = make_sink(materialize)
-        watch = Stopwatch()
-        cursors = {alias: adapter.index.cursor()
-                   for alias, adapter in self.adapters.items()}
-        obs = self.obs
-        if obs.enabled:
-            stats = obs.init_levels(self.order, self._atoms_per_attribute)
-            with obs.tracer.span("probe", algorithm="hashtrie_join"):
-                self._join_level_profiled(0, cursors, [], sink, stats)
-        else:
-            self._join_level(0, cursors, [], sink)
-        self.metrics.probe_seconds += watch.lap()
-        self.metrics.result_count = sink.count
-        return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)
-
-    def _join_level(self, depth: int, cursors: dict, binding: list, sink) -> None:
-        if depth == len(self.order):
-            sink.emit(tuple(binding))
-            return
-        aliases = self._atoms_per_attribute[depth]
-        # Freitag et al.'s iteration rule: the smallest current-level hash
-        # table drives the intersection (ties broken toward the anchor)
-        seed = min(aliases,
-                   key=lambda alias: (cursors[alias].count(),
-                                      alias != self.anchor))
-        seed_cursor = cursors[seed]
-        others = [cursors[alias] for alias in aliases if alias != seed]
-
-        self.metrics.lookups += 1
-        for value in seed_cursor.child_values():
-            self.metrics.lookups += 1
-            if not seed_cursor.try_descend(value):
-                continue
-            survived = [seed_cursor]
-            ok = True
-            for cursor in others:
-                self.metrics.lookups += 1
-                if cursor.try_descend(value):
-                    survived.append(cursor)
-                else:
-                    ok = False
-                    break
-            if ok:
-                self.metrics.intermediate_tuples += 1
-                binding.append(value)
-                self._join_level(depth + 1, cursors, binding, sink)
-                binding.pop()
-            for cursor in survived:
-                cursor.ascend()
-
-    def _join_level_profiled(self, depth: int, cursors: dict, binding: list,
-                             sink, stats: list) -> None:
-        """The instrumented twin of :meth:`_join_level` (same pattern as
-        the Generic Join's: local counters flushed once per invocation,
-        inclusive ``time_ns``).  Keep the twins in sync."""
-        if depth == len(self.order):
-            sink.emit(tuple(binding))
-            return
-        st = stats[depth]
-        t0 = Stopwatch.now_ns()
-        aliases = self._atoms_per_attribute[depth]
-        seed = min(aliases,
-                   key=lambda alias: (cursors[alias].count(),
-                                      alias != self.anchor))
-        seed_cursor = cursors[seed]
-        # mirrors _join_level's baselined per-binding participant list
-        others = [cursors[alias] for alias in aliases if alias != seed]  # repro: noqa[RA501]
-        st.seed_counts[seed] += 1
-        candidates = survivors = descends = ascends = 0
-
-        self.metrics.lookups += 1
-        for value in seed_cursor.child_values():
-            candidates += 1
-            self.metrics.lookups += 1
-            if not seed_cursor.try_descend(value):
-                continue
-            descends += 1
-            # mirrors _join_level's baselined ascend-bookkeeping list
-            survived = [seed_cursor]  # repro: noqa[RA501]
-            ok = True
-            for cursor in others:
-                self.metrics.lookups += 1
-                if cursor.try_descend(value):
-                    descends += 1
-                    survived.append(cursor)
-                else:
-                    ok = False
-                    break
-            if ok:
-                survivors += 1
-                self.metrics.intermediate_tuples += 1
-                binding.append(value)
-                self._join_level_profiled(depth + 1, cursors, binding, sink,
-                                          stats)
-                binding.pop()
-            for cursor in survived:
-                cursor.ascend()
-                ascends += 1
-        st.candidates += candidates
-        st.survivors += survivors
-        st.descends += descends
-        st.ascends += ascends
-        st.time_ns += Stopwatch.now_ns() - t0
+    def _choose_seed_pos(self, depth: int, participants: list) -> int:
+        """Freitag et al.'s iteration rule: the smallest current-level
+        hash table drives the intersection, ties broken toward the
+        anchor.  Reading a table's width costs no probe, so nothing is
+        added to ``metrics.lookups``."""
+        anchor_pos = self._anchor_pos[depth]
+        best_pos = 0
+        best_count = None
+        for pos, cursor in enumerate(participants):
+            count = cursor.count()
+            if (best_count is None or count < best_count
+                    or (count == best_count and pos == anchor_pos)):
+                best_pos, best_count = pos, count
+        return best_pos
 
     # ------------------------------------------------------------------
     def expansion_stats(self) -> dict[str, int]:

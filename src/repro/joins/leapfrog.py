@@ -86,119 +86,78 @@ class LeapfrogTrieJoin:
             [iterators[a] for a in aliases] for aliases in self._participants
         ]
         obs = self.obs
+        stats = obs.init_levels(self.order, self._participants)
+        metrics = self.metrics
         if all(len(trie) for trie in self._tries.values()):
-            if obs.enabled:
-                stats = obs.init_levels(self.order, self._participants)
-                with obs.tracer.span("probe", algorithm="leapfrog"):
-                    self._join_level_profiled(0, levels, [], sink, stats)
-            else:
-                self._join_level(0, levels, [], sink)
-        elif obs.enabled:
-            obs.init_levels(self.order, self._participants)
-        self.metrics.probe_seconds += watch.lap()
-        self.metrics.result_count = sink.count
-        return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)
+            with obs.tracer.span("probe", algorithm="leapfrog"):
+                self._join_level(0, levels, [], sink, stats, obs.enabled)
+        for st in stats:
+            # every key examined is followed by one next() or seek()
+            metrics.lookups += st.candidates
+            metrics.intermediate_tuples += st.survivors
+        metrics.probe_seconds += watch.lap()
+        metrics.result_count = sink.count
+        return JoinResult(attributes=self.order, sink=sink, metrics=metrics)
 
     # ------------------------------------------------------------------
     def _join_level(self, depth: int, levels: list[list[TrieIterator]],
-                    binding: list, sink) -> None:
+                    binding: list, sink, stats: list, timed: bool) -> None:
+        """Bind attribute ``depth``: open every participant one level
+        down, leapfrog their key streams, recurse per agreed value.
+        ``descends`` / ``ascends`` count iterator ``open()``/``up()``
+        calls; survivors are the intersection values."""
         if depth == len(self.order):
             sink.emit(tuple(binding))
             return
-        participants = levels[depth]
-        for cursor in participants:
-            cursor.open()
-        try:
-            for value in self._leapfrog(participants):
-                binding.append(value)
-                self.metrics.intermediate_tuples += 1
-                self._join_level(depth + 1, levels, binding, sink)
-                binding.pop()
-        finally:
-            for cursor in participants:
-                cursor.up()
-
-    def _join_level_profiled(self, depth: int,
-                             levels: list[list[TrieIterator]],
-                             binding: list, sink, stats: list) -> None:
-        """The instrumented twin of :meth:`_join_level`.  ``descends`` /
-        ``ascends`` count iterator ``open()``/``up()`` calls; survivors
-        are the intersection values the leapfrog yields.  Keep the twins
-        in sync."""
-        if depth == len(self.order):
-            sink.emit(tuple(binding))
-            return
+        if timed:
+            t0 = Stopwatch.now_ns()
         st = stats[depth]
-        t0 = Stopwatch.now_ns()
         participants = levels[depth]
         for cursor in participants:
             cursor.open()
         st.descends += len(participants)
+        survivors = 0
         try:
-            for value in self._leapfrog_profiled(participants, st):
-                st.survivors += 1
+            for value in self._leapfrog(participants, st):
+                survivors += 1
                 binding.append(value)
-                self.metrics.intermediate_tuples += 1
-                self._join_level_profiled(depth + 1, levels, binding, sink,
-                                          stats)
+                self._join_level(depth + 1, levels, binding, sink, stats,
+                                 timed)
                 binding.pop()
         finally:
             for cursor in participants:
                 cursor.up()
             st.ascends += len(participants)
-            st.time_ns += Stopwatch.now_ns() - t0
+            st.survivors += survivors
+            if timed:
+                st.time_ns += Stopwatch.now_ns() - t0
 
-    def _leapfrog_profiled(self, cursors: list[TrieIterator], st):
-        """The instrumented twin of :meth:`_leapfrog`: ``st.candidates``
-        counts keys examined (one per leapfrog step, matching or not)."""
-        if any(c.at_end() for c in cursors):
-            return
-        cursors.sort(key=lambda c: c.key())
-        index = 0
-        max_key = cursors[-1].key()
-        while True:
-            cursor = cursors[index]
-            key = cursor.key()
-            st.candidates += 1
-            if key == max_key:
-                yield key
-                self.metrics.lookups += 1
-                cursor.next()
-                if cursor.at_end():
-                    return
-                max_key = cursor.key()
-            else:
-                self.metrics.lookups += 1
-                cursor.seek(max_key)
-                if cursor.at_end():
-                    return
-                max_key = max(max_key, cursor.key())
-            index = (index + 1) % len(cursors)
-
-    def _leapfrog(self, cursors: list[TrieIterator]):
-        """Yield the intersection of the cursors' key streams (Veldhuizen §3)."""
+    def _leapfrog(self, cursors: list[TrieIterator], st):
+        """Yield the intersection of the cursors' key streams (Veldhuizen
+        §3); ``st.candidates`` gains one per key examined, matching or not."""
         if any(c.at_end() for c in cursors):
             return
         # in place: `cursors` is this depth's reusable participant list
         # and its internal order is free, so no per-call copy is needed
         cursors.sort(key=lambda c: c.key())
         index = 0
+        examined = 0
         max_key = cursors[-1].key()
         while True:
             cursor = cursors[index]
             key = cursor.key()
+            examined += 1
             if key == max_key:
                 # all cursors agree
                 yield key
-                self.metrics.lookups += 1
                 cursor.next()
                 if cursor.at_end():
-                    return
+                    break
                 max_key = cursor.key()
             else:
-                self.metrics.lookups += 1
                 cursor.seek(max_key)
                 if cursor.at_end():
-                    return
+                    break
                 max_key = max(max_key, cursor.key())
             index = (index + 1) % len(cursors)
+        st.candidates += examined

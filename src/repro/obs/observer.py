@@ -8,19 +8,21 @@ creates it (``join(..., profile=True)``), threads it through the driver
 and the index cursors, and finally folds it into a
 :class:`~repro.obs.profile.JoinProfile`.
 
-**Disabled-path contract.**  Drivers receive either an enabled observer
-or :data:`NULL_OBSERVER`.  The tuple-at-a-time drivers branch exactly
-once per run on ``obs.enabled``; their un-profiled probe recursion
-contains *no* observability code at all (the instrumented twin of each
-``_join_level`` only exists on the enabled branch).  The batch driver
-works a block of bindings at a time, so its :class:`LevelStats` cost
-O(1) per block and are always collected through its one path.  Lint
-rule RA601 guards the discipline statically.
+**One path.**  Drivers receive either an enabled observer or
+:data:`NULL_OBSERVER`, and run the same probe recursion under both.
+The driver owns its per-level :class:`LevelStats`
+(:meth:`JoinObserver.init_levels` makes them; an enabled observer keeps
+the same objects, the shared disabled one keeps nothing, so it is never
+written from a run).  Each invocation counts in local ints and adds
+them to the level's slots once — never a method call per binding — and
+``JoinMetrics.lookups`` / ``intermediate_tuples`` are summed from the
+levels when the run ends.  ``obs.enabled`` is read once per run: it
+decides whether the tuple-at-a-time drivers read the clock around an
+invocation, and guards every metrics/tracer call inside a loop (lint
+rule RA601 checks the latter statically).
 
-:class:`LevelStats` fields are plain slots mutated with ``+=`` so the
-profiled recursion never makes a method call per binding; the semantic
-meaning of ``candidates``/``survivors`` per algorithm is documented in
-``docs/observability.md``.
+The semantic meaning of ``candidates``/``survivors`` per algorithm is
+documented in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ class JoinObserver:
         """An explicitly-disabled observer (null metrics, null tracer).
 
         Behaviourally identical to passing no observer at all; exists so
-        the overhead bench can thread a *present-but-off* observer and
-        measure that "disabled" and "absent" really are the same path.
+        a caller can thread a *present-but-off* observer (the end-to-end
+        benchmark measures that "disabled" and "absent" cost the same).
         """
         return cls(enabled=False)
 
@@ -92,11 +94,15 @@ class JoinObserver:
     def init_levels(self, labels: Sequence[str],
                     participants: Sequence[Sequence[str]],
                     ) -> list[LevelStats]:
-        """Fresh per-level accumulators for one run; returns them so the
-        driver can index by depth without attribute lookups."""
-        self.levels = [LevelStats(label, parts)
-                       for label, parts in zip(labels, participants)]
-        return self.levels
+        """Fresh per-level accumulators for one run, owned by the driver
+        that asked; an enabled observer keeps the same objects as
+        ``levels``.  A disabled one keeps nothing — :data:`NULL_OBSERVER`
+        is shared by every un-profiled run on every thread."""
+        levels = [LevelStats(label, parts)
+                  for label, parts in zip(labels, participants)]
+        if self.enabled:
+            self.levels = levels
+        return levels
 
     def record_build(self, alias: str, duration_ns: int) -> None:
         """One adapter's index-build time (the WCOJ build phase, §5.15)."""

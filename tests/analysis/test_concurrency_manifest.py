@@ -20,7 +20,6 @@ from repro.analysis.concurrency.model import parse_module
 DRIVER_RUNS = {
     "GenericJoin.run",
     "GenericJoinBatch.run",
-    "HashTrieJoin.run",
     "BinaryHashJoin.run",
     "LeapfrogTrieJoin.run",
     "RecursiveJoin.run",

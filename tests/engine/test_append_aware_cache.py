@@ -289,8 +289,7 @@ class TestSupersededEntries:
     def test_prepared_join_outlives_its_superseded_base(self):
         tables = base_tables()
         session = Session(tables)
-        # (the binary pipeline scans its leading atom live, so that one
-        # reads CORE_EAR, where the unwritten F leads and E is all tables)
+        # (the binary pipeline reads CORE_EAR, where E is all stage tables)
         for query, options in ((TRIANGLE, GENERIC_TUPLE),
                                (CORE_EAR, {"algorithm": "binary"})):
             pinned = session.prepare(query, **options)
@@ -309,6 +308,24 @@ class TestSupersededEntries:
                       for entry in session.cache._entries.values()}
             assert not held & cached
             assert pinned.execute().count == before
+
+    @pytest.mark.parametrize("algorithm", ["binary", "unified"])
+    def test_prepared_binary_join_pins_its_leading_scan(self, algorithm):
+        # the leading atom has no stage table: its scan stops at the row
+        # count read at prepare, or the answer is true of no version
+        # (unified: an acyclic query is one binary root stage)
+        tables = {"R": Relation("R", ("a", "b"), [(1, 2), (4, 3)]),
+                  "S": Relation("S", ("b", "c"), [(2, 5), (3, 6)])}
+        session = Session(tables)
+        options = {"algorithm": algorithm, "binary_order": ["R", "S"]}
+        pinned = session.prepare("R(a,b), S(b,c)", **options)
+        assert pinned.execute().count == 2
+        tables["R"].extend([(7, 2), (8, 3)])
+        tables["S"].extend([(2, 9)])
+        assert pinned.execute().count == 2
+        assert pinned.execute(materialize=True).rows == [(1, 2, 5), (4, 3, 6)]
+        assert session.prepare("R(a,b), S(b,c)",
+                               **options).execute().count == 6
 
 
 class TestBatchRebuilds:

@@ -217,6 +217,21 @@ class TestLazyEquivalence:
             # materialization happened during the first run
             assert first.metrics.build_seconds > 0.0
 
+    def test_prefix_only_join_leaves_deeper_levels_unbuilt(self, edges):
+        # H's sources are graph vertices, its destinations are not: the
+        # join dies at ``b``, having asked E2 and E3 for one level each
+        probe = Relation("H", ("src", "dst"),
+                         [(i, 1000 + i) for i in range(16)])
+        relations = {"E1": probe, "E2": edges, "E3": edges}
+        hot = "E1=H(a,b), E2=E(b,c), E3=E(c,a)"
+        with Session(relations) as session:
+            prepared = session.prepare(hot, algorithm="generic",
+                                       engine="tuple", lazy=True)
+            assert prepared.execute().count == \
+                join(hot, relations, algorithm="generic").count == 0
+            assert {alias: prepared.structures[alias].built_depth
+                    for alias in ("E2", "E3")} == {"E2": 1, "E3": 1}
+
     def test_lazy_join_equivalence_via_executor(self, edges):
         relations = {"E1": edges, "E2": edges, "E3": edges}
         truth = row_set(join(TRIANGLE, relations, algorithm="generic",

@@ -5,8 +5,6 @@ observationally identical to the tuple driver over every registered index
 (which the batch engine accepts as ``index=`` and does not build) — same
 counts, same materialized rows, same Python value types — on randomized
 query/data combinations including empty results and Zipf-skewed inputs.
-These tests are the local mirror of the CI ``perf-trajectory``
-equivalence gate.
 """
 
 import random

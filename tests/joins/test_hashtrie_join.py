@@ -41,8 +41,8 @@ class TestUmbraBehaviour:
 
         edges = random_edge_relation(40, 260, seed=12)
         query, relations = triangle_setup(edges)
+        # construction builds the first trie level per relation
         lazy = HashTrieJoin(query, relations, lazy=True)
-        lazy.build()
         assert lazy.expansion_stats()["expansions"] == 0
         lazy.run()
         # arity-2 tries have only one level; expansion work appears on

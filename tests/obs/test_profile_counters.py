@@ -26,6 +26,7 @@ from repro.joins.executor import join
 from repro.obs.observer import JoinObserver
 from repro.obs.profile import validate_profile
 from repro.planner.query import parse_query
+from repro.storage import Relation
 
 QUERY = parse_query("E1=E(a,b), E2=E(b,c), E3=E(c,a)")
 
@@ -151,6 +152,117 @@ class TestProfileShape:
         names = {event["name"] for event in doc["traceEvents"]}
         assert "probe" in names
         assert "build_index" in names
+
+
+#: what Alg. 1 does on the ``edges`` fixture, whichever tuple-style WCOJ
+#: driver and index runs it: (label, candidates, survivors, descends,
+#: ascends, seed_counts) per level
+_ALG1_LEVELS = [
+    ("a", 100, 100, 200, 200, {"E1": 1, "E3": 0}),
+    ("b", 500, 500, 1000, 1000, {"E1": 100, "E2": 0}),
+    ("c", 1849, 114, 1963, 1963, {"E2": 290, "E3": 210}),
+]
+_GENERIC_TUPLE = {"algorithm": "generic", "engine": "tuple"}
+
+#: every driver: its options, the (count, lookups, intermediates) and the
+#: per-level numbers its hand-synced profiled twin reported on the
+#: ``edges`` fixture at commit 1d20ff8, the last one that had twins — the
+#: single recursions must keep reporting exactly these
+DRIVERS = {
+    "generic-sonic": ({**_GENERIC_TUPLE, "index": "sonic"},
+                      (114, 6701, 714), _ALG1_LEVELS),
+    "generic-hashtrie": ({**_GENERIC_TUPLE, "index": "hashtrie"},
+                         (114, 6701, 714), _ALG1_LEVELS),
+    "generic-sortedtrie": ({**_GENERIC_TUPLE, "index": "sortedtrie"},
+                           (114, 6701, 714), _ALG1_LEVELS),
+    "generic-static-seed": (
+        {**_GENERIC_TUPLE, "index": "sonic", "dynamic_seed": False},
+        (114, 6729, 714),
+        _ALG1_LEVELS[:2]
+        + [("c", 2464, 114, 2578, 2578, {"E2": 500, "E3": 0})]),
+    # the same walk; reading a table's width is not counted as a lookup
+    "hashtrie": ({"algorithm": "hashtrie"}, (114, 5499, 714), _ALG1_LEVELS),
+    "leapfrog": ({"algorithm": "leapfrog"}, (114, 3477, 714), [
+        ("a", 199, 100, 2, 2, {"E1": 0, "E3": 0}),
+        ("b", 1000, 500, 200, 200, {"E1": 0, "E2": 0}),
+        ("c", 2278, 114, 1000, 1000, {"E2": 0, "E3": 0}),
+    ]),
+    # order pinned: the greedy order breaks the three-way size tie by
+    # string hash
+    "binary": ({"algorithm": "binary", "binary_order": ["E1", "E2", "E3"]},
+               (114, 2964, 2578), [
+        ("E1", 500, 500, 0, 0, {"E1": 1}),
+        ("E2", 500, 2464, 0, 0, {"E2": 500}),
+        ("E3", 2464, 114, 0, 0, {"E3": 2464}),
+    ]),
+    "batch": ({"algorithm": "generic", "engine": "batch"},
+              (114, 1202, 714),
+              [(label, candidates, survivors, 0, 0, seeds)
+               for label, candidates, survivors, _, _, seeds in _ALG1_LEVELS]),
+}
+#: the drivers that intersect attribute by attribute
+WCOJ = sorted(set(DRIVERS) - {"binary"})
+#: ... and, of those, the ones that pick an enumeration seed per binding
+SEEDED = sorted(set(WCOJ) - {"leapfrog"})
+
+
+class TestOneRecursionPerDriver:
+    """Each driver has one probe recursion: what it counts does not
+    depend on whether a profile was asked for, and obeys the invariants
+    of the algorithm rather than a twin kept in sync by hand."""
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_profiled_and_plain_runs_agree(self, edges, name):
+        options, totals, _ = DRIVERS[name]
+        source = {"E1": edges, "E2": edges, "E3": edges}
+        for result in (join(QUERY, source, **options),
+                       join(QUERY, source, obs=JoinObserver.disabled(),
+                            **options),
+                       profiled(edges, **options)):
+            metrics = result.metrics
+            assert (result.count, metrics.lookups,
+                    metrics.intermediate_tuples) == totals
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_levels_equal_the_twins_numbers(self, edges, name):
+        options, _, levels = DRIVERS[name]
+        profile = profiled(edges, **options).profile
+        assert [(lv.label, lv.candidates, lv.survivors, lv.descends,
+                 lv.ascends, dict(lv.seed_counts))
+                for lv in profile.levels] == levels
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_cursor_movements_balance_and_results_leave_last(self, edges,
+                                                             name):
+        result = profiled(edges, **DRIVERS[name][0])
+        levels = result.profile.levels
+        assert [lv.descends for lv in levels] == [lv.ascends for lv in levels]
+        assert levels[-1].survivors == result.count
+
+    @pytest.mark.parametrize("name", WCOJ)
+    def test_survivors_are_the_intermediates(self, edges, name):
+        result = profiled(edges, **DRIVERS[name][0])
+        assert sum(lv.survivors for lv in result.profile.levels) == \
+            result.metrics.intermediate_tuples
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_one_seed_choice_per_invocation(self, edges, name):
+        levels = profiled(edges, **DRIVERS[name][0]).profile.levels
+        # a level runs once per binding the level above let through
+        invocations = [1] + [lv.survivors for lv in levels[:-1]]
+        assert [sum(lv.seed_counts.values()) for lv in levels] == invocations
+
+    def test_hashtrie_ties_go_to_the_anchor(self):
+        # both root tables are three entries wide; S, the smaller
+        # relation, is the anchor although R comes first
+        r = Relation("R", ("a", "b"), [(a, b) for a in range(3)
+                                       for b in range(4)])
+        s = Relation("S", ("a", "c"), [(a, a) for a in range(3)])
+        result = join(parse_query("R(a,b), S(a,c)"), {"R": r, "S": s},
+                      algorithm="hashtrie", order=("a", "b", "c"),
+                      profile=True)
+        assert result.count == 12
+        assert result.profile.levels[0].seed_counts == {"R": 0, "S": 1}
 
 
 class TestDisabledPath:
