@@ -7,6 +7,17 @@ per query; this example runs the synthetic JOB-light workload and shows
 the optimizer routing stars to the binary pipeline and a cyclic query to
 the Generic Join.
 
+That lesson compares two tuple-at-a-time engines, and the first two
+timing columns reproduce it (binary against Generic Join over Sonic).
+This repository also has a columnar batch engine, whose build is one
+sort per relation where a hash table is a Python loop per row — and an
+acyclic query is all build.  So under ``engine="auto"`` the plan stage
+overrides the optimizer's "acyclic -> binary" where the batch engine
+returns *the same answer*: every joined column int64 and every relation
+duplicate-free (a trie holds a set of rows, a hash pipeline joins bags).
+The third column is that route; the last lines show one repeated row
+sending the same query back to the binary pipeline, and why.
+
 Run with::
 
     PYTHONPATH=src python examples/job_light_hybrid.py
@@ -14,8 +25,9 @@ Run with::
 
 import time
 
-from repro import join
+from repro import Relation, join
 from repro.bench import print_table
+from repro.engine import bind, plan
 from repro.data import job_light_queries, make_imdb, random_edge_relation
 from repro.planner import HybridOptimizer, Statistics
 from repro.joins import resolve_relations
@@ -31,7 +43,7 @@ def main() -> None:
 
     optimizer = HybridOptimizer()
     rows = []
-    totals = {"binary": 0.0, "GJ+sonic": 0.0}
+    totals = {"binary": 0.0, "GJ+sonic": 0.0, "auto": 0.0}
     for job in queries[:8]:
         relations = resolve_relations(job.query, job.relations)
         stats = Statistics.collect(relations.values())
@@ -41,7 +53,9 @@ def main() -> None:
         counts = set()
         for label, options in (("binary", dict(algorithm="binary")),
                                ("GJ+sonic", dict(algorithm="generic",
-                                                 index="sonic"))):
+                                                 index="sonic")),
+                               ("auto", dict(algorithm="auto",
+                                             engine="auto"))):
             start = time.perf_counter()
             result = join(job.query, job.relations, **options)
             timings[label] = (time.perf_counter() - start) * 1e3
@@ -53,12 +67,27 @@ def main() -> None:
             "results": counts.pop(),
             "binary_ms": round(timings["binary"], 2),
             "gj_sonic_ms": round(timings["GJ+sonic"], 2),
+            "auto_ms": round(timings["auto"], 2),
             "optimizer": choice.algorithm,
         })
-    print_table("JOB-light: binary vs WCOJ (optimizer choice in last column)",
-                rows)
+    print_table("JOB-light: binary vs WCOJ vs the planned route "
+                "(optimizer choice in last column)", rows)
     print(f"workload totals: binary {totals['binary']:.1f} ms, "
-          f"GJ+sonic {totals['GJ+sonic']:.1f} ms")
+          f"GJ+sonic {totals['GJ+sonic']:.1f} ms, "
+          f"auto/engine=auto {totals['auto']:.1f} ms")
+
+    # where the planned route goes, and what sends it back
+    job = queries[0]
+    planned = plan(bind(job.query, job.relations), algorithm="auto",
+                   engine="auto")
+    print(f"\n{job.name} -> {planned.describe()}")
+    satellite = next(r for name, r in job.relations.items() if name != "title")
+    spoiled = dict(job.relations)
+    spoiled[satellite.name] = Relation(
+        satellite.name, satellite.schema.attributes,
+        satellite.rows + satellite.rows[:1])
+    planned = plan(bind(job.query, spoiled), algorithm="auto", engine="auto")
+    print(f"one repeated row -> {planned.describe()}")
 
     # and the counterexample: a cyclic query routes to WCOJ
     edges = random_edge_relation(60, 400, seed=8)

@@ -166,12 +166,19 @@ def plan(bound: BoundQuery,
         # actual), so an enabled observer computes it even off the auto path
         choice = None
         stats = None
-        if algorithm in ("auto", "unified") or observer.enabled:
+        route = ""
+        decides = algorithm in ("auto", "unified")
+        if decides or observer.enabled:
             # the unified planner always needs statistics: the stage
             # split is a per-component optimizer decision
             with observer.tracer.span("optimize"):
                 stats = Statistics.collect(relations.values())
-                choice = HybridOptimizer().choose(query, stats)
+                # an explicit algorithm or a pinned binary order leaves
+                # the batch engine nothing to take over
+                choice, route = _choose(
+                    query, relations, stats,
+                    engine if decides and binary_order is None else "tuple",
+                    observer.enabled)
         requested = algorithm
         if algorithm == "auto":
             algorithm = "binary" if choice.algorithm == "binary" else "generic"
@@ -180,17 +187,17 @@ def plan(bound: BoundQuery,
         if algorithm == "unified":
             result = _plan_unified(query, relations, order, binary_order,
                                    index, engine, dynamic_seed, choice,
-                                   stats, kwargs)
+                                   stats, kwargs, route, observer.enabled)
         elif algorithm == "binary":
             result = _plan_binary(query, relations, binary_order, stats,
-                                  dynamic_seed, choice)
+                                  dynamic_seed, choice, route)
         else:
             total = tuple(order) if order else connectivity_order(query)
             if debug_on:
                 check_plan(query, order=total)
             if algorithm == "generic":
                 result = _plan_generic(query, relations, total, index, engine,
-                                       dynamic_seed, choice, kwargs)
+                                       dynamic_seed, choice, kwargs, route)
             elif algorithm == "hashtrie":
                 result = _plan_hashtrie(query, relations, total, dynamic_seed,
                                         choice, kwargs)
@@ -440,6 +447,66 @@ def _resolve_generic_engine(atoms: "Sequence[Atom]",
     return "batch", note
 
 
+def _frontier_route(atoms: "Sequence[Atom]",
+                    relations: Mapping[str, Relation],
+                    engine: str) -> tuple[bool, str]:
+    """``(admitted, note)``: may the batch Generic Join run acyclic
+    ``atoms`` in the binary pipeline's place?
+
+    A columnar trie holds a *set* of rows, a hash pipeline joins *bags*:
+    the two return the same rows exactly when no relation repeats one
+    (:meth:`~repro.storage.relation.Relation.duplicate_free`).  So the
+    batch engine is admitted when it can run at all — the rule of
+    :func:`_resolve_generic_engine` — and every relation is
+    duplicate-free; there its build is one packed sort per relation
+    where a stage table is a Python loop over rows, and build decides an
+    acyclic query.  ``note`` gives the reason either way (empty under
+    ``engine="tuple"``, which asks for nothing).
+    """
+    resolved, note = _resolve_generic_engine(atoms, relations, engine)
+    if resolved != "batch":
+        return False, note and f"{note}; the binary pipeline is kept"
+    for atom in atoms:
+        if not relations[atom.alias].duplicate_free():
+            return False, (f"engine={engine}: {atom.alias} has duplicate "
+                           "rows a trie would drop; the binary pipeline "
+                           "keeps them (bag semantics)")
+    return True, (f"engine={engine}: batch in the binary pipeline's place "
+                  f"({', '.join(atom.alias for atom in atoms)}: int64 "
+                  "columns, no duplicate rows)")
+
+
+def _choose(query: JoinQuery, relations: Mapping[str, Relation],
+            stats: Statistics, engine: str,
+            explain: bool) -> tuple[PlanChoice, str]:
+    """The hybrid optimizer's choice, made engine-aware: ``(choice, note)``.
+
+    The optimizer sends an acyclic query to the binary pipeline (the
+    paper's Table 1); here — the one place that rule meets the engine —
+    it goes to the Generic Join instead when :func:`_frontier_route`
+    admits the batch engine.  ``engine`` is ``"tuple"`` when the caller
+    pinned the binary side (``binary_order``) or the algorithm.  The
+    AGM bound and the binary peak estimate are computed where the
+    decision compares them (binary still a candidate) or ``explain``
+    (an enabled observer reports them), and nowhere else.
+    """
+    optimizer = HybridOptimizer()
+    if (engine != "tuple" and len(query) > 1
+            and not cyclic_core(Hypergraph.from_query(query))):
+        admitted, note = _frontier_route(query.atoms, relations, engine)
+        if admitted:
+            reported = optimizer.choose(query, stats) if explain else None
+            return PlanChoice(
+                "wcoj",
+                "acyclic query the columnar Generic Join answers as the "
+                "binary pipeline would, building by one sort per relation",
+                reported and reported.agm_bound,
+                reported and reported.binary_estimate), note
+        choice = optimizer.choose(query, stats)
+        return choice, note if choice.algorithm == "binary" else ""
+    return optimizer.choose(query, stats, estimate=explain), ""
+
+
 def _noted(choice, note: str):
     """``choice`` with the engine note appended to its reason."""
     if choice is None or not note:
@@ -477,8 +544,10 @@ def _resolve_lazy(index: str, kwargs: dict) -> bool:
 
 def _plan_generic(query: JoinQuery, relations: Mapping[str, Relation],
                   total: tuple[str, ...], index: str, engine: str,
-                  dynamic_seed: bool, choice, kwargs: dict) -> JoinPlan:
+                  dynamic_seed: bool, choice, kwargs: dict,
+                  route: str = "") -> JoinPlan:
     engine, note = _resolve_generic_engine(query.atoms, relations, engine)
+    note = route or note
     kind, options = _generic_structure(index, engine, kwargs)
     lazy = _resolve_lazy(index, kwargs)
     specs = tuple(
@@ -540,7 +609,7 @@ def _plan_recursive(query: JoinQuery, total: tuple[str, ...],
 
 def _plan_binary(query: JoinQuery, relations: Mapping[str, Relation],
                  binary_order: "Sequence[str] | None", stats,
-                 dynamic_seed: bool, choice) -> JoinPlan:
+                 dynamic_seed: bool, choice, route: str = "") -> JoinPlan:
     if binary_order is not None:
         atom_order = list(binary_order)
         if sorted(atom_order) != sorted(a.alias for a in query.atoms):
@@ -561,7 +630,8 @@ def _plan_binary(query: JoinQuery, relations: Mapping[str, Relation],
     )
     return JoinPlan(query=query, algorithm="binary",
                     atom_order=tuple(atom_order), index_specs=specs,
-                    dynamic_seed=dynamic_seed, choice=choice)
+                    dynamic_seed=dynamic_seed, choice=_noted(choice, route),
+                    engine_note=route)
 
 
 def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
@@ -569,30 +639,64 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
                   binary_order: "Sequence[str] | None",
                   index: str, engine: str, dynamic_seed: bool,
                   choice: PlanChoice, stats: Statistics,
-                  kwargs: dict) -> JoinPlan:
+                  kwargs: dict, route: str = "",
+                  explain: bool = False) -> JoinPlan:
     """Compile a stage-tree plan: per-component binary/WCOJ stages.
 
     GYO reduction splits the query's hypergraph: the surviving edges —
     the **cyclic core** — get a Generic Join sub-stage (worst-case
     optimal where the AGM bound actually bites), the removed ears get a
     binary hash pipeline stage probing *into the core stage's output*
-    (which joins as a synthetic ``stage:core`` relation).  A query that
+    (which joins as a synthetic ``stage:core`` relation).  An ear the
+    batch engine may take over (:func:`_frontier_route`) joins the
+    core's Generic Join stage instead — when every ear does, that stage
+    is the root and no core output is materialised.  A query that
     is entirely acyclic, entirely cyclic, or a single atom degenerates
-    to one root stage running whatever the hybrid optimizer picked —
-    the unified plan never does worse than the better flat plan by
-    construction of the split.
+    to one root stage running whatever ``choice`` says — the unified
+    plan never does worse than the better flat plan by construction of
+    the split.
     """
     core = cyclic_core(Hypergraph.from_query(query))
     aliases = [atom.alias for atom in query.atoms]
     mixed = bool(core) and core != set(aliases)
     # the engine is resolved over the atoms a Generic Join stage reads:
-    # the cyclic core, or everything when the optimizer keeps the whole
-    # query on WCOJ; binary stages read rows, whatever their dtype
+    # the cyclic core, or everything when the whole query is on WCOJ;
+    # binary stages read rows, whatever their dtype
     if mixed:
         generic_atoms = [atom for atom in query.atoms if atom.alias in core]
     else:
         generic_atoms = [] if choice.algorithm == "binary" else query.atoms
+    asked = engine
     engine, note = _resolve_generic_engine(generic_atoms, relations, engine)
+    ears = [atom for atom in query.atoms if atom.alias not in core]
+    # the acyclic rule's note goes on the root stage it decided; ``kept``
+    # is why a binary stage stayed binary, where the rule was asked
+    kept = ""
+    if choice.algorithm == "binary":
+        kept = route
+    elif route:
+        note = route
+    if mixed and engine == "batch" and binary_order is None:
+        # ears the batch engine answers as a hash probe would ride the
+        # core's stage, nearest the core first: an ear that shares no
+        # attribute with the stage yet would be a cross product there
+        stage_attrs = {a for atom in generic_atoms for a in atom.attributes}
+        grew = True
+        while grew:
+            grew = False
+            for ear in ears:
+                if (ear in generic_atoms
+                        or not stage_attrs & set(ear.attributes)):
+                    continue
+                admitted, ear_note = _frontier_route([ear], relations, asked)
+                if admitted:
+                    generic_atoms.append(ear)
+                    stage_attrs |= set(ear.attributes)
+                    note = f"{note}; {ear_note}" if note else ear_note
+                    grew = True
+                else:
+                    kept = kept or ear_note
+        ears = [ear for ear in ears if ear not in generic_atoms]
     kind, options = _generic_structure(index, engine, kwargs)
     lazy = _resolve_lazy(index, kwargs)
 
@@ -625,19 +729,21 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
         return PlanStage(label=label, algorithm="binary", query=sub_query,
                          output=tuple(output_attrs),
                          atom_order=tuple(atom_order), index_specs=specs,
-                         children=children, choice=stage_choice)
+                         children=children,
+                         choice=_noted(stage_choice, kept), engine_note=kept)
 
-    if mixed:
-        # mixed plan: WCOJ over the cyclic core, binary ears on top
+    if mixed and ears:
+        # mixed plan: WCOJ over the cyclic core (and the ears that ride
+        # with it), binary ears on top
         core_query = JoinQuery(tuple(generic_atoms))
         core_order = tuple(connectivity_order(core_query))
-        core_choice = HybridOptimizer().choose(core_query, stats)
+        core_choice = HybridOptimizer().choose(core_query, stats,
+                                               estimate=explain)
         child = generic_stage("core", core_query, core_order, core_choice)
 
         feeder = stage_alias(child.label)
         synthetic = Atom(relation=feeder, attributes=child.output,
                          alias=feeder)
-        ears = [a for a in query.atoms if a.alias not in core]
         parent_query = JoinQuery((synthetic,) + tuple(ears))
         # ear order: greedy — connected to the bound attributes first,
         # then smallest relation (the core output's cardinality is
@@ -671,7 +777,9 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
             atom_order = greedy_join_order(query, stats)
         root = binary_stage("root", query, atom_order, stage_choice=choice)
     else:
-        # fully cyclic (or growth-prone) query: one generic root stage
+        # one generic root stage: a fully cyclic (or growth-prone)
+        # query, a core whose every ear rides with it, or an acyclic
+        # query the batch engine takes
         total = tuple(order) if order else tuple(connectivity_order(query))
         root = generic_stage("root", query, total, choice)
 

@@ -103,7 +103,12 @@ class Session:
         What is cached follows the resolved engine: the ``index`` kind
         under ``engine="tuple"``, one columnar trie per relation and
         attribute order under ``engine="batch"`` (``"auto"``: batch iff
-        every joined column is int64-class).
+        every joined column is int64-class).  Under those two engines
+        ``algorithm="auto"`` / ``"unified"`` also run an *acyclic* query
+        on the batch engine while every relation it reads is
+        duplicate-free — a verdict that follows each relation's version,
+        so the read after a write that repeats a row plans (and caches)
+        binary stage tables instead.
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning

@@ -22,7 +22,8 @@ whose prepared joins skip the rebuild.
 Algorithms: ``"generic"`` (Generic Join over any registered index),
 ``"binary"`` (pipelined hash joins), ``"hashtrie"`` (Umbra-style),
 ``"leapfrog"`` (LFTJ), or ``"auto"`` (the hybrid optimizer chooses
-binary vs generic, §6/[22]).
+binary vs generic, §6/[22]; under ``engine="auto"``/``"batch"`` an
+acyclic query over duplicate-free int64 relations goes generic too).
 
 This module also remains the home of the shared building blocks the
 pipeline stages (and the test suite) use directly:
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from repro.core.adapter import IndexAdapter
 from repro.core.config import SonicConfig
-from repro.core.envflag import resolve_flag, resolve_str
+from repro.core.envflag import resolve_str
 from repro.errors import QueryError
 from repro.indexes.registry import make_index
 from repro.joins.results import JoinResult, Stopwatch
@@ -55,16 +56,6 @@ ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive",
 #: paper's Alg. 1 rendering), batch (frontier-at-a-time over columnar
 #: tries), or auto (batch iff every joined column is int64-class)
 ENGINES = ("tuple", "batch", "auto")
-
-
-def _debug_enabled(debug: "bool | None") -> bool:
-    """Resolve the debug flag: explicit argument wins, else ``REPRO_DEBUG``."""
-    return resolve_flag(debug, "REPRO_DEBUG")
-
-
-def _profile_enabled(profile: "bool | None") -> bool:
-    """Resolve the profile flag: explicit argument wins, else ``REPRO_PROFILE``."""
-    return resolve_flag(profile, "REPRO_PROFILE")
 
 
 def attach_profile(query, result: JoinResult, observer, choice, order,
@@ -206,8 +197,21 @@ def join(query: "JoinQuery | str",
     integers beyond int64 — ``"batch"`` runs the tuple engine too, and
     the plan records why (``JoinPlan.engine_note``, ``describe()``).
     Both engines produce identical results; only constant factors
-    differ.  The knob is ignored by the non-generic algorithms, which
-    have no batch rendering.
+    differ.  The explicit non-generic algorithms (``"binary"``,
+    ``"hashtrie"``, ``"leapfrog"``, ``"recursive"``) have no batch
+    rendering and ignore the knob.  ``"auto"`` and ``"unified"`` do
+    not: the hybrid optimizer sends an acyclic query (and a cyclic
+    query's GYO ears) to the binary hash pipeline, and where the batch
+    engine would return *the same answer* — ``engine`` is ``"auto"`` /
+    ``"batch"``, every joined column is int64-class and every relation
+    is duplicate-free (:meth:`Relation.duplicate_free
+    <repro.storage.relation.Relation.duplicate_free>`: a trie holds a
+    set of rows, a hash pipeline joins bags, so one repeated row is
+    enough to keep the binary plan) — the plan stage runs those atoms
+    on the batch Generic Join instead, whose build is one sort per
+    relation rather than a Python loop per row.  ``binary_order`` pins
+    the binary side.  ``PlanChoice.reason`` and ``describe()`` say
+    which way it went and why.
 
     ``**index_kwargs`` carries per-algorithm index options
     (``sonic_bucket_size`` / ``sonic_overallocation`` / ``index_options``

@@ -26,16 +26,24 @@ from repro.storage.relation import Relation
 
 
 class Statistics:
-    """Collected statistics: cardinality and per-attribute distinct counts."""
+    """Collected statistics: cardinality and per-attribute distinct counts.
+
+    Cardinalities are read when a relation is registered; a distinct
+    count is a full scan of its column, so it is made the first time
+    something asks for it — a decision that never reaches the System-R
+    estimate (a cyclic query, a query the columnar engine takes) scans
+    nothing.
+    """
 
     def __init__(self):
         self._cardinality: dict[str, int] = {}
-        self._distinct: dict[str, dict[str, int]] = {}
+        self._relations: dict[str, Relation] = {}
+        self._distinct: dict[tuple[str, str], int] = {}
 
     @classmethod
     def collect(cls, relations: Iterable[Relation],
                 aliases: Mapping[str, str] | None = None) -> "Statistics":
-        """Scan ``relations`` once; ``aliases`` maps alias → relation name.
+        """Register ``relations``; ``aliases`` maps alias → relation name.
 
         When an alias map is given, statistics are registered per alias so
         self-joins can reference the same physical relation several times.
@@ -53,23 +61,27 @@ class Statistics:
 
     def register(self, key: str, relation: Relation) -> None:
         self._cardinality[key] = len(relation)
-        distinct = {}
-        for attribute in relation.schema:
-            column = relation.column_array(attribute)
-            if column.dtype == object:
-                # object columns may hold mutually-incomparable values,
-                # which np.unique's sort cannot handle
-                distinct[attribute] = len(set(column.tolist()))
-            else:
-                distinct[attribute] = int(np.unique(column).size)
-        self._distinct[key] = distinct
+        self._relations[key] = relation
 
     def cardinality(self, key: str) -> int:
         return self._cardinality[key]
 
     def distinct(self, key: str, attribute: str) -> int:
         """Distinct values of ``attribute`` (1 if unknown, the safe floor)."""
-        return max(self._distinct.get(key, {}).get(attribute, 1), 1)
+        count = self._distinct.get((key, attribute))
+        if count is None:
+            relation = self._relations.get(key)
+            if relation is None or attribute not in relation.schema:
+                return 1
+            column = relation.column_array(attribute)
+            if column.dtype == object:
+                # object columns may hold mutually-incomparable values,
+                # which np.unique's sort cannot handle
+                count = len(set(column.tolist()))
+            else:
+                count = int(np.unique(column).size)
+            self._distinct[key, attribute] = count = max(count, 1)
+        return count
 
     def cardinalities(self) -> dict[str, int]:
         return dict(self._cardinality)

@@ -9,10 +9,21 @@ Two planners live here:
 * :class:`HybridOptimizer` — Umbra's idea ([22], §6): run cyclic /
   growth-prone parts of a query with a worst-case optimal join and the
   rest with binary joins.  Our rendering chooses per-query: if the
-  query's hypergraph is cyclic, or the optimal fractional cover is
-  genuinely fractional (some weight strictly between 0 and 1), WCOJ is
-  selected; for acyclic (α-acyclic, GYO-reducible) queries the binary
-  pipeline wins (Table 1's JOB column shows exactly this).
+  query's hypergraph is cyclic, or the binary plan's estimated peak
+  intermediate outgrows the AGM bound, WCOJ is selected; for acyclic
+  (α-acyclic, GYO-reducible) queries the binary pipeline wins (Table 1's
+  JOB column shows exactly this).
+
+That last rule is the paper's, and it compares two compiled
+tuple-at-a-time engines.  It is the optimizer's whole answer only while
+the Generic Join runs tuple-at-a-time too: where the engine's stage
+planner (:func:`repro.engine.pipeline.plan`) can put an acyclic query on
+the columnar batch engine *and get the binary plan's answer* — every
+joined column int64, every relation duplicate-free, because a trie
+holds a set and a hash pipeline a bag — it does, since there a build is
+one packed sort per relation against a Python ``dict.setdefault`` loop
+per row.  That decision needs the input's dtypes and the engine asked
+for, so it is made there, on top of this module's choice.
 """
 
 from __future__ import annotations
@@ -37,7 +48,9 @@ def greedy_join_order(query: JoinQuery, stats: Statistics) -> list[str]:
     if not remaining:
         raise QueryError("cannot order an empty query")
 
-    start = min(remaining, key=stats.cardinality)
+    # sorted: equal sizes (every self-join) must not be broken by the
+    # set's iteration order, which follows the per-process string hash
+    start = min(sorted(remaining), key=stats.cardinality)
     order = [start]
     remaining.discard(start)
     bound_attributes = set(query.attributes_of(start))
@@ -70,11 +83,28 @@ def greedy_join_order(query: JoinQuery, stats: Statistics) -> list[str]:
 
 
 def is_alpha_acyclic(hypergraph: Hypergraph) -> bool:
-    """GYO reduction: repeatedly remove ear vertices/edges; acyclic iff empty.
+    """Whether GYO reduction empties the hypergraph (no cyclic core).
 
-    An *ear* is an edge whose vertices are either exclusive to it or all
-    contained in some other single edge.  Acyclic queries are exactly the
-    ones binary join plans handle without blow-up risk (given good orders).
+    Acyclic queries are exactly the ones binary join plans handle
+    without blow-up risk (given good orders).
+    """
+    return not cyclic_core(hypergraph)
+
+
+def cyclic_core(hypergraph: Hypergraph) -> set[str]:
+    """Edge names surviving GYO reduction — the query's cyclic core.
+
+    GYO reduction repeatedly removes *ears*: vertices exclusive to one
+    edge, then edges that are empty or contained in another edge.  For
+    an acyclic hypergraph nothing survives (a single leftover edge is an
+    ear of nothing and counts as reduced); for a cyclic one the result
+    is the minimal sub-hypergraph that actually needs worst-case optimal
+    treatment.  The removed edges are the GYO ears — acyclic attachments
+    a binary pipeline handles without blow-up risk — which is exactly
+    the per-component split the unified stage-tree planner builds on
+    (core → Generic Join sub-plan, ears → binary stages over the core's
+    output, or more atoms of that sub-plan where the columnar engine
+    can take them).
     """
     edges = {name: set(attrs) for name, attrs in hypergraph.edges.items()}
     changed = True
@@ -105,52 +135,6 @@ def is_alpha_acyclic(hypergraph: Hypergraph) -> bool:
             if absorbed:
                 del edges[name]
                 changed = True
-    if not edges:
-        return True
-    if len(edges) == 1:
-        return True
-    return False
-
-
-def cyclic_core(hypergraph: Hypergraph) -> set[str]:
-    """Edge names surviving GYO reduction — the query's cyclic core.
-
-    The same ear-removal loop as :func:`is_alpha_acyclic`, but keeping
-    track of *which* edges survive: for an acyclic hypergraph the result
-    is empty; for a cyclic one it is the minimal sub-hypergraph that
-    actually needs worst-case optimal treatment.  The removed edges are
-    the GYO ears — acyclic attachments a binary pipeline handles without
-    blow-up risk — which is exactly the per-component split the unified
-    stage-tree planner builds on (core → Generic Join sub-plan, ears →
-    binary stages over the core's output).
-    """
-    edges = {name: set(attrs) for name, attrs in hypergraph.edges.items()}
-    changed = True
-    while changed and len(edges) > 1:
-        changed = False
-        counts: dict[str, int] = {}
-        for attrs in edges.values():
-            for vertex in attrs:
-                counts[vertex] = counts.get(vertex, 0) + 1
-        for attrs in edges.values():
-            lonely = {v for v in attrs if counts[v] == 1}
-            if lonely:
-                attrs -= lonely
-                changed = True
-        names = list(edges)
-        for name in names:
-            if name not in edges:
-                continue
-            attrs = edges[name]
-            if not attrs:
-                del edges[name]
-                changed = True
-                continue
-            absorbed = any(other != name and attrs <= other_attrs
-                           for other, other_attrs in edges.items())
-            if absorbed:
-                del edges[name]
-                changed = True
     if len(edges) <= 1:
         return set()
     return set(edges)
@@ -158,12 +142,16 @@ def cyclic_core(hypergraph: Hypergraph) -> set[str]:
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """The hybrid optimizer's decision and its rationale."""
+    """The hybrid optimizer's decision and its rationale.
+
+    The two estimates are ``None`` when nothing asked for them: the
+    decision did not compare them and no observer reports them.
+    """
 
     algorithm: str          # "binary" or "wcoj"
     reason: str
-    agm_bound: float
-    binary_estimate: float
+    agm_bound: "float | None"
+    binary_estimate: "float | None"
 
 
 class HybridOptimizer:
@@ -175,32 +163,40 @@ class HybridOptimizer:
         #: queries (cyclic queries always go to WCOJ)
         self.growth_threshold = growth_threshold
 
-    def choose(self, query: JoinQuery, stats: Statistics) -> PlanChoice:
+    def choose(self, query: JoinQuery, stats: Statistics,
+               estimate: bool = True) -> PlanChoice:
+        """The choice for ``query``.  The AGM bound (an LP) and the
+        binary peak estimate (a distinct-count scan per join column)
+        decide only a multi-atom acyclic query; ``estimate=False`` skips
+        them everywhere else, where they are a report, not an input."""
         hypergraph = Hypergraph.from_query(query)
-        cover = fractional_cover(hypergraph, stats.cardinalities())
-        binary_estimate = self._binary_peak_estimate(query, stats)
+        acyclic = is_alpha_acyclic(hypergraph)
+        bound = binary_estimate = None
+        if estimate or (acyclic and len(query) > 1):
+            bound = fractional_cover(hypergraph, stats.cardinalities()).bound
+            binary_estimate = self._binary_peak_estimate(query, stats)
 
         if len(query) == 1:
-            return PlanChoice("binary", "single atom: a scan", cover.bound,
+            return PlanChoice("binary", "single atom: a scan", bound,
                               binary_estimate)
-        if not is_alpha_acyclic(hypergraph):
+        if not acyclic:
             return PlanChoice(
                 "wcoj",
                 "cyclic hypergraph: binary plans risk intermediate blow-up",
-                cover.bound, binary_estimate,
+                bound, binary_estimate,
             )
-        if binary_estimate > self.growth_threshold * max(cover.bound, 1.0):
+        if binary_estimate > self.growth_threshold * max(bound, 1.0):
             return PlanChoice(
                 "wcoj",
                 "estimated binary intermediates exceed the AGM bound "
                 f"by more than {self.growth_threshold}x",
-                cover.bound, binary_estimate,
+                bound, binary_estimate,
             )
         return PlanChoice(
             "binary",
             "acyclic query with tame intermediate estimates: "
             "binary hash joins win on build cost",
-            cover.bound, binary_estimate,
+            bound, binary_estimate,
         )
 
     def _binary_peak_estimate(self, query: JoinQuery, stats: Statistics) -> float:

@@ -62,18 +62,17 @@ class TestEnvStr:
 
 
 class TestExecutorIntegration:
-    """join() resolves its knobs through these helpers (no drift)."""
+    """join() resolves its knobs through ``resolve_flag`` — the pipeline
+    and the observer call it directly, under these variable names."""
 
     def test_debug_env_spellings_match_executor(self, monkeypatch):
-        from repro.joins.executor import _debug_enabled, _profile_enabled
-
         monkeypatch.setenv("REPRO_DEBUG", "off")
-        assert _debug_enabled(None) is False
+        assert resolve_flag(None, "REPRO_DEBUG") is False
         monkeypatch.setenv("REPRO_DEBUG", "1")
-        assert _debug_enabled(None) is True
-        assert _debug_enabled(False) is False
+        assert resolve_flag(None, "REPRO_DEBUG") is True
+        assert resolve_flag(False, "REPRO_DEBUG") is False
 
         monkeypatch.setenv("REPRO_PROFILE", "no")
-        assert _profile_enabled(None) is False
+        assert resolve_flag(None, "REPRO_PROFILE") is False
         monkeypatch.setenv("REPRO_PROFILE", "on")
-        assert _profile_enabled(None) is True
+        assert resolve_flag(None, "REPRO_PROFILE") is True

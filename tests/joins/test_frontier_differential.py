@@ -12,9 +12,15 @@ into blocks is shrunk per example, so block boundaries fall everywhere:
 inside a hub's children, between two rows, exactly at the end.
 
 Failures hypothesis shrank are kept below as ``@example`` seeds.
+
+The last section is the *route* differential: which engine ``auto`` and
+``unified`` give an acyclic query's atoms, and that the answer — as a
+bag — is the binary pipeline's either way.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Relation, join
+from repro.engine import bind, plan
 from repro.joins import batch
 from repro.planner.query import Atom, JoinQuery
 
@@ -222,3 +229,119 @@ def test_block_boundaries(block, what, monkeypatch):
                      profile=True).profile.levels
     assert [(lv.candidates, lv.survivors) for lv in reference] == \
         [(lv.candidates, lv.survivors) for lv in levels]
+
+
+# ----------------------------------------------------------------------
+# route differential: acyclic atoms on the batch engine, or on binary
+# ----------------------------------------------------------------------
+# ``auto`` and ``unified`` run an acyclic query — and a cyclic core's GYO
+# ears — on the batch Generic Join when it returns the binary pipeline's
+# bag of rows: engine auto/batch, int64 columns, no relation repeating a
+# row.  Everything else plans as it did before that rule existed, which
+# is what ``engine="tuple"`` still plans for every input.
+
+CORE = [("E", "ab"), ("E", "bc"), ("E", "ca")]
+#: (atoms, ears that can ride the core's stage only after another has)
+SHAPES = {
+    "scan": ([("H", "tx")], {}),
+    "star2": ([("H", "tx"), ("S1", "ty")], {}),
+    "star4": ([("H", "tx"), ("S1", "ty"), ("S2", "tz"), ("S1", "tw")], {}),
+    "chain": ([("H", "ab"), ("S1", "bc"), ("S2", "cd")], {}),
+    "contained": ([("W", "abc"), ("S1", "ab")], {}),
+    "tail": (CORE + [("S1", "ad")], {}),
+    "two_ears": (CORE + [("S1", "ad"), ("S2", "be")], {}),
+    "ear_chain": (CORE + [("S1", "ad"), ("S2", "de")], {"A4": "A3"}),
+}
+
+
+@st.composite
+def route_cases(draw):
+    """``(query, tables, core_aliases, after)`` over small int64 data that
+    is duplicate-free, or repeats a row of one acyclic relation, or holds
+    strings in one of its columns."""
+    atoms, after = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    spoil = draw(st.sampled_from(["nothing", "duplicates", "object"]))
+    # the cyclic core stays a clean set: a Generic Join stage has always
+    # treated it as one, so only acyclic relations are spoiled
+    victim = draw(st.sampled_from(sorted({n for n, _ in atoms} - {"E"})))
+    tables = {}
+    for name, attributes in atoms:
+        if name in tables:
+            continue
+        rows = sorted(draw(st.sets(
+            st.tuples(*[st.integers(0, 3)] * len(attributes)),
+            min_size=1, max_size=8)))
+        if name == victim and spoil == "duplicates":
+            rows = rows + rows[:2]
+        if name == victim and spoil == "object":
+            rows = [row[:-1] + (f"v{row[-1]}",) for row in rows]
+        tables[name] = Relation(
+            name, tuple(f"c{i}" for i in range(len(attributes))), rows)
+    query = JoinQuery([Atom(name, tuple(attributes), alias=f"A{i}")
+                       for i, (name, attributes) in enumerate(atoms)])
+    core = {f"A{i}" for i in range(3)} if atoms[:3] == CORE else set()
+    return query, tables, core, after
+
+
+def bag(result) -> Counter:
+    return Counter(labelled(result))
+
+
+def admitted(atom, tables) -> bool:
+    relation = tables[atom.relation]
+    return (relation.duplicate_free()
+            and set(relation.dtype_classes()) == {"int64"})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(route_cases())
+def test_route_differential(case):
+    query, tables, core, after = case
+    bound = bind(query, tables)
+    binary = bag(join(query, tables, algorithm="binary", materialize=True))
+    ears = [atom for atom in query.atoms if atom.alias not in core]
+    riding = {atom.alias for atom in ears if admitted(atom, tables)}
+    riding -= {late for late, early in after.items() if early not in riding}
+    for algorithm in ("auto", "unified"):
+        # what the tuple engine plans is what was planned before the rule
+        before = plan(bound, algorithm=algorithm, engine="tuple")
+        expected = bag(join(query, tables, algorithm=algorithm,
+                            engine="tuple", materialize=True))
+        stage = before.root_stage or before
+        if stage.algorithm == "binary":
+            assert expected == binary
+        for engine in ("auto", "batch", "tuple"):
+            got = join(query, tables, algorithm=algorithm, engine=engine,
+                       materialize=True)
+            assert got.count == sum(expected.values())
+            assert bag(got) == expected, (algorithm, engine)
+            compiled = plan(bound, algorithm=algorithm, engine=engine)
+            text = compiled.describe()
+            root = compiled.root_stage or compiled
+            if engine == "tuple":
+                assert text == before.describe()
+            elif not core:
+                # a single atom is a scan whatever the engine
+                everything = len(riding) == len(ears) > 1
+                assert (root.algorithm == "generic") == (
+                    everything or stage.algorithm == "generic")
+                if everything:
+                    assert root.engine == "batch"
+                    assert "in the binary pipeline's place" in text
+                    assert "binary pipeline" in compiled.choice.reason
+                elif root.algorithm == "binary" and len(ears) > 1:
+                    assert ("duplicate rows" in text
+                            or "non-int64 column" in text)
+            elif algorithm == "unified":
+                generic = root if root.algorithm == "generic" \
+                    else root.children[0]
+                assert {a.alias for a in generic.query.atoms} == core | riding
+                assert (root.algorithm == "generic") == (
+                    len(riding) == len(ears))
+                if riding:
+                    assert "in the binary pipeline's place" in text
+                if len(riding) < len(ears):
+                    assert {a.alias for a in root.query.atoms} == (
+                        {a.alias for a in ears} - riding) | {"stage:core"}

@@ -153,6 +153,32 @@ class TestProfileShape:
         assert "probe" in names
         assert "build_index" in names
 
+    @pytest.mark.parametrize("algorithm", ["auto", "unified"])
+    def test_batch_routed_star_still_reports_the_estimate(self, algorithm):
+        """An acyclic query the plan stage puts on the batch engine skips
+        the optimizer's estimates — unless an observer reports them."""
+        from repro.engine import bind, plan
+
+        hub = Relation("F", ("t", "x"), [(i, i) for i in range(40)])
+        sat = Relation("A", ("t", "p"), [(i % 40, i) for i in range(90)])
+        tables = {"F": hub, "A": sat}
+        options = {"algorithm": algorithm, "engine": "auto"}
+        result = join("F(t,x), A(t,p)", tables, profile=True, **options)
+        payload = validate_profile(result.profile.as_dict())
+        assert payload["engine"] == "batch"
+        assert payload["counters"]["frontier.blocks"] > 0
+        assert "optimize" in {span["name"] for span in payload["spans"]}
+        optimizer = payload["optimizer"]
+        assert optimizer["algorithm"] == "wcoj"
+        assert "binary pipeline" in optimizer["reason"]
+        assert optimizer["estimated"]["agm_bound"] > 0
+        assert optimizer["estimated"]["binary_peak_intermediates"] > 0
+        assert optimizer["actual"]["results"] == result.count == 90
+        # unobserved, the same plan computes neither estimate
+        choice = plan(bind("F(t,x), A(t,p)", tables), **options).choice
+        assert choice.algorithm == "wcoj"
+        assert choice.agm_bound is None and choice.binary_estimate is None
+
 
 #: what Alg. 1 does on the ``edges`` fixture, whichever tuple-style WCOJ
 #: driver and index runs it: (label, candidates, survivors, descends,

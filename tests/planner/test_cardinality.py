@@ -24,6 +24,19 @@ class TestStatistics:
         assert stats.distinct("R", "b") == 5
         assert stats.distinct("S", "b") == 5
 
+    def test_distinct_counts_are_scanned_on_first_use(self, monkeypatch):
+        import numpy as np
+
+        scans = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique",
+                            lambda column: scans.append(1) or unique(column))
+        r = Relation("R", ("a", "b"), [(i, i % 5) for i in range(100)])
+        stats = Statistics.collect([r])
+        assert stats.cardinality("R") == 100 and scans == []
+        assert stats.distinct("R", "b") == 5 and len(scans) == 1
+        assert stats.distinct("R", "b") == 5 and len(scans) == 1
+
     def test_unknown_distinct_is_floor_one(self, stats):
         assert stats.distinct("R", "zz") == 1
         assert stats.distinct("nope", "a") == 1

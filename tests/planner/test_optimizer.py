@@ -1,5 +1,12 @@
 """Join ordering and the hybrid binary/WCOJ chooser."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from repro.planner import (
     HybridOptimizer,
     Hypergraph,
@@ -9,7 +16,10 @@ from repro.planner import (
     is_alpha_acyclic,
     parse_query,
 )
+from repro.planner.optimizer import cyclic_core
 from repro.storage import Relation
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def make_stats(sizes: dict[str, int], arities: dict[str, tuple]):
@@ -47,7 +57,47 @@ class TestGreedyOrder:
             bound |= attrs
 
 
+TIED_SELF_JOIN = """
+from repro import Relation
+from repro.engine import bind, plan
+edges = Relation("E", ("src", "dst"), [(i, (i + 1) % 7) for i in range(7)])
+query = "E1=E(a,b), E2=E(b,c), E3=E(c,d), E4=E(d,e)"
+bound = bind(query, {alias: edges for alias in ("E1", "E2", "E3", "E4")})
+print(",".join(plan(bound, algorithm="binary").atom_order))
+"""
+
+
+@pytest.mark.slow
+def test_tied_self_join_order_ignores_the_hash_seed():
+    # every atom of a self-join has the same size: the leading atom must
+    # not follow the iteration order of a set of strings
+    orders = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", TIED_SELF_JOIN],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        orders.add(done.stdout.strip())
+    assert orders == {"E1,E2,E3,E4"}
+
+
 class TestAcyclicity:
+    @pytest.mark.parametrize("text, acyclic", [
+        ("R(a,b), S(b,c), T(c,a)", False),
+        ("R(a,b), S(b,c), T(c,d)", True),
+        ("F(t,x), A(t,p), B(t,k), C(t,m)", True),
+        ("R(a,b,c), S(a,b)", True),
+        ("R(a,b)", True),
+        ("R(a,b), S(b,c), T(c,a), U(a,d)", False),
+    ])
+    def test_acyclic_is_an_empty_cyclic_core(self, text, acyclic):
+        graph = Hypergraph.from_query(parse_query(text))
+        assert is_alpha_acyclic(graph) == (not cyclic_core(graph)) == acyclic
+        for n in (3, 4, 5):
+            cycle = Hypergraph.from_query(cycle_query(n))
+            assert not is_alpha_acyclic(cycle)
+            assert cyclic_core(cycle) == set(cycle.edges)
+
     def test_triangle_is_cyclic(self):
         graph = Hypergraph.from_query(cycle_query(3))
         assert not is_alpha_acyclic(graph)
@@ -91,6 +141,22 @@ class TestHybridOptimizer:
         query = parse_query("R(a,b)")
         stats = make_stats({"R": 10}, {"R": ("a", "b")})
         assert HybridOptimizer().choose(query, stats).algorithm == "binary"
+
+    def test_estimates_are_skipped_only_where_nothing_reads_them(self):
+        sizes = {f"E{i}": 100 for i in (1, 2, 3)}
+        cyclic = make_stats(sizes, {"E1": ("v0", "v1"), "E2": ("v1", "v2"),
+                                    "E3": ("v2", "v0")})
+        choice = HybridOptimizer().choose(cycle_query(3), cyclic,
+                                          estimate=False)
+        assert choice.algorithm == "wcoj"
+        assert choice.agm_bound is None and choice.binary_estimate is None
+        # an acyclic query's decision *is* the comparison of the two
+        star = parse_query("F(t,x), A(t,p), B(t,k)")
+        stats = make_stats({"F": 100, "A": 100, "B": 100},
+                           {"F": ("t", "x"), "A": ("t", "p"), "B": ("t", "k")})
+        choice = HybridOptimizer().choose(star, stats, estimate=False)
+        assert choice.algorithm == "binary"
+        assert choice.agm_bound > 0 and choice.binary_estimate > 0
 
     def test_choice_carries_bounds(self):
         query = cycle_query(3)

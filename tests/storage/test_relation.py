@@ -129,3 +129,40 @@ class TestColumnsSurviveAppends:
         assert (later.version, later.count) == (1, 5)
         assert [len(column) for column in columns] == [3, 3, 3]
         assert later.columns[0].tolist() == [1, 1, 2, 4, 5]
+
+
+class TestDuplicateFree:
+    """One verdict per version, on whichever path the values allow."""
+
+    BIG = 2 ** 62          # two such columns do not pack into one key
+
+    @pytest.mark.parametrize("rows, verdict", [
+        ([], True),
+        ([(1, 2)], True),
+        ([(1, 2), (2, 1), (1, 3)], True),
+        ([(1, 2), (2, 1), (1, 2)], False),
+        ([(-BIG, BIG), (BIG, -BIG), (-BIG, -BIG)], True),      # lexsort
+        ([(-BIG, BIG), (BIG, -BIG), (-BIG, BIG)], False),
+        ([(1, "x"), (1, "y")], True),                          # object
+        ([(1, "x"), (2, "y"), (1, "x")], False),
+    ])
+    def test_verdict(self, rows, verdict):
+        assert Relation("R", ("a", "b"), rows).duplicate_free() is verdict
+
+    def test_an_append_is_rechecked_and_a_duplicate_is_for_good(self):
+        relation = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
+        assert relation.duplicate_free()
+        relation.extend([(5, 6)])
+        assert relation.duplicate_free()
+        relation.extend([(3, 4)])
+        assert not relation.duplicate_free()
+        relation.extend([(7, 8)])
+        assert not relation.duplicate_free()
+
+    def test_a_dtype_flip_keeps_the_verdict_right(self):
+        relation = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
+        assert relation.duplicate_free()
+        relation.extend([(1, "two")])           # column b turns object
+        assert relation.duplicate_free()
+        relation.extend([(1, "two")])
+        assert not relation.duplicate_free()
