@@ -23,8 +23,9 @@ benchmark sweep:
 * **RA307** — a compiled plan carrying an unresolved or unknown
   algorithm/engine (``"auto"`` must be resolved by the plan stage; an
   executor dispatching an unknown name would mis-execute).
-* **RA308** — stage-tree malformation in a unified plan: a stage whose
-  algorithm is unresolved (``"auto"`` must not survive below the root),
+* **RA308** — stage-tree malformation (every compiled plan is a stage
+  tree, one stage for a flat request): no root stage, a stage whose
+  algorithm is unresolved (``"auto"`` must not survive into the tree),
   a synthetic ``stage:`` atom with no matching child stage, a child
   whose output does not cover the attributes its parent atom binds, a
   duplicated child label, or a child stage that feeds no atom.
@@ -189,13 +190,13 @@ def _check_relations(query: JoinQuery,
     return issues
 
 
-#: resolved algorithm names a compiled plan may carry (never "auto")
-_RESOLVED_ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog",
-                        "recursive", "unified")
-#: resolved algorithm names a *stage* inside a unified tree may carry —
-#: stages are leaves of the dispatch, so "unified" must not recur
+#: resolved algorithm names a stage may carry (never "auto")
 _STAGE_ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog",
                      "recursive")
+#: what a plan's header may carry: a stage algorithm (a flat request),
+#: or the label of the planner that may split a query into several
+#: stages — a display name, never a stage's algorithm
+_PLAN_ALGORITHMS = _STAGE_ALGORITHMS + ("unified",)
 #: resolved engine names ("" = not applicable, i.e. non-generic plans)
 _RESOLVED_ENGINES = ("", "tuple", "batch")
 #: alias prefix marking a synthetic atom fed by a child stage's output
@@ -213,23 +214,22 @@ def validate_join_plan(plan,
                        ) -> list[PlanIssue]:
     """RA306–RA309 checks over a compiled :class:`~repro.engine.ir.JoinPlan`.
 
-    ``plan`` is duck-typed (``query`` / ``algorithm`` / ``engine`` /
-    ``total_order`` / ``atom_order`` / ``index_specs`` /
-    ``root_stage`` attributes) so the validator has no dependency on
-    the engine package.  With ``relations``, spec permutations are
-    additionally checked against each relation's actual arity.  For
-    ``algorithm == "unified"`` the checks recurse over the stage tree:
-    each stage is validated like a small flat plan (RA306/RA309 on its
-    specs and orders) plus the tree-shape rules (RA308).
+    ``plan`` is duck-typed (``algorithm`` / ``engine`` / ``root_stage``
+    attributes) so the validator has no dependency on the engine
+    package.  The header is checked for resolved names (RA307); every
+    other check recurses over the stage tree — one stage for a flat
+    request: RA306/RA309 on each stage's specs and orders plus the
+    tree-shape rules (RA308).  With ``relations``, spec permutations are
+    additionally checked against each relation's actual arity.
     """
     issues: list[PlanIssue] = []
 
     algorithm = getattr(plan, "algorithm", None)
-    if algorithm not in _RESOLVED_ALGORITHMS:
+    if algorithm not in _PLAN_ALGORITHMS:
         issues.append(PlanIssue(
             "RA307",
             f"plan carries unresolved or unknown algorithm {algorithm!r}; "
-            f"a compiled plan must name one of {_RESOLVED_ALGORITHMS}",
+            f"a compiled plan must name one of {_PLAN_ALGORITHMS}",
         ))
     engine = getattr(plan, "engine", "")
     if engine not in _RESOLVED_ENGINES:
@@ -239,26 +239,15 @@ def validate_join_plan(plan,
             f"a compiled plan must name one of {_RESOLVED_ENGINES}",
         ))
 
-    if algorithm == "unified":
-        root = getattr(plan, "root_stage", None)
-        if root is None:
-            issues.append(PlanIssue(
-                "RA308",
-                "unified plan carries no root stage: the stage tree is "
-                "the whole execution recipe and cannot be empty",
-            ))
-        else:
-            issues.extend(_check_stage_tree(root, relations))
-        return issues
-
-    query = plan.query
-    aliases = {atom.alias for atom in query.atoms}
-    spec_issues, seen = _check_specs(aliases, tuple(plan.index_specs),
-                                     relations)
-    issues.extend(spec_issues)
-    issues.extend(_check_plan_shape(algorithm, query, aliases, seen,
-                                    tuple(getattr(plan, "atom_order", ())),
-                                    tuple(getattr(plan, "total_order", ()))))
+    root = getattr(plan, "root_stage", None)
+    if root is None:
+        issues.append(PlanIssue(
+            "RA308",
+            "plan carries no root stage: the stage tree is the whole "
+            "execution recipe and cannot be empty",
+        ))
+    else:
+        issues.extend(_check_stage_tree(root, relations))
     return issues
 
 
@@ -266,7 +255,7 @@ def _check_specs(aliases: set,
                  specs: tuple,
                  relations: "Mapping[str, object] | None",
                  ) -> "tuple[list[PlanIssue], set[str]]":
-    """Per-spec RA306/RA309 checks, shared by flat plans and stages.
+    """Per-spec RA306/RA309 checks of one stage.
 
     Returns the issues plus the set of aliases carrying a spec (the
     shape checks compare it against the expected atom coverage).
@@ -337,7 +326,7 @@ def _check_specs(aliases: set,
 def _check_plan_shape(algorithm, query, aliases: set, seen: set,
                       atom_order: tuple, total_order: tuple,
                       ) -> list[PlanIssue]:
-    """Algorithm-specific coverage/order checks (flat plans and stages)."""
+    """Algorithm-specific coverage/order checks of one stage."""
     issues: list[PlanIssue] = []
     if algorithm == "binary":
         if sorted(atom_order) != sorted(aliases):
@@ -385,9 +374,9 @@ def _check_stage_tree(root,
             issues.append(PlanIssue(
                 "RA308",
                 f"stage {label!r} carries unresolved or unknown algorithm "
-                f"{algorithm!r}; every stage of a unified plan must name "
-                f"one of {_STAGE_ALGORITHMS} — 'auto' must not survive "
-                "below the root",
+                f"{algorithm!r}; every stage must name one of "
+                f"{_STAGE_ALGORITHMS} — 'auto' must not survive into the "
+                "tree",
             ))
         children = tuple(getattr(stage, "children", ()))
         child_outputs: dict[str, set] = {}

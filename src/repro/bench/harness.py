@@ -59,21 +59,3 @@ def sweep(index_names: Sequence[str], x_values: Iterable,
         for name in index_names:
             series[name].append(measure(name, x))
     return xs, series
-
-
-def profiled_join(query, source, **join_kwargs) -> dict:
-    """Run one profiled join and return its counters as a JSON-ready dict.
-
-    The bridge between figure benches and ``repro.obs``: timings come
-    from the bench's own (un-instrumented) repeats, and this single extra
-    profiled run contributes the *count*-valued columns — per-level
-    candidates/survivors, probe and memo counters — which are
-    deterministic, so one run suffices.  The returned dict is the
-    profile's ``as_dict()`` with spans dropped (bench JSON stays small).
-    """
-    from repro.joins.executor import join
-
-    result = join(query, source, profile=True, **join_kwargs)
-    payload = result.profile.as_dict()
-    payload.pop("spans", None)
-    return payload

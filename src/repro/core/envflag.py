@@ -50,14 +50,6 @@ def env_int(name: str, default: int = 0) -> int:
         ) from None
 
 
-def resolve_int(explicit: "int | None", env_name: str,
-                default: int = 0) -> int:
-    """The explicit argument when given, else the environment knob."""
-    if explicit is not None:
-        return explicit
-    return env_int(env_name, default)
-
-
 def env_str(name: str, default: str = "") -> str:
     """String environment knob, stripped; empty/unset means ``default``."""
     raw = os.environ.get(name, "").strip()

@@ -4,12 +4,16 @@ The seed executor hand-dispatched five drivers from a monolithic
 ``join()`` with per-algorithm special cases; following Free Join (Wang et
 al.) and the unified binary/WCOJ architecture of Kaboli et al., the
 engine instead compiles every query — binary pipeline, Generic Join
-(tuple or batch), Hash-Trie Join, Leapfrog Triejoin, recursive NPRR —
-into the same two artifacts:
+(tuple or batch), Hash-Trie Join, Leapfrog Triejoin, recursive NPRR, or
+a mix of them — into the same artifacts:
 
-* :class:`JoinPlan` — the *logical+physical* decision record: resolved
-  algorithm and engine, total attribute order (or binary atom order),
-  one :class:`IndexSpec` per supporting structure, optimizer rationale.
+* :class:`JoinPlan` — a query-wide *header* (what was asked and what it
+  resolved to, the optimizer's rationale, sharding) over a tree of
+  :class:`PlanStage` nodes.  Each stage is one driver's worth of
+  decisions: its algorithm and engine, its total attribute order (or
+  binary atom order) and one :class:`IndexSpec` per supporting
+  structure.  A flat request (``generic``, ``binary``, …) is the
+  one-stage case; ``unified`` may split a query into several.
 * :class:`BoundQuery` — the query text resolved against a relation
   source (the **bind** stage's output), carried separately so one plan
   can be validated without data and prepared against data.
@@ -96,30 +100,38 @@ class IndexSpec:
         return suffix
 
 
-def built_kind(node: "PlanStage | JoinPlan") -> str:
-    """The structure kind a generic plan or stage has built per atom —
-    its specs say — which under the batch engine is not the ``index``
-    the caller named."""
-    return node.index_specs[0].kind if node.index_specs else node.index
-
-
-def _describe_head(node: "PlanStage | JoinPlan") -> str:
+def _asked_and_built(algorithm: str, engine: str, index: str,
+                     engine_note: str, built: str = "") -> str:
     """``algorithm/engine index=… built=…`` — what was asked, then what
     is built for it when the two differ, then why the engine is what it
     is when that was resolved rather than given."""
-    head = node.algorithm
-    if node.engine:
-        head += f"/{node.engine}"
-    if node.index:
-        head += f" index={node.index}"
-        if built_kind(node) != node.index:
-            head += f" built={built_kind(node)}"
-    if node.engine_note:
-        head += f" [{node.engine_note}]"
-    if node.total_order:
-        head += f" order={','.join(node.total_order)}"
-    if node.atom_order:
-        head += f" atoms={','.join(node.atom_order)}"
+    head = algorithm
+    if engine:
+        head += f"/{engine}"
+    if index:
+        head += f" index={index}"
+        if built and built != index:
+            head += f" built={built}"
+    if engine_note:
+        head += f" [{engine_note}]"
+    return head
+
+
+def built_kind(stage: "PlanStage") -> str:
+    """The structure kind a generic stage has built per atom — its specs
+    say — which under the batch engine is not the ``index`` the caller
+    named."""
+    return stage.index_specs[0].kind if stage.index_specs else stage.index
+
+
+def _describe_head(stage: "PlanStage") -> str:
+    """One stage on one line: what runs, over what, in which order."""
+    head = _asked_and_built(stage.algorithm, stage.engine, stage.index,
+                            stage.engine_note, built_kind(stage))
+    if stage.total_order:
+        head += f" order={','.join(stage.total_order)}"
+    if stage.atom_order:
+        head += f" atoms={','.join(stage.atom_order)}"
     return head
 
 
@@ -134,24 +146,31 @@ def stage_alias(label: str) -> str:
 
 @dataclass(frozen=True)
 class PlanStage:
-    """One node of a unified stage-tree plan.
+    """One node of a plan's stage tree: one driver's worth of decisions.
 
     A stage is a self-contained sub-plan — a binary hash pipeline, a
-    Generic Join sub-plan, or a recursive leaf — over ``query``, whose
-    atoms are either base-relation atoms (their structures come from
-    ``index_specs``) or synthetic ``stage:<label>`` atoms fed by the
-    correspondingly-labelled child stage's materialized output.  The
-    execute stage runs children depth-first, wraps each child's rows as
-    an intermediate :class:`~repro.storage.relation.Relation`, and then
+    Generic Join (tuple or batch), a Hash-Trie / Leapfrog / recursive
+    baseline — over ``query``, whose atoms are either base-relation
+    atoms (their structures come from ``index_specs``) or synthetic
+    ``stage:<label>`` atoms fed by the correspondingly-labelled child
+    stage's materialized output.  A flat request compiles to a single
+    stage with no children; the unified planner may put a binary
+    pipeline stage on top of a Generic Join child.  The execute stage
+    runs children depth-first, wraps each child's rows as an
+    intermediate :class:`~repro.storage.relation.Relation`, and then
     runs this stage's driver over base + intermediate relations — the
     Free Join / unified-architecture shape where binary pipeline stages
     and WCOJ sub-plans compose in one query.
 
-    ``output`` is the stage's result schema, in emission order; a parent
-    stage's synthetic atom carries exactly these attributes (RA308).
-    ``algorithm`` is always resolved — ``"auto"`` never survives below
-    the root (RA308).  ``choice`` records the per-component hybrid
-    optimizer rationale.
+    ``total_order`` is empty for a binary pipeline stage, whose order
+    lives in ``atom_order`` instead.  ``engine`` is only meaningful for
+    a generic stage and is resolved (``"tuple"`` or ``"batch"``);
+    ``index`` is the kind the caller named, each spec's ``kind`` what
+    gets built.  ``output`` is the stage's result schema, in emission
+    order; a parent stage's synthetic atom carries exactly these
+    attributes (RA308).  ``algorithm`` is always resolved — ``"auto"``
+    and the ``"unified"`` label never name a stage (RA308).  ``choice``
+    records the per-component hybrid optimizer rationale.
     """
 
     label: str
@@ -203,38 +222,47 @@ class ShardingSpec:
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """The compiled plan: everything execution needs except built indexes.
+    """The compiled plan: a query-wide header over a :class:`PlanStage` tree.
 
-    ``algorithm`` is always resolved (never ``"auto"``); ``engine`` is
-    only meaningful for the generic algorithm and is likewise resolved
-    (``"tuple"`` or ``"batch"`` — batch only over int64-class columns,
-    whatever was asked).  ``index`` is the kind the caller named; each
-    spec's ``kind`` is what gets built.  ``total_order`` is empty for the
-    binary pipeline, whose order lives in ``atom_order`` instead.
-    ``choice`` carries the hybrid optimizer's rationale when it ran
-    (``algorithm="auto"`` or a profiled run).
-
-    ``algorithm="unified"`` plans carry a :class:`PlanStage` tree in
-    ``root_stage``; the flat ``index_specs``/``total_order`` fields stay
-    empty and every spec lives on its stage (:meth:`iter_specs` walks
-    the tree for the prepare stage).
+    Everything execution needs except built indexes.  The header keeps
+    what is true of the whole request: ``algorithm`` is what was asked
+    once ``"auto"`` is resolved — a stage algorithm for a flat request,
+    whose tree is the one stage ``root_stage``, or the display label
+    ``"unified"`` for the planner that may split the query into several
+    stages (and yields one where the query is all cyclic or all
+    acyclic).  ``engine`` / ``index`` / ``engine_note`` are the asked
+    and resolved Generic Join settings (a flat plan's are its root
+    stage's), ``choice`` the hybrid optimizer's whole-query rationale
+    when it ran (``algorithm="auto"`` / ``"unified"`` or a profiled
+    run).  Orders and index specs live on the stages and nowhere else;
+    ``total_order`` / ``atom_order`` / ``index_specs`` read the root
+    stage's, and :meth:`iter_specs` walks the tree for the prepare stage.
     """
 
     query: JoinQuery
     algorithm: str
+    root_stage: PlanStage
     engine: str = ""
     index: str = ""
-    total_order: tuple[str, ...] = ()
-    atom_order: tuple[str, ...] = ()
-    index_specs: tuple[IndexSpec, ...] = ()
     dynamic_seed: bool = True
     choice: "PlanChoice | None" = None
     sharding: "ShardingSpec | None" = None
-    root_stage: "PlanStage | None" = None
     #: why ``engine`` is what it is, when the plan stage resolved it
     #: (``"auto"``, or ``"batch"`` over columns it cannot hold) — also
     #: appended to ``choice.reason`` when the optimizer ran
     engine_note: str = ""
+
+    @property
+    def total_order(self) -> tuple[str, ...]:
+        return self.root_stage.total_order
+
+    @property
+    def atom_order(self) -> tuple[str, ...]:
+        return self.root_stage.atom_order
+
+    @property
+    def index_specs(self) -> tuple[IndexSpec, ...]:
+        return self.root_stage.index_specs
 
     def spec_for(self, alias: str) -> IndexSpec:
         """The :class:`IndexSpec` prepared for atom ``alias``."""
@@ -244,15 +272,10 @@ class JoinPlan:
         raise KeyError(f"no index spec for alias {alias!r} in plan")
 
     def iter_specs(self):
-        """Every :class:`IndexSpec` this plan needs built.
-
-        Flat plans yield ``index_specs``; unified plans walk the stage
-        tree depth-first.  Atom aliases are query-unique, so the
+        """Every :class:`IndexSpec` this plan needs built, walking the
+        stage tree depth-first.  Atom aliases are query-unique, so the
         flattened specs key a single structures dict without collision.
         """
-        if self.root_stage is None:
-            yield from self.index_specs
-            return
         stack = [self.root_stage]
         while stack:
             stage = stack.pop()
@@ -262,15 +285,17 @@ class JoinPlan:
     def describe(self) -> str:
         """Plan summary (CLI / EXPLAIN output).
 
-        Flat plans render one line; unified plans append the nested
-        stage-tree form, one indented line per stage.
+        A flat plan is its one stage on one line; under the ``"unified"``
+        label the header line is followed by the nested stage tree, one
+        indented line per stage.
         """
-        head = _describe_head(self)
-        if self.sharding is not None:
-            head += f" {self.sharding.describe()}"
-        if self.root_stage is not None:
-            head += "\n" + self.root_stage.describe(indent=1)
-        return head
+        sharded = ("" if self.sharding is None
+                   else f" {self.sharding.describe()}")
+        if self.algorithm == "unified":
+            head = _asked_and_built(self.algorithm, self.engine, self.index,
+                                    self.engine_note)
+            return f"{head}{sharded}\n{self.root_stage.describe(indent=1)}"
+        return _describe_head(self.root_stage) + sharded
 
 
 @dataclass(frozen=True)

@@ -85,17 +85,16 @@ from repro.storage.relation import Relation, Snapshot
 
 #: index options each algorithm can honor; anything else raises
 #: ConfigurationError at plan time (the seed swallowed them silently)
+_GENERIC_OPTIONS = frozenset({"sonic_overallocation", "sonic_bucket_size",
+                              "index_options", "lazy"})
 _ALLOWED_OPTIONS = {
-    "generic": frozenset({"sonic_overallocation", "sonic_bucket_size",
-                          "index_options", "lazy"}),
+    "generic": _GENERIC_OPTIONS,
     "hashtrie": frozenset({"lazy", "singleton_pruning"}),
     "binary": frozenset(),
     "leapfrog": frozenset(),
     "recursive": frozenset(),
-    # the unified planner builds generic sub-stages, so it honors the
-    # generic option set (including lazy COLT builds)
-    "unified": frozenset({"sonic_overallocation", "sonic_bucket_size",
-                          "index_options", "lazy"}),
+    # the unified planner builds generic stages (lazy COLT builds included)
+    "unified": _GENERIC_OPTIONS,
 }
 
 
@@ -139,6 +138,13 @@ def plan(bound: BoundQuery,
     :class:`~repro.engine.ir.IndexSpec` per supporting structure.  The
     plan is inert — nothing is built until :func:`prepare`.
 
+    Every request compiles to one shape — a header over a
+    :class:`~repro.engine.ir.PlanStage` tree: one stage for a flat
+    algorithm, whatever the GYO split yields for ``"unified"``, from
+    the same stage constructors.  ``binary_order`` must name every atom
+    exactly once (:class:`~repro.errors.QueryError`), whichever
+    algorithm ends up reading it.
+
     ``parallel`` (default: the ``REPRO_WORKERS`` environment variable;
     0 / unset means single-process) plants a
     :class:`~repro.engine.ir.ShardingSpec` on the plan: the prepare
@@ -146,7 +152,8 @@ def plan(bound: BoundQuery,
     shards on the plan's leading attribute, and execution fans out to a
     worker-process pool (:mod:`repro.parallel`).  ``parallel=1`` is a
     valid degenerate fleet — one worker process, useful as the
-    like-for-like baseline when measuring fan-out speedup.
+    like-for-like baseline when measuring fan-out speedup.  Only a
+    one-stage tree shards: a root stage with children is refused.
     """
     observer = obs if obs is not None else NULL_OBSERVER
     if algorithm not in ALGORITHMS:
@@ -158,6 +165,10 @@ def plan(bound: BoundQuery,
             f"unknown engine {engine!r}; choose from {ENGINES}"
         )
     query, relations = bound.query, bound.relations
+    if (binary_order is not None
+            and sorted(binary_order) != sorted(a.alias for a in query.atoms)):
+        raise QueryError(
+            f"join order {list(binary_order)} does not cover the query atoms")
     kwargs = dict(index_kwargs or {})
     debug_on = resolve_flag(debug, "REPRO_DEBUG")
 
@@ -188,33 +199,41 @@ def plan(bound: BoundQuery,
             result = _plan_unified(query, relations, order, binary_order,
                                    index, engine, dynamic_seed, choice,
                                    stats, kwargs, route, observer.enabled)
-        elif algorithm == "binary":
-            result = _plan_binary(query, relations, binary_order, stats,
-                                  dynamic_seed, choice, route)
         else:
-            total = tuple(order) if order else connectivity_order(query)
-            if debug_on:
-                check_plan(query, order=total)
-            if algorithm == "generic":
-                result = _plan_generic(query, relations, total, index, engine,
-                                       dynamic_seed, choice, kwargs, route)
-            elif algorithm == "hashtrie":
-                result = _plan_hashtrie(query, relations, total, dynamic_seed,
-                                        choice, kwargs)
-            elif algorithm == "leapfrog":
-                result = _plan_leapfrog(query, relations, total, dynamic_seed,
-                                        choice)
+            # a flat request is the one-stage tree
+            if algorithm == "binary":
+                root = _binary_root(query, relations, binary_order, stats,
+                                    choice, route)
             else:
-                result = _plan_recursive(query, total, dynamic_seed, choice)
+                total = tuple(order) if order else connectivity_order(query)
+                if debug_on:
+                    check_plan(query, order=total)
+                if algorithm == "generic":
+                    resolved, note = _resolve_generic_engine(
+                        query.atoms, relations, engine)
+                    root = _generic_stage("root", query, relations, total,
+                                          index, resolved, kwargs, choice,
+                                          route or note)
+                else:
+                    root = _baseline_stage(algorithm, query, relations, total,
+                                           choice, kwargs)
+            result = JoinPlan(query=query, algorithm=algorithm,
+                              root_stage=root, engine=root.engine,
+                              index=root.index, dynamic_seed=dynamic_seed,
+                              choice=root.choice,
+                              engine_note=root.engine_note)
         workers = _resolve_workers(parallel)
-        if workers and result.algorithm == "unified":
+        root = result.root_stage
+        if workers and root.children:
+            # a shard worker runs one driver over its partition; a child
+            # stage's output would have to be partitioned again above it
             raise ConfigurationError(
                 "unified stage-tree plans do not support sharded execution; "
                 "drop parallel= or choose a flat algorithm")
         if workers:
             # shard on the leading attribute: every result tuple binds
             # it to exactly one value, so shard results are disjoint
-            attribute = (result.total_order[0] if result.total_order
+            attribute = (root.total_order[0] if root.total_order
                          else connectivity_order(query)[0])
             result = replace(result, sharding=ShardingSpec(
                 workers=workers, attribute=attribute))
@@ -533,93 +552,30 @@ def _generic_structure(index: str, engine: str, kwargs: dict,
     return index, options
 
 
-def _resolve_lazy(index: str, kwargs: dict) -> bool:
-    lazy = bool(kwargs.get("lazy", False))
-    if lazy and index not in LAZY_CAPABLE_KINDS:
-        raise ConfigurationError(
-            f"index {index!r} has no level-at-a-time build; lazy=True "
-            f"requires one of {sorted(LAZY_CAPABLE_KINDS)}")
-    return lazy
-
-
-def _plan_generic(query: JoinQuery, relations: Mapping[str, Relation],
-                  total: tuple[str, ...], index: str, engine: str,
-                  dynamic_seed: bool, choice, kwargs: dict,
-                  route: str = "") -> JoinPlan:
-    engine, note = _resolve_generic_engine(query.atoms, relations, engine)
-    note = route or note
+def _generic_stage(label: str, query: JoinQuery,
+                   relations: Mapping[str, Relation], total: tuple[str, ...],
+                   index: str, engine: str, kwargs: dict, choice,
+                   note: str) -> PlanStage:
+    """A Generic Join stage over ``query`` under the *resolved* ``engine``."""
     kind, options = _generic_structure(index, engine, kwargs)
-    lazy = _resolve_lazy(index, kwargs)
+    lazy = bool(kwargs.get("lazy", False))
     specs = tuple(
         _structure_spec(relations[atom.alias], atom.alias, kind, total,
                         options, lazy=lazy)
         for atom in query.atoms
     )
-    return JoinPlan(query=query, algorithm="generic", engine=engine,
-                    index=index, total_order=total, index_specs=specs,
-                    dynamic_seed=dynamic_seed, choice=_noted(choice, note),
-                    engine_note=note)
+    return PlanStage(label=label, algorithm="generic", query=query,
+                     output=total, engine=engine, index=index,
+                     total_order=total, index_specs=specs,
+                     choice=_noted(choice, note), engine_note=note)
 
 
-def _plan_hashtrie(query: JoinQuery, relations: Mapping[str, Relation],
-                   total: tuple[str, ...], dynamic_seed: bool, choice,
-                   kwargs: dict) -> JoinPlan:
-    options = {
-        "lazy": bool(kwargs.get("lazy", True)),
-        "singleton_pruning": bool(kwargs.get("singleton_pruning", True)),
-    }
-    specs = tuple(
-        _structure_spec(relations[atom.alias], atom.alias, "hashtrie", total,
-                        options)
-        for atom in query.atoms
-    )
-    return JoinPlan(query=query, algorithm="hashtrie", total_order=total,
-                    index_specs=specs, dynamic_seed=dynamic_seed,
-                    choice=choice)
-
-
-def _plan_leapfrog(query: JoinQuery, relations: Mapping[str, Relation],
-                   total: tuple[str, ...], dynamic_seed: bool,
-                   choice) -> JoinPlan:
-    # "sorted": force the trie's sort during prepare (LFTJ seeks need it
-    # ordered up front); distinguishes these specs from a generic join
-    # over index="sortedtrie", whose sort lazily lands in the probe phase
-    specs = tuple(
-        _structure_spec(relations[atom.alias], atom.alias, "sortedtrie",
-                        total, {"sorted": True})
-        for atom in query.atoms
-    )
-    return JoinPlan(query=query, algorithm="leapfrog", total_order=total,
-                    index_specs=specs, dynamic_seed=dynamic_seed,
-                    choice=choice)
-
-
-def _plan_recursive(query: JoinQuery, total: tuple[str, ...],
-                    dynamic_seed: bool, choice) -> JoinPlan:
-    specs = tuple(
-        IndexSpec(alias=atom.alias, kind=TUPLESET_KIND,
-                  attribute_order=atom.attributes,
-                  permutation=tuple(range(atom.arity)))
-        for atom in query.atoms
-    )
-    return JoinPlan(query=query, algorithm="recursive", total_order=total,
-                    index_specs=specs, dynamic_seed=dynamic_seed,
-                    choice=choice)
-
-
-def _plan_binary(query: JoinQuery, relations: Mapping[str, Relation],
-                 binary_order: "Sequence[str] | None", stats,
-                 dynamic_seed: bool, choice, route: str = "") -> JoinPlan:
-    if binary_order is not None:
-        atom_order = list(binary_order)
-        if sorted(atom_order) != sorted(a.alias for a in query.atoms):
-            raise QueryError(
-                f"join order {atom_order} does not cover the query atoms")
-    else:
-        if stats is None:
-            stats = Statistics.collect(relations.values())
-        atom_order = greedy_join_order(query, stats)
-    stages, _output_attrs = plan_pipeline(query, relations, atom_order)
+def _binary_stage(label: str, query: JoinQuery,
+                  relations: Mapping[str, Relation],
+                  atom_order: Sequence[str], children: tuple = (),
+                  choice=None, note: str = "") -> PlanStage:
+    """A binary hash pipeline stage probing in ``atom_order``."""
+    stages, output_attrs = plan_pipeline(query, relations, atom_order)
     specs = tuple(
         IndexSpec(alias=stage["alias"], kind=HASHTABLE_KIND,
                   attribute_order=stage["key_attrs"] + stage["payload_attrs"],
@@ -628,10 +584,56 @@ def _plan_binary(query: JoinQuery, relations: Mapping[str, Relation],
                   key_arity=len(stage["key_attrs"]))
         for stage in stages
     )
-    return JoinPlan(query=query, algorithm="binary",
-                    atom_order=tuple(atom_order), index_specs=specs,
-                    dynamic_seed=dynamic_seed, choice=_noted(choice, route),
-                    engine_note=route)
+    return PlanStage(label=label, algorithm="binary", query=query,
+                     output=tuple(output_attrs), atom_order=tuple(atom_order),
+                     index_specs=specs, children=children,
+                     choice=_noted(choice, note), engine_note=note)
+
+
+def _binary_root(query: JoinQuery, relations: Mapping[str, Relation],
+                 binary_order: "Sequence[str] | None", stats, choice,
+                 note: str) -> PlanStage:
+    """The whole query as one pipeline: the pinned order, else greedy."""
+    if binary_order is None:
+        if stats is None:
+            stats = Statistics.collect(relations.values())
+        binary_order = greedy_join_order(query, stats)
+    return _binary_stage("root", query, relations, binary_order,
+                         choice=choice, note=note)
+
+
+def _baseline_stage(algorithm: str, query: JoinQuery,
+                    relations: Mapping[str, Relation], total: tuple[str, ...],
+                    choice, kwargs: dict) -> PlanStage:
+    """A Hash-Trie Join, Leapfrog Triejoin or recursive (Alg. 1) stage."""
+    if algorithm == "recursive":
+        specs = tuple(
+            IndexSpec(alias=atom.alias, kind=TUPLESET_KIND,
+                      attribute_order=atom.attributes,
+                      permutation=tuple(range(atom.arity)))
+            for atom in query.atoms
+        )
+    else:
+        if algorithm == "hashtrie":
+            kind, options = "hashtrie", {
+                "lazy": bool(kwargs.get("lazy", True)),
+                "singleton_pruning": bool(kwargs.get("singleton_pruning",
+                                                     True)),
+            }
+        else:
+            # "sorted": force the trie's sort during prepare (LFTJ seeks
+            # need it ordered up front); distinguishes these specs from a
+            # generic join over index="sortedtrie", whose sort lazily
+            # lands in the probe phase
+            kind, options = "sortedtrie", {"sorted": True}
+        specs = tuple(
+            _structure_spec(relations[atom.alias], atom.alias, kind, total,
+                            options)
+            for atom in query.atoms
+        )
+    return PlanStage(label="root", algorithm=algorithm, query=query,
+                     output=total, total_order=total, index_specs=specs,
+                     choice=choice)
 
 
 def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
@@ -647,18 +649,18 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
     the **cyclic core** — get a Generic Join sub-stage (worst-case
     optimal where the AGM bound actually bites), the removed ears get a
     binary hash pipeline stage probing *into the core stage's output*
-    (which joins as a synthetic ``stage:core`` relation).  An ear the
-    batch engine may take over (:func:`_frontier_route`) joins the
-    core's Generic Join stage instead — when every ear does, that stage
-    is the root and no core output is materialised.  A query that
-    is entirely acyclic, entirely cyclic, or a single atom degenerates
-    to one root stage running whatever ``choice`` says — the unified
+    (which joins as a synthetic ``stage:core`` relation), in their
+    ``binary_order`` when one is pinned.  An ear the batch engine may
+    take over (:func:`_frontier_route`) joins the core's Generic Join
+    stage instead — when every ear does, that stage is the root and no
+    core output is materialised.  A query that is entirely acyclic,
+    entirely cyclic, or a single atom degenerates to the one root stage
+    a flat request for whatever ``choice`` says would get — the unified
     plan never does worse than the better flat plan by construction of
     the split.
     """
     core = cyclic_core(Hypergraph.from_query(query))
-    aliases = [atom.alias for atom in query.atoms]
-    mixed = bool(core) and core != set(aliases)
+    mixed = bool(core) and core != {atom.alias for atom in query.atoms}
     # the engine is resolved over the atoms a Generic Join stage reads:
     # the cyclic core, or everything when the whole query is on WCOJ;
     # binary stages read rows, whatever their dtype
@@ -697,96 +699,61 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
                 else:
                     kept = kept or ear_note
         ears = [ear for ear in ears if ear not in generic_atoms]
-    kind, options = _generic_structure(index, engine, kwargs)
-    lazy = _resolve_lazy(index, kwargs)
-
-    def generic_stage(label: str, sub_query: JoinQuery,
-                      total: tuple[str, ...], stage_choice) -> PlanStage:
-        specs = tuple(
-            _structure_spec(relations[atom.alias], atom.alias, kind, total,
-                            options, lazy=lazy)
-            for atom in sub_query.atoms
-        )
-        return PlanStage(label=label, algorithm="generic", query=sub_query,
-                         output=total, engine=engine, index=index,
-                         total_order=total, index_specs=specs,
-                         choice=_noted(stage_choice, note), engine_note=note)
-
-    def binary_stage(label: str, sub_query: JoinQuery,
-                     atom_order: Sequence[str],
-                     children: tuple = (),
-                     stage_choice=None) -> PlanStage:
-        stages, output_attrs = plan_pipeline(sub_query, relations, atom_order)
-        specs = tuple(
-            IndexSpec(alias=stage["alias"], kind=HASHTABLE_KIND,
-                      attribute_order=(stage["key_attrs"]
-                                       + stage["payload_attrs"]),
-                      permutation=(stage["key_positions"]
-                                   + stage["payload_positions"]),
-                      key_arity=len(stage["key_attrs"]))
-            for stage in stages
-        )
-        return PlanStage(label=label, algorithm="binary", query=sub_query,
-                         output=tuple(output_attrs),
-                         atom_order=tuple(atom_order), index_specs=specs,
-                         children=children,
-                         choice=_noted(stage_choice, kept), engine_note=kept)
 
     if mixed and ears:
         # mixed plan: WCOJ over the cyclic core (and the ears that ride
         # with it), binary ears on top
         core_query = JoinQuery(tuple(generic_atoms))
-        core_order = tuple(connectivity_order(core_query))
         core_choice = HybridOptimizer().choose(core_query, stats,
                                                estimate=explain)
-        child = generic_stage("core", core_query, core_order, core_choice)
+        child = _generic_stage("core", core_query, relations,
+                               connectivity_order(core_query), index,
+                               engine, kwargs, core_choice, note)
 
         feeder = stage_alias(child.label)
         synthetic = Atom(relation=feeder, attributes=child.output,
                          alias=feeder)
         parent_query = JoinQuery((synthetic,) + tuple(ears))
-        # ear order: greedy — connected to the bound attributes first,
-        # then smallest relation (the core output's cardinality is
-        # unknown at plan time, so it always leads)
+        # the core output's cardinality is unknown at plan time, so it
+        # always leads
         atom_order = [feeder]
-        bound_attrs = set(child.output)
         remaining = {a.alias for a in ears}
-        while remaining:
-            connected = [al for al in sorted(remaining)
-                         if set(query.attributes_of(al)) & bound_attrs]
-            pick = min(connected or sorted(remaining),
-                       key=lambda al: (stats.cardinality(al), al))
-            atom_order.append(pick)
-            remaining.discard(pick)
-            bound_attrs |= set(query.attributes_of(pick))
+        if binary_order is not None:
+            atom_order += [al for al in binary_order if al in remaining]
+        else:
+            # greedy — connected to the bound attributes first, then
+            # smallest relation
+            bound_attrs = set(child.output)
+            while remaining:
+                connected = [al for al in sorted(remaining)
+                             if set(query.attributes_of(al)) & bound_attrs]
+                pick = min(connected or sorted(remaining),
+                           key=lambda al: (stats.cardinality(al), al))
+                atom_order.append(pick)
+                remaining.discard(pick)
+                bound_attrs |= set(query.attributes_of(pick))
         root_choice = PlanChoice(
             "binary",
             "GYO ear atoms: acyclic attachments probe the core stage's "
             "output with binary hash joins",
             choice.agm_bound, choice.binary_estimate)
-        root = binary_stage("root", parent_query, atom_order,
-                            children=(child,), stage_choice=root_choice)
+        root = _binary_stage("root", parent_query, relations, atom_order,
+                             children=(child,), choice=root_choice, note=kept)
     elif choice.algorithm == "binary":
         # fully acyclic (or single-atom) query: one binary root stage
-        if binary_order is not None:
-            atom_order = list(binary_order)
-            if sorted(atom_order) != sorted(aliases):
-                raise QueryError(
-                    f"join order {atom_order} does not cover the query atoms")
-        else:
-            atom_order = greedy_join_order(query, stats)
-        root = binary_stage("root", query, atom_order, stage_choice=choice)
+        root = _binary_root(query, relations, binary_order, stats, choice,
+                            kept)
     else:
         # one generic root stage: a fully cyclic (or growth-prone)
         # query, a core whose every ear rides with it, or an acyclic
         # query the batch engine takes
-        total = tuple(order) if order else tuple(connectivity_order(query))
-        root = generic_stage("root", query, total, choice)
+        total = tuple(order) if order else connectivity_order(query)
+        root = _generic_stage("root", query, relations, total, index, engine,
+                              kwargs, choice, note)
 
-    return JoinPlan(query=query, algorithm="unified", engine=engine,
-                    index=index, dynamic_seed=dynamic_seed,
-                    choice=_noted(choice, note), root_stage=root,
-                    engine_note=note)
+    return JoinPlan(query=query, algorithm="unified", root_stage=root,
+                    engine=engine, index=index, dynamic_seed=dynamic_seed,
+                    choice=_noted(choice, note), engine_note=note)
 
 
 def _structure_spec(relation: Relation, alias: str, kind: str,
@@ -820,7 +787,10 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
 
     ``requested`` is what the caller asked for (possibly ``"auto"``),
     ``resolved`` the concrete algorithm; ``"auto"`` is validated against
-    the Generic Join's option set (see module docstring).
+    the Generic Join's option set (see module docstring).  Where a
+    Generic Join stage may be planned, the options must also fit the
+    ``index`` kind: Sonic's only with Sonic, ``lazy`` only where levels
+    build one at a time.
     """
     if not kwargs:
         return
@@ -832,14 +802,19 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
             f"algorithm {resolved!r} cannot honor index option(s) "
             f"{unknown}; it accepts {sorted(allowed) or 'none'}"
         )
-    if (requested != "auto" and resolved in ("generic", "unified")
-            and index != "sonic"
+    if resolved not in ("generic", "unified"):
+        return
+    if (requested != "auto" and index != "sonic"
             and any(k.startswith("sonic_") for k in kwargs)):
         sonic_only = sorted(k for k in kwargs if k.startswith("sonic_"))
         raise ConfigurationError(
             f"index {index!r} cannot honor Sonic option(s) {sonic_only}; "
             "they apply only with index='sonic'"
         )
+    if kwargs.get("lazy", False) and index not in LAZY_CAPABLE_KINDS:
+        raise ConfigurationError(
+            f"index {index!r} has no level-at-a-time build; lazy=True "
+            f"requires one of {sorted(LAZY_CAPABLE_KINDS)}")
 
 
 # ----------------------------------------------------------------------

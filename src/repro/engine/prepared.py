@@ -3,10 +3,11 @@
 A :class:`PreparedJoin` is the prepare stage's output — a bound query, a
 :class:`~repro.engine.ir.JoinPlan`, and every supporting structure the
 plan needs, already built (and possibly shared with a session's index
-cache).  Each :meth:`~PreparedJoin.execute` call constructs a fresh
-driver over the shared structures — drivers keep per-run state (cursors,
-sinks, metrics) so the structures themselves are safely reusable — and
-returns an ordinary :class:`~repro.joins.results.JoinResult`.
+cache).  Each :meth:`~PreparedJoin.execute` call walks the plan's stage
+tree, constructing a fresh driver per stage over the shared structures
+— drivers keep per-run state (cursors, sinks, metrics) so the structures
+themselves are safely reusable — and returns an ordinary
+:class:`~repro.joins.results.JoinResult`.
 
 **Timing semantics.**  The paper charges ad-hoc index build to every
 WCOJ run (§5.15).  A prepared join preserves that contract on its
@@ -34,6 +35,7 @@ from repro.engine.ir import (
     built_kind,
     stage_alias,
 )
+from repro.errors import ExecutionError
 from repro.joins.batch import GenericJoinBatch
 from repro.joins.binary import BinaryHashJoin
 from repro.joins.executor import attach_profile
@@ -47,7 +49,13 @@ from repro.storage.relation import Relation
 
 
 class PreparedJoin:
-    """An executable join with its supporting structures already built."""
+    """An executable join with its supporting structures already built.
+
+    A single-process plan runs its stage tree (one stage for a flat
+    request) through :meth:`_run_stage`; a sharded plan hands its root
+    stage's decisions to a :class:`~repro.parallel.runner.ShardedRunner`
+    and must be :meth:`close`-d, after which it cannot execute again.
+    """
 
     def __init__(self, bound: BoundQuery, plan: JoinPlan,
                  structures: dict[str, object], build_seconds: float,
@@ -77,47 +85,46 @@ class PreparedJoin:
                                          owned=owned_shards)
 
     # ------------------------------------------------------------------
-    def _driver(self, node: "JoinPlan | PlanStage", query, relations: dict,
-                observer):
-        """A fresh driver for ``node`` — the flat plan, or one stage of a
-        unified one — over the shared structures.  Adapters are
-        stateless wrappers: making them builds nothing."""
-        algorithm = node.algorithm
+    def _driver(self, stage: PlanStage, relations: dict, observer):
+        """A fresh driver for ``stage`` over the shared structures.
+        Adapters are stateless wrappers: making them builds nothing."""
+        algorithm, query = stage.algorithm, stage.query
         if algorithm == "binary":
             # a child stage's output is made during this execution and
             # has no prepared count: it is scanned whole
-            leading = node.atom_order[0]
+            leading = stage.atom_order[0]
             rows = self._prepared_rows.get(leading, len(relations[leading]))
             return BinaryHashJoin(query, relations,
-                                  order=list(node.atom_order), obs=observer,
+                                  order=list(stage.atom_order), obs=observer,
                                   prebuilt=(self.structures, rows))
         if algorithm == "leapfrog":
-            return LeapfrogTrieJoin(query, relations, order=node.total_order,
+            return LeapfrogTrieJoin(query, relations, order=stage.total_order,
                                     obs=observer, tries=self.structures)
         if algorithm == "recursive":
-            return RecursiveJoin(query, relations, order=node.total_order,
+            return RecursiveJoin(query, relations, order=stage.total_order,
                                  edges=self.structures)
         adapters = {
             atom.alias: IndexAdapter(relations[atom.alias],
                                      self.structures[atom.alias],
-                                     node.total_order)
+                                     stage.total_order)
             for atom in query.atoms
         }
         if algorithm == "hashtrie":
-            return HashTrieJoin(query, relations, order=node.total_order,
+            return HashTrieJoin(query, relations, order=stage.total_order,
                                 obs=observer, adapters=adapters)
-        driver_cls = GenericJoinBatch if node.engine == "batch" else GenericJoin
-        driver = driver_cls(query, adapters, order=node.total_order,
+        driver_cls = (GenericJoinBatch if stage.engine == "batch"
+                      else GenericJoin)
+        driver = driver_cls(query, adapters, order=stage.total_order,
                             dynamic_seed=self.plan.dynamic_seed, obs=observer)
         # what was built, which is not always what was asked for
-        driver.metrics.index = built_kind(node)
+        driver.metrics.index = built_kind(stage)
         return driver
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,
                 profile: "bool | None" = None,
                 trace_out: "str | None" = None) -> JoinResult:
-        """Run the prepared join once; fresh driver, shared structures.
+        """Run the prepared join once; fresh drivers, shared structures.
 
         ``obs`` / ``profile`` / ``trace_out`` mirror
         :func:`repro.joins.join`: an explicit observer wins, else
@@ -127,13 +134,17 @@ class PreparedJoin:
         the builds happened at prepare time, under the prepare
         observer.
         """
+        plan = self.plan
+        if plan.sharding is not None and self._runner is None:
+            raise ExecutionError(
+                "this sharded prepared join is closed: its worker pool is "
+                "stopped and its shared-memory columns are released; "
+                "prepare the query again to execute it")
         observer = resolve_observer(profile, obs)
         # §5.15 build-included timing: the prepare-stage build cost lands
         # on the first execution only
         charge, self._pending_build = self._pending_build, 0.0
         self.executions += 1
-        bound, plan = self.bound, self.plan
-        query, relations = bound.query, bound.relations
 
         if plan.sharding is not None:
             # the runner attaches the ShardedJoinProfile itself — it is
@@ -143,20 +154,23 @@ class PreparedJoin:
             return self._runner.execute(materialize=materialize,
                                         obs=observer, build_charge=charge,
                                         trace_out=trace_out)
+        root = plan.root_stage
+        result, reports = self._run_stage(root, self.bound.relations,
+                                          observer, materialize, depth=0)
+        metrics = result.metrics
         if plan.algorithm == "unified":
-            return self._execute_unified(materialize, observer, charge,
-                                         trace_out)
-        driver = self._driver(plan, query, relations, observer)
-        driver.metrics.build_seconds = charge
-        result = driver.run(materialize=materialize)
+            metrics.algorithm = plan.algorithm
         # deferred lazy-build time surfaces on the run that actually
         # materialized the levels (§5.15 build-included timing)
-        result.metrics.build_seconds += self._drain_lazy_charges()
-        return attach_profile(
-            query, result, observer, plan.choice,
-            plan.total_order or plan.atom_order,
-            engine=plan.engine if plan.algorithm == "generic" else None,
-            trace_out=trace_out)
+        metrics.build_seconds += charge + self._drain_lazy_charges()
+        result = attach_profile(self.bound.query, result, observer,
+                                plan.choice,
+                                root.total_order or root.atom_order,
+                                engine=root.engine or None,
+                                trace_out=trace_out)
+        if result.profile is not None:
+            result.profile.stages = reports
+        return result
 
     def _drain_lazy_charges(self) -> float:
         """Collect pending lazy materialization time from the structures."""
@@ -167,38 +181,6 @@ class PreparedJoin:
                 total += take()
         return total
 
-    # ------------------------------------------------------------------
-    def _execute_unified(self, materialize: bool, observer, charge: float,
-                         trace_out: "str | None") -> JoinResult:
-        """Run a stage-tree plan: children depth-first, root last.
-
-        The root stage runs under the caller's observer (so the profile's
-        level tree describes the root driver); child stages get private
-        observers when profiling is on, and their per-stage summaries
-        land on ``profile.stages``.  Lazy structures drain their pending
-        materialization time into this run's ``metrics.build_seconds`` —
-        deferred build cost surfaces on the execution that incurred it,
-        preserving the §5.15 build-included timing contract.
-        """
-        plan = self.plan
-        relations = dict(self.bound.relations)
-        result, reports = self._run_stage(plan.root_stage, relations,
-                                          observer, materialize, depth=0)
-        metrics = result.metrics
-        metrics.algorithm = "unified"
-        if plan.index and not metrics.index:
-            metrics.index = plan.index
-        metrics.build_seconds += charge + self._drain_lazy_charges()
-        root = plan.root_stage
-        order = root.total_order or root.atom_order
-        engine = plan.engine if root.algorithm == "generic" else None
-        result = attach_profile(self.bound.query, result, observer,
-                                plan.choice, order, engine=engine,
-                                trace_out=trace_out)
-        if result.profile is not None:
-            result.profile.stages = reports
-        return result
-
     def _run_stage(self, stage: PlanStage, relations: dict, observer,
                    materialize: bool, depth: int):
         """Execute one stage (children first); returns (result, reports).
@@ -207,10 +189,16 @@ class PreparedJoin:
         ordinary :class:`~repro.storage.relation.Relation` objects over
         the materialized rows, which is what lets a binary pipeline
         stage probe a Generic Join sub-plan's output with zero special
-        cases in the drivers.
+        cases in the drivers.  The root stage runs under the caller's
+        observer (so the profile's level tree describes the root
+        driver), child stages under private ones; ``reports`` — made
+        only when profiling is on — is the per-stage summaries that land
+        on ``profile.stages``, in pre-order.
         """
         reports: list[dict] = []
         child_runs: list[JoinResult] = []
+        if stage.children:
+            relations = dict(relations)
         for child in stage.children:
             child_obs = JoinObserver() if observer.enabled else NULL_OBSERVER
             child_result, child_reports = self._run_stage(
@@ -220,25 +208,27 @@ class PreparedJoin:
             feeder = stage_alias(child.label)
             relations[feeder] = Relation(feeder, child.output,
                                          child_result.rows)
-        driver = self._driver(stage, stage.query, relations, observer)
-        result = driver.run(materialize=materialize)
-        choice = stage.choice
-        estimated = None
-        if choice is not None:
-            estimated = (choice.binary_estimate
-                         if stage.algorithm == "binary" else choice.agm_bound)
-        report = {
-            "label": stage.label,
-            "depth": depth,
-            "algorithm": stage.algorithm,
-            "engine": stage.engine or None,
-            "index": stage.index or None,
-            "order": list(stage.total_order or stage.atom_order),
-            "estimated_rows": (float(estimated) if estimated is not None
-                               else None),
-            "actual_rows": int(result.count),
-            "seconds": round(result.metrics.probe_seconds, 6),
-        }
+        result = self._driver(stage, relations, observer).run(
+            materialize=materialize)
+        if observer.enabled:
+            choice = stage.choice
+            estimated = None
+            if choice is not None:
+                estimated = (choice.binary_estimate
+                             if stage.algorithm == "binary"
+                             else choice.agm_bound)
+            reports.insert(0, {
+                "label": stage.label,
+                "depth": depth,
+                "algorithm": stage.algorithm,
+                "engine": stage.engine or None,
+                "index": stage.index or None,
+                "order": list(stage.total_order or stage.atom_order),
+                "estimated_rows": (float(estimated) if estimated is not None
+                                   else None),
+                "actual_rows": int(result.count),
+                "seconds": round(result.metrics.probe_seconds, 6),
+            })
         # fold the children's work into this stage's metrics so the root
         # result reports whole-query totals; a child's output rows are
         # intermediates from the whole query's point of view
@@ -250,17 +240,22 @@ class PreparedJoin:
             metrics.lookups += child_metrics.lookups
             metrics.intermediate_tuples += (
                 child_metrics.intermediate_tuples + child_result.count)
-        return result, [report] + reports
+        return result, reports
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release execution resources (idempotent; no-op when there are
-        none).  A sharded prepared join shuts its worker pool down and —
-        on the cold path, where no session cache co-owns them — unlinks
-        the shared-memory shard segments.  Ordinary prepared joins hold
-        nothing that needs releasing."""
+        none).  A sharded prepared join shuts its worker pool down,
+        unlinks the shared-memory shard segments on the cold path —
+        where no session cache co-owns them — and drops its references
+        to the shard columns either way, so a cache that does co-own
+        them frees the segments the moment it lets go, not whenever
+        this object is collected.  Ordinary prepared joins hold nothing
+        that needs releasing."""
         if self._runner is not None:
             self._runner.close()
+            self._runner = None
+            self.structures = {}
 
     def __enter__(self) -> "PreparedJoin":
         return self

@@ -21,7 +21,6 @@ from collections.abc import Iterator
 from typing import ClassVar
 
 from repro.core.hashing import hash_tuple
-from repro.errors import ConfigurationError
 from repro.indexes.base import PointIndex
 
 _EMPTY = 0x80  # metadata byte for a never-used slot
@@ -152,10 +151,3 @@ class SwissTableSet(PointIndex):
     def memory_usage(self) -> int:
         """Design footprint: 1 metadata byte + 8 B/key-word per slot."""
         return self._capacity * (1 + 8 * self.arity)
-
-
-def make_swiss_set(arity: int, **kwargs) -> SwissTableSet:
-    """Registry-style factory for :class:`SwissTableSet`."""
-    if kwargs.pop("unknown", None):
-        raise ConfigurationError("unknown option")
-    return SwissTableSet(arity, **kwargs)

@@ -74,8 +74,3 @@ def decode_tuple(data: bytes) -> tuple:
         else:
             raise SchemaError(f"bad type tag {tag!r} at offset {position - 1}")
     return tuple(values)
-
-
-def encoded_int_width() -> int:
-    """Bytes one encoded integer occupies (tag + payload)."""
-    return 9

@@ -183,7 +183,9 @@ def join(query: "JoinQuery | str",
     ``repro.planner.total_order(query)`` for the paper's raw QP-tree
     order), ``dynamic_seed`` ablates the AGM-guided anchor selection,
     ``binary_order`` pins the binary pipeline's join order (Fig 1's
-    order-sensitivity axis).
+    order-sensitivity axis; under ``"unified"`` on a mixed query, the
+    order of the ear atoms above the core) and must name every atom
+    exactly once whichever algorithm runs.
 
     ``engine`` selects the Generic Join execution model: ``"tuple"``
     (default, the paper's tuple-at-a-time Alg. 1 over ``index``),

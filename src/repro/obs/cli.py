@@ -152,8 +152,8 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.algorithm:
         options["algorithm"] = args.algorithm
     elif args.explain and "algorithm" not in options:
-        # --explain is about the stage tree; unified plans are the ones
-        # that carry one
+        # --explain is about the stage tree; the unified planner is the
+        # one that may split it, and whose profile prints it
         options["algorithm"] = "unified"
     if args.engine:
         options["engine"] = args.engine

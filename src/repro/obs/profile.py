@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 #: bump when the JSON layout changes shape (validate_profile must follow)
 #: v2: optional ``sharding`` section (ShardedJoinProfile, PR 9)
-#: v3: optional ``stages`` list (unified stage-tree plans, PR 10)
+#: v3: ``stages`` list (the plan's stage tree, PR 10; every single-process
+#: profile carries it since PR 20 — one entry for a flat request)
 SCHEMA_VERSION = 3
 
 
@@ -92,9 +93,10 @@ class JoinProfile:
     histograms: dict = field(default_factory=dict)
     build_breakdown: dict = field(default_factory=dict)  # alias -> seconds
     spans: list[dict] = field(default_factory=list)
-    #: unified plans only: per-stage reports in pre-order, each carrying
-    #: label/depth/algorithm/engine/index/order and the estimated vs
-    #: actual cardinalities (see PreparedJoin._run_stage)
+    #: per-stage reports of the plan's stage tree in pre-order (one for
+    #: a flat request), each carrying label/depth/algorithm/engine/index/
+    #: order and the estimated vs actual cardinalities (see
+    #: PreparedJoin._run_stage)
     stages: list[dict] = field(default_factory=list)
 
     @property
@@ -181,7 +183,10 @@ class JoinProfile:
                 f"peak level cardinality {act['peak_level_cardinality']}, "
                 f"{act['intermediate_tuples']} intermediate tuples"
             )
-        if self.stages:
+        # a flat request's one stage is the header line above; under the
+        # "unified" label the header names no driver, so its tree prints
+        # even when it is one stage
+        if len(self.stages) > 1 or self.algorithm == "unified":
             lines.append("stage tree:")
             for stage in self.stages:
                 pad = "   " * int(stage.get("depth", 0))

@@ -40,23 +40,24 @@ def query_text(query) -> str:
 def plan_index_kwargs(plan) -> dict:
     """Reconstruct the ``**index_kwargs`` a worker re-plans with.
 
-    Inverts what the per-algorithm planners folded into the first
-    spec's options (every spec of a plan shares one option dict); plan
-    -internal markers (the leapfrog ``sorted`` presort) are dropped —
+    Inverts what the stage constructors folded into the root stage's
+    first spec's options (every spec of a stage shares one option dict);
+    plan-internal markers (the leapfrog ``sorted`` presort) are dropped —
     the worker's own planner re-derives them.
     """
-    if not plan.index_specs:
+    root = plan.root_stage
+    if not root.index_specs:
         return {}
-    options = dict(plan.index_specs[0].options)
-    if plan.algorithm == "generic":
+    options = dict(root.index_specs[0].options)
+    if root.algorithm == "generic":
         kwargs: dict = {}
-        if plan.index == "sonic":
+        if root.index == "sonic":
             kwargs["sonic_bucket_size"] = options.pop("bucket_size", 8)
             kwargs["sonic_overallocation"] = options.pop("overallocation", 2.0)
         if options:
             kwargs["index_options"] = options
         return kwargs
-    if plan.algorithm == "hashtrie":
+    if root.algorithm == "hashtrie":
         return {"lazy": options.get("lazy", True),
                 "singleton_pruning": options.get("singleton_pruning", True)}
     return {}
@@ -87,16 +88,18 @@ class ShardedRunner:
 
     # ------------------------------------------------------------------
     def _build_template(self) -> dict:
-        plan = self.plan
+        # a sharded plan is one stage (plan() refuses a root with
+        # children): each worker re-plans that stage over its shard
+        root = self.plan.root_stage
         return {
             "query": query_text(self.bound.query),
-            "algorithm": plan.algorithm,
-            "index": plan.index,
-            "engine": plan.engine,
-            "order": list(plan.total_order),
-            "atom_order": list(plan.atom_order),
-            "dynamic_seed": plan.dynamic_seed,
-            "index_kwargs": plan_index_kwargs(plan),
+            "algorithm": root.algorithm,
+            "index": root.index,
+            "engine": root.engine,
+            "order": list(root.total_order),
+            "atom_order": list(root.atom_order),
+            "dynamic_seed": self.plan.dynamic_seed,
+            "index_kwargs": plan_index_kwargs(self.plan),
         }
 
     def _plan_signature(self) -> tuple:
@@ -185,8 +188,9 @@ class ShardedRunner:
         executed = [r for r in shard_results if r.get("algorithm")]
         algorithm = (executed[0]["algorithm"] if executed
                      else self.plan.algorithm)
+        # every shard skipped (empty inputs): the stage's own schema
         attributes = (tuple(executed[0]["attributes"]) if executed
-                      else self._fallback_attributes())
+                      else self.plan.root_stage.output)
         if observer.enabled:
             observer.metrics.inc("parallel.executions")
             observer.metrics.inc("parallel.shards", workers)
@@ -207,17 +211,6 @@ class ShardedRunner:
                                    self.plan, shard_results,
                                    trace_out=trace_out)
         return result
-
-    def _fallback_attributes(self) -> "tuple[str, ...]":
-        """Result schema when every shard was skipped (empty inputs)."""
-        plan = self.plan
-        if plan.algorithm != "binary":
-            return plan.total_order
-        output = list(self.bound.query.attributes_of(plan.atom_order[0]))
-        for spec in plan.index_specs:
-            key_arity = spec.key_arity or 0
-            output.extend(spec.attribute_order[key_arity:])
-        return tuple(output)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -152,6 +152,13 @@ class TestOptionPolicing:
             join(TRIANGLE, tables, engine="vectorized")
 
 
+def with_specs(compiled, specs):
+    """``compiled`` with its (one) stage's index specs replaced."""
+    return dataclasses.replace(
+        compiled, root_stage=dataclasses.replace(compiled.root_stage,
+                                                 index_specs=specs))
+
+
 class TestPlanValidation:
     """RA306/RA307 over hand-corrupted plans."""
 
@@ -176,15 +183,13 @@ class TestPlanValidation:
         compiled = plan(bound)
         bad = dataclasses.replace(compiled.index_specs[0],
                                   permutation=(0, 2))
-        compiled = dataclasses.replace(
-            compiled, index_specs=(bad,) + compiled.index_specs[1:])
+        compiled = with_specs(compiled, (bad,) + compiled.index_specs[1:])
         codes = [i.code for i in validate_join_plan(compiled)]
         assert "RA306" in codes
 
     def test_ra306_missing_spec(self, bound):
         compiled = plan(bound)
-        compiled = dataclasses.replace(compiled,
-                                       index_specs=compiled.index_specs[:2])
+        compiled = with_specs(compiled, compiled.index_specs[:2])
         with pytest.raises(PlanValidationError, match="RA306"):
             check_join_plan(compiled)
 
@@ -192,8 +197,7 @@ class TestPlanValidation:
         compiled = plan(bound, algorithm="binary",
                         binary_order=["E1", "E2", "E3"])
         bad = dataclasses.replace(compiled.index_specs[0], key_arity=None)
-        compiled = dataclasses.replace(
-            compiled, index_specs=(bad,) + compiled.index_specs[1:])
+        compiled = with_specs(compiled, (bad,) + compiled.index_specs[1:])
         codes = [i.code for i in validate_join_plan(compiled)]
         assert "RA306" in codes
 
@@ -201,8 +205,7 @@ class TestPlanValidation:
         compiled = plan(bound)
         stray = IndexSpec(alias="Z", kind="sonic",
                           attribute_order=("a", "b"), permutation=(0, 1))
-        compiled = dataclasses.replace(
-            compiled, index_specs=compiled.index_specs + (stray,))
+        compiled = with_specs(compiled, compiled.index_specs + (stray,))
         codes = [i.code for i in validate_join_plan(compiled)]
         assert "RA306" in codes
 

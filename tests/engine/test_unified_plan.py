@@ -117,10 +117,12 @@ class TestMixedPlanEquivalence:
         assert compiled.root_stage.algorithm == "generic"
         assert compiled.root_stage.children == ()
 
-    def test_unified_rejects_parallel(self, edges):
-        relations = {"E1": edges, "E2": edges, "E3": edges}
+    def test_unified_rejects_parallel(self, edges, tail):
+        # by tree shape: a root with a child stage (a one-stage unified
+        # plan shards like the flat plan it is)
+        relations = {"E1": edges, "E2": edges, "E3": edges, "T": tail}
         with pytest.raises(ConfigurationError, match="sharded"):
-            join(TRIANGLE, relations, algorithm="unified", parallel=2)
+            join(TRIANGLE_TAIL, relations, algorithm="unified", parallel=2)
 
     def test_unified_profile_carries_stage_reports(self, edges, tail):
         relations = {"E1": edges, "E2": edges, "E3": edges, "T": tail}
@@ -344,7 +346,9 @@ class TestStageTreeValidation:
                         index="hashtrie")
         bad_specs = tuple(dataclasses.replace(s, lazy=True)
                           for s in compiled.index_specs)
-        bad = dataclasses.replace(compiled, index_specs=bad_specs)
+        bad = dataclasses.replace(
+            compiled, root_stage=dataclasses.replace(
+                compiled.root_stage, index_specs=bad_specs))
         codes = {i.code for i in validate_join_plan(bad)}
         assert codes == {"RA309"}
         with pytest.raises(PlanValidationError, match="RA309"):

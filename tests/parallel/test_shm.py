@@ -12,7 +12,10 @@ import glob
 import pickle
 
 import numpy as np
+import pytest
 
+from repro.engine import Session
+from repro.errors import ExecutionError
 from repro.parallel import (
     SEGMENT_PREFIX,
     attach_array,
@@ -101,3 +104,42 @@ def test_sharded_columns_close_is_idempotent():
     assert not [e for e in shm_entries() if "repro_shm_" in e
                 and any(h.name and h.name in e
                         for h in columns.handles_for(0))]
+
+
+TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
+
+
+def _closed_sharded_join(session_first: bool):
+    """A sharded prepared join and its session, both closed, both alive."""
+    edges = Relation("E", ("s", "t"),
+                     [(i, j) for i in range(8) for j in range(8) if i != j])
+    session = Session({"E": edges})
+    prepared = session.prepare(TRIANGLE, parallel=2)
+    assert prepared.execute().count == 8 * 7 * 6
+    for closeable in ((session, prepared) if session_first
+                      else (prepared, session)):
+        closeable.close()
+    return prepared, session
+
+
+@pytest.mark.parametrize("session_first", [False, True])
+def test_closed_sharded_join_holds_no_segment(session_first):
+    # the cache co-owns the columns: once it and the prepared join have
+    # both let go, nothing but the collector could keep a segment alive
+    # — and it must not take the collector
+    before = set(shm_entries())
+    gc.collect()
+    gc.disable()
+    try:
+        held = _closed_sharded_join(session_first)
+        assert set(shm_entries()) == before
+    finally:
+        gc.enable()
+    del held
+
+
+def test_closed_sharded_join_refuses_to_execute():
+    prepared, _session = _closed_sharded_join(session_first=False)
+    with pytest.raises(ExecutionError, match="closed"):
+        prepared.execute()
+    prepared.close()  # still idempotent
