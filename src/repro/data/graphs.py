@@ -2,15 +2,14 @@
 
 The paper evaluates cycle counting (triangles, rectangles, pentagons) over
 two-column edge relations.  These generators produce edge relations from
-standard random-graph models (via :mod:`networkx`), with the symmetrized
+standard random-graph models (via :mod:`networkx`, imported by the
+generator that is called, not with the package), with the symmetrized
 form the cycle queries expect (an undirected edge stored in both
 directions), and helpers to compute ground-truth triangle counts for test
 oracles.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.storage.relation import Relation
@@ -42,6 +41,8 @@ def barabasi_albert_graph(nodes: int, attached_edges: int = 5,
     """Scale-free graph (preferential attachment): heavy-tailed degrees."""
     if nodes <= attached_edges:
         raise ConfigurationError("nodes must exceed attached_edges")
+    import networkx as nx
+
     return nx.barabasi_albert_graph(nodes, attached_edges, seed=seed)
 
 
@@ -49,6 +50,8 @@ def powerlaw_cluster_graph(nodes: int, attached_edges: int = 5,
                            triangle_probability: float = 0.3,
                            seed: int = 0) -> nx.Graph:
     """Power-law graph with tunable clustering (social-network-like)."""
+    import networkx as nx
+
     return nx.powerlaw_cluster_graph(nodes, attached_edges,
                                      triangle_probability, seed=seed)
 
@@ -56,12 +59,16 @@ def powerlaw_cluster_graph(nodes: int, attached_edges: int = 5,
 def erdos_renyi_graph(nodes: int, probability: float, seed: int = 0,
                       directed: bool = False) -> nx.Graph:
     """Uniform random graph."""
+    import networkx as nx
+
     return nx.gnp_random_graph(nodes, probability, seed=seed, directed=directed)
 
 
 def random_edge_relation(nodes: int, edges: int, seed: int = 0,
                          name: str = "E") -> Relation:
     """A uniformly random directed edge relation of the requested size."""
+    import networkx as nx
+
     graph = nx.gnm_random_graph(nodes, edges, seed=seed, directed=True)
     return edges_relation(graph, name=name, symmetric=False)
 

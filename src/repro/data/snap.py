@@ -27,8 +27,6 @@ from repro.data.graphs import edges_relation, powerlaw_cluster_graph
 from repro.errors import ConfigurationError
 from repro.storage.relation import Relation
 
-import networkx as nx
-
 #: per-dataset synthetic recipe: (nodes at scale=1, model parameters)
 _RECIPES = {
     "facebook": {"nodes": 400, "attached": 11, "clustering": 0.6,
@@ -64,6 +62,8 @@ def load_snap_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Relation:
                                       recipe["clustering"], seed=seed)
     if not recipe["directed"]:
         return edges_relation(backbone, name=name)
+
+    import networkx as nx
 
     rng = nx.utils.create_random_state(seed + 1)
     rows: set[tuple] = set()

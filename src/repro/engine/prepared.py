@@ -73,6 +73,9 @@ class PreparedJoin:
         #: are already pinned to it)
         self._prepared_rows = {alias: len(relation)
                                for alias, relation in bound.relations.items()}
+        #: index adapters of the childless stages, by ``id(stage)`` (the
+        #: plan keeps its stages alive), made by the first run
+        self._adapters: dict[int, dict[str, IndexAdapter]] = {}
         self._runner = None
         if plan.sharding is not None:
             # imported lazily — repro.parallel's worker re-enters the
@@ -87,7 +90,10 @@ class PreparedJoin:
     # ------------------------------------------------------------------
     def _driver(self, stage: PlanStage, relations: dict, observer):
         """A fresh driver for ``stage`` over the shared structures.
-        Adapters are stateless wrappers: making them builds nothing."""
+        Adapters are stateless wrappers: a childless stage joins
+        prepared relations only, so the ones its first run makes are
+        kept; a stage with children joins relations made during the
+        run and wraps them each time."""
         algorithm, query = stage.algorithm, stage.query
         if algorithm == "binary":
             # a child stage's output is made during this execution and
@@ -103,12 +109,16 @@ class PreparedJoin:
         if algorithm == "recursive":
             return RecursiveJoin(query, relations, order=stage.total_order,
                                  edges=self.structures)
-        adapters = {
-            atom.alias: IndexAdapter(relations[atom.alias],
-                                     self.structures[atom.alias],
-                                     stage.total_order)
-            for atom in query.atoms
-        }
+        adapters = self._adapters.get(id(stage))
+        if adapters is None:
+            adapters = {
+                atom.alias: IndexAdapter(relations[atom.alias],
+                                         self.structures[atom.alias],
+                                         stage.total_order)
+                for atom in query.atoms
+            }
+            if not stage.children:
+                self._adapters[id(stage)] = adapters
         if algorithm == "hashtrie":
             return HashTrieJoin(query, relations, order=stage.total_order,
                                 obs=observer, adapters=adapters)

@@ -225,6 +225,21 @@ class ColumnarTrie:
             return indptr[:1], indptr[1:]
         return indptr[parents], indptr[parents + 1]
 
+    def tuple_counts(self, depth: int, nodes: np.ndarray) -> np.ndarray:
+        """How many stored tuples extend each level-``depth`` node — the
+        paper's ``count_prefix`` for a column of bound prefixes.
+
+        Nodes are ordered by prefix, so a node's descendants at any
+        deeper level are one contiguous id range: the CSR ``indptr`` of
+        every deeper level carries the range's two ends one level down
+        (two gathers per level over ``nodes``, nothing stored), and at
+        the leaf level a range's width is its tuple count.
+        """
+        first, end = nodes, nodes + 1
+        for indptr in self.indptr[depth + 1:]:
+            first, end = indptr[first], indptr[end]
+        return end - first
+
     def probe(self, depth: int, parents: "np.ndarray | None",
               values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Find the child of ``parents[i]`` holding ``values[i]``, for all i.

@@ -29,9 +29,29 @@ rows:
 The expanded frontier is cut into blocks of :data:`BLOCK_ROWS` *expanded*
 rows and the blocks are processed depth-first, so live intermediates are
 bounded by depth x block however wide a level gets, while the candidate
-sets and the intersection discipline — hence the per-level intermediate
-counts and worst-case optimality — are exactly the tuple driver's.  Both
-engines agree tuple-for-tuple (``tests/joins/test_frontier_differential.py``).
+sets and the intersection discipline are exactly the tuple driver's.  A
+materialising run therefore has the tuple driver's per-level
+intermediate counts, and both engines agree tuple-for-tuple
+(``tests/joins/test_frontier_differential.py``).
+
+**Counting stops where joining stops.**  The *tail* is the longest
+suffix of the total order whose every level has exactly one participant:
+nothing is intersected there, so expanding it only multiplies rows
+(``connectivity_order`` already puts the degree-1 attributes last; a
+pinned ``order=`` gets whatever suffix it has).  A counting run that
+reaches the tail's first level finishes there: a frontier row stands for
+``Π_atoms tuples_below(atom's node)`` results — 1 for an atom with no
+level left, ``len(trie)`` for one still at its root, otherwise
+:meth:`~repro.indexes.columnar.ColumnarTrie.tuple_counts`, the paper's
+``count_prefix`` (§3.1) over a column of prefixes — and the block adds
+the sum of those products to the sink.  The product is taken in int64
+only when ``rows x Π max count`` stays below 2**63; past that it is
+accumulated in Python ints, so a count is exact however large.  Tail
+levels report no candidates or survivors and add nothing to
+``intermediate_tuples`` (a count is one lookup per row and atom), so in
+counting mode those numbers sit below the tuple driver's whenever the
+query has a private attribute; an enabled observer is told as
+``frontier.tail_levels`` / ``frontier.tail_rows``.
 
 Per-level ``candidates`` / ``survivors`` / ``seed_counts`` / ``time_ns``
 cost O(1) per block, so they are always collected, through this one
@@ -41,6 +61,7 @@ path; an enabled observer is handed the same accumulators.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import prod
 
 import numpy as np
 
@@ -111,6 +132,20 @@ class GenericJoinBatch:
                 key=lambda p: len(adapters[self._aliases[level[p][0]]].relation))
             for level in self._participants
         ]
+        #: first level of the tail (see module docstring); ``len(order)``
+        #: when the last attribute joins something
+        self._tail = len(self.order)
+        while self._tail and len(self._participants[self._tail - 1]) == 1:
+            self._tail -= 1
+        #: ``(atom id, levels bound before the tail)`` of every atom that
+        #: still has levels left where the tail begins
+        head = set(self.order[:self._tail])
+        self._tail_atoms: list[tuple[int, int]] = []
+        for alias in self._aliases:
+            attributes = adapters[alias].attribute_order
+            done = len(head.intersection(attributes))
+            if done < len(attributes):
+                self._tail_atoms.append((alias_id[alias], done))
         self.metrics = JoinMetrics(algorithm="generic_join_batch")
         self.obs = obs if obs is not None else NULL_OBSERVER
 
@@ -124,7 +159,9 @@ class GenericJoinBatch:
         labels = [[self._aliases[atom] for atom, _, _ in level]
                   for level in self._participants]
         self._stats = obs.init_levels(self.order, labels)
-        self._blocks = self._live = self._peak = 0
+        self._blocks = self._live = self._peak = self._tail_rows = 0
+        #: the level a counting run is finished at from subtree sizes
+        self._counted_from = len(self.order) if materialize else self._tail
         with obs.tracer.span("probe", algorithm="generic_join_batch",
                              engine="batch"):
             # the root binding: one row, every atom at its trie's root
@@ -132,6 +169,9 @@ class GenericJoinBatch:
         if obs.enabled:
             obs.metrics.inc("frontier.blocks", self._blocks)
             obs.metrics.inc("frontier.peak_rows", self._peak)
+            obs.metrics.inc("frontier.tail_levels",
+                            len(self.order) - self._counted_from)
+            obs.metrics.inc("frontier.tail_rows", self._tail_rows)
         self.metrics.probe_seconds += watch.lap()
         self.metrics.result_count = sink.count
         return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)
@@ -146,6 +186,9 @@ class GenericJoinBatch:
         left); ``bound`` holds the block's value columns, in total order,
         when materialising.
         """
+        if level == self._counted_from:
+            self._count_tail(nodes, rows)
+            return
         stats = self._stats[level]
         t0 = Stopwatch.now_ns()
         participants = self._participants[level]
@@ -156,7 +199,7 @@ class GenericJoinBatch:
             parents = nodes[atom]
             start, end = trie.child_ranges(depth, parents)
             count = end - start
-            if parents is None:
+            if parents is None and rows > 1:
                 # the root's one range stands for every row of the block
                 start = np.broadcast_to(start, (rows,))
                 count = np.broadcast_to(count, (rows,))
@@ -180,6 +223,40 @@ class GenericJoinBatch:
                 if chosen is None:
                     break
         stats.time_ns += Stopwatch.now_ns() - t0
+
+    def _count_tail(self, nodes: list, rows: int) -> None:
+        """Finish a counting block where the tail begins: every row
+        stands for the product, over the atoms with levels left, of the
+        tuples below the row's node, and the block for their sum."""
+        t0 = Stopwatch.now_ns()
+        self._tail_rows += rows
+        whole = 1           # atoms still at their root, as a Python int
+        columns = []
+        for atom, done in self._tail_atoms:
+            source = self._sources[atom]
+            trie = source.at_depth(source.arity)
+            if done == 0:
+                whole *= len(trie)
+            else:
+                columns.append(trie.tuple_counts(done - 1, nodes[atom]))
+        self.metrics.lookups += rows * len(columns)
+        if not columns:
+            total = rows
+        else:
+            bound = rows
+            for column in columns:
+                bound *= int(column.max())
+            if bound < 2 ** 63:
+                # no product and no partial sum can pass ``bound``
+                product = columns[0]
+                for column in columns[1:]:
+                    product *= column
+                total = int(product.sum())
+            else:
+                total = sum(map(prod, zip(*(column.tolist()
+                                            for column in columns))))
+        self._sink.emit_columns((), total * whole)
+        self._stats[self._tail].time_ns += Stopwatch.now_ns() - t0
 
     def _expand(self, level: int, position: int,
                 chosen: "np.ndarray | None", tries: list, starts: np.ndarray,

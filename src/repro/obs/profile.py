@@ -204,7 +204,10 @@ class JoinProfile:
                     f"  {stage.get('seconds', 0.0) * 1e3:.3f} ms"
                 )
         probe = self.probe_seconds or 1.0
-        for depth, level in enumerate(self.levels):
+        # a counting run of the batch engine does not expand the levels
+        # after the last attribute that joins anything
+        tail = len(self.levels) - self.counters.get("frontier.tail_levels", 0)
+        for depth, level in enumerate(self.levels[:tail]):
             pad = "   " * depth
             seed = level.seed
             chosen = level.seed_counts.get(seed, 0)
@@ -217,6 +220,15 @@ class JoinProfile:
                 f"{pad}└─ {level.label}: {seed_note}"
                 f"  candidates={level.candidates} survivors={level.survivors}"
                 f"  {level.seconds * 1e3:.3f} ms ({pct:.0f}% of probe)"
+            )
+        if tail < len(self.levels):
+            # the subtree count's time is on the tail's first level
+            seconds = self.levels[tail].seconds
+            labels = ", ".join(level.label for level in self.levels[tail:])
+            lines.append(
+                f"{'   ' * tail}└─ {labels}: counted from subtree sizes"
+                f"  {seconds * 1e3:.3f} ms"
+                f" ({min(100.0 * seconds / probe, 100.0):.0f}% of probe)"
             )
         if self.counters:
             lines.append("counters:")

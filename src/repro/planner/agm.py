@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import QueryError
 from repro.planner.hypergraph import Hypergraph
@@ -77,6 +76,11 @@ def fractional_cover(hypergraph: Hypergraph,
 
 @lru_cache(maxsize=1024)
 def _solve_cover(structure, sizes) -> FractionalCover:
+    # scipy.optimize costs ~0.45 s and ~50 MiB to import and no default
+    # plan over the frontier engine solves the LP: load it with the
+    # first cover, not with ``import repro``
+    from scipy.optimize import linprog
+
     vertices, edges = structure
     edge_names = [name for name, _ in edges]
     covers = [frozenset(attrs) for _, attrs in edges]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.errors import QueryError
 from repro.planner.query import JoinQuery
 
@@ -85,6 +83,8 @@ class Hypergraph:
 
     def is_connected(self) -> bool:
         """Is the hypergraph connected (no cartesian-product components)?"""
+        import networkx as nx
+
         graph = self.intersection_graph()
         if graph.number_of_nodes() <= 1:
             return True
@@ -92,6 +92,10 @@ class Hypergraph:
 
     def intersection_graph(self) -> nx.Graph:
         """Edges as nodes, linked when they share a vertex (the line graph)."""
+        # networkx is needed by these two diagnostics only: imported on
+        # first use so that ``import repro`` does not pay for it
+        import networkx as nx
+
         graph = nx.Graph()
         names = list(self.edges)
         graph.add_nodes_from(names)

@@ -15,6 +15,7 @@ hold the same arrays and answer every probe as the packed one does.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -291,6 +292,42 @@ def test_truncated_and_full_tries_number_shared_levels_identically(case):
             # same packing decision, so the same keys: a frontier holding
             # node ids from the truncated trie probes the full one as is
             assert truncated.keys[level].tolist() == full.keys[level].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets(), st.sampled_from([1, 64, columnar.PACK_LIMIT]))
+@example((2, [(INT64.min, 5), (INT64.min, 6), (INT64.max, -3), (0, 0),
+              (0, INT64.max), (0, INT64.min)]), columnar.PACK_LIMIT)
+@example((4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+              (1, 0, 0, 0), (0, 0, 0, 0)]), 1)
+@example((1, [(3,), (3,), (INT64.max,)]), 1)
+def test_tuple_counts_match_a_counter_over_row_prefixes(case, limit):
+    arity, rows = case
+    saved = columnar.PACK_LIMIT
+    columnar.PACK_LIMIT = limit     # 1: every level on dense-rank codes
+    try:
+        trie = build_trie(rows, arity)
+    finally:
+        columnar.PACK_LIMIT = saved
+    if rows and limit == 1:
+        assert all(codes is not None for codes in trie.codes)
+    resident = trie.memory_usage()
+    rng = random.Random(len(rows))
+    for depth in range(arity):
+        below = Counter(row[:depth + 1] for row in set(rows))
+        prefixes = sorted(below)        # a node's id is its prefix's rank
+        # any order, repeats included: a frontier column, not a scan
+        nodes = [rng.randrange(len(prefixes))
+                 for _ in range(2 * len(prefixes))]
+        counts = trie.tuple_counts(depth, np.array(nodes, dtype=np.int64))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [below[prefixes[node]] for node in nodes]
+        for node in nodes[:5]:
+            assert descend(trie, prefixes[node]) == node
+        assert trie.tuple_counts(
+            depth, np.empty(0, dtype=np.int64)).size == 0
+    # composed from the stored CSR ranges: nothing is kept for it
+    assert trie.memory_usage() == resident
 
 
 def test_extreme_spans_fall_back_to_rank_codes():

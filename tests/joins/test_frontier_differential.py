@@ -11,6 +11,14 @@ on and off, counting and materialising sinks, ``lazy``, ``unified`` and
 into blocks is shrunk per example, so block boundaries fall everywhere:
 inside a hub's children, between two rows, exactly at the end.
 
+A counting run stops at the *tail* — the suffix of the total order no
+second atom binds — and multiplies subtree sizes instead of expanding
+it, so every counting cell is also held to its own materialising twin
+(same count, no more intermediates), and the ``TAIL`` seeds place the
+tail by hand: shorter than the private set, the whole order, empty,
+over an empty relation, behind lazy tries, a static seed, one-row
+blocks, two shards and a unified plan whose ear rides the core.
+
 Failures hypothesis shrank are kept below as ``@example`` seeds.
 
 The last section is the *route* differential: which engine ``auto`` and
@@ -127,6 +135,14 @@ def check(query, tables, order, options, **extra) -> None:
                      dynamic_seed=options["dynamic_seed"])
     assert sorted(map(sorted, labelled(reference)), key=repr) == \
         sorted(map(sorted, truth), key=repr)
+    if not options["materialize"]:
+        # a count is the length of the same run's materialised result,
+        # reached without expanding more than that run does
+        rows = run_batch(query, tables, order,
+                         {**options, "materialize": True}, **extra)
+        assert type(got.count) is int and got.count == len(rows.rows)
+        assert got.metrics.intermediate_tuples <= \
+            rows.metrics.intermediate_tuples
     if options["mode"] == "unified":
         # a unified plan may run acyclic parts as binary hash stages,
         # which keep the input's duplicate rows: compare as sets
@@ -136,8 +152,8 @@ def check(query, tables, order, options, **extra) -> None:
             assert (got.count == 0) == (not truth)
         return
     assert got.count == len(truth)
-    assert got.metrics.intermediate_tuples >= got.count
     if options["materialize"]:
+        assert got.metrics.intermediate_tuples >= got.count
         rows = labelled(got)
         assert len(rows) == len(truth) and set(rows) == truth
         assert got.attributes == reference.attributes
@@ -147,14 +163,73 @@ def check(query, tables, order, options, **extra) -> None:
 
 def _case(atoms, rows_by_name, order=None, **options):
     """An explicit seed in the shape :func:`cases` draws."""
-    stored = {name: Relation(name, tuple(f"c{i}" for i in range(len(rows[0]))
-                                         ) if rows else ("c0",), rows)
+    arity = {name: len(attributes) for name, attributes in atoms}
+    stored = {name: Relation(name, tuple(f"c{i}" for i in range(arity[name])),
+                             rows)
               for name, rows in rows_by_name.items()}
     query = JoinQuery([Atom(name, tuple(attributes), alias=f"A{i}")
                        for i, (name, attributes) in enumerate(atoms)])
     defaults = {"dynamic_seed": True, "materialize": True, "mode": "plain",
                 "block": 2}
     return query, stored, order, {**defaults, **options}
+
+
+#: two-column fans over the hub value 0, and a triangle around it
+FAN = [(0, v) for v in range(5)] + [(1, 7), (2, 8)]
+HUB = [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)]
+STAR = ([("W", "tab"), ("R", "tc"), ("S", "td")],
+        {"W": [(0, 1, 2), (0, 1, 3), (0, 2, 2), (1, 5, 6)], "R": FAN,
+         "S": HUB})
+
+#: counting runs that meet the tail from every side
+TAIL = {
+    # a private attribute first: the tail (c) is shorter than the
+    # private set (a, c)
+    "private_first": _case(
+        [("R", "ab"), ("S", "bc")], {"R": FAN, "S": HUB},
+        order=("a", "b", "c"), materialize=False),
+    # ... and in the middle, expanded although nothing joins on it
+    "private_middle": _case(
+        [("R", "ab"), ("S", "bc"), ("T", "cd")],
+        {"R": FAN, "S": HUB, "T": FAN},
+        order=("b", "a", "c", "d"), materialize=False),
+    # every attribute private: the tail starts at level 0
+    "single_atom": _case(
+        [("W", "abc")], {"W": [(0, 1, 2), (0, 1, 3), (4, 5, 6), (0, 1, 2)]},
+        materialize=False),
+    "cross_product": _case(
+        [("R", "ab"), ("S", "cd"), ("P", "e")],
+        {"R": FAN, "S": HUB + HUB[:2], "P": [(3,), (4,), (3,)]},
+        materialize=False),
+    # no private attribute: the tail is empty
+    "triangle": _case(
+        [("E", "ab"), ("E", "bc"), ("E", "ca")], {"E": HUB},
+        materialize=False),
+    # an empty relation, joined and as a cross-product factor
+    "empty_joined": _case(
+        [("R", "ab"), ("S", "bc")], {"R": FAN, "S": []},
+        materialize=False),
+    "empty_factor": _case(
+        [("R", "ab"), ("P", "c")], {"R": FAN, "P": []}, materialize=False),
+    # a star whose three satellites are counted from two bound levels,
+    # one bound level and the root's neighbour
+    "star": _case(*STAR, materialize=False),
+    "star_lazy": _case(*STAR, materialize=False, mode="lazy"),
+    "star_static_seed_block_1": _case(
+        *STAR, materialize=False, dynamic_seed=False, block=1),
+    # the triangle's ear rides the core's stage and is its tail
+    "unified_ear_rides": _case(
+        [("E", "ab"), ("E", "bc"), ("E", "ca"), ("R", "ad")],
+        {"E": HUB, "R": FAN}, materialize=False, mode="unified"),
+}
+
+
+def examples(seeds):
+    def decorate(test):
+        for seed in seeds:
+            test = example(seed)(test)
+        return test
+    return decorate
 
 
 @settings(max_examples=300, deadline=None,
@@ -178,6 +253,7 @@ def _case(atoms, rows_by_name, order=None, **options):
 # an empty relation beside a non-empty one, lazily
 @example(_case([("R", "ab"), ("S", "b")],
                {"R": [(1, 2)], "S": []}, mode="lazy"))
+@examples(TAIL.values())
 def test_batch_equals_tuple_equals_brute_force(case):
     check(*case)
 
@@ -186,9 +262,72 @@ def test_batch_equals_tuple_equals_brute_force(case):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(cases())
+@examples(TAIL[name] for name in ("private_first", "star", "empty_joined"))
 def test_sharded_batch_equals_brute_force(case):
     query, tables, order, options = case
     check(query, tables, order, {**options, "mode": "plain"}, parallel=2)
+
+
+@pytest.mark.parametrize("name, tail_levels, tail_rows, count", [
+    ("private_first", 1, 3, 6), ("private_middle", 1, 6, 14),
+    ("single_atom", 3, 1, 3), ("cross_product", 5, 1, 84),
+    ("triangle", 0, 0, 6), ("empty_joined", 2, 0, 0),
+    ("empty_factor", 3, 1, 0), ("star", 4, 2, 32), ("star_lazy", 4, 2, 32),
+    ("star_static_seed_block_1", 4, 2, 32), ("unified_ear_rides", 1, 6, 14),
+])
+def test_tail_seeds_meet_the_tail_where_they_say(name, tail_levels,
+                                                 tail_rows, count):
+    """The seeds above are only worth keeping while the tail is where
+    their comments put it: the profile's two counters say so, and a
+    materialising run has no tail."""
+    query, tables, order, options = TAIL[name]
+    for materialize, expected in ((False, (tail_levels, tail_rows)),
+                                  (True, (0, 0))):
+        result = run_batch(query, tables, order,
+                           {**options, "materialize": materialize},
+                           profile=True)
+        counters = result.profile.counters
+        assert result.count == count
+        assert (counters["frontier.tail_levels"],
+                counters["frontier.tail_rows"]) == expected
+
+
+# ----------------------------------------------------------------------
+# counts past int64
+# ----------------------------------------------------------------------
+#: two keys fanning out to 70 000 and 50 000 rows
+WIDE, NARROW = 70_000, 50_000
+
+
+@pytest.mark.parametrize("atoms, expected, without_last", [
+    # a star: per key, the product of four fans
+    ([("F", "tw"), ("F", "tx"), ("F", "ty"), ("F", "tz")],
+     WIDE ** 4 + NARROW ** 4, WIDE ** 3 + NARROW ** 3),
+    # a cross product: every atom still at its root
+    ([("F", "ab"), ("F", "cd"), ("F", "ef"), ("F", "gh")],
+     (WIDE + NARROW) ** 4, (WIDE + NARROW) ** 3),
+    # both at once
+    ([("F", "tw"), ("F", "tx"), ("F", "ty"), ("F", "cd")],
+     (WIDE ** 3 + NARROW ** 3) * (WIDE + NARROW), WIDE ** 3 + NARROW ** 3),
+])
+def test_a_count_past_int64_is_an_exact_python_int(atoms, expected,
+                                                   without_last):
+    """The tail's product is the engine's one multiply of data-sized
+    numbers.  Past 2**63 it must come back as the exact Python int —
+    never wrapped, never a float; one atom fewer fits int64, takes the
+    array product and obeys the same arithmetic."""
+    assert expected > 2 ** 63 > without_last
+    rows = [(key, value) for key, width in enumerate((WIDE, NARROW))
+            for value in range(width)]
+    query, tables, _, _ = _case(atoms, {"F": rows})
+    for options in ({}, {"lazy": True}, {"dynamic_seed": False}):
+        got = join(query, tables, engine="batch", **options)
+        assert type(got.count) is int and got.count == expected
+        assert type(got.metrics.result_count) is int
+        assert got.metrics.result_count == expected
+    query, tables, _, _ = _case(atoms[:3], {"F": rows})
+    small = join(query, tables, engine="batch")
+    assert type(small.count) is int and small.count == without_last
 
 
 # ----------------------------------------------------------------------

@@ -179,6 +179,34 @@ class TestProfileShape:
         assert choice.algorithm == "wcoj"
         assert choice.agm_bound is None and choice.binary_estimate is None
 
+    def test_render_says_which_levels_were_counted_not_expanded(self):
+        """A counting batch run stops at the last attribute that joins
+        anything; the profile names the levels it did not expand."""
+        hub = Relation("F", ("t", "x"), [(i, i) for i in range(40)])
+        sat = Relation("A", ("t", "p", "q"),
+                       [(i % 40, i, i % 7) for i in range(90)])
+        tables = {"F": hub, "A": sat}
+        options = {"engine": "batch", "order": ("t", "x", "p", "q")}
+        counted = join("F(t,x), A(t,p,q)", tables, profile=True, **options)
+        payload = validate_profile(counted.profile.as_dict())
+        assert counted.count == 90
+        assert payload["counters"]["frontier.tail_levels"] == 3
+        assert payload["counters"]["frontier.tail_rows"] == 40
+        assert [(lv["label"], lv["candidates"], lv["survivors"])
+                for lv in payload["levels"]] == [
+            ("t", 40, 40), ("x", 0, 0), ("p", 0, 0), ("q", 0, 0)]
+        assert payload["levels"][1]["seconds"] > 0     # the subtree count
+        text = counted.profile.render()
+        assert "   └─ x, p, q: counted from subtree sizes" in text
+        assert "candidates=0" not in text
+        # a materialising run expands every level and says so
+        rows = join("F(t,x), A(t,p,q)", tables, profile=True,
+                    materialize=True, **options)
+        assert rows.profile.counters["frontier.tail_levels"] == 0
+        assert [lv.survivors for lv in rows.profile.levels] == [40, 40, 90, 90]
+        text = rows.profile.render()
+        assert "counted from" not in text and "└─ q:" in text
+
 
 #: what Alg. 1 does on the ``edges`` fixture, whichever tuple-style WCOJ
 #: driver and index runs it: (label, candidates, survivors, descends,

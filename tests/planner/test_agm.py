@@ -1,6 +1,10 @@
 """AGM bound / fractional edge cover tests (§2.1–2.2)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +20,63 @@ from repro.planner import (
 )
 
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
 def hypergraph(text):
     return Hypergraph.from_query(parse_query(text))
+
+
+def fresh_interpreter(script: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout.strip()
+
+
+HEAVY = """
+def heavy():
+    return sorted({name.split(".")[0] for name in sys.modules}
+                  & {"scipy", "networkx"})
+"""
+
+
+class TestHeavyImportsOnFirstUse:
+    """scipy.optimize (the LP) and networkx (two hypergraph diagnostics,
+    the graph generators) are half of ``import repro``'s time and a
+    third of its memory; a process that never asks for them never loads
+    them."""
+
+    def test_import_repro_loads_neither_scipy_nor_networkx(self):
+        assert fresh_interpreter(
+            "import repro, sys" + HEAVY + "print(heavy())") == "[]"
+
+    def test_a_default_frontier_plan_solves_no_cover(self):
+        # the serving path: auto/auto over a star and over a triangle
+        assert fresh_interpreter("""
+import sys
+from repro import Relation, Session, parse_query
+""" + HEAVY + """
+edges = Relation("E", ("s", "d"), [(0, 1), (1, 2), (2, 0)])
+session = Session({"E": edges})
+star = session.execute(parse_query("A=E(t,x), B=E(t,y)"),
+                       algorithm="auto", engine="auto")
+triangle = session.execute(parse_query("A=E(a,b), B=E(b,c), C=E(c,a)"),
+                           algorithm="auto", engine="auto")
+print(star.count, triangle.count, heavy())
+""") == "3 3 []"
+
+    def test_the_first_cover_imports_scipy_and_answers_the_triangle(self):
+        assert fresh_interpreter("""
+import sys
+from repro.planner import Hypergraph, agm_bound, parse_query
+""" + HEAVY + """
+before = heavy()
+graph = Hypergraph.from_query(parse_query("R(a,b), S(b,c), T(c,a)"))
+bound = agm_bound(graph, {"R": 1000, "S": 1000, "T": 1000})
+print(before, round(bound), heavy(), graph.is_connected(), heavy())
+""") == "[] 31623 ['scipy'] True ['networkx', 'scipy']"
 
 
 class TestTriangle:
