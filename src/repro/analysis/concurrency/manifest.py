@@ -8,7 +8,7 @@ CI) to consume.  Two analysis models, matching how the objects are
 shared at runtime:
 
 * ``shared`` — one instance is used by many threads concurrently
-  (Session, IndexCache, Metrics, Tracer).  Classification comes from
+  (Session, IndexCache, Metrics, Tracer, a cached ColumnarTrie).  Classification comes from
   :func:`repro.analysis.concurrency.classify.classify_method`: every
   reachable write to instance/global state must be lock-guarded (or
   the method is annotated ``borrows-lock``).  Free functions a shared
@@ -71,6 +71,10 @@ ENTRY_TABLE: "tuple[tuple, ...]" = (
     ("Metrics", ("inc", "observe", "merge"), "src/repro/obs/metrics.py",
      "shared", True),
     ("Tracer", ("add_span",), "src/repro/obs/trace.py", "shared", True),
+    # append-only levels: one cached trie is deepened by whichever
+    # executor descends first, read unlocked by all of them
+    ("ColumnarTrie", ("at_depth", "take_pending_charge"),
+     "src/repro/indexes/columnar.py", "shared", True),
     (None, ("bind", "plan", "prepare"), "src/repro/engine/pipeline.py",
      "shared", True),
     (None, ("join",), "src/repro/joins/executor.py", "per-call", True),
@@ -299,6 +303,10 @@ def build_manifest(root: "str | Path | None" = None) -> dict:
             "CPython GIL: dict/list single ops are atomic; the hashtrie's "
             "lazy expansion relies on idempotent value publication "
             "(documented in repro/indexes/hashtrie.py)",
+            "append-only levels: ColumnarTrie.at_depth builds missing "
+            "levels under the trie's lock and advances built_depth last; "
+            "a level it has returned is never rewritten, so readers index "
+            "levels below the depth they asked for without a lock",
             "unresolved calls are assumed non-mutating; the runtime "
             "witness is tests/engine/test_thread_stress.py",
         ],

@@ -115,8 +115,9 @@ class _Entry:
         #: how many leading rows of the storage the value was built from
         #: (None: not recorded — the entry never serves as a predecessor)
         self.rows = rows
-        #: lazy adapters only: how many trie levels were materialized
-        #: when the entry was last charged (None for eager structures)
+        #: lazy adapters and columnar tries: how many trie levels were
+        #: materialized when the entry was last charged (None for
+        #: structures that are whole once built)
         self.built_depth = built_depth
 
 
@@ -250,9 +251,10 @@ class IndexCache:
 
         ``rows`` records how many leading rows of the storage ``value``
         was built from, which makes the entry usable as a
-        :meth:`predecessor`.  ``built_depth`` seeds the lazy-adapter
-        depth component (see :meth:`upgrade_depth`); eager structures
-        leave it ``None``.
+        :meth:`predecessor`.  ``built_depth`` seeds the depth component
+        of a structure that materialises levels as joins descend — a
+        lazy adapter, a columnar trie (see :meth:`upgrade_depth`);
+        structures that are whole once built leave it ``None``.
         """
         if not self.enabled:
             return value
@@ -291,13 +293,13 @@ class IndexCache:
         return value
 
     def upgrade_depth(self, key: tuple, built_depth: int, bytes_: int) -> bool:
-        """Record that a cached lazy adapter materialized deeper levels.
+        """Record that a cached structure materialized deeper levels.
 
-        A lazy entry is stored shallow and cheap; when a join descends
-        further, the adapter's deepen callback reports the new depth and
-        the re-estimated byte footprint here, upgrading the cached entry
-        **in place** — the deeper build replaces the shallow charge, no
-        re-keying, no duplicate entry.  No-ops (returning False) when
+        A lazy adapter or a columnar trie is stored shallow and cheap;
+        when a join descends further, its deepen callback reports the
+        new depth and the re-estimated byte footprint here, upgrading
+        the cached entry **in place** — the deeper build replaces the
+        shallow charge, no re-keying, no duplicate entry.  No-ops (returning False) when
         the entry has been evicted/invalidated meanwhile or the recorded
         depth is already at least as deep; a growing footprint can push
         colder entries out of the byte budget.

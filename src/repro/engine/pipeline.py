@@ -40,7 +40,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from itertools import islice
 
-from repro.analysis.plancheck import check_join_plan, check_plan
 from repro.core.adapter import IndexAdapter
 from repro.core.config import MAX_EXTEND_LOAD, SonicConfig
 from repro.core.envflag import resolve_flag
@@ -114,6 +113,10 @@ def bind(query: "JoinQuery | str",
     with observer.tracer.span("bind"):
         relations = resolve_relations(query, source)
         if resolve_flag(debug, "REPRO_DEBUG"):
+            # imported where it is called: the checks run in debug mode
+            # only, and their package loads the whole static analyzer
+            from repro.analysis.plancheck import check_plan
+
             check_plan(query, relations=relations)
     return BoundQuery(query=query, relations=relations)
 
@@ -171,6 +174,9 @@ def plan(bound: BoundQuery,
             f"join order {list(binary_order)} does not cover the query atoms")
     kwargs = dict(index_kwargs or {})
     debug_on = resolve_flag(debug, "REPRO_DEBUG")
+    if debug_on:
+        # as in bind(): debug mode only, so not at import repro
+        from repro.analysis.plancheck import check_join_plan, check_plan
 
     with observer.tracer.span("plan"):
         # the optimizer's estimate is part of every profile (estimated vs
@@ -343,11 +349,13 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     # concurrent preparer shares one canonical build and
                     # the LRU byte accounting never double-charges
                     built_depth = None
-                    if isinstance(structure, LazyTrieAdapter):
-                        # hook the deepen callback *before* publishing, so
-                        # no descent can slip between publish and hookup;
-                        # a CAS loss discards this adapter (nothing built
-                        # yet) and adopts the winner's, callback included
+                    if isinstance(structure, (LazyTrieAdapter, ColumnarTrie)):
+                        # levels appear as joins descend, and the entry's
+                        # byte charge follows them.  Hook the deepen
+                        # callback *before* publishing, so no descent can
+                        # slip between publish and hookup; a CAS loss
+                        # discards this structure (no level built yet)
+                        # and adopts the winner's, callback included
                         structure.on_deepen = _depth_upgrader(
                             cache, key, tuples, relation.arity)
                         built_depth = structure.built_depth
@@ -361,8 +369,9 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
 
 
 def _depth_upgrader(cache: IndexCache, key: tuple, tuples: int, arity: int):
-    """The lazy adapter's deepen callback: upgrade the cached entry in
-    place — new ``built_depth``, re-estimated byte charge."""
+    """The deepen callback of a lazy adapter or a columnar trie: upgrade
+    the cached entry in place — new ``built_depth``, re-estimated byte
+    charge."""
     def _on_deepen(adapter) -> None:
         cache.upgrade_depth(key, adapter.built_depth,
                             estimate_structure_bytes(adapter, tuples, arity))

@@ -13,9 +13,11 @@ themselves are safely reusable — and returns an ordinary
 WCOJ run (§5.15).  A prepared join preserves that contract on its
 *first* execution: the prepare-stage build wall time is charged to the
 first result's ``metrics.build_seconds`` (which is how the back-compat
-:func:`repro.joins.join` cold path stays bit-identical with the seed).
-Repeat executions report ``build_seconds == 0.0`` — the serving-path
-win the session cache exists for.
+:func:`repro.joins.join` cold path stays bit-identical with the seed),
+together with the trie levels that execution was the first to descend
+into.  Repeat executions report ``build_seconds == 0.0`` unless they
+descend deeper (a materialising run after a counting one) — the
+serving-path win the session cache exists for.
 
 **Staleness.**  The structures pin a snapshot of the relations at
 prepare time; mutating a relation afterwards does not refresh them.
@@ -26,6 +28,8 @@ every call.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.core.adapter import IndexAdapter
 from repro.engine.ir import (
@@ -63,10 +67,15 @@ class PreparedJoin:
         self.bound = bound
         self.plan = plan
         self.structures = structures
-        #: wall time the prepare stage spent building (cache hits ≈ 0)
+        #: wall time spent building this join's structures: the prepare
+        #: stage's builds (cache hits ≈ 0) plus whatever its executions
+        #: materialised afterwards (trie levels, lazy adapters)
         self.build_seconds = build_seconds
         self.executions = 0
         self._pending_build = build_seconds
+        #: guards the three accounting fields above: one prepared join
+        #: may be executed from many threads
+        self._accounting = threading.Lock()
         #: row counts read when the structures were built: a binary
         #: stage scans its leading atom up to here, so an answer is of
         #: the prepared version even after an append (the stage tables
@@ -153,8 +162,9 @@ class PreparedJoin:
         observer = resolve_observer(profile, obs)
         # §5.15 build-included timing: the prepare-stage build cost lands
         # on the first execution only
-        charge, self._pending_build = self._pending_build, 0.0
-        self.executions += 1
+        with self._accounting:
+            charge, self._pending_build = self._pending_build, 0.0
+            self.executions += 1
 
         if plan.sharding is not None:
             # the runner attaches the ShardedJoinProfile itself — it is
@@ -170,9 +180,14 @@ class PreparedJoin:
         metrics = result.metrics
         if plan.algorithm == "unified":
             metrics.algorithm = plan.algorithm
-        # deferred lazy-build time surfaces on the run that actually
-        # materialized the levels (§5.15 build-included timing)
-        metrics.build_seconds += charge + self._drain_lazy_charges()
+        # deferred build time — trie levels, lazy adapters — surfaces on
+        # the run that actually materialized the levels (§5.15
+        # build-included timing)
+        deferred = self._drain_lazy_charges()
+        if deferred:
+            with self._accounting:
+                self.build_seconds += deferred
+        metrics.build_seconds += charge + deferred
         result = attach_profile(self.bound.query, result, observer,
                                 plan.choice,
                                 root.total_order or root.atom_order,
@@ -183,7 +198,8 @@ class PreparedJoin:
         return result
 
     def _drain_lazy_charges(self) -> float:
-        """Collect pending lazy materialization time from the structures."""
+        """Collect pending materialization time from the structures (a
+        columnar trie's levels, a lazy adapter's builds)."""
         total = 0.0
         for structure in self.structures.values():
             take = getattr(structure, "take_pending_charge", None)

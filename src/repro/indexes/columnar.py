@@ -7,19 +7,42 @@ trie level with one sort-based lookup.  That needs a trie whose levels
 one layout), so it can only be read one key at a time — the per-key walk
 the batch engine used to pay per binding, per run.  A
 :class:`ColumnarTrie` is the relation's permuted int64 columns sorted
-and deduplicated once, then stored level by level:
+and deduplicated once, and read level by level:
 
 * ``values[d]`` — the level-``d`` component of every node, nodes ordered
   by their whole length-``d+1`` prefix.  A node's id is its rank among
   the sorted distinct prefixes of that length, so a trie over the first
-  ``d`` columns only (the lazy adapter's truncated build) numbers every
-  level it has exactly as the full trie does.
+  ``d`` columns only numbers every level it has exactly as the full
+  trie does.
 * ``indptr[d]`` — CSR child ranges: the children of level-``d-1`` node
   ``p`` are the level-``d`` nodes ``indptr[d][p]:indptr[d][p+1]``
   (``indptr[0]`` is the root's single range).
 * ``keys[d]`` — ``parent_id * span + offset`` per node, ascending
   because nodes are ordered by (parent, value): one ``searchsorted``
   finds the child of any (parent, value) pair.
+* ``starts[d]`` — the first sorted row of every level-``d`` node, plus
+  the row count as a sentinel.  Nodes are ordered by prefix, so a node's
+  tuples are the contiguous rows ``starts[d][n]:starts[d][n+1]`` and
+  :meth:`~ColumnarTrie.tuple_counts` is two gathers that read nothing
+  below ``d``.  (Rows are distinct, so the last level's nodes *are* the
+  rows: it keeps no ``starts``, and its ``indptr`` is the ``starts`` of
+  the level above, the same array.)
+
+**Build what the run reads.**  Free Join's COLT builds a trie level the
+first time a join touches it; here that is how the structure is made,
+not a mode of it.  The constructor does what every answer needs — the
+per-column min/max, *one* sort, the duplicate drop — and keeps the
+sorted distinct rows as the **sort buffer**: the packed key, or the
+lexsorted columns where the spans are too wide to pack.
+:meth:`~ColumnarTrie.at_depth` then materialises the levels a reader is
+about to descend into, each from its own column — decoded out of the
+packed key on the spot (``key // tail % span + low`` with ``tail`` the
+product of the deeper spans), so a column nothing descends into is never
+decoded — and the buffer is dropped when the last level lands.  A
+counting run over a star reads one level of every satellite (the tail is
+counted from ``starts``) and so builds one; a materialising or cyclic
+run descends everywhere and builds everything, on its first execution,
+into the arrays an all-at-once build would have made.
 
 **Packing rule and its overflow guard.**  ``offset`` is ``value - lo``
 and ``span`` is ``hi - lo + 1`` while ``parents * span`` stays below
@@ -29,16 +52,21 @@ values of the level as ``codes[d]`` and packs their dense ranks instead,
 at the price of one more ``searchsorted`` per probe.  The row sort makes
 the same decision once: all columns packed into one key and sorted with
 a single ``np.sort`` when the product of the spans fits, ``np.lexsort``
-otherwise.  Both are decided here, at build time, from the data.  A
-probe compares packed keys only for values inside ``[lo, hi]`` — an
-offset outside ``[0, span)`` would alias another parent's key.
+otherwise.  Both are decided from the data.  A probe compares packed
+keys only for values inside ``[lo, hi]`` — an offset outside
+``[0, span)`` would alias another parent's key.
 
-The structure is immutable after construction, so concurrent executors
-share one cached trie without a lock.
+**Append-only levels.**  Levels are built under the trie's lock and
+published by advancing ``built_depth`` after the level's arrays are in
+place; a published level is never rewritten.  A reader that has called
+``at_depth(k)`` reads levels ``0..k-1`` without a lock, on any thread,
+while another thread appends deeper ones.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from collections.abc import Sequence
 from itertools import chain
 from math import prod
@@ -55,34 +83,28 @@ from repro.errors import SchemaError
 PACK_LIMIT = 2 ** 62
 
 _EMPTY = np.empty(0, dtype=np.int64)
-_ZERO = np.zeros(1, dtype=np.int64)
 
 
-def _sorted_unique_columns(columns: Sequence[np.ndarray], lows: list,
-                           spans: list) -> list:
+def _sorted_unique_key(columns: Sequence[np.ndarray], lows: list,
+                       spans: list) -> np.ndarray:
+    """The rows as one packed key per row, sorted, duplicates dropped."""
+    key = columns[0] - lows[0]
+    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
+        key *= span
+        key += column
+        key -= low
+    key.sort()
+    if len(key) > 1:
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        if not keep.all():
+            key = key[keep]
+    return key
+
+
+def _sorted_unique_columns(columns: Sequence[np.ndarray]) -> list:
     """``columns`` as lexicographically sorted, duplicate-free columns."""
-    if prod(spans) < PACK_LIMIT:
-        key = columns[0] - lows[0]
-        for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-            key *= span
-            key += column
-            key -= low
-        key.sort()
-        if len(key) > 1:
-            keep = np.empty(len(key), dtype=bool)
-            keep[0] = True
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            if not keep.all():
-                key = key[keep]
-            del keep
-        out = [None] * len(columns)
-        for depth in range(len(columns) - 1, 0, -1):
-            out[depth] = key % spans[depth]
-            out[depth] += lows[depth]
-            key //= spans[depth]
-        key += lows[0]
-        out[0] = key
-        return out
     # lexsort's *last* key is primary, so feed the columns reversed
     order = np.lexsort(tuple(columns[::-1]))
     out = [column[order] for column in columns]
@@ -98,18 +120,22 @@ def _sorted_unique_columns(columns: Sequence[np.ndarray], lows: list,
 
 
 class ColumnarTrie:
-    """Sorted, deduplicated int64 columns as per-level arrays (see module
-    docstring).  ``columns`` are already permuted into the atom's
-    attribute order; passing only the first ``d`` of them builds the
-    truncated trie the lazy adapter starts with.
+    """Sorted, deduplicated int64 columns read as per-level arrays (see
+    module docstring).  ``columns`` are already permuted into the atom's
+    attribute order.
 
-    Immutable after publication: no field is written once ``__init__``
-    returns, so executors on any thread read a cached trie unlocked."""
+    Construction sorts; :meth:`at_depth` builds levels.  A reader calls
+    ``at_depth(d + 1)`` before it reads level ``d`` through ``values`` /
+    ``indptr`` / ``keys`` / ``codes`` / ``starts`` or the methods below
+    — the five lists hold :attr:`built_depth` entries, appended under
+    the lock and never rewritten, so published levels are read unlocked.
+    """
 
     NAME = "columnar"
 
-    __slots__ = ("arity", "values", "indptr", "keys", "lows", "highs",
-                 "spans", "codes", "_rows")
+    __slots__ = ("arity", "values", "indptr", "keys", "starts", "lows",
+                 "highs", "spans", "codes", "on_deepen", "_rows", "_key",
+                 "_tails", "_sorted", "_built", "_lock", "_pending_ns")
 
     def __init__(self, columns: Sequence[np.ndarray]):
         if not columns:
@@ -120,15 +146,30 @@ class ColumnarTrie:
                     "a columnar trie holds int64 columns, got dtype "
                     f"{column.dtype}")
         self.arity = len(columns)
-        self.values: list = []
-        self.indptr: list = []
-        self.keys: list = []
-        self.codes: list = []
+        self.values: list = []    # repro: shared[lock=_lock]
+        self.indptr: list = []    # repro: shared[lock=_lock]
+        self.keys: list = []      # repro: shared[lock=_lock]
+        self.codes: list = []     # repro: shared[lock=_lock]
+        self.starts: list = []    # repro: shared[lock=_lock]
+        #: levels published so far; advanced last, so a reader that sees
+        #: ``d`` finds ``d`` entries in each list above
+        self._built = 0           # repro: shared[lock=_lock]
+        #: the sort buffer — the sorted distinct packed key, or the
+        #: lexsorted columns (each dropped once its level has landed)
+        self._key = None          # repro: shared[lock=_lock]
+        self._sorted = None       # repro: shared[lock=_lock]
+        self._tails: tuple = ()
+        self._lock = threading.Lock()
+        self._pending_ns = 0      # repro: shared[lock=_lock]
+        #: called (outside the lock) after levels were added; the session
+        #: cache hooks this to re-charge its entry
+        self.on_deepen = None
         if len(columns[0]) == 0:
             self._rows = 0
             self.lows = [0] * self.arity
             self.highs = [-1] * self.arity
             self.spans = [1] * self.arity
+            # nothing to sort, so nothing to defer
             for depth in range(self.arity):
                 self.values.append(_EMPTY)
                 self.keys.append(_EMPTY)
@@ -136,62 +177,117 @@ class ColumnarTrie:
                 # one (empty) range for the root, none below it
                 self.indptr.append(np.zeros(2 if depth == 0 else 1,
                                             dtype=np.int64))
+                self.starts.append(None if depth == self.arity - 1
+                                   else np.zeros(1, dtype=np.int64))
+            self._built = self.arity
             return
         self.lows = [int(column.min()) for column in columns]
         self.highs = [int(column.max()) for column in columns]
         self.spans = [high - low + 1
                       for low, high in zip(self.lows, self.highs)]
-        self._build(_sorted_unique_columns(columns, self.lows, self.spans))
+        if prod(self.spans) < PACK_LIMIT:
+            self._key = _sorted_unique_key(columns, self.lows, self.spans)
+            self._rows = len(self._key)
+            #: per level, the product of the deeper levels' spans: the
+            #: packed key is the prefix through ``d`` times ``tails[d]``
+            #: plus the deeper columns
+            self._tails = tuple(prod(self.spans[depth + 1:])
+                                for depth in range(self.arity))
+        else:
+            self._sorted = _sorted_unique_columns(columns)
+            self._rows = len(self._sorted[0])
 
-    def _build(self, columns: list) -> None:
-        """Level arrays from sorted distinct rows, one level at a time;
-        each full-length temporary is dropped before the next is made."""
-        rows = len(columns[0])
-        self._rows = rows
-        last = self.arity - 1
-        change = None            # row i+1 opens a new node at this level
-        starts = _ZERO           # first row of each node of the level above
-        for depth in range(self.arity):
-            column = columns[depth]
-            columns[depth] = None
-            indptr = np.empty(len(starts) + 1, dtype=np.int64)
-            if depth == last:
-                # rows are distinct, so every row is a node of its own
-                values, node_starts = column, None
-                indptr[:-1] = starts
-                indptr[-1] = rows
-            else:
-                differs = column[1:] != column[:-1]
-                if change is None:
-                    change = differs
-                else:
-                    change |= differs
-                del differs
-                opened = np.flatnonzero(change)
-                node_starts = np.empty(len(opened) + 1, dtype=np.int64)
-                node_starts[0] = 0
-                np.add(opened, 1, out=node_starts[1:])
-                del opened
-                values = column[node_starts]
-                indptr[:-1] = node_starts.searchsorted(starts)
-                indptr[-1] = len(node_starts)
-            del column
-            parents = np.repeat(np.arange(len(starts), dtype=np.int64),
-                                np.diff(indptr))
-            self.values.append(values)
-            self.indptr.append(indptr)
-            self._pack_level(depth, values, parents)
-            starts = node_starts
+    # ------------------------------------------------------------------
+    @property
+    def built_depth(self) -> int:
+        """How many leading levels are materialised."""
+        return self._built
 
-    def _pack_level(self, depth: int, values: np.ndarray,
-                    parents: np.ndarray) -> None:
-        """``keys[depth]`` from each node's value and parent id (the
-        root, id 0, is every level-0 node's parent)."""
-        parent_count = len(self.indptr[depth]) - 1
+    def at_depth(self, depth: int) -> "ColumnarTrie":
+        """This trie with at least ``depth`` levels materialised.
+
+        The missing levels are built under the lock, top down (a level's
+        ``indptr`` needs the ``starts`` of the one above); the time goes
+        to :meth:`take_pending_charge` and :attr:`on_deepen` fires after
+        release.
+        """
+        if self._built >= depth:
+            return self
+        with self._lock:
+            built, depth = self._built, min(depth, self.arity)
+            if built >= depth:
+                return self
+            t0 = time.perf_counter_ns()
+            for level in range(built, depth):
+                self._build_level(level)
+                self._built = level + 1
+            self._pending_ns += time.perf_counter_ns() - t0
+            callback = self.on_deepen
+        if callback is not None:
+            callback(self)
+        return self
+
+    def _build_level(self, depth: int) -> None:   # repro: borrows-lock[_lock]
+        """Append level ``depth``'s arrays, from its own column of the
+        sort buffer and the ``starts`` of the level above."""
+        rows, last = self._rows, self.arity - 1
+        above = (self.starts[depth - 1] if depth
+                 else np.array([0, rows], dtype=np.int64))
+        key = self._key
+        if key is None:
+            column = self._sorted[depth]
+            self._sorted[depth] = None
+        elif depth < last:
+            # the whole prefix through this level: its low digit is the
+            # level's column, and it changes exactly where a node opens
+            column = key // self._tails[depth]
+        else:
+            column = key
+        if depth == last:
+            # rows are distinct, so every row is a node of its own
+            values, node_starts, indptr = column, None, above
+            self._key = self._sorted = None
+        else:
+            differs = column[1:] != column[:-1]
+            if key is None:
+                # a row that opens a node one level up opens one here too
+                differs[above[1:-1] - 1] = True
+            opened = np.flatnonzero(differs)
+            del differs
+            node_starts = np.empty(len(opened) + 2, dtype=np.int64)
+            node_starts[0] = 0
+            np.add(opened, 1, out=node_starts[1:-1])
+            node_starts[-1] = rows
+            del opened
+            values = column[node_starts[:-1]]
+            indptr = node_starts.searchsorted(above)
+        del column
+        if key is not None:
+            # the buffer is done with once the last level is decoded, so
+            # that one is decoded in place
+            if depth:
+                values %= self.spans[depth]
+            values += self.lows[depth]
+        parents = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
+                            np.diff(indptr))
+        codes, keys = self._pack_level(depth, values, parents,
+                                       len(indptr) - 1)
+        self.values.append(values)
+        self.indptr.append(indptr)
+        self.keys.append(keys)
+        self.codes.append(codes)
+        self.starts.append(node_starts)
+
+    def _pack_level(self, depth: int, values: np.ndarray,   # repro: borrows-lock[_lock]
+                    parents: np.ndarray, parent_count: int) -> tuple:
+        """``(codes, keys)`` of a level from each node's value and parent
+        id (the root, id 0, is every level-0 node's parent)."""
         span = self.spans[depth]
         if span >= PACK_LIMIT or parent_count * span >= PACK_LIMIT:
             # dense rank codes: spans as wide as the level has distinct
-            # values, whatever their spread
+            # values, whatever their spread.  Only the lexsort path gets
+            # here (a packed sort key bounds every level's keys), so no
+            # decode reads the span this rewrites.
             codes = np.unique(values)
             keys = codes.searchsorted(values)
             span = self.spans[depth] = len(codes)
@@ -200,18 +296,24 @@ class ColumnarTrie:
             keys = values - self.lows[depth]
         parents *= span
         keys += parents
-        self.codes.append(codes)
-        self.keys.append(keys)
+        return codes, keys
+
+    def take_pending_charge(self) -> float:
+        """Drain the time :meth:`at_depth` spent building, in seconds —
+        the execute stage adds it to the run's ``metrics.build_seconds``
+        (§5.15: a build is charged to the run that needed it)."""
+        if not self._pending_ns:
+            # every warm execution asks; one still being built is
+            # drained by the next to ask
+            return 0.0
+        with self._lock:
+            pending, self._pending_ns = self._pending_ns, 0
+        return pending * 1e-9
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Distinct stored tuples (distinct prefixes, when truncated)."""
+        """Distinct stored tuples."""
         return self._rows
-
-    def at_depth(self, depth: int) -> "ColumnarTrie":
-        """A trie holding at least ``depth`` levels — this one, whole.
-        (The lazy adapter answers the same call by building them.)"""
-        return self
 
     def child_ranges(self, depth: int, parents: "np.ndarray | None",
                      ) -> "tuple[np.ndarray, np.ndarray]":
@@ -229,16 +331,14 @@ class ColumnarTrie:
         """How many stored tuples extend each level-``depth`` node — the
         paper's ``count_prefix`` for a column of bound prefixes.
 
-        Nodes are ordered by prefix, so a node's descendants at any
-        deeper level are one contiguous id range: the CSR ``indptr`` of
-        every deeper level carries the range's two ends one level down
-        (two gathers per level over ``nodes``, nothing stored), and at
-        the leaf level a range's width is its tuple count.
+        A node's tuples are the sorted rows from its own start to the
+        next node's: two gathers from ``starts[depth]``, whatever lies
+        below (which need not be built).
         """
-        first, end = nodes, nodes + 1
-        for indptr in self.indptr[depth + 1:]:
-            first, end = indptr[first], indptr[end]
-        return end - first
+        starts = self.starts[depth]
+        if starts is None:
+            return np.ones(len(nodes), dtype=np.int64)
+        return starts[nodes + 1] - starts[nodes]
 
     def probe(self, depth: int, parents: "np.ndarray | None",
               values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -269,10 +369,17 @@ class ColumnarTrie:
         return found, node_ids
 
     def memory_usage(self) -> int:
-        """Resident bytes: the level arrays' ``nbytes``."""
-        arrays = chain(self.values, self.indptr, self.keys, self.codes)
-        return sum(array.nbytes for array in arrays if array is not None)
+        """Resident bytes: what is left of the sort buffer plus every
+        materialised level's arrays (one shared by two levels once)."""
+        built, key, columns = self._built, self._key, self._sorted
+        buffer = (key,) if columns is None else tuple(columns)
+        arrays = chain(buffer, self.values[:built], self.indptr[:built],
+                       self.keys[:built], self.codes[:built],
+                       self.starts[:built])
+        return sum({id(array): array.nbytes
+                    for array in arrays if array is not None}.values())
 
     def __repr__(self) -> str:
         return (f"ColumnarTrie(arity={self.arity}, rows={self._rows}, "
-                f"nodes={[len(v) for v in self.values]})")
+                f"nodes={[len(v) for v in self.values[:self._built]]}"
+                f" of {self.arity} levels)")

@@ -10,19 +10,23 @@ and the underlying index is bulk-built level-at-a-time the first time a
 cursor — or, under the batch engine, the frontier driver — needs that
 depth.
 
-**Materialization policy.**  The first descent builds a *truncated*
-index of exactly the requested depth — ``make_index(kind, depth)`` over
-the first ``depth`` permuted column snapshots (``build_bulk`` lexsorts
-and dedupes, so repeated prefixes collapse, and the truncated index is
-exact at its own final depth).  Any later, deeper request rebuilds at
-the full arity in one step.  Two builds bound the total work at roughly
-twice an eager build, while the headline case — a join that only ever
-exercises a prefix of the attribute order — pays for that prefix only.
-Under the batch engine the inner structure is a
-:class:`~repro.indexes.columnar.ColumnarTrie` over the first ``depth``
-columns; a truncated trie numbers the nodes of the levels it has exactly
-as the full one does, so a deepen never invalidates a frontier that is
-already holding node ids.
+**Materialization policy.**  Under the tuple engine the first descent
+builds a *truncated* index of exactly the requested depth —
+``make_index(kind, depth)`` over the first ``depth`` permuted column
+snapshots (``build_bulk`` lexsorts and dedupes, so repeated prefixes
+collapse, and the truncated index is exact at its own final depth).  Any
+later, deeper request rebuilds at the full arity in one step.  Two
+builds bound the total work at roughly twice an eager build, while the
+headline case — a join that only ever exercises a prefix of the
+attribute order — pays for that prefix only.
+
+Under the batch engine there is no policy here at all: a
+:class:`~repro.indexes.columnar.ColumnarTrie` materialises its own
+levels on first descent, eager spec or lazy, so the adapter only defers
+the trie's construction — the one sort — from prepare to first touch,
+and hands every depth request to the trie's own ``at_depth``.  The
+relation is sorted once, and a deepen never invalidates a frontier that
+is already holding node ids (levels are appended, never renumbered).
 
 **Snapshot pinning.**  The adapter pins the relation's column arrays
 at construction time (:meth:`~repro.storage.relation.Relation.snapshot`,
@@ -168,20 +172,29 @@ class LazyTrieAdapter:
         publish), and the deepen callback fires after release.
         """
         state = self._state
-        if state[1] >= depth:
+        if state[0] is not None and state[1] >= depth:
             return state[0]
         with self._lock:
             inner, built = self._state
-            if built >= depth:
+            if inner is not None and built >= depth:
                 return inner
-            # first touch builds exactly the requested depth; any deeper
-            # request afterwards jumps straight to the full arity, so an
-            # adapter rebuilds at most once (≤ ~2x an eager build) while
-            # prefix-only workloads never pay for the deep levels
-            target = depth if built == 0 else self.arity
-            target = min(max(target, depth), self.arity)
             t0 = Stopwatch.now_ns()
-            index, target = self._build_truncated(target)
+            if self.kind == ColumnarTrie.NAME:
+                # one structure, deepened in place: the trie builds its
+                # own levels, this adapter only put off its sort
+                index = (ColumnarTrie(self._columns) if inner is None
+                         else inner)
+                target = index.at_depth(depth).built_depth
+                index.take_pending_charge()    # on this adapter's clock
+            else:
+                # first touch builds exactly the requested depth; any
+                # deeper request afterwards jumps straight to the full
+                # arity, so an adapter rebuilds at most once (≤ ~2x an
+                # eager build) while prefix-only workloads never pay for
+                # the deep levels
+                target = depth if built == 0 else self.arity
+                target = min(max(target, depth), self.arity)
+                index, target = self._build_truncated(target)
             self._pending_ns += Stopwatch.now_ns() - t0
             self._state = (index, target)
             callback = self.on_deepen if not self._closed else None
@@ -196,8 +209,6 @@ class LazyTrieAdapter:
         :class:`_Level1Index` (Sonic has no arity-1 form); values that
         admit no total order fall back to a full build.
         """
-        if self.kind == ColumnarTrie.NAME:
-            return ColumnarTrie(self._columns[:depth]), depth
         if depth == 1:
             try:
                 return _Level1Index(self._columns[0]), 1
@@ -259,7 +270,8 @@ class LazyTrieAdapter:
 
     def at_depth(self, depth: int) -> ColumnarTrie:
         """The columnar trie with at least ``depth`` levels built (the
-        batch driver's read path; ``kind`` is the columnar one)."""
+        batch driver's read path; ``kind`` is the columnar one).  Depth
+        0 still sorts: a trie's length is its distinct rows."""
         return self._ensure_depth(depth)
 
     def __repr__(self) -> str:

@@ -43,8 +43,9 @@ reaches the tail's first level finishes there: a frontier row stands for
 ``Π_atoms tuples_below(atom's node)`` results — 1 for an atom with no
 level left, ``len(trie)`` for one still at its root, otherwise
 :meth:`~repro.indexes.columnar.ColumnarTrie.tuple_counts`, the paper's
-``count_prefix`` (§3.1) over a column of prefixes — and the block adds
-the sum of those products to the sink.  The product is taken in int64
+``count_prefix`` (§3.1) over a column of prefixes, read off the row
+``starts`` of the atom's last *bound* level — and the block adds the sum
+of those products to the sink.  The product is taken in int64
 only when ``rows x Π max count`` stays below 2**63; past that it is
 accumulated in Python ints, so a count is exact however large.  Tail
 levels report no candidates or survivors and add nothing to
@@ -52,6 +53,18 @@ levels report no candidates or survivors and add nothing to
 counting mode those numbers sit below the tuple driver's whenever the
 query has a private attribute; an enabled observer is told as
 ``frontier.tail_levels`` / ``frontier.tail_rows``.
+
+**A run builds what it reads.**  A columnar trie materialises a level
+the first time something descends into it, so the driver asks for level
+``d`` of an atom (``at_depth(d + 1)``) when the recursion first gets
+there, and the tail count asks for the levels bound so far and nothing
+below them: a counting star builds one level of every satellite, a
+materialising or cyclic run all of them.  The time those calls take
+comes off this run's probe clock (and the enclosing levels' ``time_ns``)
+and reaches ``metrics.build_seconds`` as the tries' pending build
+charge; an enabled observer gets a ``build_index`` span with ``levels=``
+per deepen and ``frontier.levels_built`` / ``frontier.levels_total`` —
+the levels its tries hold when the run ends, of those they could.
 
 Per-level ``candidates`` / ``survivors`` / ``seed_counts`` / ``time_ns``
 cost O(1) per block, so they are always collected, through this one
@@ -89,8 +102,10 @@ class GenericJoinBatch:
     (same validation, same total order, same ``dynamic_seed`` ablation
     knob); each adapter wraps a
     :class:`~repro.indexes.columnar.ColumnarTrie` or a lazy adapter over
-    one.  The tries are only read, so one prepared set serves any number
-    of concurrent runs; everything a run writes lives on the driver.
+    one.  The tries' published levels are only read (a trie appends
+    missing ones under its own lock), so one prepared set serves any
+    number of concurrent runs; everything a run writes lives on the
+    driver.
     """
 
     def __init__(self, query: JoinQuery, adapters: dict[str, IndexAdapter],
@@ -160,6 +175,11 @@ class GenericJoinBatch:
                   for level in self._participants]
         self._stats = obs.init_levels(self.order, labels)
         self._blocks = self._live = self._peak = self._tail_rows = 0
+        #: per atom, the trie this run reads and how many of its levels
+        #: the run has asked for (-1: not touched yet)
+        self._tries: list = [None] * len(self._aliases)
+        self._ready = [-1] * len(self._aliases)
+        self._build_ns = 0
         #: the level a counting run is finished at from subtree sizes
         self._counted_from = len(self.order) if materialize else self._tail
         with obs.tracer.span("probe", algorithm="generic_join_batch",
@@ -172,11 +192,47 @@ class GenericJoinBatch:
             obs.metrics.inc("frontier.tail_levels",
                             len(self.order) - self._counted_from)
             obs.metrics.inc("frontier.tail_rows", self._tail_rows)
-        self.metrics.probe_seconds += watch.lap()
+            levels = [(source.built_depth, source.arity)
+                      for source in self._sources]
+            obs.trie_levels.update(zip(self._aliases, levels))
+            obs.metrics.inc("frontier.levels_built",
+                            sum(built for built, _ in levels))
+            obs.metrics.inc("frontier.levels_total",
+                            sum(arity for _, arity in levels))
+        self.metrics.probe_seconds += watch.lap() - self._build_ns * 1e-9
         self.metrics.result_count = sink.count
         return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)
 
     # ------------------------------------------------------------------
+    def _materialise(self, level: int, atom: int, depth: int) -> None:
+        """First time this run needs ``depth`` levels of ``atom``'s trie:
+        ask the source for them.  The call builds whichever are missing,
+        and building is not probing: its time comes off the probe clock
+        and off levels ``..level``'s inclusive times (the trie reports it
+        as a pending build charge, §5.15)."""
+        source = self._sources[atom]
+        before = source.built_depth
+        if 0 < depth <= before:
+            # a warm run: the levels are there, nothing to time
+            trie = self._tries[atom] = source.at_depth(depth)
+            self._ready[atom] = trie.built_depth
+            return
+        t0 = Stopwatch.now_ns()
+        trie = self._tries[atom] = source.at_depth(depth)
+        spent = Stopwatch.now_ns() - t0
+        self._ready[atom] = trie.built_depth
+        self._build_ns += spent
+        for stats in self._stats[:level + 1]:
+            stats.time_ns -= spent
+        levels = trie.built_depth - before
+        obs = self.obs
+        if levels and obs.enabled:
+            alias = self._aliases[atom]
+            obs.build_ns[alias] = obs.build_ns.get(alias, 0) + spent
+            obs.tracer.add_span("build_index", t0, spent, alias=alias,
+                                index=trie.NAME, tuples=len(trie),
+                                levels=levels)
+
     def _join_level(self, level: int, nodes: list, bound: list,
                     rows: int) -> None:
         """Bind attribute ``level`` for a block of ``rows`` frontier rows.
@@ -195,7 +251,9 @@ class GenericJoinBatch:
         self.metrics.lookups += rows * len(participants)
         tries, starts, counts = [], [], []
         for atom, depth, _ in participants:
-            trie = self._sources[atom].at_depth(depth + 1)
+            if self._ready[atom] <= depth:
+                self._materialise(level, atom, depth + 1)
+            trie = self._tries[atom]
             parents = nodes[atom]
             start, end = trie.child_ranges(depth, parents)
             count = end - start
@@ -233,8 +291,10 @@ class GenericJoinBatch:
         whole = 1           # atoms still at their root, as a Python int
         columns = []
         for atom, done in self._tail_atoms:
-            source = self._sources[atom]
-            trie = source.at_depth(source.arity)
+            # the levels bound so far: their row starts hold the counts
+            if self._ready[atom] < done:
+                self._materialise(self._tail, atom, done)
+            trie = self._tries[atom]
             if done == 0:
                 whole *= len(trie)
             else:

@@ -66,7 +66,8 @@ class LevelStats:
 class JoinObserver:
     """Everything one profiled join run writes into."""
 
-    __slots__ = ("enabled", "metrics", "tracer", "levels", "build_ns")
+    __slots__ = ("enabled", "metrics", "tracer", "levels", "build_ns",
+                 "trie_levels")
 
     def __init__(self, metrics: "Metrics | None" = None,
                  tracer: "Tracer | None" = None, enabled: bool = True):
@@ -79,6 +80,9 @@ class JoinObserver:
             self.tracer = NULL_TRACER
         self.levels: list[LevelStats] = []
         self.build_ns: dict[str, int] = {}
+        #: alias -> (levels materialised, arity) of the columnar tries a
+        #: batch run read, as it ended
+        self.trie_levels: dict[str, tuple[int, int]] = {}
 
     @classmethod
     def disabled(cls) -> "JoinObserver":

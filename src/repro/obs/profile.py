@@ -92,6 +92,9 @@ class JoinProfile:
     counters: dict = field(default_factory=dict)
     histograms: dict = field(default_factory=dict)
     build_breakdown: dict = field(default_factory=dict)  # alias -> seconds
+    #: alias -> [levels materialised, arity] of the batch engine's tries
+    #: when the run ended (a trie builds a level on first descent)
+    trie_levels: dict = field(default_factory=dict)
     spans: list[dict] = field(default_factory=list)
     #: per-stage reports of the plan's stage tree in pre-order (one for
     #: a flat request), each carrying label/depth/algorithm/engine/index/
@@ -126,6 +129,8 @@ class JoinProfile:
             "optimizer": self.optimizer,
             "levels": [level.as_dict() for level in self.levels],
             "counters": dict(sorted(self.counters.items())),
+            "trie_levels": {alias: list(levels) for alias, levels
+                            in sorted(self.trie_levels.items())},
             "histograms": self.histograms,
             "spans": self.spans,
             "stages": self.stages,
@@ -170,6 +175,11 @@ class JoinProfile:
             parts = "  ".join(f"{alias}={seconds * 1e3:.3f}ms" for alias,
                               seconds in sorted(self.build_breakdown.items()))
             lines.append(f"  build breakdown: {parts}")
+        if self.trie_levels:
+            parts = "  ".join(f"{alias} built {built} of {total} levels"
+                              for alias, (built, total)
+                              in sorted(self.trie_levels.items()))
+            lines.append(f"  trie levels: {parts}")
         if self.optimizer:
             opt = self.optimizer
             lines.append(f"optimizer: chose {opt['algorithm']} — {opt['reason']}")
@@ -459,6 +469,7 @@ def build_profile(*, query: str, algorithm: str, index: str,
         histograms=snapshot["histograms"],
         build_breakdown={alias: ns * 1e-9
                          for alias, ns in observer.build_ns.items()},
+        trie_levels=dict(observer.trie_levels),
         spans=observer.tracer.as_dicts(),
     )
 
@@ -654,6 +665,12 @@ def validate_profile(payload: dict) -> dict:
     _expect(isinstance(counters, dict), "counters", "expected an object")
     for name, value in counters.items():
         _expect(isinstance(value, int), f"counters.{name}", "expected an int")
+
+    for alias, levels in payload.get("trie_levels", {}).items():
+        _expect(isinstance(levels, list) and len(levels) == 2
+                and all(isinstance(n, int) for n in levels)
+                and 0 <= levels[0] <= levels[1],
+                f"trie_levels.{alias}", "expected [built, total] levels")
 
     _validate_spans(payload.get("spans"), "spans")
 

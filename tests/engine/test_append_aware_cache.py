@@ -342,14 +342,20 @@ class TestBatchRebuilds:
         observer = JoinObserver()
         result = session.execute(TRIANGLE, obs=observer, **GENERIC_BATCH)
         assert result.count == join(TRIANGLE, tables, **GENERIC_TUPLE).count
-        # E is held under (a,b) — shared by E1 and E2 — and (c,a)
+        # E is held under (a,b) — shared by E1 and E2 — and (c,a): two
+        # sorts at prepare, then the execution descends into both levels
+        # of both tries and builds each of the four once
         builds = [span["args"] for span in observer.tracer.as_dicts()
                   if span["name"] == "build_index"]
-        assert [b["index"] for b in builds] == ["columnar", "columnar"]
+        sorts = [b for b in builds if "levels" not in b]
+        assert [b["index"] for b in sorts] == ["columnar", "columnar"]
+        deepens = [b for b in builds if "levels" in b]
+        assert {b["index"] for b in deepens} == {"columnar"}
+        assert sum(b["levels"] for b in deepens) == 4
         assert session.metrics.get("cache.extend") == 0
         assert "extend_index" not in span_names(observer)
         # the predecessors left the byte budget: two live entries, charged
-        # what their arrays hold
+        # what their arrays hold now that the execution has deepened them
         stats = session.cache_stats()
         assert stats.entries == warm.entries == 2
         assert stats.evictions == warm.evictions + 2
@@ -371,6 +377,74 @@ class TestBatchRebuilds:
         cached = {id(entry.value) for entry in session.cache._entries.values()}
         assert not held & cached
         assert pinned.execute().count == before
+
+
+class TestBytesFollowTheLevels:
+    """A columnar trie is cached as its sort buffer and grows a level
+    the first time a join descends into it: the entry's byte charge is
+    re-read after every deepen, and a deepen can evict."""
+
+    STAR = "F(t,x), A(t,p,q)"
+
+    @staticmethod
+    def star_tables() -> dict:
+        return {"F": Relation("F", ("t", "x"),
+                              [(t, t % 7) for t in range(300)]),
+                "A": Relation("A", ("t", "p", "q"),
+                              [(t % 40, t, t % 5) for t in range(80)])}
+
+    @staticmethod
+    def resident(session: Session) -> int:
+        return sum(entry.value.memory_usage()
+                   for entry in session.cache._entries.values())
+
+    def test_the_charge_holds_after_an_execution_deepened_an_entry(self):
+        tables = self.star_tables()
+        session = Session(tables)
+        prepared = session.prepare(self.STAR, **GENERIC_BATCH)
+        tries = prepared.structures
+        shallow = session.cache_stats().bytes
+        # prepared, not yet read: one sort per relation, no level
+        assert [trie.built_depth for trie in tries.values()] == [0, 0]
+        assert shallow == self.resident(session) == 8 * (300 + 80)
+        count = prepared.execute().count
+        # a count reads level t of both and the row starts under it
+        assert (tries["F"].built_depth, tries["A"].built_depth) == (1, 1)
+        counted = session.cache_stats().bytes
+        assert counted == self.resident(session) > shallow
+        rows = prepared.execute(materialize=True).rows
+        assert len(rows) == count == join(self.STAR, tables).count
+        assert (tries["F"].built_depth, tries["A"].built_depth) == (2, 3)
+        assert session.cache_stats().bytes == self.resident(session)
+        assert session.cache_stats().bytes != counted
+        depths = {entry.built_depth
+                  for entry in session.cache._entries.values()}
+        assert depths == {2, 3}
+        # nothing left to build: a third run moves no byte
+        prepared.execute(materialize=True)
+        assert session.cache_stats().bytes == self.resident(session)
+        assert session.cache_stats().evictions == 0
+
+    def test_a_deepen_past_the_budget_evicts_the_coldest_entry(self):
+        tables = self.star_tables()
+        # room for the two sort buffers and not a level more
+        session = Session(tables, cache_bytes=8 * (300 + 80))
+        prepared = session.prepare(self.STAR, **GENERIC_BATCH)
+        assert session.cache_stats().entries == 2
+        assert session.cache_stats().evictions == 0
+        coldest = next(iter(session.cache._entries))
+        assert prepared.execute().count == join(self.STAR, tables).count
+        stats = session.cache_stats()
+        assert stats.evictions == 1 and stats.entries == 1
+        assert coldest not in session.cache
+        assert stats.bytes == self.resident(session) <= session.cache.max_bytes
+        assert stats.stores - stats.evictions == stats.entries
+        # the evicted trie still answers for the join that holds it, and
+        # its later levels are charged to no one
+        held = prepared.execute(materialize=True)
+        assert len(held.rows) == join(self.STAR, tables).count
+        after = session.cache_stats()
+        assert after.bytes == self.resident(session)
 
 
 # ----------------------------------------------------------------------

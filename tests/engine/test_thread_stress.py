@@ -18,11 +18,14 @@ single-threaded ground truth, and the cache counters must stay coherent:
 
 from __future__ import annotations
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.engine import Session
+from repro.indexes import ColumnarTrie
 from repro.joins import join
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -166,6 +169,74 @@ class TestSharedSessionStress:
 
         run_threads(worker)
         assert_counters_coherent(session)
+
+
+class TestAppendOnlyLevels:
+    """One session-cached columnar trie per relation, deepened by
+    whichever thread descends first and read unlocked by the rest."""
+
+    STAR = "F(t,x), A(t,p,q), B(t,r)"
+
+    @staticmethod
+    def star_tables() -> dict:
+        return {"F": Relation("F", ("t", "x"),
+                              [(t, t % 7) for t in range(120)]),
+                "A": Relation("A", ("t", "p", "q"),
+                              [(t % 90, t, t % 5) for t in range(400)]),
+                "B": Relation("B", ("t", "r"),
+                              [(t % 60, t) for t in range(200)])}
+
+    def test_counting_and_materialising_threads_share_one_build(
+            self, monkeypatch):
+        tables = self.star_tables()
+        options = {"algorithm": "generic", "engine": "batch"}
+        truth = join(self.STAR, tables, materialize=True, **options).rows
+        built = Counter()
+        build_level = ColumnarTrie._build_level
+
+        def counting_build(trie, depth):
+            built[round_, id(trie), depth] += 1
+            build_level(trie, depth)
+
+        monkeypatch.setattr(ColumnarTrie, "_build_level", counting_build)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(5):
+                session = Session(tables)
+                prepared = session.prepare(self.STAR, **options)
+                tries = list(prepared.structures.values())
+                seen: dict[int, list] = {}
+
+                def arrays(trie):
+                    depth = trie.built_depth
+                    return [[id(array) for array in level[:depth]]
+                            for level in (trie.values, trie.indptr,
+                                          trie.keys, trie.starts)]
+
+                def worker(tid):
+                    if tid % 2:
+                        assert prepared.execute(
+                            materialize=True).rows == truth
+                    else:
+                        assert prepared.execute().count == len(truth)
+                    seen[tid] = [arrays(trie) for trie in tries]
+
+                run_threads(worker)
+                assert [trie.built_depth for trie in tries] == [2, 3, 2]
+                # every level array a thread read is the one that stayed
+                final = [arrays(trie) for trie in tries]
+                for tid, snapshot in seen.items():
+                    for mine, kept in zip(snapshot, final):
+                        for level, whole in zip(mine, kept):
+                            assert level == whole[:len(level)], tid
+                stats = session.cache_stats()
+                assert stats.bytes == sum(t.memory_usage() for t in tries)
+                assert_counters_coherent(session)
+        finally:
+            sys.setswitchinterval(interval)
+        # 5 rounds x (2 + 3 + 2) levels, each built exactly once
+        assert len(built) == 35 and set(built.values()) == {1}
 
 
 class TestConcurrentInvalidation:

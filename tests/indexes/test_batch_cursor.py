@@ -12,6 +12,10 @@ rows, so the two engines' read paths are compared structure to
 structure.  The overflow guard is exercised by shrinking
 ``PACK_LIMIT``: a trie forced onto rank codes and ``np.lexsort`` must
 hold the same arrays and answer every probe as the packed one does.
+
+A trie sorts when it is made and builds a level on first descent
+(``at_depth``); ``build_trie`` asks for all of them, the level-by-level
+tests at the end of the file ask for one at a time.
 """
 
 import random
@@ -38,7 +42,19 @@ def columns_of(rows, arity: int) -> tuple:
 
 
 def build_trie(rows, arity: int = 3) -> ColumnarTrie:
-    return ColumnarTrie(columns_of(rows, arity))
+    return ColumnarTrie(columns_of(rows, arity)).at_depth(arity)
+
+
+def resident_bytes(trie: ColumnarTrie) -> int:
+    """What ``memory_usage()`` must report: whatever is left of the sort
+    buffer plus the arrays of every materialised level, an array two
+    levels share (the last ``indptr`` is the ``starts`` above it) once."""
+    buffer = [trie._key] if trie._sorted is None else trie._sorted
+    arrays = {id(array): array.nbytes
+              for level in (buffer, trie.values, trie.indptr, trie.keys,
+                            trie.codes, trie.starts)
+              for array in level if array is not None}
+    return sum(arrays.values())
 
 
 def build_index(name: str, rows):
@@ -229,10 +245,10 @@ def assert_matches_model(trie: ColumnarTrie, rows, arity: int) -> None:
             if prefix:
                 assert descend(trie, prefix) == node
         assert int(trie.indptr[depth][-1]) == len(trie.values[depth])
-    assert trie.memory_usage() == sum(
-        array.nbytes
-        for level in (trie.values, trie.indptr, trie.keys, trie.codes)
-        for array in level if array is not None)
+    # every level has landed: the sort buffer is gone, and the row
+    # starts are counted beside the four arrays a probe reads
+    assert trie._key is None and trie._sorted is None
+    assert trie.memory_usage() == resident_bytes(trie)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,7 +300,7 @@ def test_truncated_and_full_tries_number_shared_levels_identically(case):
     full = build_trie(rows, arity)
     columns = columns_of(rows, arity)
     for depth in range(1, arity + 1):
-        truncated = ColumnarTrie(columns[:depth])
+        truncated = ColumnarTrie(columns[:depth]).at_depth(depth)
         assert truncated.arity == depth
         for level in range(depth):
             assert truncated.values[level].tolist() == full.values[level].tolist()
@@ -326,8 +342,78 @@ def test_tuple_counts_match_a_counter_over_row_prefixes(case, limit):
             assert descend(trie, prefixes[node]) == node
         assert trie.tuple_counts(
             depth, np.empty(0, dtype=np.int64)).size == 0
-    # composed from the stored CSR ranges: nothing is kept for it
-    assert trie.memory_usage() == resident
+    # read off the stored row starts: a count keeps nothing of its own
+    assert trie.memory_usage() == resident == resident_bytes(trie)
+
+
+# -- levels on first descent -------------------------------------------------
+def level_ids(trie: ColumnarTrie) -> list:
+    return [[id(array) for array in level]
+            for level in (trie.values, trie.indptr, trie.keys, trie.codes,
+                          trie.starts)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_sets(), st.sampled_from([1, 64, columnar.PACK_LIMIT]))
+@example((3, [(INT64.min, 5, 1), (INT64.min, 6, 1), (INT64.max, -3, 0),
+              (0, 0, 0), (0, INT64.max, 2), (0, INT64.min, 2)]),
+         columnar.PACK_LIMIT)
+@example((4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+              (1, 0, 0, 0), (0, 0, 0, 0)]), 1)
+@example((1, [(3,), (3,), (INT64.max,)]), 64)
+def test_levels_land_one_at_a_time_and_are_never_rewritten(case, limit):
+    """A fresh trie holds its sort buffer and no level; ``at_depth(d)``
+    appends exactly the missing ones, each equal to the all-at-once
+    build's, without touching those before; ``tuple_counts`` at the
+    deepest built level already answers from the row starts; the buffer
+    goes when the last level lands; bytes follow every step."""
+    arity, rows = case
+    columns = columns_of(rows, arity)
+    saved = columnar.PACK_LIMIT
+    columnar.PACK_LIMIT = limit
+    try:
+        whole = ColumnarTrie(columns).at_depth(arity)
+        trie = ColumnarTrie(columns)
+        assert len(trie) == len(set(rows))
+        if rows:
+            assert trie.built_depth == 0 and trie.values == []
+            buffered = 8 * len(trie) * (
+                1 if trie._sorted is None else arity)
+            assert trie.memory_usage() == buffered == resident_bytes(trie)
+        for depth in range(arity):
+            before = level_ids(trie)
+            assert trie.at_depth(depth + 1) is trie
+            assert trie.built_depth == (depth + 1 if rows else arity)
+            assert [ids[:len(before[0])] for ids in level_ids(trie)] \
+                == before
+            for mine, theirs in ((trie.values, whole.values),
+                                 (trie.indptr, whole.indptr),
+                                 (trie.keys, whole.keys)):
+                assert mine[depth].tolist() == theirs[depth].tolist()
+            assert trie.memory_usage() == resident_bytes(trie)
+            # counted from this level's starts: nothing below is built
+            below = Counter(row[:depth + 1] for row in set(rows))
+            nodes = np.arange(len(below), dtype=np.int64)[::-1]
+            assert trie.tuple_counts(depth, nodes).tolist() == \
+                [below[prefix] for prefix in sorted(below)][::-1]
+            # ... and a trie over the first columns only counts the
+            # distinct prefixes of that length, under the same node ids
+            short = ColumnarTrie(columns[:depth + 1]).at_depth(depth + 1)
+            for level in range(depth + 1):
+                prefixes = Counter(
+                    prefix[:level + 1]
+                    for prefix in {row[:depth + 1] for row in rows})
+                ids = np.arange(len(prefixes), dtype=np.int64)
+                assert short.tuple_counts(level, ids).tolist() == \
+                    [prefixes[prefix] for prefix in sorted(prefixes)]
+        assert trie._key is None and trie._sorted is None
+        assert trie.memory_usage() == whole.memory_usage()
+        # asking again, or for less, builds nothing
+        final = level_ids(trie)
+        trie.at_depth(1), trie.at_depth(arity)
+        assert level_ids(trie) == final
+    finally:
+        columnar.PACK_LIMIT = saved
 
 
 def test_extreme_spans_fall_back_to_rank_codes():

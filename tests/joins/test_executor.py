@@ -1,5 +1,10 @@
 """Top-level join() API tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Catalog, Relation, join, parse_query, triangle_count
@@ -123,6 +128,40 @@ class TestDebugMode:
         result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
                       {"E1": edges, "E2": edges, "E3": edges})
         assert result.count == triangle_count_truth(edges)
+
+    def test_the_validator_is_imported_by_the_first_debug_call(self):
+        # the plan checks live in the static analyzer's package, whose
+        # four rule families are a fifth of ``import repro``: a process
+        # that never asks for debug mode never loads them
+        script = """
+import sys
+from repro import Relation, join
+from repro.errors import PlanValidationError
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name == "repro.analysis"
+                  or name.startswith("repro.analysis."))
+
+before = loaded()
+edges = Relation("E", ("s", "d"), [(0, 1), (1, 2), (2, 0)])
+tables = {"E1": edges, "E2": edges, "E3": edges}
+query = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
+plain = join(query, tables).count
+unchecked = loaded()
+try:
+    join(query, tables, order=("a", "b"), debug=True)
+    raised = None
+except PlanValidationError as error:
+    raised = "RA302" in str(error)
+print(before, plain, unchecked, raised, "repro.analysis.plancheck" in loaded())
+"""
+        source = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(source), REPRO_DEBUG="0"),
+            timeout=120, check=True)
+        assert done.stdout.strip() == "[] 3 [] True True"
 
     def test_debug_binary_path(self, edges):
         result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",

@@ -19,6 +19,13 @@ tail by hand: shorter than the private set, the whole order, empty,
 over an empty relation, behind lazy tries, a static seed, one-row
 blocks, two shards and a unified plan whose ear rides the core.
 
+A columnar trie builds a level the first time a run descends into it,
+so what a run finds built depends on the runs before it.  The *deepening*
+section executes one prepared join three times — count, materialise,
+count — and holds each execution, rows in order and counters included,
+to a fresh join that built its own tries; the ``DEEPEN`` seeds add the
+wide-span (``np.lexsort``, rank-coded) build and arity 1.
+
 Failures hypothesis shrank are kept below as ``@example`` seeds.
 
 The last section is the *route* differential: which engine ``auto`` and
@@ -32,10 +39,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro import Relation, join
+from repro import Relation, Session, join
 from repro.engine import bind, plan
 from repro.joins import batch
 from repro.planner.query import Atom, JoinQuery
@@ -290,6 +297,111 @@ def test_tail_seeds_meet_the_tail_where_they_say(name, tail_levels,
         assert result.count == count
         assert (counters["frontier.tail_levels"],
                 counters["frontier.tail_rows"]) == expected
+
+
+# ----------------------------------------------------------------------
+# deepening: levels appear between executions
+# ----------------------------------------------------------------------
+#: builds the seeds above do not reach
+DEEPEN = {
+    # spans too wide to pack: np.lexsort, every level on rank codes
+    "wide_span": _case(
+        [("R", "ab"), ("S", "bc"), ("T", "bd")],
+        {"R": [(INT64.min, 1), (INT64.max, 2), (0, 1), (0, INT64.max)],
+         "S": [(1, INT64.min), (2, INT64.max), (INT64.max, 0), (1, 5)],
+         "T": [(1, 2 ** 62), (1, -2 ** 62), (2, 0)]}),
+    # arity 1 beside arity 3: the only level is the last one
+    "arity_one": _case(
+        [("P", "a"), ("W", "abc"), ("Q", "d")],
+        {"P": [(0,), (1,), (0,)], "W": [(0, 1, 2), (0, 1, 3), (1, 5, 6)],
+         "Q": [(7,), (8,)]}),
+}
+
+
+def observed(result, materialize: bool) -> tuple:
+    """Everything a run says about itself that its tries' history must
+    not change: the answer (rows in order) and the work counted."""
+    levels = [(lv.candidates, lv.survivors, lv.seed_counts)
+              for lv in result.profile.levels]
+    return (result.count, result.rows if materialize else None,
+            result.metrics.intermediate_tuples, result.metrics.lookups,
+            levels)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(cases())
+@examples(TAIL[name] for name in (
+    "private_first", "private_middle", "cross_product", "empty_joined",
+    "empty_factor", "star", "triangle"))
+@examples(DEEPEN.values())
+def test_levels_appear_between_executions(case):
+    query, tables, order, options = case
+    keywords = {"engine": "batch", "index": "sortedtrie", "order": order,
+                "dynamic_seed": options["dynamic_seed"]}
+    saved = batch.BLOCK_ROWS
+    batch.BLOCK_ROWS = options["block"]
+    try:
+        runs = {materialize: join(query, tables, materialize=materialize,
+                                  profile=True, **keywords)
+                for materialize in (False, True)}
+        # a string column sends the plan to the tuple engine, whose lazy
+        # adapter seeds on advisory counts: not the structure under test
+        assume(runs[False].metrics.index == "columnar")
+        fresh = {materialize: observed(result, materialize)
+                 for materialize, result in runs.items()}
+        # ``lazy=True`` only moves the sort to the first touch
+        for lazy in (False, True):
+            prepared = Session(tables).prepare(query, lazy=lazy, **keywords)
+            for materialize in (False, True, False):
+                got = prepared.execute(materialize=materialize, profile=True)
+                assert observed(got, materialize) == fresh[materialize], \
+                    (lazy, materialize)
+    finally:
+        batch.BLOCK_ROWS = saved
+
+
+@pytest.mark.parametrize("name", ["private_first", "star"])
+def test_levels_appear_between_sharded_executions(name):
+    query, tables, order, options = TAIL[name]
+    keywords = {"engine": "batch", "index": "sortedtrie", "order": order}
+    rows = join(query, tables, materialize=True, **keywords).rows
+    with Session(tables).prepare(query, parallel=2, **keywords) as prepared:
+        assert prepared.execute().count == len(rows)
+        assert sorted(prepared.execute(materialize=True).rows) == sorted(rows)
+        assert prepared.execute().count == len(rows)
+
+
+@pytest.mark.parametrize("name, built, total", [
+    # W(tab), R(tc), S(td): one level each, whatever their arity
+    ("star", 3, 7),
+    # a private attribute ahead of the join: R(ab) is read to b
+    ("private_first", 3, 4),
+    # S(bc) is bound at b and c before T's private d: two of its two
+    ("private_middle", 5, 6),
+    # nothing bound: the roots' lengths answer, no level is built
+    ("cross_product", 0, 5),
+    ("triangle", 6, 6),
+])
+def test_a_count_builds_the_levels_it_binds(name, built, total):
+    query, tables, order, options = TAIL[name]
+    counted = run_batch(query, tables, order, options, profile=True)
+    counters = counted.profile.counters
+    assert (counters["frontier.levels_built"],
+            counters["frontier.levels_total"]) == (built, total)
+    spans = [span["args"] for span in counted.profile.spans
+             if span["name"] == "build_index"]
+    assert sum(args.get("levels", 0) for args in spans) == built
+    # ... a materialising run all of them, and it says so per atom
+    rows = run_batch(query, tables, order, {**options, "materialize": True},
+                     profile=True)
+    assert rows.profile.counters["frontier.levels_built"] == total
+    assert all(f"{alias} built {arity} of {arity} levels"
+               in rows.profile.render()
+               for alias, (_, arity) in rows.profile.trie_levels.items())
+    assert counted.profile.trie_levels.keys() == \
+        {atom.alias for atom in query.atoms}
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.data.graphs import random_edge_relation
+from repro.engine import Session
 from repro.joins.executor import join
 from repro.obs.observer import JoinObserver
 from repro.obs.profile import validate_profile
@@ -206,6 +207,49 @@ class TestProfileShape:
         assert [lv.survivors for lv in rows.profile.levels] == [40, 40, 90, 90]
         text = rows.profile.render()
         assert "counted from" not in text and "└─ q:" in text
+
+    def test_a_profile_says_which_levels_were_built(self):
+        """A trie builds a level on first descent, inside the execution:
+        the time is build time, the span a ``build_index`` one carrying
+        ``levels=``, and render() names the levels per atom."""
+        hub = Relation("F", ("t", "x"), [(i, i) for i in range(40)])
+        sat = Relation("A", ("t", "p", "q"),
+                       [(i % 40, i, i % 7) for i in range(100_000)])
+        session = Session({"F": hub, "A": sat})
+        prepared = session.prepare("F(t,x), A(t,p,q)", engine="batch")
+        sorts_s = prepared.build_seconds
+        counted = prepared.execute(profile=True)
+        payload = validate_profile(counted.profile.as_dict())
+        assert payload["counters"]["frontier.levels_built"] == 2
+        assert payload["counters"]["frontier.levels_total"] == 5
+        assert payload["trie_levels"] == {"A": [1, 3], "F": [1, 2]}
+        assert "trie levels: A built 1 of 3 levels  F built 1 of 2 levels" \
+            in counted.profile.render()
+        deepens = [span for span in payload["spans"]
+                   if span["name"] == "build_index"]
+        assert sorted((span["args"]["alias"], span["args"]["levels"])
+                      for span in deepens) == [("A", 1), ("F", 1)]
+        assert set(payload["timings"]["build_breakdown"]) == {"A", "F"}
+        # the first run is charged the prepare stage's sorts and, on top,
+        # the levels it was the first to descend into — as build time:
+        # 100 000 rows of level against a 40-row probe
+        levels_s = sum(span["dur_us"] for span in deepens) * 1e-6
+        assert counted.metrics.build_seconds == prepared.build_seconds
+        assert prepared.build_seconds >= sorts_s + 0.5 * levels_s
+        assert counted.metrics.probe_seconds < levels_s
+        # a materialising run builds what is left, a third run nothing
+        rows = prepared.execute(materialize=True, profile=True)
+        assert rows.profile.trie_levels == {"A": (3, 3), "F": (2, 2)}
+        assert sorted((span["args"]["alias"], span["args"]["levels"])
+                      for span in rows.profile.spans
+                      if span["name"] == "build_index") == [
+            ("A", 1), ("A", 1), ("F", 1)]
+        assert rows.metrics.build_seconds > 0
+        again = prepared.execute(materialize=True, profile=True)
+        assert again.metrics.build_seconds == 0.0
+        assert "build_index" not in {span["name"]
+                                     for span in again.profile.spans}
+        assert again.profile.counters["frontier.levels_built"] == 5
 
 
 #: what Alg. 1 does on the ``edges`` fixture, whichever tuple-style WCOJ
