@@ -19,7 +19,7 @@ QUERY = "R1(a,b,d,e), R2(a,c,d,f), R3(a,b,c), R4(b,d,f), R5(c,e,f)"
 def run(dynamic):
     source = umbra_adversarial_tables(ROWS, alpha=0.95, seed=32)
     return join(QUERY, source, algorithm="generic", index="sonic",
-                dynamic_seed=dynamic)
+                engine="tuple", dynamic_seed=dynamic)
 
 
 def test_bench_ablation_agm_dynamic(benchmark):

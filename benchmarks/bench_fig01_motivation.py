@@ -20,7 +20,7 @@ ADVERSITIES = [0.0, 0.25, 0.5, 0.75, 1.0]
 QUERY = "R(a,b), S(b,c), T(c,a)"
 ALGORITHMS = {
     "binary": dict(algorithm="binary"),
-    "sonic_gj": dict(algorithm="generic", index="sonic"),
+    "sonic_gj": dict(algorithm="generic", index="sonic", engine="tuple"),
     "hashtrie": dict(algorithm="hashtrie"),
 }
 

@@ -21,7 +21,8 @@ NODES = 60
 EDGES = 420
 LENGTHS = [3, 4, 5]
 
-CONTENDERS = [("gj_" + name, dict(algorithm="generic", index=name))
+CONTENDERS = [("gj_" + name,
+               dict(algorithm="generic", index=name, engine="tuple"))
               for name in JOIN_INDEXES]
 CONTENDERS += [("hashtrie_join", dict(algorithm="hashtrie")),
                ("binary", dict(algorithm="binary")),

@@ -18,7 +18,7 @@ from repro.joins import join
 ROWS = 350
 QUERY = "R1(a,b,d,e), R2(a,c,d,f), R3(a,b,c), R4(b,d,f), R5(c,e,f)"
 CONTENDERS = {
-    "sonic_gj": dict(algorithm="generic", index="sonic"),
+    "sonic_gj": dict(algorithm="generic", index="sonic", engine="tuple"),
     "hashtrie_join": dict(algorithm="hashtrie"),
     "binary": dict(algorithm="binary"),
     "leapfrog": dict(algorithm="leapfrog"),

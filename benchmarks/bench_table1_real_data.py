@@ -28,10 +28,10 @@ SCALE = 0.15
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 CONTENDERS = {
     "BJ": dict(algorithm="binary"),
-    "GJ_btree": dict(algorithm="generic", index="btree"),
-    "GJ_hattrie": dict(algorithm="generic", index="hattrie"),
-    "GJ_sonic": dict(algorithm="generic", index="sonic"),
-    "GJ_hiermap": dict(algorithm="generic", index="hiermap"),
+    "GJ_btree": dict(algorithm="generic", index="btree", engine="tuple"),
+    "GJ_hattrie": dict(algorithm="generic", index="hattrie", engine="tuple"),
+    "GJ_sonic": dict(algorithm="generic", index="sonic", engine="tuple"),
+    "GJ_hiermap": dict(algorithm="generic", index="hiermap", engine="tuple"),
     "HTJ": dict(algorithm="hashtrie"),
 }
 

@@ -11,10 +11,11 @@ That lesson compares two tuple-at-a-time engines, and the first two
 timing columns reproduce it (binary against Generic Join over Sonic).
 This repository also has a columnar batch engine, whose build is one
 sort per relation where a hash table is a Python loop per row — and an
-acyclic query is all build.  So under ``engine="auto"`` the plan stage
-overrides the optimizer's "acyclic -> binary" where the batch engine
-returns *the same answer*: every joined column int64 and every relation
-duplicate-free (a trie holds a set of rows, a hash pipeline joins bags).
+acyclic query is all build.  So unless the engine is pinned
+(``engine="auto"`` is the default) the plan stage overrides the
+optimizer's "acyclic -> binary" where the batch engine returns *the same
+answer*: every joined column int64 and every relation duplicate-free (a
+trie holds a set of rows, a hash pipeline joins bags).
 The third column is that route; the last lines show one repeated row
 sending the same query back to the binary pipeline, and why.
 
@@ -53,9 +54,9 @@ def main() -> None:
         counts = set()
         for label, options in (("binary", dict(algorithm="binary")),
                                ("GJ+sonic", dict(algorithm="generic",
-                                                 index="sonic")),
-                               ("auto", dict(algorithm="auto",
-                                             engine="auto"))):
+                                                 index="sonic",
+                                                 engine="tuple")),
+                               ("auto", dict(algorithm="auto"))):
             start = time.perf_counter()
             result = join(job.query, job.relations, **options)
             timings[label] = (time.perf_counter() - start) * 1e3
@@ -74,19 +75,18 @@ def main() -> None:
                 "(optimizer choice in last column)", rows)
     print(f"workload totals: binary {totals['binary']:.1f} ms, "
           f"GJ+sonic {totals['GJ+sonic']:.1f} ms, "
-          f"auto/engine=auto {totals['auto']:.1f} ms")
+          f"auto {totals['auto']:.1f} ms")
 
     # where the planned route goes, and what sends it back
     job = queries[0]
-    planned = plan(bind(job.query, job.relations), algorithm="auto",
-                   engine="auto")
+    planned = plan(bind(job.query, job.relations), algorithm="auto")
     print(f"\n{job.name} -> {planned.describe()}")
     satellite = next(r for name, r in job.relations.items() if name != "title")
     spoiled = dict(job.relations)
     spoiled[satellite.name] = Relation(
         satellite.name, satellite.schema.attributes,
         satellite.rows + satellite.rows[:1])
-    planned = plan(bind(job.query, spoiled), algorithm="auto", engine="auto")
+    planned = plan(bind(job.query, spoiled), algorithm="auto")
     print(f"one repeated row -> {planned.describe()}")
 
     # and the counterexample: a cyclic query routes to WCOJ

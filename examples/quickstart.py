@@ -45,8 +45,11 @@ def main() -> None:
     # 3. join() plans, builds the per-query indexes and executes.
     # ------------------------------------------------------------------
     source = {"E1": edges, "E2": edges, "E3": edges}
+    # engine="tuple" is the paper's configuration: Generic Join (Alg. 1)
+    # over the index named.  Leave it out and join() runs the columnar
+    # frontier engine wherever the columns are int64 -- same answer.
     result = join(query, source, algorithm="generic", index="sonic",
-                  materialize=True)
+                  engine="tuple", materialize=True)
     print(f"\ntriangles found: {result.count}")
     for row in result.rows_as_dicts():
         print(f"  {row}")
@@ -58,7 +61,8 @@ def main() -> None:
         count = join(query, source, algorithm=algorithm).count
         print(f"  {algorithm:9s} -> {count} triangles")
     for index in ("btree", "art", "hattrie", "hiermap"):
-        count = join(query, source, algorithm="generic", index=index).count
+        count = join(query, source, algorithm="generic", index=index,
+                     engine="tuple").count
         print(f"  GJ+{index:8s} -> {count} triangles")
 
     # ------------------------------------------------------------------

@@ -35,7 +35,8 @@ def main() -> None:
         entry = {"adversity": adversity}
         for label, options in (
             ("binary", dict(algorithm="binary")),
-            ("GJ+sonic", dict(algorithm="generic", index="sonic")),
+            ("GJ+sonic", dict(algorithm="generic", index="sonic",
+                              engine="tuple")),
             ("hashtrie", dict(algorithm="hashtrie")),
         ):
             result, elapsed = run(tables, **options)
@@ -59,7 +60,8 @@ def main() -> None:
             "ms": round(elapsed, 1),
             "intermediates": result.metrics.intermediate_tuples,
         })
-    result, elapsed = run(tables, algorithm="generic", index="sonic")
+    result, elapsed = run(tables, algorithm="generic", index="sonic",
+                          engine="tuple")
     order_rows.append({
         "pinned_order": "(GJ+sonic, any order)",
         "ms": round(elapsed, 1),

@@ -19,8 +19,8 @@ from repro.planner import cycle_query
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 CONTENDERS = {
     "binary": dict(algorithm="binary"),
-    "GJ+sonic": dict(algorithm="generic", index="sonic"),
-    "GJ+btree": dict(algorithm="generic", index="btree"),
+    "GJ+sonic": dict(algorithm="generic", index="sonic", engine="tuple"),
+    "GJ+btree": dict(algorithm="generic", index="btree", engine="tuple"),
     "hashtrie": dict(algorithm="hashtrie"),
     "leapfrog": dict(algorithm="leapfrog"),
 }

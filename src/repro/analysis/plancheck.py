@@ -1,4 +1,4 @@
-"""Static plan validation (RA301–RA309) for queries and plan IR.
+"""Static plan validation (RA301–RA308) for queries and plan IR.
 
 Run *before* execution, these checks catch the plan-level mistakes that
 would otherwise surface as silently-wrong join results deep inside a
@@ -29,14 +29,11 @@ benchmark sweep:
   a synthetic ``stage:`` atom with no matching child stage, a child
   whose output does not cover the attributes its parent atom binds, a
   duplicated child label, or a child stage that feeds no atom.
-* **RA309** — a lazy index spec on a kind that cannot materialize trie
-  levels one at a time (lazy builds need columnar truncated-prefix
-  bulk builds; only the level-at-a-time-capable kinds qualify).
 
 Feasibility of a given cover needs no LP — it is a linear scan — so this
 module stays dependency-free and cheap enough for
 :func:`repro.joins.executor.join` to run it on every call in debug mode
-(``debug=True`` or ``REPRO_DEBUG=1``).  The RA306–RA309 checks accept
+(``debug=True`` or ``REPRO_DEBUG=1``).  The RA306–RA308 checks accept
 any object shaped like :class:`repro.engine.ir.JoinPlan` (duck-typed,
 so this module never imports the engine package it validates).
 """
@@ -203,22 +200,18 @@ _RESOLVED_ENGINES = ("", "tuple", "batch")
 #: (mirrors repro.engine.ir.STAGE_ALIAS_PREFIX; kept as a literal so
 #: the validator stays free of engine imports)
 _STAGE_PREFIX = "stage:"
-#: index kinds whose adapters can materialize trie levels one at a
-#: time (mirrors repro.indexes.lazy.LAZY_CAPABLE_KINDS; the registry
-#: cross-check test pins the two tuples together)
-_LAZY_KINDS = ("sonic", "sortedtrie")
 
 
 def validate_join_plan(plan,
                        relations: "Mapping[str, object] | None" = None,
                        ) -> list[PlanIssue]:
-    """RA306–RA309 checks over a compiled :class:`~repro.engine.ir.JoinPlan`.
+    """RA306–RA308 checks over a compiled :class:`~repro.engine.ir.JoinPlan`.
 
     ``plan`` is duck-typed (``algorithm`` / ``engine`` / ``root_stage``
     attributes) so the validator has no dependency on the engine
     package.  The header is checked for resolved names (RA307); every
     other check recurses over the stage tree — one stage for a flat
-    request: RA306/RA309 on each stage's specs and orders plus the
+    request: RA306 on each stage's specs and orders plus the
     tree-shape rules (RA308).  With ``relations``, spec permutations are
     additionally checked against each relation's actual arity.
     """
@@ -255,7 +248,7 @@ def _check_specs(aliases: set,
                  specs: tuple,
                  relations: "Mapping[str, object] | None",
                  ) -> "tuple[list[PlanIssue], set[str]]":
-    """Per-spec RA306/RA309 checks of one stage.
+    """Per-spec RA306 checks of one stage.
 
     Returns the issues plus the set of aliases carrying a spec (the
     shape checks compare it against the expected atom coverage).
@@ -302,14 +295,6 @@ def _check_specs(aliases: set,
                 f"index spec for {spec.alias!r} has key_arity "
                 f"{spec.key_arity} outside its {len(spec.attribute_order)} "
                 "attributes",
-            ))
-        if getattr(spec, "lazy", False) and spec.kind not in _LAZY_KINDS:
-            issues.append(PlanIssue(
-                "RA309",
-                f"index spec for {spec.alias!r} requests a lazy build on "
-                f"kind {spec.kind!r}, which cannot materialize trie levels "
-                f"one at a time; lazy builds are limited to "
-                f"{list(_LAZY_KINDS)}",
             ))
         if relations is not None and spec.alias in (relations or {}):
             arity = getattr(relations[spec.alias], "arity", None)
@@ -358,7 +343,7 @@ def _check_plan_shape(algorithm, query, aliases: set, seen: set,
 def _check_stage_tree(root,
                       relations: "Mapping[str, object] | None",
                       ) -> list[PlanIssue]:
-    """RA308 tree-shape checks plus per-stage RA306/RA309 spec checks.
+    """RA308 tree-shape checks plus per-stage RA306 spec checks.
 
     Stages are duck-typed like :class:`repro.engine.ir.PlanStage`
     (``label`` / ``algorithm`` / ``query`` / ``output`` /

@@ -14,16 +14,6 @@ from repro.errors import ConfigurationError
 
 DEFAULT_BUCKET_SIZE = 8
 DEFAULT_OVERALLOCATION = 2.0
-#: load ceiling for growing a built index by ``fork()`` + ``insert``: a
-#: fork is only extended while its tuple count stays within this share of
-#: the base's ``capacity``.  An extended index answers exactly as fast as
-#: one built at that capacity — so growing it is running at a smaller
-#: overallocation than was asked for: at this ceiling a triangle join
-#: over a power-law graph measured 12 % slower than over a rebuilt index
-#: (uniform graph: 2 %), at 0.75 it was 24 % (16 %).  Past the ceiling the
-#: caller rebuilds at the new size — with the default overallocation once
-#: per 25 % growth, so rebuild cost stays amortised O(1) per appended row.
-MAX_EXTEND_LOAD = 0.625
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ Instrumentation hooks used by the paper's microarchitectural experiments:
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterator
 from typing import ClassVar
 
@@ -110,15 +109,6 @@ class _Level:
         # when neither happened, prefix counters are provably exact.
         self.spilled = False
         self.shared = False
-
-    def fork(self) -> "_Level":
-        """A copy that shares no mutable state with this level."""
-        clone = copy.copy(self)
-        for name in self.__slots__:
-            array = getattr(self, name)
-            if isinstance(array, (list, bytearray)):
-                setattr(clone, name, array.copy())
-        return clone
 
 
 class SonicIndex(TupleIndex):
@@ -351,38 +341,6 @@ class SonicIndex(TupleIndex):
             )
         level.shared = True
         return hash_key(parent_key, self._seed ^ 0xB0C4E7) % level.num_buckets
-
-    def fork(self) -> "SonicIndex":
-        """A private copy of this index, free to take further inserts.
-
-        Copies the per-level arrays (one flat memcpy each — no re-hashing,
-        no probing) and shares nothing mutable with the original, which
-        keeps answering exactly as before whatever is inserted into the
-        fork.  This is how the session cache turns an index built from an
-        older version of an append-only relation into the current one:
-        fork, then Alg. 2 :meth:`insert` for the appended rows only.
-        Capacity is the original's; the caller watches the load and
-        :attr:`exclusive_buckets`.
-        """
-        clone = copy.copy(self)
-        clone._levels = [level.fork() for level in self._levels]
-        return clone
-
-    @property
-    def exclusive_buckets(self) -> bool:
-        """Has no level ever spilled an entry or shared a bucket?
-
-        While this holds every designated bucket contains exactly its
-        parent's children: lookups take the fast path and a child
-        inserted later lands in its own parent's bucket.  Once a level
-        has spilled, a bulk build has packed each parent's overflow run
-        directly behind its bucket, and a later insert under an old
-        parent must probe past everything packed after it — that parent's
-        chain then spans the packed region and every walk of it pays.
-        Always true for two-column indexes (their single level is
-        addressed by hash alone).
-        """
-        return not any(level.spilled or level.shared for level in self._levels)
 
     # ------------------------------------------------------------------
     # Columnar bulk build (§3.4.1, amortized across sorted groups)

@@ -19,10 +19,10 @@ relations into caches.
 Relations are append-only, so an entry of an older version is not
 garbage: it was built from the first ``rows`` rows of the storage, and
 the current version is those rows plus the ones appended since.  Each
-entry records that row count; on a miss the prepare stage asks for the
-:meth:`~IndexCache.predecessor` of the key it missed on and, where the
-structure kind can grow, publishes a private copy extended by the
-appended rows instead of a rebuild.  Either way, publishing a newer
+entry records that row count; on a miss on a binary stage table the
+prepare stage asks for the :meth:`~IndexCache.predecessor` of the key it
+missed on and publishes a private copy extended by the appended rows
+instead of a rebuild.  Either way, publishing a newer
 version drops the older entries of the same storage and spec — they can
 never be hit again and would only occupy the byte budget.
 
@@ -115,9 +115,9 @@ class _Entry:
         #: how many leading rows of the storage the value was built from
         #: (None: not recorded — the entry never serves as a predecessor)
         self.rows = rows
-        #: lazy adapters and columnar tries: how many trie levels were
-        #: materialized when the entry was last charged (None for
-        #: structures that are whole once built)
+        #: columnar tries: how many trie levels were materialized when
+        #: the entry was last charged (None for structures that are
+        #: whole once built)
         self.built_depth = built_depth
 
 
@@ -241,27 +241,23 @@ class IndexCache:
         A store supersedes every older version of the same storage and
         spec: those entries can never be hit again, so they are dropped
         here (counted as ``cache.evict``) instead of holding bytes until
-        LRU reaches them.  ``CLOSE_ON_INVALIDATE`` structures among them
-        are closed after the lock is released, as
-        :meth:`invalidate_relation` does; anything else is only dropped
-        (superseded shard columns are released by their finalizer).  By
-        the same rule a publisher that arrives after a *newer* version
-        is not stored at all: it keeps its own structure, and is counted
-        as ``cache.race`` too.
+        LRU reaches them (superseded shard columns are released by their
+        finalizer).  By the same rule a publisher that arrives after a
+        *newer* version is not stored at all: it keeps its own
+        structure, and is counted as ``cache.race`` too.
 
         ``rows`` records how many leading rows of the storage ``value``
         was built from, which makes the entry usable as a
         :meth:`predecessor`.  ``built_depth`` seeds the depth component
         of a structure that materialises levels as joins descend — a
-        lazy adapter, a columnar trie (see :meth:`upgrade_depth`);
-        structures that are whole once built leave it ``None``.
+        columnar trie (see :meth:`upgrade_depth`); structures that are
+        whole once built leave it ``None``.
         """
         if not self.enabled:
             return value
         version = _version_of(key)
         stored = False
         dropped = 0
-        closeable = []
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -272,9 +268,6 @@ class IndexCache:
                 stored = all(_version_of(other) < version for other in others)
                 if stored:
                     for other in others:
-                        superseded = self._entries[other].value
-                        if getattr(superseded, "CLOSE_ON_INVALIDATE", False):
-                            closeable.append(superseded)
                         self._drop(other)
                     self._entries[key] = _Entry(value, bytes_, key[0],
                                                 rows=rows,
@@ -285,8 +278,6 @@ class IndexCache:
         if not stored:
             self.metrics.inc("cache.race")
             return value
-        for superseded in closeable:
-            superseded.close()
         self.metrics.inc("cache.store")
         if dropped:
             self.metrics.inc("cache.evict", dropped)
@@ -295,8 +286,8 @@ class IndexCache:
     def upgrade_depth(self, key: tuple, built_depth: int, bytes_: int) -> bool:
         """Record that a cached structure materialized deeper levels.
 
-        A lazy adapter or a columnar trie is stored shallow and cheap;
-        when a join descends further, its deepen callback reports the
+        A columnar trie is stored shallow and cheap; when a join
+        descends further, its deepen callback reports the
         new depth and the re-estimated byte footprint here, upgrading
         the cached entry **in place** — the deeper build replaces the
         shallow charge, no re-keying, no duplicate entry.  No-ops (returning False) when
@@ -321,8 +312,8 @@ class IndexCache:
         return True
 
     def built_depth(self, key: tuple) -> "int | None":
-        """The recorded lazy build depth for ``key`` (None when absent
-        or eager)."""
+        """The recorded build depth for ``key`` (None when absent or
+        whole once built)."""
         with self._lock:
             entry = self._entries.get(key)
             return entry.built_depth if entry is not None else None
@@ -335,28 +326,13 @@ class IndexCache:
         their memory before that (used by :meth:`Session.invalidate`) —
         at the price of the next prepare rebuilding from scratch, with
         no predecessor left to extend.  Returns the number dropped.
-
-        Structures that advertise ``CLOSE_ON_INVALIDATE`` (partially
-        built lazy adapters) are additionally ``close()``\\ d — *after*
-        the lock is released, preserving the never-hold-the-lock-across
-        -structure-work discipline.  Closing detaches the adapter's
-        cache-upgrade callback mid-materialization; its pinned snapshot
-        stays consistent for any reader still holding it, so a
-        concurrent ``extend()`` can never expose a half-built level over
-        mixed old/new rows.
         """
         storage_id = id(relation.rows)
-        closeable = []
         with self._lock:
             doomed = [key for key, entry in self._entries.items()
                       if entry.fingerprint[0] == storage_id]
             for key in doomed:
-                entry = self._entries[key]
-                if getattr(entry.value, "CLOSE_ON_INVALIDATE", False):
-                    closeable.append(entry.value)
                 self._drop(key)
-        for value in closeable:
-            value.close()
         if doomed:
             self.metrics.inc("cache.evict", len(doomed))
         return len(doomed)

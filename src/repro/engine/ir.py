@@ -67,12 +67,6 @@ class IndexSpec:
     pipeline stages): the first ``key_arity`` entries of
     ``attribute_order`` are the probe key, the rest the payload.
 
-    ``lazy`` requests a :class:`~repro.indexes.lazy.LazyTrieAdapter`
-    instead of an eager build: trie levels materialize on first descent
-    (the Free Join COLT strategy promoted from probe-time memoization to
-    a build strategy).  Only kinds with level-at-a-time bulk builds
-    qualify (RA309 in :mod:`repro.analysis.plancheck`).
-
     ``kind`` names what the prepare stage *builds*: a registry index
     for the tuple engine, :data:`COLUMNAR_KIND` for every atom of a
     batch-engine plan (``JoinPlan.index`` keeps what the caller asked).
@@ -84,20 +78,10 @@ class IndexSpec:
     permutation: tuple[int, ...]
     options: tuple[tuple[str, object], ...] = ()
     key_arity: "int | None" = None
-    lazy: bool = False
 
     def cache_key_suffix(self) -> tuple:
-        """The relation-independent part of this spec's cache key.
-
-        Lazy specs get a distinct suffix — a partially-built lazy
-        adapter and an eager index are different structure types and
-        must never alias one cache entry.  Eager specs keep the
-        historical 4-tuple shape so pre-existing cache keys survive.
-        """
-        suffix = (self.kind, self.permutation, self.options, self.key_arity)
-        if self.lazy:
-            return suffix + ("lazy",)
-        return suffix
+        """The relation-independent part of this spec's cache key."""
+        return (self.kind, self.permutation, self.options, self.key_arity)
 
 
 def _asked_and_built(algorithm: str, engine: str, index: str,
@@ -188,10 +172,8 @@ class PlanStage:
 
     def describe(self, indent: int = 0) -> str:
         """The nested multi-line stage form (EXPLAIN / tests)."""
-        head = _describe_head(self)
-        if any(spec.lazy for spec in self.index_specs):
-            head += " lazy"
-        lines = [("  " * indent) + f"- stage {self.label}: {head}"]
+        lines = [("  " * indent) + f"- stage {self.label}: "
+                 + _describe_head(self)]
         for child in self.children:
             lines.append(child.describe(indent + 1))
         return "\n".join(lines)

@@ -41,7 +41,7 @@ from dataclasses import replace
 from itertools import islice
 
 from repro.core.adapter import IndexAdapter
-from repro.core.config import MAX_EXTEND_LOAD, SonicConfig
+from repro.core.config import SonicConfig
 from repro.core.envflag import resolve_flag
 from repro.engine.cache import IndexCache, estimate_structure_bytes
 from repro.engine.ir import (
@@ -59,7 +59,6 @@ from repro.engine.ir import (
 from repro.engine.prepared import PreparedJoin
 from repro.errors import ConfigurationError, QueryError, SchemaError
 from repro.indexes.columnar import ColumnarTrie
-from repro.indexes.lazy import LAZY_CAPABLE_KINDS, LazyTrieAdapter
 from repro.indexes.registry import make_index
 from repro.joins.binary import (
     build_stage_table,
@@ -85,14 +84,14 @@ from repro.storage.relation import Relation, Snapshot
 #: index options each algorithm can honor; anything else raises
 #: ConfigurationError at plan time (the seed swallowed them silently)
 _GENERIC_OPTIONS = frozenset({"sonic_overallocation", "sonic_bucket_size",
-                              "index_options", "lazy"})
+                              "index_options"})
 _ALLOWED_OPTIONS = {
     "generic": _GENERIC_OPTIONS,
     "hashtrie": frozenset({"lazy", "singleton_pruning"}),
     "binary": frozenset(),
     "leapfrog": frozenset(),
     "recursive": frozenset(),
-    # the unified planner builds generic stages (lazy COLT builds included)
+    # the unified planner builds generic stages
     "unified": _GENERIC_OPTIONS,
 }
 
@@ -126,7 +125,7 @@ def plan(bound: BoundQuery,
          index: str = "sonic",
          order: "Sequence[str] | None" = None,
          binary_order: "Sequence[str] | None" = None,
-         engine: str = "tuple",
+         engine: str = "auto",
          dynamic_seed: bool = True,
          debug: "bool | None" = None,
          obs=None,
@@ -266,12 +265,13 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     ``(relation fingerprint, spec suffix)`` — a hit skips the build
     entirely (and two atoms over the same stored relation with the same
     spec share one build *within* a single prepare, the self-join alias
-    case).  A miss first asks the cache for the structure's newest older
-    version: relations only grow by appending, so where the kind can be
-    extended (:func:`_extend_structure`) a private copy of that base
-    plus the rows appended since replaces the rebuild.  Without a
-    cache, every structure is built fresh — the cold-path contract of
-    :func:`repro.joins.join`.
+    case).  A miss on a binary stage table first asks the cache for the
+    table's newest older version: relations only grow by appending, so a
+    copy of that base plus the rows appended since
+    (:func:`~repro.joins.binary.extend_stage_table`) replaces the
+    rebuild.  Every other kind rebuilds — a columnar trie's whole build
+    is one packed sort.  Without a cache, every structure is built fresh
+    — the cold-path contract of :func:`repro.joins.join`.
 
     The wall time spent building is returned on the prepared join as
     ``build_seconds`` and charged to the **first** execution's
@@ -317,15 +317,22 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     # even when an extend() landed after the lookup above
                     snapshot = relation.snapshot()
                     key = cache.key_for(relation, suffix, snapshot.version)
-                    base = cache.predecessor(key)
-                if base is not None:
-                    structure = _extend_structure(spec, relation, snapshot,
-                                                  *base)
+                    if spec.kind == HASHTABLE_KIND:
+                        base = cache.predecessor(key)
                 appended = None   # rows an extension applied; None: rebuilt
-                if structure is None:
+                if base is None:
                     structure = _build_structure(spec, relation, snapshot)
                 else:
-                    appended = snapshot.count - base[1]
+                    # the base is never written — prepared joins may be
+                    # probing it — the extension is a private copy
+                    table, base_rows = base
+                    key_arity = spec.key_arity or 0
+                    structure = extend_stage_table(
+                        table,
+                        islice(relation.rows, base_rows, snapshot.count),
+                        spec.permutation[:key_arity],
+                        spec.permutation[key_arity:])
+                    appended = snapshot.count - base_rows
                     cache.metrics.inc("cache.extend")
                     cache.metrics.inc("cache.extend_rows", appended)
                 tuples = len(relation) if snapshot is None else snapshot.count
@@ -349,7 +356,7 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     # concurrent preparer shares one canonical build and
                     # the LRU byte accounting never double-charges
                     built_depth = None
-                    if isinstance(structure, (LazyTrieAdapter, ColumnarTrie)):
+                    if isinstance(structure, ColumnarTrie):
                         # levels appear as joins descend, and the entry's
                         # byte charge follows them.  Hook the deepen
                         # callback *before* publishing, so no descent can
@@ -369,12 +376,11 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
 
 
 def _depth_upgrader(cache: IndexCache, key: tuple, tuples: int, arity: int):
-    """The deepen callback of a lazy adapter or a columnar trie: upgrade
-    the cached entry in place — new ``built_depth``, re-estimated byte
-    charge."""
-    def _on_deepen(adapter) -> None:
-        cache.upgrade_depth(key, adapter.built_depth,
-                            estimate_structure_bytes(adapter, tuples, arity))
+    """The deepen callback of a columnar trie: upgrade the cached entry
+    in place — new ``built_depth``, re-estimated byte charge."""
+    def _on_deepen(trie) -> None:
+        cache.upgrade_depth(key, trie.built_depth,
+                            estimate_structure_bytes(trie, tuples, arity))
     return _on_deepen
 
 
@@ -567,10 +573,9 @@ def _generic_stage(label: str, query: JoinQuery,
                    note: str) -> PlanStage:
     """A Generic Join stage over ``query`` under the *resolved* ``engine``."""
     kind, options = _generic_structure(index, engine, kwargs)
-    lazy = bool(kwargs.get("lazy", False))
     specs = tuple(
         _structure_spec(relations[atom.alias], atom.alias, kind, total,
-                        options, lazy=lazy)
+                        options)
         for atom in query.atoms
     )
     return PlanStage(label=label, algorithm="generic", query=query,
@@ -767,8 +772,7 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
 
 def _structure_spec(relation: Relation, alias: str, kind: str,
                     total: Sequence[str],
-                    options: "Mapping[str, object] | None",
-                    lazy: bool = False) -> IndexSpec:
+                    options: "Mapping[str, object] | None") -> IndexSpec:
     """An :class:`IndexSpec` for a registry-index structure under ``total``.
 
     Mirrors :class:`~repro.core.adapter.IndexAdapter`'s order projection
@@ -787,7 +791,7 @@ def _structure_spec(relation: Relation, alias: str, kind: str,
     return IndexSpec(alias=alias, kind=kind, attribute_order=attribute_order,
                      permutation=relation.schema.permutation_to(
                          attribute_order),
-                     options=canonical_options(options), lazy=lazy)
+                     options=canonical_options(options))
 
 
 def _validate_index_kwargs(requested: str, resolved: str, index: str,
@@ -798,8 +802,7 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
     ``resolved`` the concrete algorithm; ``"auto"`` is validated against
     the Generic Join's option set (see module docstring).  Where a
     Generic Join stage may be planned, the options must also fit the
-    ``index`` kind: Sonic's only with Sonic, ``lazy`` only where levels
-    build one at a time.
+    ``index`` kind: Sonic's only with Sonic.
     """
     if not kwargs:
         return
@@ -820,10 +823,6 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
             f"index {index!r} cannot honor Sonic option(s) {sonic_only}; "
             "they apply only with index='sonic'"
         )
-    if kwargs.get("lazy", False) and index not in LAZY_CAPABLE_KINDS:
-        raise ConfigurationError(
-            f"index {index!r} has no level-at-a-time build; lazy=True "
-            f"requires one of {sorted(LAZY_CAPABLE_KINDS)}")
 
 
 # ----------------------------------------------------------------------
@@ -846,13 +845,6 @@ def _build_structure(spec: IndexSpec, relation: Relation,
                                  spec.permutation[key_arity:])
     if spec.kind == TUPLESET_KIND:
         return frozenset(rows)
-    if spec.lazy:
-        # O(1) prepare: pin the column snapshot, build nothing — levels
-        # materialize on first descent and their cost surfaces in the
-        # executing run's metrics.build_seconds (§5.15 accounting)
-        return LazyTrieAdapter(relation, spec.kind, spec.attribute_order,
-                               spec.permutation, options=dict(spec.options),
-                               snapshot=snapshot)
     if spec.kind == COLUMNAR_KIND:
         columns = (relation.columns() if snapshot is None
                    else snapshot.columns)
@@ -874,40 +866,3 @@ def _build_structure(spec: IndexSpec, relation: Relation,
         index.rows  # force the SortedTrie sort inside the build phase
     return index
 
-
-def _extend_structure(spec: IndexSpec, relation: Relation,
-                      snapshot: Snapshot, base: object,
-                      base_rows: int) -> "object | None":
-    """``base`` brought up to ``snapshot`` by the rows appended since.
-
-    ``base`` is the structure ``spec`` describes over the first
-    ``base_rows`` rows of ``relation``'s storage; ``snapshot`` is a later
-    read of it.  Returns a private copy of ``base`` that answers as a
-    fresh build over ``snapshot``'s rows would — ``base`` itself is
-    never written, prepared joins may be probing it — or ``None`` where
-    the ordinary rebuild is the answer: every kind but an eager Sonic
-    index and the binary stage table; a Sonic index the appended rows
-    could take past :data:`~repro.core.config.MAX_EXTEND_LOAD` (the
-    rebuild then sizes the levels for the new row count); and one that
-    has lost, or would lose, its
-    :attr:`~repro.core.sonic.SonicIndex.exclusive_buckets` (late inserts
-    into packed overflow runs make its chains many times longer than a
-    rebuild's).
-    """
-    perm = spec.permutation
-    if spec.kind == HASHTABLE_KIND:
-        key_arity = spec.key_arity or 0
-        return extend_stage_table(
-            base, islice(relation.rows, base_rows, snapshot.count),
-            perm[:key_arity], perm[key_arity:])
-    if spec.kind != "sonic" or spec.lazy:
-        return None
-    appended = snapshot.count - base_rows
-    if (not base.exclusive_buckets
-            or len(base) + appended > MAX_EXTEND_LOAD * base.config.capacity):
-        return None
-    index = base.fork()
-    # on an index that already holds tuples build_bulk is Alg. 2 insert,
-    # row by row, over the values a fresh build would take from the columns
-    index.build_bulk(tuple(snapshot.columns[i][base_rows:] for i in perm))
-    return index if index.exclusive_buckets else None

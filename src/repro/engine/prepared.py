@@ -69,7 +69,7 @@ class PreparedJoin:
         self.structures = structures
         #: wall time spent building this join's structures: the prepare
         #: stage's builds (cache hits ≈ 0) plus whatever its executions
-        #: materialised afterwards (trie levels, lazy adapters)
+        #: materialised afterwards (trie levels)
         self.build_seconds = build_seconds
         self.executions = 0
         self._pending_build = build_seconds
@@ -180,9 +180,8 @@ class PreparedJoin:
         metrics = result.metrics
         if plan.algorithm == "unified":
             metrics.algorithm = plan.algorithm
-        # deferred build time — trie levels, lazy adapters — surfaces on
-        # the run that actually materialized the levels (§5.15
-        # build-included timing)
+        # deferred build time — trie levels — surfaces on the run that
+        # actually materialized them (§5.15 build-included timing)
         deferred = self._drain_lazy_charges()
         if deferred:
             with self._accounting:
@@ -199,7 +198,7 @@ class PreparedJoin:
 
     def _drain_lazy_charges(self) -> float:
         """Collect pending materialization time from the structures (a
-        columnar trie's levels, a lazy adapter's builds)."""
+        columnar trie's levels)."""
         total = 0.0
         for structure in self.structures.values():
             take = getattr(structure, "take_pending_charge", None)

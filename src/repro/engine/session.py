@@ -26,12 +26,13 @@ relation (:meth:`~repro.storage.relation.Relation.insert` /
 version counter, so the next prepare misses the stale entries —
 :meth:`Session.execute` therefore always sees current data, while an
 already-:meth:`~Session.prepare`-d join keeps its snapshot until
-re-prepared.  A miss is not a rebuild, though: relations only grow by
-appending, so the prepare stage copies the stale structure, applies the
-appended rows to the copy and publishes that (Sonic indexes and binary
-stage tables; every other kind rebuilds, as does a Sonic index grown
-past its load ceiling or out of its buckets — and the batch engine's
-columnar trie, whose whole build is one packed sort), and the store
+re-prepared.  What a miss rebuilds is one packed sort per relation
+and attribute order — the frontier engine's columnar trie, which is
+what a session holds unless asked otherwise — and every registry index
+kind the tuple engine reads (``engine="tuple"``) rebuilds likewise.
+Only a binary stage table is brought forward instead: relations only
+grow by appending, so the prepare stage copies the stale table, applies
+the appended rows to the copy and publishes that.  Either way the store
 drops the stale entry it supersedes.
 :meth:`invalidate` releases a relation's entries before that — which
 also takes away the base the next prepare would have extended.
@@ -88,7 +89,7 @@ class Session:
                 order: "Sequence[str] | None" = None,
                 dynamic_seed: bool = True,
                 binary_order: "Sequence[str] | None" = None,
-                engine: str = "tuple",
+                engine: str = "auto",
                 debug: "bool | None" = None,
                 profile: "bool | None" = None,
                 obs=None,
@@ -100,15 +101,16 @@ class Session:
         the return value (executable many times) and the build route —
         every index spec goes through the session cache, so repeated
         prepares over unchanged relations skip the build entirely.
-        What is cached follows the resolved engine: the ``index`` kind
-        under ``engine="tuple"``, one columnar trie per relation and
-        attribute order under ``engine="batch"`` (``"auto"``: batch iff
-        every joined column is int64-class).  Under those two engines
-        ``algorithm="auto"`` / ``"unified"`` also run an *acyclic* query
-        on the batch engine while every relation it reads is
-        duplicate-free — a verdict that follows each relation's version,
-        so the read after a write that repeats a row plans (and caches)
-        binary stage tables instead.
+        What is cached follows the resolved engine: one columnar trie
+        per relation and attribute order under ``engine="batch"`` —
+        which the default ``"auto"`` resolves to iff every joined column
+        is int64-class — and the ``index`` kind under ``engine="tuple"``
+        (the paper's configuration).  Unless the engine is pinned to
+        ``"tuple"``, ``algorithm="auto"`` / ``"unified"`` also run an
+        *acyclic* query on the batch engine while every relation it
+        reads is duplicate-free — a verdict that follows each relation's
+        version, so the read after a write that repeats a row plans (and
+        caches) binary stage tables instead.
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning

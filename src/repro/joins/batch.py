@@ -101,11 +101,10 @@ class GenericJoinBatch:
     Construction mirrors :class:`~repro.joins.generic_join.GenericJoin`
     (same validation, same total order, same ``dynamic_seed`` ablation
     knob); each adapter wraps a
-    :class:`~repro.indexes.columnar.ColumnarTrie` or a lazy adapter over
-    one.  The tries' published levels are only read (a trie appends
-    missing ones under its own lock), so one prepared set serves any
-    number of concurrent runs; everything a run writes lives on the
-    driver.
+    :class:`~repro.indexes.columnar.ColumnarTrie`.  The tries' published
+    levels are only read (a trie appends missing ones under its own
+    lock), so one prepared set serves any number of concurrent runs;
+    everything a run writes lives on the driver.
     """
 
     def __init__(self, query: JoinQuery, adapters: dict[str, IndexAdapter],
@@ -127,7 +126,7 @@ class GenericJoinBatch:
         #: are kept in a list indexed by this sequence
         self._aliases: tuple[str, ...] = tuple(a.alias for a in query.atoms)
         alias_id = {alias: i for i, alias in enumerate(self._aliases)}
-        self._sources = [adapters[alias].index for alias in self._aliases]
+        self._tries = [adapters[alias].index for alias in self._aliases]
         #: per level of the total order: ``(atom id, trie depth, has
         #: deeper levels)`` of every atom binding the attribute
         self._participants: list[list[tuple[int, int, bool]]] = []
@@ -175,9 +174,8 @@ class GenericJoinBatch:
                   for level in self._participants]
         self._stats = obs.init_levels(self.order, labels)
         self._blocks = self._live = self._peak = self._tail_rows = 0
-        #: per atom, the trie this run reads and how many of its levels
-        #: the run has asked for (-1: not touched yet)
-        self._tries: list = [None] * len(self._aliases)
+        #: per atom, how many of its trie's levels the run has asked for
+        #: (-1: not touched yet)
         self._ready = [-1] * len(self._aliases)
         self._build_ns = 0
         #: the level a counting run is finished at from subtree sizes
@@ -192,8 +190,8 @@ class GenericJoinBatch:
             obs.metrics.inc("frontier.tail_levels",
                             len(self.order) - self._counted_from)
             obs.metrics.inc("frontier.tail_rows", self._tail_rows)
-            levels = [(source.built_depth, source.arity)
-                      for source in self._sources]
+            levels = [(trie.built_depth, trie.arity)
+                      for trie in self._tries]
             obs.trie_levels.update(zip(self._aliases, levels))
             obs.metrics.inc("frontier.levels_built",
                             sum(built for built, _ in levels))
@@ -206,19 +204,18 @@ class GenericJoinBatch:
     # ------------------------------------------------------------------
     def _materialise(self, level: int, atom: int, depth: int) -> None:
         """First time this run needs ``depth`` levels of ``atom``'s trie:
-        ask the source for them.  The call builds whichever are missing,
+        ask for them.  The call builds whichever are missing,
         and building is not probing: its time comes off the probe clock
         and off levels ``..level``'s inclusive times (the trie reports it
         as a pending build charge, §5.15)."""
-        source = self._sources[atom]
-        before = source.built_depth
-        if 0 < depth <= before:
+        trie = self._tries[atom]
+        before = trie.built_depth
+        if depth <= before:
             # a warm run: the levels are there, nothing to time
-            trie = self._tries[atom] = source.at_depth(depth)
-            self._ready[atom] = trie.built_depth
+            self._ready[atom] = before
             return
         t0 = Stopwatch.now_ns()
-        trie = self._tries[atom] = source.at_depth(depth)
+        trie.at_depth(depth)
         spent = Stopwatch.now_ns() - t0
         self._ready[atom] = trie.built_depth
         self._build_ns += spent

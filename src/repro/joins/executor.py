@@ -8,22 +8,25 @@ runtime, now as a thin wrapper over the staged engine pipeline
 :class:`~repro.engine.ir.JoinPlan`, **prepare** the supporting
 structures (timed — ad-hoc index build is part of every WCOJ run,
 §5.15), and **execute**.  Each ``join()`` call is a one-shot cold
-session: no index cache, so results *and* timing semantics are
-identical to the seed's monolithic implementation.  For repeated
+session: no index cache, so the ad-hoc build is part of every reported
+time, as in the seed's monolithic implementation.  For repeated
 queries over the same relations, use :class:`repro.engine.Session`,
 whose prepared joins skip the rebuild.
 
 >>> from repro import join, Relation, parse_query
 >>> edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])
 >>> q = parse_query("E1=E(a,b), E2=E(b,c), E3=E(c,a)")
->>> join(q, {"E1": edges, "E2": edges, "E3": edges}, index="sonic").count
+>>> join(q, {"E1": edges, "E2": edges, "E3": edges}).count
 3
+>>> join(q, {"E1": edges, "E2": edges, "E3": edges}, index="sonic",
+...      engine="tuple").metrics.index          # the paper's configuration
+'sonic'
 
 Algorithms: ``"generic"`` (Generic Join over any registered index),
 ``"binary"`` (pipelined hash joins), ``"hashtrie"`` (Umbra-style),
 ``"leapfrog"`` (LFTJ), or ``"auto"`` (the hybrid optimizer chooses
-binary vs generic, §6/[22]; under ``engine="auto"``/``"batch"`` an
-acyclic query over duplicate-free int64 relations goes generic too).
+binary vs generic, §6/[22]; unless ``engine="tuple"`` an acyclic query
+over duplicate-free int64 relations goes generic too).
 
 This module also remains the home of the shared building blocks the
 pipeline stages (and the test suite) use directly:
@@ -166,7 +169,7 @@ def join(query: "JoinQuery | str",
          materialize: bool = False,
          dynamic_seed: bool = True,
          binary_order: Sequence[str] | None = None,
-         engine: str = "tuple",
+         engine: str = "auto",
          debug: "bool | None" = None,
          profile: "bool | None" = None,
          obs: "JoinObserver | None" = None,
@@ -187,25 +190,27 @@ def join(query: "JoinQuery | str",
     order of the ear atoms above the core) and must name every atom
     exactly once whichever algorithm runs.
 
-    ``engine`` selects the Generic Join execution model: ``"tuple"``
-    (default, the paper's tuple-at-a-time Alg. 1 over ``index``),
-    ``"batch"`` (frontier-at-a-time,
+    ``engine`` selects the Generic Join execution model: ``"auto"``
+    (default: batch iff every joined column is int64-class, else
+    tuple), ``"batch"`` (frontier-at-a-time,
     :class:`~repro.joins.batch.GenericJoinBatch`: the binding frontier
     carried as int64 columns over a
     :class:`~repro.indexes.columnar.ColumnarTrie` per atom — the one
     structure it reads, so ``index`` and its options are accepted but
-    that index is not built), or ``"auto"`` (batch iff every joined
-    column is int64-class).  Over a non-int64 column — strings,
-    integers beyond int64 — ``"batch"`` runs the tuple engine too, and
-    the plan records why (``JoinPlan.engine_note``, ``describe()``).
+    that index is not built), or ``"tuple"`` (the paper's
+    tuple-at-a-time Alg. 1 over ``index`` — the configuration every
+    figure and table of the reproduction measures; name it to get it).
+    Over a non-int64 column — strings, integers beyond int64 —
+    ``"auto"`` and ``"batch"`` run the tuple engine, and the plan
+    records why (``JoinPlan.engine_note``, ``describe()``).
     Both engines produce identical results; only constant factors
     differ.  The explicit non-generic algorithms (``"binary"``,
     ``"hashtrie"``, ``"leapfrog"``, ``"recursive"``) have no batch
     rendering and ignore the knob.  ``"auto"`` and ``"unified"`` do
     not: the hybrid optimizer sends an acyclic query (and a cyclic
     query's GYO ears) to the binary hash pipeline, and where the batch
-    engine would return *the same answer* — ``engine`` is ``"auto"`` /
-    ``"batch"``, every joined column is int64-class and every relation
+    engine would return *the same answer* — ``engine`` is not
+    ``"tuple"``, every joined column is int64-class and every relation
     is duplicate-free (:meth:`Relation.duplicate_free
     <repro.storage.relation.Relation.duplicate_free>`: a trie holds a
     set of rows, a hash pipeline joins bags, so one repeated row is

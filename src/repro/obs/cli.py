@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="join algorithm (default: generic)")
     execution.add_argument("--engine", default=None,
                            choices=("tuple", "batch", "auto"),
-                           help="Generic Join engine (default: tuple)")
+                           help="Generic Join engine (default: auto)")
     execution.add_argument("--index", default=None,
                            help="index structure (default: sonic)")
     execution.add_argument("--explain", action="store_true",

@@ -50,7 +50,7 @@ class TestJobLightQueries:
         for job in queries[:4]:
             binary = join(job.query, job.relations, algorithm="binary")
             generic = join(job.query, job.relations, algorithm="generic",
-                           index="btree")
+                           index="btree", engine="tuple")
             assert binary.count == generic.count, job.name
 
     def test_filters_reduce_inputs(self):

@@ -1,13 +1,15 @@
-"""The append-aware index cache: a write extends, it does not rebuild.
+"""The append-aware index cache: what a write costs the next read.
 
-Relations are append-only, so on a miss the prepare stage takes the
-newest older version of the structure from the cache, copies it and
-applies only the appended rows (:func:`repro.engine.pipeline.
-_extend_structure`).  These tests hold that path to the one contract
-that matters — a session read answers exactly as a cold ``join()`` over
-the same rows — across every plan family, and pin the mechanism itself:
-which misses extend, which fall back to a rebuild, what happens to the
-superseded entry, and that the base is never written.
+Relations are append-only, so on a miss on a binary stage table the
+prepare stage takes the table's newest older version from the cache,
+copies it and applies only the appended rows
+(:func:`repro.joins.binary.extend_stage_table`); every other kind —
+the frontier engine's columnar trie, every registry index — rebuilds.
+These tests hold both to the one contract that matters — a session read
+answers exactly as a cold ``join()`` over the same rows — across every
+plan family, and pin the mechanism itself: which misses extend, which
+rebuild, what happens to the superseded entry, and that the base is
+never written.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Relation, Session, join
-from repro.core.config import MAX_EXTEND_LOAD
-from repro.core.sonic import SonicIndex
 from repro.obs.observer import JoinObserver
 
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
@@ -28,13 +28,14 @@ CORE_EAR = "E1=E(a,b), E2=E(b,c), E3=E(c,a), F(a,d)"
 
 GENERIC_TUPLE = {"algorithm": "generic", "index": "sonic", "engine": "tuple"}
 GENERIC_BATCH = {"algorithm": "generic", "index": "sonic", "engine": "batch"}
+BINARY = {"algorithm": "binary"}
 #: every plan family a session can be asked for, with the query it reads
 CONFIGS = [
+    (TRIANGLE, {}),
     (TRIANGLE, GENERIC_TUPLE),
     (TRIANGLE, GENERIC_BATCH),
-    (CORE_EAR, {"algorithm": "binary"}),
+    (CORE_EAR, BINARY),
     (CORE_EAR, {"algorithm": "unified", "engine": "batch"}),
-    (TRIANGLE, {**GENERIC_BATCH, "lazy": True}),
 ]
 SHARDED = (TRIANGLE, {**GENERIC_BATCH, "parallel": 2})
 
@@ -72,7 +73,7 @@ def rows_for(relation: Relation, kind: str, x: int, y: int) -> list:
         return [(x, BIG + y), (BIG + y, x)]
     if kind == "empty":
         return []
-    # growth: more rows than the base's capacity leaves room for
+    # growth: a write as large as the relation it lands on
     return [(x + i, (y + 2 * i) % 9) for i in range(len(relation))]
 
 
@@ -106,7 +107,7 @@ def replay(steps, configs) -> Session:
 # a dtype flip between two extensions of the same base
 @example(steps=[("E", "random", 1, 2), "read", ("E", "big", 3, 4), "read",
                 ("E", "present", 0, 1)])
-# growth past the load ceiling, then extension of the rebuilt index
+# a write that doubles the relation, then a small one
 @example(steps=[("E", "growth", 0, 0), "read", ("E", "new_key", 1, 1)])
 # two writes behind one read: the delta spans both
 @example(steps=[("F", "new_key", 2, 3), ("F", "present", 0, 0),
@@ -134,13 +135,14 @@ class TestExtendOrRebuild:
     def test_a_write_is_served_by_extension(self):
         tables = base_tables()
         session = Session(tables)
-        session.execute(TRIANGLE, **GENERIC_TUPLE)
+        session.execute(CORE_EAR, **BINARY)
         tables["E"].extend([(0, 6), (6, 0)])
         observer = JoinObserver()
-        result = session.execute(TRIANGLE, obs=observer, **GENERIC_TUPLE)
-        assert result.count == join(TRIANGLE, tables, **GENERIC_TUPLE).count
-        # the triangle holds E under two attribute orders: both missed,
-        # both had a predecessor, neither was rebuilt
+        result = session.execute(CORE_EAR, obs=observer, **BINARY)
+        assert result.count == join(CORE_EAR, tables, **BINARY).count
+        # F leads the pipeline; E is held as two stage tables (E1 and E2
+        # share one): both missed, both had a predecessor, neither was
+        # rebuilt
         assert session.metrics.get("cache.extend") == 2
         assert session.metrics.get("cache.extend_rows") == 4
         assert observer.metrics.get("cache.extend") == 2
@@ -149,18 +151,19 @@ class TestExtendOrRebuild:
         assert "build_index" not in names
         span = next(s for s in observer.tracer.as_dicts()
                     if s["name"] == "extend_index")
-        assert span["args"] == {"alias": "E1", "index": "sonic",
-                                "tuples": len(tables["E"]), "appended": 2}
+        assert span["args"]["index"] == "hashtable"
+        assert span["args"]["tuples"] == len(tables["E"])
+        assert span["args"]["appended"] == 2
 
     def test_stage_tables_extend_in_row_order(self):
         tables = base_tables()
         session = Session(tables)
-        first = session.prepare(CORE_EAR, algorithm="binary")
+        first = session.prepare(CORE_EAR, **BINARY)
         old_tables = {alias: {key: list(rows) for key, rows in table.items()}
                       for alias, table in first.structures.items()}
         tables["F"].extend([(0, 7), (0, 8), (9, 9)])
         tables["E"].extend([(0, 6)])
-        second = session.prepare(CORE_EAR, algorithm="binary")
+        second = session.prepare(CORE_EAR, **BINARY)
         # F leads the pipeline; E1 and E2 share one table, E3 has its own
         assert session.metrics.get("cache.extend") == 2
         cold = join(CORE_EAR, tables, algorithm="binary", materialize=True)
@@ -170,73 +173,11 @@ class TestExtendOrRebuild:
         for alias, table in first.structures.items():
             assert table == old_tables[alias]
 
-    def test_growth_past_the_load_ceiling_rebuilds(self):
-        tables = base_tables()
-        session = Session(tables)
-        before = session.prepare(TRIANGLE, **GENERIC_TUPLE)
-        capacity = before.structures["E1"].config.capacity
-        room = int(MAX_EXTEND_LOAD * capacity) - len(before.structures["E1"])
-        tables["E"].extend([(200 + i, 300 + i) for i in range(room + 1)])
-        observer = JoinObserver()
-        after = session.prepare(TRIANGLE, obs=observer, **GENERIC_TUPLE)
-        assert session.metrics.get("cache.extend") == 0
-        assert span_names(observer).count("build_index") == 2
-        # rebuilt at the new size, not at the base's
-        assert after.structures["E1"].config.capacity > capacity
-        assert after.execute().count == join(TRIANGLE, tables).count
-        # ... and the rebuilt index is extended in turn
-        tables["E"].extend([(0, 6)])
-        assert session.execute(TRIANGLE, **GENERIC_TUPLE).count == \
-            join(TRIANGLE, tables).count
-        assert session.metrics.get("cache.extend") == 2
-
-    def test_exactly_at_the_ceiling_still_extends(self):
-        tables = base_tables()
-        session = Session(tables)
-        before = session.prepare(TRIANGLE, **GENERIC_TUPLE)
-        index = before.structures["E1"]
-        room = int(MAX_EXTEND_LOAD * index.config.capacity) - len(index)
-        tables["E"].extend([(200 + i, 300 + i) for i in range(room)])
-        session.prepare(TRIANGLE, **GENERIC_TUPLE)
-        assert session.metrics.get("cache.extend") == 2
-
-    def test_three_columns_extend_only_with_exclusive_buckets(self):
-        # three columns: children live in their parent's bucket.  While no
-        # bucket has overflowed a late child still lands beside its
-        # siblings; once one has, chains of old parents would grow through
-        # whatever the bulk build packed behind them — so that rebuilds
-        query = "R(a,b,c), S(a,b,d)"
-        options = {**GENERIC_TUPLE, "sonic_overallocation": 4.0}
-        rows = [(a, b, a + b) for a in range(4) for b in range(4)]
-        tables = {"R": Relation("R", ("a", "b", "c"), rows),
-                  "S": Relation("S", ("a", "b", "d"), rows[::2])}
-        session = Session(tables)
-
-        def read() -> SonicIndex:
-            prepared = session.prepare(query, **options)
-            assert prepared.execute().count == join(
-                query, tables, **options).count
-            return prepared.structures["R"]
-
-        assert read().exclusive_buckets
-        tables["R"].extend([(0, 1, 50), (4, 0, 0)])    # old parent, new one
-        assert read().exclusive_buckets
-        assert session.metrics.get("cache.extend") == 1
-        # more children than parent 0's eight-slot bucket holds: the fork
-        # overflows, is thrown away, and the index is rebuilt ...
-        tables["R"].extend([(0, 2, 60 + i) for i in range(8)])
-        assert not read().exclusive_buckets
-        assert session.metrics.get("cache.extend") == 1
-        # ... and a base without exclusive buckets is not extended again
-        tables["R"].extend([(3, 3, 3)])
-        read()
-        assert session.metrics.get("cache.extend") == 1
-
     @pytest.mark.parametrize("options", [
         {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"},
-        {"algorithm": "recursive"}, {**GENERIC_BATCH, "lazy": True},
-        {"algorithm": "generic", "index": "sortedtrie"},
-    ], ids=lambda o: "-".join(str(v) for v in o.values()))
+        {"algorithm": "recursive"}, GENERIC_TUPLE, {},
+        {"algorithm": "generic", "index": "sortedtrie", "engine": "tuple"},
+    ], ids=lambda o: "-".join(str(v) for v in o.values()) or "default")
     def test_other_kinds_keep_rebuilding(self, options):
         tables = base_tables()
         session = Session(tables)
@@ -264,50 +205,37 @@ class TestSupersededEntries:
             tables["E"].extend([(step, 6)])
             session.execute(TRIANGLE, **GENERIC_TUPLE)
         stats = session.cache_stats()
-        # one live entry per attribute order, however many versions passed
+        # one live entry per attribute order, however many versions
+        # passed, charged what a session that saw only the last one holds
         assert stats.entries == one_version.entries == 2
-        assert stats.bytes == one_version.bytes
+        fresh = Session(tables)
+        fresh.execute(TRIANGLE, **GENERIC_TUPLE)
+        assert stats.bytes == fresh.cache_stats().bytes
         assert stats.evictions == 10
         assert session.metrics.get("cache.evict") == 10
         assert stats.stores - stats.evictions == stats.entries
 
-    def test_superseded_lazy_adapters_are_closed(self):
-        tables = base_tables()
-        session = Session(tables)
-        options = {**GENERIC_BATCH, "lazy": True}
-        stale = session.prepare(TRIANGLE, **options)
-        adapters = list(stale.structures.values())
-        assert not any(adapter.closed for adapter in adapters)
-        truth = stale.execute().count
-        tables["E"].extend([(0, 6), (6, 0), (6, 3)])
-        session.execute(TRIANGLE, **options)
-        # closed like invalidate() closes them: no cache upgrades from a
-        # superseded adapter, but its pinned snapshot still answers
-        assert all(adapter.closed for adapter in adapters)
-        assert stale.execute().count == truth
-
     def test_prepared_join_outlives_its_superseded_base(self):
+        # CORE_EAR under the binary pipeline: E is all stage tables (a
+        # trie: TestBatchRebuilds.test_prepared_join_answers_from_its_
+        # pinned_trie)
         tables = base_tables()
         session = Session(tables)
-        # (the binary pipeline reads CORE_EAR, where E is all stage tables)
-        for query, options in ((TRIANGLE, GENERIC_TUPLE),
-                               (CORE_EAR, {"algorithm": "binary"})):
-            pinned = session.prepare(query, **options)
-            before = pinned.execute().count
-            held = set(map(id, pinned.structures.values()))
-            # closes new triangles through old rows, so a base written in
-            # place would show
-            tables["E"].extend([(0, 6), (6, 0), (1, 0), (5, 1)])
-            fresh = session.prepare(query, **options)
-            assert session.metrics.get("cache.extend") > 0
-            assert fresh.execute().count == join(query, tables,
-                                                 **options).count
-            assert fresh.execute().count != before
-            # the base is out of the cache, and still answers as it did
-            cached = {id(entry.value)
-                      for entry in session.cache._entries.values()}
-            assert not held & cached
-            assert pinned.execute().count == before
+        pinned = session.prepare(CORE_EAR, **BINARY)
+        before = pinned.execute().count
+        held = set(map(id, pinned.structures.values()))
+        # closes new triangles through old rows, so a base written in
+        # place would show
+        tables["E"].extend([(0, 6), (6, 0), (1, 0), (5, 1)])
+        fresh = session.prepare(CORE_EAR, **BINARY)
+        assert session.metrics.get("cache.extend") > 0
+        assert fresh.execute().count == join(CORE_EAR, tables, **BINARY).count
+        assert fresh.execute().count != before
+        # the base is out of the cache, and still answers as it did
+        cached = {id(entry.value)
+                  for entry in session.cache._entries.values()}
+        assert not held & cached
+        assert pinned.execute().count == before
 
     @pytest.mark.parametrize("algorithm", ["binary", "unified"])
     def test_prepared_binary_join_pins_its_leading_scan(self, algorithm):
@@ -330,8 +258,7 @@ class TestSupersededEntries:
 
 class TestBatchRebuilds:
     """Under the batch engine a write is served by a rebuild: the
-    columnar trie's build is one packed sort, cheaper than keeping a
-    forkable structure beside it."""
+    columnar trie's whole build is one packed sort."""
 
     def test_a_stale_read_is_one_rebuild_per_attribute_order(self):
         tables = base_tables()
@@ -425,6 +352,20 @@ class TestBytesFollowTheLevels:
         assert session.cache_stats().bytes == self.resident(session)
         assert session.cache_stats().evictions == 0
 
+    def test_prefix_only_join_leaves_deeper_levels_unbuilt(self):
+        # H's sources are graph vertices, its destinations are not: the
+        # join dies at ``b``, having asked E2 and E3 for one level each
+        tables = base_tables()
+        tables["H"] = Relation("H", ("src", "dst"),
+                               [(i, 1000 + i) for i in range(7)])
+        hot = "E1=H(a,b), E2=E(b,c), E3=E(c,a)"
+        with Session(tables) as session:
+            prepared = session.prepare(hot)
+            assert prepared.execute(materialize=True).rows == []
+            assert {alias: prepared.structures[alias].built_depth
+                    for alias in ("E2", "E3")} == {"E2": 1, "E3": 1}
+            assert session.cache_stats().bytes == self.resident(session)
+
     def test_a_deepen_past_the_budget_evicts_the_coldest_entry(self):
         tables = self.star_tables()
         # room for the two sort buffers and not a level more
@@ -451,7 +392,12 @@ class TestBytesFollowTheLevels:
 # key and contents come from one read
 # ----------------------------------------------------------------------
 class TestSnapshotCoherence:
-    def test_extend_between_lookup_and_build_is_not_double_applied(self):
+    @pytest.mark.parametrize("query,options,extended", [
+        (TRIANGLE, GENERIC_BATCH, 0),     # tries rebuild
+        (CORE_EAR, BINARY, 2),            # stage tables extend
+    ], ids=["columnar", "hashtable"])
+    def test_extend_between_lookup_and_build_is_not_double_applied(
+            self, query, options, extended):
         tables = base_tables()
         edges = tables["E"]
         session = Session(tables)
@@ -476,24 +422,27 @@ class TestSnapshotCoherence:
         thread = threading.Thread(target=writer, daemon=True)
         thread.start()
         try:
-            prepared = session.prepare(TRIANGLE, **GENERIC_TUPLE)
+            prepared = session.prepare(query, **options)
         finally:
             session.cache.get = real_get
             thread.join(timeout=30)
         assert not thread.is_alive()
 
-        # every entry is keyed by the version whose rows it holds
+        # every entry is keyed by the version whose rows it holds (the
+        # rows of E are distinct, so a trie's length is its row count)
         for key, entry in session.cache._entries.items():
-            assert isinstance(entry.value, SonicIndex)
-            assert entry.rows == len(entry.value)      # rows are distinct
+            held = (sum(map(len, entry.value.values()))
+                    if isinstance(entry.value, dict) else len(entry.value))
+            assert entry.rows == held
             assert entry.fingerprint == edges.fingerprint()
             assert entry.rows == len(edges)
-        assert prepared.execute().count == join(TRIANGLE, tables).count
+        assert prepared.execute().count == join(query, tables,
+                                                **options).count
         # so the next extension starts where the entry really ends
         edges.extend([(3, 6), (1, 0)])
-        assert session.execute(TRIANGLE, **GENERIC_TUPLE).count == \
-            join(TRIANGLE, tables).count
-        assert session.metrics.get("cache.extend") == 2
+        assert session.execute(query, **options).count == \
+            join(query, tables, **options).count
+        assert session.metrics.get("cache.extend") == extended
 
     def test_relation_snapshot_is_one_consistent_read(self):
         relation = Relation("R", ("a", "b"), [(i, i) for i in range(50)])

@@ -173,22 +173,6 @@ class TestVersions:
         assert cache.metrics.get("cache.race") == 1
         assert cache.stats().bytes == 130
 
-    def test_superseded_closeables_are_closed(self, edges):
-        class Closeable:
-            CLOSE_ON_INVALIDATE = True
-            closed = False
-
-            def close(self):
-                self.closed = True
-
-        cache = IndexCache(max_bytes=1 << 20)
-        stale = Closeable()
-        cache.put_if_absent(entry(cache, edges, "lazy"), stale, 10, rows=3)
-        edges.insert((3, 4))
-        cache.put_if_absent(entry(cache, edges, "lazy"), Closeable(), 10,
-                            rows=4)
-        assert stale.closed
-
     def test_key_for_an_explicit_version(self, edges):
         cache = IndexCache()
         at_zero = entry(cache, edges, "sonic")

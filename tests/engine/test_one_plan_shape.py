@@ -39,7 +39,9 @@ def _tables(query: str) -> dict:
             "U": Relation("U", ("b", "e"), [(i % 6, i) for i in range(12)])}
 
 
-#: name -> (query, plan()/join() keyword arguments)
+#: name -> (query, plan()/join() keyword arguments); a generic, auto or
+#: unified request names its engine (no ``/engine`` in the name: tuple) —
+#: what the default resolves to is tests/engine/test_default_engine.py's
 REQUESTS = {
     "generic/tuple": (TRIANGLE, {"algorithm": "generic", "engine": "tuple"}),
     "generic/batch": (TRIANGLE, {"algorithm": "generic", "engine": "batch"}),
@@ -48,13 +50,15 @@ REQUESTS = {
     "hashtrie": (TRIANGLE, {"algorithm": "hashtrie"}),
     "leapfrog": (TRIANGLE, {"algorithm": "leapfrog"}),
     "recursive": (TRIANGLE, {"algorithm": "recursive"}),
-    "auto star": (STAR, {"algorithm": "auto"}),
+    "auto star": (STAR, {"algorithm": "auto", "engine": "tuple"}),
     "auto star/auto": (STAR, {"algorithm": "auto", "engine": "auto"}),
-    "auto triangle": (TRIANGLE, {"algorithm": "auto"}),
-    "unified star": (STAR, {"algorithm": "unified"}),
+    "auto triangle": (TRIANGLE, {"algorithm": "auto", "engine": "tuple"}),
+    "unified star": (STAR, {"algorithm": "unified", "engine": "tuple"}),
     "unified star/auto": (STAR, {"algorithm": "unified", "engine": "auto"}),
-    "unified triangle": (TRIANGLE, {"algorithm": "unified"}),
-    "unified triangle+ears": (TRIANGLE_EARS, {"algorithm": "unified"}),
+    "unified triangle": (TRIANGLE, {"algorithm": "unified",
+                                    "engine": "tuple"}),
+    "unified triangle+ears": (TRIANGLE_EARS, {"algorithm": "unified",
+                                              "engine": "tuple"}),
     "unified triangle+ears/batch": (TRIANGLE_EARS, {"algorithm": "unified",
                                                     "engine": "batch"}),
 }

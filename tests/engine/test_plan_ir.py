@@ -37,7 +37,8 @@ def bound(tables):
 
 class TestPlanConstruction:
     def test_generic_plan_fields(self, bound):
-        compiled = plan(bound, algorithm="generic", index="sonic")
+        compiled = plan(bound, algorithm="generic", index="sonic",
+                        engine="tuple")
         assert compiled.algorithm == "generic"
         assert compiled.engine == "tuple"
         assert compiled.index == "sonic"
@@ -111,8 +112,10 @@ class TestPlanConstruction:
         assert "generic/batch" in text and "order=a,b,c" in text
 
     def test_cache_key_suffix_distinguishes_options(self, bound):
-        a = plan(bound, index_kwargs={"sonic_bucket_size": 8}).spec_for("E1")
-        b = plan(bound, index_kwargs={"sonic_bucket_size": 16}).spec_for("E1")
+        # the tuple engine builds the Sonic index the options configure
+        a, b = (plan(bound, engine="tuple",
+                     index_kwargs={"sonic_bucket_size": size}).spec_for("E1")
+                for size in (8, 16))
         assert a.cache_key_suffix() != b.cache_key_suffix()
         assert canonical_options({"x": 1, "a": 2}) == (("a", 2), ("x", 1))
 
@@ -142,7 +145,7 @@ class TestOptionPolicing:
                  sonic_bucket_size=4)
 
     def test_sonic_options_accepted_on_sonic(self, tables):
-        assert join(TRIANGLE, tables, sonic_bucket_size=4,
+        assert join(TRIANGLE, tables, engine="tuple", sonic_bucket_size=4,
                     sonic_overallocation=3.0).count == 3
 
     def test_unknown_algorithm_and_engine_messages(self, tables):

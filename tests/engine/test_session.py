@@ -13,11 +13,11 @@ from repro.storage.relation import Relation
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 
 ALGORITHM_CASES = [
-    {"algorithm": "generic", "index": "sonic"},
+    {"algorithm": "generic", "index": "sonic", "engine": "tuple"},
     {"algorithm": "generic", "index": "sonic", "engine": "batch"},
-    {"algorithm": "generic", "index": "btree"},
-    {"algorithm": "generic", "index": "hashtrie"},
-    {"algorithm": "generic", "index": "sortedtrie"},
+    {"algorithm": "generic", "index": "btree", "engine": "tuple"},
+    {"algorithm": "generic", "index": "hashtrie", "engine": "tuple"},
+    {"algorithm": "generic", "index": "sortedtrie", "engine": "tuple"},
     {"algorithm": "binary"},
     {"algorithm": "hashtrie"},
     {"algorithm": "hashtrie", "lazy": False},

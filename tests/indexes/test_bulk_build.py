@@ -195,6 +195,8 @@ class TestJoinEquivalence:
 
     @staticmethod
     def _run_both(query, source, **kwargs):
+        # the switch is the registry indexes': the tuple engine's builds
+        kwargs.setdefault("engine", "tuple")
         previous = set_bulk_build(False)
         try:
             reference = join(query, source, materialize=True, **kwargs)

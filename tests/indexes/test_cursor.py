@@ -128,5 +128,5 @@ class TestGenericJoinMatchesAcrossCursorKinds:
         counts = set()
         for index in ("sonic", "btree", "hiermap"):
             counts.add(join("L(a,b,c), R(c,d)", {"L": left, "R": right},
-                            index=index).count)
+                            index=index, engine="tuple").count)
         assert len(counts) == 1

@@ -62,14 +62,17 @@ class TestJoinApi:
 
     def test_build_time_recorded_for_wcoj(self, edges):
         result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                      {"E1": edges, "E2": edges, "E3": edges}, index="sonic")
+                      {"E1": edges, "E2": edges, "E3": edges}, index="sonic",
+                      engine="tuple")
         assert result.metrics.build_seconds > 0
         assert result.metrics.index == "sonic"
 
     def test_auto_picks_binary_for_star(self):
         f = Relation("F", ("t", "x"), [(i, i) for i in range(40)])
         a = Relation("A", ("t", "p"), [(i, i + 1) for i in range(40)])
-        result = join("F(t,x), A(t,p)", {"F": f, "A": a}, algorithm="auto")
+        # the paper's rule (Table 1), which engine="tuple" leaves alone
+        result = join("F(t,x), A(t,p)", {"F": f, "A": a}, algorithm="auto",
+                      engine="tuple")
         assert result.metrics.algorithm == "binary_join"
         assert result.count == 40
 
@@ -77,7 +80,32 @@ class TestJoinApi:
         result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
                       {"E1": edges, "E2": edges, "E3": edges},
                       algorithm="auto")
-        assert result.metrics.algorithm == "generic_join"
+        assert result.metrics.algorithm == "generic_join_batch"
+
+
+class TestLazyOption:
+    """``lazy=`` is Hash-Trie Join's own knob (Umbra's lazy expansion);
+    a Generic Join stage has no such option, with or without the plan
+    validator in the way."""
+
+    QUERY = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
+
+    @pytest.mark.parametrize("debug", [False, True])
+    @pytest.mark.parametrize("algorithm", ["generic", "unified", "auto"])
+    def test_generic_stages_refuse_it_at_plan_time(self, edges, algorithm,
+                                                   debug):
+        with pytest.raises(ConfigurationError, match="cannot honor") as error:
+            join(self.QUERY, {"E1": edges, "E2": edges, "E3": edges},
+                 algorithm=algorithm, lazy=True, debug=debug)
+        # the message names what it would have accepted
+        assert "['lazy']" in str(error.value)
+        assert "sonic_bucket_size" in str(error.value)
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_hashtrie_keeps_its_own(self, edges, parallel):
+        result = join(self.QUERY, {"E1": edges, "E2": edges, "E3": edges},
+                      algorithm="hashtrie", lazy=False, parallel=parallel)
+        assert result.count == triangle_count_truth(edges)
 
 
 class TestTriangleCount:

@@ -6,7 +6,7 @@ orders that leave an atom's attributes far apart) over hostile data
 values at +-2**62 and the int64 extremes, string columns) are joined
 three ways — ``engine="batch"``, ``engine="tuple"`` and a nested-loop
 brute force — under every knob that reaches the driver: ``dynamic_seed``
-on and off, counting and materialising sinks, ``lazy``, ``unified`` and
+on and off, counting and materialising sinks, ``unified`` and
 ``parallel=2``.  The module constant that cuts the expanded frontier
 into blocks is shrunk per example, so block boundaries fall everywhere:
 inside a hub's children, between two rows, exactly at the end.
@@ -16,8 +16,8 @@ second atom binds — and multiplies subtree sizes instead of expanding
 it, so every counting cell is also held to its own materialising twin
 (same count, no more intermediates), and the ``TAIL`` seeds place the
 tail by hand: shorter than the private set, the whole order, empty,
-over an empty relation, behind lazy tries, a static seed, one-row
-blocks, two shards and a unified plan whose ear rides the core.
+over an empty relation, a static seed, one-row blocks, two shards and
+a unified plan whose ear rides the core.
 
 A columnar trie builds a level the first time a run descends into it,
 so what a run finds built depends on the runs before it.  The *deepening*
@@ -89,7 +89,7 @@ def cases(draw):
     options = {
         "dynamic_seed": draw(st.booleans()),
         "materialize": draw(st.booleans()),
-        "mode": draw(st.sampled_from(["plain", "plain", "lazy", "unified"])),
+        "mode": draw(st.sampled_from(["plain", "plain", "unified"])),
         "block": draw(st.sampled_from([1, 2, 3, 7, batch.BLOCK_ROWS])),
     }
     return query, stored, order, options
@@ -122,8 +122,6 @@ def run_batch(query, tables, order, options, **extra):
     keywords = {"engine": "batch", "index": "sortedtrie",
                 "dynamic_seed": options["dynamic_seed"],
                 "materialize": options["materialize"], **extra}
-    if options["mode"] == "lazy":
-        keywords["lazy"] = True
     if options["mode"] == "unified":
         keywords["algorithm"] = "unified"
     saved = batch.BLOCK_ROWS
@@ -221,7 +219,6 @@ TAIL = {
     # a star whose three satellites are counted from two bound levels,
     # one bound level and the root's neighbour
     "star": _case(*STAR, materialize=False),
-    "star_lazy": _case(*STAR, materialize=False, mode="lazy"),
     "star_static_seed_block_1": _case(
         *STAR, materialize=False, dynamic_seed=False, block=1),
     # the triangle's ear rides the core's stage and is its tail
@@ -257,9 +254,9 @@ def examples(seeds):
 @example(_case([("R", "ab"), ("S", "ba")],
                {"R": [(INT64.min, INT64.max), (0, 0), (INT64.max, INT64.min)],
                 "S": [(INT64.max, INT64.min), (0, 0), (5, 5)]}))
-# an empty relation beside a non-empty one, lazily
+# an empty relation beside a non-empty one
 @example(_case([("R", "ab"), ("S", "b")],
-               {"R": [(1, 2)], "S": []}, mode="lazy"))
+               {"R": [(1, 2)], "S": []}))
 @examples(TAIL.values())
 def test_batch_equals_tuple_equals_brute_force(case):
     check(*case)
@@ -279,7 +276,7 @@ def test_sharded_batch_equals_brute_force(case):
     ("private_first", 1, 3, 6), ("private_middle", 1, 6, 14),
     ("single_atom", 3, 1, 3), ("cross_product", 5, 1, 84),
     ("triangle", 0, 0, 6), ("empty_joined", 2, 0, 0),
-    ("empty_factor", 3, 1, 0), ("star", 4, 2, 32), ("star_lazy", 4, 2, 32),
+    ("empty_factor", 3, 1, 0), ("star", 4, 2, 32),
     ("star_static_seed_block_1", 4, 2, 32), ("unified_ear_rides", 1, 6, 14),
 ])
 def test_tail_seeds_meet_the_tail_where_they_say(name, tail_levels,
@@ -346,18 +343,16 @@ def test_levels_appear_between_executions(case):
         runs = {materialize: join(query, tables, materialize=materialize,
                                   profile=True, **keywords)
                 for materialize in (False, True)}
-        # a string column sends the plan to the tuple engine, whose lazy
-        # adapter seeds on advisory counts: not the structure under test
+        # a string column sends the plan to the tuple engine: not the
+        # structure under test
         assume(runs[False].metrics.index == "columnar")
         fresh = {materialize: observed(result, materialize)
                  for materialize, result in runs.items()}
-        # ``lazy=True`` only moves the sort to the first touch
-        for lazy in (False, True):
-            prepared = Session(tables).prepare(query, lazy=lazy, **keywords)
-            for materialize in (False, True, False):
-                got = prepared.execute(materialize=materialize, profile=True)
-                assert observed(got, materialize) == fresh[materialize], \
-                    (lazy, materialize)
+        prepared = Session(tables).prepare(query, **keywords)
+        for materialize in (False, True, False):
+            got = prepared.execute(materialize=materialize, profile=True)
+            assert observed(got, materialize) == fresh[materialize], \
+                materialize
     finally:
         batch.BLOCK_ROWS = saved
 
@@ -432,7 +427,7 @@ def test_a_count_past_int64_is_an_exact_python_int(atoms, expected,
     rows = [(key, value) for key, width in enumerate((WIDE, NARROW))
             for value in range(width)]
     query, tables, _, _ = _case(atoms, {"F": rows})
-    for options in ({}, {"lazy": True}, {"dynamic_seed": False}):
+    for options in ({}, {"dynamic_seed": False}):
         got = join(query, tables, engine="batch", **options)
         assert type(got.count) is int and got.count == expected
         assert type(got.metrics.result_count) is int

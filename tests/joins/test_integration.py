@@ -16,7 +16,8 @@ class TestGraphWorkloads:
         truth = triangle_count_truth(edges)
         source = {"E1": edges, "E2": edges, "E3": edges}
         query = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
-        assert join(query, source, index="sonic").count == truth
+        assert join(query, source, index="sonic",
+                    engine="tuple").count == truth
         assert join(query, source, algorithm="hashtrie").count == truth
 
     def test_four_cycles_agree(self):
@@ -31,7 +32,7 @@ class TestGraphWorkloads:
         edges = load_snap_dataset("facebook", scale=0.1, seed=5)
         query = clique_query(3)  # triangle expressed as a clique
         source = {atom.alias: edges for atom in query.atoms}
-        result = join(query, source, index="sonic")
+        result = join(query, source, index="sonic", engine="tuple")
         assert result.count == triangle_count_truth(edges)
 
 
@@ -40,7 +41,8 @@ class TestRelationalWorkloads:
         catalog = make_imdb(250, seed=6)
         for job in job_light_queries(catalog, seed=7, max_satellites=3)[:8]:
             binary = join(job.query, job.relations, algorithm="binary").count
-            wcoj = join(job.query, job.relations, index="sonic").count
+            wcoj = join(job.query, job.relations, index="sonic",
+                        engine="tuple").count
             assert binary == wcoj, job.name
 
     def test_catalog_workflow(self):

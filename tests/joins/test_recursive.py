@@ -27,7 +27,7 @@ class TestCorrectness:
         source = {f"E{i}": edges for i in range(1, 6)}
         recursive = join(query, source, algorithm="recursive").count
         generic = join(query, source, algorithm="generic",
-                       index="btree").count
+                       index="btree", engine="tuple").count
         assert recursive == generic
 
     def test_empty_inputs(self):

@@ -6,7 +6,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.obs.cli import main
+from repro.obs.cli import _build_parser, main
 from repro.obs.profile import validate_profile
 
 
@@ -27,7 +27,8 @@ class TestDemoRuns:
 
         payload = json.loads(json_out.read_text())
         validate_profile(payload)
-        assert payload["algorithm"] == "generic_join"
+        # no --engine: join()'s default, batch over the demo's int64 graph
+        assert payload["algorithm"] == "generic_join_batch"
 
         doc = json.loads(trace_out.read_text())
         assert doc["displayTimeUnit"] == "ms"
@@ -61,10 +62,13 @@ class TestDemoRuns:
 
     def test_engine_flag_reaches_the_profile(self, tmp_path):
         json_out = tmp_path / "profile.json"
-        assert main(["--demo", "triangle", "--quiet", "--engine", "batch",
-                     "--json", str(json_out)]) == 0
-        payload = json.loads(json_out.read_text())
-        assert payload["engine"] == "batch"
+        for engine in ("batch", "tuple"):
+            assert main(["--demo", "triangle", "--quiet", "--engine", engine,
+                         "--json", str(json_out)]) == 0
+            payload = json.loads(json_out.read_text())
+            assert payload["engine"] == engine
+        assert "engine (default: auto)" in " ".join(
+            _build_parser().format_help().split())
 
 
 class TestQueryFlags:
