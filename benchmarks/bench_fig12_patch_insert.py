@@ -31,7 +31,7 @@ def run_inserts(index, extra):
     for row in extra:
         # the per-tuple path IS the thing under measurement (Fig 12 is
         # insert cost vs patched fraction), so no build_bulk here
-        index.insert(row)  # repro: noqa[RA806]
+        index.insert(row)
 
 
 def test_bench_fig12_unpatched(benchmark):

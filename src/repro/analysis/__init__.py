@@ -2,24 +2,20 @@
 
 Three engines, one diagnostic currency (:class:`~repro.analysis.findings.Finding`):
 
-1. **Lint engine** (:mod:`~repro.analysis.engine`, :mod:`~repro.analysis.rules`)
-   — AST rules RA101–RA105 enforcing deterministic hashing, seeded RNGs,
-   iteration safety, loud error handling and sanctioned timers, plus the
-   dataflow family RA401–RA504 (:mod:`~repro.analysis.dataflow`,
-   :mod:`~repro.analysis.rules_dataflow`): CFG/fixpoint typestate checks
-   of the cursor protocol and hot-loop hygiene, the concurrency family
-   RA701–RA708 (:mod:`~repro.analysis.concurrency`) and the
-   numeric-kernel family RA801–RA808 (:mod:`~repro.analysis.numeric`):
-   dtype/copy abstract interpretation guarding the int64-canonical
-   column contract.  Findings are suppressible per line with
-   ``# repro: noqa[RULE]``.
+1. **Lint engine** (:mod:`~repro.analysis.engine`) — the AST rules
+   RA101–RA103 (:mod:`~repro.analysis.rules`: deterministic hashing,
+   seeded RNGs, iteration safety) and the lock-contract rules RA701,
+   RA703 and RA707 (:mod:`~repro.analysis.rules_concurrency` over the
+   :mod:`~repro.analysis.concurrency` module model).  Findings are
+   suppressible per line with ``# repro: noqa[RULE]``.
 2. **Contract checker** (:mod:`~repro.analysis.contracts`) — RA201–RA205,
    introspecting :mod:`repro.indexes.registry` for the paper's §4.1
    ``TupleIndex``/``PrefixCursor`` plug-in contract.
-3. **Plan validator** (:mod:`~repro.analysis.plancheck`) — RA301–RA307,
-   static checks on :class:`~repro.planner.query.JoinQuery` plans
-   (attribute cover, γ permutation, AGM cover feasibility, schema
-   consistency), run by the executor in debug mode.
+3. **Plan validator** (:mod:`~repro.analysis.plancheck`) — RA301–RA308,
+   static checks on :class:`~repro.planner.query.JoinQuery` plans and
+   compiled ``JoinPlan`` stage trees (attribute cover, γ permutation,
+   AGM cover feasibility, schema consistency), run by the executor in
+   debug mode.
 
 The CLI gate is ``python -m repro.analysis [paths] [--json] [--rule …]``.
 
@@ -38,7 +34,7 @@ from repro.analysis.engine import (
     register_rule,
     select_rules,
 )
-from repro.analysis.findings import Finding, Severity, has_errors
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.plancheck import (
     PlanIssue,
     check_join_plan,
@@ -46,17 +42,10 @@ from repro.analysis.plancheck import (
     validate_join_plan,
     validate_plan,
 )
-from repro.analysis.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-    summarize,
-)
+from repro.analysis.reporters import render_json, render_text, summarize
 
-import repro.analysis.rules  # noqa: F401  (importing registers RA101–RA105)
-import repro.analysis.rules_dataflow  # noqa: F401  (registers RA401–RA504)
-import repro.analysis.rules_concurrency  # noqa: F401  (registers RA701–RA708)
-import repro.analysis.rules_numeric  # noqa: F401  (registers RA801–RA808)
+import repro.analysis.rules  # noqa: F401  (importing registers RA101–RA103)
+import repro.analysis.rules_concurrency  # noqa: F401  (registers RA701/703/707)
 
 __all__ = [
     "Finding",
@@ -70,10 +59,8 @@ __all__ = [
     "check_join_plan",
     "check_plan",
     "check_registry",
-    "has_errors",
     "register_rule",
     "render_json",
-    "render_sarif",
     "render_text",
     "select_rules",
     "summarize",

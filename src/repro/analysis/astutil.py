@@ -1,9 +1,4 @@
-"""Shared AST helpers for the lint and dataflow rule families.
-
-Originally private to :mod:`repro.analysis.rules`; promoted here once the
-dataflow layer (:mod:`repro.analysis.dataflow`) needed the same import
-resolution to recognise index/cursor constructions statically.
-"""
+"""AST helpers shared by the lint rules and the concurrency model."""
 
 from __future__ import annotations
 

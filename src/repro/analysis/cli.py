@@ -1,25 +1,16 @@
 """``python -m repro.analysis`` — the CI gate.
 
-Lints the given paths with the full rule registry (syntactic RA1xx and
-dataflow RA4xx/RA5xx), contract-checks the index registry, and exits
-non-zero when any *error*-severity finding survives suppression — which
-is exactly what ``.github/workflows/ci.yml`` runs.  Also reachable as
+Lints the given paths with the full rule registry (RA1xx and RA7xx),
+contract-checks the index registry (RA2xx), and exits non-zero when any
+finding survives ``# repro: noqa`` suppression — which is exactly what
+``.github/workflows/ci.yml`` runs.  Also reachable as
 ``python -m repro analysis …``.
-
-With ``--baseline`` the gate tightens: any warning-or-worse finding not
-adopted in the committed ``analysis-baseline.json`` fails, so new debt
-cannot land silently while the adopted debt stays visible as notes.
 
 Examples::
 
     python -m repro.analysis                      # lint src + benchmarks
     python -m repro.analysis src --json           # machine-readable report
-    python -m repro.analysis --sarif > out.sarif  # GitHub code scanning
-    python -m repro.analysis --rule RA401 src     # a single rule
-    python -m repro.analysis --baseline analysis-baseline.json
-    python -m repro.analysis --changed-only       # fast pre-commit loop
-    python -m repro.analysis --concurrency-manifest manifest.json
-    python -m repro.analysis --numeric-report numeric-report.json
+    python -m repro.analysis --rule RA703 src     # a single rule
     python -m repro.analysis --list-rules
 """
 
@@ -30,16 +21,9 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    gates_with_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.changed import GitError, restrict_to_changed
 from repro.analysis.engine import analyze_paths, select_rules
-from repro.analysis.findings import Finding, Severity, has_errors
-from repro.analysis.reporters import render_json, render_sarif, render_text
+from repro.analysis.findings import Finding, Severity
+from repro.analysis.reporters import render_json, render_text
 
 DEFAULT_PATHS = ("src", "benchmarks")
 
@@ -48,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis for the SonicJoin reproduction: "
-                    "lint rules, dataflow typestate/hot-loop checks, "
-                    "index-contract checks and plan validation.",
+                    "lint rules, lock-contract checks and index-contract "
+                    "checks.",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
@@ -57,36 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rule", action="append", dest="rules", metavar="CODE",
-        help="restrict to specific rule codes (repeatable, e.g. --rule RA401)",
+        help="restrict to specific rule codes (repeatable, e.g. --rule RA703)",
     )
-    output = parser.add_mutually_exclusive_group()
-    output.add_argument(
+    parser.add_argument(
         "--json", action="store_true",
         help="emit a JSON report instead of compiler-style text",
-    )
-    output.add_argument(
-        "--sarif", action="store_true",
-        help="emit a SARIF 2.1.0 log (GitHub code scanning upload format)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="demote findings adopted in FILE to notes and gate on "
-             "anything new (warnings included); stale entries surface "
-             "as RA002 notes",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="adopt every current warning/error into FILE and exit 0",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="restrict to files changed vs the diff base "
-             "(git diff + untracked), for the fast pre-commit loop",
-    )
-    parser.add_argument(
-        "--diff-base", metavar="REF",
-        help="base ref for --changed-only (default: origin/main, then "
-             "main, then HEAD); implies --changed-only",
     )
     parser.add_argument(
         "--no-contracts", action="store_true",
@@ -95,18 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--concurrency-manifest", nargs="?", const="-", metavar="FILE",
-        help="emit the thread-safety manifest (JSON) to FILE (default "
-             "stdout) and exit; non-zero when a require_safe entry point "
-             "is not classified thread-safe",
-    )
-    parser.add_argument(
-        "--numeric-report", nargs="?", const="-", metavar="FILE",
-        help="emit the per-module kernel-hygiene JSON (arrays entering "
-             "kernels by dtype class, copy sites, bulk-vs-scalar build "
-             "sites) to FILE (default stdout) and exit",
     )
     return parser
 
@@ -136,50 +83,6 @@ def _contract_findings(selected: "Sequence[str] | None") -> list[Finding]:
     return findings
 
 
-def _emit_manifest(destination: str) -> int:
-    """Write the thread-safety manifest; gate on require_safe entries."""
-    import json
-
-    from repro.analysis.concurrency.manifest import (
-        build_manifest,
-        failing_entries,
-        validate_manifest,
-    )
-
-    data = build_manifest()
-    problems = validate_manifest(data)
-    if problems:  # pragma: no cover - guards manifest generator bugs
-        for problem in problems:
-            print(f"manifest invalid: {problem}", file=sys.stderr)
-        return 2
-    text = json.dumps(data, indent=2) + "\n"
-    if destination == "-":
-        print(text, end="")
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
-    failures = failing_entries(data)
-    for entry in failures:
-        print(f"{entry['path']}: {entry['qualname']} classified "
-              f"{entry['classification']!r} but is required thread-safe",
-              file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _emit_numeric_report(destination: str, paths: "Sequence[str]") -> int:
-    """Write the kernel-hygiene report (informational; always exits 0)."""
-    import json
-
-    from repro.analysis.numeric.report import build_numeric_report
-
-    data = build_numeric_report(paths)
-    text = json.dumps(data, indent=2) + "\n"
-    if destination == "-":
-        print(text, end="")
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
-    return 0
-
-
 def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
@@ -193,12 +96,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print("RA3xx [error]  plan validation (repro.analysis.plancheck)")
         return 0
 
-    if options.concurrency_manifest is not None:
-        return _emit_manifest(options.concurrency_manifest)
-
-    if options.numeric_report is not None:
-        return _emit_numeric_report(options.numeric_report, options.paths)
-
     try:
         rules = select_rules(options.rules)
     except ValueError as exc:
@@ -209,43 +106,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     if missing:
         parser.error(f"no such path(s): {', '.join(missing)}")
 
-    if options.changed_only or options.diff_base is not None:
-        try:
-            targets: "list" = restrict_to_changed(
-                options.paths, options.diff_base)
-        except GitError as exc:
-            parser.error(str(exc))
-    else:
-        targets = list(options.paths)
-
-    findings = analyze_paths(targets, rules=rules)
+    findings = analyze_paths(options.paths, rules=rules)
     if not options.no_contracts:
         findings.extend(_contract_findings(options.rules))
     findings.sort()
 
-    if options.write_baseline:
-        count = write_baseline(findings, options.write_baseline)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {options.write_baseline}")
-        return 0
-
-    gate = has_errors
-    if options.baseline:
-        try:
-            baseline = load_baseline(options.baseline)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            parser.error(f"cannot load baseline {options.baseline}: {exc}")
-        findings = apply_baseline(findings, baseline,
-                                  baseline_path=options.baseline)
-        gate = gates_with_baseline
-
-    if options.sarif:
-        print(render_sarif(findings))
-    elif options.json:
-        print(render_json(findings))
-    else:
-        print(render_text(findings))
-    return 1 if gate(findings) else 0
+    print(render_json(findings) if options.json else render_text(findings))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,54 +1,8 @@
-"""Concurrency-safety analysis (RA701–RA708) and the thread-safety manifest.
+"""The module model behind the concurrency rules (RA701, RA703, RA707).
 
-The ROADMAP's serving tentpole requires an engine whose prepared
-structures are shared read-only across concurrent executions — exactly
-the contract Free Join (arXiv 2301.10841) and the unified binary/WCOJ
-architecture (arXiv 2505.19918) presume.  This package makes that
-property *checkable*:
-
-* :mod:`~repro.analysis.concurrency.model` — one parse of a module into
-  a concurrency model: mutable module globals, lock attributes, the
-  ``# repro: shared[lock=…]`` / ``# repro: borrows-lock[…]`` annotation
-  tables, and a write/lock-context walker shared by every rule.
-* :mod:`~repro.analysis.concurrency.shared_state` — escape analysis:
-  RA701 (module-level mutable state written after import time) and
-  RA702 (class-level mutable state mutated through instances).
-* :mod:`~repro.analysis.concurrency.lockcheck` — lock discipline:
-  RA703 (write to a designated-shared field outside its guarding lock),
-  RA704 (acquire/release imbalance, bare ``acquire()`` without
-  try/finally), RA705 (lock-ordering cycles across the module's
-  functions) and RA707 (a ``borrows-lock`` helper called outside the
-  lock it documents).
-* :mod:`~repro.analysis.concurrency.classify` — RA706: public methods
-  of annotated classes classified ``reentrant | borrows-caller-lock |
-  unsafe`` by taint-propagating shared-state writes.
-* :mod:`~repro.analysis.concurrency.checkthenact` — RA708:
-  check-then-act dict races (``if k in d: … d[k]``) in modules that
-  use :mod:`threading`.
-* :mod:`~repro.analysis.concurrency.manifest` — the machine-readable
-  thread-safety manifest (``python -m repro.analysis
-  --concurrency-manifest``) classifying the serving-path entry points
-  (``Session.prepare``/``execute``, ``IndexCache.get``/``put``, every
-  join driver's ``run``) for the future service layer to consume.
-
-The rules themselves are registered in
-:mod:`repro.analysis.rules_concurrency` so the CLI, noqa table,
-baseline, SARIF and changed-only pipelines treat RA7xx exactly like the
-existing families.
+:mod:`~repro.analysis.concurrency.model` parses one module into the
+facts the rules in :mod:`repro.analysis.rules_concurrency` read: mutable
+module globals, lock attributes, the ``# repro: shared[lock=…]`` /
+``# repro: borrows-lock[…]`` annotation tables, and a walker yielding
+every write and call together with the locks lexically held there.
 """
-
-from __future__ import annotations
-
-from repro.analysis.concurrency.model import (
-    BorrowAnnotation,
-    ClassModel,
-    ModuleModel,
-    SharedAnnotation,
-)
-
-__all__ = [
-    "BorrowAnnotation",
-    "ClassModel",
-    "ModuleModel",
-    "SharedAnnotation",
-]

@@ -3,11 +3,10 @@
 One parse of ``(tree, source)`` produces a :class:`ModuleModel`:
 
 * which module-level globals are **mutable containers** (candidate
-  shared state for the escape analysis, RA701);
+  shared state for RA701);
 * which module-level globals are **locks** (``threading.Lock()`` /
   ``RLock()``);
-* per class: methods, lock-valued attributes, class-level mutable
-  attributes, and the annotation tables;
+* per class: methods, lock-valued attributes and the annotation tables;
 * the ``# repro: shared[lock=…]`` / ``# repro: borrows-lock[…]``
   annotation comments, resolved to the fields / methods they sit on.
 
@@ -28,9 +27,9 @@ line documents that the method requires the **caller** to hold ``X``;
 its own writes are exempt from RA703, and calling it without holding
 ``X`` is RA707.
 
-The model also provides :func:`iter_writes`, the shared walker yielding
-every *write effect* in a function body together with the set of locks
-lexically held at that point — the currency RA701/702/703/706 trade in.
+The model also provides :func:`iter_effects`, the walker yielding every
+write and call in a function body together with the set of locks
+lexically held at that point — the currency all three rules trade in.
 """
 
 from __future__ import annotations
@@ -67,30 +66,12 @@ _BORROWS_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class SharedAnnotation:
-    """One ``# repro: shared[lock=…]`` comment, resolved to a field."""
-
-    attr: str
-    lock: "str | None"
-    lineno: int
-
-
-@dataclass(frozen=True)
-class BorrowAnnotation:
-    """One ``# repro: borrows-lock[…]`` comment on a ``def`` line."""
-
-    method: str
-    lock: str
-    lineno: int
-
-
-@dataclass(frozen=True)
-class Write:
-    """One write effect: the expression written through and how."""
+class Effect:
+    """One write or call: the expression written through (or called)."""
 
     node: ast.AST          # anchor for the finding
-    key: tuple[str, ...]   # expr_key of the written-through expression
-    kind: str              # "rebind" | "store" | "del" | "mutate" | "augment"
+    key: tuple[str, ...]   # expr_key of the written-through/called expression
+    kind: str              # "rebind" | "store" | "del" | "mutate" | "augment" | "call"
     held: frozenset[str]   # canonical lock names lexically held
 
 
@@ -99,40 +80,26 @@ class ClassModel:
     """Concurrency-relevant facts about one class."""
 
     name: str
-    node: ast.ClassDef
     methods: dict[str, ast.AST] = field(default_factory=dict)
     #: self attributes assigned a lock constructor (in any method/body)
     lock_attrs: set[str] = field(default_factory=set)
-    #: class-body attributes bound to mutable containers
-    class_mutables: dict[str, ast.AST] = field(default_factory=dict)
-    #: attrs re-bound per-instance in __init__ (shadowing class state)
-    init_rebinds: set[str] = field(default_factory=set)
     #: explicit shared-field designations: attr -> lock name (or None)
     shared_fields: dict[str, "str | None"] = field(default_factory=dict)
     #: methods documented as requiring the caller to hold a lock
     borrows: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def annotated(self) -> bool:
-        """Did the author opt this class into classification (RA706)?"""
-        return bool(self.shared_fields)
-
 
 @dataclass
 class ModuleModel:
-    """Everything the RA7xx scanners need from one module."""
+    """Everything the RA7xx rules need from one module."""
 
-    tree: ast.AST
-    #: module-level mutable-container globals: name -> assignment node
-    mutable_globals: dict[str, ast.AST] = field(default_factory=dict)
+    #: module-level mutable-container globals
+    mutable_globals: set[str] = field(default_factory=set)
     #: module-level lock globals
     lock_globals: set[str] = field(default_factory=set)
-    #: module-level explicit shared annotations (globals)
-    shared_globals: dict[str, "str | None"] = field(default_factory=dict)
     classes: dict[str, ClassModel] = field(default_factory=dict)
     #: module-level (non-method) functions
     functions: dict[str, ast.AST] = field(default_factory=dict)
-    imports_threading: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -197,79 +164,60 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def parse_module(tree: ast.AST, source: str = "") -> ModuleModel:
     """Build the :class:`ModuleModel` of one parsed module."""
-    model = ModuleModel(tree=tree)
+    model = ModuleModel()
     shared_lines, borrow_lines = _annotation_tables(source)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(alias.name.split(".")[0] == "threading"
-                   for alias in node.names):
-                model.imports_threading = True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "threading":
-                model.imports_threading = True
-
-    body = getattr(tree, "body", [])
-    for stmt in body:
+    for stmt in getattr(tree, "body", []):
         if isinstance(stmt, _FUNCS):
             model.functions[stmt.name] = stmt
         elif isinstance(stmt, ast.ClassDef):
             model.classes[stmt.name] = _parse_class(stmt, shared_lines,
                                                     borrow_lines)
         else:
+            value = getattr(stmt, "value", None)
+            if value is None:
+                continue
             for target in _assign_targets(stmt):
                 if not isinstance(target, ast.Name):
-                    continue
-                value = getattr(stmt, "value", None)
-                if value is None:
                     continue
                 if is_lock_constructor(value):
                     model.lock_globals.add(target.id)
                 elif is_mutable_container(value):
-                    model.mutable_globals[target.id] = stmt
-                if stmt.lineno in shared_lines:
-                    model.shared_globals[target.id] = shared_lines[stmt.lineno]
+                    model.mutable_globals.add(target.id)
     return model
 
 
 def _parse_class(node: ast.ClassDef, shared_lines: dict,
                  borrow_lines: dict) -> ClassModel:
-    cls = ClassModel(name=node.name, node=node)
+    cls = ClassModel(name=node.name)
     for stmt in node.body:
         if isinstance(stmt, _FUNCS):
             cls.methods[stmt.name] = stmt
             if stmt.lineno in borrow_lines:
                 cls.borrows[stmt.name] = borrow_lines[stmt.lineno]
         else:
+            value = getattr(stmt, "value", None)
             for target in _assign_targets(stmt):
-                if not isinstance(target, ast.Name):
-                    continue
-                value = getattr(stmt, "value", None)
-                if value is not None and is_mutable_container(value):
-                    cls.class_mutables[target.id] = stmt
-                if value is not None and is_lock_constructor(value):
+                if (isinstance(target, ast.Name) and value is not None
+                        and is_lock_constructor(value)):
                     cls.lock_attrs.add(target.id)
 
-    for name, method in cls.methods.items():
-        in_init = name == "__init__"
+    for method in cls.methods.values():
         for stmt in ast.walk(method):
             for target in _assign_targets(stmt):
                 if (isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"):
-                    attr = target.attr
                     value = getattr(stmt, "value", None)
                     if value is not None and is_lock_constructor(value):
-                        cls.lock_attrs.add(attr)
-                    if in_init:
-                        cls.init_rebinds.add(attr)
+                        cls.lock_attrs.add(target.attr)
                     if stmt.lineno in shared_lines:
-                        cls.shared_fields[attr] = shared_lines[stmt.lineno]
+                        cls.shared_fields[target.attr] = \
+                            shared_lines[stmt.lineno]
     return cls
 
 
 # ----------------------------------------------------------------------
-# The write/lock-context walker
+# The effect/lock-context walker
 # ----------------------------------------------------------------------
 
 def canonical_lock(expr: ast.expr, cls: "ClassModel | None",
@@ -300,37 +248,32 @@ def canonical_lock(expr: ast.expr, cls: "ClassModel | None",
     return None
 
 
-def iter_writes(func: ast.AST, cls: "ClassModel | None",
-                model: ModuleModel):
-    """Yield every :class:`Write` in ``func``, with held-lock context.
+def iter_effects(func: ast.AST, cls: "ClassModel | None",
+                 model: ModuleModel):
+    """Yield every :class:`Effect` in ``func``, with held-lock context.
 
     Nested function definitions are not descended into (they execute on
-    their own schedule and are modeled separately, if at all); ``with``
-    statements over lock expressions push their canonical lock onto the
-    held set for the duration of their body.
+    their own schedule); ``with`` statements over lock expressions push
+    their canonical lock onto the held set for the duration of their
+    body, and a ``borrows-lock[X]`` method starts with ``X`` held.
     """
     held: list[str] = []
-    borrow = None
     if cls is not None and isinstance(func, _FUNCS):
         borrow = cls.borrows.get(func.name)
-    if borrow is not None and cls is not None:
-        held.append(f"{cls.name}.{borrow}")
+        if borrow is not None:
+            held.append(f"{cls.name}.{borrow}")
 
-    def emit(node: ast.AST, key: "tuple[str, ...] | None", kind: str):
+    def effect(node: ast.AST, key: "tuple[str, ...] | None", kind: str):
         if key is not None:
-            yield Write(node=node, key=key, kind=kind,
-                        held=frozenset(held))
+            yield Effect(node=node, key=key, kind=kind, held=frozenset(held))
 
-    def walk(stmts) -> "list[Write]":
-        out: list[Write] = []
+    def walk(stmts):
         for stmt in stmts:
-            out.extend(visit(stmt))
-        return out
+            yield from visit(stmt)
 
-    def visit(stmt: ast.AST) -> "list[Write]":
-        out: list[Write] = []
+    def visit(stmt: ast.AST):
         if isinstance(stmt, _FUNCS + (ast.Lambda, ast.ClassDef)):
-            return out
+            return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             pushed = 0
             for item in stmt.items:
@@ -338,70 +281,54 @@ def iter_writes(func: ast.AST, cls: "ClassModel | None",
                 if lock is not None:
                     held.append(lock)
                     pushed += 1
-            out.extend(walk(stmt.body))
-            for _ in range(pushed):
-                held.pop()
-            return out
-        # statement-level writes
+            yield from walk(stmt.body)
+            del held[len(held) - pushed:]
+            return
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            value = getattr(stmt, "value", None)
             kind = "augment" if isinstance(stmt, ast.AugAssign) else "rebind"
             for target in _assign_targets(stmt):
-                if isinstance(target, ast.Tuple):
-                    targets = list(target.elts)
-                else:
-                    targets = [target]
+                targets = (target.elts if isinstance(target, ast.Tuple)
+                           else [target])
                 for tgt in targets:
                     if isinstance(tgt, ast.Subscript):
-                        out.extend(emit(stmt, expr_key(tgt.value), "store"))
+                        yield from effect(stmt, expr_key(tgt.value), "store")
                     elif isinstance(tgt, (ast.Name, ast.Attribute)):
-                        out.extend(emit(stmt, expr_key(tgt), kind))
-            if value is not None:
-                out.extend(_expr_writes(value))
-        elif isinstance(stmt, ast.Delete):
+                        yield from effect(stmt, expr_key(tgt), kind)
+            if stmt.value is not None:
+                yield from expression(stmt.value)
+            return
+        if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Subscript):
-                    out.extend(emit(stmt, expr_key(target.value), "del"))
+                    yield from effect(stmt, expr_key(target.value), "del")
                 elif isinstance(target, (ast.Name, ast.Attribute)):
-                    out.extend(emit(stmt, expr_key(target), "del"))
-        elif isinstance(stmt, ast.Expr):
-            out.extend(_expr_writes(stmt.value))
-        elif isinstance(stmt, (ast.Return, ast.Raise, ast.Assert)):
+                    yield from effect(stmt, expr_key(target), "del")
+        elif isinstance(stmt, (ast.Expr, ast.Return, ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
-                out.extend(_expr_writes(child))
+                yield from expression(child)
+        elif isinstance(stmt, (ast.If, ast.While)):
+            yield from expression(stmt.test)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            yield from expression(stmt.iter)
         # compound statements: recurse into bodies with the same context
         for attr in ("body", "orelse", "finalbody"):
-            sub = getattr(stmt, attr, None)
-            if sub and not isinstance(stmt, (ast.Assign, ast.AnnAssign,
-                                             ast.AugAssign)):
-                out.extend(walk(sub))
-        for handler in getattr(stmt, "handlers", []) or []:
-            out.extend(walk(handler.body))
-        for case in getattr(stmt, "cases", []) or []:
-            out.extend(walk(case.body))
-        if isinstance(stmt, (ast.If, ast.While)):
-            out.extend(_expr_writes(stmt.test))
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            out.extend(_expr_writes(stmt.iter))
-        return out
+            yield from walk(getattr(stmt, attr, None) or [])
+        for handler in getattr(stmt, "handlers", None) or []:
+            yield from walk(handler.body)
+        for case in getattr(stmt, "cases", None) or []:
+            yield from walk(case.body)
 
-    def _expr_writes(expr: ast.AST) -> "list[Write]":
-        """Mutator method calls reachable inside one expression."""
-        out: list[Write] = []
+    def expression(expr: ast.AST):
+        """Calls (and the receivers mutator calls write through)."""
         for node in ast.walk(expr):
-            if isinstance(node, _FUNCS + (ast.Lambda,)):
+            if not isinstance(node, ast.Call):
                 continue
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+            yield from effect(node, expr_key(node.func), "call")
+            if (isinstance(node.func, ast.Attribute)
                     and node.func.attr in MUTATOR_METHODS):
-                key = expr_key(node.func.value)
-                if key is not None:
-                    out.append(Write(node=node, key=key, kind="mutate",
-                                     held=frozenset(held)))
-        return out
+                yield from effect(node, expr_key(node.func.value), "mutate")
 
-    body = getattr(func, "body", [])
-    yield from walk(body)
+    yield from walk(getattr(func, "body", []))
 
 
 def function_locals(func: ast.AST) -> tuple[set[str], set[str]]:
@@ -426,14 +353,6 @@ def function_locals(func: ast.AST) -> tuple[set[str], set[str]]:
             declared.update(node.names)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             local.add(node.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for name in ast.walk(node.target):
-                if isinstance(name, ast.Name):
-                    local.add(name.id)
-        elif isinstance(node, (ast.withitem,)) and node.optional_vars:
-            for name in ast.walk(node.optional_vars):
-                if isinstance(name, ast.Name):
-                    local.add(name.id)
     local -= declared
     return local, declared
 
@@ -456,7 +375,7 @@ _CACHE: "tuple[ast.AST, ModuleModel] | None" = None
 
 def module_model(tree: ast.AST, source: str = "") -> ModuleModel:
     """The (cached) :class:`ModuleModel` for one parsed file."""
-    global _CACHE  # repro: noqa[RA701] -- single-slot memo, rebuilt per file; the analyzer is single-threaded by contract
+    global _CACHE  # single-slot memo, rebuilt per file; the analyzer is single-threaded
     if _CACHE is not None and _CACHE[0] is tree:
         return _CACHE[1]
     model = parse_module(tree, source)

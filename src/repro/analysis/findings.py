@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.IntEnum):
-    """Diagnostic severity; only :attr:`ERROR` gates the CLI exit code."""
+    """How sure the rule is; either severity fails the CLI gate."""
 
-    NOTE = 0
     WARNING = 1
     ERROR = 2
 
@@ -53,7 +52,3 @@ class Finding:
             "message": self.message,
         }
 
-
-def has_errors(findings) -> bool:
-    """Does any finding reach :attr:`Severity.ERROR` (the CI gate)?"""
-    return any(f.severity >= Severity.ERROR for f in findings)

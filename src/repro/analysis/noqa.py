@@ -7,7 +7,7 @@ with no rule list.  Rule lists are comma-separated and case-insensitive:
 .. code-block:: python
 
     value = hash(key)        # repro: noqa[RA101] -- golden-file fixture
-    probe = random.random()  # repro: noqa[RA102,RA105]
+    probe = random.random()  # repro: noqa[RA102]
     legacy_call()            # repro: noqa
 
 Suppressions are deliberately line-scoped (no file- or block-scoped

@@ -1,13 +1,12 @@
-"""Rendering findings: text for humans, JSON for CI, SARIF for code scanning."""
+"""Rendering findings: text for humans, JSON for CI."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
 from collections.abc import Sequence
-from pathlib import PurePath
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 
 def summarize(findings: Sequence[Finding]) -> dict:
@@ -18,9 +17,8 @@ def summarize(findings: Sequence[Finding]) -> dict:
         "total": len(findings),
         "errors": by_severity.get("error", 0),
         "warnings": by_severity.get("warning", 0),
-        "notes": by_severity.get("note", 0),
         "by_rule": dict(sorted(by_rule.items())),
-        "ok": not any(f.severity >= Severity.ERROR for f in findings),
+        "ok": not findings,
     }
 
 
@@ -33,7 +31,7 @@ def render_text(findings: Sequence[Finding]) -> str:
     else:
         lines.append(
             f"{summary['total']} finding(s): {summary['errors']} error(s), "
-            f"{summary['warnings']} warning(s), {summary['notes']} note(s)"
+            f"{summary['warnings']} warning(s)"
         )
     return "\n".join(lines)
 
@@ -45,82 +43,3 @@ def render_json(findings: Sequence[Finding]) -> str:
         "summary": summarize(findings),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-_SARIF_LEVELS = {Severity.NOTE: "note", Severity.WARNING: "warning",
-                 Severity.ERROR: "error"}
-
-
-def render_sarif(findings: Sequence[Finding],
-                 tool_version: str = "1.0") -> str:
-    """SARIF 2.1.0 log for GitHub code scanning upload.
-
-    One run, one driver; the rule metadata is derived from the findings
-    themselves so the log stays valid even for engine-produced codes
-    (RA001/RA002, RA2xx contracts, RA3xx plan checks) that are not in
-    the lint registry.
-    """
-    rule_ids = sorted({f.rule for f in findings})
-    rule_index = {rule: i for i, rule in enumerate(rule_ids)}
-    titles = _rule_titles()
-    rules = [
-        {
-            "id": rule,
-            "name": rule,
-            "shortDescription": {
-                "text": titles.get(rule, f"repro.analysis rule {rule}")
-            },
-            "helpUri": "https://github.com/" +
-                       "sonicjoin-repro/docs/blob/main/docs/analysis.md",
-        }
-        for rule in rule_ids
-    ]
-    results = [
-        {
-            "ruleId": finding.rule,
-            "ruleIndex": rule_index[finding.rule],
-            "level": _SARIF_LEVELS[finding.severity],
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": PurePath(finding.path).as_posix(),
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": max(finding.line, 1),
-                        "startColumn": max(finding.column, 1),
-                    },
-                },
-            }],
-        }
-        for finding in findings
-    ]
-    log = {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                   "master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro.analysis",
-                    "version": tool_version,
-                    "informationUri": "https://github.com/sonicjoin-repro",
-                    "rules": rules,
-                },
-            },
-            "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
-
-
-def _rule_titles() -> dict[str, str]:
-    """Registered rule titles (plus the engine-reserved codes)."""
-    from repro.analysis.engine import all_rules
-
-    titles = {rule.code: rule.title for rule in all_rules()}
-    titles.setdefault("RA001", "file does not parse")
-    titles.setdefault("RA002", "stale baseline entry")
-    return titles

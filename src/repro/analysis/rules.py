@@ -1,4 +1,4 @@
-"""Repo-specific lint rules (RA101–RA105).
+"""Repo-specific lint rules (RA101–RA103).
 
 Each rule mechanises one invariant the reproduction's benchmark figures
 depend on.  The C++ framework the paper builds on gets most of these from
@@ -13,12 +13,6 @@ Python they are enforceable only as AST passes:
   unseeded RNG calls make datasets irreproducible.
 * **RA103** — mutating a container while iterating it (the classic
   trie-node bug shape: rebucketing a node while walking its children).
-* **RA104** — bare ``except:`` and silently swallowed
-  ``UnsupportedOperationError``: an index quietly eating the "I cannot do
-  prefix lookups" signal corrupts every figure downstream.
-* **RA105** — ``time.time()`` used for measurement outside
-  ``repro/bench/timer.py``; wall-clock-of-day is not a monotonic interval
-  timer.
 """
 
 from __future__ import annotations
@@ -30,13 +24,6 @@ from pathlib import PurePath
 from repro.analysis.astutil import collect_import_aliases, expr_key, resolve_call
 from repro.analysis.engine import LintRule, register_rule
 from repro.analysis.findings import Finding
-
-# Shared AST helpers live in repro.analysis.astutil (the dataflow layer
-# uses the same import resolution); the old private names remain for the
-# rules below and any out-of-tree rule that imported them.
-_collect_import_aliases = collect_import_aliases
-_resolve_call = resolve_call
-_expr_key = expr_key
 
 
 # ----------------------------------------------------------------------
@@ -91,11 +78,11 @@ class UnseededRandomRule(LintRule):
     })
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        aliases = _collect_import_aliases(tree)
+        aliases = collect_import_aliases(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _resolve_call(node.func, aliases)
+            dotted = resolve_call(node.func, aliases)
             if dotted is None:
                 continue
             seeded = bool(node.args or node.keywords)
@@ -155,14 +142,14 @@ class MutateWhileIterateRule(LintRule):
     def _iterated_container(self, iter_node: ast.AST) -> "tuple[str, ...] | None":
         # `for x in c` — or `for k, v in c.items()` and friends, which
         # iterate a live view of `c`
-        key = _expr_key(iter_node)
+        key = expr_key(iter_node)
         if key is not None:
             return key
         if (isinstance(iter_node, ast.Call)
                 and not iter_node.args and not iter_node.keywords
                 and isinstance(iter_node.func, ast.Attribute)
                 and iter_node.func.attr in self._VIEW_METHODS):
-            return _expr_key(iter_node.func.value)
+            return expr_key(iter_node.func.value)
         return None
 
     def _check_loop(self, loop: ast.For, path: str) -> Iterator[Finding]:
@@ -174,7 +161,7 @@ class MutateWhileIterateRule(LintRule):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in self._MUTATORS
-                        and _expr_key(node.func.value) == container):
+                        and expr_key(node.func.value) == container):
                     yield self.finding(
                         path, node,
                         f"{'.'.join(container)}.{node.func.attr}() mutates "
@@ -185,95 +172,12 @@ class MutateWhileIterateRule(LintRule):
                 elif isinstance(node, ast.Delete):
                     for target in node.targets:
                         if (isinstance(target, ast.Subscript)
-                                and _expr_key(target.value) == container):
+                                and expr_key(target.value) == container):
                             yield self.finding(
                                 path, node,
                                 f"del {'.'.join(container)}[...] mutates the "
                                 "container being iterated",
                             )
-
-
-# ----------------------------------------------------------------------
-# RA104 — swallowed errors
-# ----------------------------------------------------------------------
-@register_rule
-class SwallowedErrorRule(LintRule):
-    """Bare ``except:`` and silently-passed broad/contract exceptions."""
-
-    code = "RA104"
-    title = "bare except / swallowed UnsupportedOperationError"
-
-    _BROAD = frozenset({"UnsupportedOperationError", "Exception", "BaseException"})
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                yield self.finding(
-                    path, node,
-                    "bare except: catches everything including SystemExit; "
-                    "name the exception (repro.errors has the hierarchy)",
-                )
-                continue
-            caught = self._caught_names(node.type)
-            if caught & self._BROAD and self._is_silent(node.body):
-                yield self.finding(
-                    path, node,
-                    f"silently swallowing {sorted(caught & self._BROAD)}: an "
-                    "index's UnsupportedOperationError is a contract signal, "
-                    "not noise — handle it or let it propagate",
-                )
-
-    @staticmethod
-    def _caught_names(type_node: ast.AST) -> frozenset[str]:
-        names = set()
-        for node in ast.walk(type_node):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        return frozenset(names)
-
-    @staticmethod
-    def _is_silent(body: list[ast.stmt]) -> bool:
-        for stmt in body:
-            if isinstance(stmt, (ast.Pass, ast.Continue)):
-                continue
-            if (isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Constant)):
-                continue  # docstring or `...`
-            return False
-        return True
-
-
-# ----------------------------------------------------------------------
-# RA105 — wall-clock measurement
-# ----------------------------------------------------------------------
-@register_rule
-class WallClockRule(LintRule):
-    """``time.time()`` outside the sanctioned timer module."""
-
-    code = "RA105"
-    title = "time.time() used for measurement"
-
-    def applies_to(self, path: PurePath) -> bool:
-        # repro/bench/timer.py is the one sanctioned timing module
-        return not (path.name == "timer.py" and "bench" in path.parts)
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        aliases = _collect_import_aliases(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _resolve_call(node.func, aliases)
-            if dotted == "time.time":
-                yield self.finding(
-                    path, node,
-                    "time.time() is wall-clock-of-day, not an interval "
-                    "timer; use time.perf_counter() or "
-                    "repro.bench.timer.time_callable",
-                )
 
 
 def rule_catalog() -> list[dict]:

@@ -1,37 +1,36 @@
-"""Concurrency-safety lint rules (RA701–RA708).
+"""Concurrency-safety lint rules (RA701, RA703, RA707).
 
-Thin adapters plugging :mod:`repro.analysis.concurrency` into the lint
-registry so the CLI, noqa table, baseline, SARIF and changed-only
-pipelines treat the family exactly like RA1xx/RA4xx/RA5xx:
+The serving path shares one ``Session`` — its index cache, metrics,
+tracer, relations and cached tries — across threads.  The lock contract
+lives in comments next to the fields it protects (see
+:mod:`repro.analysis.concurrency.model`), and these rules enforce it:
 
 * **RA701** — module-level mutable state written after import time.
-* **RA702** — class-level mutable attribute shared across instances and
-  mutated through them.
 * **RA703** — write to a designated-shared field outside its guarding
   lock (error when the designation is an explicit annotation, warning
   when inferred from guarded writes elsewhere in the class).
-* **RA704** — raw ``acquire()``/``release()`` imbalance or a release
-  not protected by ``finally``.
-* **RA705** — lock-ordering cycle (potential deadlock).
-* **RA706** — public method of an annotated class classified unsafe.
 * **RA707** — ``# repro: borrows-lock[X]`` helper called without ``X``.
-* **RA708** — check-then-act dict race in a module using threading.
 
-All eight need the raw source (the annotations live in comments), so
+All three need the raw source (the annotations live in comments), so
 they set :attr:`~repro.analysis.engine.LintRule.wants_source`; the
-parsed concurrency model is built once per file and shared through
+parsed model is built once per file and shared through
 :func:`repro.analysis.concurrency.model.module_model`'s single-slot
-cache, same as the RA4xx/RA5xx passes share theirs.
+cache.  What the static view cannot see is covered at run time by
+``tests/engine/test_thread_stress.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from collections.abc import Iterator
 
-from repro.analysis.concurrency import checkthenact, classify, lockcheck
-from repro.analysis.concurrency import shared_state
-from repro.analysis.concurrency.model import module_model
+from repro.analysis.concurrency.model import (
+    function_locals,
+    iter_effects,
+    iter_functions,
+    module_model,
+)
 from repro.analysis.engine import LintRule, register_rule
 from repro.analysis.findings import Finding, Severity
 
@@ -45,7 +44,12 @@ class _ConcurrencyRule(LintRule):
 
 @register_rule
 class SharedGlobalRule(_ConcurrencyRule):
-    """Module-level mutable containers written after import time."""
+    """Module-level mutable containers written after import time.
+
+    A ``global`` rebind, a subscript store/delete or a mutator-method
+    call on the global from any function in the module, not shadowed by
+    a local of the same name and not under a ``with``-held lock.
+    """
 
     code = "RA701"
     title = "module-level mutable state written after import"
@@ -53,37 +57,37 @@ class SharedGlobalRule(_ConcurrencyRule):
     def check(self, tree: ast.AST, path: str, *,
               source: str = "") -> Iterator[Finding]:
         model = module_model(tree, source)
-        for write, name in shared_state.scan_module_globals(model):
-            yield self.finding(
-                path, write.node,
-                f"module-level mutable global {name!r} is written after "
-                "import time; every importing thread shares it — guard it "
-                "with a lock, make it immutable, or scope it per-instance",
-            )
-
-
-@register_rule
-class SharedClassStateRule(_ConcurrencyRule):
-    """Class-body containers mutated through instances."""
-
-    code = "RA702"
-    title = "class-level mutable state mutated through instances"
-
-    def check(self, tree: ast.AST, path: str, *,
-              source: str = "") -> Iterator[Finding]:
-        model = module_model(tree, source)
-        for write, cls, attr in shared_state.scan_class_state(model):
-            yield self.finding(
-                path, write.node,
-                f"{cls}.{attr} is a class-body container never rebound in "
-                "__init__: every instance mutates one shared object — "
-                "rebind it per-instance or guard it with a lock",
-            )
+        if not model.mutable_globals:
+            return
+        for cls, func in iter_functions(model):
+            local, declared = function_locals(func)
+            for effect in iter_effects(func, cls, model):
+                name = effect.key[0]
+                if (effect.kind == "call" or effect.held
+                        or name not in model.mutable_globals
+                        or name in local):
+                    continue
+                if (effect.kind == "rebind" and len(effect.key) == 1
+                        and name not in declared):
+                    continue  # plain assignment creates a local
+                yield self.finding(
+                    path, effect.node,
+                    f"module-level mutable global {name!r} is written "
+                    "after import time; every importing thread shares it "
+                    "— guard it with a lock, make it immutable, or scope "
+                    "it per-instance",
+                )
 
 
 @register_rule
 class UnguardedSharedWriteRule(_ConcurrencyRule):
-    """Designated-shared fields written outside their lock."""
+    """Designated-shared fields written outside their lock.
+
+    Explicitly annotated fields (``# repro: shared[lock=X]``) get
+    errors; fields *inferred* shared (written under a self-owned lock in
+    one method, bare in another) get warnings.  ``__init__`` is exempt —
+    the object is not yet published.
+    """
 
     code = "RA703"
     title = "shared field written outside its guarding lock"
@@ -91,84 +95,44 @@ class UnguardedSharedWriteRule(_ConcurrencyRule):
     def check(self, tree: ast.AST, path: str, *,
               source: str = "") -> Iterator[Finding]:
         model = module_model(tree, source)
-        for write, cls, attr, lock, explicit in \
-                lockcheck.scan_guarded_writes(model):
-            owner = f"{cls}." if cls else ""
-            if explicit:
-                want = (f"`with self.{lock}:`" if cls
-                        else f"`with {lock}:`") if lock else "an owned lock"
-                message = (
-                    f"{owner}{attr} is annotated `# repro: shared"
-                    f"[lock={lock}]`" if lock else
-                    f"{owner}{attr} is annotated `# repro: shared`")
-                message += (f" but written without holding {want}; take the "
-                            "lock or annotate the enclosing method "
-                            f"`# repro: borrows-lock[{lock or '<lock>'}]`")
-                severity = Severity.ERROR
-            else:
-                message = (
-                    f"{owner}{attr} is written under `{cls}.{lock}` "
-                    "elsewhere in this class but bare here; either this "
-                    "write races or the field wants an explicit "
-                    "`# repro: shared[lock=…]` designation")
-                severity = Severity.WARNING
-            yield Finding(
-                path=path,
-                line=getattr(write.node, "lineno", 1),
-                column=getattr(write.node, "col_offset", 0) + 1,
-                rule=self.code,
-                severity=severity,
-                message=message,
-            )
-
-
-@register_rule
-class AcquireReleaseRule(_ConcurrencyRule):
-    """Raw acquire()/release() imbalance or missing finally."""
-
-    code = "RA704"
-    title = "raw lock acquire/release imbalance"
-
-    def check(self, tree: ast.AST, path: str, *,
-              source: str = "") -> Iterator[Finding]:
-        model = module_model(tree, source)
-        for node, message in lockcheck.scan_acquire_release(model):
-            yield self.finding(path, node, message)
-
-
-@register_rule
-class LockOrderRule(_ConcurrencyRule):
-    """Lock-ordering cycles across the module's functions."""
-
-    code = "RA705"
-    title = "lock-ordering cycle (potential deadlock)"
-
-    def check(self, tree: ast.AST, path: str, *,
-              source: str = "") -> Iterator[Finding]:
-        model = module_model(tree, source)
-        for node, message in lockcheck.scan_lock_order(model):
-            yield self.finding(path, node, message)
-
-
-@register_rule
-class EntryPointSafetyRule(_ConcurrencyRule):
-    """Public methods of annotated classes that reach unguarded writes."""
-
-    code = "RA706"
-    title = "public entry point of annotated class is not thread-safe"
-
-    def check(self, tree: ast.AST, path: str, *,
-              source: str = "") -> Iterator[Finding]:
-        model = module_model(tree, source)
-        for node, cls, method, writes in classify.scan_entry_points(model):
-            fields = sorted({".".join(w.key[:2]) for w in writes})
-            yield self.finding(
-                path, node,
-                f"{cls}.{method} is public on a class with designated "
-                f"shared state but reaches unguarded writes to "
-                f"{', '.join(fields)}; classification: unsafe — guard the "
-                "writes or annotate the method `# repro: borrows-lock[…]`",
-            )
+        for cls in model.classes.values():
+            writes = [
+                effect
+                for name, func in cls.methods.items() if name != "__init__"
+                for effect in iter_effects(func, cls, model)
+                if effect.kind != "call" and len(effect.key) >= 2
+                and effect.key[0] == "self"
+            ]
+            owned = f"{cls.name}."
+            inferred: dict[str, str] = {}
+            for write in writes:
+                locks = sorted(h for h in write.held if h.startswith(owned))
+                if locks and write.key[1] not in cls.shared_fields:
+                    inferred.setdefault(write.key[1], locks[0])
+            for write in writes:
+                attr = write.key[1]
+                if attr in cls.shared_fields:
+                    lock = cls.shared_fields[attr]
+                    if (f"{owned}{lock}" in write.held if lock else any(
+                            h.startswith(owned) for h in write.held)):
+                        continue
+                    want = f"`with self.{lock}:`" if lock else "an owned lock"
+                    annotation = f"shared[lock={lock}]" if lock else "shared"
+                    yield dataclasses.replace(self.finding(
+                        path, write.node,
+                        f"{cls.name}.{attr} is annotated `# repro: "
+                        f"{annotation}` but written without holding {want}; "
+                        "take the lock or annotate the enclosing method "
+                        f"`# repro: borrows-lock[{lock or '<lock>'}]`"),
+                        severity=Severity.ERROR)
+                elif attr in inferred and inferred[attr] not in write.held:
+                    yield self.finding(
+                        path, write.node,
+                        f"{cls.name}.{attr} is written under "
+                        f"`{inferred[attr]}` elsewhere in this class but "
+                        "bare here; either this write races or the field "
+                        "wants an explicit `# repro: shared[lock=…]` "
+                        "designation")
 
 
 @register_rule
@@ -182,33 +146,23 @@ class BorrowedLockRule(_ConcurrencyRule):
     def check(self, tree: ast.AST, path: str, *,
               source: str = "") -> Iterator[Finding]:
         model = module_model(tree, source)
-        for node, cls, method, lock in lockcheck.scan_borrowed_calls(model):
-            yield self.finding(
-                path, node,
-                f"self.{method}() is annotated `# repro: borrows-lock"
-                f"[{lock}]` but this call site does not hold "
-                f"`self.{lock}`; wrap the call in `with self.{lock}:` or "
-                "annotate the caller as borrowing too",
-            )
-
-
-@register_rule
-class CheckThenActRule(_ConcurrencyRule):
-    """`if k in d: … d[k]` in modules that import threading."""
-
-    code = "RA708"
-    title = "check-then-act dict race in a threading module"
-
-    def check(self, tree: ast.AST, path: str, *,
-              source: str = "") -> Iterator[Finding]:
-        model = module_model(tree, source)
-        for node, container, acts in \
-                checkthenact.scan_check_then_act(model):
-            yield self.finding(
-                path, node,
-                f"membership test on {container!r} followed by {acts} "
-                "keyed access(es) in the branch: the key can appear/"
-                "vanish between check and act in this threading module — "
-                "use one atomic .get()/.setdefault() or hold the owning "
-                "lock across both",
-            )
+        for cls in model.classes.values():
+            if not cls.borrows:
+                continue
+            for func in cls.methods.values():
+                for effect in iter_effects(func, cls, model):
+                    key = effect.key
+                    if (effect.kind != "call" or len(key) != 2
+                            or key[0] != "self" or key[1] not in cls.borrows):
+                        continue
+                    lock = cls.borrows[key[1]]
+                    if f"{cls.name}.{lock}" in effect.held:
+                        continue
+                    yield self.finding(
+                        path, effect.node,
+                        f"self.{key[1]}() is annotated `# repro: "
+                        f"borrows-lock[{lock}]` but this call site does "
+                        f"not hold `self.{lock}`; wrap the call in "
+                        f"`with self.{lock}:` or annotate the caller as "
+                        "borrowing too",
+                    )

@@ -73,8 +73,6 @@ def murmur3_bytes(data: bytes, seed: int = 0) -> int:
         h2 = (h2 * 5 + 0x38495AB5) & MASK64
 
     tail = data[nblocks * 16:]
-    k1 = 0
-    k2 = 0
     if len(tail) > 8:
         k2 = int.from_bytes(tail[8:].ljust(8, b"\x00"), "little")
         k2 = (k2 * _C2) & MASK64

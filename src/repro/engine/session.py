@@ -64,10 +64,11 @@ class Session:
     (concurrent misses on one fingerprint each build, one wins, all
     share the canonical structure), and each execution constructs a
     fresh driver over the shared prebuilt structures.  The cache and the
-    metrics registry are internally locked; see the thread-safety
-    manifest (``python -m repro.analysis --concurrency-manifest``) and
-    the "Thread-safety contract" section of ``docs/architecture.md``
-    for the verified classification.
+    metrics registry are internally locked; the lock annotations on
+    their fields are checked by ``python -m repro.analysis`` (RA703,
+    RA707), the whole contract is exercised by
+    ``tests/engine/test_thread_stress.py``, and the "Thread-safety
+    contract" section of ``docs/architecture.md`` describes it.
     """
 
     def __init__(self, source: "Catalog | Mapping[str, Relation]",

@@ -47,10 +47,10 @@ class SortedTrie(TupleIndex):
     # Build (sort-on-freeze, like any sort-based join preparation)
     # ------------------------------------------------------------------
     def insert(self, row: tuple) -> None:
-        # build-phase writes are pre-publication: RA404 forbids insert()
-        # after the index is handed to an adapter/executor, so no other
-        # thread can observe these; only the lazy *flush* (which runs on
-        # the shared probe path) needs the lock
+        # build-phase writes are pre-publication: nothing inserts after
+        # the index is handed to an adapter/executor, so no other thread
+        # can observe these; only the lazy *flush* (which runs on the
+        # shared probe path) needs the lock
         row = self._check_row(row)
         self._pending.append(row)  # repro: noqa[RA703]
         self._dirty = True  # repro: noqa[RA703]

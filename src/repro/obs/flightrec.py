@@ -17,9 +17,9 @@ the dispatch/collect history leading up to the failure.
 The recorder is process-local (each shard worker has its own, started
 at fork/spawn); only the parent's recorder feeds error reports, which
 is the side that observes deaths and timeouts.  Hot join loops must
-still never call :meth:`record` unguarded — lint rule RA601 covers
-flight-recorder receivers in ``parallel/`` the same way it covers
-metrics and tracers in ``joins/``.
+still never call :meth:`record` unguarded: per-iteration calls sit
+behind ``recorder.enabled``, the same way metrics and tracer calls do
+in ``joins/``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ off and still cheap when on.  Two rules keep them honest:
   :class:`Metrics` or the shared :data:`NULL_METRICS`; both expose the
   same surface, so no call site ever tests for ``None``.  Hot loops go
   one step further and check ``metrics.enabled`` (a plain class
-  attribute) before doing *any* per-iteration work — lint rule RA601
-  enforces that routing in ``joins/``, ``indexes/`` and ``parallel/``.
+  attribute) before doing *any* per-iteration work in ``joins/``,
+  ``indexes/`` and ``parallel/``.
 * **Counters are dumb.**  A counter is one dict slot holding an int; a
   histogram is four slots (count/total/min/max).  No time series, no
   sampling — per-run instruments that get read once, when the profile
@@ -19,8 +19,8 @@ off and still cheap when on.  Two rules keep them honest:
 A session-scoped registry is shared by every thread driving that
 session, so the write paths (``inc`` / ``observe`` / ``merge``) take a
 small internal lock — a read-modify-write on a dict slot is not atomic
-under concurrency.  Hot loops never see that lock: the RA601 discipline
-keeps per-iteration obs work behind ``enabled`` checks and local
+under concurrency.  Hot loops never see that lock: the ``enabled``
+discipline keeps per-iteration obs work behind that check and local
 accumulation, so locked calls happen per phase, not per tuple.
 
 Counter names are dotted strings (``"frontier.blocks"``); the catalog

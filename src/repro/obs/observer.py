@@ -18,8 +18,7 @@ them to the level's slots once — never a method call per binding — and
 ``JoinMetrics.lookups`` / ``intermediate_tuples`` are summed from the
 levels when the run ends.  ``obs.enabled`` is read once per run: it
 decides whether the tuple-at-a-time drivers read the clock around an
-invocation, and guards every metrics/tracer call inside a loop (lint
-rule RA601 checks the latter statically).
+invocation, and guards every metrics/tracer call inside a loop.
 
 The semantic meaning of ``candidates``/``survivors`` per algorithm is
 documented in ``docs/observability.md``.

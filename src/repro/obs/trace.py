@@ -114,7 +114,7 @@ class Tracer:
         The escape hatch for loops that time with a plain
         :class:`~repro.joins.results.Stopwatch` and only want to pay the
         span bookkeeping when tracing is on (the ``tracer.enabled``
-        pattern RA601 checks for).
+        pattern).
         """
         self._record(name, start_ns, duration_ns, len(self._stack), args)
 

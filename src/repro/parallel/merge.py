@@ -101,13 +101,9 @@ def add_shard_spans(shard_results: "list[dict]", observer,
     for result in shard_results:
         duration_s = (result.get("build_s", 0.0)
                       + result.get("probe_s", 0.0))
-        # the in-loop guard looks redundant under the early return, but
-        # RA601 (now scoped over parallel/ too) reasons per loop body —
-        # and K iterations make it free anyway
-        if observer.enabled:
-            observer.tracer.add_span(
-                "shard", window_start_ns, int(duration_s * 1e9),
-                shard=result.get("shard"),
-                results=result.get("count"),
-                algorithm=result.get("algorithm"),
-            )
+        observer.tracer.add_span(
+            "shard", window_start_ns, int(duration_s * 1e9),
+            shard=result.get("shard"),
+            results=result.get("count"),
+            algorithm=result.get("algorithm"),
+        )

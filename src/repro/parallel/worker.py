@@ -12,10 +12,7 @@ shard-equivalence property tests meaningful.
 
 Entry points (:func:`worker_main`, :func:`run_shard_task`) are plain
 module-level functions that capture no module state, so they survive
-both ``fork`` and ``spawn`` start methods and pickle cleanly; the
-process-model rows of the concurrency manifest
-(``python -m repro.analysis --concurrency-manifest``) verify that
-contract statically.
+both ``fork`` and ``spawn`` start methods and pickle cleanly.
 
 Workers keep a small LRU of prepared state keyed on the task's
 segment-name signature: re-executing an unchanged sharded plan (the

@@ -1,11 +1,10 @@
-"""Fixture: a clean file — seeded RNGs, monotonic timing, suppressions.
+"""Fixture: a clean file — seeded RNGs, safe iteration, suppressions.
 
 The analyzer must produce zero findings here; the suppressed lines prove
 ``# repro: noqa[RULE]`` works.
 """
 
 import random
-import time
 
 import numpy as np
 
@@ -13,19 +12,13 @@ import numpy as np
 def seeded_things(seed):
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
-    return rng.randrange(10), np_rng.integers(0, 10)
-
-
-def timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    return rng.randrange(10), np_rng.integers(0, 10), rng.random()
 
 
 def deliberately_suppressed():
-    stamp = time.time()  # repro: noqa[RA105] -- log timestamp, not a measurement
-    jitter = random.random()  # repro: noqa
-    return stamp, jitter
+    jitter = random.random()  # repro: noqa[RA102] -- demo of a suppression
+    noise = np.random.rand(2)  # repro: noqa
+    return jitter, noise
 
 
 def safe_iteration(nodes):

@@ -2,6 +2,15 @@
 
 import threading
 
+_REGISTRY = {}
+_REGISTRY_LOCK = threading.Lock()
+
+
+def register(name, factory):
+    with _REGISTRY_LOCK:
+        _REGISTRY[name] = factory
+    return factory
+
 
 class SafeCounter:
     def __init__(self):

@@ -18,7 +18,7 @@ class TestExitCodes:
     def test_fixture_tree_with_planted_violations_fails(self, capsys):
         assert main([str(FIXTURES / "tree")]) == 1
         out = capsys.readouterr().out
-        for rule in ("RA101", "RA102", "RA103", "RA104", "RA105"):
+        for rule in ("RA101", "RA102", "RA103"):
             assert rule in out
 
     def test_clean_tree_passes(self, capsys):
@@ -31,20 +31,27 @@ class TestExitCodes:
         code = main([str(src), str(benchmarks)])
         assert code == 0, capsys.readouterr().out
 
+    def test_warnings_gate(self, capsys):
+        # RA701 is a warning; with no baseline to adopt it, any finding
+        # that survives suppression fails the gate
+        planted = FIXTURES / "concurrency" / "bad_global_registry.py"
+        assert main([str(planted), "--no-contracts"]) == 1
+        assert "RA701 [warning]" in capsys.readouterr().out
+
 
 class TestOutputs:
     def test_json_report(self, capsys):
         assert main([str(FIXTURES / "tree"), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["ok"] is False
-        assert payload["summary"]["errors"] >= 5
+        assert payload["summary"]["errors"] >= 3
         rules = {f["rule"] for f in payload["findings"]}
-        assert {"RA101", "RA102", "RA103", "RA104", "RA105"} <= rules
+        assert {"RA101", "RA102", "RA103"} <= rules
 
     def test_rule_filter(self, capsys):
-        assert main([str(FIXTURES / "tree"), "--rule", "RA104", "--json"]) == 1
+        assert main([str(FIXTURES / "tree"), "--rule", "RA103", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert {f["rule"] for f in payload["findings"]} == {"RA104"}
+        assert {f["rule"] for f in payload["findings"]} == {"RA103"}
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(SystemExit):
@@ -59,102 +66,12 @@ class TestOutputs:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("RA101", "RA102", "RA103", "RA104", "RA105",
+        for rule in ("RA101", "RA102", "RA103", "RA701", "RA703", "RA707",
                      "RA2xx", "RA3xx"):
             assert rule in out
 
     def test_no_contracts_flag(self, capsys):
         assert main([str(FIXTURES / "clean"), "--no-contracts"]) == 0
-
-
-class TestBaselineFlags:
-    def test_write_then_gate_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        # adopt the planted violations, then the same tree passes the gate
-        assert main([str(FIXTURES / "tree"), "--no-contracts",
-                     "--write-baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        assert main([str(FIXTURES / "tree"), "--no-contracts",
-                     "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "[baselined]" in out
-
-    def test_new_violation_gates_despite_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([str(FIXTURES / "clean"), "--no-contracts",
-                     "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main([str(FIXTURES / "tree"), "--no-contracts",
-                     "--baseline", str(baseline)]) == 1
-
-    def test_stale_entries_reported_not_gating(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([str(FIXTURES / "tree"), "--no-contracts",
-                     "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main([str(FIXTURES / "clean"), "--no-contracts",
-                     "--baseline", str(baseline)]) == 0
-        assert "RA002" in capsys.readouterr().out
-
-    def test_unreadable_baseline_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([str(FIXTURES / "clean"),
-                  "--baseline", str(tmp_path / "missing.json")])
-
-
-class TestSarifOutput:
-    def test_sarif_log_structure(self, capsys):
-        assert main([str(FIXTURES / "tree"), "--no-contracts",
-                     "--sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        results = log["runs"][0]["results"]
-        assert {r["ruleId"] for r in results} >= {"RA101", "RA104"}
-
-    def test_sarif_and_json_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            main([str(FIXTURES / "clean"), "--sarif", "--json"])
-
-
-class TestChangedOnly:
-    @pytest.fixture
-    def git_repo(self, tmp_path):
-        def git(*args):
-            subprocess.run(
-                ["git", *args], cwd=tmp_path, check=True,
-                capture_output=True,
-                env={**os.environ,
-                     "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-                     "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"},
-            )
-        git("init", "-q", "-b", "main")
-        pkg = tmp_path / "src"
-        pkg.mkdir()
-        (pkg / "committed.py").write_text("import time\ntime.time()\n")
-        git("add", "-A")
-        git("commit", "-q", "-m", "seed")
-        return tmp_path
-
-    def test_only_changed_files_analyzed(self, git_repo, capsys, monkeypatch):
-        monkeypatch.chdir(git_repo)
-        # the committed RA105 violation is NOT in the diff -> clean
-        assert main(["src", "--no-contracts", "--changed-only",
-                     "--diff-base", "main"]) == 0
-        assert "no findings" in capsys.readouterr().out
-        # an uncommitted (untracked) violation IS in the diff -> gates
-        (git_repo / "src" / "fresh.py").write_text(
-            "import time\ntime.time()\n")
-        assert main(["src", "--no-contracts", "--changed-only",
-                     "--diff-base", "main"]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-        assert "committed.py" not in out
-
-    def test_unresolvable_base_rejected(self, git_repo, capsys, monkeypatch):
-        monkeypatch.chdir(git_repo)
-        with pytest.raises(SystemExit):
-            main(["src", "--changed-only", "--diff-base", "no-such-ref"])
-        assert "diff base" in capsys.readouterr().err.lower() or True
 
 
 @pytest.mark.slow

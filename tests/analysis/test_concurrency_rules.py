@@ -1,12 +1,10 @@
-"""RA7xx concurrency rules: detection, suppression, and fixture coverage."""
+"""RA701/RA703/RA707: detection and suppression.
 
-from pathlib import Path
+Planted fixtures and clean counterexamples for these rules are checked
+with every other rule's by ``test_lint_rules.TestRuleCatalog``.
+"""
 
-import pytest
-
-from repro.analysis import analyze_paths, analyze_source
-
-FIXTURES = Path(__file__).parent / "fixtures" / "concurrency"
+from repro.analysis import analyze_source
 
 ANY_PATH = "src/repro/anywhere.py"
 
@@ -47,24 +45,6 @@ class TestSharedStateDetection:
             "    _CACHE = {}\n"   # local rebind shadows the global
             "    _CACHE[k] = v\n"
             "    return _CACHE\n"
-        )
-
-    def test_class_body_container_flagged(self):
-        assert "RA702" in ra7_at(
-            "class C:\n"
-            "    shared = []\n"
-            "    def add(self, x):\n"
-            "        self.shared.append(x)\n"
-        )
-
-    def test_init_rebind_is_clean(self):
-        assert "RA702" not in rules_at(
-            "class C:\n"
-            "    shared = []\n"
-            "    def __init__(self):\n"
-            "        self.shared = []\n"  # per-instance rebind
-            "    def add(self, x):\n"
-            "        self.shared.append(x)\n"
         )
 
 
@@ -121,85 +101,8 @@ class TestLockDiscipline:
             "        self._items.clear()\n"
         )
 
-    def test_acquire_without_release_flagged(self):
-        assert "RA704" in ra7_at(
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def leak(self):\n"
-            "        self._lock.acquire()\n"
-        )
-
-    def test_release_in_finally_is_clean(self):
-        assert "RA704" not in rules_at(
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def safe(self, work):\n"
-            "        self._lock.acquire()\n"
-            "        try:\n"
-            "            work()\n"
-            "        finally:\n"
-            "            self._lock.release()\n"
-        )
-
-    def test_opposite_nesting_orders_flagged(self):
-        assert "RA705" in ra7_at(
-            "import threading\n"
-            "a = threading.Lock()\n"
-            "b = threading.Lock()\n"
-            "def f(w):\n"
-            "    with a:\n"
-            "        with b:\n"
-            "            w()\n"
-            "def g(w):\n"
-            "    with b:\n"
-            "        with a:\n"
-            "            w()\n"
-        )
-
-    def test_consistent_order_is_clean(self):
-        assert "RA705" not in rules_at(
-            "import threading\n"
-            "a = threading.Lock()\n"
-            "b = threading.Lock()\n"
-            "def f(w):\n"
-            "    with a:\n"
-            "        with b:\n"
-            "            w()\n"
-            "def g(w):\n"
-            "    with a:\n"
-            "        with b:\n"
-            "            w()\n"
-        )
-
 
 class TestEntryPointsAndBorrows:
-    def test_unsafe_public_method_flagged(self):
-        assert "RA706" in ra7_at(
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._d = {}  # repro: shared[lock=_lock]\n"
-            "    def put(self, k, v):\n"
-            "        self._d[k] = v  # repro: noqa[RA703]\n"
-        )
-
-    def test_unannotated_class_not_classified(self):
-        # RA706 is opt-in via the shared[] annotation; a bare class
-        # stays out of scope (RA702 handles the egregious cases)
-        assert "RA706" not in rules_at(
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._d = {}\n"
-            "    def put(self, k, v):\n"
-            "        self._d[k] = v\n"
-        )
-
     def test_borrowed_call_without_lock_is_error(self):
         findings = analyze_source(
             "import threading\n"
@@ -233,43 +136,6 @@ class TestEntryPointsAndBorrows:
         )
 
 
-class TestCheckThenAct:
-    RACY = (
-        "_d = {}\n"
-        "def f(k, build):\n"
-        "    if k not in _d:\n"
-        "        _d[k] = build(k)  # repro: noqa[RA701]\n"
-        "    return _d[k]\n"
-    )
-
-    def test_race_flagged_only_under_threading(self):
-        assert "RA708" in ra7_at("import threading\n" + self.RACY)
-        # same shape without threading anywhere in the module: silent
-        assert "RA708" not in rules_at(self.RACY)
-
-    def test_held_lock_is_clean(self):
-        assert "RA708" not in rules_at(
-            "import threading\n"
-            "_d = {}\n"
-            "_lock = threading.Lock()\n"
-            "def f(k, build):\n"
-            "    with _lock:\n"
-            "        if k not in _d:\n"
-            "            _d[k] = build(k)\n"
-            "        return _d[k]\n"
-        )
-
-    def test_different_keys_not_confused(self):
-        assert "RA708" not in rules_at(
-            "import threading\n"
-            "_d = {}\n"
-            "def f(k, j):\n"
-            "    if k in _d:\n"
-            "        return _d[j]\n"   # different key: no check-then-act
-            "    return None\n"
-        )
-
-
 class TestSuppressionAndFixtures:
     def test_noqa_silences_concurrency_rule(self):
         assert ra7_at(
@@ -277,46 +143,3 @@ class TestSuppressionAndFixtures:
             "def put(k, v):\n"
             "    _CACHE[k] = v  # repro: noqa[RA701] -- tested memo\n"
         ) == set()
-
-    EXPECTED = {
-        "bad_global_registry.py": {"RA701"},
-        "bad_class_state.py": {"RA702"},
-        "bad_unguarded_write.py": {"RA703"},
-        "bad_acquire_release.py": {"RA704"},
-        "bad_lock_order.py": {"RA705"},
-        "bad_entrypoint.py": {"RA706"},
-        "bad_borrowed_lock.py": {"RA707"},
-        "bad_check_then_act.py": {"RA708"},
-    }
-
-    @pytest.mark.parametrize("relative,expected", sorted(EXPECTED.items()))
-    def test_planted_fixture_caught(self, relative, expected):
-        findings = analyze_paths([FIXTURES / relative])
-        assert expected <= {f.rule for f in findings}
-
-    def test_concurrency_fixture_tree_fails_as_a_whole(self):
-        findings = analyze_paths([FIXTURES])
-        got = {f.rule for f in findings}
-        assert {f"RA70{i}" for i in range(1, 9)} <= got
-
-    def test_clean_counterexample_stays_clean(self):
-        findings = analyze_paths([FIXTURES / "clean_guarded.py"])
-        assert [f.rule for f in findings] == []
-
-
-class TestRegistryCrossCheck:
-    """Every registered RA7xx rule must have a fixture that fires it."""
-
-    def test_every_ra7_rule_has_a_firing_fixture(self):
-        from repro.analysis.rules import rule_catalog
-
-        registered = {entry["code"] for entry in rule_catalog()
-                      if entry["code"].startswith("RA7")}
-        assert registered, "RA7xx rules failed to register"
-        covered = set().union(
-            *TestSuppressionAndFixtures.EXPECTED.values())
-        assert registered == covered
-
-    def test_fixture_table_matches_directory(self):
-        on_disk = {p.name for p in FIXTURES.glob("bad_*.py")}
-        assert on_disk == set(TestSuppressionAndFixtures.EXPECTED)

@@ -6,8 +6,8 @@ from repro.analysis.noqa import BLANKET, is_suppressed, line_suppressions
 
 class TestParsing:
     def test_rule_list(self):
-        table = line_suppressions("x = 1  # repro: noqa[RA101, RA105]\n")
-        assert table == {1: frozenset({"RA101", "RA105"})}
+        table = line_suppressions("x = 1  # repro: noqa[RA101, RA102]\n")
+        assert table == {1: frozenset({"RA101", "RA102"})}
 
     def test_blanket(self):
         table = line_suppressions("x = 1  # repro: noqa\n")
@@ -30,22 +30,34 @@ class TestParsing:
 class TestEndToEnd:
     def test_suppressed_finding_dropped(self):
         source = (
-            "import time\n"
-            "start = time.time()  # repro: noqa[RA105] -- timestamp only\n"
+            "import random\n"
+            "jitter = random.random()  # repro: noqa[RA102] -- demo only\n"
         )
         assert analyze_source(source, "src/module.py") == []
 
     def test_wrong_rule_does_not_suppress(self):
         source = (
-            "import time\n"
-            "start = time.time()  # repro: noqa[RA101]\n"
+            "import random\n"
+            "jitter = random.random()  # repro: noqa[RA101]\n"
         )
         findings = analyze_source(source, "src/module.py")
-        assert [f.rule for f in findings] == ["RA105"]
+        assert [f.rule for f in findings] == ["RA102"]
 
     def test_blanket_suppresses_everything(self):
         source = (
-            "import time\n"
-            "start = time.time()  # repro: noqa\n"
+            "import random\n"
+            "jitter = random.random()  # repro: noqa\n"
         )
         assert analyze_source(source, "src/module.py") == []
+
+    def test_unknown_rule_suppresses_nothing_and_reports_nothing(self):
+        # a noqa naming a rule that no longer exists (RA806 was deleted)
+        # neither hides the real finding nor is itself a finding
+        violating = (
+            "import random\n"
+            "jitter = random.random()  # repro: noqa[RA806]\n"
+        )
+        assert [f.rule for f in analyze_source(violating, "src/module.py")] == [
+            "RA102"]
+        quiet = "rows = [1, 2]  # repro: noqa[RA806]\n"
+        assert analyze_source(quiet, "src/module.py") == []

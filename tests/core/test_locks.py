@@ -60,7 +60,7 @@ class TestKeyRangeLockManager:
 
 
 class TestLockDiscipline:
-    """Balance, ordering and stats coherence — the RA703/RA705 dogfood."""
+    """Balance, ordering and stats coherence of the lock manager."""
 
     def test_acquire_release_balance_under_exceptions(self):
         # the canonical client pattern: acquire, work, release in finally;
@@ -128,8 +128,8 @@ class TestLockDiscipline:
         assert manager.acquisitions == [threads // 2 * per_thread] * 2
 
     def test_locks_module_passes_concurrency_analysis(self):
-        # the annotations in repro/core/locks.py are the first RA7xx
-        # dogfood target: the module itself must scan clean
+        # the shared[lock=_stats_lock] annotation in repro/core/locks.py
+        # is checked by RA703: the module itself must scan clean
         from pathlib import Path
 
         import repro.core.locks as locks_module

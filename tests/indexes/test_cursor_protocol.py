@@ -1,12 +1,10 @@
-"""PrefixCursor / TrieIterator edge cases the typestate rules reason about.
+"""PrefixCursor / TrieIterator edge cases of the runtime protocol.
 
-RA401/RA402 encode assumptions about the runtime protocol: a failed
-``try_descend`` leaves the depth unchanged, an exhausted ``child_values``
-walk does not poison the cursor, and a ``seek`` past the last key parks
-the iterator ``at_end`` without corrupting the levels above.  These
-tests pin those assumptions against the live implementations (one
-native-cursor index, one fallback-cursor index, one hash-trie), so the
-static rules and the runtime can never silently diverge.
+A failed ``try_descend`` leaves the depth unchanged, an exhausted
+``child_values`` walk does not poison the cursor, and a ``seek`` past
+the last key parks the iterator ``at_end`` without corrupting the levels
+above.  These tests pin that protocol against the live implementations
+(one native-cursor index, one fallback-cursor index, one hash-trie).
 """
 
 import pytest

@@ -1,18 +1,14 @@
-"""Regressions for the RA5xx dogfood fixes in the join drivers.
+"""Regressions for the hoisted per-probe allocations in the join drivers.
 
 The per-probe allocations in ``GenericJoin._join_level`` (fresh
 participant/others/survived lists per partial binding) and
 ``LeapfrogTrieJoin._join_level`` (fresh iterator list per level entry)
-were hoisted into per-depth lists built once per ``run()``; the dead
-``participants``/``candidates`` stores found by RA503 were removed.
-These tests pin the restructured drivers to the old semantics — same
-results, balanced cursors — and keep the fixed files clean under the
-analyzer so the allocations cannot creep back.
+were hoisted into per-depth lists built once per ``run()``, and dead
+``participants``/``candidates`` stores were removed.  These tests pin
+the restructured drivers to the old semantics — same results, balanced
+cursors.
 """
 
-from pathlib import Path
-
-from repro.analysis import analyze_paths
 from repro.data import adversarial_triangle_tables
 from repro.joins import (
     BinaryHashJoin,
@@ -24,12 +20,6 @@ from repro.joins import (
 )
 from repro.planner import parse_query, total_order
 from repro.storage import Relation
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXED_FILES = [
-    REPO_ROOT / "src" / "repro" / "joins" / "generic_join.py",
-    REPO_ROOT / "src" / "repro" / "joins" / "leapfrog.py",
-]
 
 
 def normalized(result, attrs):
@@ -110,9 +100,3 @@ class TestCursorBalance:
         attrs = ("a", "b", "c")
         assert normalized(first, attrs) == normalized(second, attrs)
 
-
-class TestFixedFilesStayClean:
-    def test_no_hot_alloc_or_dead_store_findings(self):
-        findings = analyze_paths(FIXED_FILES)
-        hot = [f for f in findings if f.rule in ("RA501", "RA503")]
-        assert hot == [], [f.render() for f in hot]

@@ -45,7 +45,7 @@ class TestRing:
             FlightRecorder(capacity=0)
 
     def test_enabled_is_a_class_flag(self):
-        # loop call sites branch on this (RA601 discipline); it must be
+        # loop call sites branch on this; it must be
         # a plain attribute, not a property doing work
         assert FlightRecorder.enabled is True
         assert FLIGHT_RECORDER.enabled is True
