@@ -19,7 +19,9 @@ from repro import (
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. Relations are named tuple-bags with schemas.
+    # 1. Relations are named tuple-bags with schemas: a row stored twice
+    #    is joined twice (the default engine counts every copy; the
+    #    paper's tuple drivers join sets and refuse a repeated row).
     # ------------------------------------------------------------------
     edges = Relation("E", ("src", "dst"), [
         (0, 1), (1, 2), (2, 0),          # a triangle
@@ -47,7 +49,7 @@ def main() -> None:
     source = {"E1": edges, "E2": edges, "E3": edges}
     # engine="tuple" is the paper's configuration: Generic Join (Alg. 1)
     # over the index named.  Leave it out and join() runs the columnar
-    # frontier engine wherever the columns are int64 -- same answer.
+    # frontier engine -- same answer.
     result = join(query, source, algorithm="generic", index="sonic",
                   engine="tuple", materialize=True)
     print(f"\ntriangles found: {result.count}")

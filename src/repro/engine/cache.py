@@ -16,15 +16,13 @@ bumps the shared version counter, so every entry built against the old
 contents stops matching; no invalidation hooks, no back-pointers from
 relations into caches.
 
-Relations are append-only, so an entry of an older version is not
-garbage: it was built from the first ``rows`` rows of the storage, and
-the current version is those rows plus the ones appended since.  Each
-entry records that row count; on a miss on a binary stage table the
-prepare stage asks for the :meth:`~IndexCache.predecessor` of the key it
-missed on and publishes a private copy extended by the appended rows
-instead of a rebuild.  Either way, publishing a newer
-version drops the older entries of the same storage and spec — they can
-never be hit again and would only occupy the byte budget.
+A miss after a write rebuilds, and publishing the newer version drops
+the older entries of the same storage and spec — they can never be hit
+again and would only occupy the byte budget.
+
+The cache also owns its session's
+:class:`~repro.indexes.columnar.Dictionary`, so any two cached tries
+compare codes; :meth:`~IndexCache.clear` leaves it.
 
 Eviction is LRU under two budgets: an entry-count cap and a byte budget
 fed by per-structure estimates (``memory_usage()`` when the structure
@@ -40,6 +38,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+from repro.indexes.columnar import Dictionary
 from repro.obs.metrics import Metrics
 from repro.storage.relation import Relation
 
@@ -104,17 +103,13 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("value", "bytes", "fingerprint", "rows", "built_depth")
+    __slots__ = ("value", "bytes", "fingerprint", "built_depth")
 
     def __init__(self, value: object, bytes_: int, fingerprint: tuple,
-                 rows: "int | None" = None,
                  built_depth: "int | None" = None):
         self.value = value
         self.bytes = bytes_
         self.fingerprint = fingerprint
-        #: how many leading rows of the storage the value was built from
-        #: (None: not recorded — the entry never serves as a predecessor)
-        self.rows = rows
         #: columnar tries: how many trie levels were materialized when
         #: the entry was last charged (None for structures that are
         #: whole once built)
@@ -147,6 +142,9 @@ class IndexCache:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.metrics = metrics if metrics is not None else Metrics()
+        #: codes for the join columns a columnar trie cannot sort (module
+        #: docstring)
+        self.dictionary = Dictionary()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()  # repro: shared[lock=_lock]
         self._bytes = 0       # repro: shared[lock=_lock]
@@ -206,28 +204,7 @@ class IndexCache:
         if evicted:
             self.metrics.inc("cache.evict", evicted)
 
-    def predecessor(self, key: tuple) -> "tuple[object, int] | None":
-        """The newest older version of ``key``'s structure, if cached.
-
-        ``(structure, rows)`` of the entry with ``key``'s storage
-        identity and spec suffix and the highest version below
-        ``key``'s — a structure over the first ``rows`` rows of a
-        storage whose current contents only append to them.  The caller
-        must treat it as immutable: prepared joins may be probing it.
-        Not a lookup: no counter moves and the LRU order is untouched.
-        """
-        version = _version_of(key)
-        with self._lock:
-            older = [other for other in self._other_versions(key)
-                     if _version_of(other) < version
-                     and self._entries[other].rows is not None]
-            if not older:
-                return None
-            entry = self._entries[max(older, key=_version_of)]
-        return entry.value, entry.rows
-
     def put_if_absent(self, key: tuple, value: object, bytes_: int,
-                      rows: "int | None" = None,
                       built_depth: "int | None" = None) -> object:
         """Publish a built structure unless one is already cached.
 
@@ -246,9 +223,7 @@ class IndexCache:
         *newer* version is not stored at all: it keeps its own
         structure, and is counted as ``cache.race`` too.
 
-        ``rows`` records how many leading rows of the storage ``value``
-        was built from, which makes the entry usable as a
-        :meth:`predecessor`.  ``built_depth`` seeds the depth component
+        ``built_depth`` seeds the depth component
         of a structure that materialises levels as joins descend — a
         columnar trie (see :meth:`upgrade_depth`); structures that are
         whole once built leave it ``None``.
@@ -270,7 +245,6 @@ class IndexCache:
                     for other in others:
                         self._drop(other)
                     self._entries[key] = _Entry(value, bytes_, key[0],
-                                                rows=rows,
                                                 built_depth=built_depth)
                     self._bytes += bytes_
                     self._stores += 1
@@ -323,9 +297,8 @@ class IndexCache:
 
         Fingerprint mismatches already keep stale entries from being
         *served*, and a newer version's store drops them; this releases
-        their memory before that (used by :meth:`Session.invalidate`) —
-        at the price of the next prepare rebuilding from scratch, with
-        no predecessor left to extend.  Returns the number dropped.
+        their memory before that (used by :meth:`Session.invalidate`).
+        Returns the number dropped.
         """
         storage_id = id(relation.rows)
         with self._lock:

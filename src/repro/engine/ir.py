@@ -87,8 +87,8 @@ class IndexSpec:
 def _asked_and_built(algorithm: str, engine: str, index: str,
                      engine_note: str, built: str = "") -> str:
     """``algorithm/engine index=… built=…`` — what was asked, then what
-    is built for it when the two differ, then why the engine is what it
-    is when that was resolved rather than given."""
+    is built for it when the two differ, then the plan stage's routing
+    note when it has one."""
     head = algorithm
     if engine:
         head += f"/{engine}"
@@ -229,8 +229,8 @@ class JoinPlan:
     dynamic_seed: bool = True
     choice: "PlanChoice | None" = None
     sharding: "ShardingSpec | None" = None
-    #: why ``engine`` is what it is, when the plan stage resolved it
-    #: (``"auto"``, or ``"batch"`` over columns it cannot hold) — also
+    #: the plan stage's routing note — atoms the acyclic rule would give
+    #: the binary pipeline, run on the batch Generic Join — also
     #: appended to ``choice.reason`` when the optimizer ran
     engine_note: str = ""
 

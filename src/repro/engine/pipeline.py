@@ -58,13 +58,9 @@ from repro.engine.ir import (
 )
 from repro.engine.prepared import PreparedJoin
 from repro.errors import ConfigurationError, QueryError, SchemaError
-from repro.indexes.columnar import ColumnarTrie
+from repro.indexes.columnar import ColumnarTrie, Dictionary
 from repro.indexes.registry import make_index
-from repro.joins.binary import (
-    build_stage_table,
-    extend_stage_table,
-    plan_pipeline,
-)
+from repro.joins.binary import build_stage_table, plan_pipeline
 from repro.joins.executor import ALGORITHMS, ENGINES, resolve_relations
 from repro.joins.results import Stopwatch
 from repro.obs.observer import NULL_OBSERVER
@@ -180,8 +176,7 @@ def plan(bound: BoundQuery,
     with observer.tracer.span("plan"):
         # the optimizer's estimate is part of every profile (estimated vs
         # actual), so an enabled observer computes it even off the auto path
-        choice = None
-        stats = None
+        choice = stats = core = None
         route = ""
         decides = algorithm in ("auto", "unified")
         if decides or observer.enabled:
@@ -189,10 +184,13 @@ def plan(bound: BoundQuery,
             # split is a per-component optimizer decision
             with observer.tracer.span("optimize"):
                 stats = Statistics.collect(relations.values())
+                # the one GYO reduction: the optimizer's acyclicity test
+                # and the unified split both read it
+                core = cyclic_core(Hypergraph.from_query(query))
                 # an explicit algorithm or a pinned binary order leaves
                 # the batch engine nothing to take over
                 choice, route = _choose(
-                    query, relations, stats,
+                    query, stats, core,
                     engine if decides and binary_order is None else "tuple",
                     observer.enabled)
         requested = algorithm
@@ -203,22 +201,22 @@ def plan(bound: BoundQuery,
         if algorithm == "unified":
             result = _plan_unified(query, relations, order, binary_order,
                                    index, engine, dynamic_seed, choice,
-                                   stats, kwargs, route, observer.enabled)
+                                   stats, core, kwargs, route,
+                                   observer.enabled)
         else:
             # a flat request is the one-stage tree
             if algorithm == "binary":
                 root = _binary_root(query, relations, binary_order, stats,
-                                    choice, route)
+                                    choice)
             else:
                 total = tuple(order) if order else connectivity_order(query)
                 if debug_on:
                     check_plan(query, order=total)
                 if algorithm == "generic":
-                    resolved, note = _resolve_generic_engine(
-                        query.atoms, relations, engine)
-                    root = _generic_stage("root", query, relations, total,
-                                          index, resolved, kwargs, choice,
-                                          route or note)
+                    root = _generic_stage(
+                        "root", query, relations, total, index,
+                        "tuple" if engine == "tuple" else "batch", kwargs,
+                        choice, route)
                 else:
                     root = _baseline_stage(algorithm, query, relations, total,
                                            choice, kwargs)
@@ -265,22 +263,23 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     ``(relation fingerprint, spec suffix)`` — a hit skips the build
     entirely (and two atoms over the same stored relation with the same
     spec share one build *within* a single prepare, the self-join alias
-    case).  A miss on a binary stage table first asks the cache for the
-    table's newest older version: relations only grow by appending, so a
-    copy of that base plus the rows appended since
-    (:func:`~repro.joins.binary.extend_stage_table`) replaces the
-    rebuild.  Every other kind rebuilds — a columnar trie's whole build
-    is one packed sort.  Without a cache, every structure is built fresh
-    — the cold-path contract of :func:`repro.joins.join`.
+    case).  A miss builds from one consistent read of the relation
+    (:meth:`~repro.storage.relation.Relation.snapshot`) and publishes
+    under that read's version, which drops the entries of older
+    versions.  Without a cache, every structure is built fresh — the
+    cold-path contract of :func:`repro.joins.join`.
+
+    The columns a columnar spec codes (its ``coded`` option) are encoded
+    by the cache's :class:`~repro.indexes.columnar.Dictionary` — one per
+    session, so that every trie it holds compares codes with every
+    other — or, without a cache, by a dictionary of this prepare's own.
 
     The wall time spent building is returned on the prepared join as
     ``build_seconds`` and charged to the **first** execution's
     ``metrics.build_seconds`` (§5.15's build-included timing); repeat
     executions report zero build.  Cache hit/miss counters live in the
     cache's own metrics registry and are mirrored into an enabled
-    observer, as are ``cache.extend`` / ``cache.extend_rows`` (misses
-    served by extension, and the rows they applied); a fresh build is
-    recorded as a ``build_index`` span, an extension as ``extend_index``.
+    observer; every build is recorded as a ``build_index`` span.
     """
     observer = obs if obs is not None else NULL_OBSERVER
     obs_enabled = observer.enabled
@@ -288,6 +287,7 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     if join_plan.sharding is not None:
         return _prepare_sharded(bound, join_plan, cache if use_cache else None,
                                 observer)
+    dictionary = cache.dictionary if cache is not None else Dictionary()
     structures: dict[str, object] = {}
     watch = Stopwatch()
     with observer.tracer.span("prepare"):
@@ -309,7 +309,7 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
             if structure is None:
                 if obs_enabled:
                     build_t0 = Stopwatch.now_ns()
-                snapshot = base = None
+                snapshot = None
                 if key is not None:
                     # one consistent read names the version and the rows:
                     # the structure is made from exactly ``count`` rows
@@ -317,39 +317,15 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     # even when an extend() landed after the lookup above
                     snapshot = relation.snapshot()
                     key = cache.key_for(relation, suffix, snapshot.version)
-                    if spec.kind == HASHTABLE_KIND:
-                        base = cache.predecessor(key)
-                appended = None   # rows an extension applied; None: rebuilt
-                if base is None:
-                    structure = _build_structure(spec, relation, snapshot)
-                else:
-                    # the base is never written — prepared joins may be
-                    # probing it — the extension is a private copy
-                    table, base_rows = base
-                    key_arity = spec.key_arity or 0
-                    structure = extend_stage_table(
-                        table,
-                        islice(relation.rows, base_rows, snapshot.count),
-                        spec.permutation[:key_arity],
-                        spec.permutation[key_arity:])
-                    appended = snapshot.count - base_rows
-                    cache.metrics.inc("cache.extend")
-                    cache.metrics.inc("cache.extend_rows", appended)
+                structure = _build_structure(spec, relation, snapshot,
+                                             dictionary)
                 tuples = len(relation) if snapshot is None else snapshot.count
                 if obs_enabled:
                     duration = Stopwatch.now_ns() - build_t0
                     observer.record_build(spec.alias, duration)
-                    if appended is None:
-                        observer.tracer.add_span(
-                            "build_index", build_t0, duration,
-                            alias=spec.alias, index=spec.kind, tuples=tuples)
-                    else:
-                        observer.metrics.inc("cache.extend")
-                        observer.metrics.inc("cache.extend_rows", appended)
-                        observer.tracer.add_span(
-                            "extend_index", build_t0, duration,
-                            alias=spec.alias, index=spec.kind,
-                            tuples=tuples, appended=appended)
+                    observer.tracer.add_span(
+                        "build_index", build_t0, duration,
+                        alias=spec.alias, index=spec.kind, tuples=tuples)
                 if key is not None:
                     # compare-and-swap publish: when another thread built
                     # the same key first, adopt its structure so every
@@ -369,7 +345,7 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     structure = cache.put_if_absent(
                         key, structure, estimate_structure_bytes(
                             structure, tuples, relation.arity),
-                        rows=tuples, built_depth=built_depth)
+                        built_depth=built_depth)
             structures[spec.alias] = structure
     build_seconds = watch.lap()
     return PreparedJoin(bound, join_plan, structures, build_seconds)
@@ -456,89 +432,40 @@ def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
 # Per-algorithm planners
 # ----------------------------------------------------------------------
 
-def _resolve_generic_engine(atoms: "Sequence[Atom]",
-                            relations: Mapping[str, Relation],
-                            engine: str) -> tuple[str, str]:
-    """``(engine, note)``: the batch engine where it can run, else tuple.
-
-    The batch driver reads int64 columns (a columnar trie sorts and
-    packs them), so ``"auto"`` — and ``"batch"`` itself — resolve to it
-    only when every column of ``atoms`` (the atoms a Generic Join will
-    read) is int64-class, a property of the input
-    (:meth:`~repro.storage.relation.Relation.dtype_classes`).
-    Results are identical either way, so asking for batch over object
-    columns is not an error; ``note`` says what happened whenever the
-    engine was resolved rather than given.
-    """
-    if engine == "tuple":
-        return engine, ""
-    for atom in atoms:
-        if "object" in relations[atom.alias].dtype_classes():
-            return "tuple", (f"engine={engine}: tuple, {atom.alias} holds a "
-                             "non-int64 column the columnar trie cannot sort")
-    note = "engine=auto: batch, every joined column is int64" \
-        if engine == "auto" else ""
-    return "batch", note
+def _riding(engine: str, atoms: "Sequence[Atom]") -> str:
+    """The note of a plan that puts acyclic ``atoms`` on the batch
+    Generic Join in the binary pipeline's place."""
+    return (f"engine={engine}: batch in the binary pipeline's place "
+            f"({', '.join(atom.alias for atom in atoms)})")
 
 
-def _frontier_route(atoms: "Sequence[Atom]",
-                    relations: Mapping[str, Relation],
-                    engine: str) -> tuple[bool, str]:
-    """``(admitted, note)``: may the batch Generic Join run acyclic
-    ``atoms`` in the binary pipeline's place?
-
-    A columnar trie holds a *set* of rows, a hash pipeline joins *bags*:
-    the two return the same rows exactly when no relation repeats one
-    (:meth:`~repro.storage.relation.Relation.duplicate_free`).  So the
-    batch engine is admitted when it can run at all — the rule of
-    :func:`_resolve_generic_engine` — and every relation is
-    duplicate-free; there its build is one packed sort per relation
-    where a stage table is a Python loop over rows, and build decides an
-    acyclic query.  ``note`` gives the reason either way (empty under
-    ``engine="tuple"``, which asks for nothing).
-    """
-    resolved, note = _resolve_generic_engine(atoms, relations, engine)
-    if resolved != "batch":
-        return False, note and f"{note}; the binary pipeline is kept"
-    for atom in atoms:
-        if not relations[atom.alias].duplicate_free():
-            return False, (f"engine={engine}: {atom.alias} has duplicate "
-                           "rows a trie would drop; the binary pipeline "
-                           "keeps them (bag semantics)")
-    return True, (f"engine={engine}: batch in the binary pipeline's place "
-                  f"({', '.join(atom.alias for atom in atoms)}: int64 "
-                  "columns, no duplicate rows)")
-
-
-def _choose(query: JoinQuery, relations: Mapping[str, Relation],
-            stats: Statistics, engine: str,
-            explain: bool) -> tuple[PlanChoice, str]:
+def _choose(query: JoinQuery, stats: Statistics, core: set,
+            engine: str, explain: bool) -> tuple[PlanChoice, str]:
     """The hybrid optimizer's choice, made engine-aware: ``(choice, note)``.
 
     The optimizer sends an acyclic query to the binary pipeline (the
     paper's Table 1); here — the one place that rule meets the engine —
-    it goes to the Generic Join instead when :func:`_frontier_route`
-    admits the batch engine.  ``engine`` is ``"tuple"`` when the caller
-    pinned the binary side (``binary_order``) or the algorithm.  The
-    AGM bound and the binary peak estimate are computed where the
-    decision compares them (binary still a candidate) or ``explain``
-    (an enabled observer reports them), and nowhere else.
+    it goes to the Generic Join instead unless ``engine`` is ``"tuple"``
+    (the caller pinned it, the algorithm or the binary side's order):
+    the batch engine answers any input as the binary pipeline would,
+    repeated rows and string keys included, and builds by one sort per
+    relation where a stage table is a Python loop over rows.  ``core``
+    is the query's cyclic core, the plan's one GYO reduction.  The AGM
+    bound and the binary peak estimate are computed where the decision
+    compares them (binary still a candidate) or ``explain`` (an enabled
+    observer reports them), and nowhere else.
     """
     optimizer = HybridOptimizer()
-    if (engine != "tuple" and len(query) > 1
-            and not cyclic_core(Hypergraph.from_query(query))):
-        admitted, note = _frontier_route(query.atoms, relations, engine)
-        if admitted:
-            reported = optimizer.choose(query, stats) if explain else None
-            return PlanChoice(
-                "wcoj",
-                "acyclic query the columnar Generic Join answers as the "
-                "binary pipeline would, building by one sort per relation",
-                reported and reported.agm_bound,
-                reported and reported.binary_estimate), note
-        choice = optimizer.choose(query, stats)
-        return choice, note if choice.algorithm == "binary" else ""
-    return optimizer.choose(query, stats, estimate=explain), ""
+    if engine != "tuple" and len(query) > 1 and not core:
+        reported = optimizer.decide(query, stats, True) if explain else None
+        return PlanChoice(
+            "wcoj",
+            "acyclic query the columnar Generic Join answers as the "
+            "binary pipeline would, building by one sort per relation",
+            reported and reported.agm_bound,
+            reported and reported.binary_estimate), _riding(engine,
+                                                            query.atoms)
+    return optimizer.decide(query, stats, not core, estimate=explain), ""
 
 
 def _noted(choice, note: str):
@@ -571,13 +498,29 @@ def _generic_stage(label: str, query: JoinQuery,
                    relations: Mapping[str, Relation], total: tuple[str, ...],
                    index: str, engine: str, kwargs: dict, choice,
                    note: str) -> PlanStage:
-    """A Generic Join stage over ``query`` under the *resolved* ``engine``."""
+    """A Generic Join stage over ``query`` under the *resolved* ``engine``.
+
+    Under the batch engine an attribute with an object column in any of
+    the stage's atoms is joined by dictionary code, every column of it:
+    each atom's spec names the storage positions its trie codes (the
+    ``coded`` option), which keys the cache apart from a trie over the
+    same columns uncoded.
+    """
     kind, options = _generic_structure(index, engine, kwargs)
-    specs = tuple(
-        _structure_spec(relations[atom.alias], atom.alias, kind, total,
-                        options)
-        for atom in query.atoms
-    )
+    coded = set()
+    if engine == "batch":
+        coded = {attribute for atom in query.atoms
+                 for attribute, dtype in zip(
+                     atom.attributes, relations[atom.alias].dtype_classes())
+                 if dtype == "object"}
+    specs = []
+    for atom in query.atoms:
+        positions = tuple(position for position, attribute
+                          in enumerate(atom.attributes) if attribute in coded)
+        specs.append(_structure_spec(
+            relations[atom.alias], atom.alias, kind, total,
+            {"coded": positions} if positions else options))
+    specs = tuple(specs)
     return PlanStage(label=label, algorithm="generic", query=query,
                      output=total, engine=engine, index=index,
                      total_order=total, index_specs=specs,
@@ -587,7 +530,7 @@ def _generic_stage(label: str, query: JoinQuery,
 def _binary_stage(label: str, query: JoinQuery,
                   relations: Mapping[str, Relation],
                   atom_order: Sequence[str], children: tuple = (),
-                  choice=None, note: str = "") -> PlanStage:
+                  choice=None) -> PlanStage:
     """A binary hash pipeline stage probing in ``atom_order``."""
     stages, output_attrs = plan_pipeline(query, relations, atom_order)
     specs = tuple(
@@ -600,20 +543,19 @@ def _binary_stage(label: str, query: JoinQuery,
     )
     return PlanStage(label=label, algorithm="binary", query=query,
                      output=tuple(output_attrs), atom_order=tuple(atom_order),
-                     index_specs=specs, children=children,
-                     choice=_noted(choice, note), engine_note=note)
+                     index_specs=specs, children=children, choice=choice)
 
 
 def _binary_root(query: JoinQuery, relations: Mapping[str, Relation],
-                 binary_order: "Sequence[str] | None", stats, choice,
-                 note: str) -> PlanStage:
+                 binary_order: "Sequence[str] | None", stats,
+                 choice) -> PlanStage:
     """The whole query as one pipeline: the pinned order, else greedy."""
     if binary_order is None:
         if stats is None:
             stats = Statistics.collect(relations.values())
         binary_order = greedy_join_order(query, stats)
     return _binary_stage("root", query, relations, binary_order,
-                         choice=choice, note=note)
+                         choice=choice)
 
 
 def _baseline_stage(algorithm: str, query: JoinQuery,
@@ -654,71 +596,57 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
                   order: "Sequence[str] | None",
                   binary_order: "Sequence[str] | None",
                   index: str, engine: str, dynamic_seed: bool,
-                  choice: PlanChoice, stats: Statistics,
+                  choice: PlanChoice, stats: Statistics, core: set,
                   kwargs: dict, route: str = "",
                   explain: bool = False) -> JoinPlan:
     """Compile a stage-tree plan: per-component binary/WCOJ stages.
 
-    GYO reduction splits the query's hypergraph: the surviving edges —
-    the **cyclic core** — get a Generic Join sub-stage (worst-case
-    optimal where the AGM bound actually bites), the removed ears get a
-    binary hash pipeline stage probing *into the core stage's output*
-    (which joins as a synthetic ``stage:core`` relation), in their
-    ``binary_order`` when one is pinned.  An ear the batch engine may
-    take over (:func:`_frontier_route`) joins the core's Generic Join
-    stage instead — when every ear does, that stage is the root and no
-    core output is materialised.  A query that is entirely acyclic,
-    entirely cyclic, or a single atom degenerates to the one root stage
-    a flat request for whatever ``choice`` says would get — the unified
-    plan never does worse than the better flat plan by construction of
-    the split.
+    GYO reduction (``core``: the edges that survive it) splits the
+    query's hypergraph: the **cyclic core** gets a Generic Join
+    sub-stage (worst-case optimal where the AGM bound actually bites),
+    the removed ears get a binary hash pipeline stage probing *into the
+    core stage's output* (which joins as a synthetic ``stage:core``
+    relation), in their ``binary_order`` when one is pinned.  Under the
+    batch engine an ear joins the core's Generic Join stage instead — it
+    answers as a hash probe would — so every ear that shares an
+    attribute with the stage rides it, and then that stage is the root
+    and no core output is materialised.  A query that is entirely
+    acyclic, entirely cyclic, or a single atom degenerates to the one
+    root stage a flat request for whatever ``choice`` says would get —
+    the unified plan never does worse than the better flat plan by
+    construction of the split.
     """
-    core = cyclic_core(Hypergraph.from_query(query))
     mixed = bool(core) and core != {atom.alias for atom in query.atoms}
-    # the engine is resolved over the atoms a Generic Join stage reads:
-    # the cyclic core, or everything when the whole query is on WCOJ;
-    # binary stages read rows, whatever their dtype
-    if mixed:
-        generic_atoms = [atom for atom in query.atoms if atom.alias in core]
-    else:
-        generic_atoms = [] if choice.algorithm == "binary" else query.atoms
+    generic_atoms = [atom for atom in query.atoms if atom.alias in core]
     asked = engine
-    engine, note = _resolve_generic_engine(generic_atoms, relations, engine)
+    engine = "tuple" if engine == "tuple" else "batch"
+    note = route
     ears = [atom for atom in query.atoms if atom.alias not in core]
-    # the acyclic rule's note goes on the root stage it decided; ``kept``
-    # is why a binary stage stayed binary, where the rule was asked
-    kept = ""
-    if choice.algorithm == "binary":
-        kept = route
-    elif route:
-        note = route
     if mixed and engine == "batch" and binary_order is None:
-        # ears the batch engine answers as a hash probe would ride the
-        # core's stage, nearest the core first: an ear that shares no
-        # attribute with the stage yet would be a cross product there
+        # the ears ride the core's stage, nearest the core first: an ear
+        # that shares no attribute with the stage yet would be a cross
+        # product there
         stage_attrs = {a for atom in generic_atoms for a in atom.attributes}
+        riders = []
         grew = True
         while grew:
             grew = False
             for ear in ears:
-                if (ear in generic_atoms
-                        or not stage_attrs & set(ear.attributes)):
+                if ear in riders or not stage_attrs & set(ear.attributes):
                     continue
-                admitted, ear_note = _frontier_route([ear], relations, asked)
-                if admitted:
-                    generic_atoms.append(ear)
-                    stage_attrs |= set(ear.attributes)
-                    note = f"{note}; {ear_note}" if note else ear_note
-                    grew = True
-                else:
-                    kept = kept or ear_note
-        ears = [ear for ear in ears if ear not in generic_atoms]
+                riders.append(ear)
+                stage_attrs |= set(ear.attributes)
+                grew = True
+        if riders:
+            generic_atoms += riders
+            ears = [ear for ear in ears if ear not in riders]
+            note = _riding(asked, riders)
 
     if mixed and ears:
         # mixed plan: WCOJ over the cyclic core (and the ears that ride
         # with it), binary ears on top
         core_query = JoinQuery(tuple(generic_atoms))
-        core_choice = HybridOptimizer().choose(core_query, stats,
+        core_choice = HybridOptimizer().decide(core_query, stats, False,
                                                estimate=explain)
         child = _generic_stage("core", core_query, relations,
                                connectivity_order(core_query), index,
@@ -752,11 +680,10 @@ def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
             "output with binary hash joins",
             choice.agm_bound, choice.binary_estimate)
         root = _binary_stage("root", parent_query, relations, atom_order,
-                             children=(child,), choice=root_choice, note=kept)
+                             children=(child,), choice=root_choice)
     elif choice.algorithm == "binary":
         # fully acyclic (or single-atom) query: one binary root stage
-        root = _binary_root(query, relations, binary_order, stats, choice,
-                            kept)
+        root = _binary_root(query, relations, binary_order, stats, choice)
     else:
         # one generic root stage: a fully cyclic (or growth-prone)
         # query, a core whose every ear rides with it, or an acyclic
@@ -830,12 +757,19 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
 # ----------------------------------------------------------------------
 
 def _build_structure(spec: IndexSpec, relation: Relation,
-                     snapshot: "Snapshot | None" = None) -> object:
+                     snapshot: "Snapshot | None",
+                     dictionary: Dictionary) -> object:
     """Build the structure a spec describes, from ``relation``'s rows.
 
     ``snapshot`` pins the build to exactly the rows the cache key names
     (the first ``count``, whatever has been appended since); without one
     — the cold path, nothing keyed — the relation is read as it is.
+    ``dictionary`` encodes the columns a columnar spec codes.
+
+    A stage table and a columnar trie keep every copy of a repeated row.
+    Every other structure holds a set, and the tuple drivers that read
+    it would answer a set: they refuse a relation that repeats a row
+    instead, found where the build has already dropped the repeat.
     """
     tuples = len(relation) if snapshot is None else snapshot.count
     rows = islice(relation.rows, tuples)
@@ -843,26 +777,39 @@ def _build_structure(spec: IndexSpec, relation: Relation,
         key_arity = spec.key_arity or 0
         return build_stage_table(rows, spec.permutation[:key_arity],
                                  spec.permutation[key_arity:])
-    if spec.kind == TUPLESET_KIND:
-        return frozenset(rows)
     if spec.kind == COLUMNAR_KIND:
         columns = (relation.columns() if snapshot is None
                    else snapshot.columns)
-        return ColumnarTrie(tuple(columns[i] for i in spec.permutation))
-    options = dict(spec.options)
-    presort = options.pop("sorted", False)
-    if spec.kind == "sonic":
-        config = SonicConfig.for_tuples(
-            max(tuples, 1),
-            bucket_size=options.pop("bucket_size", 8),
-            overallocation=options.pop("overallocation", 2.0),
-        )
-        index = make_index("sonic", relation.arity, config=config, **options)
+        coded = dict(spec.options).get("coded", ())
+        trie = ColumnarTrie(tuple(
+            dictionary.encode(columns[i]) if i in coded else columns[i]
+            for i in spec.permutation))
+        trie.decoders = tuple(dictionary if i in coded else None
+                              for i in spec.permutation)
+        return trie
+    if spec.kind == TUPLESET_KIND:
+        structure = frozenset(rows)
     else:
-        index = make_index(spec.kind, relation.arity, **options)
-    adapter = IndexAdapter(relation, index, spec.attribute_order)
-    adapter.build(snapshot)
-    if presort:
-        index.rows  # force the SortedTrie sort inside the build phase
-    return index
+        options = dict(spec.options)
+        presort = options.pop("sorted", False)
+        if spec.kind == "sonic":
+            config = SonicConfig.for_tuples(
+                max(tuples, 1),
+                bucket_size=options.pop("bucket_size", 8),
+                overallocation=options.pop("overallocation", 2.0),
+            )
+            structure = make_index("sonic", relation.arity, config=config,
+                                   **options)
+        else:
+            structure = make_index(spec.kind, relation.arity, **options)
+        IndexAdapter(relation, structure, spec.attribute_order).build(
+            snapshot)
+        if presort:
+            structure.rows  # force the SortedTrie sort inside the build phase
+    if len(structure) < tuples:
+        raise QueryError(
+            f"relation {relation.name!r} repeats a row, and the tuple "
+            f"drivers join sets ({spec.kind!r} holds each row once); the "
+            "default engine (engine='auto') counts every copy")
+    return structure
 

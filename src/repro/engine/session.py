@@ -26,16 +26,14 @@ relation (:meth:`~repro.storage.relation.Relation.insert` /
 version counter, so the next prepare misses the stale entries —
 :meth:`Session.execute` therefore always sees current data, while an
 already-:meth:`~Session.prepare`-d join keeps its snapshot until
-re-prepared.  What a miss rebuilds is one packed sort per relation
-and attribute order — the frontier engine's columnar trie, which is
-what a session holds unless asked otherwise — and every registry index
-kind the tuple engine reads (``engine="tuple"``) rebuilds likewise.
-Only a binary stage table is brought forward instead: relations only
-grow by appending, so the prepare stage copies the stale table, applies
-the appended rows to the copy and publishes that.  Either way the store
-drops the stale entry it supersedes.
-:meth:`invalidate` releases a relation's entries before that — which
-also takes away the base the next prepare would have extended.
+re-prepared.  A miss rebuilds: one packed sort per relation and
+attribute order for the frontier engine's columnar trie — which is what
+a session holds unless asked otherwise — and likewise the registry index,
+stage table or row set of any other plan.  The store drops the stale
+entry it supersedes; :meth:`invalidate` releases a relation's entries
+before that.  The session's cache also holds the one dictionary that
+codes its string, float and past-int64 join columns, so every trie it
+caches compares codes with every other.
 """
 
 from __future__ import annotations
@@ -103,15 +101,12 @@ class Session:
         every index spec goes through the session cache, so repeated
         prepares over unchanged relations skip the build entirely.
         What is cached follows the resolved engine: one columnar trie
-        per relation and attribute order under ``engine="batch"`` —
-        which the default ``"auto"`` resolves to iff every joined column
-        is int64-class — and the ``index`` kind under ``engine="tuple"``
-        (the paper's configuration).  Unless the engine is pinned to
-        ``"tuple"``, ``algorithm="auto"`` / ``"unified"`` also run an
-        *acyclic* query on the batch engine while every relation it
-        reads is duplicate-free — a verdict that follows each relation's
-        version, so the read after a write that repeats a row plans (and
-        caches) binary stage tables instead.
+        per relation, attribute order and set of coded columns under
+        ``engine="batch"`` — which the default ``"auto"`` resolves to —
+        and the ``index`` kind under ``engine="tuple"`` (the paper's
+        configuration).  Unless the engine is pinned to ``"tuple"``,
+        ``algorithm="auto"`` / ``"unified"`` run an *acyclic* query on
+        the batch engine too, whatever its data.
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning
@@ -143,8 +138,8 @@ class Session:
         (unlike holding on to a :class:`PreparedJoin`, which pins its
         prepare-time snapshot).  ``profile`` / ``obs`` resolve to one
         observer for both halves, so ``result.profile`` covers bind,
-        plan and prepare (cache hits, ``build_index`` / ``extend_index``
-        spans) as well as the probe and its per-level tree.
+        plan and prepare (cache hits, ``build_index`` spans) as well as
+        the probe and its per-level tree.
         """
         observer = resolve_observer(profile, obs)
         prepared = self.prepare(query, obs=observer, **kwargs)

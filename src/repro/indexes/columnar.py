@@ -28,6 +28,17 @@ and deduplicated once, and read level by level:
   rows: it keeps no ``starts``, and its ``indptr`` is the ``starts`` of
   the level above, the same array.)
 
+**Bags.**  The duplicate drop counts what it drops: where rows repeat,
+``weights[r]`` is the number of input rows sorted before distinct row
+``r`` (``weights[-1]``: all of them), so :meth:`~ColumnarTrie.
+tuple_counts` counts a bag with two more gathers — Free Join's weight
+vector at the trie leaf (PAPERS.md).  Without a repeat it is ``None``.
+
+**Dictionary codes.**  A join only compares values for equality, so a
+column the trie cannot sort (strings, floats, integers past int64)
+arrives as :class:`Dictionary` codes; ``decoders[d]`` names the
+dictionary behind level ``d`` (``None``: plain values).
+
 **Build what the run reads.**  Free Join's COLT builds a trie level the
 first time a join touches it; here that is how the structure is made,
 not a mode of it.  The constructor does what every answer needs — the
@@ -85,44 +96,58 @@ PACK_LIMIT = 2 ** 62
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _weights(keep: np.ndarray) -> "np.ndarray | None":
+    """The prefix-sum ``weights`` of sorted rows whose first copies
+    ``keep`` marks (module docstring); ``None`` when no row repeats."""
+    if keep.all():
+        return None
+    return np.append(np.flatnonzero(keep), len(keep))
+
+
 def _sorted_unique_key(columns: Sequence[np.ndarray], lows: list,
-                       spans: list) -> np.ndarray:
-    """The rows as one packed key per row, sorted, duplicates dropped."""
+                       spans: list) -> tuple:
+    """The rows as one packed key per row, sorted, duplicates dropped —
+    and the drop's ``weights``."""
     key = columns[0] - lows[0]
     for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
         key *= span
         key += column
         key -= low
     key.sort()
+    weights = None
     if len(key) > 1:
         keep = np.empty(len(key), dtype=bool)
         keep[0] = True
         np.not_equal(key[1:], key[:-1], out=keep[1:])
-        if not keep.all():
+        weights = _weights(keep)
+        if weights is not None:
             key = key[keep]
-    return key
+    return key, weights
 
 
-def _sorted_unique_columns(columns: Sequence[np.ndarray]) -> list:
-    """``columns`` as lexicographically sorted, duplicate-free columns."""
+def _sorted_unique_columns(columns: Sequence[np.ndarray]) -> tuple:
+    """``columns`` as lexicographically sorted, duplicate-free columns —
+    and the drop's ``weights``."""
     # lexsort's *last* key is primary, so feed the columns reversed
     order = np.lexsort(tuple(columns[::-1]))
     out = [column[order] for column in columns]
     del order
+    weights = None
     if len(out[0]) > 1:
         keep = np.zeros(len(out[0]), dtype=bool)
         keep[0] = True
         for column in out:
             keep[1:] |= column[1:] != column[:-1]
-        if not keep.all():
+        weights = _weights(keep)
+        if weights is not None:
             out = [column[keep] for column in out]
-    return out
+    return out, weights
 
 
 class ColumnarTrie:
-    """Sorted, deduplicated int64 columns read as per-level arrays (see
-    module docstring).  ``columns`` are already permuted into the atom's
-    attribute order.
+    """Sorted, deduplicated int64 columns read as per-level arrays, with
+    the count of every dropped repeat (see module docstring).
+    ``columns`` are already permuted into the atom's attribute order.
 
     Construction sorts; :meth:`at_depth` builds levels.  A reader calls
     ``at_depth(d + 1)`` before it reads level ``d`` through ``values`` /
@@ -134,8 +159,9 @@ class ColumnarTrie:
     NAME = "columnar"
 
     __slots__ = ("arity", "values", "indptr", "keys", "starts", "lows",
-                 "highs", "spans", "codes", "on_deepen", "_rows", "_key",
-                 "_tails", "_sorted", "_built", "_lock", "_pending_ns")
+                 "highs", "spans", "codes", "tuples", "weights", "decoders",
+                 "on_deepen", "_rows", "_key", "_tails", "_sorted", "_built",
+                 "_lock", "_pending_ns")
 
     def __init__(self, columns: Sequence[np.ndarray]):
         if not columns:
@@ -146,6 +172,14 @@ class ColumnarTrie:
                     "a columnar trie holds int64 columns, got dtype "
                     f"{column.dtype}")
         self.arity = len(columns)
+        #: rows built from, repeats included: the size of the bag
+        self.tuples = len(columns[0])
+        #: prefix sums of the distinct rows' multiplicities (module
+        #: docstring); None when no row repeats
+        self.weights = None
+        #: per level, the :class:`Dictionary` whose codes it holds (None:
+        #: int64 values as they are); set by whoever encoded the columns
+        self.decoders = (None,) * self.arity
         self.values: list = []    # repro: shared[lock=_lock]
         self.indptr: list = []    # repro: shared[lock=_lock]
         self.keys: list = []      # repro: shared[lock=_lock]
@@ -186,7 +220,8 @@ class ColumnarTrie:
         self.spans = [high - low + 1
                       for low, high in zip(self.lows, self.highs)]
         if prod(self.spans) < PACK_LIMIT:
-            self._key = _sorted_unique_key(columns, self.lows, self.spans)
+            self._key, self.weights = _sorted_unique_key(
+                columns, self.lows, self.spans)
             self._rows = len(self._key)
             #: per level, the product of the deeper levels' spans: the
             #: packed key is the prefix through ``d`` times ``tails[d]``
@@ -194,7 +229,7 @@ class ColumnarTrie:
             self._tails = tuple(prod(self.spans[depth + 1:])
                                 for depth in range(self.arity))
         else:
-            self._sorted = _sorted_unique_columns(columns)
+            self._sorted, self.weights = _sorted_unique_columns(columns)
             self._rows = len(self._sorted[0])
 
     # ------------------------------------------------------------------
@@ -312,7 +347,7 @@ class ColumnarTrie:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Distinct stored tuples."""
+        """Distinct stored tuples (:attr:`tuples` counts the repeats)."""
         return self._rows
 
     def child_ranges(self, depth: int, parents: "np.ndarray | None",
@@ -328,17 +363,23 @@ class ColumnarTrie:
         return indptr[parents], indptr[parents + 1]
 
     def tuple_counts(self, depth: int, nodes: np.ndarray) -> np.ndarray:
-        """How many stored tuples extend each level-``depth`` node — the
-        paper's ``count_prefix`` for a column of bound prefixes.
+        """How many stored tuples, repeats included, extend each
+        level-``depth`` node — the paper's ``count_prefix`` for a column
+        of bound prefixes.
 
         A node's tuples are the sorted rows from its own start to the
-        next node's: two gathers from ``starts[depth]``, whatever lies
-        below (which need not be built).
+        next node's (a last-level node is one row): two gathers from
+        ``starts[depth]``, then two from ``weights`` when rows repeat,
+        whatever lies below (which need not be built).
         """
-        starts = self.starts[depth]
+        starts, weights = self.starts[depth], self.weights
         if starts is None:
-            return np.ones(len(nodes), dtype=np.int64)
-        return starts[nodes + 1] - starts[nodes]
+            if weights is None:
+                return np.ones(len(nodes), dtype=np.int64)
+            return weights[nodes + 1] - weights[nodes]
+        if weights is None:
+            return starts[nodes + 1] - starts[nodes]
+        return weights[starts[nodes + 1]] - weights[starts[nodes]]
 
     def probe(self, depth: int, parents: "np.ndarray | None",
               values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -369,13 +410,14 @@ class ColumnarTrie:
         return found, node_ids
 
     def memory_usage(self) -> int:
-        """Resident bytes: what is left of the sort buffer plus every
-        materialised level's arrays (one shared by two levels once)."""
+        """Resident bytes: what is left of the sort buffer, the weights,
+        and every materialised level's arrays (one shared by two levels
+        once)."""
         built, key, columns = self._built, self._key, self._sorted
         buffer = (key,) if columns is None else tuple(columns)
-        arrays = chain(buffer, self.values[:built], self.indptr[:built],
-                       self.keys[:built], self.codes[:built],
-                       self.starts[:built])
+        arrays = chain(buffer, (self.weights,), self.values[:built],
+                       self.indptr[:built], self.keys[:built],
+                       self.codes[:built], self.starts[:built])
         return sum({id(array): array.nbytes
                     for array in arrays if array is not None}.values())
 
@@ -383,3 +425,40 @@ class ColumnarTrie:
         return (f"ColumnarTrie(arity={self.arity}, rows={self._rows}, "
                 f"nodes={[len(v) for v in self.values[:self._built]]}"
                 f" of {self.arity} levels)")
+
+
+class Dictionary:
+    """An append-only map from values to int64 codes: one per
+    :class:`~repro.engine.session.Session` (its index cache holds it),
+    one per cold join.  A code is never reassigned, so tries encoded at
+    different times compare codes.  :meth:`encode` takes the lock;
+    :meth:`decode` reads the published value array, replaced whole when
+    codes are added, and needs none."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._codes: dict = {}                        # repro: shared[lock=_lock]
+        #: code -> value, replaced whole when codes are added
+        self._values = np.empty(0, dtype=object)      # repro: shared[lock=_lock]
+
+    def encode(self, column: np.ndarray) -> np.ndarray:
+        """``column``'s values as codes; unseen values get new ones."""
+        values = column.tolist()
+        with self._lock:
+            codes = self._codes
+            fresh = [value for value in dict.fromkeys(values)
+                     if value not in codes]
+            if fresh:
+                known = len(codes)
+                grown = np.empty(known + len(fresh), dtype=object)
+                grown[:known] = self._values
+                for code, value in enumerate(fresh, known):
+                    codes[value] = code
+                    grown[code] = value
+                self._values = grown
+            return np.fromiter(map(codes.__getitem__, values),
+                               dtype=np.int64, count=len(values))
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The values behind ``codes``, as an object array."""
+        return self._values[codes]

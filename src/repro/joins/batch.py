@@ -31,8 +31,16 @@ rows and the blocks are processed depth-first, so live intermediates are
 bounded by depth x block however wide a level gets, while the candidate
 sets and the intersection discipline are exactly the tuple driver's.  A
 materialising run therefore has the tuple driver's per-level
-intermediate counts, and both engines agree tuple-for-tuple
-(``tests/joins/test_frontier_differential.py``).
+intermediate counts, and every configuration answers the brute-force
+bag (``tests/joins/test_frontier_differential.py``).
+
+**Bags and codes.**  When a trie has ``weights`` (repeated rows,
+:mod:`repro.indexes.columnar`) the frontier carries a weight column:
+where an atom binds its trie's last level the row's multiplicity is
+multiplied in (in Python ints once a product could pass 2**63), the
+tail count multiplies it with subtree sizes that count repeats too, and
+a materialising sink repeats each row by it.  Levels of dictionary
+codes are decoded at a materialising sink.
 
 **Counting stops where joining stops.**  The *tail* is the longest
 suffix of the total order whose every level has exactly one participant:
@@ -41,7 +49,7 @@ nothing is intersected there, so expanding it only multiplies rows
 pinned ``order=`` gets whatever suffix it has).  A counting run that
 reaches the tail's first level finishes there: a frontier row stands for
 ``Π_atoms tuples_below(atom's node)`` results — 1 for an atom with no
-level left, ``len(trie)`` for one still at its root, otherwise
+level left, the trie's row count for one still at its root, otherwise
 :meth:`~repro.indexes.columnar.ColumnarTrie.tuple_counts`, the paper's
 ``count_prefix`` (§3.1) over a column of prefixes, read off the row
 ``starts`` of the atom's last *bound* level — and the block adds the sum
@@ -95,6 +103,34 @@ from repro.planner.query import JoinQuery
 BLOCK_ROWS = 8192
 
 
+def _sum_of_products(columns: list, rows: int) -> int:
+    """``Σ_i Π_c columns[c][i]`` over ``rows`` rows, exact: int64 while
+    ``rows × Π max`` stays below 2**63, Python ints past it.  Overwrites
+    ``columns[0]``."""
+    if not columns:
+        return rows
+    bound = rows
+    for column in columns:
+        bound *= int(column.max())
+    if bound < 2 ** 63 and all(column.dtype == np.int64
+                               for column in columns):
+        product = columns[0]
+        for column in columns[1:]:
+            product *= column
+        return int(product.sum())
+    return sum(map(prod, zip(*(column.tolist() for column in columns))))
+
+
+def _weighed(weight: "np.ndarray | None", counts: np.ndarray) -> np.ndarray:
+    """A weight column times one atom's row multiplicities — in Python
+    ints once a product could pass 2**63."""
+    if weight is None:
+        return counts
+    if int(weight.max()) * int(counts.max()) < 2 ** 63:
+        return weight * counts
+    return weight.astype(object) * counts
+
+
 class GenericJoinBatch:
     """Generic Join over columnar tries, a block of bindings at a time.
 
@@ -127,17 +163,35 @@ class GenericJoinBatch:
         self._aliases: tuple[str, ...] = tuple(a.alias for a in query.atoms)
         alias_id = {alias: i for i, alias in enumerate(self._aliases)}
         self._tries = [adapters[alias].index for alias in self._aliases]
-        #: per level of the total order: ``(atom id, trie depth, has
-        #: deeper levels)`` of every atom binding the attribute
+        #: does a trie weigh repeated rows?  Then the frontier carries a
+        #: weight column after its node columns
+        self._weighted = any(trie.weights is not None for trie in self._tries)
+        #: per level of the total order: ``(atom id, trie depth, keep the
+        #: node ids)`` of every atom binding the attribute — kept where
+        #: the trie has deeper levels, or where this last level weighs a
+        #: repeated row
         self._participants: list[list[tuple[int, int, bool]]] = []
+        #: per level, the positions (into its participant list) of the
+        #: atoms whose row multiplicities the level multiplies in
+        self._weighs: list[list[int]] = []
         for attribute in self.order:
-            level = []
+            level, weighs = [], []
             for atom in query.atoms_with(attribute):
-                adapter = adapters[atom.alias]
-                depth = adapter.position_of(attribute)
+                trie = adapters[atom.alias].index
+                depth = adapters[atom.alias].position_of(attribute)
+                last = depth + 1 == trie.arity
+                if last and trie.weights is not None:
+                    weighs.append(len(level))
                 level.append((alias_id[atom.alias], depth,
-                              depth + 1 < adapter.index.arity))
+                              not last or trie.weights is not None))
             self._participants.append(level)
+            self._weighs.append(weighs)
+        #: per level, the dictionary whose codes it binds (None: plain
+        #: values) — empty when no level is coded
+        decoders = [self._tries[level[0][0]].decoders[level[0][1]]
+                    for level in self._participants]
+        self._decoders = (decoders if any(d is not None for d in decoders)
+                          else [])
         #: static seed per level, as a *position* into the participant
         #: list (by base relation size); used when dynamic selection is
         #: ablated
@@ -180,10 +234,13 @@ class GenericJoinBatch:
         self._build_ns = 0
         #: the level a counting run is finished at from subtree sizes
         self._counted_from = len(self.order) if materialize else self._tail
+        # the root binding: one row, every atom at its trie's root (and
+        # a weight of one)
+        columns = len(self._aliases) + 1 if self._weighted \
+            else len(self._aliases)
         with obs.tracer.span("probe", algorithm="generic_join_batch",
                              engine="batch"):
-            # the root binding: one row, every atom at its trie's root
-            self._join_level(0, [None] * len(self._aliases), [], 1)
+            self._join_level(0, [None] * columns, [], 1)
         if obs.enabled:
             obs.metrics.inc("frontier.blocks", self._blocks)
             obs.metrics.inc("frontier.peak_rows", self._peak)
@@ -236,8 +293,9 @@ class GenericJoinBatch:
 
         ``nodes[atom]`` is the block's node-id column for that atom —
         ``None`` while the atom is still at its root (or has no levels
-        left); ``bound`` holds the block's value columns, in total order,
-        when materialising.
+        left) — and, when the frontier is weighted, ``nodes[-1]`` its
+        weight column (``None``: every row weighs one); ``bound`` holds
+        the block's value columns, in total order, when materialising.
         """
         if level == self._counted_from:
             self._count_tail(nodes, rows)
@@ -281,8 +339,9 @@ class GenericJoinBatch:
 
     def _count_tail(self, nodes: list, rows: int) -> None:
         """Finish a counting block where the tail begins: every row
-        stands for the product, over the atoms with levels left, of the
-        tuples below the row's node, and the block for their sum."""
+        stands for its weight times the product, over the atoms with
+        levels left, of the tuples below the row's node, and the block
+        for their sum."""
         t0 = Stopwatch.now_ns()
         self._tail_rows += rows
         whole = 1           # atoms still at their root, as a Python int
@@ -293,26 +352,13 @@ class GenericJoinBatch:
                 self._materialise(self._tail, atom, done)
             trie = self._tries[atom]
             if done == 0:
-                whole *= len(trie)
+                whole *= trie.tuples
             else:
                 columns.append(trie.tuple_counts(done - 1, nodes[atom]))
         self.metrics.lookups += rows * len(columns)
-        if not columns:
-            total = rows
-        else:
-            bound = rows
-            for column in columns:
-                bound *= int(column.max())
-            if bound < 2 ** 63:
-                # no product and no partial sum can pass ``bound``
-                product = columns[0]
-                for column in columns[1:]:
-                    product *= column
-                total = int(product.sum())
-            else:
-                total = sum(map(prod, zip(*(column.tolist()
-                                            for column in columns))))
-        self._sink.emit_columns((), total * whole)
+        if self._weighted and nodes[-1] is not None:
+            columns.append(nodes[-1])
+        self._sink.emit_columns((), _sum_of_products(columns, rows) * whole)
         self._stats[self._tail].time_ns += Stopwatch.now_ns() - t0
 
     def _expand(self, level: int, position: int,
@@ -371,7 +417,7 @@ class GenericJoinBatch:
         participants = self._participants[level]
         seed_atom, seed_depth, seed_keeps = participants[position]
         values = tries[position].values[seed_depth][children]
-        #: node-id columns of the participants that have levels left
+        #: node-id columns of the participants whose ids are kept
         kept = {seed_atom: children} if seed_keeps else {}
         for other, (atom, depth, keeps) in enumerate(participants):
             if other == position:
@@ -394,11 +440,20 @@ class GenericJoinBatch:
         self._stats[level].survivors += survivors
         self.metrics.intermediate_tuples += survivors
 
+        weight = None
+        if self._weighted:
+            weight = nodes[-1]
+            if weight is not None:
+                weight = weight[source]
+            for weighing in self._weighs[level]:
+                atom, depth, _ = participants[weighing]
+                weight = _weighed(weight, tries[weighing].tuple_counts(
+                    depth, kept.pop(atom)))
         if self._materialize:
             bound = [column[source] for column in bound]
             bound.append(values)
         if level + 1 == len(self.order):
-            self._sink.emit_columns(bound, survivors)
+            self._emit(bound, survivors, weight)
             return
         following = [None] * len(nodes)
         for atom, column in enumerate(nodes):
@@ -406,4 +461,20 @@ class GenericJoinBatch:
                 following[atom] = column[source]
         for atom, _, _ in participants:
             following[atom] = kept.get(atom)
+        if weight is not None:
+            following[-1] = weight
         self._join_level(level + 1, following, bound, survivors)
+
+    def _emit(self, bound: list, rows: int, weight) -> None:
+        """Hand a finished block to the sink: each row ``weight`` times
+        (``None``: once), coded values decoded."""
+        if weight is not None:
+            if not self._materialize:
+                self._sink.emit_columns((), _sum_of_products([weight], rows))
+                return
+            bound = [np.repeat(column, weight) for column in bound]
+            rows = len(bound[0])
+        if self._decoders:
+            bound = [column if codes is None else codes.decode(column)
+                     for column, codes in zip(bound, self._decoders)]
+        self._sink.emit_columns(bound, rows)

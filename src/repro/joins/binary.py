@@ -77,26 +77,6 @@ def build_stage_table(rows: Iterable[tuple], key_positions: Sequence[int],
     return table
 
 
-def extend_stage_table(table: dict[tuple, list[tuple]],
-                       appended: Iterable[tuple],
-                       key_positions: Sequence[int],
-                       payload_positions: Sequence[int],
-                       ) -> dict[tuple, list[tuple]]:
-    """The table a rebuild over ``table``'s rows + ``appended`` would give.
-
-    ``table`` is not touched — a prepared join may still be probing it:
-    the result is a shallow copy in which every key the appended rows
-    hit maps to a *new* payload list, old payloads first, as a rebuild in
-    row order would place them.
-    """
-    extended = table.copy()
-    for key, payloads in build_stage_table(appended, key_positions,
-                                           payload_positions).items():
-        old = table.get(key)
-        extended[key] = old + payloads if old else payloads
-    return extended
-
-
 class BinaryHashJoin:
     """Left-deep pipeline of hash joins over a query.
 

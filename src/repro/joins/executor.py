@@ -26,7 +26,7 @@ Algorithms: ``"generic"`` (Generic Join over any registered index),
 ``"binary"`` (pipelined hash joins), ``"hashtrie"`` (Umbra-style),
 ``"leapfrog"`` (LFTJ), or ``"auto"`` (the hybrid optimizer chooses
 binary vs generic, §6/[22]; unless ``engine="tuple"`` an acyclic query
-over duplicate-free int64 relations goes generic too).
+goes generic too).
 
 This module also remains the home of the shared building blocks the
 pipeline stages (and the test suite) use directly:
@@ -57,7 +57,7 @@ ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive",
 
 #: execution models for the Generic Join driver: tuple-at-a-time (the
 #: paper's Alg. 1 rendering), batch (frontier-at-a-time over columnar
-#: tries), or auto (batch iff every joined column is int64-class)
+#: tries), or auto (the default, which resolves to batch)
 ENGINES = ("tuple", "batch", "auto")
 
 
@@ -191,34 +191,29 @@ def join(query: "JoinQuery | str",
     exactly once whichever algorithm runs.
 
     ``engine`` selects the Generic Join execution model: ``"auto"``
-    (default: batch iff every joined column is int64-class, else
-    tuple), ``"batch"`` (frontier-at-a-time,
-    :class:`~repro.joins.batch.GenericJoinBatch`: the binding frontier
+    (the default) and ``"batch"`` run frontier-at-a-time
+    (:class:`~repro.joins.batch.GenericJoinBatch`: the binding frontier
     carried as int64 columns over a
     :class:`~repro.indexes.columnar.ColumnarTrie` per atom — the one
     structure it reads, so ``index`` and its options are accepted but
-    that index is not built), or ``"tuple"`` (the paper's
+    that index is not built); ``"tuple"`` runs the paper's
     tuple-at-a-time Alg. 1 over ``index`` — the configuration every
-    figure and table of the reproduction measures; name it to get it).
-    Over a non-int64 column — strings, integers beyond int64 —
-    ``"auto"`` and ``"batch"`` run the tuple engine, and the plan
-    records why (``JoinPlan.engine_note``, ``describe()``).
-    Both engines produce identical results; only constant factors
-    differ.  The explicit non-generic algorithms (``"binary"``,
-    ``"hashtrie"``, ``"leapfrog"``, ``"recursive"``) have no batch
-    rendering and ignore the knob.  ``"auto"`` and ``"unified"`` do
-    not: the hybrid optimizer sends an acyclic query (and a cyclic
-    query's GYO ears) to the binary hash pipeline, and where the batch
-    engine would return *the same answer* — ``engine`` is not
-    ``"tuple"``, every joined column is int64-class and every relation
-    is duplicate-free (:meth:`Relation.duplicate_free
-    <repro.storage.relation.Relation.duplicate_free>`: a trie holds a
-    set of rows, a hash pipeline joins bags, so one repeated row is
-    enough to keep the binary plan) — the plan stage runs those atoms
-    on the batch Generic Join instead, whose build is one sort per
+    figure and table of the reproduction measures; name it to get it.
+    Relations are bags, and the frontier engine answers them as bags:
+    a row stored twice is counted twice, and a column of strings,
+    floats or integers beyond int64 is joined by dictionary code
+    (materialised rows carry the stored values).  The tuple drivers —
+    ``engine="tuple"``, ``"hashtrie"``, ``"leapfrog"``, ``"recursive"``
+    — join sets, and raise :class:`~repro.errors.QueryError` naming a
+    relation that repeats a row; ``"binary"`` joins bags.  The explicit
+    non-generic algorithms have no batch rendering and ignore the knob.
+    ``"auto"`` and ``"unified"`` do not: the hybrid optimizer sends an
+    acyclic query (and a cyclic query's GYO ears) to the binary hash
+    pipeline, and unless ``engine="tuple"`` the plan stage runs those
+    atoms on the batch Generic Join instead, whose build is one sort per
     relation rather than a Python loop per row.  ``binary_order`` pins
     the binary side.  ``PlanChoice.reason`` and ``describe()`` say
-    which way it went and why.
+    which way it went.
 
     ``**index_kwargs`` carries per-algorithm index options
     (``sonic_bucket_size`` / ``sonic_overallocation`` / ``index_options``

@@ -102,7 +102,6 @@ def relation_from_handles(name: str, attributes: "tuple[str, ...]",
         i: ("int64" if array.dtype == np.int64 else "object")
         for i, array in enumerate(arrays)
     }
-    relation._duplicate_free = [None]
     relation._version = [0]
     return relation, attachments
 

@@ -16,14 +16,15 @@ Two planners live here:
 
 That last rule is the paper's, and it compares two compiled
 tuple-at-a-time engines.  It is the optimizer's whole answer only while
-the Generic Join runs tuple-at-a-time too: where the engine's stage
-planner (:func:`repro.engine.pipeline.plan`) can put an acyclic query on
-the columnar batch engine *and get the binary plan's answer* — every
-joined column int64, every relation duplicate-free, because a trie
-holds a set and a hash pipeline a bag — it does, since there a build is
-one packed sort per relation against a Python ``dict.setdefault`` loop
-per row.  That decision needs the input's dtypes and the engine asked
-for, so it is made there, on top of this module's choice.
+the Generic Join runs tuple-at-a-time too: unless the engine is pinned
+to ``"tuple"``, the engine's stage planner
+(:func:`repro.engine.pipeline.plan`) puts an acyclic query on the
+columnar batch engine, which returns the binary plan's bag of rows on
+any input and builds by one packed sort per relation against a Python
+``dict.setdefault`` loop per row.  That decision needs the engine asked
+for, so it is made there, on top of this module's choice
+(:meth:`HybridOptimizer.decide` takes the acyclicity its one GYO
+reduction found).
 """
 
 from __future__ import annotations
@@ -165,15 +166,23 @@ class HybridOptimizer:
 
     def choose(self, query: JoinQuery, stats: Statistics,
                estimate: bool = True) -> PlanChoice:
-        """The choice for ``query``.  The AGM bound (an LP) and the
-        binary peak estimate (a distinct-count scan per join column)
-        decide only a multi-atom acyclic query; ``estimate=False`` skips
-        them everywhere else, where they are a report, not an input."""
-        hypergraph = Hypergraph.from_query(query)
-        acyclic = is_alpha_acyclic(hypergraph)
+        """The choice for ``query`` (see :meth:`decide`)."""
+        return self.decide(query, stats,
+                           is_alpha_acyclic(Hypergraph.from_query(query)),
+                           estimate)
+
+    def decide(self, query: JoinQuery, stats: Statistics, acyclic: bool,
+               estimate: bool = True) -> PlanChoice:
+        """The choice for ``query``, whose acyclicity the caller already
+        knows (the plan stage runs one GYO reduction per plan and hands
+        it here).  The AGM bound (an LP) and the binary peak estimate (a
+        distinct-count scan per join column) decide only a multi-atom
+        acyclic query; ``estimate=False`` skips them everywhere else,
+        where they are a report, not an input."""
         bound = binary_estimate = None
         if estimate or (acyclic and len(query) > 1):
-            bound = fractional_cover(hypergraph, stats.cardinalities()).bound
+            bound = fractional_cover(Hypergraph.from_query(query),
+                                     stats.cardinalities()).bound
             binary_estimate = self._binary_peak_estimate(query, stats)
 
         if len(query) == 1:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator, Sequence
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -41,17 +40,23 @@ from repro.storage.schema import Schema
 
 
 def _column_array(values: list) -> np.ndarray:
-    """Column values as ``int64`` when every value fits, else ``object``.
+    """Column values as ``int64`` when every value is an integer that
+    fits, else ``object``.
 
-    The object fallback is built element-wise — ``np.asarray`` on a mixed
-    list would stringify or broadcast instead of holding the values.
+    The type test comes first: ``np.asarray(..., dtype=np.int64)`` alone
+    would read ``"1"`` as 1 and truncate 1.5 to 1.  The object fallback
+    is built element-wise — ``np.asarray`` on a mixed list would
+    stringify or broadcast instead of holding the values.
     """
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        array = np.empty(len(values), dtype=object)
-        array[:] = values
-        return array
+    if all(issubclass(kind, (int, np.integer))
+           for kind in set(map(type, values))):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
 
 
 def _appended_array(array: np.ndarray, values: list) -> np.ndarray:
@@ -68,39 +73,6 @@ def _appended_array(array: np.ndarray, values: list) -> np.ndarray:
     return np.concatenate((array, tail))
 
 
-def _rows_distinct(columns: Sequence[np.ndarray], rows: list) -> bool:
-    """Whether no row of ``columns`` (all of ``rows``) appears twice.
-
-    Over int64 columns this is one sort of packed row keys — the
-    comparison the columnar trie's own build makes, so "distinct" here is
-    exactly "the trie drops nothing" — or ``np.lexsort`` when the value
-    spreads do not pack below 2**62 (the spare bit keeps the packing from
-    wrapping).  An object column holds values numpy cannot order, so its
-    rows are hashed as the binary pipeline's stage tables hash them.
-    """
-    if len(rows) < 2:
-        return True
-    if any(column.dtype != np.int64 for column in columns):
-        return len(set(rows)) == len(rows)
-    lows = [int(column.min()) for column in columns]
-    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-    if prod(spans) < 2 ** 62:
-        key = columns[0] - lows[0]
-        for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-            key *= span
-            key += column
-            key -= low
-        key.sort()
-        return not bool((key[1:] == key[:-1]).any())
-    # lexsort's *last* key is primary; any total order groups equal rows
-    order = np.lexsort(tuple(columns))
-    same = np.ones(len(rows) - 1, dtype=bool)
-    for column in columns:
-        column = column[order]
-        same &= column[1:] == column[:-1]
-    return not bool(same.any())
-
-
 class Snapshot(NamedTuple):
     """One consistent read of a relation (:meth:`Relation.snapshot`)."""
 
@@ -112,10 +84,10 @@ class Snapshot(NamedTuple):
 
 
 class Relation:
-    """A named collection of tuples over a schema (append-only mutation)."""
+    """A named bag of tuples over a schema (append-only mutation)."""
 
     __slots__ = ("name", "schema", "_rows", "_columns", "_arrays",
-                 "_dtype_classes", "_duplicate_free", "_version", "_mutlock")
+                 "_dtype_classes", "_version", "_mutlock")
 
     def __init__(self, name: str, schema: Schema | Sequence[str], rows: Iterable[tuple]):
         if not isinstance(schema, Schema):
@@ -142,8 +114,6 @@ class Relation:
         self._columns: dict[int, list] = {}       # repro: shared[lock=_mutlock]
         self._arrays: dict[int, np.ndarray] = {}  # repro: shared[lock=_mutlock]
         self._dtype_classes: dict[int, str] = {}  # repro: shared[lock=_mutlock]
-        # the current version's duplicate-free verdict (None: not yet asked)
-        self._duplicate_free: list = [None]       # repro: shared[lock=_mutlock]
         self._version: list[int] = [0]            # repro: shared[lock=_mutlock]
 
     # ------------------------------------------------------------------
@@ -245,31 +215,6 @@ class Relation:
         return tuple(self.column_dtype_class(attribute)
                      for attribute in self.schema.attributes)
 
-    def duplicate_free(self) -> bool:
-        """Whether no row appears twice — a property of the input, read
-        like :meth:`dtype_classes`.
-
-        A Generic Join over tries treats a relation as a set, a binary
-        hash pipeline as a bag; the two agree exactly on duplicate-free
-        inputs, which is what lets the planner run an acyclic query on
-        the columnar engine.  The verdict costs one packed-key sort per
-        relation *version*: it is computed and stored under the mutation
-        lock beside the column arrays (shared by renamed views), and
-        :meth:`extend` discards a ``True`` — only a recheck can say the
-        appended rows kept it — while a ``False`` stands for good, rows
-        being append-only.
-        """
-        verdict = self._duplicate_free[0]
-        if verdict is None:
-            with self._mutlock:
-                verdict = self._duplicate_free[0]
-                if verdict is None:
-                    verdict = _rows_distinct(
-                        [self._filled_array(i) for i in range(self.arity)],
-                        self._rows)
-                    self._duplicate_free[0] = verdict
-        return verdict
-
     def _array(self, position: int) -> np.ndarray:
         array = self._arrays.get(position)
         if array is None:
@@ -345,8 +290,6 @@ class Relation:
             for position, array in list(self._arrays.items()):
                 self._set_array(position, _appended_array(
                     array, [row[position] for row in appended]))
-            if self._duplicate_free[0]:
-                self._duplicate_free[0] = None
             self._version[0] += 1
 
     # ------------------------------------------------------------------
@@ -400,7 +343,6 @@ class Relation:
         view._columns = self._columns
         view._arrays = self._arrays
         view._dtype_classes = self._dtype_classes
-        view._duplicate_free = self._duplicate_free
         view._version = self._version
         view._mutlock = self._mutlock
         return view

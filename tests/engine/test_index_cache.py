@@ -125,42 +125,15 @@ class TestInvalidation:
 
 
 class TestVersions:
-    def test_predecessor_is_the_newest_older_version(self, edges):
-        cache = IndexCache(max_bytes=1 << 20)
-        other = Relation("F", ("x", "y"), [(1, 1)])
-        first = entry(cache, edges, "sonic")
-        assert cache.predecessor(first) is None
-        cache.put_if_absent(first, "v0", 10, rows=3)
-        cache.put_if_absent(entry(cache, edges, "btree"), "other spec", 10,
-                            rows=3)
-        cache.put_if_absent(entry(cache, other, "sonic"), "other storage",
-                            10, rows=1)
-        assert cache.predecessor(first) is None      # nothing older
-        edges.insert((3, 4))
-        second = entry(cache, edges, "sonic")
-        hits = cache.metrics.get("cache.hit")
-        misses = cache.metrics.get("cache.miss")
-        assert cache.predecessor(second) == ("v0", 3)
-        # not a lookup: counters and recency are untouched
-        assert cache.metrics.get("cache.hit") == hits
-        assert cache.metrics.get("cache.miss") == misses
-        assert next(iter(cache._entries)) == first
-
-    def test_entries_without_a_row_count_are_no_predecessor(self, edges):
-        cache = IndexCache(max_bytes=1 << 20)
-        cache.put(entry(cache, edges, "sonic"), "unrecorded", 10)
-        edges.insert((3, 4))
-        assert cache.predecessor(entry(cache, edges, "sonic")) is None
-
     def test_store_supersedes_older_versions(self, edges):
         cache = IndexCache(max_bytes=1 << 20)
         old = entry(cache, edges, "sonic")
         keep = entry(cache, edges, "btree")
-        cache.put_if_absent(old, "v0", 100, rows=3)
-        cache.put_if_absent(keep, "other spec", 10, rows=3)
+        cache.put_if_absent(old, "v0", 100)
+        cache.put_if_absent(keep, "other spec", 10)
         edges.insert((3, 4))
         new = entry(cache, edges, "sonic")
-        assert cache.put_if_absent(new, "v1", 120, rows=4) == "v1"
+        assert cache.put_if_absent(new, "v1", 120) == "v1"
         assert old not in cache and new in cache and keep in cache
         stats = cache.stats()
         assert (stats.entries, stats.bytes, stats.evictions) == (2, 130, 1)
@@ -168,7 +141,7 @@ class TestVersions:
         assert stats.stores - stats.evictions == stats.entries
         # a slow publisher of the old version keeps its structure to
         # itself: what it built is dead on arrival
-        assert cache.put_if_absent(old, "late v0", 100, rows=3) == "late v0"
+        assert cache.put_if_absent(old, "late v0", 100) == "late v0"
         assert old not in cache and new in cache
         assert cache.metrics.get("cache.race") == 1
         assert cache.stats().bytes == 130

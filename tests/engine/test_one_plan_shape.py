@@ -65,13 +65,8 @@ REQUESTS = {
 FLAT = [name for name, (_, options) in REQUESTS.items()
         if options["algorithm"] != "unified"]
 
-_INT64 = "engine=auto: batch, every joined column is int64"
-_STAR_RIDES = ("engine=auto: batch in the binary pipeline's place "
-               "(R1, R2, R3: int64 columns, no duplicate rows)")
-_EARS_RIDE = ("engine=batch: batch in the binary pipeline's place "
-              "(T: int64 columns, no duplicate rows); "
-              "engine=batch: batch in the binary pipeline's place "
-              "(U: int64 columns, no duplicate rows)")
+_STAR_RIDES = "engine=auto: batch in the binary pipeline's place (R1, R2, R3)"
+_EARS_RIDE = "engine=batch: batch in the binary pipeline's place (T, U)"
 
 #: name -> (describe(), metrics.algorithm, metrics.index) at the parent
 GOLDEN = {
@@ -79,8 +74,7 @@ GOLDEN = {
                       "generic_join", "sonic"),
     "generic/batch": ("generic/batch index=sonic built=columnar order=a,b,c",
                       "generic_join_batch", "columnar"),
-    "generic/auto": ("generic/batch index=sonic built=columnar "
-                     f"[{_INT64}] order=a,b,c",
+    "generic/auto": ("generic/batch index=sonic built=columnar order=a,b,c",
                      "generic_join_batch", "columnar"),
     "binary": ("binary atoms=E1,E2,E3", "binary_join", "hashmap"),
     "hashtrie": ("hashtrie order=a,b,c", "hashtrie_join", "hashtrie"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -59,23 +60,49 @@ class TestPlanConstruction:
             assert compiled.engine == "batch"
             assert compiled.index == index
             assert {s.kind for s in compiled.index_specs} == {COLUMNAR_KIND}
-            assert "int64" in compiled.engine_note
+            assert compiled.engine_note == ""
         assert plan(bound, engine="tuple").engine_note == ""
 
-    def test_batch_over_object_columns_resolves_to_tuple(self):
+    def test_batch_over_object_columns_codes_them(self):
         names = Relation("N", ("src", "dst"),
                          [("a", "b"), ("b", "c"), ("c", "a")])
-        bound = bind(TRIANGLE, {"E1": names, "E2": names, "E3": names})
+        source = {"E1": names, "E2": names, "E3": names}
+        bound = bind(TRIANGLE, source)
         for engine in ("auto", "batch"):
             compiled = plan(bound, engine=engine, algorithm="auto")
-            assert compiled.engine == "tuple"
-            assert {s.kind for s in compiled.index_specs} == {"sonic"}
-            # said where a reader looks: explain() and the plan choice
-            assert "non-int64" in compiled.engine_note
-            assert compiled.engine_note in compiled.describe()
-            assert compiled.engine_note in compiled.choice.reason
-        assert join(TRIANGLE, {"E1": names, "E2": names, "E3": names},
-                    engine="batch").count == 3
+            assert compiled.engine == "batch"
+            # every column of every atom is coded, and the spec says so:
+            # it is part of the cache key
+            assert {s.kind for s in compiled.index_specs} == {COLUMNAR_KIND}
+            assert {dict(s.options)["coded"]
+                    for s in compiled.index_specs} == {(0, 1)}
+        result = join(TRIANGLE, source, engine="batch", materialize=True)
+        assert result.metrics.index == "columnar"
+        assert sorted(result.rows) == [("a", "b", "c"), ("b", "c", "a"),
+                                       ("c", "a", "b")]
+
+    @pytest.mark.parametrize("key", [
+        lambda t: f"k{t}", lambda t: t + 0.5, lambda t: 2 ** 63 + t,
+    ], ids=["string", "float", "past_int64"])
+    def test_a_star_keyed_on_any_value_is_one_frontier_stage(self, key):
+        facts = Relation("F", ("t", "x"), [(key(t), t) for t in range(6)])
+        fans = Relation("A", ("t", "p"),
+                        [(key(t % 4), 10 + t) for t in range(8)]
+                        + [(key(0), 10)])             # and a repeated row
+        source = {"F": facts, "A": fans}
+        compiled = plan(bind("F(t,x), A(t,p)", source), algorithm="auto")
+        assert "binary atoms=" not in compiled.describe()
+        root = compiled.root_stage
+        assert (root.algorithm, root.engine, root.children) == \
+            ("generic", "batch", ())
+        result = join("F(t,x), A(t,p)", source, algorithm="auto",
+                      materialize=True)
+        got = Counter(frozenset(zip(result.attributes, row))
+                      for row in result.rows)
+        truth = Counter(frozenset({"t": t, "x": x, "p": p}.items())
+                        for t, x in facts.rows for s, p in fans.rows
+                        if s == t)
+        assert got == truth and sum(truth.values()) == 9
 
     def test_auto_algorithm_is_resolved_and_carries_choice(self, bound):
         compiled = plan(bound, algorithm="auto")
@@ -225,3 +252,32 @@ class TestJoinPlanDataclass:
         assert a == b
         assert a is not b
         assert hash(a.index_specs[0]) == hash(b.index_specs[0])
+
+
+class TestOneGyoReduction:
+    """``plan()`` runs the GYO reduction once, however many of its
+    readers — the optimizer's acyclicity test, the acyclic route, the
+    unified split — need it."""
+
+    @pytest.mark.parametrize("engine", ["auto", "tuple"])
+    @pytest.mark.parametrize("algorithm", ["auto", "unified"])
+    def test_one_cyclic_core_per_plan(self, monkeypatch, algorithm, engine):
+        from repro.engine import pipeline
+        from repro.planner import optimizer
+
+        calls = []
+        reduce = optimizer.cyclic_core
+
+        def counted(hypergraph):
+            calls.append(hypergraph)
+            return reduce(hypergraph)
+
+        monkeypatch.setattr(optimizer, "cyclic_core", counted)
+        monkeypatch.setattr(pipeline, "cyclic_core", counted)
+        tables = {"E": Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)]),
+                  "T": Relation("T", ("src", "tag"), [(0, 5), (1, 6)])}
+        for query in (TRIANGLE, "E1=E(a,b), E2=E(b,c)",
+                      "E1=E(a,b), E2=E(b,c), E3=E(c,a), T(a,d)"):
+            calls.clear()
+            plan(bind(query, tables), algorithm=algorithm, engine=engine)
+            assert len(calls) == 1, query

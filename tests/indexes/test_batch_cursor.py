@@ -47,12 +47,13 @@ def build_trie(rows, arity: int = 3) -> ColumnarTrie:
 
 def resident_bytes(trie: ColumnarTrie) -> int:
     """What ``memory_usage()`` must report: whatever is left of the sort
-    buffer plus the arrays of every materialised level, an array two
-    levels share (the last ``indptr`` is the ``starts`` above it) once."""
+    buffer, the weights of repeated rows, and the arrays of every
+    materialised level, an array two levels share (the last ``indptr``
+    is the ``starts`` above it) once."""
     buffer = [trie._key] if trie._sorted is None else trie._sorted
     arrays = {id(array): array.nbytes
-              for level in (buffer, trie.values, trie.indptr, trie.keys,
-                            trie.codes, trie.starts)
+              for level in (buffer, [trie.weights], trie.values,
+                            trie.indptr, trie.keys, trie.codes, trie.starts)
               for array in level if array is not None}
     return sum(arrays.values())
 
@@ -330,7 +331,8 @@ def test_tuple_counts_match_a_counter_over_row_prefixes(case, limit):
     resident = trie.memory_usage()
     rng = random.Random(len(rows))
     for depth in range(arity):
-        below = Counter(row[:depth + 1] for row in set(rows))
+        # a bag: a repeated row is counted as often as it was built from
+        below = Counter(row[:depth + 1] for row in rows)
         prefixes = sorted(below)        # a node's id is its prefix's rank
         # any order, repeats included: a frontier column, not a scan
         nodes = [rng.randrange(len(prefixes))
@@ -379,6 +381,8 @@ def test_levels_land_one_at_a_time_and_are_never_rewritten(case, limit):
             assert trie.built_depth == 0 and trie.values == []
             buffered = 8 * len(trie) * (
                 1 if trie._sorted is None else arity)
+            if trie.weights is not None:
+                buffered += trie.weights.nbytes
             assert trie.memory_usage() == buffered == resident_bytes(trie)
         for depth in range(arity):
             before = level_ids(trie)
@@ -392,17 +396,15 @@ def test_levels_land_one_at_a_time_and_are_never_rewritten(case, limit):
                 assert mine[depth].tolist() == theirs[depth].tolist()
             assert trie.memory_usage() == resident_bytes(trie)
             # counted from this level's starts: nothing below is built
-            below = Counter(row[:depth + 1] for row in set(rows))
+            below = Counter(row[:depth + 1] for row in rows)
             nodes = np.arange(len(below), dtype=np.int64)[::-1]
             assert trie.tuple_counts(depth, nodes).tolist() == \
                 [below[prefix] for prefix in sorted(below)][::-1]
-            # ... and a trie over the first columns only counts the
-            # distinct prefixes of that length, under the same node ids
+            # ... and a trie over the first columns only counts the rows
+            # under each prefix of that length, under the same node ids
             short = ColumnarTrie(columns[:depth + 1]).at_depth(depth + 1)
             for level in range(depth + 1):
-                prefixes = Counter(
-                    prefix[:level + 1]
-                    for prefix in {row[:depth + 1] for row in rows})
+                prefixes = Counter(row[:level + 1] for row in rows)
                 ids = np.arange(len(prefixes), dtype=np.int64)
                 assert short.tuple_counts(level, ids).tolist() == \
                     [prefixes[prefix] for prefix in sorted(prefixes)]

@@ -112,17 +112,18 @@ def test_non_self_join(index):
     assert_engines_agree(query, {"R": r, "S": s, "T": t}, index)
 
 
-def test_auto_engine_picks_batch_only_over_int64_columns():
+def test_auto_engine_picks_batch_over_every_column():
     edges = random_edges(100, 20, seed=1)
     relations = self_join_relations(TRIANGLE, edges)
     for index in ("sonic", "btree"):
         batch = join(TRIANGLE, relations, index=index, engine="auto")
         assert batch.metrics.algorithm == "generic_join_batch"
         assert batch.metrics.index == "columnar"
+    # string keys are joined by dictionary code, on the same engine
     named = Relation("E", ("src", "dst"),
                      [(f"v{a}", f"v{b}") for a, b in edges.rows])
-    fallback = join(TRIANGLE, self_join_relations(TRIANGLE, named),
-                    engine="auto")
-    assert fallback.metrics.algorithm == "generic_join"
-    assert fallback.metrics.index == "sonic"
-    assert batch.count == fallback.count
+    coded = join(TRIANGLE, self_join_relations(TRIANGLE, named),
+                 engine="auto")
+    assert coded.metrics.algorithm == "generic_join_batch"
+    assert coded.metrics.index == "columnar"
+    assert batch.count == coded.count

@@ -1,15 +1,20 @@
-"""Differential test of the frontier-at-a-time batch engine.
+"""Differential test of every join configuration against one oracle.
 
 Random hypergraphs (cyclic, acyclic, stars, self-joins, arity 1-4, total
 orders that leave an atom's attributes far apart) over hostile data
-(empty and single-row relations, duplicates, hubs, negative values,
-values at +-2**62 and the int64 extremes, string columns) are joined
-three ways — ``engine="batch"``, ``engine="tuple"`` and a nested-loop
-brute force — under every knob that reaches the driver: ``dynamic_seed``
-on and off, counting and materialising sinks, ``unified`` and
-``parallel=2``.  The module constant that cuts the expanded frontier
-into blocks is shrunk per example, so block boundaries fall everywhere:
-inside a hub's children, between two rows, exactly at the end.
+(empty and single-row relations, repeated rows, hubs, negative values,
+values at +-2**62 and the int64 extremes, digit strings beside the
+integers they spell, floats, integers past int64) run in one cell of
+algorithm x engine x ``dynamic_seed`` x counting or materialising sink
+x a write between two reads of one session, ``unified`` and
+``parallel=2`` included.  Every cell has one expectation: the
+brute-force *bag* — one result per combination of stored rows that
+agrees on the shared attributes.  The tuple drivers join sets, so where
+one of them would read a relation that repeats a row the expectation is
+their ``QueryError`` instead.  The module constant that cuts the
+expanded frontier into blocks is shrunk per example, so block
+boundaries fall everywhere: inside a hub's children, between two rows,
+exactly at the end.
 
 A counting run stops at the *tail* — the suffix of the total order no
 second atom binds — and multiplies subtree sizes instead of expanding
@@ -17,7 +22,10 @@ it, so every counting cell is also held to its own materialising twin
 (same count, no more intermediates), and the ``TAIL`` seeds place the
 tail by hand: shorter than the private set, the whole order, empty,
 over an empty relation, a static seed, one-row blocks, two shards and
-a unified plan whose ear rides the core.
+a unified plan whose ear rides the core.  The ``BAGS`` seeds put
+repeated rows where their weights have to travel: through a cyclic
+core, into the tail, across one-row blocks, into a materialising sink,
+past a write.
 
 A columnar trie builds a level the first time a run descends into it,
 so what a run finds built depends on the runs before it.  The *deepening*
@@ -26,24 +34,29 @@ count — and holds each execution, rows in order and counters included,
 to a fresh join that built its own tries; the ``DEEPEN`` seeds add the
 wide-span (``np.lexsort``, rank-coded) build and arity 1.
 
-Failures hypothesis shrank are kept below as ``@example`` seeds.
+The metamorphic checks need no oracle: permuting the atoms, renaming the
+attributes and shuffling the rows leave the bag alone, and storing every
+row of one relation ``m`` times multiplies the count by ``m`` per atom
+that reads it.  The *route* differential holds ``auto`` and ``unified``
+to one frontier stage per acyclic query — and per cyclic core with its
+ears — whatever the data, and to the bag.
 
-The last section is the *route* differential: which engine ``auto`` and
-``unified`` give an acyclic query's atoms, and that the answer — as a
-bag — is the binary pipeline's either way.
+Failures hypothesis shrank are kept below as ``@example`` seeds.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Relation, Session, join
 from repro.engine import bind, plan
+from repro.errors import QueryError
 from repro.joins import batch
 from repro.planner.query import Atom, JoinQuery
 
@@ -57,15 +70,25 @@ POOLS = {
     "negative": [-3, -2, -1, 0, 1],
     "wide": [-2 ** 62, -1, 0, 2 ** 62, 2 ** 62 + 1],
     "extreme": [INT64.min, INT64.min + 1, 0, INT64.max - 1, INT64.max],
-    # alphabetic on purpose: digit strings would be read as integers
     "text": ["ant", "bee", "cat"],
+    # a digit string never equals the integer it spells
+    "digits": [1, 2, "1", "2"],
+    "floats": [0.5, 1.5, 2, 3],
+    "huge": [2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1, 0, 1],
 }
+ALGORITHMS = ("generic", "auto", "unified", "binary", "hashtrie",
+              "leapfrog", "recursive")
+ENGINES = ("auto", "batch", "tuple")
+SETTINGS = {"deadline": None,
+            "suppress_health_check": [HealthCheck.too_slow,
+                                      HealthCheck.data_too_large]}
 
 
 @st.composite
 def cases(draw):
     """``(query, tables, order, options)`` for one differential run."""
-    pool = POOLS[draw(st.sampled_from(sorted(POOLS)))]
+    pool_name = draw(st.sampled_from(sorted(POOLS)))
+    pool = POOLS[pool_name]
     stored: dict[str, Relation] = {}
     atoms = []
     for position in range(draw(st.integers(1, 4))):
@@ -78,7 +101,7 @@ def cases(draw):
             rows = draw(st.lists(
                 st.tuples(*[st.sampled_from(pool)] * arity), max_size=12))
             if draw(st.booleans()):
-                rows = rows + rows[:3]              # duplicates
+                rows = rows + rows[:3]              # repeated rows
             stored[name] = Relation(
                 name, tuple(f"c{i}" for i in range(arity)), rows)
         atoms.append(Atom(name, attributes, alias=f"A{position}"))
@@ -86,25 +109,37 @@ def cases(draw):
     order = None
     if draw(st.booleans()):
         order = tuple(draw(st.permutations(query.attributes)))
+    written = draw(st.sampled_from(sorted(stored)))
+    write = st.tuples(st.just(written), st.lists(
+        st.tuples(*[st.sampled_from(pool)] * stored[written].arity),
+        min_size=1, max_size=3))
+    # strings beside integers have no order: only the frontier, which
+    # compares codes, joins them (a sorted trie or the binary plan's
+    # distinct-count estimate would have to sort them)
+    mixed = pool_name == "digits"
     options = {
+        "algorithm": draw(st.sampled_from(ALGORITHMS[:3] if mixed
+                                          else ALGORITHMS)),
+        "engine": draw(st.sampled_from(ENGINES[:2] if mixed else ENGINES)),
         "dynamic_seed": draw(st.booleans()),
         "materialize": draw(st.booleans()),
-        "mode": draw(st.sampled_from(["plain", "plain", "unified"])),
         "block": draw(st.sampled_from([1, 2, 3, 7, batch.BLOCK_ROWS])),
+        "write": draw(st.one_of(st.none(), write)),
     }
     return query, stored, order, options
 
 
-def brute_force(query: JoinQuery, tables: dict) -> set:
-    """Every consistent binding, as attribute -> value items (hashable)."""
-    results = set()
+def brute_force(query: JoinQuery, tables: dict) -> Counter:
+    """The bag: one result per combination of stored rows that agrees on
+    every shared attribute, as attribute -> value items."""
+    results: Counter = Counter()
 
     def extend(position: int, binding: dict) -> None:
         if position == len(query.atoms):
-            results.add(frozenset(binding.items()))
+            results[frozenset(binding.items())] += 1
             return
         atom = query.atoms[position]
-        for row in set(tables[atom.relation].rows):
+        for row in tables[atom.relation].rows:
             if all(binding.get(a, v) == v
                    for a, v in zip(atom.attributes, row)):
                 extend(position + 1,
@@ -114,56 +149,85 @@ def brute_force(query: JoinQuery, tables: dict) -> set:
     return results
 
 
-def labelled(result) -> list:
-    return [frozenset(zip(result.attributes, row)) for row in result.rows]
+def bag(result) -> Counter:
+    return Counter(frozenset(zip(result.attributes, row))
+                   for row in result.rows)
 
 
-def run_batch(query, tables, order, options, **extra):
-    keywords = {"engine": "batch", "index": "sortedtrie",
-                "dynamic_seed": options["dynamic_seed"],
+def stages(stage):
+    yield stage
+    for child in stage.children:
+        yield from stages(child)
+
+
+def refuses(compiled, tables: dict) -> bool:
+    """Does a tuple driver of ``compiled`` read a relation that repeats a
+    row?  It joins sets, so it must refuse it rather than answer."""
+    for stage in stages(compiled.root_stage):
+        if stage.algorithm == "binary" or stage.engine == "batch":
+            continue
+        for atom in stage.query.atoms:
+            rows = tables[atom.relation].rows
+            if len(set(rows)) < len(rows):
+                return True
+    return False
+
+
+def run(query, tables, order, options, session=None, **extra):
+    """One join in the case's cell, through ``session`` when given."""
+    keywords = {"algorithm": options["algorithm"],
+                "engine": options["engine"], "index": "sortedtrie",
+                "order": order, "dynamic_seed": options["dynamic_seed"],
                 "materialize": options["materialize"], **extra}
-    if options["mode"] == "unified":
-        keywords["algorithm"] = "unified"
     saved = batch.BLOCK_ROWS
     batch.BLOCK_ROWS = options["block"]
     try:
-        return join(query, tables, order=order, **keywords)
+        if session is None:
+            return join(query, tables, **keywords)
+        return session.execute(query, **keywords)
     finally:
         batch.BLOCK_ROWS = saved
 
 
-def check(query, tables, order, options, **extra) -> None:
+def answer(query, tables, order, options, session=None, **extra) -> None:
+    """Hold one run to the bag, or to the tuple drivers' refusal."""
     truth = brute_force(query, tables)
-    got = run_batch(query, tables, order, options, **extra)
-    reference = join(query, tables, order=order, engine="tuple",
-                     index="sortedtrie", materialize=True,
-                     dynamic_seed=options["dynamic_seed"])
-    assert sorted(map(sorted, labelled(reference)), key=repr) == \
-        sorted(map(sorted, truth), key=repr)
-    if not options["materialize"]:
-        # a count is the length of the same run's materialised result,
-        # reached without expanding more than that run does
-        rows = run_batch(query, tables, order,
-                         {**options, "materialize": True}, **extra)
-        assert type(got.count) is int and got.count == len(rows.rows)
-        assert got.metrics.intermediate_tuples <= \
-            rows.metrics.intermediate_tuples
-    if options["mode"] == "unified":
-        # a unified plan may run acyclic parts as binary hash stages,
-        # which keep the input's duplicate rows: compare as sets
-        if options["materialize"]:
-            assert set(labelled(got)) == truth
-        else:
-            assert (got.count == 0) == (not truth)
+    compiled = plan(bind(query, tables), algorithm=options["algorithm"],
+                    engine=options["engine"], index="sortedtrie",
+                    order=order)
+    if refuses(compiled, tables):
+        with pytest.raises(QueryError, match="repeats a row"):
+            run(query, tables, order, options, session, **extra)
         return
-    assert got.count == len(truth)
+    got = run(query, tables, order, options, session, **extra)
+    assert type(got.count) is int and got.count == sum(truth.values())
     if options["materialize"]:
-        assert got.metrics.intermediate_tuples >= got.count
-        rows = labelled(got)
-        assert len(rows) == len(truth) and set(rows) == truth
-        assert got.attributes == reference.attributes
+        assert bag(got) == truth
         assert all(not hasattr(value, "dtype")
                    for row in got.rows[:20] for value in row)
+    else:
+        # a count is the length of the same run's materialised result,
+        # reached without expanding more than that run does
+        rows = run(query, tables, order, {**options, "materialize": True},
+                   session, **extra)
+        assert got.count == len(rows.rows)
+        assert got.metrics.intermediate_tuples <= \
+            rows.metrics.intermediate_tuples
+
+
+def check(query, tables, order, options, **extra) -> None:
+    """The case's cell on fresh copies of its relations; with a write,
+    one session reads, the relation grows, the session reads again."""
+    tables = {name: Relation(name, relation.schema, relation.rows)
+              for name, relation in tables.items()}
+    if options["write"] is None:
+        answer(query, tables, order, options, **extra)
+        return
+    with Session(tables) as session:
+        answer(query, tables, order, options, session, **extra)
+        name, rows = options["write"]
+        tables[name].extend(rows)
+        answer(query, tables, order, options, session, **extra)
 
 
 def _case(atoms, rows_by_name, order=None, **options):
@@ -174,8 +238,9 @@ def _case(atoms, rows_by_name, order=None, **options):
               for name, rows in rows_by_name.items()}
     query = JoinQuery([Atom(name, tuple(attributes), alias=f"A{i}")
                        for i, (name, attributes) in enumerate(atoms)])
-    defaults = {"dynamic_seed": True, "materialize": True, "mode": "plain",
-                "block": 2}
+    defaults = {"algorithm": "generic", "engine": "batch",
+                "dynamic_seed": True, "materialize": True, "block": 2,
+                "write": None}
     return query, stored, order, {**defaults, **options}
 
 
@@ -200,11 +265,11 @@ TAIL = {
         order=("b", "a", "c", "d"), materialize=False),
     # every attribute private: the tail starts at level 0
     "single_atom": _case(
-        [("W", "abc")], {"W": [(0, 1, 2), (0, 1, 3), (4, 5, 6), (0, 1, 2)]},
+        [("W", "abc")], {"W": [(0, 1, 2), (0, 1, 3), (4, 5, 6)]},
         materialize=False),
     "cross_product": _case(
         [("R", "ab"), ("S", "cd"), ("P", "e")],
-        {"R": FAN, "S": HUB + HUB[:2], "P": [(3,), (4,), (3,)]},
+        {"R": FAN, "S": HUB, "P": [(3,), (4,)]},
         materialize=False),
     # no private attribute: the tail is empty
     "triangle": _case(
@@ -224,7 +289,39 @@ TAIL = {
     # the triangle's ear rides the core's stage and is its tail
     "unified_ear_rides": _case(
         [("E", "ab"), ("E", "bc"), ("E", "ca"), ("R", "ad")],
-        {"E": HUB, "R": FAN}, materialize=False, mode="unified"),
+        {"E": HUB, "R": FAN}, materialize=False, algorithm="unified"),
+}
+
+#: the triangle over a repeated edge, and a star over repeated rows
+REPEATED_EDGE = [(0, 1), (1, 2), (2, 0), (0, 1)]
+REPEATED_STAR = {"R": [(1, 2), (1, 2), (1, 3)], "S": [(1, 5), (1, 5)]}
+
+#: repeated rows where the weights have to travel
+BAGS = {
+    # through a cyclic core: 6, as the binary pipeline counts
+    "triangle": _case([("E", "ab"), ("E", "bc"), ("E", "ca")],
+                      {"E": REPEATED_EDGE}),
+    "triangle_counted": _case([("E", "ab"), ("E", "bc"), ("E", "ca")],
+                              {"E": REPEATED_EDGE}, materialize=False),
+    # counted from the tail, and materialised a row a block
+    "star_tail": _case([("R", "ab"), ("S", "ac")], REPEATED_STAR,
+                       materialize=False),
+    "star_rows": _case([("R", "ab"), ("S", "ac")], REPEATED_STAR, block=1),
+    # multiplied in at a last level in the middle of the order
+    "chain": _case([("R", "ab"), ("S", "bc"), ("T", "cd")],
+                   {"R": FAN + FAN[:2], "S": HUB + HUB, "T": FAN},
+                   order=("b", "a", "c", "d"), materialize=False),
+    # string keys that repeat, under the unified planner
+    "strings": _case([("R", "ab"), ("S", "ac")],
+                     {"R": [("x", 1), ("x", 1), ("y", 2)],
+                      "S": [("x", 5), ("y", 6), ("y", 6)]},
+                     algorithm="unified"),
+    # the tuple engine refuses what the others count
+    "refused": _case([("E", "ab"), ("E", "bc"), ("E", "ca")],
+                     {"E": REPEATED_EDGE}, engine="tuple"),
+    # a write that repeats a row between two reads of one session
+    "write": _case([("R", "ab"), ("S", "ac")], {"R": [(1, 2)], "S": [(1, 5)]},
+                   write=("R", [(1, 2)]), algorithm="auto"),
 }
 
 
@@ -236,9 +333,7 @@ def examples(seeds):
     return decorate
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
+@settings(max_examples=300, **SETTINGS)
 @given(cases())
 # the triangle over one hub, cut inside the hub's children
 @example(_case([("E", "ab"), ("E", "bc"), ("E", "ca")],
@@ -258,18 +353,26 @@ def examples(seeds):
 @example(_case([("R", "ab"), ("S", "b")],
                {"R": [(1, 2)], "S": []}))
 @examples(TAIL.values())
+@examples(BAGS.values())
 def test_batch_equals_tuple_equals_brute_force(case):
     check(*case)
 
 
-@settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
+@settings(max_examples=6, **SETTINGS)
 @given(cases())
 @examples(TAIL[name] for name in ("private_first", "star", "empty_joined"))
+@examples(BAGS[name] for name in ("triangle", "star_tail"))
 def test_sharded_batch_equals_brute_force(case):
+    # a shard runs one flat stage: the engines that answer bags
     query, tables, order, options = case
-    check(query, tables, order, {**options, "mode": "plain"}, parallel=2)
+    algorithm = options["algorithm"]
+    options = {**options, "write": None,
+               "algorithm": algorithm if algorithm in ("generic", "auto",
+                                                       "binary")
+               else "generic",
+               "engine": "batch" if options["engine"] == "tuple"
+               else options["engine"]}
+    check(query, tables, order, options, parallel=2)
 
 
 @pytest.mark.parametrize("name, tail_levels, tail_rows, count", [
@@ -287,13 +390,93 @@ def test_tail_seeds_meet_the_tail_where_they_say(name, tail_levels,
     query, tables, order, options = TAIL[name]
     for materialize, expected in ((False, (tail_levels, tail_rows)),
                                   (True, (0, 0))):
-        result = run_batch(query, tables, order,
-                           {**options, "materialize": materialize},
-                           profile=True)
+        result = run(query, tables, order,
+                     {**options, "materialize": materialize}, profile=True)
         counters = result.profile.counters
         assert result.count == count
         assert (counters["frontier.tail_levels"],
                 counters["frontier.tail_rows"]) == expected
+
+
+# ----------------------------------------------------------------------
+# one answer, whatever the query's shape
+# ----------------------------------------------------------------------
+#: the answers that used to depend on the query's shape: (query,
+#: relations, the bag count, the relation a tuple driver names)
+ONE_ANSWER = {
+    "triangle": ("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
+                 {"E": Relation("E", ("src", "dst"), REPEATED_EDGE)}, 6,
+                 "E1"),
+    "star": ("R(a,b), S(a,c)",
+             {name: Relation(name, ("a", attribute), rows)
+              for (name, rows), attribute in zip(REPEATED_STAR.items(),
+                                                 "bc")}, 6, "R"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ANSWER))
+def test_every_engine_answers_the_bag(name):
+    query, tables, count, first = ONE_ANSWER[name]
+    for algorithm in ("generic", "auto", "unified", "binary"):
+        for engine in ("auto", "batch"):
+            assert join(query, tables, algorithm=algorithm,
+                        engine=engine).count == count, (algorithm, engine)
+        assert join(query, tables, algorithm=algorithm,
+                    parallel=2).count == count, algorithm
+    # under the tuple engine the binary pipeline still joins bags — and
+    # so does auto's binary route over the acyclic star
+    assert join(query, tables, algorithm="binary",
+                engine="tuple").count == count
+    if name == "star":
+        assert join(query, tables, algorithm="auto",
+                    engine="tuple").count == count
+    # the tuple drivers join sets, and refuse the relation by name
+    for options in ({"algorithm": "generic", "engine": "tuple"},
+                    {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"},
+                    {"algorithm": "recursive"}):
+        with pytest.raises(QueryError, match=f"'{first}' repeats a row"):
+            join(query, tables, **options)
+
+
+# ----------------------------------------------------------------------
+# metamorphic checks
+# ----------------------------------------------------------------------
+@settings(max_examples=100, **SETTINGS)
+@given(cases(), st.sampled_from(("generic", "auto", "unified", "binary")),
+       st.randoms(use_true_random=False), st.integers(2, 3))
+@example(BAGS["triangle"], "generic", random.Random(0), 2)
+@example(BAGS["strings"], "auto", random.Random(1), 3)
+def test_what_must_not_change_the_bag_does_not(case, algorithm, rng, copies):
+    """Permuting atoms, renaming attributes and shuffling rows leave the
+    bag as it is; storing every row of one relation ``copies`` times
+    multiplies the count by ``copies`` per atom that reads it."""
+    query, tables, _, _ = case
+    expected = bag(join(query, tables, algorithm=algorithm,
+                        materialize=True))
+    permuted = JoinQuery(rng.sample(list(query.atoms), len(query.atoms)))
+    assert bag(join(permuted, tables, algorithm=algorithm,
+                    materialize=True)) == expected
+    names = dict(zip(query.attributes,
+                     rng.sample([f"v{i}" for i in range(len(query.attributes))],
+                                len(query.attributes))))
+    renamed = JoinQuery([Atom(atom.relation,
+                              tuple(names[a] for a in atom.attributes),
+                              alias=atom.alias) for atom in query.atoms])
+    assert bag(join(renamed, tables, algorithm=algorithm,
+                    materialize=True)) == Counter(
+        {frozenset((names[a], v) for a, v in row): n
+         for row, n in expected.items()})
+    shuffled = {name: Relation(name, relation.schema,
+                               rng.sample(relation.rows, len(relation.rows)))
+                for name, relation in tables.items()}
+    assert bag(join(query, shuffled, algorithm=algorithm,
+                    materialize=True)) == expected
+    name = rng.choice(sorted(tables))
+    readers = sum(atom.relation == name for atom in query.atoms)
+    grown = {**tables, name: Relation(name, tables[name].schema,
+                                      tables[name].rows * copies)}
+    assert join(query, grown, algorithm=algorithm).count == \
+        sum(expected.values()) * copies ** readers
 
 
 # ----------------------------------------------------------------------
@@ -325,14 +508,13 @@ def observed(result, materialize: bool) -> tuple:
             levels)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
+@settings(max_examples=60, **SETTINGS)
 @given(cases())
 @examples(TAIL[name] for name in (
     "private_first", "private_middle", "cross_product", "empty_joined",
     "empty_factor", "star", "triangle"))
 @examples(DEEPEN.values())
+@examples(BAGS[name] for name in ("chain", "strings"))
 def test_levels_appear_between_executions(case):
     query, tables, order, options = case
     keywords = {"engine": "batch", "index": "sortedtrie", "order": order,
@@ -340,14 +522,10 @@ def test_levels_appear_between_executions(case):
     saved = batch.BLOCK_ROWS
     batch.BLOCK_ROWS = options["block"]
     try:
-        runs = {materialize: join(query, tables, materialize=materialize,
-                                  profile=True, **keywords)
-                for materialize in (False, True)}
-        # a string column sends the plan to the tuple engine: not the
-        # structure under test
-        assume(runs[False].metrics.index == "columnar")
-        fresh = {materialize: observed(result, materialize)
-                 for materialize, result in runs.items()}
+        fresh = {materialize: observed(
+                     join(query, tables, materialize=materialize,
+                          profile=True, **keywords), materialize)
+                 for materialize in (False, True)}
         prepared = Session(tables).prepare(query, **keywords)
         for materialize in (False, True, False):
             got = prepared.execute(materialize=materialize, profile=True)
@@ -381,7 +559,7 @@ def test_levels_appear_between_sharded_executions(name):
 ])
 def test_a_count_builds_the_levels_it_binds(name, built, total):
     query, tables, order, options = TAIL[name]
-    counted = run_batch(query, tables, order, options, profile=True)
+    counted = run(query, tables, order, options, profile=True)
     counters = counted.profile.counters
     assert (counters["frontier.levels_built"],
             counters["frontier.levels_total"]) == (built, total)
@@ -389,8 +567,8 @@ def test_a_count_builds_the_levels_it_binds(name, built, total):
              if span["name"] == "build_index"]
     assert sum(args.get("levels", 0) for args in spans) == built
     # ... a materialising run all of them, and it says so per atom
-    rows = run_batch(query, tables, order, {**options, "materialize": True},
-                     profile=True)
+    rows = run(query, tables, order, {**options, "materialize": True},
+               profile=True)
     assert rows.profile.counters["frontier.levels_built"] == total
     assert all(f"{alias} built {arity} of {arity} levels"
                in rows.profile.render()
@@ -437,6 +615,21 @@ def test_a_count_past_int64_is_an_exact_python_int(atoms, expected,
     assert type(small.count) is int and small.count == without_last
 
 
+def test_weights_past_int64_are_exact_python_ints():
+    """Repeated rows are weights, and weights are products: four atoms
+    over one key stored 70 000 times weigh 70 000**4 per binding, past
+    2**63, and come back exact."""
+    rows = [(0,)] * WIDE + [(1,)] * NARROW
+    atoms = [("F", "t")] * 4
+    query, tables, _, _ = _case(atoms, {"F": rows})
+    for options in ({}, {"dynamic_seed": False}):
+        got = join(query, tables, engine="batch", **options)
+        assert type(got.count) is int
+        assert got.count == WIDE ** 4 + NARROW ** 4
+    query, tables, _, _ = _case(atoms[:3], {"F": rows})
+    assert join(query, tables).count == WIDE ** 3 + NARROW ** 3
+
+
 # ----------------------------------------------------------------------
 # block boundaries, placed by hand
 # ----------------------------------------------------------------------
@@ -478,38 +671,37 @@ def test_block_boundaries(block, what, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# route differential: acyclic atoms on the batch engine, or on binary
+# route differential: one frontier stage, whatever the data
 # ----------------------------------------------------------------------
-# ``auto`` and ``unified`` run an acyclic query — and a cyclic core's GYO
-# ears — on the batch Generic Join when it returns the binary pipeline's
-# bag of rows: engine auto/batch, int64 columns, no relation repeating a
-# row.  Everything else plans as it did before that rule existed, which
-# is what ``engine="tuple"`` still plans for every input.
-
 CORE = [("E", "ab"), ("E", "bc"), ("E", "ca")]
-#: (atoms, ears that can ride the core's stage only after another has)
 SHAPES = {
-    "scan": ([("H", "tx")], {}),
-    "star2": ([("H", "tx"), ("S1", "ty")], {}),
-    "star4": ([("H", "tx"), ("S1", "ty"), ("S2", "tz"), ("S1", "tw")], {}),
-    "chain": ([("H", "ab"), ("S1", "bc"), ("S2", "cd")], {}),
-    "contained": ([("W", "abc"), ("S1", "ab")], {}),
-    "tail": (CORE + [("S1", "ad")], {}),
-    "two_ears": (CORE + [("S1", "ad"), ("S2", "be")], {}),
-    "ear_chain": (CORE + [("S1", "ad"), ("S2", "de")], {"A4": "A3"}),
+    "scan": [("H", "tx")],
+    "star2": [("H", "tx"), ("S1", "ty")],
+    "star4": [("H", "tx"), ("S1", "ty"), ("S2", "tz"), ("S1", "tw")],
+    "chain": [("H", "ab"), ("S1", "bc"), ("S2", "cd")],
+    "contained": [("W", "abc"), ("S1", "ab")],
+    "tail": CORE + [("S1", "ad")],
+    "two_ears": CORE + [("S1", "ad"), ("S2", "be")],
+    "ear_chain": CORE + [("S1", "ad"), ("S2", "de")],
 }
+#: values that are not int64, for every value of every relation or for
+#: the last column of one
+SPOILERS = {"text": lambda v: f"v{v}", "floats": lambda v: v + 0.5,
+            "huge": lambda v: 2 ** 63 + v}
 
 
 @st.composite
 def route_cases(draw):
-    """``(query, tables, core_aliases, after)`` over small int64 data that
-    is duplicate-free, or repeats a row of one acyclic relation, or holds
-    strings in one of its columns."""
-    atoms, after = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
-    spoil = draw(st.sampled_from(["nothing", "duplicates", "object"]))
-    # the cyclic core stays a clean set: a Generic Join stage has always
-    # treated it as one, so only acyclic relations are spoiled
-    victim = draw(st.sampled_from(sorted({n for n, _ in atoms} - {"E"})))
+    """``(query, tables, ordered)`` over small data that is
+    duplicate-free, or repeats rows of one relation, or holds strings,
+    floats or integers past int64 — everywhere, or in one relation's
+    last column.  ``ordered``: every value compares with every other,
+    which the tuple engine's sorted trie needs (strings beside integers
+    do not)."""
+    atoms = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    spoil = draw(st.sampled_from(["nothing", "duplicates", *SPOILERS]))
+    everywhere = draw(st.booleans())
+    victim = draw(st.sampled_from(sorted({name for name, _ in atoms})))
     tables = {}
     for name, attributes in atoms:
         if name in tables:
@@ -517,77 +709,44 @@ def route_cases(draw):
         rows = sorted(draw(st.sets(
             st.tuples(*[st.integers(0, 3)] * len(attributes)),
             min_size=1, max_size=8)))
-        if name == victim and spoil == "duplicates":
+        if spoil == "duplicates" and name == victim:
             rows = rows + rows[:2]
-        if name == victim and spoil == "object":
-            rows = [row[:-1] + (f"v{row[-1]}",) for row in rows]
+        elif spoil in SPOILERS and everywhere:
+            rows = [tuple(map(SPOILERS[spoil], row)) for row in rows]
+        elif spoil in SPOILERS and name == victim:
+            rows = [row[:-1] + (SPOILERS[spoil](row[-1]),) for row in rows]
         tables[name] = Relation(
             name, tuple(f"c{i}" for i in range(len(attributes))), rows)
     query = JoinQuery([Atom(name, tuple(attributes), alias=f"A{i}")
                        for i, (name, attributes) in enumerate(atoms)])
-    core = {f"A{i}" for i in range(3)} if atoms[:3] == CORE else set()
-    return query, tables, core, after
+    return query, tables, not (spoil == "text" and not everywhere)
 
 
-def bag(result) -> Counter:
-    return Counter(labelled(result))
-
-
-def admitted(atom, tables) -> bool:
-    relation = tables[atom.relation]
-    return (relation.duplicate_free()
-            and set(relation.dtype_classes()) == {"int64"})
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
+@settings(max_examples=150, **SETTINGS)
 @given(route_cases())
 def test_route_differential(case):
-    query, tables, core, after = case
+    """``auto`` and ``unified`` put a query with more than one atom on
+    one frontier stage unless the engine is ``"tuple"``, whatever its
+    data, and every route answers the bag."""
+    query, tables, ordered = case
+    truth = brute_force(query, tables)
     bound = bind(query, tables)
-    binary = bag(join(query, tables, algorithm="binary", materialize=True))
-    ears = [atom for atom in query.atoms if atom.alias not in core]
-    riding = {atom.alias for atom in ears if admitted(atom, tables)}
-    riding -= {late for late, early in after.items() if early not in riding}
     for algorithm in ("auto", "unified"):
-        # what the tuple engine plans is what was planned before the rule
-        before = plan(bound, algorithm=algorithm, engine="tuple")
-        expected = bag(join(query, tables, algorithm=algorithm,
-                            engine="tuple", materialize=True))
-        stage = before.root_stage or before
-        if stage.algorithm == "binary":
-            assert expected == binary
-        for engine in ("auto", "batch", "tuple"):
-            got = join(query, tables, algorithm=algorithm, engine=engine,
-                       materialize=True)
-            assert got.count == sum(expected.values())
-            assert bag(got) == expected, (algorithm, engine)
-            compiled = plan(bound, algorithm=algorithm, engine=engine)
-            text = compiled.describe()
-            root = compiled.root_stage or compiled
-            if engine == "tuple":
-                assert text == before.describe()
-            elif not core:
+        for engine in ("auto", "batch", "tuple")[:3 if ordered else 2]:
+            # sortedtrie: the tuple engine's index that orders floats
+            options = {"algorithm": algorithm, "engine": engine,
+                       "index": "sortedtrie"}
+            compiled = plan(bound, **options)
+            root = compiled.root_stage
+            if engine != "tuple":
                 # a single atom is a scan whatever the engine
-                everything = len(riding) == len(ears) > 1
-                assert (root.algorithm == "generic") == (
-                    everything or stage.algorithm == "generic")
-                if everything:
-                    assert root.engine == "batch"
-                    assert "in the binary pipeline's place" in text
-                    assert "binary pipeline" in compiled.choice.reason
-                elif root.algorithm == "binary" and len(ears) > 1:
-                    assert ("duplicate rows" in text
-                            or "non-int64 column" in text)
-            elif algorithm == "unified":
-                generic = root if root.algorithm == "generic" \
-                    else root.children[0]
-                assert {a.alias for a in generic.query.atoms} == core | riding
-                assert (root.algorithm == "generic") == (
-                    len(riding) == len(ears))
-                if riding:
-                    assert "in the binary pipeline's place" in text
-                if len(riding) < len(ears):
-                    assert {a.alias for a in root.query.atoms} == (
-                        {a.alias for a in ears} - riding) | {"stage:core"}
+                expected = (("binary", "") if len(query) == 1
+                            else ("generic", "batch"))
+                assert (root.algorithm, root.engine, root.children) == \
+                    (*expected, ())
+            if refuses(compiled, tables):
+                with pytest.raises(QueryError, match="repeats a row"):
+                    join(query, tables, **options)
+                continue
+            got = join(query, tables, materialize=True, **options)
+            assert bag(got) == truth, (algorithm, engine)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import Session, join
 from repro.errors import SchemaError
 from repro.storage import Relation, Schema
 
@@ -132,9 +133,19 @@ class TestColumnsSurviveAppends:
 
 
 class TestDuplicateFree:
-    """One verdict per version, on whichever path the values allow."""
+    """A relation may repeat a row.  The columnar trie a read builds
+    keeps the repeats as ``weights`` — ``None`` exactly when no row
+    repeats — on whichever path the values allow, and the read counts
+    every stored copy."""
 
     BIG = 2 ** 62          # two such columns do not pack into one key
+
+    @staticmethod
+    def weighs(session: Session, relation: Relation) -> bool:
+        """Does the trie ``R(a,b)`` reads over ``relation`` weigh rows?"""
+        prepared = session.prepare("R(a,b)")
+        assert prepared.execute().count == len(relation)
+        return prepared.structures["R"].weights is not None
 
     @pytest.mark.parametrize("rows, verdict", [
         ([], True),
@@ -143,26 +154,55 @@ class TestDuplicateFree:
         ([(1, 2), (2, 1), (1, 2)], False),
         ([(-BIG, BIG), (BIG, -BIG), (-BIG, -BIG)], True),      # lexsort
         ([(-BIG, BIG), (BIG, -BIG), (-BIG, BIG)], False),
-        ([(1, "x"), (1, "y")], True),                          # object
+        ([(1, "x"), (1, "y")], True),                          # coded
         ([(1, "x"), (2, "y"), (1, "x")], False),
     ])
     def test_verdict(self, rows, verdict):
-        assert Relation("R", ("a", "b"), rows).duplicate_free() is verdict
+        relation = Relation("R", ("a", "b"), rows)
+        assert self.weighs(Session({"R": relation}), relation) is not verdict
 
     def test_an_append_is_rechecked_and_a_duplicate_is_for_good(self):
         relation = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
-        assert relation.duplicate_free()
+        session = Session({"R": relation})
+        assert not self.weighs(session, relation)
         relation.extend([(5, 6)])
-        assert relation.duplicate_free()
+        assert not self.weighs(session, relation)
         relation.extend([(3, 4)])
-        assert not relation.duplicate_free()
+        assert self.weighs(session, relation)
         relation.extend([(7, 8)])
-        assert not relation.duplicate_free()
+        assert self.weighs(session, relation)
 
     def test_a_dtype_flip_keeps_the_verdict_right(self):
         relation = Relation("R", ("a", "b"), [(1, 2), (3, 4)])
-        assert relation.duplicate_free()
+        session = Session({"R": relation})
+        assert not self.weighs(session, relation)
         relation.extend([(1, "two")])           # column b turns object
-        assert relation.duplicate_free()
+        assert not self.weighs(session, relation)
         relation.extend([(1, "two")])
-        assert not relation.duplicate_free()
+        assert self.weighs(session, relation)
+
+
+class TestIntegerColumns:
+    """A column is int64 only when every value is an integer that fits:
+    nothing is coerced into the integer it resembles."""
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([1, 2], "int64"),
+        ([], "int64"),
+        (["1", "2"], "object"),        # digit strings stay strings
+        ([1.5, 2], "object"),          # a float is not truncated
+        ([1, 2 ** 63], "object"),      # past int64
+    ])
+    def test_dtype_class(self, values, dtype):
+        relation = Relation("R", ("a",), [(value,) for value in values])
+        assert relation.dtype_classes() == (dtype,)
+        assert relation.column_array("a").tolist() == values
+
+    @pytest.mark.parametrize("values", [["1", "2"], [1.5, 2.5]],
+                             ids=["digit-strings", "floats"])
+    def test_lookalikes_do_not_join_integers(self, values):
+        r = Relation("R", ("a", "b"), [(value, 0) for value in values])
+        s = Relation("S", ("a", "c"), [(1, 0), (2, 0)])
+        for algorithm in ("generic", "binary"):
+            assert join("R(a,b), S(a,c)", {"R": r, "S": s},
+                        algorithm=algorithm).count == 0
