@@ -11,9 +11,9 @@ Three engines, one diagnostic currency (:class:`~repro.analysis.findings.Finding
 2. **Contract checker** (:mod:`~repro.analysis.contracts`) — RA201–RA205,
    introspecting :mod:`repro.indexes.registry` for the paper's §4.1
    ``TupleIndex``/``PrefixCursor`` plug-in contract.
-3. **Plan validator** (:mod:`~repro.analysis.plancheck`) — RA301–RA308,
+3. **Plan validator** (:mod:`~repro.analysis.plancheck`) — RA301–RA307,
    static checks on :class:`~repro.planner.query.JoinQuery` plans and
-   compiled ``JoinPlan`` stage trees (attribute cover, γ permutation,
+   compiled ``JoinPlan`` objects (attribute cover, γ permutation,
    AGM cover feasibility, schema consistency), run by the executor in
    debug mode.
 

@@ -1,4 +1,4 @@
-"""Static plan validation (RA301–RA308) for queries and plan IR.
+"""Static plan validation (RA301–RA307) for queries and plan IR.
 
 Run *before* execution, these checks catch the plan-level mistakes that
 would otherwise surface as silently-wrong join results deep inside a
@@ -21,19 +21,14 @@ benchmark sweep:
   with no (or more than one) spec, or a spec for an alias the query
   does not contain.
 * **RA307** — a compiled plan carrying an unresolved or unknown
-  algorithm/engine (``"auto"`` must be resolved by the plan stage; an
-  executor dispatching an unknown name would mis-execute).
-* **RA308** — stage-tree malformation (every compiled plan is a stage
-  tree, one stage for a flat request): no root stage, a stage whose
-  algorithm is unresolved (``"auto"`` must not survive into the tree),
-  a synthetic ``stage:`` atom with no matching child stage, a child
-  whose output does not cover the attributes its parent atom binds, a
-  duplicated child label, or a child stage that feeds no atom.
+  algorithm/engine (``"auto"`` and its other name ``"unified"`` must be
+  resolved by the plan stage; an executor dispatching an unknown name
+  would mis-execute).
 
 Feasibility of a given cover needs no LP — it is a linear scan — so this
 module stays dependency-free and cheap enough for
 :func:`repro.joins.executor.join` to run it on every call in debug mode
-(``debug=True`` or ``REPRO_DEBUG=1``).  The RA306–RA308 checks accept
+(``debug=True`` or ``REPRO_DEBUG=1``).  The RA306/RA307 checks accept
 any object shaped like :class:`repro.engine.ir.JoinPlan` (duck-typed,
 so this module never imports the engine package it validates).
 """
@@ -187,42 +182,33 @@ def _check_relations(query: JoinQuery,
     return issues
 
 
-#: resolved algorithm names a stage may carry (never "auto")
-_STAGE_ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog",
-                     "recursive")
-#: what a plan's header may carry: a stage algorithm (a flat request),
-#: or the label of the planner that may split a query into several
-#: stages — a display name, never a stage's algorithm
-_PLAN_ALGORITHMS = _STAGE_ALGORITHMS + ("unified",)
+#: resolved algorithm names a compiled plan may carry (never "auto")
+_RESOLVED_ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog",
+                        "recursive")
 #: resolved engine names ("" = not applicable, i.e. non-generic plans)
 _RESOLVED_ENGINES = ("", "tuple", "batch")
-#: alias prefix marking a synthetic atom fed by a child stage's output
-#: (mirrors repro.engine.ir.STAGE_ALIAS_PREFIX; kept as a literal so
-#: the validator stays free of engine imports)
-_STAGE_PREFIX = "stage:"
 
 
 def validate_join_plan(plan,
                        relations: "Mapping[str, object] | None" = None,
                        ) -> list[PlanIssue]:
-    """RA306–RA308 checks over a compiled :class:`~repro.engine.ir.JoinPlan`.
+    """RA306/RA307 checks over a compiled :class:`~repro.engine.ir.JoinPlan`.
 
-    ``plan`` is duck-typed (``algorithm`` / ``engine`` / ``root_stage``
-    attributes) so the validator has no dependency on the engine
-    package.  The header is checked for resolved names (RA307); every
-    other check recurses over the stage tree — one stage for a flat
-    request: RA306 on each stage's specs and orders plus the
-    tree-shape rules (RA308).  With ``relations``, spec permutations are
-    additionally checked against each relation's actual arity.
+    ``plan`` is duck-typed (``algorithm`` / ``engine`` / ``query`` /
+    ``index_specs`` / ``atom_order`` / ``total_order`` attributes) so
+    the validator has no dependency on the engine package: resolved
+    names (RA307), then the specs and orders (RA306).  With
+    ``relations``, spec permutations are additionally checked against
+    each relation's actual arity.
     """
     issues: list[PlanIssue] = []
 
     algorithm = getattr(plan, "algorithm", None)
-    if algorithm not in _PLAN_ALGORITHMS:
+    if algorithm not in _RESOLVED_ALGORITHMS:
         issues.append(PlanIssue(
             "RA307",
             f"plan carries unresolved or unknown algorithm {algorithm!r}; "
-            f"a compiled plan must name one of {_PLAN_ALGORITHMS}",
+            f"a compiled plan must name one of {_RESOLVED_ALGORITHMS}",
         ))
     engine = getattr(plan, "engine", "")
     if engine not in _RESOLVED_ENGINES:
@@ -232,15 +218,15 @@ def validate_join_plan(plan,
             f"a compiled plan must name one of {_RESOLVED_ENGINES}",
         ))
 
-    root = getattr(plan, "root_stage", None)
-    if root is None:
-        issues.append(PlanIssue(
-            "RA308",
-            "plan carries no root stage: the stage tree is the whole "
-            "execution recipe and cannot be empty",
-        ))
-    else:
-        issues.extend(_check_stage_tree(root, relations))
+    query = getattr(plan, "query", None)
+    aliases = {atom.alias for atom in getattr(query, "atoms", ())}
+    spec_issues, seen = _check_specs(
+        aliases, tuple(getattr(plan, "index_specs", ())), relations)
+    issues.extend(spec_issues)
+    issues.extend(_check_plan_shape(
+        algorithm, query, aliases, seen,
+        tuple(getattr(plan, "atom_order", ())),
+        tuple(getattr(plan, "total_order", ()))))
     return issues
 
 
@@ -248,7 +234,7 @@ def _check_specs(aliases: set,
                  specs: tuple,
                  relations: "Mapping[str, object] | None",
                  ) -> "tuple[list[PlanIssue], set[str]]":
-    """Per-spec RA306 checks of one stage.
+    """Per-spec RA306 checks of a plan.
 
     Returns the issues plus the set of aliases carrying a spec (the
     shape checks compare it against the expected atom coverage).
@@ -311,7 +297,7 @@ def _check_specs(aliases: set,
 def _check_plan_shape(algorithm, query, aliases: set, seen: set,
                       atom_order: tuple, total_order: tuple,
                       ) -> list[PlanIssue]:
-    """Algorithm-specific coverage/order checks of one stage."""
+    """Algorithm-specific coverage/order checks of a plan."""
     issues: list[PlanIssue] = []
     if algorithm == "binary":
         if sorted(atom_order) != sorted(aliases):
@@ -329,7 +315,7 @@ def _check_plan_shape(algorithm, query, aliases: set, seen: set,
                     f"per non-leading atom {sorted(expected)}, got "
                     f"{sorted(seen)}",
                 ))
-    elif algorithm in _STAGE_ALGORITHMS:
+    elif algorithm in _RESOLVED_ALGORITHMS:
         if seen != aliases:
             issues.append(PlanIssue(
                 "RA306",
@@ -337,82 +323,6 @@ def _check_plan_shape(algorithm, query, aliases: set, seen: set,
                 f"{sorted(aliases)}, got {sorted(seen)}",
             ))
         issues.extend(_check_order(query, total_order))
-    return issues
-
-
-def _check_stage_tree(root,
-                      relations: "Mapping[str, object] | None",
-                      ) -> list[PlanIssue]:
-    """RA308 tree-shape checks plus per-stage RA306 spec checks.
-
-    Stages are duck-typed like :class:`repro.engine.ir.PlanStage`
-    (``label`` / ``algorithm`` / ``query`` / ``output`` /
-    ``index_specs`` / ``atom_order`` / ``total_order`` / ``children``).
-    """
-    issues: list[PlanIssue] = []
-    stack = [root]
-    while stack:
-        stage = stack.pop()
-        label = getattr(stage, "label", "?")
-        algorithm = getattr(stage, "algorithm", None)
-        if algorithm not in _STAGE_ALGORITHMS:
-            issues.append(PlanIssue(
-                "RA308",
-                f"stage {label!r} carries unresolved or unknown algorithm "
-                f"{algorithm!r}; every stage must name one of "
-                f"{_STAGE_ALGORITHMS} — 'auto' must not survive into the "
-                "tree",
-            ))
-        children = tuple(getattr(stage, "children", ()))
-        child_outputs: dict[str, set] = {}
-        for child in children:
-            child_label = getattr(child, "label", "?")
-            feeder = _STAGE_PREFIX + str(child_label)
-            if feeder in child_outputs:
-                issues.append(PlanIssue(
-                    "RA308",
-                    f"stage {label!r} has two child stages labelled "
-                    f"{child_label!r}; the feeder aliases would collide",
-                ))
-            child_outputs[feeder] = set(getattr(child, "output", ()))
-            stack.append(child)
-        fed: set[str] = set()
-        query = getattr(stage, "query", None)
-        atoms = tuple(getattr(query, "atoms", ()))
-        for atom in atoms:
-            if not atom.alias.startswith(_STAGE_PREFIX):
-                continue
-            if atom.alias not in child_outputs:
-                issues.append(PlanIssue(
-                    "RA308",
-                    f"stage {label!r} probes synthetic atom "
-                    f"{atom.alias!r} with no matching child stage",
-                ))
-                continue
-            fed.add(atom.alias)
-            missing = sorted(set(atom.attributes) - child_outputs[atom.alias])
-            if missing:
-                issues.append(PlanIssue(
-                    "RA308",
-                    f"child stage feeding {atom.alias!r} outputs "
-                    f"{sorted(child_outputs[atom.alias])} but the parent "
-                    f"atom binds uncovered attributes {missing}",
-                ))
-        unconsumed = sorted(set(child_outputs) - fed)
-        if unconsumed:
-            issues.append(PlanIssue(
-                "RA308",
-                f"stage {label!r} has child stages {unconsumed} whose "
-                "output feeds no atom in its query",
-            ))
-        aliases = {atom.alias for atom in atoms}
-        spec_issues, seen = _check_specs(
-            aliases, tuple(getattr(stage, "index_specs", ())), relations)
-        issues.extend(spec_issues)
-        issues.extend(_check_plan_shape(
-            algorithm, query, aliases, seen,
-            tuple(getattr(stage, "atom_order", ())),
-            tuple(getattr(stage, "total_order", ()))))
     return issues
 
 

@@ -23,10 +23,8 @@ from repro.engine.ir import (
     BoundQuery,
     IndexSpec,
     JoinPlan,
-    PlanStage,
     ShardingSpec,
     canonical_options,
-    stage_alias,
 )
 from repro.engine.pipeline import ALGORITHMS, ENGINES, bind, plan, prepare
 from repro.engine.prepared import PreparedJoin
@@ -43,7 +41,6 @@ __all__ = [
     "IndexCache",
     "IndexSpec",
     "JoinPlan",
-    "PlanStage",
     "PreparedJoin",
     "Session",
     "ShardingSpec",
@@ -53,5 +50,4 @@ __all__ = [
     "estimate_structure_bytes",
     "plan",
     "prepare",
-    "stage_alias",
 ]

@@ -4,16 +4,15 @@ The seed executor hand-dispatched five drivers from a monolithic
 ``join()`` with per-algorithm special cases; following Free Join (Wang et
 al.) and the unified binary/WCOJ architecture of Kaboli et al., the
 engine instead compiles every query — binary pipeline, Generic Join
-(tuple or batch), Hash-Trie Join, Leapfrog Triejoin, recursive NPRR, or
-a mix of them — into the same artifacts:
+(tuple or batch), Hash-Trie Join, Leapfrog Triejoin or recursive NPRR —
+into the same artifacts:
 
-* :class:`JoinPlan` — a query-wide *header* (what was asked and what it
-  resolved to, the optimizer's rationale, sharding) over a tree of
-  :class:`PlanStage` nodes.  Each stage is one driver's worth of
-  decisions: its algorithm and engine, its total attribute order (or
-  binary atom order) and one :class:`IndexSpec` per supporting
-  structure.  A flat request (``generic``, ``binary``, …) is the
-  one-stage case; ``unified`` may split a query into several.
+* :class:`JoinPlan` — one driver's worth of decisions: what was asked
+  and what it resolved to, the algorithm and engine, the total attribute
+  order (or binary atom order), one :class:`IndexSpec` per supporting
+  structure, the optimizer's rationale and the sharding.  A plan is one
+  stage: the frontier engine runs a cyclic core together with its
+  acyclic ears, so nothing is left to compose above it.
 * :class:`BoundQuery` — the query text resolved against a relation
   source (the **bind** stage's output), carried separately so one plan
   can be validated without data and prepared against data.
@@ -84,99 +83,11 @@ class IndexSpec:
         return (self.kind, self.permutation, self.options, self.key_arity)
 
 
-def _asked_and_built(algorithm: str, engine: str, index: str,
-                     engine_note: str, built: str = "") -> str:
-    """``algorithm/engine index=… built=…`` — what was asked, then what
-    is built for it when the two differ, then the plan stage's routing
-    note when it has one."""
-    head = algorithm
-    if engine:
-        head += f"/{engine}"
-    if index:
-        head += f" index={index}"
-        if built and built != index:
-            head += f" built={built}"
-    if engine_note:
-        head += f" [{engine_note}]"
-    return head
-
-
-def built_kind(stage: "PlanStage") -> str:
-    """The structure kind a generic stage has built per atom — its specs
+def built_kind(plan: "JoinPlan") -> str:
+    """The structure kind a generic plan has built per atom — its specs
     say — which under the batch engine is not the ``index`` the caller
     named."""
-    return stage.index_specs[0].kind if stage.index_specs else stage.index
-
-
-def _describe_head(stage: "PlanStage") -> str:
-    """One stage on one line: what runs, over what, in which order."""
-    head = _asked_and_built(stage.algorithm, stage.engine, stage.index,
-                            stage.engine_note, built_kind(stage))
-    if stage.total_order:
-        head += f" order={','.join(stage.total_order)}"
-    if stage.atom_order:
-        head += f" atoms={','.join(stage.atom_order)}"
-    return head
-
-
-#: alias prefix that marks an atom as fed by a child stage's output
-STAGE_ALIAS_PREFIX = "stage:"
-
-
-def stage_alias(label: str) -> str:
-    """The synthetic atom alias a child stage's output binds to."""
-    return STAGE_ALIAS_PREFIX + label
-
-
-@dataclass(frozen=True)
-class PlanStage:
-    """One node of a plan's stage tree: one driver's worth of decisions.
-
-    A stage is a self-contained sub-plan — a binary hash pipeline, a
-    Generic Join (tuple or batch), a Hash-Trie / Leapfrog / recursive
-    baseline — over ``query``, whose atoms are either base-relation
-    atoms (their structures come from ``index_specs``) or synthetic
-    ``stage:<label>`` atoms fed by the correspondingly-labelled child
-    stage's materialized output.  A flat request compiles to a single
-    stage with no children; the unified planner may put a binary
-    pipeline stage on top of a Generic Join child.  The execute stage
-    runs children depth-first, wraps each child's rows as an
-    intermediate :class:`~repro.storage.relation.Relation`, and then
-    runs this stage's driver over base + intermediate relations — the
-    Free Join / unified-architecture shape where binary pipeline stages
-    and WCOJ sub-plans compose in one query.
-
-    ``total_order`` is empty for a binary pipeline stage, whose order
-    lives in ``atom_order`` instead.  ``engine`` is only meaningful for
-    a generic stage and is resolved (``"tuple"`` or ``"batch"``);
-    ``index`` is the kind the caller named, each spec's ``kind`` what
-    gets built.  ``output`` is the stage's result schema, in emission
-    order; a parent stage's synthetic atom carries exactly these
-    attributes (RA308).  ``algorithm`` is always resolved — ``"auto"``
-    and the ``"unified"`` label never name a stage (RA308).  ``choice``
-    records the per-component hybrid optimizer rationale.
-    """
-
-    label: str
-    algorithm: str
-    query: JoinQuery
-    output: tuple[str, ...]
-    engine: str = ""
-    index: str = ""
-    total_order: tuple[str, ...] = ()
-    atom_order: tuple[str, ...] = ()
-    index_specs: tuple[IndexSpec, ...] = ()
-    children: "tuple[PlanStage, ...]" = ()
-    choice: "PlanChoice | None" = None
-    engine_note: str = ""
-
-    def describe(self, indent: int = 0) -> str:
-        """The nested multi-line stage form (EXPLAIN / tests)."""
-        lines = [("  " * indent) + f"- stage {self.label}: "
-                 + _describe_head(self)]
-        for child in self.children:
-            lines.append(child.describe(indent + 1))
-        return "\n".join(lines)
+    return plan.index_specs[0].kind if plan.index_specs else plan.index
 
 
 @dataclass(frozen=True)
@@ -204,80 +115,66 @@ class ShardingSpec:
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """The compiled plan: a query-wide header over a :class:`PlanStage` tree.
+    """The compiled plan: one driver's worth of decisions.
 
-    Everything execution needs except built indexes.  The header keeps
-    what is true of the whole request: ``algorithm`` is what was asked
-    once ``"auto"`` is resolved — a stage algorithm for a flat request,
-    whose tree is the one stage ``root_stage``, or the display label
-    ``"unified"`` for the planner that may split the query into several
-    stages (and yields one where the query is all cyclic or all
-    acyclic).  ``engine`` / ``index`` / ``engine_note`` are the asked
-    and resolved Generic Join settings (a flat plan's are its root
-    stage's), ``choice`` the hybrid optimizer's whole-query rationale
-    when it ran (``algorithm="auto"`` / ``"unified"`` or a profiled
-    run).  Orders and index specs live on the stages and nowhere else;
-    ``total_order`` / ``atom_order`` / ``index_specs`` read the root
-    stage's, and :meth:`iter_specs` walks the tree for the prepare stage.
+    Everything execution needs except built indexes.  ``algorithm`` is
+    the driver that runs — always resolved: ``"auto"`` (and its other
+    name, ``"unified"``) never reaches a plan (RA307) — over ``query``,
+    with one :class:`IndexSpec` per supporting structure in
+    ``index_specs``.  ``total_order`` is the Generic Join's (and the
+    baselines') attribute order, empty for the binary pipeline, whose
+    order is ``atom_order``; ``output`` is the result schema in emission
+    order.  ``engine`` is only meaningful for a generic plan and is
+    resolved (``"tuple"`` or ``"batch"``); ``index`` is the kind the
+    caller named, each spec's ``kind`` what gets built.  ``choice`` is
+    the hybrid optimizer's rationale when it ran (``algorithm="auto"``
+    or a profiled run).
     """
 
     query: JoinQuery
     algorithm: str
-    root_stage: PlanStage
+    output: tuple[str, ...]
     engine: str = ""
     index: str = ""
+    total_order: tuple[str, ...] = ()
+    atom_order: tuple[str, ...] = ()
+    index_specs: tuple[IndexSpec, ...] = ()
     dynamic_seed: bool = True
     choice: "PlanChoice | None" = None
     sharding: "ShardingSpec | None" = None
-    #: the plan stage's routing note — atoms the acyclic rule would give
-    #: the binary pipeline, run on the batch Generic Join — also
-    #: appended to ``choice.reason`` when the optimizer ran
+    #: the routing note — atoms the acyclic rule would give the binary
+    #: pipeline, run on the batch Generic Join — also appended to
+    #: ``choice.reason`` when the optimizer ran
     engine_note: str = ""
-
-    @property
-    def total_order(self) -> tuple[str, ...]:
-        return self.root_stage.total_order
-
-    @property
-    def atom_order(self) -> tuple[str, ...]:
-        return self.root_stage.atom_order
-
-    @property
-    def index_specs(self) -> tuple[IndexSpec, ...]:
-        return self.root_stage.index_specs
 
     def spec_for(self, alias: str) -> IndexSpec:
         """The :class:`IndexSpec` prepared for atom ``alias``."""
-        for spec in self.iter_specs():
+        for spec in self.index_specs:
             if spec.alias == alias:
                 return spec
         raise KeyError(f"no index spec for alias {alias!r} in plan")
 
-    def iter_specs(self):
-        """Every :class:`IndexSpec` this plan needs built, walking the
-        stage tree depth-first.  Atom aliases are query-unique, so the
-        flattened specs key a single structures dict without collision.
-        """
-        stack = [self.root_stage]
-        while stack:
-            stage = stack.pop()
-            yield from stage.index_specs
-            stack.extend(stage.children)
-
     def describe(self) -> str:
-        """Plan summary (CLI / EXPLAIN output).
-
-        A flat plan is its one stage on one line; under the ``"unified"``
-        label the header line is followed by the nested stage tree, one
-        indented line per stage.
-        """
-        sharded = ("" if self.sharding is None
-                   else f" {self.sharding.describe()}")
-        if self.algorithm == "unified":
-            head = _asked_and_built(self.algorithm, self.engine, self.index,
-                                    self.engine_note)
-            return f"{head}{sharded}\n{self.root_stage.describe(indent=1)}"
-        return _describe_head(self.root_stage) + sharded
+        """The plan on one line (CLI / EXPLAIN output): what was asked,
+        then what is built for it when the two differ, the routing note,
+        the order and the sharding."""
+        head = self.algorithm
+        if self.engine:
+            head += f"/{self.engine}"
+        if self.index:
+            head += f" index={self.index}"
+            built = built_kind(self)
+            if built != self.index:
+                head += f" built={built}"
+        if self.engine_note:
+            head += f" [{self.engine_note}]"
+        if self.total_order:
+            head += f" order={','.join(self.total_order)}"
+        if self.atom_order:
+            head += f" atoms={','.join(self.atom_order)}"
+        if self.sharding is not None:
+            head += f" {self.sharding.describe()}"
+        return head
 
 
 @dataclass(frozen=True)

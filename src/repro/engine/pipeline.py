@@ -51,10 +51,8 @@ from repro.engine.ir import (
     BoundQuery,
     IndexSpec,
     JoinPlan,
-    PlanStage,
     ShardingSpec,
     canonical_options,
-    stage_alias,
 )
 from repro.engine.prepared import PreparedJoin
 from repro.errors import ConfigurationError, QueryError, SchemaError
@@ -73,7 +71,7 @@ from repro.planner.optimizer import (
     greedy_join_order,
 )
 from repro.planner.qptree import connectivity_order
-from repro.planner.query import Atom, JoinQuery, parse_query
+from repro.planner.query import JoinQuery, parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation, Snapshot
 
@@ -87,8 +85,6 @@ _ALLOWED_OPTIONS = {
     "binary": frozenset(),
     "leapfrog": frozenset(),
     "recursive": frozenset(),
-    # the unified planner builds generic stages
-    "unified": _GENERIC_OPTIONS,
 }
 
 
@@ -136,10 +132,10 @@ def plan(bound: BoundQuery,
     :class:`~repro.engine.ir.IndexSpec` per supporting structure.  The
     plan is inert — nothing is built until :func:`prepare`.
 
-    Every request compiles to one shape — a header over a
-    :class:`~repro.engine.ir.PlanStage` tree: one stage for a flat
-    algorithm, whatever the GYO split yields for ``"unified"``, from
-    the same stage constructors.  ``binary_order`` must name every atom
+    ``algorithm="unified"`` is another name for ``"auto"``: the frontier
+    engine runs a cyclic core and its acyclic ears as one Generic Join,
+    so the core/ears split of the unified architecture comes to the
+    plan ``"auto"`` makes.  ``binary_order`` must name every atom
     exactly once (:class:`~repro.errors.QueryError`), whichever
     algorithm ends up reading it.
 
@@ -150,8 +146,7 @@ def plan(bound: BoundQuery,
     shards on the plan's leading attribute, and execution fans out to a
     worker-process pool (:mod:`repro.parallel`).  ``parallel=1`` is a
     valid degenerate fleet — one worker process, useful as the
-    like-for-like baseline when measuring fan-out speedup.  Only a
-    one-stage tree shards: a root stage with children is refused.
+    like-for-like baseline when measuring fan-out speedup.
     """
     observer = obs if obs is not None else NULL_OBSERVER
     if algorithm not in ALGORITHMS:
@@ -162,6 +157,8 @@ def plan(bound: BoundQuery,
         raise ConfigurationError(
             f"unknown engine {engine!r}; choose from {ENGINES}"
         )
+    if algorithm == "unified":
+        algorithm = "auto"
     query, relations = bound.query, bound.relations
     if (binary_order is not None
             and sorted(binary_order) != sorted(a.alias for a in query.atoms)):
@@ -176,16 +173,14 @@ def plan(bound: BoundQuery,
     with observer.tracer.span("plan"):
         # the optimizer's estimate is part of every profile (estimated vs
         # actual), so an enabled observer computes it even off the auto path
-        choice = stats = core = None
+        choice = stats = None
         route = ""
-        decides = algorithm in ("auto", "unified")
+        decides = algorithm == "auto"
         if decides or observer.enabled:
-            # the unified planner always needs statistics: the stage
-            # split is a per-component optimizer decision
             with observer.tracer.span("optimize"):
                 stats = Statistics.collect(relations.values())
                 # the one GYO reduction: the optimizer's acyclicity test
-                # and the unified split both read it
+                # reads it
                 core = cyclic_core(Hypergraph.from_query(query))
                 # an explicit algorithm or a pinned binary order leaves
                 # the batch engine nothing to take over
@@ -198,45 +193,26 @@ def plan(bound: BoundQuery,
             algorithm = "binary" if choice.algorithm == "binary" else "generic"
         _validate_index_kwargs(requested, algorithm, index, kwargs)
 
-        if algorithm == "unified":
-            result = _plan_unified(query, relations, order, binary_order,
-                                   index, engine, dynamic_seed, choice,
-                                   stats, core, kwargs, route,
-                                   observer.enabled)
+        if algorithm == "binary":
+            result = _binary_plan(query, relations, binary_order, stats,
+                                  choice, dynamic_seed)
         else:
-            # a flat request is the one-stage tree
-            if algorithm == "binary":
-                root = _binary_root(query, relations, binary_order, stats,
-                                    choice)
+            total = tuple(order) if order else connectivity_order(query)
+            if debug_on:
+                check_plan(query, order=total)
+            if algorithm == "generic":
+                result = _generic_plan(
+                    query, relations, total, index,
+                    "tuple" if engine == "tuple" else "batch", kwargs,
+                    choice, route, dynamic_seed)
             else:
-                total = tuple(order) if order else connectivity_order(query)
-                if debug_on:
-                    check_plan(query, order=total)
-                if algorithm == "generic":
-                    root = _generic_stage(
-                        "root", query, relations, total, index,
-                        "tuple" if engine == "tuple" else "batch", kwargs,
-                        choice, route)
-                else:
-                    root = _baseline_stage(algorithm, query, relations, total,
-                                           choice, kwargs)
-            result = JoinPlan(query=query, algorithm=algorithm,
-                              root_stage=root, engine=root.engine,
-                              index=root.index, dynamic_seed=dynamic_seed,
-                              choice=root.choice,
-                              engine_note=root.engine_note)
+                result = _baseline_plan(algorithm, query, relations, total,
+                                        choice, kwargs, dynamic_seed)
         workers = _resolve_workers(parallel)
-        root = result.root_stage
-        if workers and root.children:
-            # a shard worker runs one driver over its partition; a child
-            # stage's output would have to be partitioned again above it
-            raise ConfigurationError(
-                "unified stage-tree plans do not support sharded execution; "
-                "drop parallel= or choose a flat algorithm")
         if workers:
             # shard on the leading attribute: every result tuple binds
             # it to exactly one value, so shard results are disjoint
-            attribute = (root.total_order[0] if root.total_order
+            attribute = (result.total_order[0] if result.total_order
                          else connectivity_order(query)[0])
             result = replace(result, sharding=ShardingSpec(
                 workers=workers, attribute=attribute))
@@ -291,7 +267,7 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     structures: dict[str, object] = {}
     watch = Stopwatch()
     with observer.tracer.span("prepare"):
-        for spec in join_plan.iter_specs():
+        for spec in join_plan.index_specs:
             relation = bound.relations[spec.alias]
             suffix = spec.cache_key_suffix()
             key = None
@@ -432,13 +408,6 @@ def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
 # Per-algorithm planners
 # ----------------------------------------------------------------------
 
-def _riding(engine: str, atoms: "Sequence[Atom]") -> str:
-    """The note of a plan that puts acyclic ``atoms`` on the batch
-    Generic Join in the binary pipeline's place."""
-    return (f"engine={engine}: batch in the binary pipeline's place "
-            f"({', '.join(atom.alias for atom in atoms)})")
-
-
 def _choose(query: JoinQuery, stats: Statistics, core: set,
             engine: str, explain: bool) -> tuple[PlanChoice, str]:
     """The hybrid optimizer's choice, made engine-aware: ``(choice, note)``.
@@ -456,15 +425,16 @@ def _choose(query: JoinQuery, stats: Statistics, core: set,
     observer reports them), and nowhere else.
     """
     optimizer = HybridOptimizer()
-    if engine != "tuple" and len(query) > 1 and not core:
+    if engine != "tuple" and not core:
         reported = optimizer.decide(query, stats, True) if explain else None
         return PlanChoice(
             "wcoj",
             "acyclic query the columnar Generic Join answers as the "
             "binary pipeline would, building by one sort per relation",
             reported and reported.agm_bound,
-            reported and reported.binary_estimate), _riding(engine,
-                                                            query.atoms)
+            reported and reported.binary_estimate), (
+                f"engine={engine}: batch in the binary pipeline's place "
+                f"({', '.join(atom.alias for atom in query.atoms)})")
     return optimizer.decide(query, stats, not core, estimate=explain), ""
 
 
@@ -494,14 +464,14 @@ def _generic_structure(index: str, engine: str, kwargs: dict,
     return index, options
 
 
-def _generic_stage(label: str, query: JoinQuery,
-                   relations: Mapping[str, Relation], total: tuple[str, ...],
-                   index: str, engine: str, kwargs: dict, choice,
-                   note: str) -> PlanStage:
-    """A Generic Join stage over ``query`` under the *resolved* ``engine``.
+def _generic_plan(query: JoinQuery, relations: Mapping[str, Relation],
+                  total: tuple[str, ...], index: str, engine: str,
+                  kwargs: dict, choice, note: str,
+                  dynamic_seed: bool) -> JoinPlan:
+    """A Generic Join over ``query`` under the *resolved* ``engine``.
 
     Under the batch engine an attribute with an object column in any of
-    the stage's atoms is joined by dictionary code, every column of it:
+    the query's atoms is joined by dictionary code, every column of it:
     each atom's spec names the storage positions its trie codes (the
     ``coded`` option), which keys the cache apart from a trie over the
     same columns uncoded.
@@ -520,19 +490,22 @@ def _generic_stage(label: str, query: JoinQuery,
         specs.append(_structure_spec(
             relations[atom.alias], atom.alias, kind, total,
             {"coded": positions} if positions else options))
-    specs = tuple(specs)
-    return PlanStage(label=label, algorithm="generic", query=query,
-                     output=total, engine=engine, index=index,
-                     total_order=total, index_specs=specs,
-                     choice=_noted(choice, note), engine_note=note)
+    return JoinPlan(query=query, algorithm="generic", output=total,
+                    engine=engine, index=index, total_order=total,
+                    index_specs=tuple(specs), dynamic_seed=dynamic_seed,
+                    choice=_noted(choice, note), engine_note=note)
 
 
-def _binary_stage(label: str, query: JoinQuery,
-                  relations: Mapping[str, Relation],
-                  atom_order: Sequence[str], children: tuple = (),
-                  choice=None) -> PlanStage:
-    """A binary hash pipeline stage probing in ``atom_order``."""
-    stages, output_attrs = plan_pipeline(query, relations, atom_order)
+def _binary_plan(query: JoinQuery, relations: Mapping[str, Relation],
+                 binary_order: "Sequence[str] | None", stats, choice,
+                 dynamic_seed: bool) -> JoinPlan:
+    """The whole query as one hash pipeline probing in the pinned order,
+    else the greedy one."""
+    if binary_order is None:
+        if stats is None:
+            stats = Statistics.collect(relations.values())
+        binary_order = greedy_join_order(query, stats)
+    stages, output_attrs = plan_pipeline(query, relations, binary_order)
     specs = tuple(
         IndexSpec(alias=stage["alias"], kind=HASHTABLE_KIND,
                   attribute_order=stage["key_attrs"] + stage["payload_attrs"],
@@ -541,27 +514,16 @@ def _binary_stage(label: str, query: JoinQuery,
                   key_arity=len(stage["key_attrs"]))
         for stage in stages
     )
-    return PlanStage(label=label, algorithm="binary", query=query,
-                     output=tuple(output_attrs), atom_order=tuple(atom_order),
-                     index_specs=specs, children=children, choice=choice)
+    return JoinPlan(query=query, algorithm="binary",
+                    output=tuple(output_attrs),
+                    atom_order=tuple(binary_order), index_specs=specs,
+                    dynamic_seed=dynamic_seed, choice=choice)
 
 
-def _binary_root(query: JoinQuery, relations: Mapping[str, Relation],
-                 binary_order: "Sequence[str] | None", stats,
-                 choice) -> PlanStage:
-    """The whole query as one pipeline: the pinned order, else greedy."""
-    if binary_order is None:
-        if stats is None:
-            stats = Statistics.collect(relations.values())
-        binary_order = greedy_join_order(query, stats)
-    return _binary_stage("root", query, relations, binary_order,
-                         choice=choice)
-
-
-def _baseline_stage(algorithm: str, query: JoinQuery,
-                    relations: Mapping[str, Relation], total: tuple[str, ...],
-                    choice, kwargs: dict) -> PlanStage:
-    """A Hash-Trie Join, Leapfrog Triejoin or recursive (Alg. 1) stage."""
+def _baseline_plan(algorithm: str, query: JoinQuery,
+                   relations: Mapping[str, Relation], total: tuple[str, ...],
+                   choice, kwargs: dict, dynamic_seed: bool) -> JoinPlan:
+    """A Hash-Trie Join, Leapfrog Triejoin or recursive (Alg. 1) plan."""
     if algorithm == "recursive":
         specs = tuple(
             IndexSpec(alias=atom.alias, kind=TUPLESET_KIND,
@@ -587,114 +549,9 @@ def _baseline_stage(algorithm: str, query: JoinQuery,
                             options)
             for atom in query.atoms
         )
-    return PlanStage(label="root", algorithm=algorithm, query=query,
-                     output=total, total_order=total, index_specs=specs,
-                     choice=choice)
-
-
-def _plan_unified(query: JoinQuery, relations: Mapping[str, Relation],
-                  order: "Sequence[str] | None",
-                  binary_order: "Sequence[str] | None",
-                  index: str, engine: str, dynamic_seed: bool,
-                  choice: PlanChoice, stats: Statistics, core: set,
-                  kwargs: dict, route: str = "",
-                  explain: bool = False) -> JoinPlan:
-    """Compile a stage-tree plan: per-component binary/WCOJ stages.
-
-    GYO reduction (``core``: the edges that survive it) splits the
-    query's hypergraph: the **cyclic core** gets a Generic Join
-    sub-stage (worst-case optimal where the AGM bound actually bites),
-    the removed ears get a binary hash pipeline stage probing *into the
-    core stage's output* (which joins as a synthetic ``stage:core``
-    relation), in their ``binary_order`` when one is pinned.  Under the
-    batch engine an ear joins the core's Generic Join stage instead — it
-    answers as a hash probe would — so every ear that shares an
-    attribute with the stage rides it, and then that stage is the root
-    and no core output is materialised.  A query that is entirely
-    acyclic, entirely cyclic, or a single atom degenerates to the one
-    root stage a flat request for whatever ``choice`` says would get —
-    the unified plan never does worse than the better flat plan by
-    construction of the split.
-    """
-    mixed = bool(core) and core != {atom.alias for atom in query.atoms}
-    generic_atoms = [atom for atom in query.atoms if atom.alias in core]
-    asked = engine
-    engine = "tuple" if engine == "tuple" else "batch"
-    note = route
-    ears = [atom for atom in query.atoms if atom.alias not in core]
-    if mixed and engine == "batch" and binary_order is None:
-        # the ears ride the core's stage, nearest the core first: an ear
-        # that shares no attribute with the stage yet would be a cross
-        # product there
-        stage_attrs = {a for atom in generic_atoms for a in atom.attributes}
-        riders = []
-        grew = True
-        while grew:
-            grew = False
-            for ear in ears:
-                if ear in riders or not stage_attrs & set(ear.attributes):
-                    continue
-                riders.append(ear)
-                stage_attrs |= set(ear.attributes)
-                grew = True
-        if riders:
-            generic_atoms += riders
-            ears = [ear for ear in ears if ear not in riders]
-            note = _riding(asked, riders)
-
-    if mixed and ears:
-        # mixed plan: WCOJ over the cyclic core (and the ears that ride
-        # with it), binary ears on top
-        core_query = JoinQuery(tuple(generic_atoms))
-        core_choice = HybridOptimizer().decide(core_query, stats, False,
-                                               estimate=explain)
-        child = _generic_stage("core", core_query, relations,
-                               connectivity_order(core_query), index,
-                               engine, kwargs, core_choice, note)
-
-        feeder = stage_alias(child.label)
-        synthetic = Atom(relation=feeder, attributes=child.output,
-                         alias=feeder)
-        parent_query = JoinQuery((synthetic,) + tuple(ears))
-        # the core output's cardinality is unknown at plan time, so it
-        # always leads
-        atom_order = [feeder]
-        remaining = {a.alias for a in ears}
-        if binary_order is not None:
-            atom_order += [al for al in binary_order if al in remaining]
-        else:
-            # greedy — connected to the bound attributes first, then
-            # smallest relation
-            bound_attrs = set(child.output)
-            while remaining:
-                connected = [al for al in sorted(remaining)
-                             if set(query.attributes_of(al)) & bound_attrs]
-                pick = min(connected or sorted(remaining),
-                           key=lambda al: (stats.cardinality(al), al))
-                atom_order.append(pick)
-                remaining.discard(pick)
-                bound_attrs |= set(query.attributes_of(pick))
-        root_choice = PlanChoice(
-            "binary",
-            "GYO ear atoms: acyclic attachments probe the core stage's "
-            "output with binary hash joins",
-            choice.agm_bound, choice.binary_estimate)
-        root = _binary_stage("root", parent_query, relations, atom_order,
-                             children=(child,), choice=root_choice)
-    elif choice.algorithm == "binary":
-        # fully acyclic (or single-atom) query: one binary root stage
-        root = _binary_root(query, relations, binary_order, stats, choice)
-    else:
-        # one generic root stage: a fully cyclic (or growth-prone)
-        # query, a core whose every ear rides with it, or an acyclic
-        # query the batch engine takes
-        total = tuple(order) if order else connectivity_order(query)
-        root = _generic_stage("root", query, relations, total, index, engine,
-                              kwargs, choice, note)
-
-    return JoinPlan(query=query, algorithm="unified", root_stage=root,
-                    engine=engine, index=index, dynamic_seed=dynamic_seed,
-                    choice=_noted(choice, note), engine_note=note)
+    return JoinPlan(query=query, algorithm=algorithm, output=total,
+                    total_order=total, index_specs=specs,
+                    dynamic_seed=dynamic_seed, choice=choice)
 
 
 def _structure_spec(relation: Relation, alias: str, kind: str,
@@ -728,7 +585,7 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
     ``requested`` is what the caller asked for (possibly ``"auto"``),
     ``resolved`` the concrete algorithm; ``"auto"`` is validated against
     the Generic Join's option set (see module docstring).  Where a
-    Generic Join stage may be planned, the options must also fit the
+    Generic Join may be planned, the options must also fit the
     ``index`` kind: Sonic's only with Sonic.
     """
     if not kwargs:
@@ -741,7 +598,7 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
             f"algorithm {resolved!r} cannot honor index option(s) "
             f"{unknown}; it accepts {sorted(allowed) or 'none'}"
         )
-    if resolved not in ("generic", "unified"):
+    if resolved != "generic":
         return
     if (requested != "auto" and index != "sonic"
             and any(k.startswith("sonic_") for k in kwargs)):

@@ -3,10 +3,10 @@
 A :class:`PreparedJoin` is the prepare stage's output — a bound query, a
 :class:`~repro.engine.ir.JoinPlan`, and every supporting structure the
 plan needs, already built (and possibly shared with a session's index
-cache).  Each :meth:`~PreparedJoin.execute` call walks the plan's stage
-tree, constructing a fresh driver per stage over the shared structures
-— drivers keep per-run state (cursors, sinks, metrics) so the structures
-themselves are safely reusable — and returns an ordinary
+cache).  Each :meth:`~PreparedJoin.execute` call constructs a fresh
+driver over the shared structures — drivers keep per-run state
+(cursors, sinks, metrics) so the structures themselves are safely
+reusable — and returns an ordinary
 :class:`~repro.joins.results.JoinResult`.
 
 **Timing semantics.**  The paper charges ad-hoc index build to every
@@ -32,13 +32,7 @@ from __future__ import annotations
 import threading
 
 from repro.core.adapter import IndexAdapter
-from repro.engine.ir import (
-    BoundQuery,
-    JoinPlan,
-    PlanStage,
-    built_kind,
-    stage_alias,
-)
+from repro.engine.ir import BoundQuery, JoinPlan, built_kind
 from repro.errors import ExecutionError
 from repro.joins.batch import GenericJoinBatch
 from repro.joins.binary import BinaryHashJoin
@@ -48,17 +42,16 @@ from repro.joins.hashtrie_join import HashTrieJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.recursive import RecursiveJoin
 from repro.joins.results import JoinResult
-from repro.obs.observer import JoinObserver, NULL_OBSERVER, resolve_observer
-from repro.storage.relation import Relation
+from repro.obs.observer import resolve_observer
 
 
 class PreparedJoin:
     """An executable join with its supporting structures already built.
 
-    A single-process plan runs its stage tree (one stage for a flat
-    request) through :meth:`_run_stage`; a sharded plan hands its root
-    stage's decisions to a :class:`~repro.parallel.runner.ShardedRunner`
-    and must be :meth:`close`-d, after which it cannot execute again.
+    A single-process plan runs one driver (:meth:`_driver`); a sharded
+    plan hands its decisions to a
+    :class:`~repro.parallel.runner.ShardedRunner` and must be
+    :meth:`close`-d, after which it cannot execute again.
     """
 
     def __init__(self, bound: BoundQuery, plan: JoinPlan,
@@ -77,14 +70,22 @@ class PreparedJoin:
         #: may be executed from many threads
         self._accounting = threading.Lock()
         #: row counts read when the structures were built: a binary
-        #: stage scans its leading atom up to here, so an answer is of
+        #: plan scans its leading atom up to here, so an answer is of
         #: the prepared version even after an append (the stage tables
         #: are already pinned to it)
         self._prepared_rows = {alias: len(relation)
                                for alias, relation in bound.relations.items()}
-        #: index adapters of the childless stages, by ``id(stage)`` (the
-        #: plan keeps its stages alive), made by the first run
-        self._adapters: dict[int, dict[str, IndexAdapter]] = {}
+        #: the stateless wrappers the generic and Hash-Trie drivers read
+        #: the structures through, shared by every execution
+        self._adapters: dict[str, IndexAdapter] = {}
+        if plan.sharding is None and plan.algorithm in ("generic",
+                                                        "hashtrie"):
+            self._adapters = {
+                atom.alias: IndexAdapter(bound.relations[atom.alias],
+                                         structures[atom.alias],
+                                         plan.total_order)
+                for atom in plan.query.atoms
+            }
         self._runner = None
         if plan.sharding is not None:
             # imported lazily — repro.parallel's worker re-enters the
@@ -97,53 +98,38 @@ class PreparedJoin:
                                          owned=owned_shards)
 
     # ------------------------------------------------------------------
-    def _driver(self, stage: PlanStage, relations: dict, observer):
-        """A fresh driver for ``stage`` over the shared structures.
-        Adapters are stateless wrappers: a childless stage joins
-        prepared relations only, so the ones its first run makes are
-        kept; a stage with children joins relations made during the
-        run and wraps them each time."""
-        algorithm, query = stage.algorithm, stage.query
+    def _driver(self, observer):
+        """A fresh driver over the shared structures."""
+        plan, relations = self.plan, self.bound.relations
+        algorithm, query = plan.algorithm, plan.query
         if algorithm == "binary":
-            # a child stage's output is made during this execution and
-            # has no prepared count: it is scanned whole
-            leading = stage.atom_order[0]
-            rows = self._prepared_rows.get(leading, len(relations[leading]))
+            leading = plan.atom_order[0]
             return BinaryHashJoin(query, relations,
-                                  order=list(stage.atom_order), obs=observer,
-                                  prebuilt=(self.structures, rows))
+                                  order=list(plan.atom_order), obs=observer,
+                                  prebuilt=(self.structures,
+                                            self._prepared_rows[leading]))
         if algorithm == "leapfrog":
-            return LeapfrogTrieJoin(query, relations, order=stage.total_order,
+            return LeapfrogTrieJoin(query, relations, order=plan.total_order,
                                     obs=observer, tries=self.structures)
         if algorithm == "recursive":
-            return RecursiveJoin(query, relations, order=stage.total_order,
+            return RecursiveJoin(query, relations, order=plan.total_order,
                                  edges=self.structures)
-        adapters = self._adapters.get(id(stage))
-        if adapters is None:
-            adapters = {
-                atom.alias: IndexAdapter(relations[atom.alias],
-                                         self.structures[atom.alias],
-                                         stage.total_order)
-                for atom in query.atoms
-            }
-            if not stage.children:
-                self._adapters[id(stage)] = adapters
         if algorithm == "hashtrie":
-            return HashTrieJoin(query, relations, order=stage.total_order,
-                                obs=observer, adapters=adapters)
-        driver_cls = (GenericJoinBatch if stage.engine == "batch"
+            return HashTrieJoin(query, relations, order=plan.total_order,
+                                obs=observer, adapters=self._adapters)
+        driver_cls = (GenericJoinBatch if plan.engine == "batch"
                       else GenericJoin)
-        driver = driver_cls(query, adapters, order=stage.total_order,
-                            dynamic_seed=self.plan.dynamic_seed, obs=observer)
+        driver = driver_cls(query, self._adapters, order=plan.total_order,
+                            dynamic_seed=plan.dynamic_seed, obs=observer)
         # what was built, which is not always what was asked for
-        driver.metrics.index = built_kind(stage)
+        driver.metrics.index = built_kind(plan)
         return driver
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,
                 profile: "bool | None" = None,
                 trace_out: "str | None" = None) -> JoinResult:
-        """Run the prepared join once; fresh drivers, shared structures.
+        """Run the prepared join once: a fresh driver, shared structures.
 
         ``obs`` / ``profile`` / ``trace_out`` mirror
         :func:`repro.joins.join`: an explicit observer wins, else
@@ -174,27 +160,19 @@ class PreparedJoin:
             return self._runner.execute(materialize=materialize,
                                         obs=observer, build_charge=charge,
                                         trace_out=trace_out)
-        root = plan.root_stage
-        result, reports = self._run_stage(root, self.bound.relations,
-                                          observer, materialize, depth=0)
-        metrics = result.metrics
-        if plan.algorithm == "unified":
-            metrics.algorithm = plan.algorithm
+        result = self._driver(observer).run(materialize=materialize)
         # deferred build time — trie levels — surfaces on the run that
         # actually materialized them (§5.15 build-included timing)
         deferred = self._drain_lazy_charges()
         if deferred:
             with self._accounting:
                 self.build_seconds += deferred
-        metrics.build_seconds += charge + deferred
-        result = attach_profile(self.bound.query, result, observer,
-                                plan.choice,
-                                root.total_order or root.atom_order,
-                                engine=root.engine or None,
-                                trace_out=trace_out)
-        if result.profile is not None:
-            result.profile.stages = reports
-        return result
+        result.metrics.build_seconds += charge + deferred
+        return attach_profile(self.bound.query, result, observer,
+                              plan.choice,
+                              plan.total_order or plan.atom_order,
+                              engine=plan.engine or None,
+                              trace_out=trace_out)
 
     def _drain_lazy_charges(self) -> float:
         """Collect pending materialization time from the structures (a
@@ -205,67 +183,6 @@ class PreparedJoin:
             if callable(take):
                 total += take()
         return total
-
-    def _run_stage(self, stage: PlanStage, relations: dict, observer,
-                   materialize: bool, depth: int):
-        """Execute one stage (children first); returns (result, reports).
-
-        Child outputs join as synthetic ``stage:<label>`` relations —
-        ordinary :class:`~repro.storage.relation.Relation` objects over
-        the materialized rows, which is what lets a binary pipeline
-        stage probe a Generic Join sub-plan's output with zero special
-        cases in the drivers.  The root stage runs under the caller's
-        observer (so the profile's level tree describes the root
-        driver), child stages under private ones; ``reports`` — made
-        only when profiling is on — is the per-stage summaries that land
-        on ``profile.stages``, in pre-order.
-        """
-        reports: list[dict] = []
-        child_runs: list[JoinResult] = []
-        if stage.children:
-            relations = dict(relations)
-        for child in stage.children:
-            child_obs = JoinObserver() if observer.enabled else NULL_OBSERVER
-            child_result, child_reports = self._run_stage(
-                child, relations, child_obs, True, depth + 1)
-            reports.extend(child_reports)
-            child_runs.append(child_result)
-            feeder = stage_alias(child.label)
-            relations[feeder] = Relation(feeder, child.output,
-                                         child_result.rows)
-        result = self._driver(stage, relations, observer).run(
-            materialize=materialize)
-        if observer.enabled:
-            choice = stage.choice
-            estimated = None
-            if choice is not None:
-                estimated = (choice.binary_estimate
-                             if stage.algorithm == "binary"
-                             else choice.agm_bound)
-            reports.insert(0, {
-                "label": stage.label,
-                "depth": depth,
-                "algorithm": stage.algorithm,
-                "engine": stage.engine or None,
-                "index": stage.index or None,
-                "order": list(stage.total_order or stage.atom_order),
-                "estimated_rows": (float(estimated) if estimated is not None
-                                   else None),
-                "actual_rows": int(result.count),
-                "seconds": round(result.metrics.probe_seconds, 6),
-            })
-        # fold the children's work into this stage's metrics so the root
-        # result reports whole-query totals; a child's output rows are
-        # intermediates from the whole query's point of view
-        metrics = result.metrics
-        for child_result in child_runs:
-            child_metrics = child_result.metrics
-            metrics.probe_seconds += child_metrics.probe_seconds
-            metrics.build_seconds += child_metrics.build_seconds
-            metrics.lookups += child_metrics.lookups
-            metrics.intermediate_tuples += (
-                child_metrics.intermediate_tuples + child_result.count)
-        return result, reports
 
     # ------------------------------------------------------------------
     def close(self) -> None:

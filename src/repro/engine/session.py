@@ -105,8 +105,8 @@ class Session:
         ``engine="batch"`` — which the default ``"auto"`` resolves to —
         and the ``index`` kind under ``engine="tuple"`` (the paper's
         configuration).  Unless the engine is pinned to ``"tuple"``,
-        ``algorithm="auto"`` / ``"unified"`` run an *acyclic* query on
-        the batch engine too, whatever its data.
+        ``algorithm="auto"`` (or its other name, ``"unified"``) runs an
+        *acyclic* query on the batch engine too, whatever its data.
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning

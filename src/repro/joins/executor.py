@@ -52,6 +52,8 @@ from repro.planner.query import JoinQuery, parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
+#: the join drivers, and the optimizer's pick: ``"auto"``, also named
+#: ``"unified"`` (the plan stage resolves it to a driver)
 ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive",
               "unified", "auto")
 
@@ -186,9 +188,8 @@ def join(query: "JoinQuery | str",
     ``repro.planner.total_order(query)`` for the paper's raw QP-tree
     order), ``dynamic_seed`` ablates the AGM-guided anchor selection,
     ``binary_order`` pins the binary pipeline's join order (Fig 1's
-    order-sensitivity axis; under ``"unified"`` on a mixed query, the
-    order of the ear atoms above the core) and must name every atom
-    exactly once whichever algorithm runs.
+    order-sensitivity axis) and must name every atom exactly once
+    whichever algorithm runs.
 
     ``engine`` selects the Generic Join execution model: ``"auto"``
     (the default) and ``"batch"`` run frontier-at-a-time
@@ -207,13 +208,13 @@ def join(query: "JoinQuery | str",
     — join sets, and raise :class:`~repro.errors.QueryError` naming a
     relation that repeats a row; ``"binary"`` joins bags.  The explicit
     non-generic algorithms have no batch rendering and ignore the knob.
-    ``"auto"`` and ``"unified"`` do not: the hybrid optimizer sends an
-    acyclic query (and a cyclic query's GYO ears) to the binary hash
-    pipeline, and unless ``engine="tuple"`` the plan stage runs those
-    atoms on the batch Generic Join instead, whose build is one sort per
-    relation rather than a Python loop per row.  ``binary_order`` pins
-    the binary side.  ``PlanChoice.reason`` and ``describe()`` say
-    which way it went.
+    ``"auto"`` does not, and ``"unified"`` is another name for it: the
+    hybrid optimizer sends an acyclic query to the binary hash pipeline,
+    and unless ``engine="tuple"`` (or ``binary_order`` pins the binary
+    side) the plan stage runs it on the batch Generic Join instead,
+    whose build is one sort per relation rather than a Python loop per
+    row; a cyclic query runs on the Generic Join with its acyclic ears.
+    ``PlanChoice.reason`` and ``describe()`` say which way it went.
 
     ``**index_kwargs`` carries per-algorithm index options
     (``sonic_bucket_size`` / ``sonic_overallocation`` / ``index_options``

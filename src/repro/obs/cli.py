@@ -12,10 +12,6 @@ Three ways to describe the workload:
   {alias: csv_path}, "algorithm": ..., "engine": ..., "index": ...,
   "order": [...]}`` (flags override spec fields).
 
-``--explain`` defaults the algorithm to ``unified`` so the printed tree
-carries the per-stage section (algorithm/engine/order plus estimated vs
-actual cardinalities for each stage).
-
 By default the EXPLAIN ANALYZE text tree is printed; ``--json PATH``
 writes the schema-validated profile JSON and ``--trace PATH`` the Chrome
 ``trace_event`` document (load it in ``chrome://tracing`` or Perfetto).
@@ -58,10 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="Generic Join engine (default: auto)")
     execution.add_argument("--index", default=None,
                            help="index structure (default: sonic)")
-    execution.add_argument("--explain", action="store_true",
-                           help="render the plan's stage tree (defaults "
-                                "the algorithm to 'unified' so the hybrid "
-                                "optimizer picks per-component stages)")
     execution.add_argument("--parallel", type=int, default=None, metavar="K",
                            help="shard across K worker processes; the "
                                 "profile/trace exports become the sharded "
@@ -151,10 +143,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.algorithm:
         options["algorithm"] = args.algorithm
-    elif args.explain and "algorithm" not in options:
-        # --explain is about the stage tree; the unified planner is the
-        # one that may split it, and whose profile prints it
-        options["algorithm"] = "unified"
     if args.engine:
         options["engine"] = args.engine
     if args.index:

@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 
 #: bump when the JSON layout changes shape (validate_profile must follow)
 #: v2: optional ``sharding`` section (ShardedJoinProfile, PR 9)
-#: v3: ``stages`` list (the plan's stage tree, PR 10; every single-process
-#: profile carries it since PR 20 — one entry for a flat request)
-SCHEMA_VERSION = 3
+#: v3: ``stages`` list (the plan's stage tree)
+#: v4: no ``stages`` list — a plan is one driver, which the header and
+#: the level tree already describe
+SCHEMA_VERSION = 4
 
 
 class ProfileSchemaError(ValueError):
@@ -96,11 +97,6 @@ class JoinProfile:
     #: when the run ended (a trie builds a level on first descent)
     trie_levels: dict = field(default_factory=dict)
     spans: list[dict] = field(default_factory=list)
-    #: per-stage reports of the plan's stage tree in pre-order (one for
-    #: a flat request), each carrying label/depth/algorithm/engine/index/
-    #: order and the estimated vs actual cardinalities (see
-    #: PreparedJoin._run_stage)
-    stages: list[dict] = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:
@@ -133,7 +129,6 @@ class JoinProfile:
                             in sorted(self.trie_levels.items())},
             "histograms": self.histograms,
             "spans": self.spans,
-            "stages": self.stages,
         }
 
     def to_json(self, indent: "int | None" = 2) -> str:
@@ -193,26 +188,6 @@ class JoinProfile:
                 f"peak level cardinality {act['peak_level_cardinality']}, "
                 f"{act['intermediate_tuples']} intermediate tuples"
             )
-        # a flat request's one stage is the header line above; under the
-        # "unified" label the header names no driver, so its tree prints
-        # even when it is one stage
-        if len(self.stages) > 1 or self.algorithm == "unified":
-            lines.append("stage tree:")
-            for stage in self.stages:
-                pad = "   " * int(stage.get("depth", 0))
-                engine = f"/{stage['engine']}" if stage.get("engine") else ""
-                index = (f" index={stage['index']}"
-                         if stage.get("index") else "")
-                order = ", ".join(stage.get("order", ()))
-                estimated = stage.get("estimated_rows")
-                est = (f" est={estimated:.4g}"
-                       if isinstance(estimated, (int, float)) else "")
-                lines.append(
-                    f"{pad}└─ stage {stage['label']}: "
-                    f"{stage['algorithm']}{engine}{index}  order=({order})"
-                    f" {est} actual={stage.get('actual_rows')}"
-                    f"  {stage.get('seconds', 0.0) * 1e3:.3f} ms"
-                )
         probe = self.probe_seconds or 1.0
         # a counting run of the batch engine does not expand the levels
         # after the last attribute that joins anything
@@ -673,33 +648,6 @@ def validate_profile(payload: dict) -> dict:
                 f"trie_levels.{alias}", "expected [built, total] levels")
 
     _validate_spans(payload.get("spans"), "spans")
-
-    stages = payload.get("stages", [])
-    _expect(isinstance(stages, list), "stages", "expected a list")
-    for i, stage in enumerate(stages):
-        where = f"stages[{i}]"
-        _expect(isinstance(stage, dict), where, "expected an object")
-        _expect(isinstance(stage.get("label"), str) and stage["label"],
-                f"{where}.label", "expected a non-empty string")
-        _expect(isinstance(stage.get("depth"), int) and stage["depth"] >= 0,
-                f"{where}.depth", "expected a non-negative int")
-        _expect(isinstance(stage.get("algorithm"), str) and stage["algorithm"],
-                f"{where}.algorithm", "expected a non-empty string")
-        for key in ("engine", "index"):
-            value = stage.get(key)
-            _expect(value is None or isinstance(value, str),
-                    f"{where}.{key}", "expected a string or null")
-        order = stage.get("order")
-        _expect(isinstance(order, list)
-                and all(isinstance(a, str) for a in order),
-                f"{where}.order", "expected a list of attribute names")
-        estimated = stage.get("estimated_rows")
-        _expect(estimated is None or isinstance(estimated, (int, float)),
-                f"{where}.estimated_rows", "expected a number or null")
-        _expect(isinstance(stage.get("actual_rows"), int)
-                and stage["actual_rows"] >= 0,
-                f"{where}.actual_rows", "expected a non-negative int")
-        _expect_number(stage.get("seconds"), f"{where}.seconds", minimum=0.0)
 
     sharding = payload.get("sharding")
     if sharding is not None:

@@ -40,24 +40,23 @@ def query_text(query) -> str:
 def plan_index_kwargs(plan) -> dict:
     """Reconstruct the ``**index_kwargs`` a worker re-plans with.
 
-    Inverts what the stage constructors folded into the root stage's
-    first spec's options (every spec of a stage shares one option dict);
-    plan-internal markers (the leapfrog ``sorted`` presort) are dropped —
-    the worker's own planner re-derives them.
+    Inverts what the planner folded into the plan's first spec's options
+    (every spec of a plan shares one option dict); plan-internal markers
+    (the leapfrog ``sorted`` presort) are dropped — the worker's own
+    planner re-derives them.
     """
-    root = plan.root_stage
-    if not root.index_specs:
+    if not plan.index_specs:
         return {}
-    options = dict(root.index_specs[0].options)
-    if root.algorithm == "generic":
+    options = dict(plan.index_specs[0].options)
+    if plan.algorithm == "generic":
         kwargs: dict = {}
-        if root.index == "sonic":
+        if plan.index == "sonic":
             kwargs["sonic_bucket_size"] = options.pop("bucket_size", 8)
             kwargs["sonic_overallocation"] = options.pop("overallocation", 2.0)
         if options:
             kwargs["index_options"] = options
         return kwargs
-    if root.algorithm == "hashtrie":
+    if plan.algorithm == "hashtrie":
         return {"lazy": options.get("lazy", True),
                 "singleton_pruning": options.get("singleton_pruning", True)}
     return {}
@@ -88,17 +87,16 @@ class ShardedRunner:
 
     # ------------------------------------------------------------------
     def _build_template(self) -> dict:
-        # a sharded plan is one stage (plan() refuses a root with
-        # children): each worker re-plans that stage over its shard
-        root = self.plan.root_stage
+        # each worker re-plans the plan's decisions over its shard
+        plan = self.plan
         return {
             "query": query_text(self.bound.query),
-            "algorithm": root.algorithm,
-            "index": root.index,
-            "engine": root.engine,
-            "order": list(root.total_order),
-            "atom_order": list(root.atom_order),
-            "dynamic_seed": self.plan.dynamic_seed,
+            "algorithm": plan.algorithm,
+            "index": plan.index,
+            "engine": plan.engine,
+            "order": list(plan.total_order),
+            "atom_order": list(plan.atom_order),
+            "dynamic_seed": plan.dynamic_seed,
             "index_kwargs": plan_index_kwargs(self.plan),
         }
 
@@ -188,9 +186,9 @@ class ShardedRunner:
         executed = [r for r in shard_results if r.get("algorithm")]
         algorithm = (executed[0]["algorithm"] if executed
                      else self.plan.algorithm)
-        # every shard skipped (empty inputs): the stage's own schema
+        # every shard skipped (empty inputs): the plan's own schema
         attributes = (tuple(executed[0]["attributes"]) if executed
-                      else self.plan.root_stage.output)
+                      else self.plan.output)
         if observer.enabled:
             observer.metrics.inc("parallel.executions")
             observer.metrics.inc("parallel.shards", workers)

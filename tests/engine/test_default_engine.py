@@ -2,9 +2,9 @@
 engine, whatever the columns hold and whether a relation repeats a row.
 
 ``join``, ``Session.prepare``, ``Session.execute`` and ``plan`` default to
-``engine="auto"``, which every Generic Join stage — and, under
-``algorithm="auto"``, every acyclic query — resolves to the batch
-engine, answering the bag.  The paper's configuration, Generic Join over
+``engine="auto"``, which every Generic Join plan — and, under
+``algorithm="auto"``, every acyclic query, a single atom included —
+resolves to the batch engine, answering the bag.  The paper's configuration, Generic Join over
 a Sonic index, is ``engine="tuple"`` by name.  The serve-path audit
 underneath holds a default ``Session`` to the one structure kind it is
 left with: columnar tries, rebuilt after a write.
@@ -22,6 +22,7 @@ from repro.engine import bind, plan
 
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 STAR = "F(t,x), A(t,p)"
+ATOM = "A(t,p)"
 
 EDGES = [(a, (a * 3 + k) % 7) for a in range(7) for k in (1, 2, 4)]
 FACTS = [(t, t % 3) for t in range(6)]
@@ -83,6 +84,11 @@ CASES = {
         STAR, lambda: star_tables(FANS + FANS[:1]), {"algorithm": "auto"},
         "batch", "generic", "columnar", "generic_join_batch", "columnar",
         "batch in the binary pipeline's place"),
+    "auto, one atom, one repeated row": (
+        ATOM, lambda: {"A": Relation("A", ("t", "p"), FANS + FANS[:1])},
+        {"algorithm": "auto"},
+        "batch", "generic", "columnar", "generic_join_batch", "columnar",
+        "batch in the binary pipeline's place"),
     "the paper's path, by name": (
         TRIANGLE, triangle_tables, {"engine": "tuple", "index": "sonic"},
         "tuple", "generic", "sonic", "generic_join", "sonic", None),
@@ -98,7 +104,7 @@ def test_what_runs_when_no_engine_is_named(case, entry):
     compiled, result = ENTRIES[entry](query, tables, **options)
     if compiled is not None:
         assert (compiled.engine, compiled.algorithm) == (engine, algorithm)
-        assert {spec.kind for spec in compiled.iter_specs()} == {kind}
+        assert {spec.kind for spec in compiled.index_specs} == {kind}
         if note is None:
             assert compiled.engine_note == ""
         else:

@@ -1,12 +1,10 @@
-"""The one-shape contract: every ``JoinPlan`` is a header over a stage tree.
+"""The one-shape contract: every ``JoinPlan`` is one driver's decisions.
 
-A flat request (``generic``, ``binary``, ``hashtrie``, ``leapfrog``,
-``recursive``, and ``auto`` once resolved) compiles to a one-stage tree
-through the same stage constructors the unified planner's GYO split
-uses, and runs through the same stage executor.  What a caller can see
-— ``describe()``, the metrics labels, the profile text — is pinned to
-what the flat-plan twin printed before it was deleted (``GOLDEN`` was
-captured from that commit).
+Every request (``generic``, ``binary``, ``hashtrie``, ``leapfrog``,
+``recursive``, and ``auto`` once resolved) compiles to one plan that
+runs one driver, and ``unified`` is another name for ``auto``.  What a
+caller can see — ``describe()`` and the metrics labels — is pinned in
+``GOLDEN``; a ``unified`` request prints what its ``auto`` twin prints.
 """
 
 from __future__ import annotations
@@ -14,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.plancheck import validate_join_plan
-from repro.engine import PlanStage, bind, plan
+from repro.engine import bind, plan
 from repro.errors import QueryError
 from repro.joins import join
-from repro.obs.profile import validate_profile
 from repro.storage.relation import Relation
 
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
@@ -62,13 +59,9 @@ REQUESTS = {
     "unified triangle+ears/batch": (TRIANGLE_EARS, {"algorithm": "unified",
                                                     "engine": "batch"}),
 }
-FLAT = [name for name, (_, options) in REQUESTS.items()
-        if options["algorithm"] != "unified"]
-
 _STAR_RIDES = "engine=auto: batch in the binary pipeline's place (R1, R2, R3)"
-_EARS_RIDE = "engine=batch: batch in the binary pipeline's place (T, U)"
 
-#: name -> (describe(), metrics.algorithm, metrics.index) at the parent
+#: name -> (describe(), metrics.algorithm, metrics.index)
 GOLDEN = {
     "generic/tuple": ("generic/tuple index=sonic order=a,b,c",
                       "generic_join", "sonic"),
@@ -86,34 +79,18 @@ GOLDEN = {
                        "generic_join_batch", "columnar"),
     "auto triangle": ("generic/tuple index=sonic order=a,b,c",
                       "generic_join", "sonic"),
-    "unified star": ("unified/tuple index=sonic\n"
-                     "  - stage root: binary atoms=R3,R2,R1",
-                     "unified", "hashmap"),
-    "unified star/auto": (f"unified/batch index=sonic [{_STAR_RIDES}]\n"
-                          "  - stage root: generic/batch index=sonic "
-                          f"built=columnar [{_STAR_RIDES}] order=a,b,c,d",
-                          "unified", "columnar"),
-    "unified triangle": ("unified/tuple index=sonic\n"
-                         "  - stage root: generic/tuple index=sonic "
-                         "order=a,b,c",
-                         "unified", "sonic"),
-    "unified triangle+ears": ("unified/tuple index=sonic\n"
-                              "  - stage root: binary atoms=stage:core,U,T\n"
-                              "    - stage core: generic/tuple index=sonic "
-                              "order=a,b,c",
-                              "unified", "hashmap"),
+    "unified star": ("binary atoms=R3,R2,R1", "binary_join", "hashmap"),
+    "unified star/auto": ("generic/batch index=sonic built=columnar "
+                          f"[{_STAR_RIDES}] order=a,b,c,d",
+                          "generic_join_batch", "columnar"),
+    "unified triangle": ("generic/tuple index=sonic order=a,b,c",
+                         "generic_join", "sonic"),
+    "unified triangle+ears": ("generic/tuple index=sonic order=a,b,c,d,e",
+                              "generic_join", "sonic"),
     "unified triangle+ears/batch": (
-        f"unified/batch index=sonic [{_EARS_RIDE}]\n"
-        "  - stage root: generic/batch index=sonic built=columnar "
-        f"[{_EARS_RIDE}] order=a,b,c,d,e",
-        "unified", "columnar"),
+        "generic/batch index=sonic built=columnar order=a,b,c,d,e",
+        "generic_join_batch", "columnar"),
 }
-
-
-def _stages(root: PlanStage):
-    yield root
-    for child in root.children:
-        yield from _stages(child)
 
 
 @pytest.mark.parametrize("name", REQUESTS)
@@ -130,38 +107,27 @@ def test_every_plan_is_a_valid_stage_tree(name):
     query, options = REQUESTS[name]
     bound = bind(query, _tables(query))
     compiled = plan(bound, **options)
-    assert isinstance(compiled.root_stage, PlanStage)
     assert validate_join_plan(compiled, relations=bound.relations) == []
-    walked = [spec for stage in _stages(compiled.root_stage)
-              for spec in stage.index_specs]
-    assert sorted(compiled.iter_specs(), key=repr) == sorted(walked, key=repr)
-    assert {spec.alias for spec in walked} <= set(bound.relations)
-    if name in FLAT:
-        assert compiled.root_stage.children == ()
-        assert compiled.root_stage.algorithm == compiled.algorithm
+    assert {spec.alias for spec in compiled.index_specs} <= set(bound.relations)
+    assert compiled.algorithm not in ("auto", "unified")
 
 
-@pytest.mark.parametrize("name", FLAT)
-def test_flat_profile_has_its_one_stage(name):
-    query, options = REQUESTS[name]
-    result = join(query, _tables(query), profile=True, **options)
-    (stage,) = result.profile.stages
-    assert stage["label"] == "root" and stage["depth"] == 0
-    assert stage["actual_rows"] == result.count
-    validate_profile(result.profile.as_dict())
-    assert "stage tree:" not in result.profile.render()
-
-
-def test_unified_one_stage_profile_still_prints_its_tree():
-    result = join(TRIANGLE, _tables(TRIANGLE), algorithm="unified",
-                  profile=True)
-    assert [s["label"] for s in result.profile.stages] == ["root"]
-    assert "stage tree:" in result.profile.render()
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+@pytest.mark.parametrize("engine", ["auto", "batch", "tuple"])
+@pytest.mark.parametrize("query", [TRIANGLE, STAR, TRIANGLE_EARS],
+                         ids=["triangle", "star", "triangle+ears"])
+def test_unified_is_another_name_for_auto(query, engine, pinned):
+    bound = bind(query, _tables(query))
+    # pinned: every atom, in query order
+    in_query_order = [atom.alias for atom in bound.query.atoms]
+    options = {"engine": engine,
+               "binary_order": in_query_order if pinned else None}
+    unified = plan(bound, algorithm="unified", **options)
+    assert unified == plan(bound, algorithm="auto", **options)
+    assert unified.algorithm in ("generic", "binary")
 
 
 def test_one_stage_unified_plan_shards():
-    # sharding is refused by tree shape (a root with children:
-    # test_unified_plan.py::test_unified_rejects_parallel), not by label
     tables = _tables(TRIANGLE)
     single = join(TRIANGLE, tables, algorithm="unified").count
     assert single > 0
@@ -170,19 +136,6 @@ def test_one_stage_unified_plan_shards():
 
 
 class TestBinaryOrderIsHonoredOrRefused:
-    def test_mixed_tree_orders_its_ears_as_pinned(self):
-        bound = bind(TRIANGLE_EARS, _tables(TRIANGLE_EARS))
-        for pinned in (["U", "T", "E1", "E2", "E3"],
-                       ["E3", "T", "E1", "U", "E2"]):
-            compiled = plan(bound, algorithm="unified", engine="tuple",
-                            binary_order=pinned)
-            ears = [alias for alias in pinned if alias in ("T", "U")]
-            assert compiled.root_stage.atom_order == ("stage:core", *ears)
-            assert f"atoms=stage:core,{','.join(ears)}" in compiled.describe()
-        truth = join(TRIANGLE_EARS, bound.relations, algorithm="binary").count
-        assert join(TRIANGLE_EARS, bound.relations, algorithm="unified",
-                    binary_order=["U", "T", "E1", "E2", "E3"]).count == truth
-
     @pytest.mark.parametrize("algorithm", ["unified", "auto", "generic"])
     @pytest.mark.parametrize("query", [TRIANGLE, TRIANGLE_EARS],
                              ids=["triangle", "triangle+ears"])

@@ -92,9 +92,7 @@ class TestPlanConstruction:
         source = {"F": facts, "A": fans}
         compiled = plan(bind("F(t,x), A(t,p)", source), algorithm="auto")
         assert "binary atoms=" not in compiled.describe()
-        root = compiled.root_stage
-        assert (root.algorithm, root.engine, root.children) == \
-            ("generic", "batch", ())
+        assert (compiled.algorithm, compiled.engine) == ("generic", "batch")
         result = join("F(t,x), A(t,p)", source, algorithm="auto",
                       materialize=True)
         got = Counter(frozenset(zip(result.attributes, row))
@@ -183,10 +181,8 @@ class TestOptionPolicing:
 
 
 def with_specs(compiled, specs):
-    """``compiled`` with its (one) stage's index specs replaced."""
-    return dataclasses.replace(
-        compiled, root_stage=dataclasses.replace(compiled.root_stage,
-                                                 index_specs=specs))
+    """``compiled`` with its index specs replaced."""
+    return dataclasses.replace(compiled, index_specs=specs)
 
 
 class TestPlanValidation:
@@ -256,8 +252,8 @@ class TestJoinPlanDataclass:
 
 class TestOneGyoReduction:
     """``plan()`` runs the GYO reduction once, however many of its
-    readers — the optimizer's acyclicity test, the acyclic route, the
-    unified split — need it."""
+    readers — the optimizer's acyclicity test, the acyclic route — need
+    it."""
 
     @pytest.mark.parametrize("engine", ["auto", "tuple"])
     @pytest.mark.parametrize("algorithm", ["auto", "unified"])

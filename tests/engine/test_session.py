@@ -290,6 +290,7 @@ class TestBagRoute:
             reference = join(self.STAR, tables, algorithm="binary",
                              materialize=True)
             assert self.bag(third) == self.bag(reference)
-            root = session.prepare(self.STAR, algorithm=algorithm,
-                                   engine="auto").plan.root_stage
-            assert (root.algorithm, root.engine) == ("generic", "batch")
+            compiled = session.prepare(self.STAR, algorithm=algorithm,
+                                       engine="auto").plan
+            assert (compiled.algorithm, compiled.engine) == \
+                ("generic", "batch")

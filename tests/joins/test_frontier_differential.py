@@ -38,8 +38,8 @@ The metamorphic checks need no oracle: permuting the atoms, renaming the
 attributes and shuffling the rows leave the bag alone, and storing every
 row of one relation ``m`` times multiplies the count by ``m`` per atom
 that reads it.  The *route* differential holds ``auto`` and ``unified``
-to one frontier stage per acyclic query — and per cyclic core with its
-ears — whatever the data, and to the bag.
+to one frontier plan per query — a single atom, an acyclic query, a
+cyclic core with its ears — whatever the data, and to the bag.
 
 Failures hypothesis shrank are kept below as ``@example`` seeds.
 """
@@ -154,23 +154,14 @@ def bag(result) -> Counter:
                    for row in result.rows)
 
 
-def stages(stage):
-    yield stage
-    for child in stage.children:
-        yield from stages(child)
-
-
 def refuses(compiled, tables: dict) -> bool:
     """Does a tuple driver of ``compiled`` read a relation that repeats a
     row?  It joins sets, so it must refuse it rather than answer."""
-    for stage in stages(compiled.root_stage):
-        if stage.algorithm == "binary" or stage.engine == "batch":
-            continue
-        for atom in stage.query.atoms:
-            rows = tables[atom.relation].rows
-            if len(set(rows)) < len(rows):
-                return True
-    return False
+    if compiled.algorithm == "binary" or compiled.engine == "batch":
+        return False
+    return any(len(set(rows)) < len(rows)
+               for rows in (tables[atom.relation].rows
+                            for atom in compiled.query.atoms))
 
 
 def run(query, tables, order, options, session=None, **extra):
@@ -363,16 +354,34 @@ def test_batch_equals_tuple_equals_brute_force(case):
 @examples(TAIL[name] for name in ("private_first", "star", "empty_joined"))
 @examples(BAGS[name] for name in ("triangle", "star_tail"))
 def test_sharded_batch_equals_brute_force(case):
-    # a shard runs one flat stage: the engines that answer bags
+    # the engines that answer bags
     query, tables, order, options = case
     algorithm = options["algorithm"]
     options = {**options, "write": None,
                "algorithm": algorithm if algorithm in ("generic", "auto",
-                                                       "binary")
+                                                       "unified", "binary")
                else "generic",
                "engine": "batch" if options["engine"] == "tuple"
                else options["engine"]}
     check(query, tables, order, options, parallel=2)
+
+
+def test_unified_shards_a_core_with_ears_and_a_disconnected_atom():
+    # ears that ride the core, and an atom that shares no attribute with
+    # it (replicated to every shard); a repeated row in each
+    for atoms, rows in (
+            ([("E", "ab"), ("E", "bc"), ("E", "ca"), ("R", "ad")],
+             {"E": HUB + HUB[:1], "R": FAN + FAN[:2]}),
+            ([("E", "ab"), ("E", "bc"), ("E", "ca"), ("S", "de")],
+             {"E": HUB, "S": FAN + FAN[:1]})):
+        query, tables, _, _ = _case(atoms, rows)
+        truth = brute_force(query, tables)
+        for materialize in (False, True):
+            got = join(query, tables, algorithm="unified", parallel=2,
+                       materialize=materialize)
+            assert got.count == sum(truth.values())
+            if materialize:
+                assert bag(got) == truth
 
 
 @pytest.mark.parametrize("name, tail_levels, tail_rows, count", [
@@ -725,9 +734,9 @@ def route_cases(draw):
 @settings(max_examples=150, **SETTINGS)
 @given(route_cases())
 def test_route_differential(case):
-    """``auto`` and ``unified`` put a query with more than one atom on
-    one frontier stage unless the engine is ``"tuple"``, whatever its
-    data, and every route answers the bag."""
+    """``auto`` and ``unified`` put every query on one frontier plan
+    unless the engine is ``"tuple"``, whatever its data, and every route
+    answers the bag."""
     query, tables, ordered = case
     truth = brute_force(query, tables)
     bound = bind(query, tables)
@@ -737,13 +746,9 @@ def test_route_differential(case):
             options = {"algorithm": algorithm, "engine": engine,
                        "index": "sortedtrie"}
             compiled = plan(bound, **options)
-            root = compiled.root_stage
             if engine != "tuple":
-                # a single atom is a scan whatever the engine
-                expected = (("binary", "") if len(query) == 1
-                            else ("generic", "batch"))
-                assert (root.algorithm, root.engine, root.children) == \
-                    (*expected, ())
+                assert (compiled.algorithm, compiled.engine) == \
+                    ("generic", "batch")
             if refuses(compiled, tables):
                 with pytest.raises(QueryError, match="repeats a row"):
                     join(query, tables, **options)

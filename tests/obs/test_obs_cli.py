@@ -37,28 +37,27 @@ class TestDemoRuns:
             assert event["ph"] == "X"
             assert set(event) >= {"name", "ts", "dur", "pid", "tid", "cat"}
 
-    def test_explain_renders_the_stage_tree(self, capsys):
-        assert main(["--demo", "triangle", "--explain"]) == 0
+    def test_default_render_names_the_driver_that_ran(self, capsys):
+        assert main(["--demo", "triangle"]) == 0
         out = capsys.readouterr().out
-        assert "algorithm=unified" in out
-        assert "stage tree:" in out
-        assert "stage root:" in out
-
-    def test_explain_keeps_an_explicit_algorithm(self, capsys):
-        assert main(["--demo", "triangle", "--explain",
-                     "--algorithm", "generic"]) == 0
-        out = capsys.readouterr().out
-        assert "algorithm=generic_join" in out
+        assert "algorithm=generic_join_batch" in out
         assert "stage tree:" not in out
 
-    def test_explain_json_carries_stages(self, tmp_path):
+    def test_an_explicit_algorithm_reaches_the_render(self, capsys):
+        for algorithm, driver in (("generic", "generic_join_batch"),
+                                  ("unified", "generic_join_batch"),
+                                  ("binary", "binary_join")):
+            assert main(["--demo", "triangle", "--algorithm", algorithm]) == 0
+            assert f"algorithm={driver} " in capsys.readouterr().out
+
+    def test_json_is_schema_4_without_stages(self, tmp_path):
         json_out = tmp_path / "profile.json"
-        assert main(["--demo", "triangle", "--explain", "--quiet",
-                     "--json", str(json_out)]) == 0
+        assert main(["--demo", "triangle", "--algorithm", "unified",
+                     "--quiet", "--json", str(json_out)]) == 0
         payload = json.loads(json_out.read_text())
         validate_profile(payload)
-        assert payload["stages"]
-        assert payload["stages"][0]["label"] == "root"
+        assert payload["schema_version"] == 4
+        assert "stages" not in payload
 
     def test_engine_flag_reaches_the_profile(self, tmp_path):
         json_out = tmp_path / "profile.json"

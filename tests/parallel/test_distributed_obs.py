@@ -137,7 +137,7 @@ class TestCounterConservation:
     def test_sharded_profile_validates(self, relations):
         result = join(TRIANGLE, relations, profile=True, parallel=2)
         payload = result.profile.as_dict()
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["sharding"]["workers"] == 2
         validate_profile(payload)
 
