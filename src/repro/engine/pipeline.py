@@ -221,6 +221,19 @@ def plan(bound: BoundQuery,
     return result
 
 
+def _reads_statistics(join_plan: JoinPlan,
+                      binary_order: "Sequence[str] | None") -> bool:
+    """Does an un-profiled ``join_plan`` depend on relation sizes, and
+    not only on the query, the options and the dtype classes?  Only
+    where a binary pipeline's atom order was chosen greedily, or where
+    the hybrid optimizer compared its estimates — which, with no
+    observer enabled, it computes for nothing else (:func:`_choose`)."""
+    if join_plan.algorithm == "binary" and binary_order is None:
+        return True
+    choice = join_plan.choice
+    return choice is not None and choice.agm_bound is not None
+
+
 def _resolve_workers(parallel: "int | None") -> int:
     # imported lazily: repro.parallel sits beside the engine and its
     # worker module re-enters this pipeline inside worker processes,

@@ -7,7 +7,11 @@ cache).  Each :meth:`~PreparedJoin.execute` call constructs a fresh
 driver over the shared structures — drivers keep per-run state
 (cursors, sinks, metrics) so the structures themselves are safely
 reusable — and returns an ordinary
-:class:`~repro.joins.results.JoinResult`.
+:class:`~repro.joins.results.JoinResult`.  A frontier (batch) plan's
+driver is a :class:`~repro.joins.batch.FrontierProgram`, compiled on
+the first execution and kept in :attr:`PreparedJoin.programs`, plus
+the per-run state; the program reads each trie and its spec's
+attribute order directly, with no adapter in between.
 
 **Timing semantics.**  The paper charges ad-hoc index build to every
 WCOJ run (§5.15).  A prepared join preserves that contract on its
@@ -34,7 +38,7 @@ import threading
 from repro.core.adapter import IndexAdapter
 from repro.engine.ir import BoundQuery, JoinPlan, built_kind
 from repro.errors import ExecutionError
-from repro.joins.batch import GenericJoinBatch
+from repro.joins.batch import FrontierProgram, GenericJoinBatch
 from repro.joins.binary import BinaryHashJoin
 from repro.joins.executor import attach_profile
 from repro.joins.generic_join import GenericJoin
@@ -69,23 +73,30 @@ class PreparedJoin:
         #: guards the three accounting fields above: one prepared join
         #: may be executed from many threads
         self._accounting = threading.Lock()
-        #: row counts read when the structures were built: a binary
-        #: plan scans its leading atom up to here, so an answer is of
-        #: the prepared version even after an append (the stage tables
-        #: are already pinned to it)
-        self._prepared_rows = {alias: len(relation)
-                               for alias, relation in bound.relations.items()}
-        #: the stateless wrappers the generic and Hash-Trie drivers read
-        #: the structures through, shared by every execution
+        #: a binary plan's leading-atom row count when the structures
+        #: were built: the plan scans that atom up to here, so an answer
+        #: is of the prepared version even after an append (the stage
+        #: tables are already pinned to it)
+        self._prepared_rows = None
+        #: the stateless wrappers the tuple-engine generic and Hash-Trie
+        #: drivers read the structures through, shared by every execution
         self._adapters: dict[str, IndexAdapter] = {}
-        if plan.sharding is None and plan.algorithm in ("generic",
-                                                        "hashtrie"):
-            self._adapters = {
-                atom.alias: IndexAdapter(bound.relations[atom.alias],
-                                         structures[atom.alias],
-                                         plan.total_order)
-                for atom in plan.query.atoms
-            }
+        #: compiled frontier programs by trie shape (batch plans), shared
+        #: by every execution; a Session hands each prepared join of one
+        #: cached plan the same dict
+        self.programs: dict[tuple, FrontierProgram] = {}
+        if plan.sharding is None:
+            if plan.algorithm == "binary":
+                leading = plan.atom_order[0]
+                self._prepared_rows = len(bound.relations[leading])
+            elif plan.algorithm == "hashtrie" or (
+                    plan.algorithm == "generic" and plan.engine == "tuple"):
+                self._adapters = {
+                    atom.alias: IndexAdapter(bound.relations[atom.alias],
+                                             structures[atom.alias],
+                                             plan.total_order)
+                    for atom in plan.query.atoms
+                }
         self._runner = None
         if plan.sharding is not None:
             # imported lazily — repro.parallel's worker re-enters the
@@ -103,11 +114,10 @@ class PreparedJoin:
         plan, relations = self.plan, self.bound.relations
         algorithm, query = plan.algorithm, plan.query
         if algorithm == "binary":
-            leading = plan.atom_order[0]
             return BinaryHashJoin(query, relations,
                                   order=list(plan.atom_order), obs=observer,
                                   prebuilt=(self.structures,
-                                            self._prepared_rows[leading]))
+                                            self._prepared_rows))
         if algorithm == "leapfrog":
             return LeapfrogTrieJoin(query, relations, order=plan.total_order,
                                     obs=observer, tries=self.structures)
@@ -117,13 +127,32 @@ class PreparedJoin:
         if algorithm == "hashtrie":
             return HashTrieJoin(query, relations, order=plan.total_order,
                                 obs=observer, adapters=self._adapters)
-        driver_cls = (GenericJoinBatch if plan.engine == "batch"
-                      else GenericJoin)
-        driver = driver_cls(query, self._adapters, order=plan.total_order,
-                            dynamic_seed=plan.dynamic_seed, obs=observer)
+        if plan.engine == "batch":
+            tries = [self.structures[atom.alias] for atom in query.atoms]
+            driver = GenericJoinBatch(self._program(tries), tries,
+                                      dynamic_seed=plan.dynamic_seed,
+                                      obs=observer)
+        else:
+            driver = GenericJoin(query, self._adapters,
+                                 order=plan.total_order,
+                                 dynamic_seed=plan.dynamic_seed, obs=observer)
         # what was built, which is not always what was asked for
         driver.metrics.index = built_kind(plan)
         return driver
+
+    def _program(self, tries: list) -> FrontierProgram:
+        """The frontier program for tries of this shape, compiled on
+        first use.  Two threads may both compile it; one is kept."""
+        shape = tuple((trie.weights is None, trie.decoders)
+                      for trie in tries)
+        program = self.programs.get(shape)
+        if program is None:
+            plan = self.plan
+            program = self.programs.setdefault(shape, FrontierProgram(
+                plan.query, plan.total_order,
+                [plan.spec_for(atom.alias).attribute_order
+                 for atom in plan.query.atoms], tries))
+        return program
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,

@@ -34,36 +34,100 @@ entry it supersedes; :meth:`invalidate` releases a relation's entries
 before that.  The session's cache also holds the one dictionary that
 codes its string, float and past-int64 join columns, so every trie it
 caches compares codes with every other.
+
+A session also keeps the *plans* it made: a repeated query under the
+same options skips parse, bind and plan, and its frontier program
+(:class:`~repro.joins.batch.FrontierProgram`) is compiled once, so a
+warm read does only data-dependent work — the index lookups and the
+probe.  A plan is reused while every relation it was bound to is still
+the one its name resolves to, with the same dtype classes (what a
+frontier plan reads of the data), and — for the few plans that read
+statistics — the same version.  Counters ``plan.hit`` / ``plan.miss``
+count the reuses in :attr:`Session.metrics`.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
+from repro.core.envflag import resolve_flag
 from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
-from repro.engine.pipeline import bind, plan, prepare
+from repro.engine.ir import BoundQuery, JoinPlan, canonical_options
+from repro.engine.pipeline import (
+    _reads_statistics,
+    _resolve_workers,
+    bind,
+    plan,
+    prepare,
+)
 from repro.engine.prepared import PreparedJoin
+from repro.errors import SchemaError
+from repro.joins.executor import source_relation
 from repro.joins.results import JoinResult
 from repro.obs.metrics import Metrics
 from repro.obs.observer import resolve_observer
-from repro.planner.query import JoinQuery
+from repro.planner.query import JoinQuery, parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
+
+#: plans a session keeps; the least recently used goes first.  An entry
+#: holds a bound query and a plan (and its relations alive), not a
+#: structure: the index cache's byte budget does not count it
+_PLAN_ENTRIES = 256
+
+
+class _PlanEntry:
+    """One bind + plan, and what it was made from: per atom, the stored
+    relation its name resolved to (``None``: none did, so the entry is
+    never current) and that relation's dtype classes — and versions,
+    when the plan read statistics (``None`` otherwise).
+    ``programs`` are the compiled frontier programs every prepared join
+    of the plan shares."""
+
+    __slots__ = ("bound", "plan", "sources", "dtypes", "versions",
+                 "programs")
+
+    def __init__(self, bound: BoundQuery, join_plan: JoinPlan,
+                 sources: tuple, dtypes: tuple, versions: "tuple | None"):
+        self.bound = bound
+        self.plan = join_plan
+        self.sources = sources
+        self.dtypes = dtypes
+        self.versions = versions
+        self.programs: dict = {}
+
+    def current(self, source: "Catalog | Mapping[str, Relation]") -> bool:
+        """Would binding and planning again give this entry's plan?"""
+        for atom, relation, dtypes in zip(self.bound.query.atoms,
+                                          self.sources, self.dtypes):
+            if (relation is None
+                    or source_relation(source, atom) is not relation
+                    or relation.dtype_classes() != dtypes):
+                return False
+        return self.versions is None or all(
+            relation.version == version
+            for relation, version in zip(self.sources, self.versions))
 
 
 class Session:
     """A query session over one relation source, with index reuse.
 
-    **Thread safety.**  One session may be shared by many threads:
-    :meth:`prepare` and :meth:`execute` write no session state of their
-    own — the staged pipeline's bind/plan stages are pure functions of
-    their inputs, the prepare stage publishes builds through the cache's
-    compare-and-swap :meth:`~repro.engine.cache.IndexCache.put_if_absent`
-    (concurrent misses on one fingerprint each build, one wins, all
-    share the canonical structure), and each execution constructs a
-    fresh driver over the shared prebuilt structures.  The cache and the
-    metrics registry are internally locked; the lock annotations on
-    their fields are checked by ``python -m repro.analysis`` (RA703,
+    **Thread safety.**  One session may be shared by many threads.
+    The session state :meth:`prepare` and :meth:`execute` write is the
+    plan cache, a dict read and written under its own lock and never
+    held across bind, plan or prepare (two threads missing one key both
+    plan, and the later store wins; their plans are equal).  The bind
+    and plan stages are pure functions of their inputs, the prepare
+    stage publishes builds through the cache's compare-and-swap
+    :meth:`~repro.engine.cache.IndexCache.put_if_absent` (concurrent
+    misses on one fingerprint each build, one wins, all share the
+    canonical structure), and each execution constructs a fresh driver
+    — its per-run state over a shared program — over the shared
+    prebuilt structures.  The cache and the metrics registry are
+    internally locked; the lock annotations on their fields and the
+    plan cache's are checked by ``python -m repro.analysis`` (RA703,
     RA707), the whole contract is exercised by
     ``tests/engine/test_thread_stress.py``, and the "Thread-safety
     contract" section of ``docs/architecture.md`` describes it.
@@ -80,6 +144,10 @@ class Session:
         self.cache = IndexCache(max_bytes=cache_bytes,
                                 max_entries=cache_entries,
                                 metrics=self.metrics)
+        self._plans_lock = threading.Lock()
+        #: cached plans by query and canonical options, least recently
+        #: used first
+        self._plans = OrderedDict()    # repro: shared[lock=_plans_lock]
 
     # ------------------------------------------------------------------
     def prepare(self, query: "JoinQuery | str",
@@ -116,14 +184,95 @@ class Session:
         prepared join to stop its worker pool; the cached segments
         themselves are released when their cache entries are evicted
         or superseded by a newer version's partitioning.
+
+        The bind and plan of a call are reused by a later call with the
+        same query and options while the plan's inputs are unchanged
+        (see the module docstring).  A profiled or debug call binds and
+        plans afresh: its profile shows those stages and the optimizer's
+        estimates, and debug mode validates them.
         """
         observer = resolve_observer(profile, obs)
+        options = dict(algorithm=algorithm, index=index, order=order,
+                       binary_order=binary_order, engine=engine,
+                       dynamic_seed=dynamic_seed, index_kwargs=index_kwargs,
+                       parallel=parallel)
+        key = None
+        if not observer.enabled and not resolve_flag(debug, "REPRO_DEBUG"):
+            key = (query if isinstance(query, str) else query.atoms,
+                   algorithm, index,
+                   None if order is None else tuple(order),
+                   None if binary_order is None else tuple(binary_order),
+                   engine, dynamic_seed, canonical_options(index_kwargs),
+                   _resolve_workers(parallel))
+        while True:
+            entry = self._cached_plan(key)
+            if entry is None:
+                entry = self._plan(query, debug, observer, options)
+                if key is not None:
+                    self._store_plan(key, entry)
+            try:
+                prepared = prepare(entry.bound, entry.plan, cache=self.cache,
+                                   obs=observer)
+            except SchemaError:
+                # a join column turned to objects after the plan read
+                # it as int64: plan again, with the column coded
+                if entry.current(self.source):
+                    raise
+                continue
+            prepared.programs = entry.programs
+            return prepared
+
+    def _plan(self, query: "JoinQuery | str", debug, observer,
+              options: dict) -> _PlanEntry:
+        """Bind and plan ``query``, recording what the plan was made from.
+
+        The relations, dtype classes and versions are read *before*
+        binding and planning: a write that lands in between leaves the
+        entry stale, to be planned again, never current and wrong.
+        """
+        if isinstance(query, str):
+            query = parse_query(query)
+        sources = tuple(source_relation(self.source, atom)
+                        for atom in query.atoms)
+        # (a missing relation: bind raises naming the atom)
+        dtypes = tuple(None if relation is None else relation.dtype_classes()
+                       for relation in sources)
+        versions = tuple(None if relation is None else relation.version
+                         for relation in sources)
         bound = bind(query, self.source, debug=debug, obs=observer)
-        join_plan = plan(bound, algorithm=algorithm, index=index, order=order,
-                         binary_order=binary_order, engine=engine,
-                         dynamic_seed=dynamic_seed, debug=debug, obs=observer,
-                         index_kwargs=index_kwargs, parallel=parallel)
-        return prepare(bound, join_plan, cache=self.cache, obs=observer)
+        join_plan = plan(bound, debug=debug, obs=observer, **options)
+        if not _reads_statistics(join_plan, options["binary_order"]):
+            versions = None
+        return _PlanEntry(bound, join_plan, sources, dtypes, versions)
+
+    def _cached_plan(self, key: "tuple | None") -> "_PlanEntry | None":
+        """The cached plan under ``key`` if it is still current (counted
+        as ``plan.hit``), else ``None`` (``plan.miss``; an unhashable
+        option value makes the call uncacheable and counts nothing)."""
+        if key is None:
+            return None
+        try:
+            with self._plans_lock:
+                entry = self._plans.get(key)
+                if entry is not None:
+                    self._plans.move_to_end(key)
+        except TypeError:
+            return None
+        if entry is not None and entry.current(self.source):
+            self.metrics.inc("plan.hit")
+            return entry
+        self.metrics.inc("plan.miss")
+        return None
+
+    def _store_plan(self, key: tuple, entry: _PlanEntry) -> None:
+        try:
+            with self._plans_lock:
+                self._plans[key] = entry
+                self._plans.move_to_end(key)
+                if len(self._plans) > _PLAN_ENTRIES:
+                    self._plans.popitem(last=False)
+        except TypeError:
+            pass   # an unhashable option value: uncacheable
 
     def execute(self, query: "JoinQuery | str",
                 materialize: bool = False,
@@ -133,10 +282,11 @@ class Session:
                 **kwargs) -> JoinResult:
         """Prepare-and-run in one call, always against current data.
 
-        Re-prepares on every call — cheap when the cache is warm, and
-        the fingerprint keying makes mutations visible immediately
-        (unlike holding on to a :class:`PreparedJoin`, which pins its
-        prepare-time snapshot).  ``profile`` / ``obs`` resolve to one
+        Re-prepares on every call — cheap when the caches are warm: a
+        cached plan skips parse, bind and plan, cached structures skip
+        the build — and the fingerprint keying makes mutations visible
+        immediately (unlike holding on to a :class:`PreparedJoin`, which
+        pins its prepare-time snapshot).  ``profile`` / ``obs`` resolve to one
         observer for both halves, so ``result.profile`` covers bind,
         plan and prepare (cache hits, ``build_index`` spans) as well as
         the probe and its per-level tree.
@@ -174,12 +324,16 @@ class Session:
         return self.cache.invalidate_relation(relation)
 
     def clear_cache(self) -> None:
-        """Drop every cached structure (counters keep their history)."""
+        """Drop every cached structure (counters keep their history).
+        Cached plans stay: they hold no structure."""
         self.cache.clear()
 
     def close(self) -> None:
-        """Release cached structures; the session stays usable but cold."""
+        """Release cached structures and plans; the session stays
+        usable but cold."""
         self.cache.clear()
+        with self._plans_lock:
+            self._plans.clear()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Session":

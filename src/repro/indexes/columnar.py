@@ -161,7 +161,7 @@ class ColumnarTrie:
     __slots__ = ("arity", "values", "indptr", "keys", "starts", "lows",
                  "highs", "spans", "codes", "tuples", "weights", "decoders",
                  "on_deepen", "_rows", "_key", "_tails", "_sorted", "_built",
-                 "_lock", "_pending_ns")
+                 "_lock", "_pending_ns", "__weakref__")
 
     def __init__(self, columns: Sequence[np.ndarray]):
         if not columns:

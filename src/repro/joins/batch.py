@@ -86,8 +86,8 @@ from math import prod
 
 import numpy as np
 
-from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
+from repro.indexes.columnar import ColumnarTrie
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
 from repro.obs.observer import NULL_OBSERVER
 from repro.planner.qptree import connectivity_order
@@ -131,113 +131,145 @@ def _weighed(weight: "np.ndarray | None", counts: np.ndarray) -> np.ndarray:
     return weight.astype(object) * counts
 
 
-class GenericJoinBatch:
-    """Generic Join over columnar tries, a block of bindings at a time.
+class FrontierProgram:
+    """What a frontier run does, fixed by the plan and its tries' shape.
 
-    Construction mirrors :class:`~repro.joins.generic_join.GenericJoin`
-    (same validation, same total order, same ``dynamic_seed`` ablation
-    knob); each adapter wraps a
-    :class:`~repro.indexes.columnar.ColumnarTrie`.  The tries' published
-    levels are only read (a trie appends missing ones under its own
-    lock), so one prepared set serves any number of concurrent runs;
-    everything a run writes lives on the driver.
+    Everything :class:`GenericJoinBatch` derives before it touches a
+    row — the total order, each level's participants and the atoms whose
+    multiplicities it weighs, the tail, the atoms still open where the
+    tail begins, the per-level decoders — is a function of the query,
+    the order, each atom's attribute order, and three facts per trie:
+    its arity, whether it has ``weights`` and its ``decoders``.  A
+    program computes that once and is shared by every run over tries of
+    that shape (a :class:`~repro.engine.prepared.PreparedJoin` keeps one
+    per shape, a :class:`~repro.engine.session.Session` one per shape
+    and cached plan).  It holds no trie: the tries a run reads are
+    handed to the run.
     """
 
-    def __init__(self, query: JoinQuery, adapters: dict[str, IndexAdapter],
-                 order: Sequence[str] | None = None,
-                 dynamic_seed: bool = True, obs=None):
-        missing = [a.alias for a in query.atoms if a.alias not in adapters]
-        if missing:
-            raise QueryError(f"no index adapter for atoms {missing}")
+    __slots__ = ("query", "order", "aliases", "participants", "weighs",
+                 "weighted", "decoders", "tail", "tail_atoms", "labels")
+
+    def __init__(self, query: JoinQuery, order: "Sequence[str] | None",
+                 attribute_orders: Sequence[Sequence[str]],
+                 tries: Sequence[ColumnarTrie]):
         self.query = query
-        self.adapters = adapters
-        self.order: tuple[str, ...] = tuple(order) if order else connectivity_order(query)
+        self.order: tuple[str, ...] = (tuple(order) if order
+                                       else connectivity_order(query))
         if set(self.order) != set(query.attributes):
             raise QueryError(
                 f"total order {self.order} does not cover query attributes "
                 f"{query.attributes}"
             )
-        self.dynamic_seed = dynamic_seed
-        #: atom aliases in a fixed sequence; the frontier's node columns
-        #: are kept in a list indexed by this sequence
-        self._aliases: tuple[str, ...] = tuple(a.alias for a in query.atoms)
-        alias_id = {alias: i for i, alias in enumerate(self._aliases)}
-        self._tries = [adapters[alias].index for alias in self._aliases]
+        #: atom aliases in ``query.atoms`` order; a run's tries and the
+        #: frontier's node columns are indexed by it
+        self.aliases: tuple[str, ...] = tuple(a.alias for a in query.atoms)
+        alias_id = {alias: i for i, alias in enumerate(self.aliases)}
         #: does a trie weigh repeated rows?  Then the frontier carries a
         #: weight column after its node columns
-        self._weighted = any(trie.weights is not None for trie in self._tries)
+        self.weighted = any(trie.weights is not None for trie in tries)
         #: per level of the total order: ``(atom id, trie depth, keep the
         #: node ids)`` of every atom binding the attribute — kept where
         #: the trie has deeper levels, or where this last level weighs a
         #: repeated row
-        self._participants: list[list[tuple[int, int, bool]]] = []
+        participants = []
         #: per level, the positions (into its participant list) of the
         #: atoms whose row multiplicities the level multiplies in
-        self._weighs: list[list[int]] = []
+        weighs = []
         for attribute in self.order:
-            level, weighs = [], []
+            level, weighing = [], []
             for atom in query.atoms_with(attribute):
-                trie = adapters[atom.alias].index
-                depth = adapters[atom.alias].position_of(attribute)
+                atom_id = alias_id[atom.alias]
+                trie = tries[atom_id]
+                depth = tuple(attribute_orders[atom_id]).index(attribute)
                 last = depth + 1 == trie.arity
                 if last and trie.weights is not None:
-                    weighs.append(len(level))
-                level.append((alias_id[atom.alias], depth,
+                    weighing.append(len(level))
+                level.append((atom_id, depth,
                               not last or trie.weights is not None))
-            self._participants.append(level)
-            self._weighs.append(weighs)
+            participants.append(tuple(level))
+            weighs.append(tuple(weighing))
+        self.participants = tuple(participants)
+        self.weighs = tuple(weighs)
         #: per level, the dictionary whose codes it binds (None: plain
         #: values) — empty when no level is coded
-        decoders = [self._tries[level[0][0]].decoders[level[0][1]]
-                    for level in self._participants]
-        self._decoders = (decoders if any(d is not None for d in decoders)
-                          else [])
-        #: static seed per level, as a *position* into the participant
-        #: list (by base relation size); used when dynamic selection is
-        #: ablated
-        self._static_pos: list[int] = [
-            min(range(len(level)),
-                key=lambda p: len(adapters[self._aliases[level[p][0]]].relation))
-            for level in self._participants
-        ]
+        decoders = tuple(tries[level[0][0]].decoders[level[0][1]]
+                         for level in self.participants)
+        self.decoders = (decoders if any(d is not None for d in decoders)
+                         else ())
         #: first level of the tail (see module docstring); ``len(order)``
         #: when the last attribute joins something
-        self._tail = len(self.order)
-        while self._tail and len(self._participants[self._tail - 1]) == 1:
-            self._tail -= 1
+        tail = len(self.order)
+        while tail and len(self.participants[tail - 1]) == 1:
+            tail -= 1
+        self.tail = tail
         #: ``(atom id, levels bound before the tail)`` of every atom that
         #: still has levels left where the tail begins
-        head = set(self.order[:self._tail])
-        self._tail_atoms: list[tuple[int, int]] = []
-        for alias in self._aliases:
-            attributes = adapters[alias].attribute_order
+        head = set(self.order[:tail])
+        tail_atoms = []
+        for atom_id, attributes in enumerate(attribute_orders):
             done = len(head.intersection(attributes))
             if done < len(attributes):
-                self._tail_atoms.append((alias_id[alias], done))
+                tail_atoms.append((atom_id, done))
+        self.tail_atoms = tuple(tail_atoms)
+        #: per level, the participants' aliases (the profile's labels)
+        self.labels = tuple(tuple(self.aliases[atom] for atom, _, _ in level)
+                            for level in self.participants)
+
+
+class GenericJoinBatch:
+    """Generic Join over columnar tries, a block of bindings at a time.
+
+    One run of a :class:`FrontierProgram` over ``tries`` — one
+    :class:`~repro.indexes.columnar.ColumnarTrie` per atom, in the
+    program's alias order, of the shape it was compiled for.  The tries'
+    published levels are only read (a trie appends missing ones under
+    its own lock), so one prepared set serves any number of concurrent
+    runs; everything a run writes lives on the driver.
+    ``dynamic_seed=False`` keeps one static seed per level, the
+    participant over the fewest rows.
+    """
+
+    def __init__(self, program: FrontierProgram,
+                 tries: Sequence[ColumnarTrie],
+                 dynamic_seed: bool = True, obs=None):
+        self.program = program
+        self.query = program.query
+        self.order = program.order
+        self._tries = tries
+        self.dynamic_seed = dynamic_seed
         self.metrics = JoinMetrics(algorithm="generic_join_batch")
         self.obs = obs if obs is not None else NULL_OBSERVER
 
     # ------------------------------------------------------------------
     def run(self, materialize: bool = False) -> JoinResult:
         """Execute the join phase (tries must already be built)."""
+        program = self.program
         self._sink = sink = make_sink(materialize)
         self._materialize = materialize
         watch = Stopwatch()
         obs = self.obs
-        labels = [[self._aliases[atom] for atom, _, _ in level]
-                  for level in self._participants]
-        self._stats = obs.init_levels(self.order, labels)
+        self._stats = obs.init_levels(self.order, program.labels)
         self._blocks = self._live = self._peak = self._tail_rows = 0
         #: per atom, how many of its trie's levels the run has asked for
         #: (-1: not touched yet)
-        self._ready = [-1] * len(self._aliases)
+        self._ready = [-1] * len(self._tries)
         self._build_ns = 0
         #: the level a counting run is finished at from subtree sizes
-        self._counted_from = len(self.order) if materialize else self._tail
+        self._counted_from = len(self.order) if materialize else program.tail
+        #: per level, the static seed as a position into the participant
+        #: list — the atom over the fewest rows; read where one atom
+        #: participates (position 0) or dynamic selection is ablated
+        self._static_pos = [0] * len(self.order)
+        if not self.dynamic_seed:
+            self._static_pos = [
+                min(range(len(level)),
+                    key=lambda p: self._tries[level[p][0]].tuples)
+                for level in program.participants]
         # the root binding: one row, every atom at its trie's root (and
         # a weight of one)
-        columns = len(self._aliases) + 1 if self._weighted \
-            else len(self._aliases)
+        columns = len(self._tries) + 1 if program.weighted \
+            else len(self._tries)
         with obs.tracer.span("probe", algorithm="generic_join_batch",
                              engine="batch"):
             self._join_level(0, [None] * columns, [], 1)
@@ -249,7 +281,7 @@ class GenericJoinBatch:
             obs.metrics.inc("frontier.tail_rows", self._tail_rows)
             levels = [(trie.built_depth, trie.arity)
                       for trie in self._tries]
-            obs.trie_levels.update(zip(self._aliases, levels))
+            obs.trie_levels.update(zip(program.aliases, levels))
             obs.metrics.inc("frontier.levels_built",
                             sum(built for built, _ in levels))
             obs.metrics.inc("frontier.levels_total",
@@ -281,7 +313,7 @@ class GenericJoinBatch:
         levels = trie.built_depth - before
         obs = self.obs
         if levels and obs.enabled:
-            alias = self._aliases[atom]
+            alias = self.program.aliases[atom]
             obs.build_ns[alias] = obs.build_ns.get(alias, 0) + spent
             obs.tracer.add_span("build_index", t0, spent, alias=alias,
                                 index=trie.NAME, tuples=len(trie),
@@ -302,7 +334,7 @@ class GenericJoinBatch:
             return
         stats = self._stats[level]
         t0 = Stopwatch.now_ns()
-        participants = self._participants[level]
+        participants = self.program.participants[level]
         self.metrics.lookups += rows * len(participants)
         tries, starts, counts = [], [], []
         for atom, depth, _ in participants:
@@ -344,22 +376,23 @@ class GenericJoinBatch:
         for their sum."""
         t0 = Stopwatch.now_ns()
         self._tail_rows += rows
+        program = self.program
         whole = 1           # atoms still at their root, as a Python int
         columns = []
-        for atom, done in self._tail_atoms:
+        for atom, done in program.tail_atoms:
             # the levels bound so far: their row starts hold the counts
             if self._ready[atom] < done:
-                self._materialise(self._tail, atom, done)
+                self._materialise(program.tail, atom, done)
             trie = self._tries[atom]
             if done == 0:
                 whole *= trie.tuples
             else:
                 columns.append(trie.tuple_counts(done - 1, nodes[atom]))
         self.metrics.lookups += rows * len(columns)
-        if self._weighted and nodes[-1] is not None:
+        if program.weighted and nodes[-1] is not None:
             columns.append(nodes[-1])
         self._sink.emit_columns((), _sum_of_products(columns, rows) * whole)
-        self._stats[self._tail].time_ns += Stopwatch.now_ns() - t0
+        self._stats[program.tail].time_ns += Stopwatch.now_ns() - t0
 
     def _expand(self, level: int, position: int,
                 chosen: "np.ndarray | None", tries: list, starts: np.ndarray,
@@ -369,7 +402,8 @@ class GenericJoinBatch:
         if chosen is not None:
             starts, counts = starts[chosen], counts[chosen]
         stats = self._stats[level]
-        seed_alias = self._aliases[self._participants[level][position][0]]
+        program = self.program
+        seed_alias = program.aliases[program.participants[level][position][0]]
         stats.seed_counts[seed_alias] += len(counts)
         ends = np.cumsum(counts)
         total = int(ends[-1])
@@ -414,7 +448,7 @@ class GenericJoinBatch:
         ``source[i]`` is the frontier row expanded row ``i`` came from,
         ``children[i]`` the seed's node it stands on.
         """
-        participants = self._participants[level]
+        participants = self.program.participants[level]
         seed_atom, seed_depth, seed_keeps = participants[position]
         values = tries[position].values[seed_depth][children]
         #: node-id columns of the participants whose ids are kept
@@ -441,11 +475,11 @@ class GenericJoinBatch:
         self.metrics.intermediate_tuples += survivors
 
         weight = None
-        if self._weighted:
+        if self.program.weighted:
             weight = nodes[-1]
             if weight is not None:
                 weight = weight[source]
-            for weighing in self._weighs[level]:
+            for weighing in self.program.weighs[level]:
                 atom, depth, _ = participants[weighing]
                 weight = _weighed(weight, tries[weighing].tuple_counts(
                     depth, kept.pop(atom)))
@@ -474,7 +508,8 @@ class GenericJoinBatch:
                 return
             bound = [np.repeat(column, weight) for column in bound]
             rows = len(bound[0])
-        if self._decoders:
+        decoders = self.program.decoders
+        if decoders:
             bound = [column if codes is None else codes.decode(column)
-                     for column, codes in zip(bound, self._decoders)]
+                     for column, codes in zip(bound, decoders)]
         self._sink.emit_columns(bound, rows)

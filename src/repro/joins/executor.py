@@ -48,7 +48,7 @@ from repro.indexes.registry import make_index
 from repro.joins.results import JoinResult, Stopwatch
 from repro.obs.observer import JoinObserver, NULL_OBSERVER, resolve_observer
 from repro.obs.profile import build_profile
-from repro.planner.query import JoinQuery, parse_query
+from repro.planner.query import Atom, JoinQuery, parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
@@ -105,15 +105,13 @@ def resolve_relations(query: JoinQuery,
     resolved: dict[str, Relation] = {}
     for atom in query.atoms:
         if isinstance(source, Catalog):
-            relation = source.get(atom.relation)
-        elif atom.alias in source:
-            relation = source[atom.alias]
-        elif atom.relation in source:
-            relation = source[atom.relation]
+            relation = source.get(atom.relation)   # raises naming the catalog
         else:
-            raise QueryError(
-                f"no relation for atom {atom} (keys: {sorted(source)})"
-            )
+            relation = source_relation(source, atom)
+            if relation is None:
+                raise QueryError(
+                    f"no relation for atom {atom} (keys: {sorted(source)})"
+                )
         if relation.arity != atom.arity:
             raise QueryError(
                 f"atom {atom} has arity {atom.arity} but relation "
@@ -121,6 +119,18 @@ def resolve_relations(query: JoinQuery,
             )
         resolved[atom.alias] = relation.renamed(atom.attributes, name=atom.alias)
     return resolved
+
+
+def source_relation(source: "Catalog | Mapping[str, Relation]",
+                    atom: Atom) -> "Relation | None":
+    """The stored relation ``atom`` resolves to in ``source`` (``None``:
+    none does) — :func:`resolve_relations`' lookup rule, without the
+    view."""
+    if isinstance(source, Catalog):
+        return source.get(atom.relation) if atom.relation in source else None
+    if atom.alias in source:
+        return source[atom.alias]
+    return source.get(atom.relation)
 
 
 def build_adapters(query: JoinQuery, relations: Mapping[str, Relation],

@@ -20,12 +20,14 @@ from __future__ import annotations
 import sys
 import threading
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from repro.engine import Session
 from repro.indexes import ColumnarTrie
 from repro.joins import join
+from repro.planner.query import parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
@@ -342,3 +344,101 @@ class TestConcurrentInvalidation:
         assert edges.fingerprint()[1] == before + THREADS * per_thread
         assert len(edges.rows) == len(make_edges().rows) \
             + THREADS * per_thread
+
+
+class TestPlanCacheUnderWrites:
+    """Readers share one session's cached plans while a writer grows
+    ``E`` and turns the join column of the satellite ``S`` to strings."""
+
+    QUERIES = [
+        ("E1=E(a,b), E2=E(b,c), E3=E(c,a), S(a,s)", {}),
+        ("E(a,b), S(a,s)", {}),
+        ("E(a,b), S(a,s)", {"algorithm": "binary"}),
+    ]
+    WRITES = 16
+    FLIP_AT = 7
+    READS = 24
+
+    @staticmethod
+    def bag(query: str, tables: dict) -> int:
+        """The brute-force bag count, one atom's rows at a time."""
+        bindings = [{}]
+        for atom in parse_query(query).atoms:
+            bindings = [
+                {**binding, **dict(zip(atom.attributes, row))}
+                for binding in bindings for row in tables[atom.relation]
+                if all(binding.get(attribute, value) == value
+                       for attribute, value in zip(atom.attributes, row))]
+        return len(bindings)
+
+    def test_every_answer_is_of_some_version(self):
+        edges = [(i, (i * 5 + 2) % 12) for i in range(12)]
+        edges += [(i, (i + 1) % 12) for i in range(12)]
+        edges = sorted(set(edges))
+        satellite = [(i % 12, i) for i in range(30)]
+        # a write adds an edge out of a satellite key into a fresh node:
+        # the stars grow, the triangle count does not, so a read that
+        # sees two versions of E through two aliases is still one answer
+        writes = [[(step % 12, 100 + step)] for step in range(self.WRITES)]
+        flip = [("x", 99)]
+        e_versions = [edges + sum(writes[:i], [])
+                      for i in range(self.WRITES + 1)]
+        s_versions = [satellite, satellite + flip]
+        allowed = [{self.bag(query, {"E": e, "S": s})
+                    for e, s in product(e_versions, s_versions)}
+                   for query, _ in self.QUERIES]
+        E = Relation("E", ("src", "dst"), edges)
+        S = Relation("S", ("k", "v"), satellite)
+        session = Session({"E": E, "S": S})
+        for query, options in self.QUERIES:
+            session.execute(query, **options)
+        stop = threading.Event()
+
+        def write():
+            for step, rows in enumerate(writes):
+                if stop.is_set():
+                    return
+                E.extend(rows)
+                if step == self.FLIP_AT:
+                    S.extend(flip)
+                stop.wait(0.002)
+
+        answers: list = []
+
+        def worker(tid):
+            for step in range(self.READS):
+                case = (tid + step) % len(self.QUERIES)
+                query, options = self.QUERIES[case]
+                answers.append(
+                    (case, session.execute(query, **options).count))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            run_threads(worker)
+        finally:
+            stop.set()
+            writer.join(timeout=JOIN_TIMEOUT)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        wrong = [(case, count) for case, count in answers
+                 if count not in allowed[case]]
+        assert wrong == []
+        assert len(answers) == THREADS * self.READS
+        # quiet again: each cached plan answers the final version
+        final = {"E": E.rows, "S": S.rows}
+        for query, options in self.QUERIES:
+            assert session.execute(query, **options).count \
+                == self.bag(query, final)
+        assert S.dtype_classes()[0] == "object"
+        assert session.metrics.get("plan.hit") > 0
+        # a read whose plan went stale between its check and a build (the
+        # flip) misses, finds the column uncoded, and plans again: that
+        # miss neither stores nor races
+        stats = session.cache_stats()
+        assert stats.stores - stats.evictions == stats.entries, stats
+        store = session.metrics.get("cache.store")
+        assert store == stats.stores
+        assert store + session.metrics.get("cache.race") <= stats.misses
