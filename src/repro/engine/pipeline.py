@@ -394,8 +394,13 @@ def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
             if columns is None:
                 if obs_enabled:
                     build_t0 = Stopwatch.now_ns()
-                columns = build_sharded_columns(relation, position,
-                                                sharding.workers)
+                try:
+                    columns = build_sharded_columns(relation, position,
+                                                    sharding.workers)
+                except BaseException:
+                    for built in local.values():  # the cold path owns these
+                        built.close()
+                    raise
                 if obs_enabled:
                     duration = Stopwatch.now_ns() - build_t0
                     observer.tracer.add_span(

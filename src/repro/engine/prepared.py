@@ -171,9 +171,9 @@ class PreparedJoin:
         plan = self.plan
         if plan.sharding is not None and self._runner is None:
             raise ExecutionError(
-                "this sharded prepared join is closed: its worker pool is "
-                "stopped and its shared-memory columns are released; "
-                "prepare the query again to execute it")
+                "this sharded prepared join is closed: its shared-memory "
+                "columns are released; prepare the query again to "
+                "execute it")
         observer = resolve_observer(profile, obs)
         # §5.15 build-included timing: the prepare-stage build cost lands
         # on the first execution only
@@ -216,7 +216,8 @@ class PreparedJoin:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release execution resources (idempotent; no-op when there are
-        none).  A sharded prepared join shuts its worker pool down,
+        none).  A sharded prepared join owns no worker process — its
+        executions borrow the process-wide pools — so closing it
         unlinks the shared-memory shard segments on the cold path —
         where no session cache co-owns them — and drops its references
         to the shard columns either way, so a cache that does co-own

@@ -180,10 +180,11 @@ class Session:
         holds per relation is the shared-memory shard partitioning
         (:class:`~repro.parallel.shm.ShardedColumns`) instead of a
         built index — the per-shard index builds happen inside worker
-        processes.  Call :meth:`PreparedJoin.close` on a sharded
-        prepared join to stop its worker pool; the cached segments
-        themselves are released when their cache entries are evicted
-        or superseded by a newer version's partitioning.
+        processes, which every execution borrows from the process-wide
+        idle pools (:mod:`repro.parallel.pool`).  Closing a sharded
+        prepared join drops its hold on the shard columns; the cached
+        segments themselves are released when their cache entries are
+        evicted or superseded by a newer version's partitioning.
 
         The bind and plan of a call are reused by a later call with the
         same query and options while the plan's inputs are unchanged
@@ -297,9 +298,8 @@ class Session:
             return prepared.execute(materialize=materialize, obs=observer,
                                     trace_out=trace_out)
         finally:
-            # one-shot semantics: a sharded prepared join must not leak
-            # its worker pool (no-op for ordinary plans); hold on to a
-            # PreparedJoin from prepare() to keep a pool warm instead
+            # drops a sharded prepared join's hold on its shard columns
+            # (no-op for ordinary plans); the session cache keeps them
             prepared.close()
 
     # ------------------------------------------------------------------

@@ -247,10 +247,11 @@ def join(query: "JoinQuery | str",
     relations are partitioned into ``/dev/shm`` during prepare, and
     each worker runs the same staged pipeline over its shard before
     the results are merged deterministically.  Counts and rows are
-    identical to the single-process run; the worker pool and shared
-    memory are torn down before this function returns (one-shot
-    semantics — use :meth:`repro.engine.Session.prepare` with
-    ``parallel=K`` to keep a pool warm across executions).
+    identical to the single-process run.  The workers come from a
+    process-wide idle pool (forked on first use, kept until interpreter
+    exit); the shared memory is released before this function returns
+    (use :meth:`repro.engine.Session.prepare` with ``parallel=K`` to
+    keep the partitioning, and the workers' per-shard indexes, warm).
 
     ``profile`` (default: the ``REPRO_PROFILE`` environment variable)
     runs the join under a live :class:`~repro.obs.observer.JoinObserver`
@@ -284,8 +285,8 @@ def join(query: "JoinQuery | str",
         return prepared.execute(materialize=materialize, obs=observer,
                                 trace_out=trace_out)
     finally:
-        # releases the worker pool and shared memory of a sharded run;
-        # a no-op for ordinary single-process plans
+        # releases the shared memory of a sharded run; a no-op for
+        # ordinary single-process plans
         prepared.close()
 
 

@@ -17,7 +17,7 @@ shard in a worker process, and concatenate.  Layers, parent → worker:
 * :mod:`repro.parallel.shm` — shared-memory column transport (only
   segment *names* and dtype/length headers cross the boundary);
 * :mod:`repro.parallel.runner` / :mod:`repro.parallel.pool` — the
-  parent-side fan-out over a long-lived worker pool;
+  parent-side fan-out over process-wide, borrowed worker pools;
 * :mod:`repro.parallel.worker` — the in-process shard executor
   (attach → rebuild relations → bind/plan/prepare/execute);
 * :mod:`repro.parallel.merge` — deterministic concatenation, counter

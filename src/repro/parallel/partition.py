@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hashing import hash_key
-from repro.parallel.shm import ShardedColumns, export_array
+from repro.parallel.pool import execution_error
+from repro.parallel.shm import ColumnHandle, ShardedColumns, export_array
 from repro.storage.relation import Relation
 
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -104,14 +105,23 @@ def build_sharded_columns(relation: Relation, partition_position: "int | None",
     """
     arrays = relation.columns()
     segments = []
-    if partition_position is None:
-        handles = []
-        for array in arrays:
+
+    def export(array: np.ndarray) -> ColumnHandle:
+        try:
             handle, segment = export_array(array)
-            handles.append(handle)
-            if segment is not None:
-                segments.append(segment)
-        shard_handles = tuple(tuple(handles) for _ in range(workers))
+        except OSError as exc:  # /dev/shm full: release what we made
+            for made in segments:
+                made.close()
+            raise execution_error(
+                f"cannot place relation {relation.name!r} in shared "
+                f"memory: {exc}") from exc
+        if segment is not None:
+            segments.append(segment)
+        return handle
+
+    if partition_position is None:
+        handles = tuple(export(array) for array in arrays)
+        shard_handles = (handles,) * workers
         lengths = (len(arrays[0]),) * workers
     else:
         row_order, bounds = partition_order(arrays[partition_position],
@@ -121,13 +131,8 @@ def build_sharded_columns(relation: Relation, partition_position: "int | None",
         for shard in range(workers):
             rows = row_order[bounds[shard]:bounds[shard + 1]]
             lengths_list.append(int(len(rows)))
-            handles = []
-            for array in arrays:
-                handle, segment = export_array(array.take(rows))
-                handles.append(handle)
-                if segment is not None:
-                    segments.append(segment)
-            per_shard.append(tuple(handles))
+            per_shard.append(tuple(export(array.take(rows))
+                                   for array in arrays))
         shard_handles = tuple(per_shard)
         lengths = tuple(lengths_list)
     return ShardedColumns(

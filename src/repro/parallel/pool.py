@@ -1,4 +1,4 @@
-"""A small long-lived pool of shard worker processes.
+"""The process-wide pools of shard worker processes.
 
 One :class:`WorkerPool` owns K processes, each running
 :func:`repro.parallel.worker.worker_main` over a private duplex pipe.
@@ -6,6 +6,10 @@ Tasks are dispatched round-robin (shard ``i`` → worker ``i % K``; with
 the usual one-task-per-worker fan-out that is an exact assignment) and
 results collected in task order, so the merge layer sees a
 deterministic sequence regardless of worker finishing order.
+
+Pools belong to the process: each sharded fan-out borrows one from
+:data:`IDLE_POOLS`, which forks only when no pool of that size is idle
+and closes its idle pools at interpreter exit.
 
 The start method comes from ``REPRO_MP_START`` when set, else ``fork``
 where available (cheap on Linux — workers inherit the imported engine)
@@ -23,7 +27,10 @@ calibration :mod:`repro.obs.distributed` runs per task round trip.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
+import threading
+from contextlib import contextmanager
 
 from repro.core.envflag import env_int, env_str
 from repro.errors import ConfigurationError, ExecutionError
@@ -31,7 +38,7 @@ from repro.obs.flightrec import FLIGHT_RECORDER
 from repro.parallel.worker import worker_main
 
 
-def _execution_error(message: str, **fields) -> ExecutionError:
+def execution_error(message: str, **fields) -> ExecutionError:
     """An :class:`ExecutionError` carrying the flight-recorder tail.
 
     The failure itself is recorded first, so the dump's last line names
@@ -105,7 +112,7 @@ class WorkerPool:
         comfortably holds the requests while workers stream answers.
         """
         if self._closed:
-            raise _execution_error("worker pool is closed")
+            raise execution_error("worker pool is closed")
         if timeout is None:
             timeout = float(env_int("REPRO_SHARD_TIMEOUT",
                                     int(DEFAULT_TASK_TIMEOUT)))
@@ -125,7 +132,7 @@ class WorkerPool:
                 except (BrokenPipeError, OSError):
                     exitcode = self._processes[worker_id].exitcode
                     self.close()
-                    raise _execution_error(
+                    raise execution_error(
                         f"shard worker {worker_id} died (exitcode "
                         f"{exitcode}) before accepting a task",
                         worker=worker_id, exitcode=exitcode) from None
@@ -137,7 +144,7 @@ class WorkerPool:
         if failures:
             first = failures[0]
             detail = first.get("traceback") or first.get("error", "unknown")
-            raise _execution_error(
+            raise execution_error(
                 f"shard {first.get('shard')} failed in worker process:\n"
                 f"{detail}", shard=first.get("shard"))
         return results  # type: ignore[return-value]
@@ -146,7 +153,7 @@ class WorkerPool:
         connection = self._connections[worker_id]
         if not connection.poll(timeout):
             self.close()
-            raise _execution_error(
+            raise execution_error(
                 f"shard worker {worker_id} produced no result within "
                 f"{timeout:.0f}s (REPRO_SHARD_TIMEOUT)",
                 worker=worker_id, timeout_s=timeout)
@@ -155,7 +162,7 @@ class WorkerPool:
         except (EOFError, OSError):
             exitcode = self._processes[worker_id].exitcode
             self.close()
-            raise _execution_error(
+            raise execution_error(
                 f"shard worker {worker_id} died (exitcode {exitcode}) "
                 "before answering",
                 worker=worker_id, exitcode=exitcode) from None
@@ -207,3 +214,46 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"{self.workers} workers"
         return f"WorkerPool({state}, method={self.method!r})"
+
+
+class _IdlePools:
+    """The process-wide free list of idle pools."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: (workers, start method) → idle pools, most recent last
+        self._idle: "dict[tuple, list[WorkerPool]]" = {}  # repro: shared[lock=_lock]
+
+    @contextmanager
+    def borrow(self, workers: int):
+        """A live pool of ``workers`` for one fan-out — an idle one, else
+        a newly forked one — given back afterwards unless the fan-out
+        failed: a failed fan-out's pipes may be out of step."""
+        key = (workers, start_method())
+        with self._lock:
+            idle = self._idle.get(key)
+            pool = idle.pop() if idle else None
+        if pool is None or not pool.alive():
+            if pool is not None:
+                pool.close()  # a worker died while the pool sat idle
+            pool = WorkerPool(*key)
+        try:
+            yield pool
+        except BaseException:
+            pool.close()
+            raise
+        with self._lock:
+            self._idle.setdefault(key, []).append(pool)
+
+    def close_idle(self) -> None:
+        """Close every idle pool."""
+        with self._lock:
+            pools = [pool for idle in self._idle.values() for pool in idle]
+            self._idle.clear()
+        for pool in pools:
+            pool.close()
+
+
+#: every sharded fan-out of this process borrows its pool from here
+IDLE_POOLS = _IdlePools()
+atexit.register(IDLE_POOLS.close_idle)

@@ -6,9 +6,10 @@ holds instead of driver adapters when its plan carries a
 partitioned every relation's columns into shared memory
 (:class:`~repro.parallel.shm.ShardedColumns`), and each execution
 builds K picklable shard tasks — column handles, query text, and the
-frozen plan decisions, nothing live — dispatches them over a lazily
-started :class:`~repro.parallel.pool.WorkerPool`, and merges the
-shard results deterministically (:mod:`repro.parallel.merge`).
+frozen plan decisions, nothing live — dispatches them over a
+process-wide :class:`~repro.parallel.pool.WorkerPool` borrowed for that
+one fan-out, and merges the shard results deterministically
+(:mod:`repro.parallel.merge`).
 
 Shards whose partitioned input is empty are skipped without crossing
 the process boundary: a shard's results all bind the partition
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import uuid
 
+from repro.core.envflag import env_flag, env_str
 from repro.joins.results import JoinResult, Stopwatch
 from repro.obs.distributed import TraceContext, attach_sharded_profile
 from repro.obs.flightrec import FLIGHT_RECORDER
 from repro.obs.observer import NULL_OBSERVER
 from repro.parallel.merge import add_shard_spans, merge_shard_results
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import IDLE_POOLS
 from repro.parallel.shm import ShardedColumns
 
 
@@ -80,9 +82,9 @@ class ShardedRunner:
         self.shard_columns = shard_columns
         #: whether close() should release the shared-memory segments
         #: (the cold one-shot path); session-cached columns are released
-        #: by cache-entry garbage collection instead
+        #: by cache-entry garbage collection instead.  Workers run an
+        #: owned runner's tasks once, outside their state cache.
         self.owned = owned
-        self._pool: "WorkerPool | None" = None
         self._task_template = self._build_template()
 
     # ------------------------------------------------------------------
@@ -125,24 +127,22 @@ class ShardedRunner:
             }
             signature_parts.append(
                 (alias, tuple(h.signature() for h in handles)))
+        # read here: a pooled worker's environment is that of its fork
+        trace_out = env_str("REPRO_TRACE_OUT") or None
         task = dict(self._task_template)
         task.update({
             "shard": shard,
             "signature": tuple(signature_parts),
             "relations": relations,
             "materialize": materialize,
-            "with_counters": with_counters,
+            "with_counters": (with_counters or bool(trace_out)
+                              or env_flag("REPRO_PROFILE")),
+            "trace_out": trace_out,
+            "one_shot": self.owned,
         })
         return task
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None or not self._pool.alive():
-            if self._pool is not None:
-                self._pool.close()
-            self._pool = WorkerPool(self.plan.sharding.workers)
-        return self._pool
-
     def execute(self, materialize: bool = False, obs=None,
                 build_charge: float = 0.0,
                 trace_out: "str | None" = None) -> JoinResult:
@@ -178,9 +178,9 @@ class ShardedRunner:
             FLIGHT_RECORDER.record("runner.fanout", trace_id=trace_id,
                                    workers=workers, tasks=len(tasks))
             if tasks:
-                pool = self._ensure_pool()
-                for result in pool.run(tasks):
-                    shard_results[result["shard"]] = result
+                with IDLE_POOLS.borrow(workers) as pool:
+                    for result in pool.run(tasks):
+                        shard_results[result["shard"]] = result
         probe_seconds = watch.lap()
 
         executed = [r for r in shard_results if r.get("algorithm")]
@@ -212,15 +212,11 @@ class ShardedRunner:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the pool; release owned shared memory (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release owned shared memory (idempotent)."""
         if self.owned:
             for columns in self.shard_columns.values():
                 columns.close()
 
     def __repr__(self) -> str:
-        pooled = "live" if self._pool is not None else "cold"
         return (f"ShardedRunner(workers={self.plan.sharding.workers}, "
-                f"aliases={sorted(self.shard_columns)}, pool={pooled})")
+                f"aliases={sorted(self.shard_columns)}, owned={self.owned})")

@@ -35,6 +35,7 @@ import secrets
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from multiprocessing.util import register_after_fork
 
 import numpy as np
 
@@ -96,6 +97,8 @@ class Segment:
         self.nbytes = shm.size
         self._finalizer = weakref.finalize(self, _release_segment, shm,
                                            os.getpid())
+        # a worker forked while this segment lives unmaps its copy
+        register_after_fork(self, Segment.close)
 
     def close(self) -> None:
         self._finalizer()

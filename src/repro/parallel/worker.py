@@ -17,7 +17,8 @@ both ``fork`` and ``spawn`` start methods and pickle cleanly.
 Workers keep a small LRU of prepared state keyed on the task's
 segment-name signature: re-executing an unchanged sharded plan (the
 session warm path) skips the attach/build work the same way the
-parent's index cache does.
+parent's index cache does.  A one-shot task (a cold ``join()``)
+bypasses it and unmaps its segments before answering.
 """
 
 from __future__ import annotations
@@ -149,10 +150,10 @@ def _prepare_task(task: dict, obs=None) -> "tuple[object, list]":
 
 
 def _shard_trace_path(out: str, shard: int) -> str:
-    """A per-shard variant of an inherited ``REPRO_TRACE_OUT`` path.
+    """A per-shard variant of the caller's ``REPRO_TRACE_OUT`` path.
 
-    Every worker inherits the same environment; writing the parent's
-    path verbatim would have K processes clobbering one file, so
+    Every task carries the same path; writing it verbatim would have K
+    processes clobbering one file, so
     ``trace.json`` becomes ``trace.shard0.json`` etc.  (The parent
     separately writes the *merged* multi-pid document to the original
     path.)
@@ -171,26 +172,24 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
     ``state_cache`` (signature → prepared state) lets a long-lived
     worker reuse the attach/build work across repeat executions of the
     same sharded plan; evicted entries close their shared-memory
-    attachments.  Pass ``None`` for one-shot execution.
+    attachments.  Pass ``None`` for one-shot execution: the task's
+    attachments are then closed before the answer is returned.
 
-    Observability follows the repo's envflag convention rather than
-    being pinned off: the task's ``with_counters`` request (the parent
-    ran profiled) *or* an inherited ``REPRO_PROFILE``/``REPRO_TRACE_OUT``
-    turns the worker-side observer on.  A profiled shard answers with
-    its raw spans (worker-clock ns, for parent-side rebasing), its full
-    per-shard profile payload, its pid, and the clock-calibration
-    stamps; an inherited trace path is honored per shard
-    (``trace.json`` → ``trace.shard0.json``), never clobbered.
+    The task's ``with_counters`` turns the worker-side observer on; the
+    parent sets it when it ran profiled or the caller's environment
+    holds ``REPRO_PROFILE`` / ``REPRO_TRACE_OUT`` (the latter rides in
+    ``trace_out``).  A profiled shard answers with its raw spans
+    (worker-clock ns, for parent-side rebasing), its full per-shard
+    profile payload, its pid, and the clock-calibration stamps; a trace
+    path is honored per shard (``trace.json`` → ``trace.shard0.json``),
+    never clobbered.
     """
-    from repro.core.envflag import resolve_flag, resolve_str
     from repro.joins.results import Stopwatch
     from repro.obs.observer import JoinObserver, NULL_OBSERVER
 
     received_ns = Stopwatch.now_ns()
     trace = task.get("trace") or {}
-    with_obs = (task.get("with_counters", False)
-                or resolve_flag(None, "REPRO_PROFILE")
-                or bool(resolve_str(None, "REPRO_TRACE_OUT")))
+    with_obs = task.get("with_counters", False)
     observer = JoinObserver() if with_obs else NULL_OBSERVER
 
     signature = task["signature"]
@@ -205,11 +204,10 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
                 _, (_, old_attachments) = state_cache.popitem(last=False)
                 for shm in old_attachments:
                     shm.close()
-    prepared, _attachments = entry
+    prepared, attachments = entry
 
-    inherited_out = resolve_str(None, "REPRO_TRACE_OUT")
-    trace_out = (_shard_trace_path(inherited_out, task["shard"])
-                 if inherited_out and with_obs else None)
+    trace_out = (_shard_trace_path(task["trace_out"], task["shard"])
+                 if task.get("trace_out") and with_obs else None)
     result = prepared.execute(materialize=task["materialize"], obs=observer,
                               trace_out=trace_out)
     metrics = result.metrics
@@ -237,6 +235,10 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
             "received_ns": received_ns,
             "responded_ns": Stopwatch.now_ns(),
         }
+    if state_cache is None:
+        del entry, prepared, result  # the arrays borrow the mappings
+        for shm in attachments:
+            shm.close()
     return response
 
 
@@ -259,7 +261,8 @@ def worker_main(conn) -> None:
                 break
             _, task = message
             try:
-                response = run_shard_task(task, state_cache)
+                response = run_shard_task(
+                    task, None if task.get("one_shot") else state_cache)
             except BaseException as exc:  # report, don't die
                 response = {
                     "ok": False,
