@@ -261,21 +261,21 @@ class IndexCache:
         """Record that a cached structure materialized deeper levels.
 
         A columnar trie is stored shallow and cheap; when a join
-        descends further, its deepen callback reports the
-        new depth and the re-estimated byte footprint here, upgrading
-        the cached entry **in place** — the deeper build replaces the
-        shallow charge, no re-keying, no duplicate entry.  No-ops (returning False) when
-        the entry has been evicted/invalidated meanwhile or the recorded
-        depth is already at least as deep; a growing footprint can push
-        colder entries out of the byte budget.
-        """
+        descends further (or builds a probe aid), its deepen callback reports
+        the new depth and the re-estimated byte footprint here, upgrading
+        the cached entry **in place** — no re-keying, no duplicate entry.
+        No-ops (returning False) when the entry has been evicted/invalidated
+        meanwhile or the report is stale: shallower, or as deep and no
+        larger (at one depth only aids add bytes); a growing footprint can
+        push colder entries out of the byte budget."""
         if not self.enabled:
             return False
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return False
-            if entry.built_depth is not None and entry.built_depth >= built_depth:
+            if entry.built_depth is not None and (
+                    entry.built_depth, entry.bytes) >= (built_depth, bytes_):
                 return False
             self._bytes += bytes_ - entry.bytes
             entry.bytes = bytes_

@@ -67,6 +67,16 @@ otherwise.  Both are decided from the data.  A probe compares packed
 keys only for values inside ``[lo, hi]`` — an offset outside
 ``[0, span)`` would alias another parent's key.
 
+**Probe aids.**  A probe that misses still pays a binary search.  As
+in Free Join's COLT and Worst-Case Optimal Radix Triejoin (PAPERS.md),
+a level gets one lookup aid, built under the lock once it has answered
+as many probe rows as it has nodes (a read that probes less never pays
+for one): a **slot map** ``slots[key] -> node id`` (-1: absent) where
+its key space is at most 4x its nodes, a probe then being one gather;
+else, below the root, a 64-bit **signature** per parent (one bit per
+child, by a hash of its value): a probe searches only the rows whose
+bit is set.  The range check stays either way.
+
 **Append-only levels.**  Levels are built under the trie's lock and
 published by advancing ``built_depth`` after the level's arrays are in
 place; a published level is never rewritten.  A reader that has called
@@ -94,6 +104,17 @@ from repro.errors import SchemaError
 PACK_LIMIT = 2 ** 62
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+#: smaller probes skip the signature test: below ~500 rows its dozen numpy
+#: calls cost more than the searches they spare (30k keys, x86-64)
+_SIGNED_ROWS = 512
+
+
+def _signature_bits(values: np.ndarray) -> np.ndarray:
+    """Each value's signature bit: a Fibonacci hash's top 6 bits."""
+    return values.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) \
+        >> np.uint64(58)
 
 
 def _weights(keep: np.ndarray) -> "np.ndarray | None":
@@ -161,7 +182,7 @@ class ColumnarTrie:
     __slots__ = ("arity", "values", "indptr", "keys", "starts", "lows",
                  "highs", "spans", "codes", "tuples", "weights", "decoders",
                  "on_deepen", "_rows", "_key", "_tails", "_sorted", "_built",
-                 "_lock", "_pending_ns", "__weakref__")
+                 "_lock", "_pending_ns", "_probed", "_aids", "__weakref__")
 
     def __init__(self, columns: Sequence[np.ndarray]):
         if not columns:
@@ -195,7 +216,11 @@ class ColumnarTrie:
         self._tails: tuple = ()
         self._lock = threading.Lock()
         self._pending_ns = 0      # repro: shared[lock=_lock]
-        #: called (outside the lock) after levels were added; the session
+        #: per level, rows probed and the aid, published once: None until
+        #: decided, then ``()``, ``(slots, None)`` or ``(None, signatures)``
+        self._probed = [0] * self.arity   # repro: shared[lock=_lock]
+        self._aids = [None] * self.arity  # repro: shared[lock=_lock]
+        #: called (outside the lock) after levels or aids landed; the session
         #: cache hooks this to re-charge its entry
         self.on_deepen = None
         if len(columns[0]) == 0:
@@ -393,6 +418,7 @@ class ColumnarTrie:
         if keys.size == 0:
             return (np.zeros(values.size, dtype=bool),
                     np.zeros(values.size, dtype=np.int64))
+        aid = self._aids[depth]
         codes = self.codes[depth]
         if codes is None:
             found = values >= self.lows[depth]
@@ -402,22 +428,64 @@ class ColumnarTrie:
             wanted = codes.searchsorted(values)
             np.minimum(wanted, codes.size - 1, out=wanted)
             found = codes[wanted] == values
+        slots, signatures = aid or (None, None)
+        if signatures is not None and values.size >= _SIGNED_ROWS:
+            # search only the rows whose bit is set in their parent's
+            bits = signatures[parents] >> _signature_bits(values)
+            found &= (bits & np.uint64(1)).astype(bool)
+            rows = np.flatnonzero(found)
+            wanted = wanted[rows] + parents[rows] * self.spans[depth]
+            hits = keys.searchsorted(wanted)
+            np.minimum(hits, keys.size - 1, out=hits)
+            found[rows] = keys[hits] == wanted
+            node_ids = np.zeros(values.size, dtype=np.int64)
+            node_ids[rows] = hits
+            return found, node_ids
         if parents is not None:
             wanted += parents * self.spans[depth]
+        if slots is not None:
+            # the range check keeps an out-of-range key off the map
+            node_ids = slots.take(wanted, mode="clip")
+            found &= node_ids >= 0
+            return found, node_ids
         node_ids = keys.searchsorted(wanted)
         np.minimum(node_ids, keys.size - 1, out=node_ids)
         found &= keys[node_ids] == wanted
+        if aid is None:
+            self._build_aid(depth, values.size)
         return found, node_ids
+
+    def _build_aid(self, depth: int, rows: int) -> None:
+        """Count ``rows`` answered at ``depth`` without an aid; the probe
+        that brings them to the level's node count decides it."""
+        with self._lock:
+            keys, indptr = self.keys[depth], self.indptr[depth]
+            self._probed[depth] += rows
+            if self._aids[depth] is not None or self._probed[depth] < len(keys):
+                return
+            space, aid = (len(indptr) - 1) * self.spans[depth], ()
+            if space <= 4 * keys.size:
+                aid = np.full(space, -1, dtype=np.int64), None
+                aid[0][keys] = np.arange(keys.size, dtype=np.int64)
+            elif depth:
+                bits = np.uint64(1) << _signature_bits(self.values[depth])
+                # every parent has a child: no range of the reduce is empty
+                aid = None, np.bitwise_or.reduceat(bits, indptr[:-1])
+            self._aids[depth] = aid
+            callback = self.on_deepen
+        if aid and callback is not None:
+            callback(self)
 
     def memory_usage(self) -> int:
         """Resident bytes: what is left of the sort buffer, the weights,
-        and every materialised level's arrays (one shared by two levels
-        once)."""
+        every materialised level's arrays (one shared by two levels
+        once) and the probe aids."""
         built, key, columns = self._built, self._key, self._sorted
         buffer = (key,) if columns is None else tuple(columns)
         arrays = chain(buffer, (self.weights,), self.values[:built],
                        self.indptr[:built], self.keys[:built],
-                       self.codes[:built], self.starts[:built])
+                       self.codes[:built], self.starts[:built],
+                       *filter(None, self._aids))
         return sum({id(array): array.nbytes
                     for array in arrays if array is not None}.values())
 

@@ -22,9 +22,9 @@ rows:
    relation size);
 3. **expand** — the seed's children of every row, laid out with
    ``np.repeat``;
-4. **intersect** — one packed-key ``searchsorted`` per other
-   participant (Alg. 1 line 15), over the survivors of the previous one
-   only.
+4. **intersect** — one packed-key probe per other participant (Alg. 1
+   line 15) over the previous one's survivors: a ``searchsorted``, or a
+   slot-map gather or signature test once the level has its probe aid.
 
 The expanded frontier is cut into blocks of :data:`BLOCK_ROWS` *expanded*
 rows and the blocks are processed depth-first, so live intermediates are
@@ -93,13 +93,13 @@ from repro.obs.observer import NULL_OBSERVER
 from repro.planner.qptree import connectivity_order
 from repro.planner.query import JoinQuery
 
-#: expanded frontier rows per block.  Warm ms on the two pinned e2e
-#: graphs (30k-edge triangle / power-law 4-clique; median of 41
-#: interleaved runs): 2 048 rows 18.5 / 36.9, 4 096 16.2 / 30.4, 8 192
-#: 15.2 / 27.7, 16 384 15.1 / 26.5, 32 768 16.4 / 27.0, 65 536 19.3 /
-#: 29.6.  Below ~8k rows the ~25 numpy calls per block dominate; above
-#: ~16k a block's columns leave the cache the next level's gathers want
-#: them in.  8 192 is within 5 % of the best on both at half its memory.
+#: expanded frontier rows per block.  Warm ms with probe aids, 30k-edge
+#: triangle / power-law 4-clique, median of 61 interleaved rounds on two
+#: x86-64 cores: 4 096 rows 16.1 / 46.4, 8 192 14.3 / 41.1, 16 384 13.2
+#: / 35.2, 32 768 15.0 / 35.5.  Below ~8k rows the ~25 numpy calls per
+#: block dominate.  No size beats 8 192 past its quartiles on the
+#: triangle (12.0-14.9 ms; on the 4-clique 16k and 32k do), so it stays,
+#: at half the memory of the next size up.
 BLOCK_ROWS = 8192
 
 
@@ -286,6 +286,8 @@ class GenericJoinBatch:
                             sum(built for built, _ in levels))
             obs.metrics.inc("frontier.levels_total",
                             sum(arity for _, arity in levels))
+            obs.metrics.inc("frontier.probe_aids", sum(
+                sum(map(bool, trie._aids)) for trie in self._tries))
         self.metrics.probe_seconds += watch.lap() - self._build_ns * 1e-9
         self.metrics.result_count = sink.count
         return JoinResult(attributes=self.order, sink=sink, metrics=self.metrics)

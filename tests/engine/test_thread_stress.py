@@ -240,6 +240,63 @@ class TestAppendOnlyLevels:
         # 5 rounds x (2 + 3 + 2) levels, each built exactly once
         assert len(built) == 35 and set(built.values()) == {1}
 
+    def test_warm_triangles_agree_while_probe_aids_land(self):
+        """4 threads warm-execute one prepared triangle whose levels are
+        built and whose aids are not: the first probes decide them
+        mid-run, each once, and every count is the single-thread one."""
+        edges = sorted({(i % 400, (i * 37 + i // 400) % 400)
+                        for i in range(4000)})
+        tables = {"E": Relation("E", ("src", "dst"), edges)}
+        options = {"algorithm": "generic", "engine": "batch"}
+        truth = join(TRIANGLE, tables, **options).count
+
+        def undecided(prepared) -> list:
+            return [[aid is None for aid in trie._aids]
+                    for trie in prepared.structures.values()]
+
+        alone = Session(tables).prepare(TRIANGLE, **options)
+        for _ in range(12):
+            alone.execute()
+        built: list = []
+        landed = 0
+
+        def listening(hook):
+            def on_deepen(trie):
+                built.append(trie)
+                hook(trie)
+            return on_deepen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                session = Session(tables)
+                prepared = session.prepare(TRIANGLE, **options)
+                tries = {id(t): t for t in prepared.structures.values()}
+                for trie in tries.values():
+                    trie.at_depth(trie.arity)
+                    # from here on the cache hook hears of aids only
+                    trie.on_deepen = listening(trie.on_deepen)
+                counts: list = []
+
+                def worker(tid):
+                    for _ in range(3):
+                        counts.append(prepared.execute().count)
+
+                run_threads(worker, count=4)
+                assert counts == [truth] * 12
+                # the levels a single thread would have given an aid
+                assert undecided(prepared) == undecided(alone)
+                landed += sum(bool(aid) for trie in tries.values()
+                              for aid in trie._aids)
+                stats = session.cache_stats()
+                assert stats.bytes == sum(
+                    trie.memory_usage() for trie in tries.values())
+        finally:
+            sys.setswitchinterval(interval)
+        # every aid of every round's tries built once
+        assert landed and len(built) == landed
+
 
 class TestConcurrentInvalidation:
     def test_mutation_and_invalidation_under_load(self, ground_truth):

@@ -26,9 +26,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import Session
 from repro.errors import SchemaError
 from repro.indexes import ColumnarTrie, columnar, make_index
 from repro.indexes.base import value_array
+from repro.storage.relation import Relation
 
 #: tuple-engine structures the trie is compared against, all arity 3
 CURSOR_INDEXES = ("sonic", "sortedtrie", "hashtrie", "btree")
@@ -51,11 +53,37 @@ def resident_bytes(trie: ColumnarTrie) -> int:
     materialised level, an array two levels share (the last ``indptr``
     is the ``starts`` above it) once."""
     buffer = [trie._key] if trie._sorted is None else trie._sorted
+    aids = [array for aid in trie._aids if aid for array in aid]
     arrays = {id(array): array.nbytes
               for level in (buffer, [trie.weights], trie.values,
-                            trie.indptr, trie.keys, trie.codes, trie.starts)
+                            trie.indptr, trie.keys, trie.codes, trie.starts,
+                            aids)
               for array in level if array is not None}
     return sum(arrays.values())
+
+
+def aid_kinds(trie: ColumnarTrie) -> list:
+    """Per level, the probe aid it holds: ``"slots"``, ``"signatures"``,
+    ``"none"`` (decided against) or None (undecided)."""
+    return [None if aid is None else "none" if not aid
+            else "slots" if aid[0] is not None else "signatures"
+            for aid in trie._aids]
+
+
+def with_aids(trie: ColumnarTrie) -> ColumnarTrie:
+    """``trie`` with every built level's aid decided: each level probed
+    as many rows as it has nodes, below parent 0."""
+    for depth in range(trie.built_depth):
+        nodes = trie.keys[depth].size
+        parents = None if depth == 0 else np.zeros(nodes, dtype=np.int64)
+        trie.probe(depth, parents, np.zeros(nodes, dtype=np.int64))
+    return trie
+
+
+def answer(trie: ColumnarTrie, depth: int, parents, values) -> tuple:
+    """``probe()``'s answer: the found mask and the found rows' node ids."""
+    found, ids = trie.probe(depth, parents, values)
+    return found.tolist(), ids[found].tolist()
 
 
 def build_index(name: str, rows):
@@ -181,24 +209,74 @@ class TestSync:
         assert index.count_prefix((999,)) == 0
 
 
+def searched_and_aided(rows, arity: int, kinds: list):
+    """The trie over ``rows`` before its aids exist (a probe is a plain
+    search), then one whose levels hold the aids ``kinds``."""
+    yield build_trie(rows, arity)
+    trie = with_aids(build_trie(rows, arity))
+    assert aid_kinds(trie) == kinds
+    yield trie
+
+
 class TestProbe:
+    """Every case answers alike with and without its trie's aids."""
+
     def test_out_of_range_values_do_not_alias_another_parent(self):
         # parent 0 holds {0}, parent 1 holds {0, 1}: span 2.  Asking
         # parent 0 for value 2 packs to 0*2 + 2 == 1*2 + 0 — parent 1's
         # first key.  Only the range check tells them apart.
-        trie = build_trie([(10, 0), (11, 0), (11, 1)], arity=2)
-        assert trie.codes[1] is None and trie.spans[1] == 2
-        parents = np.array([0, 0, 0, 1, 1])
-        values = np.array([2, -2, 0, 0, -1])
-        found, ids = trie.probe(1, parents, values)
-        assert found.tolist() == [False, False, True, True, False]
-        assert ids[found].tolist() == [0, 1]
+        for trie in searched_and_aided([(10, 0), (11, 0), (11, 1)], 2,
+                                       ["slots", "slots"]):
+            assert trie.codes[1] is None and trie.spans[1] == 2
+            parents = np.array([0, 0, 0, 1, 1])
+            values = np.array([2, -2, 0, 0, -1])
+            found, ids = trie.probe(1, parents, values)
+            assert found.tolist() == [False, False, True, True, False]
+            assert ids[found].tolist() == [0, 1]
 
     def test_offsets_that_wrap_int64_still_miss(self):
         # value - lo wraps to a small positive number here
-        trie = build_trie([(INT64.max - 1,), (INT64.max,)], arity=1)
-        found, _ = trie.probe(0, None, np.array([INT64.min, INT64.min + 1, 0]))
-        assert not found.any()
+        for trie in searched_and_aided([(INT64.max - 1,), (INT64.max,)], 1,
+                                       ["slots"]):
+            found, _ = trie.probe(
+                0, None, np.array([INT64.min, INT64.min + 1, 0]))
+            assert not found.any()
+        # ... and below a parent, on a sparse packed level (signatures):
+        # neither ``INT64.min - 5`` nor ``INT64.max`` is any parent's key
+        for trie in searched_and_aided([(0, 5), (0, 2 ** 40), (1, 7)], 2,
+                                       ["slots", "signatures"]):
+            assert trie.codes[1] is None
+            # as many times over as takes the signature test
+            times = -(-columnar._SIGNED_ROWS // 7)
+            parents = np.tile([0, 0, 0, 0, 1, 1, 1], times)
+            values = np.tile([INT64.min, INT64.max, 2 ** 40, 5, 5,
+                              INT64.min, 7], times)
+            assert answer(trie, 1, parents, values) == (
+                [False, False, True, True, False, False, True] * times,
+                [1, 0, 2] * times)
+
+    def test_children_strided_by_64_keep_distinct_signature_bits(self):
+        # ``value & 63`` would put every child of a parent on one bit;
+        # the multiplicative hash spreads them, and a missing multiple
+        # of 64 between two present ones is still a miss
+        rows = [(parent, 64 * child) for parent in range(4)
+                for child in range(0, 400, 3 + parent)]
+        wanted = [(parent, 64 * child) for parent in range(4)
+                  for child in range(-2, 402)]
+        for trie in searched_and_aided(rows, 2, ["slots", "signatures"]):
+            found, ids = trie.probe(1, np.array([p for p, _ in wanted]),
+                                    np.array([v for _, v in wanted]))
+            assert [row for row, hit in zip(wanted, found) if hit] == rows
+            assert ids[found].tolist() == list(range(len(rows)))
+        assert all(bin(int(bits)).count("1") > 8 for bits in trie._aids[1][1])
+
+    def test_a_sparse_root_keeps_its_search(self):
+        for trie in searched_and_aided([(0,), (1000,), (-1000,)], 1,
+                                       ["none"]):
+            found, ids = trie.probe(
+                0, None, np.array([1000, 999, -1000, 0, 1]))
+            assert found.tolist() == [True, False, True, True, False]
+            assert ids[found].tolist() == [2, 0, 1]
 
     def test_object_columns_are_refused(self):
         column = np.empty(2, dtype=object)
@@ -262,10 +340,20 @@ def test_level_arrays_match_a_dict_of_sets_model(case):
     assert_matches_model(build_trie(rows, arity), rows, arity)
 
 
+def strided(rows, stride: int) -> list:
+    """``rows`` with every moderate value times ``stride``: children 64
+    apart share their low six bits."""
+    return [tuple(value * stride if abs(value) <= 2 ** 40 else value
+                  for value in row) for row in rows]
+
+
 @settings(max_examples=100, deadline=None)
-@given(row_sets(), st.sampled_from([1, 2, 7, 64]))
-def test_packed_and_rank_coded_levels_answer_alike(case, limit):
+@given(row_sets(), st.sampled_from([1, 2, 7, 64]), st.sampled_from([1, 64]))
+def test_packed_and_rank_coded_levels_answer_alike(case, limit, stride):
+    """... and answer alike again once the first probe of each level
+    (more rows than the level has nodes) has decided its aid."""
     arity, rows = case
+    rows = strided(rows, stride)
     packed = build_trie(rows, arity)
     saved = columnar.PACK_LIMIT
     columnar.PACK_LIMIT = limit     # forces np.lexsort and rank codes
@@ -285,13 +373,22 @@ def test_packed_and_rank_coded_levels_answer_alike(case, limit):
         parent_count = len(packed.indptr[depth]) - 1
         if parent_count == 0:
             continue
-        values = np.array([rng.choice(pool) for _ in range(40)], dtype=np.int64)
+        # a block big enough for the signature test, and a serve-sized one
+        size = columnar._SIGNED_ROWS
+        values = np.array([rng.choice(pool) for _ in range(size)],
+                          dtype=np.int64)
         parents = (None if depth == 0 else
-                   np.array([rng.randrange(parent_count) for _ in range(40)]))
-        want_found, want_ids = packed.probe(depth, parents, values)
-        got_found, got_ids = coded.probe(depth, parents, values)
-        assert got_found.tolist() == want_found.tolist()
-        assert got_ids[got_found].tolist() == want_ids[want_found].tolist()
+                   np.array([rng.randrange(parent_count)
+                             for _ in range(size)]))
+        want = answer(packed, depth, parents, values)
+        for trie in (coded, packed, coded):
+            assert answer(trie, depth, parents, values) == want
+            few = None if parents is None else parents[:40]
+            assert answer(trie, depth, few, values[:40]) == \
+                answer(packed, depth, few, values[:40])
+        if rows:
+            assert None not in aid_kinds(packed)[:depth + 1]
+            assert None not in aid_kinds(coded)[:depth + 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,12 +437,16 @@ def test_tuple_counts_match_a_counter_over_row_prefixes(case, limit):
         counts = trie.tuple_counts(depth, np.array(nodes, dtype=np.int64))
         assert counts.dtype == np.int64
         assert counts.tolist() == [below[prefixes[node]] for node in nodes]
-        for node in nodes[:5]:
-            assert descend(trie, prefixes[node]) == node
         assert trie.tuple_counts(
             depth, np.empty(0, dtype=np.int64)).size == 0
     # read off the stored row starts: a count keeps nothing of its own
     assert trie.memory_usage() == resident == resident_bytes(trie)
+    # (a probe may: it decides aids)
+    for depth in range(arity):
+        prefixes = sorted(Counter(row[:depth + 1] for row in rows))
+        for node in range(min(5, len(prefixes))):
+            assert descend(trie, prefixes[node]) == node
+    assert trie.memory_usage() == resident_bytes(trie)
 
 
 # -- levels on first descent -------------------------------------------------
@@ -416,6 +517,46 @@ def test_levels_land_one_at_a_time_and_are_never_rewritten(case, limit):
         assert level_ids(trie) == final
     finally:
         columnar.PACK_LIMIT = saved
+
+
+def test_an_aid_waits_until_a_level_has_answered_its_node_count():
+    """The ski-rental rule: no aid while a level's probed rows are fewer
+    than its nodes; the probe that reaches the count decides it, and the
+    cache hook hears of the bytes.  A read that probes less builds none."""
+    rows = [(parent, child) for parent in range(50)
+            for child in range(0, 300, 7)]
+    trie = build_trie(rows, arity=2)
+    heard = []
+    trie.on_deepen = heard.append
+    for depth, kind in enumerate(("slots", "signatures")):
+        nodes = trie.keys[depth].size
+        for low in range(0, nodes - 1, 97):
+            size = min(97, nodes - 1 - low)
+            parents = None if depth == 0 else np.full(size, 3)
+            trie.probe(depth, parents, np.arange(size, dtype=np.int64))
+            assert aid_kinds(trie)[depth] is None
+        resident = trie.memory_usage()
+        parents = None if depth == 0 else np.array([3])
+        trie.probe(depth, parents, np.array([7]))
+        assert aid_kinds(trie)[depth] == kind
+        assert heard == [trie] * (depth + 1)
+        assert trie.memory_usage() == resident_bytes(trie) > resident
+    # a serve-sized read (a hot-edge triangle over 30k edges) probes too
+    # few rows to pay for one; the whole triangle over them builds them
+    rng = np.random.default_rng(13)
+    edges = sorted(set(map(tuple, rng.integers(0, 3000, (30000, 2)).tolist())))
+    tables = {"E": Relation("E", ("src", "dst"), edges),
+              "H": Relation("H", ("src", "dst"), edges[::300])}
+    session = Session(tables)
+    options = {"algorithm": "generic", "engine": "batch", "profile": True}
+    hot = session.execute("H(a,b), E1=E(b,c), E2=E(c,a)", **options)
+    assert hot.profile.counters["frontier.probe_aids"] == 0
+    cached = [entry.value for entry in session.cache._entries.values()]
+    assert cached and all(aid is None for t in cached for aid in t._aids)
+    whole = session.execute("E1=E(a,b), E2=E(b,c), E3=E(c,a)", **options)
+    assert whole.profile.counters["frontier.probe_aids"] > 0
+    cached = [entry.value for entry in session.cache._entries.values()]
+    assert session.cache_stats().bytes == sum(t.memory_usage() for t in cached)
 
 
 def test_extreme_spans_fall_back_to_rank_codes():
