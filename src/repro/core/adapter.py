@@ -18,11 +18,10 @@ Adapters are index-agnostic, like the C++ framework: anything satisfying
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import islice
 
 from repro.errors import SchemaError
 from repro.indexes.base import TupleIndex
-from repro.storage.relation import Relation, Snapshot
+from repro.storage.relation import Relation
 
 #: global switch for the columnar fast build path; the equivalence tests
 #: and the build benchmark flip it to pit ``build_bulk`` against the
@@ -69,7 +68,7 @@ class IndexAdapter:
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
-    def build(self, snapshot: "Snapshot | None" = None) -> None:
+    def build(self) -> None:
         """Permute and build every tuple (the WCOJ ad-hoc index build).
 
         Bulk-capable indexes take the columnar path: the relation's cached
@@ -77,27 +76,20 @@ class IndexAdapter:
         :meth:`~repro.indexes.base.TupleIndex.build_bulk` — one vectorized
         sort instead of per-tuple root-to-leaf probing.  Everything else
         (and runs with the switch off) keeps the per-tuple insert loop.
-
-        ``snapshot`` (a :meth:`~repro.storage.relation.Relation.snapshot`
-        of the adapter's relation) limits the build to the rows of that
-        read; the session cache passes the one it keyed the index by.
         """
         perm = self._permutation
         index = self.index
         relation = self.relation
-        count = len(relation) if snapshot is None else snapshot.count
-        if _BULK_BUILD and index.SUPPORTS_BULK_BUILD and count:
-            columns = (relation.columns() if snapshot is None
-                       else snapshot.columns)
+        if _BULK_BUILD and index.SUPPORTS_BULK_BUILD and len(relation):
+            columns = relation.columns()
             index.build_bulk(tuple(columns[i] for i in perm))
             return
         insert = index.insert
-        rows = islice(relation.rows, count)
         if perm == tuple(range(relation.arity)):
-            for row in rows:
+            for row in relation.rows:
                 insert(row)
         else:
-            for row in rows:
+            for row in relation.rows:
                 insert(tuple(row[i] for i in perm))
 
     # ------------------------------------------------------------------

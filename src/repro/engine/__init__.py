@@ -6,16 +6,13 @@ explicit compile pipeline with inert artifacts between stages
 algorithm/engine combination (:mod:`~repro.engine.ir`), a re-executable
 prepared join (:mod:`~repro.engine.prepared`), and a session facade
 with a fingerprint-keyed LRU index cache (:mod:`~repro.engine.session`,
-:mod:`~repro.engine.cache`).  ``join()`` itself survives as a thin
-cold-path wrapper over these stages.  See ``docs/architecture.md``.
+:mod:`~repro.engine.cache`).  The prepared join, the session and the
+sharded runtime serve frontier plans only; ``join()`` survives as a thin
+cold-path wrapper over these stages and is the door to the paper's
+tuple drivers.  See ``docs/architecture.md``.
 """
 
-from repro.engine.cache import (
-    DEFAULT_CACHE_BYTES,
-    CacheStats,
-    IndexCache,
-    estimate_structure_bytes,
-)
+from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
 from repro.engine.ir import (
     COLUMNAR_KIND,
     HASHTABLE_KIND,
@@ -47,7 +44,6 @@ __all__ = [
     "TUPLESET_KIND",
     "bind",
     "canonical_options",
-    "estimate_structure_bytes",
     "plan",
     "prepare",
 ]

@@ -4,11 +4,12 @@ The paper treats ad-hoc index build as part of every WCOJ run (§5.15),
 and the cold :func:`repro.joins.join` path keeps that timing semantics.
 But the ROADMAP's serving scenario — heavy repeated traffic over
 slowly-changing relations — makes per-query rebuilds the dominant wasted
-cost.  This cache closes that gap at the **prepare** stage: a built
-structure (a registry index, a binary-stage hash table, a frozen row
-set) is stored under
+cost.  This cache closes that gap at the **prepare** stage of a
+frontier plan, the only kind a session serves: a built columnar trie —
+or a sharded plan's shared-memory partitioning of a relation — is stored
+under
 
-    ``(relation fingerprint, kind, column permutation, options[, key arity])``
+    ``(relation fingerprint, kind, column permutation, options, key arity)``
 
 where the fingerprint is :meth:`repro.storage.relation.Relation.
 fingerprint` — ``(storage identity, version)``.  Mutating a relation
@@ -25,8 +26,8 @@ The cache also owns its session's
 compare codes; :meth:`~IndexCache.clear` leaves it.
 
 Eviction is LRU under two budgets: an entry-count cap and a byte budget
-fed by per-structure estimates (``memory_usage()`` when the structure
-reports one, a tuple-count heuristic otherwise).  Counters
+fed by what each structure reports of itself (``memory_usage()``; a
+trie's grows as joins build its levels and probe aids).  Counters
 (``cache.hit`` / ``cache.miss`` / ``cache.store`` / ``cache.evict``) go
 to the registry the cache was constructed with — a session's registry,
 so hit rates survive across runs — and are mirrored into any enabled
@@ -45,31 +46,10 @@ from repro.storage.relation import Relation
 #: default byte budget: generous for benchmark-scale data, small enough
 #: that a long-lived session over many relations actually recycles
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-#: fallback per-value byte estimate when a structure reports no usage
-APPROX_BYTES_PER_VALUE = 64
 
 
 def _version_of(key: tuple) -> int:
     return key[0][1]
-
-
-def estimate_structure_bytes(structure: object, tuples: int, arity: int) -> int:
-    """Bytes one cached structure is charged against the budget.
-
-    Prefers the structure's own ``memory_usage()`` (Sonic reports its
-    actual allocation, §3.5); anything else is charged a flat
-    per-stored-value heuristic — deliberately coarse, since the budget
-    exists to bound growth, not to be an allocator.
-    """
-    usage = getattr(structure, "memory_usage", None)
-    if callable(usage):
-        try:
-            reported = usage()
-        except Exception:
-            reported = None
-        if isinstance(reported, (int, float)) and reported > 0:
-            return int(reported)
-    return max(1, tuples) * max(1, arity) * APPROX_BYTES_PER_VALUE
 
 
 class CacheStats:
@@ -117,10 +97,10 @@ class _Entry:
 
 
 class IndexCache:
-    """LRU + byte-budget cache of built join-supporting structures.
+    """LRU + byte-budget cache of built columnar tries and shard columns.
 
     One instance lives inside each :class:`~repro.engine.session.Session`;
-    the prepare stage is the only writer.  ``max_bytes=0`` (or
+    the prepare stage of a frontier plan is the only writer.  ``max_bytes=0`` (or
     ``max_entries=0``) disables storage entirely — every lookup is a
     miss and nothing is retained, which is how the back-compat
     :func:`repro.joins.join` cold path preserves the paper's

@@ -18,10 +18,11 @@ into the same artifacts:
   can be validated without data and prepared against data.
 
 Both are inert data: no index is built and nothing executes until the
-**prepare** stage (:mod:`repro.engine.pipeline`) turns specs into built
-structures — which is exactly the seam the session-scoped index cache
-(:mod:`repro.engine.cache`) slots into, because an :class:`IndexSpec`
-plus a relation fingerprint *is* a cache key.
+**prepare** stage (:mod:`repro.engine.pipeline`) turns a frontier plan's
+specs into columnar tries — which is exactly the seam the
+session-scoped index cache (:mod:`repro.engine.cache`) slots into,
+because an :class:`IndexSpec` plus a relation fingerprint *is* a cache
+key — or a tuple plan's driver builds what its specs describe, cold.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.planner.optimizer import PlanChoice
 from repro.planner.query import JoinQuery
 from repro.storage.relation import Relation
 
-#: structure kinds that are not index-registry entries but still cacheable
+#: structure kinds that are not index-registry entries
 HASHTABLE_KIND = "hashtable"     # binary pipeline stage table
 TUPLESET_KIND = "tupleset"       # recursive NPRR frozen row set
 #: the batch Generic Join's columnar trie: engine-owned like the stage
@@ -66,9 +67,11 @@ class IndexSpec:
     pipeline stages): the first ``key_arity`` entries of
     ``attribute_order`` are the probe key, the rest the payload.
 
-    ``kind`` names what the prepare stage *builds*: a registry index
-    for the tuple engine, :data:`COLUMNAR_KIND` for every atom of a
-    batch-engine plan (``JoinPlan.index`` keeps what the caller asked).
+    ``kind`` names what is *built*: :data:`COLUMNAR_KIND` for every
+    atom of a batch-engine plan, which the prepare stage builds, and
+    for a tuple plan the structure its driver builds for itself — a
+    registry index under the tuple engine (``JoinPlan.index`` keeps
+    what the caller asked).
     """
 
     alias: str
@@ -81,13 +84,6 @@ class IndexSpec:
     def cache_key_suffix(self) -> tuple:
         """The relation-independent part of this spec's cache key."""
         return (self.kind, self.permutation, self.options, self.key_arity)
-
-
-def built_kind(plan: "JoinPlan") -> str:
-    """The structure kind a generic plan has built per atom — its specs
-    say — which under the batch engine is not the ``index`` the caller
-    named."""
-    return plan.index_specs[0].kind if plan.index_specs else plan.index
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,10 @@ class JoinPlan:
             head += f"/{self.engine}"
         if self.index:
             head += f" index={self.index}"
-            built = built_kind(self)
+            # what is built per atom, which under the batch engine is
+            # not the ``index`` the caller named
+            built = (self.index_specs[0].kind if self.index_specs
+                     else self.index)
             if built != self.index:
                 head += f" built={built}"
         if self.engine_note:

@@ -12,12 +12,19 @@ stages with inert artifacts in between:
   total attribute order (or the binary pipeline's atom order), and emit
   one :class:`~repro.engine.ir.IndexSpec` per supporting structure.
   Nothing is built.  Output: :class:`~repro.engine.ir.JoinPlan`.
-* :func:`prepare` — turn every spec into a built structure, going
-  through a :class:`~repro.engine.cache.IndexCache` when one is given
-  (the :class:`~repro.engine.session.Session` warm path) or building
-  fresh when not (the :func:`repro.joins.join` cold path, preserving
-  the paper's build-included timing semantics, §5.15).  Output:
-  :class:`~repro.engine.prepared.PreparedJoin`, executable many times.
+* :func:`prepare` — turn every spec of a frontier plan into a built
+  columnar trie, going through a :class:`~repro.engine.cache.IndexCache`
+  when one is given (the :class:`~repro.engine.session.Session` warm
+  path) or building fresh when not (the :func:`repro.joins.join` cold
+  path, preserving the paper's build-included timing semantics, §5.15).
+  Output: :class:`~repro.engine.prepared.PreparedJoin`, executable many
+  times.
+
+The serving layers — :func:`prepare`, the session, and every sharded
+plan — hold frontier plans only (:func:`servable`); a plan for one of
+the paper's tuple drivers raises
+:class:`~repro.errors.ConfigurationError` there, and runs through
+:func:`repro.joins.join`, whose driver builds its own structures.
 
 Each stage runs under a tracer span of its own name, so a profiled run
 shows ``bind`` / ``plan`` (containing ``optimize``) / ``prepare``
@@ -38,12 +45,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
-from itertools import islice
 
-from repro.core.adapter import IndexAdapter
-from repro.core.config import SonicConfig
 from repro.core.envflag import resolve_flag
-from repro.engine.cache import IndexCache, estimate_structure_bytes
+from repro.engine.cache import IndexCache
 from repro.engine.ir import (
     COLUMNAR_KIND,
     HASHTABLE_KIND,
@@ -57,8 +61,7 @@ from repro.engine.ir import (
 from repro.engine.prepared import PreparedJoin
 from repro.errors import ConfigurationError, QueryError, SchemaError
 from repro.indexes.columnar import ColumnarTrie, Dictionary
-from repro.indexes.registry import make_index
-from repro.joins.binary import build_stage_table, plan_pipeline
+from repro.joins.binary import plan_pipeline
 from repro.joins.executor import ALGORITHMS, ENGINES, resolve_relations
 from repro.joins.results import Stopwatch
 from repro.obs.observer import NULL_OBSERVER
@@ -146,7 +149,10 @@ def plan(bound: BoundQuery,
     shards on the plan's leading attribute, and execution fans out to a
     worker-process pool (:mod:`repro.parallel`).  ``parallel=1`` is a
     valid degenerate fleet — one worker process, useful as the
-    like-for-like baseline when measuring fan-out speedup.
+    like-for-like baseline when measuring fan-out speedup.  Only a
+    frontier plan shards (:func:`servable`); any other raises
+    :class:`~repro.errors.ConfigurationError` here, before anything is
+    partitioned or forked.
     """
     observer = obs if obs is not None else NULL_OBSERVER
     if algorithm not in ALGORITHMS:
@@ -210,28 +216,37 @@ def plan(bound: BoundQuery,
                                         choice, kwargs, dynamic_seed)
         workers = _resolve_workers(parallel)
         if workers:
+            require_servable(result)
             # shard on the leading attribute: every result tuple binds
             # it to exactly one value, so shard results are disjoint
-            attribute = (result.total_order[0] if result.total_order
-                         else connectivity_order(query)[0])
             result = replace(result, sharding=ShardingSpec(
-                workers=workers, attribute=attribute))
+                workers=workers, attribute=result.total_order[0]))
         if debug_on:
             check_join_plan(result, relations=relations)
     return result
 
 
-def _reads_statistics(join_plan: JoinPlan,
-                      binary_order: "Sequence[str] | None") -> bool:
-    """Does an un-profiled ``join_plan`` depend on relation sizes, and
-    not only on the query, the options and the dtype classes?  Only
-    where a binary pipeline's atom order was chosen greedily, or where
-    the hybrid optimizer compared its estimates — which, with no
-    observer enabled, it computes for nothing else (:func:`_choose`)."""
-    if join_plan.algorithm == "binary" and binary_order is None:
-        return True
-    choice = join_plan.choice
-    return choice is not None and choice.agm_bound is not None
+def servable(join_plan: JoinPlan) -> bool:
+    """Can a serving layer — a :class:`~repro.engine.session.Session`,
+    :func:`prepare`, a sharded plan — hold ``join_plan``?  Only a
+    frontier plan: the Generic Join on the batch engine over columnar
+    tries.  The paper's tuple drivers run cold through
+    :func:`repro.joins.join`, building their own structures."""
+    return join_plan.algorithm == "generic" and join_plan.engine == "batch"
+
+
+def require_servable(join_plan: JoinPlan) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless
+    :func:`servable`."""
+    if not servable(join_plan):
+        what = join_plan.algorithm + (f"/{join_plan.engine}"
+                                      if join_plan.engine else "")
+        raise ConfigurationError(
+            f"a {what} plan runs only cold: Session, prepare() and "
+            "parallel=K serve frontier plans (algorithm 'generic' on the "
+            "batch engine, which engine='auto' resolves to); run the "
+            "paper's tuple drivers through a plain join() — "
+            'join(engine="tuple") for its Generic Join — without parallel')
 
 
 def _resolve_workers(parallel: "int | None") -> int:
@@ -247,6 +262,12 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
             cache: "IndexCache | None" = None,
             obs=None) -> PreparedJoin:
     """The prepare stage: specs → built structures → a :class:`PreparedJoin`.
+
+    Only a frontier plan prepares (:func:`servable`): the structures
+    are one columnar trie per atom — or, for a sharded plan, each
+    relation's shard partitioning — and any other plan raises
+    :class:`~repro.errors.ConfigurationError` naming the cold door,
+    :func:`repro.joins.join`.
 
     With a ``cache``, every spec is first looked up under
     ``(relation fingerprint, spec suffix)`` — a hit skips the build
@@ -270,6 +291,14 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     cache's own metrics registry and are mirrored into an enabled
     observer; every build is recorded as a ``build_index`` span.
     """
+    require_servable(join_plan)
+    return _prepare(bound, join_plan, cache, obs)
+
+
+def _prepare(bound: BoundQuery, join_plan: JoinPlan,
+             cache: "IndexCache | None", obs) -> PreparedJoin:
+    """:func:`prepare` for a plan already known to be servable (checked
+    where it was made, so a session's cached plan pays no check)."""
     observer = obs if obs is not None else NULL_OBSERVER
     obs_enabled = observer.enabled
     use_cache = cache is not None and cache.enabled
@@ -301,51 +330,42 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                 snapshot = None
                 if key is not None:
                     # one consistent read names the version and the rows:
-                    # the structure is made from exactly ``count`` rows
-                    # and published under exactly that version's key,
-                    # even when an extend() landed after the lookup above
+                    # the trie is made from exactly ``count`` rows and
+                    # published under exactly that version's key, even
+                    # when an extend() landed after the lookup above
                     snapshot = relation.snapshot()
                     key = cache.key_for(relation, suffix, snapshot.version)
-                structure = _build_structure(spec, relation, snapshot,
-                                             dictionary)
-                tuples = len(relation) if snapshot is None else snapshot.count
+                structure = _build_trie(spec, relation, snapshot, dictionary)
                 if obs_enabled:
-                    duration = Stopwatch.now_ns() - build_t0
-                    observer.record_build(spec.alias, duration)
-                    observer.tracer.add_span(
-                        "build_index", build_t0, duration,
-                        alias=spec.alias, index=spec.kind, tuples=tuples)
+                    observer.record_build(
+                        spec.alias, build_t0, index=spec.kind,
+                        tuples=(len(relation) if snapshot is None
+                                else snapshot.count))
                 if key is not None:
                     # compare-and-swap publish: when another thread built
-                    # the same key first, adopt its structure so every
+                    # the same key first, adopt its trie so every
                     # concurrent preparer shares one canonical build and
-                    # the LRU byte accounting never double-charges
-                    built_depth = None
-                    if isinstance(structure, ColumnarTrie):
-                        # levels appear as joins descend, and the entry's
-                        # byte charge follows them.  Hook the deepen
-                        # callback *before* publishing, so no descent can
-                        # slip between publish and hookup; a CAS loss
-                        # discards this structure (no level built yet)
-                        # and adopts the winner's, callback included
-                        structure.on_deepen = _depth_upgrader(
-                            cache, key, tuples, relation.arity)
-                        built_depth = structure.built_depth
+                    # the LRU byte accounting never double-charges.
+                    # Levels appear as joins descend, and the entry's
+                    # byte charge follows them: hook the deepen callback
+                    # *before* publishing, so no descent can slip between
+                    # publish and hookup; a CAS loss discards this trie
+                    # (no level built yet) and adopts the winner's,
+                    # callback included
+                    structure.on_deepen = _depth_upgrader(cache, key)
                     structure = cache.put_if_absent(
-                        key, structure, estimate_structure_bytes(
-                            structure, tuples, relation.arity),
-                        built_depth=built_depth)
+                        key, structure, structure.memory_usage(),
+                        built_depth=structure.built_depth)
             structures[spec.alias] = structure
     build_seconds = watch.lap()
     return PreparedJoin(bound, join_plan, structures, build_seconds)
 
 
-def _depth_upgrader(cache: IndexCache, key: tuple, tuples: int, arity: int):
+def _depth_upgrader(cache: IndexCache, key: tuple):
     """The deepen callback of a columnar trie: upgrade the cached entry
-    in place — new ``built_depth``, re-estimated byte charge."""
+    in place — new ``built_depth``, the trie's new byte footprint."""
     def _on_deepen(trie) -> None:
-        cache.upgrade_depth(key, trie.built_depth,
-                            estimate_structure_bytes(trie, tuples, arity))
+        cache.upgrade_depth(key, trie.built_depth, trie.memory_usage())
     return _on_deepen
 
 
@@ -373,8 +393,6 @@ def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
     local: dict[tuple, object] = {}
     watch = Stopwatch()
     with observer.tracer.span("prepare"):
-        # every atom ships to the workers — not just index_specs, which
-        # for a binary plan omit the first atom (the probe side)
         for atom in join_plan.query.atoms:
             relation = bound.relations[atom.alias]
             position = (relation.schema.position(sharding.attribute)
@@ -409,8 +427,7 @@ def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
                         tuples=len(relation))
                 if key is not None:
                     published = cache.put_if_absent(
-                        key, columns, estimate_structure_bytes(
-                            columns, len(relation), relation.arity))
+                        key, columns, columns.memory_usage())
                     if published is not columns:
                         columns.close()  # lost the CAS: adopt the winner
                         columns = published
@@ -628,63 +645,25 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
 
 
 # ----------------------------------------------------------------------
-# Structure builders (the prepare stage's workhorses)
+# The structure builder (the prepare stage's workhorse)
 # ----------------------------------------------------------------------
 
-def _build_structure(spec: IndexSpec, relation: Relation,
-                     snapshot: "Snapshot | None",
-                     dictionary: Dictionary) -> object:
-    """Build the structure a spec describes, from ``relation``'s rows.
+def _build_trie(spec: IndexSpec, relation: Relation,
+                snapshot: "Snapshot | None",
+                dictionary: Dictionary) -> ColumnarTrie:
+    """Build the columnar trie a spec describes, from ``relation``'s rows.
 
     ``snapshot`` pins the build to exactly the rows the cache key names
     (the first ``count``, whatever has been appended since); without one
     — the cold path, nothing keyed — the relation is read as it is.
-    ``dictionary`` encodes the columns a columnar spec codes.
-
-    A stage table and a columnar trie keep every copy of a repeated row.
-    Every other structure holds a set, and the tuple drivers that read
-    it would answer a set: they refuse a relation that repeats a row
-    instead, found where the build has already dropped the repeat.
+    ``dictionary`` encodes the columns the spec codes.  The trie keeps
+    every copy of a repeated row.
     """
-    tuples = len(relation) if snapshot is None else snapshot.count
-    rows = islice(relation.rows, tuples)
-    if spec.kind == HASHTABLE_KIND:
-        key_arity = spec.key_arity or 0
-        return build_stage_table(rows, spec.permutation[:key_arity],
-                                 spec.permutation[key_arity:])
-    if spec.kind == COLUMNAR_KIND:
-        columns = (relation.columns() if snapshot is None
-                   else snapshot.columns)
-        coded = dict(spec.options).get("coded", ())
-        trie = ColumnarTrie(tuple(
-            dictionary.encode(columns[i]) if i in coded else columns[i]
-            for i in spec.permutation))
-        trie.decoders = tuple(dictionary if i in coded else None
-                              for i in spec.permutation)
-        return trie
-    if spec.kind == TUPLESET_KIND:
-        structure = frozenset(rows)
-    else:
-        options = dict(spec.options)
-        presort = options.pop("sorted", False)
-        if spec.kind == "sonic":
-            config = SonicConfig.for_tuples(
-                max(tuples, 1),
-                bucket_size=options.pop("bucket_size", 8),
-                overallocation=options.pop("overallocation", 2.0),
-            )
-            structure = make_index("sonic", relation.arity, config=config,
-                                   **options)
-        else:
-            structure = make_index(spec.kind, relation.arity, **options)
-        IndexAdapter(relation, structure, spec.attribute_order).build(
-            snapshot)
-        if presort:
-            structure.rows  # force the SortedTrie sort inside the build phase
-    if len(structure) < tuples:
-        raise QueryError(
-            f"relation {relation.name!r} repeats a row, and the tuple "
-            f"drivers join sets ({spec.kind!r} holds each row once); the "
-            "default engine (engine='auto') counts every copy")
-    return structure
-
+    columns = relation.columns() if snapshot is None else snapshot.columns
+    coded = dict(spec.options).get("coded", ())
+    trie = ColumnarTrie(tuple(
+        dictionary.encode(columns[i]) if i in coded else columns[i]
+        for i in spec.permutation))
+    trie.decoders = tuple(dictionary if i in coded else None
+                          for i in spec.permutation)
+    return trie

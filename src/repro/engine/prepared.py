@@ -1,17 +1,16 @@
 """The prepared join: built once, executable many times.
 
 A :class:`PreparedJoin` is the prepare stage's output — a bound query, a
-:class:`~repro.engine.ir.JoinPlan`, and every supporting structure the
-plan needs, already built (and possibly shared with a session's index
-cache).  Each :meth:`~PreparedJoin.execute` call constructs a fresh
-driver over the shared structures — drivers keep per-run state
-(cursors, sinks, metrics) so the structures themselves are safely
-reusable — and returns an ordinary
-:class:`~repro.joins.results.JoinResult`.  A frontier (batch) plan's
-driver is a :class:`~repro.joins.batch.FrontierProgram`, compiled on
-the first execution and kept in :attr:`PreparedJoin.programs`, plus
-the per-run state; the program reads each trie and its spec's
-attribute order directly, with no adapter in between.
+frontier :class:`~repro.engine.ir.JoinPlan`, and one columnar trie per
+atom, already built (and possibly shared with a session's index cache).
+Each :meth:`~PreparedJoin.execute` call runs a fresh
+:class:`~repro.joins.batch.GenericJoinBatch` — per-run state (sinks,
+metrics) over the shared tries, which are safely reusable — and returns
+an ordinary :class:`~repro.joins.results.JoinResult`.  The driver's
+:class:`~repro.joins.batch.FrontierProgram` is compiled on the first
+execution and kept in :attr:`PreparedJoin.programs`; it reads each trie
+and its spec's attribute order directly.  The paper's tuple drivers are
+never prepared: :func:`repro.joins.join` runs them cold.
 
 **Timing semantics.**  The paper charges ad-hoc index build to every
 WCOJ run (§5.15).  A prepared join preserves that contract on its
@@ -35,25 +34,20 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.adapter import IndexAdapter
-from repro.engine.ir import BoundQuery, JoinPlan, built_kind
+from repro.engine.ir import BoundQuery, JoinPlan
 from repro.errors import ExecutionError
 from repro.joins.batch import FrontierProgram, GenericJoinBatch
-from repro.joins.binary import BinaryHashJoin
 from repro.joins.executor import attach_profile
-from repro.joins.generic_join import GenericJoin
-from repro.joins.hashtrie_join import HashTrieJoin
-from repro.joins.leapfrog import LeapfrogTrieJoin
-from repro.joins.recursive import RecursiveJoin
 from repro.joins.results import JoinResult
 from repro.obs.observer import resolve_observer
 
 
 class PreparedJoin:
-    """An executable join with its supporting structures already built.
+    """An executable frontier join with its tries already built.
 
-    A single-process plan runs one driver (:meth:`_driver`); a sharded
-    plan hands its decisions to a
+    A single-process plan runs one
+    :class:`~repro.joins.batch.GenericJoinBatch` per execution; a
+    sharded plan hands its decisions to a
     :class:`~repro.parallel.runner.ShardedRunner` and must be
     :meth:`close`-d, after which it cannot execute again.
     """
@@ -73,30 +67,10 @@ class PreparedJoin:
         #: guards the three accounting fields above: one prepared join
         #: may be executed from many threads
         self._accounting = threading.Lock()
-        #: a binary plan's leading-atom row count when the structures
-        #: were built: the plan scans that atom up to here, so an answer
-        #: is of the prepared version even after an append (the stage
-        #: tables are already pinned to it)
-        self._prepared_rows = None
-        #: the stateless wrappers the tuple-engine generic and Hash-Trie
-        #: drivers read the structures through, shared by every execution
-        self._adapters: dict[str, IndexAdapter] = {}
-        #: compiled frontier programs by trie shape (batch plans), shared
-        #: by every execution; a Session hands each prepared join of one
-        #: cached plan the same dict
+        #: compiled frontier programs by trie shape, shared by every
+        #: execution; a Session hands each prepared join of one cached
+        #: plan the same dict
         self.programs: dict[tuple, FrontierProgram] = {}
-        if plan.sharding is None:
-            if plan.algorithm == "binary":
-                leading = plan.atom_order[0]
-                self._prepared_rows = len(bound.relations[leading])
-            elif plan.algorithm == "hashtrie" or (
-                    plan.algorithm == "generic" and plan.engine == "tuple"):
-                self._adapters = {
-                    atom.alias: IndexAdapter(bound.relations[atom.alias],
-                                             structures[atom.alias],
-                                             plan.total_order)
-                    for atom in plan.query.atoms
-                }
         self._runner = None
         if plan.sharding is not None:
             # imported lazily — repro.parallel's worker re-enters the
@@ -109,36 +83,13 @@ class PreparedJoin:
                                          owned=owned_shards)
 
     # ------------------------------------------------------------------
-    def _driver(self, observer):
-        """A fresh driver over the shared structures."""
-        plan, relations = self.plan, self.bound.relations
-        algorithm, query = plan.algorithm, plan.query
-        if algorithm == "binary":
-            return BinaryHashJoin(query, relations,
-                                  order=list(plan.atom_order), obs=observer,
-                                  prebuilt=(self.structures,
-                                            self._prepared_rows))
-        if algorithm == "leapfrog":
-            return LeapfrogTrieJoin(query, relations, order=plan.total_order,
-                                    obs=observer, tries=self.structures)
-        if algorithm == "recursive":
-            return RecursiveJoin(query, relations, order=plan.total_order,
-                                 edges=self.structures)
-        if algorithm == "hashtrie":
-            return HashTrieJoin(query, relations, order=plan.total_order,
-                                obs=observer, adapters=self._adapters)
-        if plan.engine == "batch":
-            tries = [self.structures[atom.alias] for atom in query.atoms]
-            driver = GenericJoinBatch(self._program(tries), tries,
-                                      dynamic_seed=plan.dynamic_seed,
-                                      obs=observer)
-        else:
-            driver = GenericJoin(query, self._adapters,
-                                 order=plan.total_order,
-                                 dynamic_seed=plan.dynamic_seed, obs=observer)
-        # what was built, which is not always what was asked for
-        driver.metrics.index = built_kind(plan)
-        return driver
+    def _driver(self, observer) -> GenericJoinBatch:
+        """A fresh frontier driver over the shared tries."""
+        tries = [self.structures[atom.alias]
+                 for atom in self.plan.query.atoms]
+        return GenericJoinBatch(self._program(tries), tries,
+                                dynamic_seed=self.plan.dynamic_seed,
+                                obs=observer)
 
     def _program(self, tries: list) -> FrontierProgram:
         """The frontier program for tries of this shape, compiled on
@@ -192,26 +143,15 @@ class PreparedJoin:
         result = self._driver(observer).run(materialize=materialize)
         # deferred build time — trie levels — surfaces on the run that
         # actually materialized them (§5.15 build-included timing)
-        deferred = self._drain_lazy_charges()
+        deferred = sum(trie.take_pending_charge()
+                       for trie in self.structures.values())
         if deferred:
             with self._accounting:
                 self.build_seconds += deferred
         result.metrics.build_seconds += charge + deferred
         return attach_profile(self.bound.query, result, observer,
-                              plan.choice,
-                              plan.total_order or plan.atom_order,
-                              engine=plan.engine or None,
-                              trace_out=trace_out)
-
-    def _drain_lazy_charges(self) -> float:
-        """Collect pending materialization time from the structures (a
-        columnar trie's levels)."""
-        total = 0.0
-        for structure in self.structures.values():
-            take = getattr(structure, "take_pending_charge", None)
-            if callable(take):
-                total += take()
-        return total
+                              plan.choice, plan.total_order,
+                              engine=plan.engine, trace_out=trace_out)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

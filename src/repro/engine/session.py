@@ -7,7 +7,14 @@ A :class:`Session` binds a relation source (a
 :class:`~repro.storage.catalog.Catalog` or a plain mapping) to a
 session-scoped :class:`~repro.engine.cache.IndexCache` and a shared
 :class:`~repro.obs.metrics.Metrics` registry, then runs every query
-through the staged pipeline (:mod:`repro.engine.pipeline`):
+through the staged pipeline (:mod:`repro.engine.pipeline`).  A session
+holds and runs frontier plans only — the Generic Join on the batch
+engine over columnar tries, which the default options resolve to; a
+plan for one of the paper's tuple drivers (``engine="tuple"``,
+``binary`` / ``hashtrie`` / ``leapfrog`` / ``recursive``, or an
+``auto`` plan a pinned ``binary_order`` sends to binary) raises
+:class:`~repro.errors.ConfigurationError` and runs cold through
+:func:`repro.joins.join` instead:
 
 >>> from repro import Relation, Session
 >>> edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])
@@ -27,22 +34,20 @@ version counter, so the next prepare misses the stale entries —
 :meth:`Session.execute` therefore always sees current data, while an
 already-:meth:`~Session.prepare`-d join keeps its snapshot until
 re-prepared.  A miss rebuilds: one packed sort per relation and
-attribute order for the frontier engine's columnar trie — which is what
-a session holds unless asked otherwise — and likewise the registry index,
-stage table or row set of any other plan.  The store drops the stale
-entry it supersedes; :meth:`invalidate` releases a relation's entries
-before that.  The session's cache also holds the one dictionary that
-codes its string, float and past-int64 join columns, so every trie it
-caches compares codes with every other.
+attribute order (and set of coded columns) for a columnar trie, the one
+structure a session holds besides a sharded plan's partitioning.  The
+store drops the stale entry it supersedes; :meth:`invalidate` releases
+a relation's entries before that.  The session's cache also holds the
+one dictionary that codes its string, float and past-int64 join
+columns, so every trie it caches compares codes with every other.
 
 A session also keeps the *plans* it made: a repeated query under the
 same options skips parse, bind and plan, and its frontier program
 (:class:`~repro.joins.batch.FrontierProgram`) is compiled once, so a
 warm read does only data-dependent work — the index lookups and the
 probe.  A plan is reused while every relation it was bound to is still
-the one its name resolves to, with the same dtype classes (what a
-frontier plan reads of the data), and — for the few plans that read
-statistics — the same version.  Counters ``plan.hit`` / ``plan.miss``
+the one its name resolves to, with the same dtype classes — all a
+frontier plan reads of the data.  Counters ``plan.hit`` / ``plan.miss``
 count the reuses in :attr:`Session.metrics`.
 """
 
@@ -56,11 +61,11 @@ from repro.core.envflag import resolve_flag
 from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
 from repro.engine.ir import BoundQuery, JoinPlan, canonical_options
 from repro.engine.pipeline import (
-    _reads_statistics,
+    _prepare,
     _resolve_workers,
     bind,
     plan,
-    prepare,
+    require_servable,
 )
 from repro.engine.prepared import PreparedJoin
 from repro.errors import SchemaError
@@ -81,21 +86,18 @@ _PLAN_ENTRIES = 256
 class _PlanEntry:
     """One bind + plan, and what it was made from: per atom, the stored
     relation its name resolved to (``None``: none did, so the entry is
-    never current) and that relation's dtype classes — and versions,
-    when the plan read statistics (``None`` otherwise).
-    ``programs`` are the compiled frontier programs every prepared join
-    of the plan shares."""
+    never current) and that relation's dtype classes.  ``programs`` are
+    the compiled frontier programs every prepared join of the plan
+    shares."""
 
-    __slots__ = ("bound", "plan", "sources", "dtypes", "versions",
-                 "programs")
+    __slots__ = ("bound", "plan", "sources", "dtypes", "programs")
 
     def __init__(self, bound: BoundQuery, join_plan: JoinPlan,
-                 sources: tuple, dtypes: tuple, versions: "tuple | None"):
+                 sources: tuple, dtypes: tuple):
         self.bound = bound
         self.plan = join_plan
         self.sources = sources
         self.dtypes = dtypes
-        self.versions = versions
         self.programs: dict = {}
 
     def current(self, source: "Catalog | Mapping[str, Relation]") -> bool:
@@ -106,9 +108,7 @@ class _PlanEntry:
                     or source_relation(source, atom) is not relation
                     or relation.dtype_classes() != dtypes):
                 return False
-        return self.versions is None or all(
-            relation.version == version
-            for relation, version in zip(self.sources, self.versions))
+        return True
 
 
 class Session:
@@ -124,8 +124,8 @@ class Session:
     :meth:`~repro.engine.cache.IndexCache.put_if_absent` (concurrent
     misses on one fingerprint each build, one wins, all share the
     canonical structure), and each execution constructs a fresh driver
-    — its per-run state over a shared program — over the shared
-    prebuilt structures.  The cache and the metrics registry are
+    — its per-run state over a shared program — over the shared,
+    already-built tries.  The cache and the metrics registry are
     internally locked; the lock annotations on their fields and the
     plan cache's are checked by ``python -m repro.analysis`` (RA703,
     RA707), the whole contract is exercised by
@@ -168,13 +168,14 @@ class Session:
         the return value (executable many times) and the build route —
         every index spec goes through the session cache, so repeated
         prepares over unchanged relations skip the build entirely.
-        What is cached follows the resolved engine: one columnar trie
-        per relation, attribute order and set of coded columns under
-        ``engine="batch"`` — which the default ``"auto"`` resolves to —
-        and the ``index`` kind under ``engine="tuple"`` (the paper's
-        configuration).  Unless the engine is pinned to ``"tuple"``,
-        ``algorithm="auto"`` (or its other name, ``"unified"``) runs an
-        *acyclic* query on the batch engine too, whatever its data.
+        Only a frontier plan prepares: ``algorithm`` ``"generic"``,
+        ``"auto"`` or ``"unified"`` under ``engine="auto"`` or
+        ``"batch"``, with any ``index=`` (accepted, not built); what is
+        cached is one columnar trie per relation, attribute order and
+        set of coded columns.  Any other plan — one of the paper's
+        tuple drivers — raises :class:`~repro.errors.ConfigurationError`
+        before anything is built or cached; run it through
+        :func:`repro.joins.join`, which builds its structures cold.
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning
@@ -212,8 +213,8 @@ class Session:
                 if key is not None:
                     self._store_plan(key, entry)
             try:
-                prepared = prepare(entry.bound, entry.plan, cache=self.cache,
-                                   obs=observer)
+                prepared = _prepare(entry.bound, entry.plan, self.cache,
+                                    observer)
             except SchemaError:
                 # a join column turned to objects after the plan read
                 # it as int64: plan again, with the column coded
@@ -225,11 +226,13 @@ class Session:
 
     def _plan(self, query: "JoinQuery | str", debug, observer,
               options: dict) -> _PlanEntry:
-        """Bind and plan ``query``, recording what the plan was made from.
+        """Bind and plan ``query``, recording what the plan was made from;
+        a plan no session serves raises
+        :class:`~repro.errors.ConfigurationError` before it is stored.
 
-        The relations, dtype classes and versions are read *before*
-        binding and planning: a write that lands in between leaves the
-        entry stale, to be planned again, never current and wrong.
+        The relations and dtype classes are read *before* binding and
+        planning: a write that lands in between leaves the entry stale,
+        to be planned again, never current and wrong.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -238,13 +241,10 @@ class Session:
         # (a missing relation: bind raises naming the atom)
         dtypes = tuple(None if relation is None else relation.dtype_classes()
                        for relation in sources)
-        versions = tuple(None if relation is None else relation.version
-                         for relation in sources)
         bound = bind(query, self.source, debug=debug, obs=observer)
         join_plan = plan(bound, debug=debug, obs=observer, **options)
-        if not _reads_statistics(join_plan, options["binary_order"]):
-            versions = None
-        return _PlanEntry(bound, join_plan, sources, dtypes, versions)
+        require_servable(join_plan)
+        return _PlanEntry(bound, join_plan, sources, dtypes)
 
     def _cached_plan(self, key: "tuple | None") -> "_PlanEntry | None":
         """The cached plan under ``key`` if it is still current (counted

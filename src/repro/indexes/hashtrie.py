@@ -35,9 +35,9 @@ chains are never mutated in place — expansion builds a fresh object from
 the chain and swaps it in).  The expansion *counters* do drift under
 races, which is accepted: they are single-run diagnostics, not join
 results.  On free-threaded builds this structure would need per-node
-publication CAS; the hashtrie driver is safe over *prebuilt shared*
-structures only under the GIL contract documented in
-``docs/architecture.md``.
+publication CAS.  The hashtrie driver builds its own tries per join, so
+no two runs share one; a trie shared between threads anyway is safe only
+under the GIL contract documented in ``docs/architecture.md``.
 """
 
 from __future__ import annotations

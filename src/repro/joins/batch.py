@@ -238,7 +238,8 @@ class GenericJoinBatch:
         self.order = program.order
         self._tries = tries
         self.dynamic_seed = dynamic_seed
-        self.metrics = JoinMetrics(algorithm="generic_join_batch")
+        self.metrics = JoinMetrics(algorithm="generic_join_batch",
+                                   index=ColumnarTrie.NAME)
         self.obs = obs if obs is not None else NULL_OBSERVER
 
     # ------------------------------------------------------------------

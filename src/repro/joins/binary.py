@@ -15,7 +15,7 @@ data.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.errors import QueryError
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
@@ -33,8 +33,8 @@ def plan_pipeline(query: JoinQuery, relations: dict[str, Relation],
     Each descriptor carries the stage's alias, its key/payload attribute
     split under the attributes bound so far, and the corresponding column
     positions in the stage relation's schema — everything a hash-table
-    build (or an index-cache key) needs.  Returns ``(stages,
-    output_attrs)``; the leading atom contributes no stage.
+    build needs, and what a binary plan's index specs describe.  Returns
+    ``(stages, output_attrs)``; the leading atom contributes no stage.
     """
     bound = list(query.attributes_of(order[0]))
     bound_set = set(bound)
@@ -60,41 +60,18 @@ def plan_pipeline(query: JoinQuery, relations: dict[str, Relation],
     return stages, tuple(bound)
 
 
-def build_stage_table(rows: Iterable[tuple], key_positions: Sequence[int],
-                      payload_positions: Sequence[int],
-                      ) -> dict[tuple, list[tuple]]:
-    """One stage's hash table: key columns → list of payload projections.
-
-    ``rows`` is a relation or any iterable of its rows.  Standalone so
-    the engine's prepare stage can build (and the session cache can
-    reuse) a stage table outside any driver instance.
-    """
-    table: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        key = tuple(row[p] for p in key_positions)
-        table.setdefault(key, []).append(
-            tuple(row[p] for p in payload_positions))
-    return table
-
-
 class BinaryHashJoin:
     """Left-deep pipeline of hash joins over a query.
 
-    ``prebuilt`` (the engine's prepared path) is ``(tables,
-    leading_rows)``: every stage's hash table by atom alias, and the
-    leading relation's row count when they were built; the driver then
-    builds nothing and ``metrics.build_seconds`` stays zero — the
-    prepare stage owns the build accounting.
-
-    The leading atom is scanned up to the row count read at build time,
-    so a run started after an append still joins the rows the stage
-    tables were built from (relations are append-only).
+    The build phase hashes every non-leading relation on its key; the
+    leading atom is then scanned up to the row count read at build
+    time, so a run started after an append still joins exactly the rows
+    the tables were built from (relations are append-only).
     """
 
     def __init__(self, query: JoinQuery, relations: dict[str, Relation],
                  order: Sequence[str] | None = None,
-                 stats: Statistics | None = None, obs=None,
-                 prebuilt: "tuple[Mapping[str, dict], int] | None" = None):
+                 stats: Statistics | None = None, obs=None):
         missing = [a.alias for a in query.atoms if a.alias not in relations]
         if missing:
             raise QueryError(f"no relation bound for atoms {missing}")
@@ -113,7 +90,6 @@ class BinaryHashJoin:
         self._plan: list[dict] = []
         self._built = False
         self._output_attrs: tuple[str, ...] = ()
-        self._prebuilt = prebuilt
         self._leading_rows = 0
         self.obs = obs if obs is not None else NULL_OBSERVER
 
@@ -121,6 +97,8 @@ class BinaryHashJoin:
     # Build phase: one hash table per non-leading atom
     # ------------------------------------------------------------------
     def build(self) -> None:
+        """Hash each stage's relation: key columns → the list of its
+        rows' payload projections, every copy of a repeated row kept."""
         if self._built:
             return
         self._built = True
@@ -129,21 +107,22 @@ class BinaryHashJoin:
         stages, self._output_attrs = plan_pipeline(self.query, self.relations,
                                                    self.order)
         self._plan = stages
-        if self._prebuilt is not None:
-            tables, self._leading_rows = self._prebuilt
-            for stage in stages:
-                stage["table"] = tables[stage["alias"]]
-            return
         self._leading_rows = len(self.relations[self.order[0]])
         for stage in stages:
+            relation = self.relations[stage["alias"]]
             if obs.enabled:
                 table_t0 = Stopwatch.now_ns()
-            stage["table"] = build_stage_table(
-                self.relations[stage["alias"]],
-                stage["key_positions"], stage["payload_positions"])
+            key_positions = stage["key_positions"]
+            payload_positions = stage["payload_positions"]
+            table: dict[tuple, list[tuple]] = {}
+            for row in relation.rows:
+                key = tuple(row[p] for p in key_positions)
+                table.setdefault(key, []).append(
+                    tuple(row[p] for p in payload_positions))
+            stage["table"] = table
             if obs.enabled:
-                obs.record_build(stage["alias"],
-                                 Stopwatch.now_ns() - table_t0)
+                obs.record_build(stage["alias"], table_t0,
+                                 index="hashtable", tuples=len(relation))
         self.metrics.build_seconds += watch.lap()
 
     # ------------------------------------------------------------------

@@ -11,7 +11,9 @@ structures (timed — ad-hoc index build is part of every WCOJ run,
 session: no index cache, so the ad-hoc build is part of every reported
 time, as in the seed's monolithic implementation.  For repeated
 queries over the same relations, use :class:`repro.engine.Session`,
-whose prepared joins skip the rebuild.
+whose prepared joins skip the rebuild — for frontier plans, the only
+kind it serves; ``join()`` is the one door to the paper's tuple
+drivers, which build their own structures on every call.
 
 >>> from repro import join, Relation, parse_query
 >>> edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])
@@ -133,6 +135,20 @@ def source_relation(source: "Catalog | Mapping[str, Relation]",
     return source.get(atom.relation)
 
 
+def refuse_repeats(relation: Relation, structure, kind: str) -> None:
+    """The tuple drivers' one duplicate check, made where each builds.
+
+    ``structure`` (anything with a ``len``) holds ``relation``'s rows as
+    a set; had the relation stored a row twice, the driver would answer
+    the set where the default engine answers the bag, so it refuses.
+    """
+    if len(structure) < len(relation):
+        raise QueryError(
+            f"relation {relation.name!r} repeats a row, and the tuple "
+            f"drivers join sets ({kind!r} holds each row once); the "
+            "default engine (engine='auto') counts every copy")
+
+
 def build_adapters(query: JoinQuery, relations: Mapping[str, Relation],
                    order: Sequence[str], index: str = "sonic",
                    sonic_overallocation: float = 2.0,
@@ -143,6 +159,8 @@ def build_adapters(query: JoinQuery, relations: Mapping[str, Relation],
 
     With an enabled observer, each adapter's build is timed individually
     (``profile.build_breakdown``) and recorded as a ``build_index`` span.
+    A relation that repeats a row raises
+    :class:`~repro.errors.QueryError` (:func:`refuse_repeats`).
     """
     adapters: dict[str, IndexAdapter] = {}
     options = dict(index_options or {})
@@ -163,14 +181,71 @@ def build_adapters(query: JoinQuery, relations: Mapping[str, Relation],
             idx = make_index(index, relation.arity, **options)
         adapter = IndexAdapter(relation, idx, order)
         adapter.build()
+        refuse_repeats(relation, idx, index)
         adapters[atom.alias] = adapter
         if obs_enabled:
-            duration = Stopwatch.now_ns() - adapter_t0
-            observer.record_build(atom.alias, duration)
-            observer.tracer.add_span("build_index", adapter_t0, duration,
-                                     alias=atom.alias, index=index,
-                                     tuples=len(relation))
+            observer.record_build(atom.alias, adapter_t0, index=index,
+                                  tuples=len(relation))
     return adapters
+
+
+def _run_tuple_plan(bound, join_plan, observer, materialize: bool,
+                    trace_out: "str | None") -> JoinResult:
+    """Run a plan no serving layer holds: a tuple driver, built cold.
+
+    The driver builds its own structures — a Sonic or other registry
+    index per atom through :func:`build_adapters`, sorted tries, hash
+    tables or row sets — inside the ``prepare`` span, one
+    ``build_index`` span per built atom, and the build time lands on
+    ``metrics.build_seconds`` (§5.15's build-included timing).
+    """
+    # imported here: hashtrie_join imports this module's build_adapters
+    from repro.joins.binary import BinaryHashJoin
+    from repro.joins.generic_join import GenericJoin
+    from repro.joins.hashtrie_join import HashTrieJoin
+    from repro.joins.leapfrog import LeapfrogTrieJoin
+    from repro.joins.recursive import RecursiveJoin
+
+    query, relations = bound.query, bound.relations
+    algorithm, order = join_plan.algorithm, join_plan.total_order
+    with observer.tracer.span("prepare"):
+        if algorithm == "binary":
+            driver = BinaryHashJoin(query, relations,
+                                    order=join_plan.atom_order, obs=observer)
+            driver.build()
+        elif algorithm == "leapfrog":
+            driver = LeapfrogTrieJoin(query, relations, order=order,
+                                      obs=observer)
+            driver.build()
+        elif algorithm == "recursive":
+            driver = RecursiveJoin(query, relations, order=order,
+                                   obs=observer)
+        else:
+            # every spec of the plan carries the one option set it made
+            options = dict(join_plan.index_specs[0].options)
+            if algorithm == "hashtrie":
+                driver = HashTrieJoin(query, relations, order=order,
+                                      obs=observer, **options)
+            else:
+                sonic = {}
+                if join_plan.index == "sonic":
+                    sonic = {"sonic_bucket_size": options.pop("bucket_size"),
+                             "sonic_overallocation": options.pop(
+                                 "overallocation")}
+                watch = Stopwatch()
+                adapters = build_adapters(
+                    query, relations, order, index=join_plan.index,
+                    index_options=options, obs=observer, **sonic)
+                driver = GenericJoin(query, adapters, order=order,
+                                     dynamic_seed=join_plan.dynamic_seed,
+                                     obs=observer)
+                driver.metrics.index = join_plan.index
+                driver.metrics.build_seconds = watch.lap()
+    result = driver.run(materialize=materialize)
+    return attach_profile(query, result, observer, join_plan.choice,
+                          order or join_plan.atom_order,
+                          engine=join_plan.engine or None,
+                          trace_out=trace_out)
 
 
 def join(query: "JoinQuery | str",
@@ -240,9 +315,11 @@ def join(query: "JoinQuery | str",
     instead of silently executing a malformed plan.
 
     ``parallel`` (default: the ``REPRO_WORKERS`` environment variable;
-    0 / unset keeps the single-process path) runs the join as ``K``
-    hash-sharded worker processes over shared-memory columns
-    (:mod:`repro.parallel`): the plan gains a
+    0 / unset keeps the single-process path) runs a frontier plan as
+    ``K`` hash-sharded worker processes over shared-memory columns
+    (:mod:`repro.parallel`); any other plan raises
+    :class:`~repro.errors.ConfigurationError` at plan time, before
+    anything is partitioned or forked.  The plan gains a
     :class:`~repro.engine.ir.ShardingSpec` on its leading attribute,
     relations are partitioned into ``/dev/shm`` during prepare, and
     each worker runs the same staged pipeline over its shard before
@@ -267,12 +344,15 @@ def join(query: "JoinQuery | str",
 
     Every call runs the full cold pipeline — **bind → plan →
     prepare(no cache) → execute** — so the ad-hoc index build is part
-    of the reported timing, exactly as the paper measures (§5.15).
+    of the reported timing, exactly as the paper measures (§5.15).  A
+    frontier plan prepares its columnar tries; a tuple plan's driver
+    builds its own structures inside the ``prepare`` span instead (no
+    serving layer holds one).
     """
     # imported here, not at module level: the engine pipeline imports
     # this module's shared helpers (resolve_relations, attach_profile),
     # so the package-level dependency must stay one-directional
-    from repro.engine.pipeline import bind, plan, prepare
+    from repro.engine.pipeline import _prepare, bind, plan, servable
 
     observer = resolve_observer(profile, obs)
     bound = bind(query, source, debug=debug, obs=observer)
@@ -280,7 +360,10 @@ def join(query: "JoinQuery | str",
                      binary_order=binary_order, engine=engine,
                      dynamic_seed=dynamic_seed, debug=debug, obs=observer,
                      index_kwargs=index_kwargs, parallel=parallel)
-    prepared = prepare(bound, join_plan, cache=None, obs=observer)
+    if not servable(join_plan):
+        return _run_tuple_plan(bound, join_plan, observer, materialize,
+                               trace_out)
+    prepared = _prepare(bound, join_plan, None, observer)
     try:
         return prepared.execute(materialize=materialize, obs=observer,
                                 trace_out=trace_out)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
 from repro.indexes.hashtrie import HashTrie
 from repro.joins.executor import build_adapters
@@ -45,24 +44,19 @@ class HashTrieJoin(GenericJoin):
     def __init__(self, query: JoinQuery, relations: dict[str, Relation],
                  order: Sequence[str] | None = None,
                  lazy: bool = True, singleton_pruning: bool = True,
-                 obs=None,
-                 adapters: "dict[str, IndexAdapter] | None" = None):
+                 obs=None):
         missing = [a.alias for a in query.atoms if a.alias not in relations]
         if missing:
             raise QueryError(f"no relation bound for atoms {missing}")
         order = tuple(order) if order else connectivity_order(query)
-        build_seconds = 0.0
-        if adapters is None:
-            # ``adapters`` (the engine's prepared path) are pre-built
-            # tries and build_seconds stays zero; otherwise only the
-            # first trie level per relation is built here (lazy mode)
-            watch = Stopwatch()
-            adapters = build_adapters(
-                query, relations, order, index="hashtrie",
-                index_options={"lazy": lazy,
-                               "singleton_pruning": singleton_pruning},
-                obs=obs)
-            build_seconds = watch.lap()
+        # only the first trie level per relation is built here (lazy mode)
+        watch = Stopwatch()
+        adapters = build_adapters(
+            query, relations, order, index="hashtrie",
+            index_options={"lazy": lazy,
+                           "singleton_pruning": singleton_pruning},
+            obs=obs)
+        build_seconds = watch.lap()
         super().__init__(query, adapters, order=order, obs=obs)
         self.metrics = JoinMetrics(algorithm="hashtrie_join", index="hashtrie",
                                    build_seconds=build_seconds)

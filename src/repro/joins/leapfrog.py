@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
 from repro.indexes.sorted_trie import SortedTrie, TrieIterator
+from repro.joins.executor import refuse_repeats
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
 from repro.obs.observer import NULL_OBSERVER
 from repro.planner.qptree import connectivity_order
@@ -34,8 +35,7 @@ class LeapfrogTrieJoin:
     """LFTJ over sorted-array tries."""
 
     def __init__(self, query: JoinQuery, relations: dict[str, Relation],
-                 order: Sequence[str] | None = None, obs=None,
-                 tries: "dict[str, SortedTrie] | None" = None):
+                 order: Sequence[str] | None = None, obs=None):
         missing = [a.alias for a in query.atoms if a.alias not in relations]
         if missing:
             raise QueryError(f"no relation bound for atoms {missing}")
@@ -43,10 +43,8 @@ class LeapfrogTrieJoin:
         self.relations = relations
         self.order: tuple[str, ...] = tuple(order) if order else connectivity_order(query)
         self.metrics = JoinMetrics(algorithm="leapfrog", index="sortedtrie")
-        # pre-sorted tries (the engine's prepared path) skip the build
-        # phase; build_seconds stays zero — prepare owns that accounting
-        self._built = tries is not None
-        self._tries: dict[str, SortedTrie] = tries or {}
+        self._built = False
+        self._tries: dict[str, SortedTrie] = {}
         # which aliases participate at each attribute depth, and at which
         # of their own depths (their attribute's rank in their own order)
         self._participants: list[list[str]] = [
@@ -56,6 +54,9 @@ class LeapfrogTrieJoin:
         self.obs = obs if obs is not None else NULL_OBSERVER
 
     def build(self) -> None:
+        """Sort every relation into a trie under the total order; a
+        relation that repeats a row raises
+        :class:`~repro.errors.QueryError` (the tries hold sets)."""
         if self._built:
             return
         self._built = True
@@ -69,9 +70,11 @@ class LeapfrogTrieJoin:
             adapter = IndexAdapter(relation, trie, self.order)
             adapter.build()
             trie.rows  # force the sort inside the build phase
+            refuse_repeats(relation, trie, "sortedtrie")
             self._tries[atom.alias] = trie
             if obs.enabled:
-                obs.record_build(atom.alias, Stopwatch.now_ns() - adapter_t0)
+                obs.record_build(atom.alias, adapter_t0, index="sortedtrie",
+                                 tuples=len(relation))
         self.metrics.build_seconds += watch.lap()
 
     def run(self, materialize: bool = False) -> JoinResult:

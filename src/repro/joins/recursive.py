@@ -34,7 +34,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import QueryError
+from repro.joins.executor import refuse_repeats
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
+from repro.obs.observer import NULL_OBSERVER
 from repro.planner.agm import fractional_cover
 from repro.planner.hypergraph import Hypergraph
 from repro.planner.qptree import connectivity_order
@@ -74,8 +76,7 @@ class RecursiveJoin:
     """Alg. 1 over materialized relations (reference implementation)."""
 
     def __init__(self, query: JoinQuery, relations: dict[str, Relation],
-                 order: Sequence[str] | None = None,
-                 edges: "dict[str, frozenset] | None" = None):
+                 order: Sequence[str] | None = None, obs=None):
         missing = [a.alias for a in query.atoms if a.alias not in relations]
         if missing:
             raise QueryError(f"no relation bound for atoms {missing}")
@@ -84,27 +85,26 @@ class RecursiveJoin:
         self._rank = {a: i for i, a in enumerate(self.order)}
         self.metrics = JoinMetrics(algorithm="recursive_join", index="hashmap")
         watch = Stopwatch()
-        prebuilt = edges is not None
-        if prebuilt:
-            # the engine's prepared path: frozen row sets already
-            # materialized (and possibly cache-shared); build_seconds
-            # stays zero — prepare owns that accounting
-            self._edges = [_Edge(atom.alias, atom.attributes,
-                                 edges[atom.alias])
-                           for atom in query.atoms]
-        else:
-            self._edges = [
-                _Edge(atom.alias, atom.attributes,
-                      frozenset(relations[atom.alias].rows))
-                for atom in query.atoms
-            ]
+        obs = obs if obs is not None else NULL_OBSERVER
+        # the build: each relation materialized as a frozen row set — a
+        # set, so a relation that repeats a row is refused
+        self._edges = []
+        for atom in query.atoms:
+            if obs.enabled:
+                rows_t0 = Stopwatch.now_ns()
+            relation = relations[atom.alias]
+            rows = frozenset(relation.rows)
+            refuse_repeats(relation, rows, "tupleset")
+            self._edges.append(_Edge(atom.alias, atom.attributes, rows))
+            if obs.enabled:
+                obs.record_build(atom.alias, rows_t0, index="tupleset",
+                                 tuples=len(relation))
         hypergraph = Hypergraph.from_query(query)
         cover = fractional_cover(
             hypergraph, {alias: len(relations[alias]) for alias in relations})
         self._weights = {atom.alias: max(cover.weight(atom.alias), 1e-9)
                          for atom in query.atoms}
-        if not prebuilt:
-            self.metrics.build_seconds += watch.lap()
+        self.metrics.build_seconds += watch.lap()
 
     # ------------------------------------------------------------------
     def run(self, materialize: bool = False) -> JoinResult:

@@ -20,6 +20,11 @@ writes the schema-validated profile JSON and ``--trace PATH`` the Chrome
 the text tree grows the per-shard/straggler section, ``--json`` exports
 the :class:`~repro.obs.profile.ShardedJoinProfile` payload, and
 ``--trace`` the *merged* multi-pid Chrome trace with one row per worker.
+Only a frontier plan shards.
+
+A configuration the engine refuses — an unknown ``--algorithm``, or a
+tuple driver with ``--parallel`` — prints ``error: <message>`` to
+stderr and exits 2, as a usage error does.
 """
 
 from __future__ import annotations
@@ -150,10 +155,15 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.parallel is not None:
         options["parallel"] = args.parallel
 
+    from repro.errors import ConfigurationError
     from repro.joins.executor import join
     from repro.obs.profile import validate_profile
 
-    result = join(query, relations, profile=True, **options)
+    try:
+        result = join(query, relations, profile=True, **options)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     profile = result.profile
     payload = validate_profile(profile.as_dict())
 

@@ -26,6 +26,7 @@ documented in ``docs/observability.md``.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 
 from repro.core.envflag import resolve_flag
@@ -107,10 +108,15 @@ class JoinObserver:
             self.levels = levels
         return levels
 
-    def record_build(self, alias: str, duration_ns: int) -> None:
-        """One adapter's index-build time (the WCOJ build phase, §5.15)."""
+    def record_build(self, alias: str, start_ns: int, **attrs) -> None:
+        """One atom's structure build, begun at ``start_ns`` and ending
+        now (the WCOJ build phase, §5.15): its time, a count, and a
+        ``build_index`` span carrying ``attrs`` (``index``, ``tuples``)."""
+        duration_ns = time.perf_counter_ns() - start_ns   # Stopwatch's clock
         self.build_ns[alias] = self.build_ns.get(alias, 0) + duration_ns
         self.metrics.inc("build.indexes")
+        self.tracer.add_span("build_index", start_ns, duration_ns,
+                             alias=alias, **attrs)
 
 
 #: the shared disabled observer handed to every un-profiled driver

@@ -1,7 +1,7 @@
 """The parent-side sharded executor: fan out, collect, merge.
 
 A :class:`ShardedRunner` is what a :class:`~repro.engine.prepared.PreparedJoin`
-holds instead of driver adapters when its plan carries a
+holds instead of tries when its frontier plan carries a
 :class:`~repro.engine.ir.ShardingSpec`: the prepare stage has already
 partitioned every relation's columns into shared memory
 (:class:`~repro.parallel.shm.ShardedColumns`), and each execution
@@ -39,31 +39,6 @@ def query_text(query) -> str:
     )
 
 
-def plan_index_kwargs(plan) -> dict:
-    """Reconstruct the ``**index_kwargs`` a worker re-plans with.
-
-    Inverts what the planner folded into the plan's first spec's options
-    (every spec of a plan shares one option dict); plan-internal markers
-    (the leapfrog ``sorted`` presort) are dropped — the worker's own
-    planner re-derives them.
-    """
-    if not plan.index_specs:
-        return {}
-    options = dict(plan.index_specs[0].options)
-    if plan.algorithm == "generic":
-        kwargs: dict = {}
-        if plan.index == "sonic":
-            kwargs["sonic_bucket_size"] = options.pop("bucket_size", 8)
-            kwargs["sonic_overallocation"] = options.pop("overallocation", 2.0)
-        if options:
-            kwargs["index_options"] = options
-        return kwargs
-    if plan.algorithm == "hashtrie":
-        return {"lazy": options.get("lazy", True),
-                "singleton_pruning": options.get("singleton_pruning", True)}
-    return {}
-
-
 def _empty_shard_result(shard: int) -> dict:
     return {"ok": True, "shard": shard, "skipped": True, "count": 0,
             "rows": [], "attributes": (), "algorithm": None, "build_s": 0.0,
@@ -89,25 +64,19 @@ class ShardedRunner:
 
     # ------------------------------------------------------------------
     def _build_template(self) -> dict:
-        # each worker re-plans the plan's decisions over its shard
+        # each worker re-plans the frontier plan's decisions over its
+        # shard: the query, the total order and the seed rule
         plan = self.plan
         return {
             "query": query_text(self.bound.query),
-            "algorithm": plan.algorithm,
-            "index": plan.index,
-            "engine": plan.engine,
             "order": list(plan.total_order),
-            "atom_order": list(plan.atom_order),
             "dynamic_seed": plan.dynamic_seed,
-            "index_kwargs": plan_index_kwargs(self.plan),
         }
 
     def _plan_signature(self) -> tuple:
         template = self._task_template
-        return (template["query"], template["algorithm"], template["index"],
-                template["engine"], tuple(template["order"]),
-                tuple(template["atom_order"]), template["dynamic_seed"],
-                repr(sorted(template["index_kwargs"].items())))
+        return (template["query"], tuple(template["order"]),
+                template["dynamic_seed"])
 
     def _shard_task(self, shard: int, materialize: bool,
                     with_counters: bool) -> "dict | None":

@@ -2,13 +2,14 @@
 
 Everything in this module runs **inside a worker process**.  The
 process boundary is deliberately narrow: a task carries shared-memory
-column handles, the query text, and the frozen plan decisions
-(algorithm / index / engine / orders / options) — never a live index,
-relation, driver, or lock.  The worker maps the columns, rebuilds
-per-shard relations, and runs the **standard** staged pipeline
-(:mod:`repro.engine.pipeline`) end to end, so a shard executes exactly
-the code path the single-process engine does — which is what makes the
-shard-equivalence property tests meaningful.
+column handles, the query text, and the frozen decisions of a frontier
+plan — the only kind that shards — which are its total order and seed
+rule; never a live trie, relation, driver, or lock.  The worker maps the
+columns, rebuilds per-shard relations, and runs the **standard** staged
+pipeline (:mod:`repro.engine.pipeline`) end to end — a Generic Join on
+the batch engine over one columnar trie per shard relation — so a shard
+executes exactly the code path the single-process engine does, which is
+what makes the shard-equivalence property tests meaningful.
 
 Entry points (:func:`worker_main`, :func:`run_shard_task`) are plain
 module-level functions that capture no module state, so they survive
@@ -132,14 +133,8 @@ def _prepare_task(task: dict, obs=None) -> "tuple[object, list]":
     bound = bind(task["query"], relations, obs=obs)
     join_plan = plan(
         bound,
-        algorithm=task["algorithm"],
-        index=task["index"] or "sonic",
         order=tuple(task["order"]) if task["order"] else None,
-        binary_order=(tuple(task["atom_order"])
-                      if task["atom_order"] else None),
-        engine=task["engine"] or "tuple",
         dynamic_seed=task["dynamic_seed"],
-        index_kwargs=task["index_kwargs"] or None,
         obs=obs,
         # a shard always runs single-process: without the explicit 0 an
         # inherited REPRO_WORKERS would shard the shard, recursively

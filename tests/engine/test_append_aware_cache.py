@@ -1,13 +1,14 @@
 """The index cache under writes: what a write costs the next read.
 
-Relations are append-only, and a miss after a write rebuilds whatever
-kind it missed on — the frontier engine's columnar trie, a stage table,
-every registry index — from one consistent read.  These tests hold that
-to the one contract that matters — a session read answers exactly as a
-cold ``join()`` over the same rows, a refusal included — across every
+Relations are append-only, and a miss after a write rebuilds the
+columnar trie it missed on — the one structure a session holds besides a
+sharded plan's partitioning — from one consistent read.  These tests
+hold that to the one contract that matters — a session read answers
+exactly as a cold ``join()`` over the same rows — across every frontier
 plan family, and pin the mechanism itself: every miss rebuilds, the
 superseded entry leaves the budget, and a prepared join keeps answering
-from the structures it was prepared with.
+from the structures it was prepared with.  The paper's tuple drivers
+are never cached: they rebuild on every cold ``join()``.
 """
 
 from __future__ import annotations
@@ -19,21 +20,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Relation, Session, join
-from repro.errors import QueryError
+from repro.errors import ConfigurationError
+from repro.joins import BinaryHashJoin, resolve_relations
 from repro.obs.observer import JoinObserver
+from repro.planner import parse_query
 
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 CORE_EAR = "E1=E(a,b), E2=E(b,c), E3=E(c,a), F(a,d)"
 
+PATH = "E1=E(a,b), E2=E(b,c)"
+
 GENERIC_TUPLE = {"algorithm": "generic", "index": "sonic", "engine": "tuple"}
 GENERIC_BATCH = {"algorithm": "generic", "index": "sonic", "engine": "batch"}
 BINARY = {"algorithm": "binary"}
-#: every plan family a session can be asked for, with the query it reads
+#: every plan family a session serves, with the query it reads: the
+#: acyclic route (``auto`` over a query the binary pipeline used to
+#: take) among them
 CONFIGS = [
     (TRIANGLE, {}),
-    (TRIANGLE, GENERIC_TUPLE),
+    (TRIANGLE, {"algorithm": "generic", "index": "btree"}),
     (TRIANGLE, GENERIC_BATCH),
-    (CORE_EAR, BINARY),
+    (CORE_EAR, {"algorithm": "auto"}),
     (CORE_EAR, {"algorithm": "unified", "engine": "batch"}),
 ]
 SHARDED = (TRIANGLE, {**GENERIC_BATCH, "parallel": 2})
@@ -80,21 +87,10 @@ def span_names(observer: JoinObserver) -> list:
     return [span["name"] for span in observer.tracer.as_dicts()]
 
 
-def outcome(run) -> "int | type":
-    """A read's count, or the refusal of a tuple driver over a relation
-    that repeats a row."""
-    try:
-        return run().count
-    except QueryError as refusal:
-        assert "repeats a row" in str(refusal)
-        return QueryError
-
-
 def check_reads(session: Session, tables: dict, configs) -> None:
     for query, options in configs:
-        got = outcome(lambda: session.execute(query, **options))
-        want = outcome(lambda: join(query, tables, **options))
-        assert got == want, (query, options)
+        assert session.execute(query, **options).count == \
+            join(query, tables, **options).count, (query, options)
 
 
 def replay(steps, configs) -> Session:
@@ -143,33 +139,40 @@ class TestExtendOrRebuild:
     def test_a_write_is_served_by_a_rebuild(self):
         tables = base_tables()
         session = Session(tables)
-        session.execute(CORE_EAR, **BINARY)
+        session.execute(CORE_EAR)
         tables["E"].extend([(0, 6), (6, 0)])
         observer = JoinObserver()
-        result = session.execute(CORE_EAR, obs=observer, **BINARY)
+        result = session.execute(CORE_EAR, obs=observer)
         assert result.count == join(CORE_EAR, tables, **BINARY).count
-        # F leads the pipeline; E is held as two stage tables (E1 and E2
-        # share one): both missed and both were rebuilt from every row
-        builds = [span["args"] for span in observer.tracer.as_dicts()
-                  if span["name"] == "build_index"]
-        assert [b["index"] for b in builds] == ["hashtable", "hashtable"]
-        assert {b["tuples"] for b in builds} == {len(tables["E"])}
+        # E is held as two tries (E1 and E2 share one attribute order,
+        # E3 has its own): both missed and both were sorted again from
+        # every row; F's trie was not written, and is a hit
+        sorts = [span["args"] for span in observer.tracer.as_dicts()
+                 if span["name"] == "build_index"
+                 and "levels" not in span["args"]]
+        assert [s["index"] for s in sorts] == ["columnar", "columnar"]
+        assert {s["tuples"] for s in sorts} == {len(tables["E"])}
 
     def test_stage_tables_rebuild_in_row_order(self):
+        # a session holds no stage table: the binary pipeline builds its
+        # own on every cold join.  What a session rebuilds after a write
+        # is a trie, which answers in the order a cold build does
         tables = base_tables()
         session = Session(tables)
-        first = session.prepare(CORE_EAR, **BINARY)
-        old_tables = {alias: {key: list(rows) for key, rows in table.items()}
-                      for alias, table in first.structures.items()}
+        first = session.prepare(CORE_EAR)
+        old_rows = first.execute(materialize=True).rows
         tables["F"].extend([(0, 7), (0, 8), (9, 9)])
         tables["E"].extend([(0, 6)])
-        second = session.prepare(CORE_EAR, **BINARY)
-        cold = join(CORE_EAR, tables, algorithm="binary", materialize=True)
+        second = session.prepare(CORE_EAR)
+        cold = join(CORE_EAR, tables, materialize=True)
         # a bag in row order: same rows in the same sequence as a rebuild
         assert second.execute(materialize=True).rows == cold.rows
-        # the superseded tables were copied, not written
-        for alias, table in first.structures.items():
-            assert table == old_tables[alias]
+        # ... and the bag the binary pipeline answers, built cold
+        binary = join(CORE_EAR, tables, algorithm="binary", materialize=True)
+        assert sorted(sorted(row.items()) for row in binary.rows_as_dicts()) \
+            == sorted(sorted(row.items()) for row in cold.rows_as_dicts())
+        # the superseded tries were copied, not written
+        assert first.execute(materialize=True).rows == old_rows
 
     @pytest.mark.parametrize("options", [
         {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"},
@@ -177,11 +180,17 @@ class TestExtendOrRebuild:
         {"algorithm": "generic", "index": "sortedtrie", "engine": "tuple"},
     ], ids=lambda o: "-".join(str(v) for v in o.values()) or "default")
     def test_other_kinds_keep_rebuilding(self, options):
+        # the session rebuilds its trie; a tuple driver, which no session
+        # holds, rebuilds its index kind on every cold join
         tables = base_tables()
         session = Session(tables)
-        session.execute(TRIANGLE, **options)
+        session.execute(TRIANGLE)
+        if options:
+            with pytest.raises(ConfigurationError,
+                               match=r'join\(engine="tuple"\)'):
+                session.execute(TRIANGLE, **options)
         tables["E"].extend([(0, 6), (6, 0)])
-        assert session.execute(TRIANGLE, **options).count == \
+        assert session.execute(TRIANGLE).count == \
             join(TRIANGLE, tables, **options).count
 
     def test_cold_join_never_extends(self):
@@ -199,60 +208,67 @@ class TestSupersededEntries:
     def test_dead_versions_leave_the_byte_budget(self):
         tables = base_tables()
         session = Session(tables)
-        session.execute(TRIANGLE, **GENERIC_TUPLE)
+        session.execute(TRIANGLE, **GENERIC_BATCH)
         one_version = session.cache_stats()
         for step in range(5):
             tables["E"].extend([(step, 7)])
-            session.execute(TRIANGLE, **GENERIC_TUPLE)
+            session.execute(TRIANGLE, **GENERIC_BATCH)
         stats = session.cache_stats()
         # one live entry per attribute order, however many versions
         # passed, charged what a session that saw only the last one holds
         assert stats.entries == one_version.entries == 2
         fresh = Session(tables)
-        fresh.execute(TRIANGLE, **GENERIC_TUPLE)
+        fresh.execute(TRIANGLE, **GENERIC_BATCH)
         assert stats.bytes == fresh.cache_stats().bytes
         assert stats.evictions == 10
         assert session.metrics.get("cache.evict") == 10
         assert stats.stores - stats.evictions == stats.entries
 
     def test_prepared_join_outlives_its_superseded_base(self):
-        # CORE_EAR under the binary pipeline: E is all stage tables (a
-        # trie: TestBatchRebuilds.test_prepared_join_answers_from_its_
+        # CORE_EAR on the frontier: E is two tries and F one (the
+        # triangle: TestBatchRebuilds.test_prepared_join_answers_from_its_
         # pinned_trie)
         tables = base_tables()
         session = Session(tables)
-        pinned = session.prepare(CORE_EAR, **BINARY)
+        pinned = session.prepare(CORE_EAR)
         before = pinned.execute().count
         held = set(map(id, pinned.structures.values()))
         # closes new triangles through old rows, so a base written in
         # place would show
         tables["E"].extend([(0, 6), (6, 0), (1, 0), (5, 1)])
-        fresh = session.prepare(CORE_EAR, **BINARY)
+        fresh = session.prepare(CORE_EAR)
         assert fresh.execute().count == join(CORE_EAR, tables, **BINARY).count
         assert fresh.execute().count != before
-        # the base is out of the cache, and still answers as it did
+        # E's bases are out of the cache, and still answer as they did
         cached = {id(entry.value)
                   for entry in session.cache._entries.values()}
-        assert not held & cached
+        assert len(held - cached) == 2
         assert pinned.execute().count == before
 
     @pytest.mark.parametrize("algorithm", ["binary", "unified"])
     def test_prepared_binary_join_pins_its_leading_scan(self, algorithm):
-        # the leading atom has no stage table: its scan stops at the row
-        # count read at prepare, or the answer is true of no version
-        # (unified: an acyclic query is one binary root stage)
+        # the leading atom has no stage table: a built pipeline scans it
+        # up to the row count read at its build, or the answer is true of
+        # no version.  A session holds no binary pipeline — it refuses
+        # the plan, a pinned binary order sending ``unified`` there too —
+        # so the pipeline that pins is the driver a cold join() runs
         tables = {"R": Relation("R", ("a", "b"), [(1, 2), (4, 3)]),
                   "S": Relation("S", ("b", "c"), [(2, 5), (3, 6)])}
-        session = Session(tables)
+        query = "R(a,b), S(b,c)"
         options = {"algorithm": algorithm, "binary_order": ["R", "S"]}
-        pinned = session.prepare("R(a,b), S(b,c)", **options)
-        assert pinned.execute().count == 2
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            Session(tables).prepare(query, **options)
+        parsed = parse_query(query)
+        pinned = BinaryHashJoin(parsed, resolve_relations(parsed, tables),
+                                order=["R", "S"])
+        pinned.build()
+        assert join(query, tables, **options).count == 2
         tables["R"].extend([(7, 2), (8, 3)])
         tables["S"].extend([(2, 9)])
-        assert pinned.execute().count == 2
-        assert pinned.execute(materialize=True).rows == [(1, 2, 5), (4, 3, 6)]
-        assert session.prepare("R(a,b), S(b,c)",
-                               **options).execute().count == 6
+        assert pinned.run().count == 2
+        assert pinned.run(materialize=True).rows == [(1, 2, 5), (4, 3, 6)]
+        assert join(query, tables, **options).count == 6
 
 
 class TestBatchRebuilds:
@@ -389,8 +405,10 @@ class TestBytesFollowTheLevels:
 # key and contents come from one read
 # ----------------------------------------------------------------------
 class TestSnapshotCoherence:
+    # "hashtable": the acyclic query the binary pipeline's stage tables
+    # used to hold, now one trie per attribute order like the triangle
     @pytest.mark.parametrize("query,options", [
-        (TRIANGLE, GENERIC_BATCH), (CORE_EAR, BINARY),
+        (TRIANGLE, GENERIC_BATCH), (PATH, {"algorithm": "auto"}),
     ], ids=["columnar", "hashtable"])
     def test_extend_between_lookup_and_build_is_not_double_applied(
             self, query, options):
@@ -427,9 +445,7 @@ class TestSnapshotCoherence:
         # every entry is keyed by the version whose rows it holds (the
         # rows of E are distinct, so a trie's length is its row count)
         for key, entry in session.cache._entries.items():
-            held = (sum(map(len, entry.value.values()))
-                    if isinstance(entry.value, dict) else len(entry.value))
-            assert held == len(edges)
+            assert len(entry.value) == len(edges)
             assert entry.fingerprint == edges.fingerprint()
         assert prepared.execute().count == join(query, tables,
                                                 **options).count

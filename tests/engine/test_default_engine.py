@@ -4,10 +4,11 @@ engine, whatever the columns hold and whether a relation repeats a row.
 ``join``, ``Session.prepare``, ``Session.execute`` and ``plan`` default to
 ``engine="auto"``, which every Generic Join plan — and, under
 ``algorithm="auto"``, every acyclic query, a single atom included —
-resolves to the batch engine, answering the bag.  The paper's configuration, Generic Join over
-a Sonic index, is ``engine="tuple"`` by name.  The serve-path audit
-underneath holds a default ``Session`` to the one structure kind it is
-left with: columnar tries, rebuilt after a write.
+resolves to the batch engine, answering the bag.  The paper's
+configuration, Generic Join over a Sonic index, is ``engine="tuple"`` by
+name, through a cold ``join()``: a session refuses it.  The serve-path
+audit underneath holds a default ``Session`` to the one structure kind
+it is left with: columnar tries, rebuilt after a write.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro import Relation, Session, join, parse_query
 from repro.engine import bind, plan
+from repro.errors import ConfigurationError
 
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 STAR = "F(t,x), A(t,p)"
@@ -101,6 +103,12 @@ def test_what_runs_when_no_engine_is_named(case, entry):
     (query, make_tables, options, engine, algorithm, kind, driver, index,
      note) = CASES[case]
     tables = make_tables()
+    if engine == "tuple" and entry.startswith("Session"):
+        # a session serves the frontier only: the paper's path is join()'s
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            ENTRIES[entry](query, tables, **options)
+        return
     compiled, result = ENTRIES[entry](query, tables, **options)
     if compiled is not None:
         assert (compiled.engine, compiled.algorithm) == (engine, algorithm)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import IndexCache, Session
-from repro.engine.cache import estimate_structure_bytes
 from repro.storage.relation import Relation
 
 
@@ -156,16 +155,16 @@ class TestVersions:
 
 
 class TestByteEstimates:
-    def test_prefers_reported_memory_usage(self):
-        class Reporting:
-            def memory_usage(self):
-                return 12345
-
-        assert estimate_structure_bytes(Reporting(), 10, 2) == 12345
-
-    def test_falls_back_to_tuple_heuristic(self):
-        assert estimate_structure_bytes(object(), 100, 3) == 100 * 3 * 64
-        assert estimate_structure_bytes(object(), 0, 0) == 64
+    def test_prefers_reported_memory_usage(self, edges):
+        # every structure a session caches reports its own bytes: a trie
+        # (and a sharded plan's partitioning) is charged exactly that
+        session = Session({"E1": edges, "E2": edges, "E3": edges})
+        session.prepare("E1=E(a,b), E2=E(b,c), E3=E(c,a)")
+        charged = {key: held.bytes
+                   for key, held in session.cache._entries.items()}
+        assert charged == {key: held.value.memory_usage()
+                           for key, held in session.cache._entries.items()}
+        assert session.cache_stats().bytes == sum(charged.values()) > 0
 
 
 class TestAliasSharing:

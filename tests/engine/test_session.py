@@ -1,4 +1,10 @@
-"""Session / PreparedJoin semantics: equivalence, warm re-execution, spans."""
+"""Session / PreparedJoin semantics: equivalence, warm re-execution, spans.
+
+A session serves frontier plans only.  The cases of the paper's tuple
+drivers are kept beside the frontier ones: for them the session must
+refuse, and the behaviour a case names is held on the cold ``join()``
+that runs them instead.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.engine import Session
+from repro.errors import ConfigurationError
 from repro.joins import join
 from repro.obs.observer import JoinObserver
 from repro.storage.catalog import Catalog
@@ -33,6 +40,19 @@ def case_id(case: dict) -> str:
     return "-".join(f"{k}={v}" for k, v in case.items())
 
 
+def served(case: dict) -> bool:
+    """Is ``case`` a frontier configuration, one a session serves?"""
+    return (case["algorithm"] in ("generic", "auto")
+            and case.get("engine") != "tuple")
+
+
+def assert_refused(session: Session, case: dict) -> None:
+    """A tuple case is refused by the session, which stores nothing."""
+    with pytest.raises(ConfigurationError, match=r'join\(engine="tuple"\)'):
+        session.prepare(TRIANGLE, **case)
+    assert session.cache_stats().entries == 0
+
+
 @pytest.fixture
 def edges() -> Relation:
     rows = [(i, (i * 7 + 3) % 23) for i in range(23)]
@@ -50,6 +70,13 @@ class TestPreparedEquivalence:
     def test_reexecution_matches_fresh_join(self, tables, case):
         expected = join(TRIANGLE, tables, materialize=True, **case)
         session = Session(tables)
+        if not served(case):
+            assert_refused(session, case)
+            # a tuple driver re-executes as a fresh cold join, and agrees
+            # with what the session serves
+            again = join(TRIANGLE, tables, materialize=True, **case)
+            assert again.rows == expected.rows
+            case = {}
         prepared = session.prepare(TRIANGLE, **case)
         first = prepared.execute(materialize=True)
         second = prepared.execute(materialize=True)
@@ -60,6 +87,13 @@ class TestPreparedEquivalence:
     @pytest.mark.parametrize("case", ALGORITHM_CASES, ids=case_id)
     def test_build_charged_once(self, tables, case):
         session = Session(tables)
+        if not served(case):
+            assert_refused(session, case)
+            # cold, the build is charged to every run (§5.15)
+            for _ in range(2):
+                assert join(TRIANGLE, tables, **case).metrics \
+                    .build_seconds > 0.0
+            return
         prepared = session.prepare(TRIANGLE, **case)
         first = prepared.execute()
         second = prepared.execute()
@@ -160,9 +194,14 @@ class TestObservability:
     def test_profiled_session_read_covers_both_halves(self, tables, options):
         """``Session.execute(profile=True)`` used to profile the prepare
         half only: the probe ran under the null observer and
-        ``result.profile`` was ``None``."""
+        ``result.profile`` was ``None``.  A tuple driver's profile is a
+        cold ``join()``'s, which holds both halves the same way."""
         session = Session(tables)
-        result = session.execute(TRIANGLE, profile=True, **options)
+        if served(options):
+            result = session.execute(TRIANGLE, profile=True, **options)
+        else:
+            assert_refused(session, options)
+            result = join(TRIANGLE, tables, profile=True, **options)
         profile = result.profile
         assert profile is not None
         names = [span["name"] for span in profile.as_dict()["spans"]]
@@ -172,6 +211,8 @@ class TestObservability:
         assert len(profile.levels) == 3
         assert all(level.candidates > 0 for level in profile.levels)
         assert profile.levels[-1].survivors == result.count > 0
+        if not served(options):
+            return
         assert profile.counters["cache.miss"] >= 2
         if options.get("engine") == "batch":
             assert profile.counters["frontier.blocks"] >= 3

@@ -2,8 +2,8 @@
 
 The static analysis (``repro.analysis.concurrency``) proves what it can
 see; this harness exercises what it cannot: many threads driving one
-Session through mixed algorithms over aliased relations, with forced
-evictions and concurrent relation mutation.  Every result must equal the
+Session through every way of asking for its frontier plan over aliased
+relations, with forced evictions and concurrent relation mutation.  Every result must equal the
 single-threaded ground truth, and the cache counters must stay coherent:
 
 * ``stores − evictions == entries`` — put_if_absent is the only publish
@@ -34,18 +34,19 @@ from repro.storage.relation import Relation
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 PATH = "R1=E(a,b), R2=E(b,c)"
 
-#: (query, kwargs) pairs mixed across the worker pool — every driver
-#: family, tuple and batch engines, aliased relations throughout
+#: (query, kwargs) pairs mixed across the worker pool — every way of
+#: asking for the frontier plan a session serves (algorithm, index,
+#: engine, order and seed rule), aliased relations throughout
 CASES = [
-    (TRIANGLE, {"algorithm": "generic", "index": "sonic", "engine": "tuple"}),
     (TRIANGLE, {"algorithm": "generic", "index": "sonic", "engine": "batch"}),
-    (TRIANGLE, {"algorithm": "binary"}),
-    (TRIANGLE, {"algorithm": "hashtrie"}),
-    (TRIANGLE, {"algorithm": "leapfrog"}),
-    (TRIANGLE, {"algorithm": "recursive"}),
+    (TRIANGLE, {"algorithm": "generic", "index": "btree"}),
+    (TRIANGLE, {"algorithm": "auto"}),
+    (TRIANGLE, {"algorithm": "unified", "engine": "batch"}),
+    (TRIANGLE, {"algorithm": "generic", "order": ("b", "c", "a")}),
+    (TRIANGLE, {"algorithm": "generic", "dynamic_seed": False}),
+    (PATH, {"algorithm": "auto"}),
     (PATH, {"algorithm": "generic", "index": "sortedtrie",
-            "engine": "tuple"}),
-    (PATH, {"algorithm": "generic", "index": "btree", "engine": "tuple"}),
+            "engine": "batch"}),
 ]
 
 THREADS = 8
@@ -138,9 +139,10 @@ class TestSharedSessionStress:
         assert_counters_coherent(session, total_lookups)
 
     def test_forced_evictions_tiny_budget(self, ground_truth):
-        # a budget of a few KiB holds at most one or two structures, so
-        # the pool constantly evicts and rebuilds while racing on keys
-        session = Session({"E": make_edges()}, cache_bytes=8192)
+        # a budget of 2 KiB holds one of the two tries once its levels
+        # are built, so the pool constantly evicts and rebuilds while
+        # racing on keys
+        session = Session({"E": make_edges()}, cache_bytes=2048)
 
         def worker(tid):
             for step in range(ITERATIONS):
@@ -157,7 +159,7 @@ class TestSharedSessionStress:
 
     def test_prepared_joins_shared_across_threads(self, ground_truth):
         # one PreparedJoin per case, prepared once, executed by everyone:
-        # execution must touch only prebuilt read-only structures
+        # execution reads the built tries, and only appends their levels
         session = Session({"E": make_edges()})
         prepared = [session.prepare(query, **kwargs)
                     for query, kwargs in CASES]
@@ -373,16 +375,14 @@ class TestConcurrentInvalidation:
         edges.insert((1, 0))   # closes a triangle through old rows
         for case in triangle_cases:
             session.execute(CASES[case][0], **CASES[case][1])
-        # (a binary plan whose atom order moved with the statistics leaves
-        # a spec nobody asks for again; that one waits for LRU as before)
+        # every triangle case holds E under the same two attribute orders
         keys = list(session.cache._entries)
         assert len({key[1:] for key in keys}) == len(keys)
-        assert sum(key[0] == edges.fingerprint() for key in keys) >= 6
+        assert sum(key[0] == edges.fingerprint() for key in keys) == 2
         assert_counters_coherent(session)
         for case, prepared in zip(triangle_cases, pinned):
-            if CASES[case][1]["algorithm"] != "binary":  # scans E1 live
-                assert sorted(prepared.execute(materialize=True).rows) \
-                    == ground_truth[case], case
+            assert sorted(prepared.execute(materialize=True).rows) \
+                == ground_truth[case], case
 
     def test_concurrent_extend_through_aliased_views(self):
         # extends race through renamed views sharing one storage; the
@@ -410,7 +410,7 @@ class TestPlanCacheUnderWrites:
     QUERIES = [
         ("E1=E(a,b), E2=E(b,c), E3=E(c,a), S(a,s)", {}),
         ("E(a,b), S(a,s)", {}),
-        ("E(a,b), S(a,s)", {"algorithm": "binary"}),
+        ("E(a,b), S(a,s)", {"algorithm": "auto"}),
     ]
     WRITES = 16
     FLIP_AT = 7
@@ -476,8 +476,10 @@ class TestPlanCacheUnderWrites:
         try:
             run_threads(worker)
         finally:
-            stop.set()
+            # the writer is bounded: it lands every write, the flip
+            # included, however quickly the readers are done
             writer.join(timeout=JOIN_TIMEOUT)
+            stop.set()
             sys.setswitchinterval(interval)
         assert not writer.is_alive()
         wrong = [(case, count) for case, count in answers

@@ -103,8 +103,14 @@ class TestLazyOption:
 
     @pytest.mark.parametrize("parallel", [None, 2])
     def test_hashtrie_keeps_its_own(self, edges, parallel):
-        result = join(self.QUERY, {"E1": edges, "E2": edges, "E3": edges},
-                      algorithm="hashtrie", lazy=False, parallel=parallel)
+        tables = {"E1": edges, "E2": edges, "E3": edges}
+        if parallel:
+            # the option is Hash-Trie Join's; sharding is the frontier's
+            with pytest.raises(ConfigurationError,
+                               match=r'join\(engine="tuple"\)'):
+                join(self.QUERY, tables, algorithm="hashtrie", lazy=False,
+                     parallel=parallel)
+        result = join(self.QUERY, tables, algorithm="hashtrie", lazy=False)
         assert result.count == triangle_count_truth(edges)
 
 

@@ -82,13 +82,8 @@ class TestCrashAttachment:
 
         bad_task = {
             "query": "E1=E(a,b)",
-            "algorithm": "generic",
-            "index": "sonic",
-            "engine": "tuple",
             "order": None,
-            "atom_order": None,
             "dynamic_seed": True,
-            "index_kwargs": {},
             "relations": {},
             "shard": 0,
             "signature": ("bad", 0),

@@ -104,3 +104,17 @@ class TestErrorPaths:
     def test_query_without_relations(self):
         with pytest.raises(SystemExit):
             main(["--query", "E1=E(a,b)"])
+
+    def test_unknown_algorithm_is_an_error_not_a_traceback(self, capsys):
+        assert main(["--demo", "triangle", "--algorithm", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown algorithm 'bogus'")
+        assert "Traceback" not in err
+
+    def test_a_sharded_tuple_plan_is_refused(self, capsys):
+        assert main(["--demo", "triangle", "--engine", "tuple",
+                     "--parallel", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert 'join(engine="tuple")' in captured.err

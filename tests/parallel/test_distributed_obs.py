@@ -2,11 +2,14 @@
 
 Three contracts from the distributed-obs layer:
 
-* **Counter conservation** — for every join driver, the per-shard
-  ``join.emitted`` counters collected over the result pipes must sum to
-  the single-process count (and, where the driver exposes levels, the
+* **Counter conservation** — the per-shard ``join.emitted`` counters
+  collected over the result pipes must sum to the single-process count
+  of every join driver (and, where the driver exposes levels, the
   per-level survivor counts must sum level-for-level).  Sharding may
   move work between processes but must never invent or lose tuples.
+  Only the frontier plan shards: a tuple driver refuses ``parallel=K``,
+  and its single-process counts are held to the sharded frontier
+  plan's.
 * **Merged trace** — ``join(..., parallel=K, profile=True, trace_out=…)``
   writes one Chrome ``trace_event`` document whose parent spans and
   per-worker spans sit on distinct real-pid rows, labelled for Perfetto.
@@ -24,6 +27,7 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro.engine.pipeline import bind, plan, prepare
+from repro.errors import ConfigurationError
 from repro.joins import join
 from repro.obs.profile import ShardedJoinProfile, validate_profile
 from repro.parallel.worker import run_shard_task
@@ -73,6 +77,17 @@ def driver_kwargs(algorithm, engine):
     return kwargs
 
 
+def sharded(relations, kwargs):
+    """The profiled ``parallel=2`` run of ``kwargs`` — or, for a tuple
+    driver, its refusal and then the sharded frontier plan."""
+    if kwargs["algorithm"] != "generic" or kwargs.get("engine") == "tuple":
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            join(TRIANGLE, relations, parallel=2, **kwargs)
+        kwargs = {}
+    return join(TRIANGLE, relations, profile=True, parallel=2, **kwargs)
+
+
 def executed_shards(profile):
     return [entry for entry in profile.shards if not entry.get("skipped")]
 
@@ -86,11 +101,10 @@ class TestCounterConservation:
                                             algorithm, engine):
         kwargs = driver_kwargs(algorithm, engine)
         single = join(TRIANGLE, relations, profile=True, **kwargs)
-        sharded = join(TRIANGLE, relations, profile=True, parallel=2,
-                       **kwargs)
+        merged = sharded(relations, kwargs)
         assert single.count == truth
-        assert sharded.count == truth
-        profile = sharded.profile
+        assert merged.count == truth
+        profile = merged.profile
         assert isinstance(profile, ShardedJoinProfile)
         shards = executed_shards(profile)
         assert shards, "both shards empty on a 300-edge input"
@@ -108,13 +122,12 @@ class TestCounterConservation:
                                            engine):
         kwargs = driver_kwargs(algorithm, engine)
         single = join(TRIANGLE, relations, profile=True, **kwargs)
-        sharded = join(TRIANGLE, relations, profile=True, parallel=2,
-                       **kwargs)
+        result = sharded(relations, kwargs)
         expected = [level.survivors for level in single.profile.levels]
-        merged = [level.survivors for level in sharded.profile.levels]
+        merged = [level.survivors for level in result.profile.levels]
         assert merged == expected
         # and the merged levels really are the shard sums, not a re-run
-        shards = executed_shards(sharded.profile)
+        shards = executed_shards(result.profile)
         for position, survivors in enumerate(expected):
             total = sum(entry["levels"][position]["survivors"]
                         for entry in shards
@@ -122,17 +135,12 @@ class TestCounterConservation:
             assert total == survivors
 
     def test_binary_final_stage_is_conserved(self, relations, truth):
-        # binary replicates the non-partitioned relation into every
-        # shard, so *scan/build* stage survivors legitimately inflate
-        # (each shard counts its own copy); only the final stage — the
-        # emitted tuples — must be conserved exactly
+        # the binary pipeline does not shard; its final stage — the
+        # emitted tuples — is the sharded frontier plan's final level
         single = join(TRIANGLE, relations, profile=True, algorithm="binary")
-        sharded = join(TRIANGLE, relations, profile=True, parallel=2,
-                       algorithm="binary")
-        assert sharded.profile.levels[-1].survivors == truth
-        for merged, alone in zip(sharded.profile.levels,
-                                 single.profile.levels):
-            assert merged.survivors >= alone.survivors
+        merged = sharded(relations, {"algorithm": "binary"})
+        assert single.profile.levels[-1].survivors == truth
+        assert merged.profile.levels[-1].survivors == truth
 
     def test_sharded_profile_validates(self, relations):
         result = join(TRIANGLE, relations, profile=True, parallel=2)

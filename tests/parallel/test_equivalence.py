@@ -1,9 +1,10 @@
 """Shard-equivalence property tests: ``parallel=K`` vs single-process.
 
 The sharded multiprocess path must be observationally identical to the
-single-process engine — same counts, same materialized rows — for every
-join driver, both Generic Join engines, and both batch-capable indexes,
-on uniform and Zipf-skewed inputs.  Degenerate splits (more shards than
+single-process engine — same counts, same materialized rows — on uniform
+and Zipf-skewed inputs.  Only a frontier plan shards; every other join
+driver and the tuple engine must refuse ``parallel=K``, and answer
+single-process exactly as the sharded frontier plan does.  Degenerate splits (more shards than
 distinct keys, empty relations, one shard owning >90% of the rows) must
 degrade to correct answers, never wrong ones.
 """
@@ -13,6 +14,9 @@ import random
 import pytest
 
 from repro.data.zipf import ZipfGenerator
+from repro.engine import bind, plan
+from repro.engine.pipeline import servable
+from repro.errors import ConfigurationError
 from repro.joins import join
 from repro.planner.query import parse_query
 from repro.storage.relation import Relation
@@ -45,6 +49,11 @@ def self_join_relations(query, edges: Relation) -> dict:
 
 def assert_sharded_agrees(query, relations, workers=2, **kwargs):
     single = join(query, relations, materialize=True, **kwargs)
+    if not servable(plan(bind(query, relations), **kwargs)):
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            join(query, relations, parallel=workers, **kwargs)
+        kwargs = {}
     sharded = join(query, relations, materialize=True, parallel=workers,
                    **kwargs)
     assert sharded.count == single.count

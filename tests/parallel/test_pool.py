@@ -57,13 +57,8 @@ def test_worker_task_error_propagates_with_traceback():
         # a task the worker cannot bind: unknown relation alias
         bad_task = {
             "query": "E1=E(a,b)",
-            "algorithm": "generic",
-            "index": "sonic",
-            "engine": "tuple",
             "order": None,
-            "atom_order": None,
             "dynamic_seed": True,
-            "index_kwargs": {},
             "relations": {},
             "shard": 0,
             "signature": ("bad", 0),
