@@ -133,22 +133,21 @@ class PreparedJoin:
             self.executions += 1
 
         if plan.sharding is not None:
-            # the runner attaches the ShardedJoinProfile itself — it is
-            # the only layer that still holds the per-shard responses
-            # (spans, per-shard profiles, clock stamps) the distributed
-            # assembly needs
-            return self._runner.execute(materialize=materialize,
-                                        obs=observer, build_charge=charge,
-                                        trace_out=trace_out)
-        result = self._driver(observer).run(materialize=materialize)
-        # deferred build time — trie levels — surfaces on the run that
-        # actually materialized them (§5.15 build-included timing)
-        deferred = sum(trie.take_pending_charge()
-                       for trie in self.structures.values())
-        if deferred:
-            with self._accounting:
-                self.build_seconds += deferred
-        result.metrics.build_seconds += charge + deferred
+            # hands the workers' profiles to the observer, which the
+            # profile below is built from
+            result = self._runner.execute(materialize=materialize,
+                                          obs=observer, build_charge=charge)
+        else:
+            result = self._driver(observer).run(materialize=materialize)
+            # deferred build time — trie levels — surfaces on the run
+            # that actually materialized them (§5.15 build-included
+            # timing)
+            deferred = sum(trie.take_pending_charge()
+                           for trie in self.structures.values())
+            if deferred:
+                with self._accounting:
+                    self.build_seconds += deferred
+            result.metrics.build_seconds += charge + deferred
         return attach_profile(self.bound.query, result, observer,
                               plan.choice, plan.total_order,
                               engine=plan.engine, trace_out=trace_out)

@@ -14,8 +14,6 @@ clock lookup inside :class:`Tracer`.
 
 from repro.obs.distributed import (
     TraceContext,
-    attach_sharded_profile,
-    build_sharded_profile,
     calibrate_clock_offset,
     rebase_spans,
 )
@@ -33,7 +31,6 @@ from repro.obs.profile import (
     LevelProfile,
     ProfileSchemaError,
     SCHEMA_VERSION,
-    ShardedJoinProfile,
     build_profile,
     validate_profile,
 )
@@ -57,12 +54,9 @@ __all__ = [
     "LevelProfile",
     "ProfileSchemaError",
     "SCHEMA_VERSION",
-    "ShardedJoinProfile",
     "build_profile",
     "validate_profile",
     "TraceContext",
-    "attach_sharded_profile",
-    "build_sharded_profile",
     "calibrate_clock_offset",
     "rebase_spans",
 ]

@@ -18,9 +18,9 @@ writes the schema-validated profile JSON and ``--trace PATH`` the Chrome
 
 ``--parallel K`` runs the workload sharded over K worker processes:
 the text tree grows the per-shard/straggler section, ``--json`` exports
-the :class:`~repro.obs.profile.ShardedJoinProfile` payload, and
-``--trace`` the *merged* multi-pid Chrome trace with one row per worker.
-Only a frontier plan shards.
+the profile with each worker's own profile under ``sharding.shards``,
+and ``--trace`` the *merged* multi-pid Chrome trace with one row per
+worker.  Only a frontier plan shards.
 
 A configuration the engine refuses — an unknown ``--algorithm``, or a
 tuple driver with ``--parallel`` — prints ``error: <message>`` to
@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="index structure (default: sonic)")
     execution.add_argument("--parallel", type=int, default=None, metavar="K",
                            help="shard across K worker processes; the "
-                                "profile/trace exports become the sharded "
-                                "variants (ShardedJoinProfile, merged "
-                                "multi-pid Chrome trace)")
+                                "profile carries each worker's profile and "
+                                "the trace is the merged multi-pid Chrome "
+                                "trace")
     output = parser.add_argument_group("output")
     output.add_argument("--json", metavar="PATH", dest="json_out",
                         help="write the profile JSON here")

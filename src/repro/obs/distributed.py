@@ -1,8 +1,8 @@
-"""Cross-process trace propagation and sharded-profile assembly.
+"""Cross-process trace propagation.
 
-PR 8's multiprocess sharding ran the full staged pipeline inside each
-worker but let the observability die at the pipe: only scalar counters
-folded back.  This module closes the loop:
+A profiled shard worker answers with its own
+:class:`~repro.obs.profile.JoinProfile`; this module is what lets the
+parent put that profile's spans on its own timeline:
 
 * a :class:`TraceContext` travels with every shard task — a trace id,
   the parent span it hangs under, and the parent-clock timestamp of
@@ -14,20 +14,9 @@ folded back.  This module closes the loop:
   sides read :meth:`~repro.joins.results.Stopwatch.now_ns`
   (``CLOCK_MONOTONIC``), which on Linux is system-wide but not
   *guaranteed* comparable across processes — the calibration makes the
-  merged timeline robust instead of hopeful, and the measured offset is
-  kept in the profile so skeptics can audit it;
-* :func:`rebase_spans` maps a worker's raw nanosecond spans onto the
-  parent tracer's origin, producing the same µs-relative dicts
-  :meth:`~repro.obs.trace.Tracer.as_dicts` emits;
-* :func:`build_sharded_profile` folds the per-shard
-  :class:`~repro.obs.profile.JoinProfile` payloads into one
-  :class:`~repro.obs.profile.ShardedJoinProfile` — top-level levels
-  aggregated across shards, per-level min/median/max and straggler
-  ratios, shard-balance stats, and every worker's spans rebased onto
-  the parent timeline so
-  :meth:`~repro.obs.profile.ShardedJoinProfile.to_chrome_trace` renders
-  partition → fan-out → per-shard build/probe → merge as one Perfetto
-  document with real per-worker pid rows.
+  merged timeline robust instead of hopeful;
+* :func:`rebase_spans` shifts a worker profile's spans, µs from the
+  worker tracer's origin, onto the parent tracer's origin.
 
 Import discipline: like the rest of ``repro.obs``, nothing from
 ``repro.joins``/``repro.engine`` is imported at module level — the
@@ -36,25 +25,10 @@ parallel layer imports this module, never the reverse.
 
 from __future__ import annotations
 
-import json
-import os
-import statistics
 import uuid
 from dataclasses import dataclass
-from pathlib import Path
-
-from repro.core.envflag import resolve_str
-from repro.obs.profile import (
-    LevelProfile,
-    ShardedJoinProfile,
-    shard_distribution,
-    straggler_ratio,
-)
 
 
-# ----------------------------------------------------------------------
-# Trace propagation
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TraceContext:
     """What one shard task carries so its worker can join the trace.
@@ -106,216 +80,11 @@ def calibrate_clock_offset(issued_ns: "int | None",
     return ((issued_ns - received_ns) + (collected_ns - responded_ns)) // 2
 
 
-def rebase_spans(raw_spans, offset_ns: int, origin_ns: int) -> list[dict]:
-    """Worker spans (raw ``(name, start_ns, dur_ns, depth, args)``
-    tuples on the worker clock) as parent-relative µs span dicts."""
-    rebased = []
-    for name, start_ns, duration_ns, depth, args in raw_spans:
-        rebased.append({
-            "name": name,
-            "ts_us": round((start_ns + offset_ns - origin_ns) / 1000.0, 3),
-            "dur_us": round(duration_ns / 1000.0, 3),
-            "depth": depth,
-            "args": dict(args),
-        })
-    return rebased
-
-
-# ----------------------------------------------------------------------
-# Sharded-profile assembly
-# ----------------------------------------------------------------------
-def _aggregate_levels(per_shard_levels: "list[list[dict]]",
-                      ) -> list[LevelProfile]:
-    """Per-shard level trees summed position-wise into parent levels.
-
-    Every shard runs the same plan, so level position ``i`` means the
-    same attribute (or binary stage) in every tree; a shard whose tree
-    is shorter (it emptied out early) simply contributes nothing to the
-    deeper levels.
-    """
-    depth = max((len(levels) for levels in per_shard_levels), default=0)
-    merged: list[LevelProfile] = []
-    for position in range(depth):
-        slices = [levels[position] for levels in per_shard_levels
-                  if position < len(levels)]
-        template = slices[0]
-        seed_counts: dict[str, int] = {}
-        for level in slices:
-            for alias, count in level.get("seed_counts", {}).items():
-                seed_counts[alias] = seed_counts.get(alias, 0) + count
-        merged.append(LevelProfile(
-            label=template["label"],
-            participants=tuple(template["participants"]),
-            candidates=sum(level["candidates"] for level in slices),
-            survivors=sum(level["survivors"] for level in slices),
-            seconds=sum(level["seconds"] for level in slices),
-            cumulative_seconds=sum(level["cumulative_seconds"]
-                                   for level in slices),
-            seed_counts=seed_counts,
-            descends=sum(level["descends"] for level in slices),
-            ascends=sum(level["ascends"] for level in slices),
-        ))
-    return merged
-
-
-def _level_stats(per_shard_levels: "list[list[dict]]") -> list[dict]:
-    """min/median/max/straggler summary per level across shards."""
-    depth = max((len(levels) for levels in per_shard_levels), default=0)
-    stats = []
-    for position in range(depth):
-        slices = [levels[position] for levels in per_shard_levels
-                  if position < len(levels)]
-        seconds = [level["seconds"] for level in slices]
-        stats.append({
-            "label": slices[0]["label"],
-            "seconds": shard_distribution(seconds),
-            "survivors": shard_distribution(
-                [level["survivors"] for level in slices]),
-            "straggler_ratio": straggler_ratio(seconds),
-        })
-    return stats
-
-
-def _shard_balance(shards: "list[dict]") -> dict:
-    """Emitted-count skew and wall-clock straggler stats over shards."""
-    executed = [entry for entry in shards if not entry["skipped"]]
-    emitted = [entry["count"] for entry in executed]
-    totals = [entry["build_s"] + entry["probe_s"] for entry in executed]
-    straggler_shard = None
-    if len(executed) > 1:
-        straggler_shard = max(executed,
-                              key=lambda e: e["build_s"] + e["probe_s"],
-                              )["shard"]
-    mean_emitted = statistics.fmean(emitted) if emitted else 0.0
-    skew = (max(emitted) / mean_emitted
-            if emitted and mean_emitted > 0 else 1.0)
-    return {
-        "emitted": shard_distribution(emitted),
-        "total_s": {key: value
-                    for key, value in shard_distribution(totals).items()
-                    if key != "total"},
-        "straggler_shard": straggler_shard,
-        "straggler_ratio": straggler_ratio(totals),
-        "skew": skew,
-    }
-
-
-def build_sharded_profile(*, query: str, plan, result, observer,
-                          shard_results: "list[dict]",
-                          ) -> ShardedJoinProfile:
-    """Fold parent observer + per-shard responses into one profile.
-
-    ``shard_results`` is the shard-ordered response list the runner
-    collected: executed entries carry ``profile``/``spans``/``pid`` and
-    the four calibration stamps; skipped entries are the synthetic
-    empty-shard placeholders.
-    """
-    metrics = result.metrics
-    origin_ns = observer.tracer.origin_ns
-    shards: list[dict] = []
-    per_shard_levels: list[list[dict]] = []
-    for response in shard_results:
-        if response.get("skipped"):
-            shards.append({"shard": response["shard"], "skipped": True,
-                           "count": 0, "build_s": 0.0, "probe_s": 0.0})
-            continue
-        clock = response.get("clock") or {}
-        offset = calibrate_clock_offset(
-            clock.get("issued_ns"), clock.get("received_ns"),
-            clock.get("responded_ns"), response.get("collected_ns"))
-        shard_profile = response.get("profile") or {}
-        levels = shard_profile.get("levels", [])
-        per_shard_levels.append(levels)
-        shards.append({
-            "shard": response["shard"],
-            "skipped": False,
-            "pid": response.get("pid"),
-            "trace_id": response.get("trace_id"),
-            "count": response["count"],
-            "build_s": response["build_s"],
-            "probe_s": response["probe_s"],
-            "clock_offset_ns": offset,
-            "counters": dict(response.get("counters") or {}),
-            "levels": levels,
-            "spans": rebase_spans(response.get("spans") or (),
-                                  offset, origin_ns),
-        })
-
-    levels = _aggregate_levels(per_shard_levels)
-
-    # parity with build_profile: the parent registry carries the same
-    # aggregate counters a single-process profiled run would
-    registry = observer.metrics
-    for level in levels:
-        registry.inc("level.candidates", level.candidates)
-        registry.inc("level.survivors", level.survivors)
-        registry.inc("cursor.descend", level.descends)
-        registry.inc("cursor.ascend", level.ascends)
-    registry.inc("join.emitted", metrics.result_count)
-    registry.inc("probe.lookups", metrics.lookups)
-
-    optimizer = None
-    if plan.choice is not None:
-        choice = plan.choice
-        peak = max((level.survivors for level in levels), default=0)
-        optimizer = {
-            "algorithm": choice.algorithm,
-            "reason": choice.reason,
-            "estimated": {
-                "agm_bound": choice.agm_bound,
-                "binary_peak_intermediates": choice.binary_estimate,
-            },
-            "actual": {
-                "results": metrics.result_count,
-                "peak_level_cardinality": peak,
-                "intermediate_tuples": metrics.intermediate_tuples,
-            },
-        }
-
-    snapshot = registry.as_dict()
-    return ShardedJoinProfile(
-        query=query,
-        algorithm=metrics.algorithm,
-        engine=plan.engine or None,
-        index=metrics.index or "none",
-        order=tuple(result.attributes),
-        result_count=metrics.result_count,
-        build_seconds=metrics.build_seconds,
-        probe_seconds=metrics.probe_seconds,
-        levels=levels,
-        optimizer=optimizer,
-        counters=snapshot["counters"],
-        histograms=snapshot["histograms"],
-        build_breakdown={alias: ns * 1e-9
-                         for alias, ns in observer.build_ns.items()},
-        spans=observer.tracer.as_dicts(),
-        workers=plan.sharding.workers,
-        partition_attribute=plan.sharding.attribute,
-        scheme=plan.sharding.scheme,
-        parent_pid=os.getpid(),
-        shards=shards,
-        level_stats=_level_stats(per_shard_levels),
-        balance=_shard_balance(shards),
-    )
-
-
-def attach_sharded_profile(query, result, observer, plan,
-                           shard_results: "list[dict]",
-                           trace_out: "str | None" = None):
-    """The sharded twin of :func:`repro.joins.executor.attach_profile`.
-
-    Folds the fan-out into ``result.profile`` (enabled observers only)
-    and writes the *merged* multi-pid Chrome trace when
-    ``trace_out``/``REPRO_TRACE_OUT`` asks.
-    """
-    if not observer.enabled:
-        return result
-    profile = build_sharded_profile(
-        query=str(query), plan=plan, result=result, observer=observer,
-        shard_results=shard_results)
-    result.profile = profile
-    out = resolve_str(trace_out, "REPRO_TRACE_OUT")
-    if out:
-        Path(out).write_text(
-            json.dumps(profile.to_chrome_trace(), indent=2) + "\n")
-    return result
+def rebase_spans(spans: "list[dict]", shift_ns: int) -> list[dict]:
+    """Exported span dicts moved ``shift_ns`` later: a worker's spans
+    onto the parent's timeline, with ``shift_ns`` = worker tracer
+    origin + clock offset − parent tracer origin."""
+    shift_us = shift_ns / 1000.0
+    return [dict(span, ts_us=round(span["ts_us"] + shift_us, 3),
+                 args=dict(span.get("args", {})))
+            for span in spans]

@@ -67,7 +67,7 @@ class JoinObserver:
     """Everything one profiled join run writes into."""
 
     __slots__ = ("enabled", "metrics", "tracer", "levels", "build_ns",
-                 "trie_levels")
+                 "trie_levels", "sharding", "shards")
 
     def __init__(self, metrics: "Metrics | None" = None,
                  tracer: "Tracer | None" = None, enabled: bool = True):
@@ -83,6 +83,10 @@ class JoinObserver:
         #: alias -> (levels materialised, arity) of the columnar tries a
         #: batch run read, as it ended
         self.trie_levels: dict[str, tuple[int, int]] = {}
+        #: a sharded run's fan-out (its plan's ``ShardingSpec``) and, per
+        #: shard, the worker's own profile (``None``: skipped as empty)
+        self.sharding = None
+        self.shards: list = []
 
     @classmethod
     def disabled(cls) -> "JoinObserver":

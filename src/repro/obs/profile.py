@@ -14,27 +14,34 @@ The JSON layout is versioned (``schema_version``) and checked by
 join and validates the artifact through exactly that function, so the
 schema cannot drift silently.
 
-A sharded run (``join(..., parallel=K, profile=True)``) produces a
-:class:`ShardedJoinProfile`: the same top-level tree (levels aggregated
-across shards) plus a ``sharding`` section with every shard's own level
-tree, counters and clock-rebased spans, per-level min/median/max and
-straggler ratios, and shard-balance stats.  Assembly lives in
-:mod:`repro.obs.distributed`; the schema and validation live here.
+A sharded run (``join(..., parallel=K, profile=True)``) produces the
+same :class:`JoinProfile`, with a ``sharding`` header and the workers'
+own profiles as its ``shards``: its level tree is theirs summed, and
+:meth:`~JoinProfile.render` and :meth:`~JoinProfile.to_chrome_trace`
+read the per-shard detail from them.  The shards travel as
+:meth:`~JoinProfile.as_dict` payloads and are revived by
+:meth:`~JoinProfile.from_dict`; :func:`validate_profile` checks each one
+by calling itself.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 from dataclasses import dataclass, field
 
+from repro.obs.trace import chrome_event
+
 
 #: bump when the JSON layout changes shape (validate_profile must follow)
-#: v2: optional ``sharding`` section (ShardedJoinProfile, PR 9)
+#: v2: optional ``sharding`` section
 #: v3: ``stages`` list (the plan's stage tree)
 #: v4: no ``stages`` list — a plan is one driver, which the header and
 #: the level tree already describe
-SCHEMA_VERSION = 4
+#: v5: a ``pid`` on every profile; ``sharding`` is the fan-out header
+#: plus ``shards``, each a full profile (``null`` for a skipped shard)
+SCHEMA_VERSION = 5
 
 
 class ProfileSchemaError(ValueError):
@@ -62,23 +69,17 @@ class LevelProfile:
             return ""
         return max(sorted(self.seed_counts), key=self.seed_counts.get)
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "participants": list(self.participants),
-            "candidates": self.candidates,
-            "survivors": self.survivors,
-            "seconds": round(self.seconds, 9),
-            "cumulative_seconds": round(self.cumulative_seconds, 9),
-            "seed_counts": dict(self.seed_counts),
-            "descends": self.descends,
-            "ascends": self.ascends,
-        }
-
 
 @dataclass
 class JoinProfile:
-    """Everything one profiled join run learned about itself."""
+    """Everything one profiled join run learned about itself.
+
+    A sharded run's profile has a ``sharding`` header (``workers``,
+    ``attribute``, ``scheme``) and one entry per shard in ``shards``:
+    that worker's own profile, spans rebased onto this profile's
+    timeline, or ``None`` for a shard skipped as empty.  Its ``levels``
+    are the shards' summed position by position.
+    """
 
     query: str
     algorithm: str
@@ -88,6 +89,7 @@ class JoinProfile:
     build_seconds: float
     probe_seconds: float
     engine: "str | None" = None      # generic-join drivers only
+    pid: int = 0
     levels: list[LevelProfile] = field(default_factory=list)
     optimizer: "dict | None" = None
     counters: dict = field(default_factory=dict)
@@ -97,6 +99,8 @@ class JoinProfile:
     #: when the run ended (a trie builds a level on first descent)
     trie_levels: dict = field(default_factory=dict)
     spans: list[dict] = field(default_factory=list)
+    sharding: "dict | None" = None
+    shards: "list[JoinProfile | None]" = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:
@@ -106,6 +110,13 @@ class JoinProfile:
     # Exports
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
+        build_s = round(self.build_seconds, 9)
+        probe_s = round(self.probe_seconds, 9)
+        sharding = None
+        if self.sharding is not None:
+            sharding = dict(self.sharding, shards=[
+                None if shard is None else shard.as_dict()
+                for shard in self.shards])
         return {
             "schema_version": SCHEMA_VERSION,
             "query": self.query,
@@ -114,41 +125,90 @@ class JoinProfile:
             "index": self.index,
             "order": list(self.order),
             "result_count": self.result_count,
+            "pid": self.pid,
             "timings": {
-                "build_s": round(self.build_seconds, 9),
-                "probe_s": round(self.probe_seconds, 9),
-                "total_s": round(self.total_seconds, 9),
+                "build_s": build_s,
+                "probe_s": probe_s,
+                "total_s": round(build_s + probe_s, 9),
                 "build_breakdown": {alias: round(seconds, 9)
                                     for alias, seconds
                                     in sorted(self.build_breakdown.items())},
             },
             "optimizer": self.optimizer,
-            "levels": [level.as_dict() for level in self.levels],
+            "levels": [dict(vars(level),
+                            participants=list(level.participants),
+                            seconds=round(level.seconds, 9),
+                            cumulative_seconds=round(
+                                level.cumulative_seconds, 9),
+                            seed_counts=dict(level.seed_counts))
+                       for level in self.levels],
             "counters": dict(sorted(self.counters.items())),
             "trie_levels": {alias: list(levels) for alias, levels
                             in sorted(self.trie_levels.items())},
             "histograms": self.histograms,
             "spans": self.spans,
+            "sharding": sharding,
         }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "JoinProfile":
+        """The profile an :meth:`as_dict` payload describes."""
+        timings = payload["timings"]
+        sharding = payload["sharding"]
+        shards = sharding["shards"] if sharding else []
+        return cls(
+            query=payload["query"],
+            algorithm=payload["algorithm"],
+            index=payload["index"],
+            order=tuple(payload["order"]),
+            result_count=payload["result_count"],
+            build_seconds=timings["build_s"],
+            probe_seconds=timings["probe_s"],
+            engine=payload["engine"],
+            pid=payload["pid"],
+            levels=[LevelProfile(**dict(
+                        level, participants=tuple(level["participants"])))
+                    for level in payload["levels"]],
+            optimizer=payload["optimizer"],
+            counters=payload["counters"],
+            histograms=payload["histograms"],
+            build_breakdown=timings["build_breakdown"],
+            trie_levels={alias: tuple(levels) for alias, levels
+                         in payload["trie_levels"].items()},
+            spans=payload["spans"],
+            sharding=sharding and {key: value for key, value
+                                   in sharding.items() if key != "shards"},
+            shards=[None if shard is None else cls.from_dict(shard)
+                    for shard in shards],
+        )
 
     def to_json(self, indent: "int | None" = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
 
     def to_chrome_trace(self) -> dict:
-        """The span trace as a Chrome ``trace_event`` document."""
-        events = [
-            {
-                "name": span["name"],
-                "ph": "X",
-                "ts": span["ts_us"],
-                "dur": span["dur_us"],
-                "pid": 1,
-                "tid": 1,
-                "cat": "repro",
-                "args": span.get("args", {}),
-            }
-            for span in self.spans
-        ]
+        """The span trace as a Chrome ``trace_event`` document.
+
+        A sharded profile puts its own spans on its pid row and each
+        worker's on that worker's pid row, labelled by ``process_name``
+        metadata; every timestamp is on this profile's timeline, so
+        partition → fan-out → per-shard build/probe → merge reads as one.
+        """
+        if self.sharding is None:
+            return {"traceEvents": [chrome_event(span) for span in self.spans],
+                    "displayTimeUnit": "ms"}
+        rows = [(self.pid, f"parent (pid {self.pid})", self.spans)]
+        rows += [(shard.pid, f"worker shard {position} (pid {shard.pid})",
+                  shard.spans)
+                 for position, shard in enumerate(self.shards)
+                 if shard is not None]
+        events: list[dict] = []
+        for sort_index, (pid, name, spans) in enumerate(rows):
+            events.append({"name": "process_name", "ph": "M", "pid": pid,
+                           "tid": 0, "args": {"name": name}})
+            events.append({"name": "process_sort_index", "ph": "M",
+                           "pid": pid, "tid": 0,
+                           "args": {"sort_index": sort_index}})
+            events.extend(chrome_event(span, pid) for span in spans)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     # ------------------------------------------------------------------
@@ -224,130 +284,62 @@ class JoinProfile:
                 f"  {name}: n={h['count']} mean={h['mean']:.2f} "
                 f"min={h['min']:.0f} max={h['max']:.0f}"
             )
+        if self.sharding is not None:
+            lines.extend(self._render_shards())
         return "\n".join(lines)
 
-
-@dataclass
-class ShardedJoinProfile(JoinProfile):
-    """A :class:`JoinProfile` for a ``parallel=K`` run.
-
-    The inherited fields describe the *merged* run: top-level ``levels``
-    aggregate candidates/survivors/time across shards, ``counters``
-    carries the parent registry (worker counters folded in under the
-    ``shard.`` prefix), ``spans`` the parent-side trace.  The extra
-    fields carry the per-shard detail the distributed assembly
-    (:mod:`repro.obs.distributed`) collected over the result pipes.
-    """
-
-    workers: int = 0
-    partition_attribute: str = ""
-    scheme: str = "hash"
-    parent_pid: int = 0
-    #: per-shard detail dicts (see ``docs/observability.md`` for keys)
-    shards: list[dict] = field(default_factory=list)
-    #: per-level min/median/max/straggler stats across shards
-    level_stats: list[dict] = field(default_factory=list)
-    #: shard-balance summary (emitted skew, wall-clock straggler)
-    balance: dict = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        payload = super().as_dict()
-        payload["sharding"] = {
-            "workers": self.workers,
-            "attribute": self.partition_attribute,
-            "scheme": self.scheme,
-            "parent_pid": self.parent_pid,
-            "shards": self.shards,
-            "level_stats": self.level_stats,
-            "balance": self.balance,
-        }
-        return payload
-
-    # ------------------------------------------------------------------
-    def to_chrome_trace(self) -> dict:
-        """One merged Chrome ``trace_event`` document: the parent's spans
-        on its own pid row, each worker's clock-rebased spans on that
-        worker's real pid row, with ``process_name`` metadata so Perfetto
-        labels the rows.  All timestamps share the parent tracer's
-        origin, so partition → fan-out → per-shard build/probe → merge
-        reads as one timeline."""
-        events: list[dict] = [
-            {"name": "process_name", "ph": "M", "pid": self.parent_pid,
-             "tid": 0, "args": {"name": f"parent (pid {self.parent_pid})"}},
-            {"name": "process_sort_index", "ph": "M", "pid": self.parent_pid,
-             "tid": 0, "args": {"sort_index": 0}},
-        ]
-        for span in self.spans:
-            events.append({
-                "name": span["name"], "ph": "X",
-                "ts": span["ts_us"], "dur": span["dur_us"],
-                "pid": self.parent_pid, "tid": 1, "cat": "repro",
-                "args": span.get("args", {}),
-            })
-        for entry in self.shards:
-            if entry.get("skipped") or entry.get("pid") is None:
-                continue
-            pid, shard = entry["pid"], entry["shard"]
-            events.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": f"worker shard {shard} (pid {pid})"},
-            })
-            events.append({
-                "name": "process_sort_index", "ph": "M", "pid": pid,
-                "tid": 0, "args": {"sort_index": shard + 1},
-            })
-            for span in entry.get("spans", ()):
-                events.append({
-                    "name": span["name"], "ph": "X",
-                    "ts": span["ts_us"], "dur": span["dur_us"],
-                    "pid": pid, "tid": 1, "cat": "repro",
-                    "args": span.get("args", {}),
-                })
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        lines = [super().render()]
-        executed = [s for s in self.shards if not s.get("skipped")]
-        straggler = self.balance.get("straggler_shard")
-        ratio = self.balance.get("straggler_ratio", 1.0)
-        lines.append(
-            f"sharding: {self.workers} workers on {self.partition_attribute}"
-            f" ({self.scheme}), {len(executed)} executed /"
+    def _render_shards(self) -> list[str]:
+        """Per-shard lines, per-level spread and the straggler, computed
+        from ``shards``."""
+        executed = [(position, shard)
+                    for position, shard in enumerate(self.shards)
+                    if shard is not None]
+        totals = [shard.total_seconds for _, shard in executed]
+        straggler = (executed[totals.index(max(totals))][0]
+                     if len(executed) > 1 else None)
+        sharding = self.sharding
+        lines = [
+            f"sharding: {sharding['workers']} workers on"
+            f" {sharding['attribute']} ({sharding['scheme']}),"
+            f" {len(executed)} executed /"
             f" {len(self.shards) - len(executed)} skipped"
-        )
-        for entry in self.shards:
-            shard = entry["shard"]
-            if entry.get("skipped"):
-                lines.append(f"  shard {shard}: skipped (empty partition)")
+        ]
+        for position, shard in enumerate(self.shards):
+            if shard is None:
+                lines.append(f"  shard {position}: skipped (empty partition)")
                 continue
-            total_ms = (entry["build_s"] + entry["probe_s"]) * 1e3
             note = ""
-            if shard == straggler and len(executed) > 1:
-                note = f"   <-- straggler ({ratio:.2f}x median)"
+            if position == straggler:
+                note = (f"   <-- straggler ({straggler_ratio(totals):.2f}x"
+                        f" median)")
             lines.append(
-                f"  shard {shard} pid={entry.get('pid')}: "
-                f"{entry['count']} results  build {entry['build_s'] * 1e3:.3f} ms"
-                f"  probe {entry['probe_s'] * 1e3:.3f} ms"
-                f"  total {total_ms:.3f} ms{note}"
+                f"  shard {position} pid={shard.pid}: "
+                f"{shard.result_count} results"
+                f"  build {shard.build_seconds * 1e3:.3f} ms"
+                f"  probe {shard.probe_seconds * 1e3:.3f} ms"
+                f"  total {shard.total_seconds * 1e3:.3f} ms{note}"
             )
-        for stat in self.level_stats:
-            seconds = stat["seconds"]
+        for depth, level in enumerate(self.levels):
+            seconds = [shard.levels[depth].seconds for _, shard in executed
+                       if depth < len(shard.levels)]
+            spread = shard_distribution(seconds)
             lines.append(
-                f"  level {stat['label']}: "
-                f"min {seconds['min'] * 1e3:.3f} / med {seconds['median'] * 1e3:.3f}"
-                f" / max {seconds['max'] * 1e3:.3f} ms"
-                f"  straggler x{stat['straggler_ratio']:.2f}"
+                f"  level {level.label}: min {spread['min'] * 1e3:.3f}"
+                f" / med {spread['median'] * 1e3:.3f}"
+                f" / max {spread['max'] * 1e3:.3f} ms"
+                f"  straggler x{straggler_ratio(seconds):.2f}"
             )
-        emitted = self.balance.get("emitted")
+        emitted = [shard.result_count for _, shard in executed]
         if emitted:
+            spread = shard_distribution(emitted)
+            mean = statistics.fmean(emitted)
+            skew = spread["max"] / mean if mean > 0 else 1.0
             lines.append(
-                f"  balance: emitted min {emitted['min']} / med"
-                f" {emitted['median']:.0f} / max {emitted['max']} per shard"
-                f"  (skew x{self.balance.get('skew', 1.0):.2f})"
+                f"  balance: emitted min {spread['min']} / med"
+                f" {spread['median']:.0f} / max {spread['max']} per shard"
+                f"  (skew x{skew:.2f})"
             )
-        return "\n".join(lines)
+        return lines
 
 
 def shard_distribution(values: "list[float]") -> dict:
@@ -384,30 +376,33 @@ def build_profile(*, query: str, algorithm: str, index: str,
     ``metrics`` is the driver's :class:`~repro.joins.results.JoinMetrics`
     (timings + result count); ``choice`` the optimizer's
     :class:`~repro.planner.optimizer.PlanChoice`, when one was computed.
+    A sharded run's observer holds the workers' profiles
+    (``observer.shards``): the levels are theirs summed position by
+    position, and the trie levels and tail come from theirs.
     """
-    stats = list(observer.levels)
-    levels: list[LevelProfile] = []
-    for depth, st in enumerate(stats):
-        inclusive = st.time_ns
-        below = stats[depth + 1].time_ns if depth + 1 < len(stats) else 0
-        levels.append(LevelProfile(
-            label=st.label,
-            participants=st.participants,
-            candidates=st.candidates,
-            survivors=st.survivors,
-            seconds=max(inclusive - below, 0) * 1e-9,
-            cumulative_seconds=inclusive * 1e-9,
-            seed_counts=dict(st.seed_counts),
-            descends=st.descends,
-            ascends=st.ascends,
-        ))
-
     registry = observer.metrics
-    for st in stats:
-        registry.inc("level.candidates", st.candidates)
-        registry.inc("level.survivors", st.survivors)
-        registry.inc("cursor.descend", st.descends)
-        registry.inc("cursor.ascend", st.ascends)
+    sharding = observer.sharding
+    executed = [shard for shard in observer.shards if shard is not None]
+    if sharding is None:
+        levels = _observed_levels(observer.levels)
+        trie_levels = dict(observer.trie_levels)
+    else:
+        levels = _summed_levels([shard.levels for shard in executed])
+        trie_levels = {}
+        for shard in executed:
+            for alias, (built, total) in shard.trie_levels.items():
+                seen = trie_levels.get(alias, (0, total))[0]
+                trie_levels[alias] = (max(built, seen), total)
+        # every shard runs the same plan, so has the same tail
+        registry.inc("frontier.tail_levels", max(
+            (shard.counters.get("frontier.tail_levels", 0)
+             for shard in executed), default=0))
+
+    for level in levels:
+        registry.inc("level.candidates", level.candidates)
+        registry.inc("level.survivors", level.survivors)
+        registry.inc("cursor.descend", level.descends)
+        registry.inc("cursor.ascend", level.ascends)
     registry.inc("join.emitted", metrics.result_count)
     registry.inc("probe.lookups", metrics.lookups)
 
@@ -438,15 +433,73 @@ def build_profile(*, query: str, algorithm: str, index: str,
         result_count=metrics.result_count,
         build_seconds=metrics.build_seconds,
         probe_seconds=metrics.probe_seconds,
+        pid=os.getpid(),
         levels=levels,
         optimizer=optimizer,
         counters=snapshot["counters"],
         histograms=snapshot["histograms"],
         build_breakdown={alias: ns * 1e-9
                          for alias, ns in observer.build_ns.items()},
-        trie_levels=dict(observer.trie_levels),
+        trie_levels=trie_levels,
         spans=observer.tracer.as_dicts(),
+        sharding=sharding and {"workers": sharding.workers,
+                               "attribute": sharding.attribute,
+                               "scheme": sharding.scheme},
+        shards=list(observer.shards),
     )
+
+
+def _observed_levels(stats) -> list[LevelProfile]:
+    """A driver's per-level accumulators as profile levels: exclusive
+    time is a level's inclusive time less the next level's."""
+    levels = []
+    for depth, st in enumerate(stats):
+        inclusive = st.time_ns
+        below = stats[depth + 1].time_ns if depth + 1 < len(stats) else 0
+        levels.append(LevelProfile(
+            label=st.label,
+            participants=st.participants,
+            candidates=st.candidates,
+            survivors=st.survivors,
+            seconds=max(inclusive - below, 0) * 1e-9,
+            cumulative_seconds=inclusive * 1e-9,
+            seed_counts=dict(st.seed_counts),
+            descends=st.descends,
+            ascends=st.ascends,
+        ))
+    return levels
+
+
+def _summed_levels(per_shard: "list[list[LevelProfile]]",
+                   ) -> list[LevelProfile]:
+    """Per-shard level trees summed position by position.
+
+    Every shard runs the same plan, so position ``i`` is the same
+    attribute in every tree; a shorter tree adds nothing to the deeper
+    levels.
+    """
+    depth = max((len(levels) for levels in per_shard), default=0)
+    merged = []
+    for position in range(depth):
+        slices = [levels[position] for levels in per_shard
+                  if position < len(levels)]
+        seed_counts: dict[str, int] = {}
+        for level in slices:
+            for alias, count in level.seed_counts.items():
+                seed_counts[alias] = seed_counts.get(alias, 0) + count
+        merged.append(LevelProfile(
+            label=slices[0].label,
+            participants=slices[0].participants,
+            candidates=sum(level.candidates for level in slices),
+            survivors=sum(level.survivors for level in slices),
+            seconds=sum(level.seconds for level in slices),
+            cumulative_seconds=sum(level.cumulative_seconds
+                                   for level in slices),
+            seed_counts=seed_counts,
+            descends=sum(level.descends for level in slices),
+            ascends=sum(level.ascends for level in slices),
+        ))
+    return merged
 
 
 # ----------------------------------------------------------------------
@@ -502,91 +555,13 @@ def _validate_spans(spans, where: str) -> None:
         _expect_number(span.get("dur_us"), f"{loc}.dur_us", minimum=0.0)
 
 
-def _validate_distribution(dist, where: str, totaled: bool = True) -> None:
-    _expect(isinstance(dist, dict), where, "expected an object")
-    keys = ("min", "median", "max") + (("total",) if totaled else ())
-    for key in keys:
-        _expect_number(dist.get(key), f"{where}.{key}", minimum=0.0)
-
-
-def _validate_sharding(sharding: dict) -> None:
-    where = "sharding"
-    _expect(isinstance(sharding, dict), where, "expected an object")
-    _expect(isinstance(sharding.get("workers"), int)
-            and sharding["workers"] >= 1,
-            f"{where}.workers", "expected a positive int")
-    _expect(isinstance(sharding.get("attribute"), str)
-            and sharding["attribute"],
-            f"{where}.attribute", "expected a non-empty string")
-    _expect(isinstance(sharding.get("scheme"), str) and sharding["scheme"],
-            f"{where}.scheme", "expected a non-empty string")
-    _expect(isinstance(sharding.get("parent_pid"), int)
-            and sharding["parent_pid"] >= 0,
-            f"{where}.parent_pid", "expected a non-negative int")
-
-    shards = sharding.get("shards")
-    _expect(isinstance(shards, list) and shards,
-            f"{where}.shards", "expected a non-empty list")
-    for position, entry in enumerate(shards):
-        loc = f"{where}.shards[{position}]"
-        _expect(isinstance(entry, dict), loc, "expected an object")
-        _expect(isinstance(entry.get("shard"), int) and entry["shard"] >= 0,
-                f"{loc}.shard", "expected a non-negative int")
-        _expect(isinstance(entry.get("skipped"), bool), f"{loc}.skipped",
-                "expected a bool")
-        _expect(isinstance(entry.get("count"), int) and entry["count"] >= 0,
-                f"{loc}.count", "expected a non-negative int")
-        for key in ("build_s", "probe_s"):
-            _expect_number(entry.get(key), f"{loc}.{key}", minimum=0.0)
-        if entry["skipped"]:
-            continue
-        _expect(isinstance(entry.get("pid"), int) and entry["pid"] > 0,
-                f"{loc}.pid", "expected a positive int")
-        _expect(isinstance(entry.get("clock_offset_ns"), int),
-                f"{loc}.clock_offset_ns", "expected an int")
-        counters = entry.get("counters")
-        _expect(isinstance(counters, dict), f"{loc}.counters",
-                "expected an object")
-        for name, value in counters.items():
-            _expect(isinstance(value, int), f"{loc}.counters.{name}",
-                    "expected an int")
-        _validate_levels(entry.get("levels"), f"{loc}.levels")
-        _validate_spans(entry.get("spans"), f"{loc}.spans")
-
-    level_stats = sharding.get("level_stats")
-    _expect(isinstance(level_stats, list), f"{where}.level_stats",
-            "expected a list")
-    for position, stat in enumerate(level_stats):
-        loc = f"{where}.level_stats[{position}]"
-        _expect(isinstance(stat, dict), loc, "expected an object")
-        _expect(isinstance(stat.get("label"), str) and stat["label"],
-                f"{loc}.label", "expected a non-empty string")
-        _validate_distribution(stat.get("seconds"), f"{loc}.seconds")
-        _validate_distribution(stat.get("survivors"), f"{loc}.survivors")
-        _expect_number(stat.get("straggler_ratio"), f"{loc}.straggler_ratio",
-                       minimum=1.0)
-
-    balance = sharding.get("balance")
-    _expect(isinstance(balance, dict), f"{where}.balance",
-            "expected an object")
-    _validate_distribution(balance.get("emitted"), f"{where}.balance.emitted")
-    _validate_distribution(balance.get("total_s"), f"{where}.balance.total_s",
-                           totaled=False)
-    _expect(balance.get("straggler_shard") is None
-            or isinstance(balance["straggler_shard"], int),
-            f"{where}.balance.straggler_shard", "expected an int or null")
-    _expect_number(balance.get("straggler_ratio"),
-                   f"{where}.balance.straggler_ratio", minimum=1.0)
-    _expect_number(balance.get("skew"), f"{where}.balance.skew", minimum=0.0)
-
-
 def validate_profile(payload: dict) -> dict:
     """Check a :meth:`JoinProfile.as_dict` payload against the schema.
 
-    Covers both the single-process layout and the sharded layout (an
-    optional ``sharding`` section, :class:`ShardedJoinProfile`).  Raises
-    :class:`ProfileSchemaError` on the first mismatch; returns the
-    payload unchanged so the call composes
+    A sharded profile's ``sharding`` section holds one entry per shard,
+    each checked by this same function (``null``: a skipped shard).
+    Raises :class:`ProfileSchemaError` on the first mismatch; returns
+    the payload unchanged so the call composes
     (``validate_profile(json.load(f))``).
     """
     _expect(isinstance(payload, dict), "$", "profile must be an object")
@@ -604,6 +579,8 @@ def validate_profile(payload: dict) -> dict:
     _expect(isinstance(payload.get("result_count"), int)
             and payload["result_count"] >= 0,
             "result_count", "expected a non-negative int")
+    _expect(isinstance(payload.get("pid"), int) and payload["pid"] > 0,
+            "pid", "expected a positive int")
 
     timings = payload.get("timings")
     _expect(isinstance(timings, dict), "timings", "expected an object")
@@ -650,6 +627,24 @@ def validate_profile(payload: dict) -> dict:
     _validate_spans(payload.get("spans"), "spans")
 
     sharding = payload.get("sharding")
-    if sharding is not None:
-        _validate_sharding(sharding)
+    if sharding is None:
+        return payload
+    _expect(isinstance(sharding, dict), "sharding", "expected an object")
+    workers = sharding.get("workers")
+    _expect(isinstance(workers, int) and workers >= 1, "sharding.workers",
+            "expected a positive int")
+    for key in ("attribute", "scheme"):
+        _expect(isinstance(sharding.get(key), str) and sharding[key],
+                f"sharding.{key}", "expected a non-empty string")
+    shards = sharding.get("shards")
+    _expect(isinstance(shards, list) and len(shards) == workers,
+            "sharding.shards", f"expected a list of {workers} entries")
+    for position, shard in enumerate(shards):
+        if shard is None:
+            continue
+        try:
+            validate_profile(shard)
+        except ProfileSchemaError as exc:
+            raise ProfileSchemaError(
+                f"sharding.shards[{position}].{exc}") from None
     return payload

@@ -39,6 +39,21 @@ import threading
 from pathlib import Path
 
 
+def chrome_event(span: dict, pid: int = 1) -> dict:
+    """One exported span dict as a complete (``"X"``) Chrome event on
+    process row ``pid``."""
+    return {
+        "name": span["name"],
+        "ph": "X",
+        "ts": span["ts_us"],
+        "dur": span["dur_us"],
+        "pid": pid,
+        "tid": 1,
+        "cat": "repro",
+        "args": span.get("args", {}),
+    }
+
+
 class _SpanHandle:
     """One live span; records itself on the tracer at ``__exit__``."""
 
@@ -126,21 +141,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
-    def export_spans(self) -> list[tuple]:
-        """Finished spans in raw clock units: ``(name, start_ns,
-        duration_ns, depth, args)`` tuples, start-ordered.
-
-        This is the wire format shard workers ship over the result pipe:
-        nanosecond timestamps on the *worker's* clock, so the parent can
-        rebase them with a measured clock offset instead of the lossy
-        µs-relative form :meth:`as_dicts` produces.
-        """
-        with self._lock:
-            finished = list(self._spans)
-        return [(name, start, duration, depth, dict(args))
-                for name, start, duration, depth, args
-                in sorted(finished, key=lambda s: s[1])]
-
     def as_dicts(self) -> list[dict]:
         """Finished spans, start-ordered, timestamps in µs from the
         tracer's construction instant."""
@@ -161,20 +161,8 @@ class Tracer:
 
     def to_chrome(self) -> dict:
         """A Chrome ``trace_event`` JSON document (Perfetto-loadable)."""
-        events = [
-            {
-                "name": span["name"],
-                "ph": "X",
-                "ts": span["ts_us"],
-                "dur": span["dur_us"],
-                "pid": 1,
-                "tid": 1,
-                "cat": "repro",
-                "args": span["args"],
-            }
-            for span in self.as_dicts()
-        ]
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return {"traceEvents": [chrome_event(span) for span in self.as_dicts()],
+                "displayTimeUnit": "ms"}
 
     def write_chrome(self, path: "str | Path") -> Path:
         """Serialize :meth:`to_chrome` to ``path``; returns the path."""

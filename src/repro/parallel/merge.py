@@ -9,11 +9,11 @@ shard's rows — so repeated runs of the same sharded plan produce the
 same sequence, which is what the equivalence tests sort-and-compare
 against.
 
-Worker-side counters fold into the parent's observer registry through
-the thread-safe :meth:`repro.obs.metrics.Metrics.merge`, and every
-shard contributes one ``shard`` span to the parent trace, so a
-profiled sharded run reads like a profiled single-process run plus a
-fan-out layer.
+A profiled shard answers with its own
+:class:`~repro.obs.profile.JoinProfile`; :func:`shard_profiles` revives
+those onto the parent's timeline, and :func:`fold_shard_counters` folds
+their counters into the parent's registry through the thread-safe
+:meth:`repro.obs.metrics.Metrics.merge`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from repro.joins.results import (
     JoinResult,
     MaterializingSink,
 )
+from repro.obs.distributed import calibrate_clock_offset, rebase_spans
 from repro.obs.metrics import Metrics
+from repro.obs.profile import JoinProfile
 
 
 def merge_shard_results(shard_results: "list[dict]",
@@ -33,8 +35,7 @@ def merge_shard_results(shard_results: "list[dict]",
                         algorithm: str,
                         index: str,
                         build_seconds: float,
-                        probe_seconds: float,
-                        observer=None) -> JoinResult:
+                        probe_seconds: float) -> JoinResult:
     """Fold per-shard result dicts into one parent :class:`JoinResult`.
 
     ``shard_results`` must already be in shard-id order (the pool
@@ -43,7 +44,7 @@ def merge_shard_results(shard_results: "list[dict]",
     ``probe_seconds`` is the parent-side wall clock of the
     dispatch→collect→merge window, which *includes* the workers' index
     builds — per-shard build/probe splits stay visible through the
-    shard spans and counters.
+    shards' own profiles.
     """
     if materialize:
         sink = MaterializingSink()
@@ -64,46 +65,44 @@ def merge_shard_results(shard_results: "list[dict]",
         lookups=sum(r["lookups"] for r in shard_results),
         result_count=sink.count,
     )
-    if observer is not None and observer.enabled:
-        fold_shard_counters(shard_results, observer.metrics)
     return JoinResult(attributes=attributes, sink=sink, metrics=metrics)
 
 
-def fold_shard_counters(shard_results: "list[dict]",
-                        registry: Metrics) -> None:
-    """Merge worker counter snapshots into the parent registry.
+def shard_profiles(shard_results: "list[dict]", origin_ns: int,
+                   ) -> "list[JoinProfile | None]":
+    """Each shard's own profile, its spans rebased onto the parent
+    tracer's ``origin_ns`` by the round trip's clock stamps; ``None``
+    for a shard that answered without one (skipped as empty)."""
+    profiles = []
+    for response in shard_results:
+        payload = response.get("profile")
+        if payload is None:
+            profiles.append(None)
+            continue
+        clock = response["clock"]
+        offset = calibrate_clock_offset(
+            clock["issued_ns"], clock["received_ns"], clock["responded_ns"],
+            response.get("collected_ns"))
+        profile = JoinProfile.from_dict(payload)
+        profile.spans = rebase_spans(
+            profile.spans, clock["origin_ns"] + offset - origin_ns)
+        profiles.append(profile)
+    return profiles
 
-    Each worker snapshot becomes a throwaway :class:`Metrics` folded in
+
+def fold_shard_counters(shards: "list[JoinProfile | None]",
+                        registry: Metrics) -> None:
+    """Merge the shards' counters into the parent registry.
+
+    Each shard's counters become a throwaway :class:`Metrics` folded in
     via :meth:`~repro.obs.metrics.Metrics.merge` — one locked bulk fold
     per shard instead of one locked ``inc`` per counter — with every
     key prefixed ``shard.`` so parent-side counters stay separable.
     """
-    for result in shard_results:
-        counters = result.get("counters")
-        if not counters:
+    for shard in shards:
+        if shard is None:
             continue
         snapshot = Metrics()
-        for name, value in counters.items():
+        for name, value in shard.counters.items():
             snapshot.counters[f"shard.{name}"] = value
         registry.merge(snapshot)
-
-
-def add_shard_spans(shard_results: "list[dict]", observer,
-                    window_start_ns: int) -> None:
-    """One ``shard`` span per shard in the parent trace.
-
-    Worker clocks are not aligned with the parent's, so spans are
-    anchored at the parent's dispatch timestamp with the worker's own
-    build+probe duration — good enough to see shard skew in a trace.
-    """
-    if observer is None or not observer.enabled:
-        return
-    for result in shard_results:
-        duration_s = (result.get("build_s", 0.0)
-                      + result.get("probe_s", 0.0))
-        observer.tracer.add_span(
-            "shard", window_start_ns, int(duration_s * 1e9),
-            shard=result.get("shard"),
-            results=result.get("count"),
-            algorithm=result.get("algorithm"),
-        )

@@ -22,11 +22,16 @@ from __future__ import annotations
 import uuid
 
 from repro.core.envflag import env_flag, env_str
+from repro.indexes.columnar import ColumnarTrie
 from repro.joins.results import JoinResult, Stopwatch
-from repro.obs.distributed import TraceContext, attach_sharded_profile
+from repro.obs.distributed import TraceContext
 from repro.obs.flightrec import FLIGHT_RECORDER
 from repro.obs.observer import NULL_OBSERVER
-from repro.parallel.merge import add_shard_spans, merge_shard_results
+from repro.parallel.merge import (
+    fold_shard_counters,
+    merge_shard_results,
+    shard_profiles,
+)
 from repro.parallel.pool import IDLE_POOLS
 from repro.parallel.shm import ShardedColumns
 
@@ -40,10 +45,8 @@ def query_text(query) -> str:
 
 
 def _empty_shard_result(shard: int) -> dict:
-    return {"ok": True, "shard": shard, "skipped": True, "count": 0,
-            "rows": [], "attributes": (), "algorithm": None, "build_s": 0.0,
-            "probe_s": 0.0, "lookups": 0, "intermediates": 0,
-            "counters": None}
+    return {"shard": shard, "count": 0, "rows": [], "algorithm": None,
+            "lookups": 0, "intermediates": 0}
 
 
 class ShardedRunner:
@@ -113,22 +116,20 @@ class ShardedRunner:
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,
-                build_charge: float = 0.0,
-                trace_out: "str | None" = None) -> JoinResult:
+                build_charge: float = 0.0) -> JoinResult:
         """Run every shard and merge; parent wall clock is the probe.
 
         Every dispatched task carries a :class:`TraceContext` (one trace
-        id per execution, a per-task parent-clock dispatch stamp), so
-        profiled workers answer with calibratable spans and a full
-        per-shard profile; with an enabled observer the merged result
-        carries a :class:`~repro.obs.profile.ShardedJoinProfile` and
-        ``trace_out``/``REPRO_TRACE_OUT`` gets the merged multi-pid
-        Chrome trace.
+        id per execution, a per-task parent-clock dispatch stamp), so a
+        profiled worker answers with its own profile and the stamps that
+        put its spans on the parent's timeline.  An enabled observer
+        receives the fan-out and those profiles (``observer.sharding`` /
+        ``observer.shards``), from which the caller's ordinary profile
+        assembly builds the run's profile.
         """
         observer = obs if obs is not None else NULL_OBSERVER
         workers = self.plan.sharding.workers
         trace_id = uuid.uuid4().hex[:16]
-        window_start = Stopwatch.now_ns()
         watch = Stopwatch()
         with observer.tracer.span("shard_fanout", workers=workers,
                                   trace_id=trace_id):
@@ -163,20 +164,20 @@ class ShardedRunner:
             observer.metrics.inc("parallel.shards", workers)
             observer.metrics.inc("parallel.shards_skipped",
                                  workers - len(tasks))
-            add_shard_spans(executed, observer, window_start)
+            observer.sharding = self.plan.sharding
+            observer.shards = shard_profiles(shard_results,
+                                             observer.tracer.origin_ns)
+            fold_shard_counters(observer.shards, observer.metrics)
         with observer.tracer.span("merge_shards", shards=len(shard_results),
                                   trace_id=trace_id):
+            # a shard runs the frontier over columnar tries, whatever
+            # index the caller named
             result = merge_shard_results(
                 shard_results, attributes, materialize,
-                algorithm=algorithm, index=self.plan.index,
-                build_seconds=build_charge, probe_seconds=probe_seconds,
-                observer=observer)
+                algorithm=algorithm, index=ColumnarTrie.NAME,
+                build_seconds=build_charge, probe_seconds=probe_seconds)
         FLIGHT_RECORDER.record("runner.merged", trace_id=trace_id,
                                results=result.count)
-        if observer.enabled:
-            attach_sharded_profile(self.bound.query, result, observer,
-                                   self.plan, shard_results,
-                                   trace_out=trace_out)
         return result
 
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ bypasses it and unmaps its segments before answering.
 
 from __future__ import annotations
 
-import os
 import threading
 import traceback
 from collections import OrderedDict
@@ -173,11 +172,11 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
     The task's ``with_counters`` turns the worker-side observer on; the
     parent sets it when it ran profiled or the caller's environment
     holds ``REPRO_PROFILE`` / ``REPRO_TRACE_OUT`` (the latter rides in
-    ``trace_out``).  A profiled shard answers with its raw spans
-    (worker-clock ns, for parent-side rebasing), its full per-shard
-    profile payload, its pid, and the clock-calibration stamps; a trace
-    path is honored per shard (``trace.json`` → ``trace.shard0.json``),
-    never clobbered.
+    ``trace_out``).  A profiled shard answers with its own profile
+    (:meth:`~repro.obs.profile.JoinProfile.as_dict`, carrying its pid)
+    and a ``clock``: its tracer's origin and the calibration stamps the
+    parent rebases its spans by; a trace path is honored per shard
+    (``trace.json`` → ``trace.shard0.json``), never clobbered.
     """
     from repro.joins.results import Stopwatch
     from repro.obs.observer import JoinObserver, NULL_OBSERVER
@@ -213,19 +212,13 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
         "rows": result.rows if task["materialize"] else None,
         "attributes": tuple(result.attributes),
         "algorithm": metrics.algorithm,
-        "build_s": metrics.build_seconds,
-        "probe_s": metrics.probe_seconds,
         "lookups": metrics.lookups,
         "intermediates": metrics.intermediate_tuples,
-        "counters": (dict(observer.metrics.counters) if with_obs else None),
     }
     if with_obs:
-        response["pid"] = os.getpid()
-        response["trace_id"] = trace.get("trace_id")
-        response["spans"] = observer.tracer.export_spans()
-        response["profile"] = (result.profile.as_dict()
-                               if result.profile is not None else None)
+        response["profile"] = result.profile.as_dict()
         response["clock"] = {
+            "origin_ns": observer.tracer.origin_ns,
             "issued_ns": trace.get("issued_ns"),
             "received_ns": received_ns,
             "responded_ns": Stopwatch.now_ns(),

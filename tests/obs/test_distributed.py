@@ -2,7 +2,8 @@
 
 Calibration math, span rebasing, the wire form of a
 :class:`TraceContext`, the shard-statistics helpers, and the
-``sharding`` arm of the profile schema validator.
+``sharding`` arm of the profile schema validator — which checks every
+shard entry as a profile of its own.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.obs.distributed import (
     rebase_spans,
 )
 from repro.obs.profile import (
+    JoinProfile,
     ProfileSchemaError,
     shard_distribution,
     straggler_ratio,
@@ -64,18 +66,26 @@ class TestCalibration:
 
 class TestRebaseSpans:
     def test_rebase_onto_parent_origin(self):
-        raw = [("probe", 5_000, 2_000, 1, {"rows": 3})]
-        spans = rebase_spans(raw, offset_ns=-1_000, origin_ns=1_000)
-        assert spans == [{"name": "probe", "ts_us": 3.0, "dur_us": 2.0,
-                          "depth": 1, "args": {"rows": 3}}]
+        # a worker span 4 µs after its tracer's origin; worker origin
+        # 5 µs after the parent's once the clock offset is applied
+        spans = [{"name": "probe", "ts_us": 4.0, "dur_us": 2.0,
+                  "depth": 1, "args": {"rows": 3}}]
+        assert rebase_spans(spans, shift_ns=5_000) == [
+            {"name": "probe", "ts_us": 9.0, "dur_us": 2.0, "depth": 1,
+             "args": {"rows": 3}}]
 
     def test_preserves_order_and_copies_args(self):
         args = {"k": 1}
-        raw = [("a", 0, 10, 0, args), ("b", 100, 10, 1, args)]
-        spans = rebase_spans(raw, offset_ns=0, origin_ns=0)
-        assert [s["name"] for s in spans] == ["a", "b"]
-        spans[0]["args"]["k"] = 2
+        spans = [{"name": "a", "ts_us": 0.0, "dur_us": 0.01, "depth": 0,
+                  "args": args},
+                 {"name": "b", "ts_us": 0.1, "dur_us": 0.01, "depth": 1,
+                  "args": args}]
+        rebased = rebase_spans(spans, shift_ns=0)
+        assert [s["name"] for s in rebased] == ["a", "b"]
+        rebased[0]["args"]["k"] = 2
+        rebased[1]["ts_us"] = 7.0
         assert args["k"] == 1
+        assert spans[1]["ts_us"] == 0.1
 
 
 class TestShardStats:
@@ -90,6 +100,11 @@ class TestShardStats:
         assert straggler_ratio([2.0, 2.0]) == 1.0
         assert straggler_ratio([]) == 1.0
         assert straggler_ratio([0.0, 0.0]) == 1.0  # zero median guard
+
+
+def first_shard(sharding: dict) -> dict:
+    """The first executed shard's profile payload."""
+    return next(shard for shard in sharding["shards"] if shard is not None)
 
 
 class TestShardingSchema:
@@ -114,15 +129,57 @@ class TestShardingSchema:
         (lambda s: s.update(workers=0), "workers"),
         (lambda s: s.update(shards=[]), "shards"),
         (lambda s: s.update(attribute=7), "attribute"),
-        (lambda s: s["shards"][0].pop("count"), "count"),
-        (lambda s: s["balance"].update(straggler_ratio=0.5),
-         "straggler_ratio"),
+        (lambda s: first_shard(s).pop("result_count"), "count"),
+        (lambda s: first_shard(s)["levels"][0].update(survivors=-1),
+         "survivors"),
+        (lambda s: first_shard(s).pop("pid"), "pid"),
     ])
     def test_tampered_sharding_is_rejected(self, payload, mutate, match):
         mutate(payload["sharding"])
         with pytest.raises(ProfileSchemaError, match=match):
             validate_profile(payload)
 
+    def test_a_nested_shard_names_its_position(self, payload):
+        position, shard = next((k, s) for k, s
+                               in enumerate(payload["sharding"]["shards"])
+                               if s is not None)
+        shard["levels"][0]["survivors"] = -1
+        with pytest.raises(ProfileSchemaError,
+                           match=rf"^sharding\.shards\[{position}\]"
+                                 r"\.levels\[0\]\.survivors"):
+            validate_profile(payload)
+
     def test_sharding_is_optional(self, payload):
         payload.pop("sharding")
         validate_profile(payload)
+
+
+class TestRevive:
+    """Every shard reaches the parent as ``as_dict()`` and is revived by
+    ``JoinProfile.from_dict``: the round trip must lose nothing."""
+
+    @staticmethod
+    def profiled(**kwargs):
+        from repro.joins import join
+        from repro.storage.relation import Relation
+
+        edges = Relation("E", ("src", "dst"),
+                         [(a, (a + 1) % 7) for a in range(7)]
+                         + [(1, 0), (3, 1), (0, 3)])
+        return join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
+                    {"E1": edges, "E2": edges, "E3": edges},
+                    profile=True, **kwargs).profile
+
+    def test_single_process_round_trip(self):
+        payload = self.profiled().as_dict()
+        assert payload["sharding"] is None
+        assert JoinProfile.from_dict(payload).as_dict() == payload
+
+    def test_sharded_round_trip(self):
+        profile = self.profiled(parallel=2)
+        payload = profile.as_dict()
+        revived = JoinProfile.from_dict(payload)
+        assert revived.as_dict() == payload
+        assert revived.render() == profile.render()
+        assert any(isinstance(shard, JoinProfile)
+                   for shard in revived.shards)

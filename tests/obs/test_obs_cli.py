@@ -50,13 +50,13 @@ class TestDemoRuns:
             assert main(["--demo", "triangle", "--algorithm", algorithm]) == 0
             assert f"algorithm={driver} " in capsys.readouterr().out
 
-    def test_json_is_schema_4_without_stages(self, tmp_path):
+    def test_json_is_schema_5_without_stages(self, tmp_path):
         json_out = tmp_path / "profile.json"
         assert main(["--demo", "triangle", "--algorithm", "unified",
                      "--quiet", "--json", str(json_out)]) == 0
         payload = json.loads(json_out.read_text())
         validate_profile(payload)
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == 5
         assert "stages" not in payload
 
     def test_engine_flag_reaches_the_profile(self, tmp_path):

@@ -29,7 +29,7 @@ pytest.importorskip("numpy")
 from repro.engine.pipeline import bind, plan, prepare
 from repro.errors import ConfigurationError
 from repro.joins import join
-from repro.obs.profile import ShardedJoinProfile, validate_profile
+from repro.obs.profile import JoinProfile, validate_profile
 from repro.parallel.worker import run_shard_task
 from repro.planner.query import parse_query
 from repro.storage.relation import Relation
@@ -89,7 +89,7 @@ def sharded(relations, kwargs):
 
 
 def executed_shards(profile):
-    return [entry for entry in profile.shards if not entry.get("skipped")]
+    return [shard for shard in profile.shards if shard is not None]
 
 
 # ----------------------------------------------------------------------
@@ -105,11 +105,12 @@ class TestCounterConservation:
         assert single.count == truth
         assert merged.count == truth
         profile = merged.profile
-        assert isinstance(profile, ShardedJoinProfile)
+        assert type(profile) is JoinProfile
         shards = executed_shards(profile)
         assert shards, "both shards empty on a 300-edge input"
-        assert sum(s["count"] for s in shards) == truth
-        assert sum(s["counters"]["join.emitted"] for s in shards) == truth
+        assert all(type(shard) is JoinProfile for shard in shards)
+        assert sum(s.result_count for s in shards) == truth
+        assert sum(s.counters["join.emitted"] for s in shards) == truth
         # parent-side parity with the single-process profile
         assert profile.counters["join.emitted"] == truth
         assert profile.result_count == single.profile.result_count
@@ -129,9 +130,9 @@ class TestCounterConservation:
         # and the merged levels really are the shard sums, not a re-run
         shards = executed_shards(result.profile)
         for position, survivors in enumerate(expected):
-            total = sum(entry["levels"][position]["survivors"]
-                        for entry in shards
-                        if position < len(entry["levels"]))
+            total = sum(shard.levels[position].survivors
+                        for shard in shards
+                        if position < len(shard.levels))
             assert total == survivors
 
     def test_binary_final_stage_is_conserved(self, relations, truth):
@@ -145,7 +146,7 @@ class TestCounterConservation:
     def test_sharded_profile_validates(self, relations):
         result = join(TRIANGLE, relations, profile=True, parallel=2)
         payload = result.profile.as_dict()
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == 5
         assert payload["sharding"]["workers"] == 2
         validate_profile(payload)
 
@@ -154,6 +155,36 @@ class TestCounterConservation:
         text = result.profile.render()
         assert "sharding: 2 workers" in text
         assert "straggler" in text
+
+
+# ----------------------------------------------------------------------
+# the merged render reads like its single-process twin
+# ----------------------------------------------------------------------
+def level_tree(profile):
+    """A render's level lines, each cut to its labels, and whether it
+    is the subtree-count line."""
+    return [(line.split(":")[0], "counted from subtree sizes" in line)
+            for line in profile.render().splitlines() if "└─" in line]
+
+
+def test_sharded_star_counts_its_tail_where_single_process_does():
+    rng = random.Random(5)
+    relations = {
+        "F": Relation("F", ("t", "x"),
+                      {(rng.randrange(20), rng.randrange(50))
+                       for _ in range(200)}),
+        "A": Relation("A", ("t", "p", "q"),
+                      {(rng.randrange(20), rng.randrange(9),
+                        rng.randrange(9)) for _ in range(200)}),
+    }
+    star = "F(t,x), A(t,p,q)"
+    single = join(star, relations, profile=True)
+    merged = join(star, relations, profile=True, parallel=2)
+    assert merged.count == single.count > 0
+    assert single.profile.counters["frontier.tail_levels"] == 3
+    assert merged.profile.counters["frontier.tail_levels"] == 3
+    assert level_tree(merged.profile) == level_tree(single.profile) == [
+        ("└─ t", False), ("   └─ x, p, q", True)]
 
 
 # ----------------------------------------------------------------------
@@ -186,11 +217,11 @@ class TestMergedTrace:
         assert len(worker_rows) == len(executed_shards(profile)) == 2
         pids = {event["pid"] for event in doc["traceEvents"]}
         assert len(pids) == 3  # parent + 2 workers
-        assert profile.parent_pid in pids
+        assert profile.pid in pids
 
     def test_parent_and_worker_spans_on_their_own_rows(self, trace_doc):
         result, doc = trace_doc
-        parent_pid = result.profile.parent_pid
+        parent_pid = result.profile.pid
         spans_by_pid = {}
         for event in doc["traceEvents"]:
             if event["ph"] == "X":
@@ -214,10 +245,12 @@ class TestMergedTrace:
         merged = json.loads(out.read_text())
         assert {e["pid"] for e in merged["traceEvents"]
                 if e["ph"] == "X"} == {
-            result.profile.parent_pid,
-            *(s["pid"] for s in executed_shards(result.profile))}
-        for entry in executed_shards(result.profile):
-            shard_doc = tmp_path / f"trace.shard{entry['shard']}.json"
+            result.profile.pid,
+            *(s.pid for s in executed_shards(result.profile))}
+        for position, shard in enumerate(result.profile.shards):
+            if shard is None:
+                continue
+            shard_doc = tmp_path / f"trace.shard{position}.json"
             assert shard_doc.exists()
             json.loads(shard_doc.read_text())
 
@@ -247,9 +280,8 @@ class TestWorkerEnvFlags:
         with sharded_prepared(relations) as prepared:
             response = run_shard_task(first_nonempty_task(prepared))
         assert response["ok"]
-        assert response["counters"] is None
         assert "profile" not in response
-        assert "spans" not in response
+        assert "clock" not in response
 
     def test_inherited_profile_flag_enables_obs(self, relations, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
@@ -257,14 +289,14 @@ class TestWorkerEnvFlags:
         with sharded_prepared(relations) as prepared:
             response = run_shard_task(first_nonempty_task(prepared))
         assert response["ok"]
-        assert response["counters"]["join.emitted"] == response["count"]
-        assert response["profile"] is not None
         assert response["profile"]["counters"]["join.emitted"] \
             == response["count"]
-        assert response["pid"] > 0
-        assert response["spans"], "profiled worker returned no spans"
+        assert response["profile"]["pid"] > 0
+        assert response["profile"]["spans"], \
+            "profiled worker returned no spans"
         clock = response["clock"]
-        assert clock["responded_ns"] >= clock["received_ns"]
+        assert (clock["received_ns"] <= clock["origin_ns"]
+                <= clock["responded_ns"])
         # no TraceContext travelled (task built by hand): stamp degrades
         assert clock["issued_ns"] is None
 
@@ -276,7 +308,7 @@ class TestWorkerEnvFlags:
             task = first_nonempty_task(prepared)
             response = run_shard_task(task)
         assert response["ok"]
-        assert response["counters"] is not None  # trace flag implies obs
+        assert response["profile"] is not None  # trace flag implies obs
         shard_doc = tmp_path / f"trace.shard{task['shard']}.json"
         assert shard_doc.exists()
         doc = json.loads(shard_doc.read_text())
@@ -290,5 +322,4 @@ class TestWorkerEnvFlags:
         with sharded_prepared(relations) as prepared:
             response = run_shard_task(
                 first_nonempty_task(prepared, with_counters=True))
-        assert response["counters"] is not None
         assert response["profile"] is not None

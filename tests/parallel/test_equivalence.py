@@ -68,12 +68,28 @@ def test_every_driver_agrees_sharded(algorithm):
                           algorithm=algorithm)
 
 
-@pytest.mark.parametrize("engine", ["tuple", "batch"])
-@pytest.mark.parametrize("index", ["sonic", "sortedtrie"])
+#: the profile header a sharded run must share with its single-process twin
+HEADER = ("algorithm", "engine", "index", "order", "result_count")
+
+
+@pytest.mark.parametrize("engine", ["tuple", "batch", None])
+@pytest.mark.parametrize("index", ["sonic", "sortedtrie", None])
 def test_generic_engines_and_indexes(engine, index):
+    # None: the option is left at its default
     edges = random_edges(250, 35, seed=5)
-    assert_sharded_agrees(TRIANGLE, self_join_relations(TRIANGLE, edges),
-                          engine=engine, index=index)
+    relations = self_join_relations(TRIANGLE, edges)
+    kwargs = {key: value for key, value
+              in (("engine", engine), ("index", index)) if value is not None}
+    single, sharded = assert_sharded_agrees(TRIANGLE, relations, **kwargs)
+    if engine != "tuple":
+        # the workers build columnar tries whatever index was named, as
+        # a single-process frontier run does
+        assert sharded.metrics.index == single.metrics.index == "columnar"
+        single = join(TRIANGLE, relations, profile=True, **kwargs).profile
+        sharded = join(TRIANGLE, relations, profile=True, parallel=2,
+                       **kwargs).profile
+        assert ({key: single.as_dict()[key] for key in HEADER}
+                == {key: sharded.as_dict()[key] for key in HEADER})
 
 
 @pytest.mark.parametrize("query", [TRIANGLE, BOWTIE, CHAIN3],
