@@ -100,14 +100,15 @@ class IndexCache:
     """LRU + byte-budget cache of built columnar tries and shard columns.
 
     One instance lives inside each :class:`~repro.engine.session.Session`;
-    the prepare stage of a frontier plan is the only writer.  ``max_bytes=0`` (or
-    ``max_entries=0``) disables storage entirely — every lookup is a
-    miss and nothing is retained, which is how the back-compat
-    :func:`repro.joins.join` cold path preserves the paper's
-    build-included timing semantics.
+    the prepare stage of a frontier plan is the only writer, and it
+    publishes only through :meth:`put_if_absent`.  ``max_bytes=0`` (or
+    ``max_entries=0``) disables storage entirely: every lookup is a miss
+    and nothing is retained, so the prepare stage builds every structure
+    fresh, as it does without a cache — the :func:`repro.joins.join`
+    cold path passes none.
 
     **Thread safety.**  Every public operation takes the single internal
-    lock, so get / put / put_if_absent / invalidate / evict are each
+    lock, so get / put_if_absent / invalidate / evict are each
     atomic with respect to the LRU order *and* the byte accounting; the
     lock is never held across a structure build (see
     :func:`repro.engine.pipeline.prepare`, which builds outside the
@@ -160,29 +161,6 @@ class IndexCache:
             return None
         self.metrics.inc("cache.hit")
         return entry.value
-
-    def put(self, key: tuple, value: object, bytes_: int) -> None:
-        """Store a freshly-built structure and evict down to budget.
-
-        Unconditional last-write-wins: an existing entry under ``key``
-        is replaced (its bytes reclaimed without counting an eviction).
-        Concurrent builders racing on one key should prefer
-        :meth:`put_if_absent`, which keeps a single canonical structure
-        and the ``stores − evictions == entries`` identity.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.bytes
-            self._entries[key] = _Entry(value, bytes_, key[0])
-            self._bytes += bytes_
-            self._stores += 1
-            evicted = self._evict_to_budget()
-        self.metrics.inc("cache.store")
-        if evicted:
-            self.metrics.inc("cache.evict", evicted)
 
     def put_if_absent(self, key: tuple, value: object, bytes_: int,
                       built_depth: "int | None" = None) -> object:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
+from functools import partial
 
 from repro.core.envflag import resolve_flag
 from repro.engine.cache import IndexCache
@@ -298,67 +299,122 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
 def _prepare(bound: BoundQuery, join_plan: JoinPlan,
              cache: "IndexCache | None", obs) -> PreparedJoin:
     """:func:`prepare` for a plan already known to be servable (checked
-    where it was made, so a session's cached plan pays no check)."""
+    where it was made, so a session's cached plan pays no check).
+
+    One loop serves every caller — cold or cached, single-process or
+    sharded, and a shard worker running its parent's plan: per spec, a
+    cache lookup, one :meth:`~repro.storage.relation.Relation.snapshot`
+    naming the version, a build from that snapshot's columns, its span,
+    and a compare-and-swap publish under that version.  A plan picks
+    its key suffix and builder here, once: a columnar trie under the
+    spec's suffix, or — for a sharded plan, whose indexes are built
+    inside the workers — the relation's
+    :class:`~repro.parallel.shm.ShardedColumns` under the sharding's
+    scheme, worker count and the partition attribute's *storage
+    position* (renamed views share fingerprints, so position — not
+    name — is the stable part), plus the spec's options: the columns
+    its plan codes, which the workers' trie builds follow.
+    """
     observer = obs if obs is not None else NULL_OBSERVER
     obs_enabled = observer.enabled
-    use_cache = cache is not None and cache.enabled
-    if join_plan.sharding is not None:
-        return _prepare_sharded(bound, join_plan, cache if use_cache else None,
-                                observer)
-    dictionary = cache.dictionary if cache is not None else Dictionary()
+    if cache is not None and not cache.enabled:
+        cache = None
+    sharding = join_plan.sharding
+    if sharding is None:
+        dictionary = cache.dictionary if cache is not None else Dictionary()
+        suffix_of = IndexSpec.cache_key_suffix
+        build = partial(_build_trie, dictionary=dictionary)
+
+        def record(spec: IndexSpec, start_ns: int, tuples: int) -> None:
+            observer.record_build(spec.alias, start_ns, index=spec.kind,
+                                  tuples=tuples)
+    else:
+        # lazy import, same one-directional rationale as _resolve_workers
+        from repro.parallel.partition import build_sharded_columns
+
+        def suffix_of(spec: IndexSpec) -> tuple:
+            return ("shards", sharding.scheme, sharding.workers,
+                    _storage_position(spec, sharding.attribute),
+                    spec.options)
+
+        def build(spec: IndexSpec, snapshot: Snapshot):
+            # the workers build tries by this plan as it is: refuse a join
+            # column turned to objects since the plan read it as int64
+            # here, as a trie build would, so a session plans it coded
+            coded = dict(spec.options).get("coded", ())
+            for i in spec.permutation:
+                if i not in coded and snapshot.columns[i].dtype == object:
+                    raise SchemaError(
+                        f"column {i} of relation {spec.alias!r} holds "
+                        "objects; its plan read int64")
+            return build_sharded_columns(
+                snapshot.columns, _storage_position(spec, sharding.attribute),
+                sharding.workers)
+
+        def record(spec: IndexSpec, start_ns: int, tuples: int) -> None:
+            observer.tracer.add_span(
+                "partition_shards", start_ns, Stopwatch.now_ns() - start_ns,
+                alias=spec.alias, workers=sharding.workers, tuples=tuples)
     structures: dict[str, object] = {}
     watch = Stopwatch()
-    with observer.tracer.span("prepare"):
-        for spec in join_plan.index_specs:
-            relation = bound.relations[spec.alias]
-            suffix = spec.cache_key_suffix()
-            key = None
-            structure = None
-            if use_cache:
-                try:
-                    key = cache.key_for(relation, suffix)
-                except TypeError:
-                    key = None  # unhashable option value: uncacheable spec
-                if key is not None:
-                    structure = cache.get(key)
-                if obs_enabled:
-                    observer.metrics.inc(
-                        "cache.hit" if structure is not None else "cache.miss")
-            if structure is None:
-                if obs_enabled:
-                    build_t0 = Stopwatch.now_ns()
-                snapshot = None
-                if key is not None:
+    try:
+        with observer.tracer.span("prepare"):
+            for spec in join_plan.index_specs:
+                relation = bound.relations[spec.alias]
+                structure = None
+                if cache is not None:
+                    suffix = suffix_of(spec)
+                    structure = cache.get(cache.key_for(relation, suffix))
+                    if obs_enabled:
+                        observer.metrics.inc("cache.hit" if structure
+                                             is not None else "cache.miss")
+                if structure is None:
+                    start_ns = Stopwatch.now_ns()
                     # one consistent read names the version and the rows:
-                    # the trie is made from exactly ``count`` rows and
+                    # the structure is made from exactly ``count`` rows and
                     # published under exactly that version's key, even
                     # when an extend() landed after the lookup above
                     snapshot = relation.snapshot()
-                    key = cache.key_for(relation, suffix, snapshot.version)
-                structure = _build_trie(spec, relation, snapshot, dictionary)
-                if obs_enabled:
-                    observer.record_build(
-                        spec.alias, build_t0, index=spec.kind,
-                        tuples=(len(relation) if snapshot is None
-                                else snapshot.count))
-                if key is not None:
-                    # compare-and-swap publish: when another thread built
-                    # the same key first, adopt its trie so every
-                    # concurrent preparer shares one canonical build and
-                    # the LRU byte accounting never double-charges.
-                    # Levels appear as joins descend, and the entry's
-                    # byte charge follows them: hook the deepen callback
-                    # *before* publishing, so no descent can slip between
-                    # publish and hookup; a CAS loss discards this trie
-                    # (no level built yet) and adopts the winner's,
-                    # callback included
-                    structure.on_deepen = _depth_upgrader(cache, key)
-                    structure = cache.put_if_absent(
-                        key, structure, structure.memory_usage(),
-                        built_depth=structure.built_depth)
-            structures[spec.alias] = structure
-    build_seconds = watch.lap()
-    return PreparedJoin(bound, join_plan, structures, build_seconds)
+                    structure = build(spec, snapshot)
+                    if obs_enabled:
+                        record(spec, start_ns, snapshot.count)
+                    if cache is not None:
+                        structure = _publish(
+                            cache,
+                            cache.key_for(relation, suffix, snapshot.version),
+                            structure)
+                structures[spec.alias] = structure
+    except BaseException:
+        if sharding is not None and cache is None:
+            for built in structures.values():  # this call's own segments
+                built.close()
+        raise
+    return PreparedJoin(bound, join_plan, structures, watch.lap(),
+                        owned_shards=cache is None)
+
+
+def _publish(cache: IndexCache, key: tuple, structure):
+    """Compare-and-swap ``structure`` into ``cache`` under ``key``; the
+    canonical structure to use.
+
+    When another thread built the same key first, adopt its structure,
+    so every concurrent preparer shares one canonical build and the LRU
+    byte accounting never double-charges.  A columnar trie's levels
+    appear as joins descend, and the entry's byte charge follows them:
+    its deepen callback is hooked *before* publishing, so no descent can
+    slip between publish and hookup; a CAS loss discards this trie (no
+    level built yet) and adopts the winner's, callback included.  A
+    losing shard partitioning releases its segments.
+    """
+    if not isinstance(structure, ColumnarTrie):
+        published = cache.put_if_absent(key, structure,
+                                        structure.memory_usage())
+        if published is not structure:
+            structure.close()
+        return published
+    structure.on_deepen = _depth_upgrader(cache, key)
+    return cache.put_if_absent(key, structure, structure.memory_usage(),
+                               built_depth=structure.built_depth)
 
 
 def _depth_upgrader(cache: IndexCache, key: tuple):
@@ -369,74 +425,13 @@ def _depth_upgrader(cache: IndexCache, key: tuple):
     return _on_deepen
 
 
-def _prepare_sharded(bound: BoundQuery, join_plan: JoinPlan,
-                     cache: "IndexCache | None", observer) -> PreparedJoin:
-    """The prepare stage for a sharded plan: partition, don't build.
-
-    Indexes are built *inside the workers* (each over its shard, via
-    the same bulk-build prepare path); what the parent prepares — and
-    what the session cache holds under the usual fingerprint×options
-    key — is the :class:`~repro.parallel.shm.ShardedColumns` transport:
-    each relation's column arrays hash-partitioned into shared memory.
-    The cache suffix pins the scheme, worker count and the partition
-    attribute's *storage position* (renamed views share fingerprints,
-    so position — not name — is the stable part), meaning plans that
-    shard the same storage the same way share one partitioning.
-    """
-    # lazy import, same one-directional rationale as _resolve_workers
-    from repro.parallel.partition import build_sharded_columns
-
-    obs_enabled = observer.enabled
-    use_cache = cache is not None
-    sharding = join_plan.sharding
-    structures: dict[str, object] = {}
-    local: dict[tuple, object] = {}
-    watch = Stopwatch()
-    with observer.tracer.span("prepare"):
-        for atom in join_plan.query.atoms:
-            relation = bound.relations[atom.alias]
-            position = (relation.schema.position(sharding.attribute)
-                        if sharding.attribute in relation.schema else None)
-            suffix = ("shards", sharding.scheme, sharding.workers, position)
-            key = None
-            if use_cache:
-                key = cache.key_for(relation, suffix)
-                columns = cache.get(key)
-                if obs_enabled:
-                    observer.metrics.inc(
-                        "cache.hit" if columns is not None else "cache.miss")
-            else:
-                # the cold path still shares one partitioning between
-                # self-join aliases of the same storage within this call
-                columns = local.get((relation.fingerprint(), suffix))
-            if columns is None:
-                if obs_enabled:
-                    build_t0 = Stopwatch.now_ns()
-                try:
-                    columns = build_sharded_columns(relation, position,
-                                                    sharding.workers)
-                except BaseException:
-                    for built in local.values():  # the cold path owns these
-                        built.close()
-                    raise
-                if obs_enabled:
-                    duration = Stopwatch.now_ns() - build_t0
-                    observer.tracer.add_span(
-                        "partition_shards", build_t0, duration,
-                        alias=atom.alias, workers=sharding.workers,
-                        tuples=len(relation))
-                if key is not None:
-                    published = cache.put_if_absent(
-                        key, columns, columns.memory_usage())
-                    if published is not columns:
-                        columns.close()  # lost the CAS: adopt the winner
-                        columns = published
-                else:
-                    local[(relation.fingerprint(), suffix)] = columns
-            structures[atom.alias] = columns
-    build_seconds = watch.lap()
-    return PreparedJoin(bound, join_plan, structures, build_seconds,
-                        owned_shards=not use_cache)
+def _storage_position(spec: IndexSpec, attribute: str) -> "int | None":
+    """The storage position of ``attribute`` in ``spec``'s relation, or
+    ``None`` when the relation does not bind it (``permutation`` maps
+    each position of ``attribute_order`` to its storage position)."""
+    if attribute not in spec.attribute_order:
+        return None
+    return spec.permutation[spec.attribute_order.index(attribute)]
 
 
 # ----------------------------------------------------------------------
@@ -648,18 +643,15 @@ def _validate_index_kwargs(requested: str, resolved: str, index: str,
 # The structure builder (the prepare stage's workhorse)
 # ----------------------------------------------------------------------
 
-def _build_trie(spec: IndexSpec, relation: Relation,
-                snapshot: "Snapshot | None",
+def _build_trie(spec: IndexSpec, snapshot: Snapshot,
                 dictionary: Dictionary) -> ColumnarTrie:
-    """Build the columnar trie a spec describes, from ``relation``'s rows.
+    """Build the columnar trie a spec describes from one consistent
+    read of its relation — exactly the rows the cache key names.
 
-    ``snapshot`` pins the build to exactly the rows the cache key names
-    (the first ``count``, whatever has been appended since); without one
-    — the cold path, nothing keyed — the relation is read as it is.
     ``dictionary`` encodes the columns the spec codes.  The trie keeps
     every copy of a repeated row.
     """
-    columns = relation.columns() if snapshot is None else snapshot.columns
+    columns = snapshot.columns
     coded = dict(spec.options).get("coded", ())
     trie = ColumnarTrie(tuple(
         dictionary.encode(columns[i]) if i in coded else columns[i]

@@ -79,7 +79,7 @@ class PreparedJoin:
 
             # ``owned_shards``: does close() own the shared-memory
             # segments (cold path), or does the session cache (warm path)?
-            self._runner = ShardedRunner(bound, plan, structures,
+            self._runner = ShardedRunner(plan, structures,
                                          owned=owned_shards)
 
     # ------------------------------------------------------------------

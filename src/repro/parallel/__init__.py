@@ -9,8 +9,9 @@ processes over shared-memory columns**.
 The decomposition is the standard one for Generic Join: hash-partition
 on the first attribute of the total order (every result binds it to
 exactly one value, so shard result sets are disjoint), replicate
-relations that never bind it, run the unmodified staged engine per
-shard in a worker process, and concatenate.  Layers, parent → worker:
+relations that never bind it, run the parent's own plan through the
+unmodified prepare/execute stages per shard in a worker process, and
+concatenate.  Layers, parent → worker:
 
 * :mod:`repro.parallel.partition` — deterministic vectorized hash
   split of :meth:`~repro.storage.relation.Relation.columns` arrays;
@@ -19,7 +20,7 @@ shard in a worker process, and concatenate.  Layers, parent → worker:
 * :mod:`repro.parallel.runner` / :mod:`repro.parallel.pool` — the
   parent-side fan-out over process-wide, borrowed worker pools;
 * :mod:`repro.parallel.worker` — the in-process shard executor
-  (attach → rebuild relations → bind/plan/prepare/execute);
+  (attach → rebuild relations → prepare/execute the parent's plan);
 * :mod:`repro.parallel.merge` — deterministic concatenation, counter
   fold-in via :meth:`repro.obs.metrics.Metrics.merge`.
 

@@ -18,12 +18,13 @@ indexes use, so both paths agree on integer values.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core.hashing import hash_key
 from repro.parallel.pool import execution_error
 from repro.parallel.shm import ColumnHandle, ShardedColumns, export_array
-from repro.storage.relation import Relation
 
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
 _M2 = np.uint64(0xC4CEB9FE1A85EC53)
@@ -94,16 +95,18 @@ def partition_order(column: np.ndarray, workers: int,
     return row_order, boundaries
 
 
-def build_sharded_columns(relation: Relation, partition_position: "int | None",
+def build_sharded_columns(columns: "Sequence[np.ndarray]",
+                          partition_position: "int | None",
                           workers: int) -> ShardedColumns:
     """Partition one relation's columns into K shards of shared memory.
 
-    ``partition_position`` is the storage position of the partition
-    attribute, or ``None`` when this relation does not bind it — then
-    the columns are exported once and every shard references the same
-    segments (replication by aliasing, not copying).
+    ``columns`` are the relation's arrays in schema position order, as
+    one :meth:`~repro.storage.relation.Relation.snapshot` read them.
+    ``partition_position`` is the position of the partition attribute,
+    or ``None`` when the relation does not bind it — then the columns
+    are exported once and every shard references the same segments
+    (replication by aliasing, not copying).
     """
-    arrays = relation.columns()
     segments = []
 
     def export(array: np.ndarray) -> ColumnHandle:
@@ -113,18 +116,18 @@ def build_sharded_columns(relation: Relation, partition_position: "int | None",
             for made in segments:
                 made.close()
             raise execution_error(
-                f"cannot place relation {relation.name!r} in shared "
-                f"memory: {exc}") from exc
+                f"cannot place shard columns in shared memory: {exc}"
+            ) from exc
         if segment is not None:
             segments.append(segment)
         return handle
 
     if partition_position is None:
-        handles = tuple(export(array) for array in arrays)
+        handles = tuple(export(array) for array in columns)
         shard_handles = (handles,) * workers
-        lengths = (len(arrays[0]),) * workers
+        lengths = (len(columns[0]),) * workers
     else:
-        row_order, bounds = partition_order(arrays[partition_position],
+        row_order, bounds = partition_order(columns[partition_position],
                                             workers)
         per_shard = []
         lengths_list = []
@@ -132,7 +135,7 @@ def build_sharded_columns(relation: Relation, partition_position: "int | None",
             rows = row_order[bounds[shard]:bounds[shard + 1]]
             lengths_list.append(int(len(rows)))
             per_shard.append(tuple(export(array.take(rows))
-                                   for array in arrays))
+                                   for array in columns))
         shard_handles = tuple(per_shard)
         lengths = tuple(lengths_list)
     return ShardedColumns(

@@ -5,8 +5,8 @@ holds instead of tries when its frontier plan carries a
 :class:`~repro.engine.ir.ShardingSpec`: the prepare stage has already
 partitioned every relation's columns into shared memory
 (:class:`~repro.parallel.shm.ShardedColumns`), and each execution
-builds K picklable shard tasks — column handles, query text, and the
-frozen plan decisions, nothing live — dispatches them over a
+builds K picklable shard tasks — column handles and the parent's own
+plan, pickled once per runner, nothing live — dispatches them over a
 process-wide :class:`~repro.parallel.pool.WorkerPool` borrowed for that
 one fan-out, and merges the shard results deterministically
 (:mod:`repro.parallel.merge`).
@@ -19,7 +19,9 @@ means an empty shard result.
 
 from __future__ import annotations
 
+import pickle
 import uuid
+from dataclasses import replace
 
 from repro.core.envflag import env_flag, env_str
 from repro.indexes.columnar import ColumnarTrie
@@ -36,14 +38,6 @@ from repro.parallel.pool import IDLE_POOLS
 from repro.parallel.shm import ShardedColumns
 
 
-def query_text(query) -> str:
-    """The query in canonical parseable form (what crosses the boundary)."""
-    return ", ".join(
-        f"{atom.alias}={atom.relation}({','.join(atom.attributes)})"
-        for atom in query.atoms
-    )
-
-
 def _empty_shard_result(shard: int) -> dict:
     return {"shard": shard, "count": 0, "rows": [], "algorithm": None,
             "lookups": 0, "intermediates": 0}
@@ -52,10 +46,8 @@ def _empty_shard_result(shard: int) -> dict:
 class ShardedRunner:
     """Executes one sharded plan against its partitioned columns."""
 
-    def __init__(self, bound, plan,
-                 shard_columns: "dict[str, ShardedColumns]",
+    def __init__(self, plan, shard_columns: "dict[str, ShardedColumns]",
                  owned: bool = False):
-        self.bound = bound
         self.plan = plan
         self.shard_columns = shard_columns
         #: whether close() should release the shared-memory segments
@@ -63,56 +55,38 @@ class ShardedRunner:
         #: by cache-entry garbage collection instead.  Workers run an
         #: owned runner's tasks once, outside their state cache.
         self.owned = owned
-        self._task_template = self._build_template()
+        # what each worker runs over its shard: the parent's own plan,
+        # unsharded — the estimate stays on the parent's profile
+        self._plan_bytes = pickle.dumps(
+            replace(plan, sharding=None, choice=None),
+            protocol=pickle.HIGHEST_PROTOCOL)
 
     # ------------------------------------------------------------------
-    def _build_template(self) -> dict:
-        # each worker re-plans the frontier plan's decisions over its
-        # shard: the query, the total order and the seed rule
-        plan = self.plan
-        return {
-            "query": query_text(self.bound.query),
-            "order": list(plan.total_order),
-            "dynamic_seed": plan.dynamic_seed,
-        }
-
-    def _plan_signature(self) -> tuple:
-        template = self._task_template
-        return (template["query"], tuple(template["order"]),
-                template["dynamic_seed"])
-
     def _shard_task(self, shard: int, materialize: bool,
                     with_counters: bool) -> "dict | None":
         """The task for one shard, or ``None`` when the shard is empty."""
-        relations = {}
-        signature_parts = [self._plan_signature(), shard]
+        handles = {}
         for alias, columns in self.shard_columns.items():
             if (columns.partition_position is not None
                     and columns.lengths[shard] == 0):
                 return None
-            handles = columns.handles_for(shard)
-            relations[alias] = {
-                "name": alias,
-                "attributes": list(
-                    self.bound.relations[alias].schema.attributes),
-                "handles": handles,
-            }
-            signature_parts.append(
-                (alias, tuple(h.signature() for h in handles)))
+            handles[alias] = columns.handles_for(shard)
+        signature = (self._plan_bytes, shard,
+                     tuple((alias, tuple(h.signature() for h in row))
+                           for alias, row in handles.items()))
         # read here: a pooled worker's environment is that of its fork
         trace_out = env_str("REPRO_TRACE_OUT") or None
-        task = dict(self._task_template)
-        task.update({
+        return {
+            "plan": self._plan_bytes,
             "shard": shard,
-            "signature": tuple(signature_parts),
-            "relations": relations,
+            "signature": signature,
+            "handles": handles,
             "materialize": materialize,
             "with_counters": (with_counters or bool(trace_out)
                               or env_flag("REPRO_PROFILE")),
             "trace_out": trace_out,
             "one_shot": self.owned,
-        })
-        return task
+        }
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,

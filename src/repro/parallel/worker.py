@@ -2,21 +2,23 @@
 
 Everything in this module runs **inside a worker process**.  The
 process boundary is deliberately narrow: a task carries shared-memory
-column handles, the query text, and the frozen decisions of a frontier
-plan — the only kind that shards — which are its total order and seed
-rule; never a live trie, relation, driver, or lock.  The worker maps the
-columns, rebuilds per-shard relations, and runs the **standard** staged
-pipeline (:mod:`repro.engine.pipeline`) end to end — a Generic Join on
-the batch engine over one columnar trie per shard relation — so a shard
-executes exactly the code path the single-process engine does, which is
-what makes the shard-equivalence property tests meaningful.
+column handles and the parent's own frontier plan with its sharding
+and optimizer estimate stripped — never a live trie, relation, driver,
+or lock.  The worker maps the columns, rebuilds per-shard relations,
+and runs the parent's plan through the **same** prepare loop and
+:class:`~repro.engine.prepared.PreparedJoin` a single-process run takes
+(:mod:`repro.engine.pipeline`): no bind, no re-plan, so each shard
+joins by exactly the parent's decisions — its total order, seed rule
+and dictionary-coded specs — which is what makes the
+shard-equivalence property tests meaningful.
 
 Entry points (:func:`worker_main`, :func:`run_shard_task`) are plain
 module-level functions that capture no module state, so they survive
 both ``fork`` and ``spawn`` start methods and pickle cleanly.
 
 Workers keep a small LRU of prepared state keyed on the task's
-segment-name signature: re-executing an unchanged sharded plan (the
+signature — the plan's bytes, the shard and its segment names:
+re-executing an unchanged sharded plan (the
 session warm path) skips the attach/build work the same way the
 parent's index cache does.  A one-shot task (a cold ``join()``)
 bypasses it and unmaps its segments before answering.
@@ -24,6 +26,7 @@ bypasses it and unmaps its segments before answering.
 
 from __future__ import annotations
 
+import pickle
 import threading
 import traceback
 from collections import OrderedDict
@@ -39,40 +42,20 @@ STATE_CACHE_ENTRIES = 8
 
 
 class _ColumnRows:
-    """Lazy read-only row view over attached column arrays.
+    """The ``Relation._rows`` slot of a worker-side relation: a length.
 
-    Fills the ``Relation._rows`` slot of a worker-side relation: the
-    drivers only iterate, measure and (rarely) membership-test rows,
-    so tuples are materialized on demand from the columns instead of
-    being shipped across the process boundary.
+    A shard's relations are read through their columns only — the
+    frontier builds its tries from a snapshot of them — so this holds
+    no rows, and any row access fails loudly.
     """
 
-    __slots__ = ("_arrays", "_length", "_materialized")
+    __slots__ = ("_length",)
 
-    def __init__(self, arrays: "tuple[np.ndarray, ...]", length: int):
-        self._arrays = arrays
+    def __init__(self, length: int):
         self._length = length
-        self._materialized: "list[tuple] | None" = None
-
-    def _rows(self) -> "list[tuple]":
-        rows = self._materialized
-        if rows is None:
-            columns = [array.tolist() for array in self._arrays]
-            rows = list(zip(*columns)) if columns else []
-            self._materialized = rows
-        return rows
 
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self):
-        return iter(self._rows())
-
-    def __contains__(self, row: object) -> bool:
-        return row in self._rows()
-
-    def __getitem__(self, item):
-        return self._rows()[item]
 
 
 def relation_from_handles(name: str, attributes: "tuple[str, ...]",
@@ -96,7 +79,7 @@ def relation_from_handles(name: str, attributes: "tuple[str, ...]",
     relation.name = name
     relation.schema = Schema(attributes)
     relation._mutlock = threading.Lock()
-    relation._rows = _ColumnRows(tuple(arrays), length)
+    relation._rows = _ColumnRows(length)
     relation._columns = {}
     relation._arrays = {i: array for i, array in enumerate(arrays)}
     relation._dtype_classes = {
@@ -108,38 +91,31 @@ def relation_from_handles(name: str, attributes: "tuple[str, ...]",
 
 
 def _prepare_task(task: dict, obs=None) -> "tuple[object, list]":
-    """bind → plan → prepare for one shard; returns prepared state.
+    """The prepare stage for one shard; returns prepared state.
 
-    ``obs`` (the per-task observer, when the run is profiled) is
-    threaded through every stage so the shard's bind/plan/prepare and
-    ``build_index`` spans land in the per-shard trace the parent will
-    rebase — a warm re-execution skips this function entirely, which is
-    exactly why its profile carries no build spans.
+    The shard runs its parent's plan — no bind, no plan, no sharding —
+    through the same prepare loop a single-process run takes.  ``obs``
+    (the per-task observer, when the run is profiled) records the
+    shard's ``build_index`` spans in the per-shard trace the parent
+    will rebase — a warm re-execution skips this function entirely,
+    which is exactly why its profile carries no build spans.
     """
     # imported here, not at module level: the engine pipeline is the
     # parent-facing layer above this package, and the import must stay
     # one-directional (pipeline → runner → worker) at module scope
-    from repro.engine.pipeline import bind, plan, prepare
+    from repro.engine.ir import BoundQuery
+    from repro.engine.pipeline import _prepare
 
+    join_plan = pickle.loads(task["plan"])
     relations = {}
     attachments: list = []
-    for alias, spec in task["relations"].items():
+    for atom in join_plan.query.atoms:
         relation, attached = relation_from_handles(
-            spec["name"], tuple(spec["attributes"]),
-            tuple(spec["handles"]))
-        relations[alias] = relation
+            atom.alias, atom.attributes, task["handles"][atom.alias])
+        relations[atom.alias] = relation
         attachments.extend(attached)
-    bound = bind(task["query"], relations, obs=obs)
-    join_plan = plan(
-        bound,
-        order=tuple(task["order"]) if task["order"] else None,
-        dynamic_seed=task["dynamic_seed"],
-        obs=obs,
-        # a shard always runs single-process: without the explicit 0 an
-        # inherited REPRO_WORKERS would shard the shard, recursively
-        parallel=0,
-    )
-    prepared = prepare(bound, join_plan, cache=None, obs=obs)
+    prepared = _prepare(BoundQuery(join_plan.query, relations), join_plan,
+                        None, obs)
     return prepared, attachments
 
 

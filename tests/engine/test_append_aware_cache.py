@@ -454,6 +454,62 @@ class TestSnapshotCoherence:
         assert session.execute(query, **options).count == \
             join(query, tables, **options).count
 
+    def test_a_write_inside_the_partition_build_keys_the_rows_it_holds(
+            self, monkeypatch):
+        from repro.parallel import partition
+
+        tables = base_tables()
+        edges = tables["E"]
+        rows_at = {edges.version: len(edges)}
+        real_build = partition.build_sharded_columns
+
+        def build_after_a_write(*args):
+            if len(rows_at) == 1:
+                edges.extend([(0, 6), (6, 0), (6, 3)])
+                rows_at[edges.version] = len(edges)
+            return real_build(*args)
+
+        monkeypatch.setattr(partition, "build_sharded_columns",
+                            build_after_a_write)
+        with Session(tables) as session:
+            with session.prepare(TRIANGLE, parallel=2):
+                pass
+            # every partitioning is published under the version whose
+            # rows it holds: a replicated one holds them in every shard
+            held = {}
+            for key, entry in session.cache._entries.items():
+                columns = entry.value
+                held[key] = (columns.lengths[0]
+                             if columns.partition_position is None
+                             else sum(columns.lengths))
+            assert len(held) == 3
+            assert held == {key: rows_at[key[0][1]] for key in held}
+
+    def test_a_dtype_flip_inside_the_partition_build_plans_again(
+            self, monkeypatch):
+        # the workers run the parent's plan as it is: a join column that
+        # turned to objects after the plan read it as int64 must send
+        # the session back to plan it coded, as a trie build does
+        from repro.parallel import partition
+
+        tables = base_tables()
+        edges = tables["E"]
+        real_build = partition.build_sharded_columns
+        wrote = []
+
+        def build_after_a_write(*args):
+            if not wrote:
+                edges.extend([(BIG, 0), (0, BIG)])
+                wrote.append(edges.version)
+            return real_build(*args)
+
+        monkeypatch.setattr(partition, "build_sharded_columns",
+                            build_after_a_write)
+        with Session(tables) as session:
+            assert session.execute(TRIANGLE, parallel=2).count == \
+                join(TRIANGLE, tables).count
+            assert wrote
+
     def test_relation_snapshot_is_one_consistent_read(self):
         relation = Relation("R", ("a", "b"), [(i, i) for i in range(50)])
         stop = threading.Event()

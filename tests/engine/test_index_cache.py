@@ -22,7 +22,7 @@ class TestAccounting:
         cache = IndexCache(max_bytes=1 << 20)
         key = entry(cache, edges, "sonic")
         assert cache.get(key) is None
-        cache.put(key, object(), 100)
+        cache.put_if_absent(key, object(), 100)
         assert cache.get(key) is not None
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
@@ -32,19 +32,11 @@ class TestAccounting:
         cache = IndexCache(max_bytes=1 << 20)
         key = entry(cache, edges, "sonic")
         cache.get(key)
-        cache.put(key, object(), 10)
+        cache.put_if_absent(key, object(), 10)
         cache.get(key)
         assert cache.metrics.get("cache.miss") == 1
         assert cache.metrics.get("cache.hit") == 1
         assert cache.metrics.get("cache.store") == 1
-
-    def test_replacing_a_key_reclaims_its_bytes(self, edges):
-        cache = IndexCache(max_bytes=1 << 20)
-        key = entry(cache, edges, "sonic")
-        cache.put(key, object(), 100)
-        cache.put(key, object(), 40)
-        assert cache.bytes_used == 40
-        assert len(cache) == 1
 
 
 class TestEviction:
@@ -52,7 +44,7 @@ class TestEviction:
         cache = IndexCache(max_bytes=250)
         keys = [entry(cache, edges, f"k{i}") for i in range(3)]
         for key in keys:
-            cache.put(key, object(), 100)
+            cache.put_if_absent(key, object(), 100)
         # 300 bytes > 250: the coldest (first-stored) entry must go
         assert len(cache) == 2
         assert keys[0] not in cache
@@ -63,31 +55,31 @@ class TestEviction:
     def test_get_refreshes_recency(self, edges):
         cache = IndexCache(max_bytes=250)
         keys = [entry(cache, edges, f"k{i}") for i in range(3)]
-        cache.put(keys[0], object(), 100)
-        cache.put(keys[1], object(), 100)
+        cache.put_if_absent(keys[0], object(), 100)
+        cache.put_if_absent(keys[1], object(), 100)
         cache.get(keys[0])  # k0 becomes most-recently-used
-        cache.put(keys[2], object(), 100)
+        cache.put_if_absent(keys[2], object(), 100)
         assert keys[0] in cache
         assert keys[1] not in cache
 
     def test_entry_cap(self, edges):
         cache = IndexCache(max_bytes=1 << 20, max_entries=2)
         for i in range(4):
-            cache.put(entry(cache, edges, f"k{i}"), object(), 1)
+            cache.put_if_absent(entry(cache, edges, f"k{i}"), object(), 1)
         assert len(cache) == 2
 
     def test_disabled_cache_stores_nothing(self, edges):
         cache = IndexCache(max_bytes=0)
         assert not cache.enabled
         key = entry(cache, edges, "sonic")
-        cache.put(key, object(), 1)
+        cache.put_if_absent(key, object(), 1)
         assert len(cache) == 0
         assert cache.get(key) is None
 
     def test_clear_releases_everything(self, edges):
         cache = IndexCache(max_bytes=1 << 20)
         for i in range(3):
-            cache.put(entry(cache, edges, f"k{i}"), object(), 10)
+            cache.put_if_absent(entry(cache, edges, f"k{i}"), object(), 10)
         cache.clear()
         assert len(cache) == 0 and cache.bytes_used == 0
 
@@ -96,7 +88,7 @@ class TestInvalidation:
     def test_mutation_bumps_fingerprint_so_entries_stop_matching(self, edges):
         cache = IndexCache(max_bytes=1 << 20)
         before = entry(cache, edges, "sonic")
-        cache.put(before, object(), 10)
+        cache.put_if_absent(before, object(), 10)
         edges.insert((3, 4))
         after = entry(cache, edges, "sonic")
         assert after != before
@@ -113,11 +105,12 @@ class TestInvalidation:
 
     def test_invalidate_relation_drops_all_versions(self, edges):
         cache = IndexCache(max_bytes=1 << 20)
-        cache.put(entry(cache, edges, "sonic"), object(), 10)
+        cache.put_if_absent(entry(cache, edges, "sonic"), object(), 10)
         edges.insert((5, 6))
-        cache.put(entry(cache, edges, "sonic"), object(), 10)
+        # another spec: a store supersedes the older versions of its own
+        cache.put_if_absent(entry(cache, edges, "btree"), object(), 10)
         other = Relation("F", ("x", "y"), [(1, 1)])
-        cache.put(entry(cache, other, "sonic"), object(), 10)
+        cache.put_if_absent(entry(cache, other, "sonic"), object(), 10)
         dropped = cache.invalidate_relation(edges.renamed(("a", "b")))
         assert dropped == 2
         assert len(cache) == 1  # the unrelated relation survives

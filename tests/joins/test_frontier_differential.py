@@ -368,7 +368,7 @@ def test_batch_equals_tuple_equals_brute_force(case):
 @settings(max_examples=6, **SETTINGS)
 @given(cases())
 @examples(TAIL[name] for name in ("private_first", "star", "empty_joined"))
-@examples(BAGS[name] for name in ("triangle", "star_tail"))
+@examples(BAGS[name] for name in ("triangle", "star_tail", "strings"))
 def test_sharded_batch_equals_brute_force(case):
     # the engines that answer bags
     query, tables, order, options = case

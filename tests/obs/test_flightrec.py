@@ -1,11 +1,13 @@
 """Flight-recorder unit tests: ring semantics and crash attachment."""
 
 import os
+import pickle
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.obs.flightrec import FLIGHT_RECORDER, FlightRecorder
+from repro.storage.relation import Relation
 
 
 class TestRing:
@@ -78,13 +80,14 @@ class TestDumpText:
 
 class TestCrashAttachment:
     def test_execution_error_carries_flight_log(self):
+        from repro.engine.pipeline import bind, plan
         from repro.parallel import WorkerPool
 
+        edges = Relation("E", ("src", "dst"), [(0, 1)])
+        # a task the worker cannot prepare: no columns for alias E1
         bad_task = {
-            "query": "E1=E(a,b)",
-            "order": None,
-            "dynamic_seed": True,
-            "relations": {},
+            "plan": pickle.dumps(plan(bind("E1=E(a,b)", {"E1": edges}))),
+            "handles": {},
             "shard": 0,
             "signature": ("bad", 0),
             "materialize": False,

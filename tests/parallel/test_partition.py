@@ -69,7 +69,7 @@ def test_partition_order_groups_and_is_stable():
 def test_build_sharded_columns_partitions_rows_exactly_once():
     rows = [(i % 7, i) for i in range(50)]
     relation = Relation("R", ("a", "b"), rows)
-    columns = build_sharded_columns(relation, 0, 4)
+    columns = build_sharded_columns(relation.columns(), 0, 4)
     try:
         assert sum(columns.lengths) == len(relation)
         assert columns.partition_position == 0
@@ -80,7 +80,7 @@ def test_build_sharded_columns_partitions_rows_exactly_once():
 def test_build_sharded_columns_replicates_by_aliasing():
     rows = [(i, i + 1) for i in range(20)]
     relation = Relation("R", ("a", "b"), rows)
-    columns = build_sharded_columns(relation, None, 3)
+    columns = build_sharded_columns(relation.columns(), None, 3)
     try:
         assert columns.lengths == (20, 20, 20)
         # all shards alias the same handle row — one segment set

@@ -6,8 +6,11 @@ parent; bad configuration fails fast at plan time, not in a child
 process.
 """
 
+import pickle
+
 import pytest
 
+from repro.engine.pipeline import bind, plan
 from repro.errors import ConfigurationError, ExecutionError
 from repro.joins import join
 from repro.parallel import WorkerPool, resolve_workers, start_method
@@ -53,13 +56,13 @@ def test_env_workers_drives_join(monkeypatch):
 
 
 def test_worker_task_error_propagates_with_traceback():
+    edges = Relation("E", ("src", "dst"), [(0, 1)])
+    join_plan = plan(bind("E1=E(a,b)", {"E1": edges}))
     with WorkerPool(2) as pool:
-        # a task the worker cannot bind: unknown relation alias
+        # a task the worker cannot prepare: no columns for alias E1
         bad_task = {
-            "query": "E1=E(a,b)",
-            "order": None,
-            "dynamic_seed": True,
-            "relations": {},
+            "plan": pickle.dumps(join_plan),
+            "handles": {},
             "shard": 0,
             "signature": ("bad", 0),
             "materialize": False,

@@ -88,7 +88,7 @@ def test_close_releases_dev_shm_entry():
 def test_gc_finalizer_releases_unclosed_segments():
     before = set(shm_entries())
     relation = Relation("R", ("a", "b"), [(i % 5, i) for i in range(200)])
-    columns = build_sharded_columns(relation, 0, 3)
+    columns = build_sharded_columns(relation.columns(), 0, 3)
     assert set(shm_entries()) - before
     del columns  # no close(): the weakref finalizers must fire
     gc.collect()
@@ -97,7 +97,7 @@ def test_gc_finalizer_releases_unclosed_segments():
 
 def test_sharded_columns_close_is_idempotent():
     relation = Relation("R", ("a", "b"), [(i, i) for i in range(50)])
-    columns = build_sharded_columns(relation, None, 2)
+    columns = build_sharded_columns(relation.columns(), None, 2)
     assert columns.memory_usage() > 0
     columns.close()
     columns.close()
