@@ -17,12 +17,12 @@ benchmark sweep:
   distinguishable).
 * **RA306** — compiled-plan index-spec inconsistency
   (:func:`validate_join_plan`): a spec whose permutation does not match
-  its attribute count, a hashtable spec without a key split, an atom
-  with no (or more than one) spec, or a spec for an alias the query
-  does not contain.
-* **RA307** — a compiled plan carrying an unresolved or unknown
-  algorithm/engine (``"auto"`` and its other name ``"unified"`` must be
-  resolved by the plan stage; an executor dispatching an unknown name
+  its attribute count, an atom with no (or more than one) spec, or a
+  spec for an alias the query does not contain.
+* **RA307** — a compiled plan carrying anything but the frontier's
+  resolved algorithm/engine (``"auto"`` and its other name
+  ``"unified"`` must be resolved by the plan stage, and the paper's
+  tuple drivers have no plan: an executor dispatching another name
   would mis-execute).
 
 Feasibility of a given cover needs no LP — it is a linear scan — so this
@@ -182,11 +182,10 @@ def _check_relations(query: JoinQuery,
     return issues
 
 
-#: resolved algorithm names a compiled plan may carry (never "auto")
-_RESOLVED_ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog",
-                        "recursive")
-#: resolved engine names ("" = not applicable, i.e. non-generic plans)
-_RESOLVED_ENGINES = ("", "tuple", "batch")
+#: the resolved algorithm and engine a compiled plan carries: a plan
+#: describes the frontier (never "auto"; the tuple drivers have none)
+_RESOLVED_ALGORITHMS = ("generic",)
+_RESOLVED_ENGINES = ("batch",)
 
 
 def validate_join_plan(plan,
@@ -195,9 +194,9 @@ def validate_join_plan(plan,
     """RA306/RA307 checks over a compiled :class:`~repro.engine.ir.JoinPlan`.
 
     ``plan`` is duck-typed (``algorithm`` / ``engine`` / ``query`` /
-    ``index_specs`` / ``atom_order`` / ``total_order`` attributes) so
-    the validator has no dependency on the engine package: resolved
-    names (RA307), then the specs and orders (RA306).  With
+    ``index_specs`` / ``total_order`` attributes) so the validator has
+    no dependency on the engine package: resolved names (RA307), then
+    the specs and the order (RA306).  With
     ``relations``, spec permutations are additionally checked against
     each relation's actual arity.
     """
@@ -223,10 +222,14 @@ def validate_join_plan(plan,
     spec_issues, seen = _check_specs(
         aliases, tuple(getattr(plan, "index_specs", ())), relations)
     issues.extend(spec_issues)
-    issues.extend(_check_plan_shape(
-        algorithm, query, aliases, seen,
-        tuple(getattr(plan, "atom_order", ())),
-        tuple(getattr(plan, "total_order", ()))))
+    if seen != aliases:
+        issues.append(PlanIssue(
+            "RA306",
+            f"plan must carry exactly one index spec per atom "
+            f"{sorted(aliases)}, got {sorted(seen)}",
+        ))
+    issues.extend(_check_order(query, tuple(getattr(plan, "total_order",
+                                                    ()))))
     return issues
 
 
@@ -237,7 +240,7 @@ def _check_specs(aliases: set,
     """Per-spec RA306 checks of a plan.
 
     Returns the issues plus the set of aliases carrying a spec (the
-    shape checks compare it against the expected atom coverage).
+    caller compares it against the query's atoms).
     """
     issues: list[PlanIssue] = []
     seen: set[str] = set()
@@ -268,20 +271,6 @@ def _check_specs(aliases: set,
                 f"{spec.permutation}, not a permutation of column "
                 "positions",
             ))
-        if spec.kind == "hashtable" and spec.key_arity is None:
-            issues.append(PlanIssue(
-                "RA306",
-                f"hashtable spec for {spec.alias!r} carries no key split "
-                "(key_arity is None): the probe key is undefined",
-            ))
-        if (spec.key_arity is not None
-                and not 0 <= spec.key_arity <= len(spec.attribute_order)):
-            issues.append(PlanIssue(
-                "RA306",
-                f"index spec for {spec.alias!r} has key_arity "
-                f"{spec.key_arity} outside its {len(spec.attribute_order)} "
-                "attributes",
-            ))
         if relations is not None and spec.alias in (relations or {}):
             arity = getattr(relations[spec.alias], "arity", None)
             if arity is not None and len(spec.permutation) > arity:
@@ -292,38 +281,6 @@ def _check_specs(aliases: set,
                     f"has arity {arity}",
                 ))
     return issues, seen
-
-
-def _check_plan_shape(algorithm, query, aliases: set, seen: set,
-                      atom_order: tuple, total_order: tuple,
-                      ) -> list[PlanIssue]:
-    """Algorithm-specific coverage/order checks of a plan."""
-    issues: list[PlanIssue] = []
-    if algorithm == "binary":
-        if sorted(atom_order) != sorted(aliases):
-            issues.append(PlanIssue(
-                "RA306",
-                f"binary plan's atom order {list(atom_order)} is not a "
-                "permutation of the query's atom aliases",
-            ))
-        else:
-            expected = set(atom_order[1:])
-            if seen != expected:
-                issues.append(PlanIssue(
-                    "RA306",
-                    "binary plan must carry exactly one hashtable spec "
-                    f"per non-leading atom {sorted(expected)}, got "
-                    f"{sorted(seen)}",
-                ))
-    elif algorithm in _RESOLVED_ALGORITHMS:
-        if seen != aliases:
-            issues.append(PlanIssue(
-                "RA306",
-                f"plan must carry exactly one index spec per atom "
-                f"{sorted(aliases)}, got {sorted(seen)}",
-            ))
-        issues.extend(_check_order(query, total_order))
-    return issues
 
 
 def check_join_plan(plan,

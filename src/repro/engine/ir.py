@@ -1,28 +1,26 @@
-"""The join-plan IR — one representation for every execution strategy.
+"""The join-plan IR — the one representation the engine executes.
 
-The seed executor hand-dispatched five drivers from a monolithic
-``join()`` with per-algorithm special cases; following Free Join (Wang et
-al.) and the unified binary/WCOJ architecture of Kaboli et al., the
-engine instead compiles every query — binary pipeline, Generic Join
-(tuple or batch), Hash-Trie Join, Leapfrog Triejoin or recursive NPRR —
-into the same artifacts:
+Following Free Join (Wang et al.), a plan describes what runs: the
+frontier, the Generic Join on the batch engine over one columnar trie
+per atom.  The paper's tuple drivers — binary pipeline, tuple Generic
+Join, Hash-Trie Join, Leapfrog Triejoin, recursive NPRR — have no plan:
+:func:`repro.joins.join` sends them to their own door, where each builds
+its own structures.  The artifacts:
 
-* :class:`JoinPlan` — one driver's worth of decisions: what was asked
-  and what it resolved to, the algorithm and engine, the total attribute
-  order (or binary atom order), one :class:`IndexSpec` per supporting
-  structure, the optimizer's rationale and the sharding.  A plan is one
-  stage: the frontier engine runs a cyclic core together with its
-  acyclic ears, so nothing is left to compose above it.
+* :class:`JoinPlan` — the frontier's decisions: what was asked and what
+  it resolved to, the total attribute order, one :class:`IndexSpec` per
+  atom, the optimizer's rationale and the sharding.  A plan is one
+  stage: the frontier runs a cyclic core together with its acyclic
+  ears, so nothing is left to compose above it.
 * :class:`BoundQuery` — the query text resolved against a relation
   source (the **bind** stage's output), carried separately so one plan
   can be validated without data and prepared against data.
 
 Both are inert data: no index is built and nothing executes until the
-**prepare** stage (:mod:`repro.engine.pipeline`) turns a frontier plan's
-specs into columnar tries — which is exactly the seam the
-session-scoped index cache (:mod:`repro.engine.cache`) slots into,
-because an :class:`IndexSpec` plus a relation fingerprint *is* a cache
-key — or a tuple plan's driver builds what its specs describe, cold.
+**prepare** stage (:mod:`repro.engine.pipeline`) turns the specs into
+columnar tries — which is exactly the seam the session-scoped index
+cache (:mod:`repro.engine.cache`) slots into, because an
+:class:`IndexSpec` plus a relation fingerprint *is* a cache key.
 """
 
 from __future__ import annotations
@@ -35,12 +33,8 @@ from repro.planner.optimizer import PlanChoice
 from repro.planner.query import JoinQuery
 from repro.storage.relation import Relation
 
-#: structure kinds that are not index-registry entries
-HASHTABLE_KIND = "hashtable"     # binary pipeline stage table
-TUPLESET_KIND = "tupleset"       # recursive NPRR frozen row set
-#: the batch Generic Join's columnar trie: engine-owned like the stage
-#: table — under ``engine="batch"`` it is built *instead of* the
-#: ``index=`` kind, which nothing would probe
+#: the batch Generic Join's columnar trie, the one structure a plan
+#: builds — *instead of* the ``index=`` kind, which nothing would probe
 COLUMNAR_KIND = ColumnarTrie.NAME
 
 
@@ -63,15 +57,9 @@ class IndexSpec:
     same permutation share one build, which is how self-join aliases end
     up reusing a single cached index.
 
-    ``key_arity`` is only meaningful for ``kind="hashtable"`` (binary
-    pipeline stages): the first ``key_arity`` entries of
-    ``attribute_order`` are the probe key, the rest the payload.
-
-    ``kind`` names what is *built*: :data:`COLUMNAR_KIND` for every
-    atom of a batch-engine plan, which the prepare stage builds, and
-    for a tuple plan the structure its driver builds for itself — a
-    registry index under the tuple engine (``JoinPlan.index`` keeps
-    what the caller asked).
+    ``kind`` names what is *built*: :data:`COLUMNAR_KIND`
+    (``JoinPlan.index`` keeps what the caller asked).  ``options`` name
+    the storage positions the trie codes (``coded``), if any.
     """
 
     alias: str
@@ -79,11 +67,10 @@ class IndexSpec:
     attribute_order: tuple[str, ...]
     permutation: tuple[int, ...]
     options: tuple[tuple[str, object], ...] = ()
-    key_arity: "int | None" = None
 
     def cache_key_suffix(self) -> tuple:
         """The relation-independent part of this spec's cache key."""
-        return (self.kind, self.permutation, self.options, self.key_arity)
+        return (self.kind, self.permutation, self.options)
 
 
 @dataclass(frozen=True)
@@ -111,20 +98,18 @@ class ShardingSpec:
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """The compiled plan: one driver's worth of decisions.
+    """The compiled plan: the frontier's decisions.
 
     Everything execution needs except built indexes.  ``algorithm`` is
-    the driver that runs — always resolved: ``"auto"`` (and its other
-    name, ``"unified"``) never reaches a plan (RA307) — over ``query``,
-    with one :class:`IndexSpec` per supporting structure in
-    ``index_specs``.  ``total_order`` is the Generic Join's (and the
-    baselines') attribute order, empty for the binary pipeline, whose
-    order is ``atom_order``; ``output`` is the result schema in emission
-    order.  ``engine`` is only meaningful for a generic plan and is
-    resolved (``"tuple"`` or ``"batch"``); ``index`` is the kind the
-    caller named, each spec's ``kind`` what gets built.  ``choice`` is
-    the hybrid optimizer's rationale when it ran (``algorithm="auto"``
-    or a profiled run).
+    the driver that runs, ``"generic"``, and ``engine`` the one it runs
+    on, ``"batch"`` — both resolved: ``"auto"`` (and its other name,
+    ``"unified"``) never reaches a plan (RA307) — over ``query``, with
+    one :class:`IndexSpec` per atom in ``index_specs``.
+    ``total_order`` is the attribute order; ``output`` is the result
+    schema in emission order.  ``index`` is the kind the caller named,
+    each spec's ``kind`` what gets built.  ``choice`` is the hybrid
+    optimizer's rationale when it ran (``algorithm="auto"`` or a
+    profiled run).
     """
 
     query: JoinQuery
@@ -133,7 +118,6 @@ class JoinPlan:
     engine: str = ""
     index: str = ""
     total_order: tuple[str, ...] = ()
-    atom_order: tuple[str, ...] = ()
     index_specs: tuple[IndexSpec, ...] = ()
     dynamic_seed: bool = True
     choice: "PlanChoice | None" = None
@@ -169,8 +153,6 @@ class JoinPlan:
             head += f" [{self.engine_note}]"
         if self.total_order:
             head += f" order={','.join(self.total_order)}"
-        if self.atom_order:
-            head += f" atoms={','.join(self.atom_order)}"
         if self.sharding is not None:
             head += f" {self.sharding.describe()}"
         return head

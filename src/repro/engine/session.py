@@ -8,11 +8,11 @@ A :class:`Session` binds a relation source (a
 session-scoped :class:`~repro.engine.cache.IndexCache` and a shared
 :class:`~repro.obs.metrics.Metrics` registry, then runs every query
 through the staged pipeline (:mod:`repro.engine.pipeline`).  A session
-holds and runs frontier plans only — the Generic Join on the batch
-engine over columnar tries, which the default options resolve to; a
-plan for one of the paper's tuple drivers (``engine="tuple"``,
-``binary`` / ``hashtrie`` / ``leapfrog`` / ``recursive``, or an
-``auto`` plan a pinned ``binary_order`` sends to binary) raises
+holds and runs plans, and a plan describes what runs: the Generic Join
+on the batch engine over columnar tries, which the default options
+resolve to.  A request for one of the paper's tuple drivers
+(``engine="tuple"``, ``binary`` / ``hashtrie`` / ``leapfrog`` /
+``recursive``, or a pinned ``binary_order``) has no plan: it raises
 :class:`~repro.errors.ConfigurationError` and runs cold through
 :func:`repro.joins.join` instead:
 
@@ -60,13 +60,7 @@ from collections.abc import Mapping, Sequence
 from repro.core.envflag import resolve_flag
 from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
 from repro.engine.ir import BoundQuery, JoinPlan, canonical_options
-from repro.engine.pipeline import (
-    _prepare,
-    _resolve_workers,
-    bind,
-    plan,
-    require_servable,
-)
+from repro.engine.pipeline import _resolve_workers, bind, plan, prepare
 from repro.engine.prepared import PreparedJoin
 from repro.errors import SchemaError
 from repro.joins.executor import source_relation
@@ -155,7 +149,6 @@ class Session:
                 index: str = "sonic",
                 order: "Sequence[str] | None" = None,
                 dynamic_seed: bool = True,
-                binary_order: "Sequence[str] | None" = None,
                 engine: str = "auto",
                 debug: "bool | None" = None,
                 profile: "bool | None" = None,
@@ -164,18 +157,20 @@ class Session:
                 **index_kwargs) -> PreparedJoin:
         """Compile a query down to a :class:`PreparedJoin` (warm path).
 
-        Parameters mirror :func:`repro.joins.join`; the difference is
-        the return value (executable many times) and the build route —
-        every index spec goes through the session cache, so repeated
-        prepares over unchanged relations skip the build entirely.
-        Only a frontier plan prepares: ``algorithm`` ``"generic"``,
-        ``"auto"`` or ``"unified"`` under ``engine="auto"`` or
-        ``"batch"``, with any ``index=`` (accepted, not built); what is
-        cached is one columnar trie per relation, attribute order and
-        set of coded columns.  Any other plan — one of the paper's
-        tuple drivers — raises :class:`~repro.errors.ConfigurationError`
-        before anything is built or cached; run it through
-        :func:`repro.joins.join`, which builds its structures cold.
+        Parameters mirror :func:`repro.joins.join`, less
+        ``binary_order``, which only the paper's door reads; the
+        difference is the return value (executable many times) and the
+        build route — every index spec goes through the session cache,
+        so repeated prepares over unchanged relations skip the build
+        entirely.  Only a frontier request plans: ``algorithm``
+        ``"generic"``, ``"auto"`` or ``"unified"`` under
+        ``engine="auto"`` or ``"batch"``, with any ``index=``
+        (accepted, not built); what is cached is one columnar trie per
+        relation, attribute order and set of coded columns.  A request
+        for one of the paper's tuple drivers raises
+        :class:`~repro.errors.ConfigurationError` before anything is
+        built or cached; run it through :func:`repro.joins.join`, which
+        builds its structures cold.
 
         With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
         holds per relation is the shared-memory shard partitioning
@@ -195,15 +190,13 @@ class Session:
         """
         observer = resolve_observer(profile, obs)
         options = dict(algorithm=algorithm, index=index, order=order,
-                       binary_order=binary_order, engine=engine,
-                       dynamic_seed=dynamic_seed, index_kwargs=index_kwargs,
-                       parallel=parallel)
+                       engine=engine, dynamic_seed=dynamic_seed,
+                       index_kwargs=index_kwargs, parallel=parallel)
         key = None
         if not observer.enabled and not resolve_flag(debug, "REPRO_DEBUG"):
             key = (query if isinstance(query, str) else query.atoms,
                    algorithm, index,
                    None if order is None else tuple(order),
-                   None if binary_order is None else tuple(binary_order),
                    engine, dynamic_seed, canonical_options(index_kwargs),
                    _resolve_workers(parallel))
         while True:
@@ -213,8 +206,8 @@ class Session:
                 if key is not None:
                     self._store_plan(key, entry)
             try:
-                prepared = _prepare(entry.bound, entry.plan, self.cache,
-                                    observer)
+                prepared = prepare(entry.bound, entry.plan, self.cache,
+                                   observer)
             except SchemaError:
                 # a join column turned to objects after the plan read
                 # it as int64: plan again, with the column coded
@@ -227,7 +220,7 @@ class Session:
     def _plan(self, query: "JoinQuery | str", debug, observer,
               options: dict) -> _PlanEntry:
         """Bind and plan ``query``, recording what the plan was made from;
-        a plan no session serves raises
+        a request :func:`~repro.engine.pipeline.plan` refuses raises
         :class:`~repro.errors.ConfigurationError` before it is stored.
 
         The relations and dtype classes are read *before* binding and
@@ -243,7 +236,6 @@ class Session:
                        for relation in sources)
         bound = bind(query, self.source, debug=debug, obs=observer)
         join_plan = plan(bound, debug=debug, obs=observer, **options)
-        require_servable(join_plan)
         return _PlanEntry(bound, join_plan, sources, dtypes)
 
     def _cached_plan(self, key: "tuple | None") -> "_PlanEntry | None":

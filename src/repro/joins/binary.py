@@ -33,7 +33,7 @@ def plan_pipeline(query: JoinQuery, relations: dict[str, Relation],
     Each descriptor carries the stage's alias, its key/payload attribute
     split under the attributes bound so far, and the corresponding column
     positions in the stage relation's schema — everything a hash-table
-    build needs, and what a binary plan's index specs describe.  Returns
+    build needs; :meth:`BinaryHashJoin.build` is its one caller.  Returns
     ``(stages, output_attrs)``; the leading atom contributes no stage.
     """
     bound = list(query.attributes_of(order[0]))

@@ -2,18 +2,26 @@
 
 The C++ framework pairs relations with index adapters and instantiates a
 fully-inlined join at compile time; :func:`join` does the same wiring at
-runtime, now as a thin wrapper over the staged engine pipeline
-(:mod:`repro.engine.pipeline`): **bind** each atom to its relation,
-**plan** the algorithm/engine/total-order/index-spec decisions into a
-:class:`~repro.engine.ir.JoinPlan`, **prepare** the supporting
-structures (timed — ad-hoc index build is part of every WCOJ run,
-§5.15), and **execute**.  Each ``join()`` call is a one-shot cold
-session: no index cache, so the ad-hoc build is part of every reported
-time, as in the seed's monolithic implementation.  For repeated
-queries over the same relations, use :class:`repro.engine.Session`,
-whose prepared joins skip the rebuild — for frontier plans, the only
-kind it serves; ``join()`` is the one door to the paper's tuple
-drivers, which build their own structures on every call.
+runtime, through one of two doors chosen from the call's arguments
+alone (:func:`door_request`):
+
+* the **frontier** — the staged engine pipeline
+  (:mod:`repro.engine.pipeline`): **bind** each atom to its relation,
+  **plan** the order and index specs into a
+  :class:`~repro.engine.ir.JoinPlan`, **prepare** one columnar trie per
+  atom (timed — ad-hoc index build is part of every WCOJ run, §5.15),
+  and **execute** the batch Generic Join;
+* the **paper's door** — ``engine="tuple"``, ``binary`` / ``hashtrie``
+  / ``leapfrog`` / ``recursive``, or a pinned ``binary_order``: bind,
+  then the driver the request names (``auto`` lets the hybrid optimizer
+  pick binary or the tuple Generic Join), which builds its own
+  structures.  No plan describes it, and nothing serves it warm.
+
+Each ``join()`` call is a one-shot cold session: no index cache, so
+the ad-hoc build is part of every reported time, as in the seed's
+monolithic implementation.  For repeated queries over the same
+relations, use :class:`repro.engine.Session`, whose prepared frontier
+joins skip the rebuild.
 
 >>> from repro import join, Relation, parse_query
 >>> edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])
@@ -27,13 +35,15 @@ drivers, which build their own structures on every call.
 Algorithms: ``"generic"`` (Generic Join over any registered index),
 ``"binary"`` (pipelined hash joins), ``"hashtrie"`` (Umbra-style),
 ``"leapfrog"`` (LFTJ), or ``"auto"`` (the hybrid optimizer chooses
-binary vs generic, §6/[22]; unless ``engine="tuple"`` an acyclic query
-goes generic too).
+binary vs generic, §6/[22]; unless ``engine="tuple"`` or a pinned
+``binary_order`` sends it to the paper's door, an acyclic query goes
+generic too).
 
 This module also remains the home of the shared building blocks the
 pipeline stages (and the test suite) use directly:
 :func:`resolve_relations`, :func:`build_adapters`,
-:func:`attach_profile`, and the ``ALGORITHMS`` / ``ENGINES`` domains.
+:func:`attach_profile`, :func:`resolve_order`, :func:`police_options`,
+and the ``ALGORITHMS`` / ``ENGINES`` domains.
 """
 
 from __future__ import annotations
@@ -44,12 +54,16 @@ from pathlib import Path
 
 from repro.core.adapter import IndexAdapter
 from repro.core.config import SonicConfig
-from repro.core.envflag import resolve_str
-from repro.errors import QueryError
+from repro.core.envflag import resolve_flag, resolve_str
+from repro.errors import ConfigurationError, QueryError
 from repro.indexes.registry import make_index
 from repro.joins.results import JoinResult, Stopwatch
 from repro.obs.observer import JoinObserver, NULL_OBSERVER, resolve_observer
 from repro.obs.profile import build_profile
+from repro.planner.cardinality import Statistics
+from repro.planner.hypergraph import Hypergraph
+from repro.planner.optimizer import HybridOptimizer, cyclic_core
+from repro.planner.qptree import connectivity_order
 from repro.planner.query import Atom, JoinQuery, parse_query
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -63,6 +77,24 @@ ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive",
 #: paper's Alg. 1 rendering), batch (frontier-at-a-time over columnar
 #: tries), or auto (the default, which resolves to batch)
 ENGINES = ("tuple", "batch", "auto")
+
+#: the paper's drivers besides its Generic Join; with the tuple engine,
+#: what only :func:`join`'s door runs
+TUPLE_DRIVERS = ("binary", "hashtrie", "leapfrog", "recursive")
+
+#: the Generic Join's index options — the frontier accepts them and
+#: builds no index they configure; the tuple engine builds with them
+GENERIC_OPTIONS = frozenset({"sonic_overallocation", "sonic_bucket_size",
+                             "index_options"})
+#: index options each driver at the door honors; anything else raises
+#: ConfigurationError (the seed swallowed them silently)
+_DOOR_OPTIONS = {
+    "generic": GENERIC_OPTIONS,
+    "hashtrie": frozenset({"lazy", "singleton_pruning"}),
+    "binary": frozenset(),
+    "leapfrog": frozenset(),
+    "recursive": frozenset(),
+}
 
 
 def attach_profile(query, result: JoinResult, observer, choice, order,
@@ -189,15 +221,110 @@ def build_adapters(query: JoinQuery, relations: Mapping[str, Relation],
     return adapters
 
 
-def _run_tuple_plan(bound, join_plan, observer, materialize: bool,
-                    trace_out: "str | None") -> JoinResult:
-    """Run a plan no serving layer holds: a tuple driver, built cold.
+def check_names(algorithm: str, engine: str) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` on an unknown
+    ``algorithm`` or ``engine``."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(
+            f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; choose from {ENGINES}")
 
-    The driver builds its own structures — a Sonic or other registry
-    index per atom through :func:`build_adapters`, sorted tries, hash
-    tables or row sets — inside the ``prepare`` span, one
-    ``build_index`` span per built atom, and the build time lands on
-    ``metrics.build_seconds`` (§5.15's build-included timing).
+
+def door_request(algorithm: str, engine: str,
+                 binary_order: "Sequence[str] | None") -> bool:
+    """Does a request go to the paper's door rather than the frontier?
+
+    Decided from the call's arguments alone — no statistics, no GYO
+    reduction: the tuple engine, one of :data:`TUPLE_DRIVERS`, or a
+    pinned ``binary_order`` (the frontier never reads one).
+    """
+    return (engine == "tuple" or algorithm in TUPLE_DRIVERS
+            or binary_order is not None)
+
+
+def door_refusal(algorithm: str, engine: str) -> ConfigurationError:
+    """The error a serving layer — :func:`repro.engine.plan`, a
+    :class:`~repro.engine.session.Session`, ``parallel=K`` — raises for
+    a :func:`door_request`."""
+    return ConfigurationError(
+        f"algorithm={algorithm!r} engine={engine!r} asks for one of the "
+        "paper's tuple drivers, which run only cold: Session, prepare() "
+        "and parallel=K serve frontier plans (algorithm 'generic' on the "
+        "batch engine, which engine='auto' resolves to); run the paper's "
+        "tuple drivers through a plain join() — join(engine=\"tuple\") for "
+        "its Generic Join — without parallel")
+
+
+def police_options(algorithm: str, index: str, kwargs: Mapping[str, object],
+                   allowed: frozenset) -> None:
+    """Reject index options ``algorithm`` cannot honor.
+
+    ``allowed`` is its option set (``"auto"`` is policed against the
+    Generic Join's, the algorithm the options would apply to if chosen;
+    when the optimizer picks the binary pipeline instead they are
+    unused, as in the seed).  A Generic Join asked for by name must also
+    fit its ``index``: Sonic's options only with Sonic.
+    """
+    unknown = sorted(set(kwargs) - allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"algorithm {algorithm!r} cannot honor index option(s) "
+            f"{unknown}; it accepts {sorted(allowed) or 'none'}")
+    sonic_only = sorted(k for k in kwargs if k.startswith("sonic_"))
+    if algorithm == "generic" and index != "sonic" and sonic_only:
+        raise ConfigurationError(
+            f"index {index!r} cannot honor Sonic option(s) {sonic_only}; "
+            "they apply only with index='sonic'")
+
+
+def resolve_order(query: JoinQuery, order: "Sequence[str] | None",
+                  debug: bool) -> tuple[str, ...]:
+    """The total attribute order — ``order``, else the connectivity
+    order — checked once for every driver.
+
+    A missing, repeated or unknown attribute raises
+    :class:`~repro.errors.QueryError` naming it (in debug mode the plan
+    validator's RA302 :class:`~repro.errors.PlanValidationError` first).
+    """
+    total = tuple(order) if order else connectivity_order(query)
+    if debug:
+        # imported where it is called: its package loads the whole
+        # static analyzer, which a process without debug mode never needs
+        from repro.analysis.plancheck import check_plan
+
+        check_plan(query, order=total)
+    attributes = query.attributes
+    missing = [a for a in attributes if a not in total]
+    repeated = sorted({a for a in total if total.count(a) > 1})
+    unknown = sorted(set(total) - set(attributes))
+    if missing or repeated or unknown:
+        raise QueryError(
+            f"total order {list(total)} is not a permutation of the query "
+            f"attributes {list(attributes)}: missing {missing}, repeated "
+            f"{repeated}, unknown {unknown}")
+    return total
+
+
+def _door(bound, algorithm: str, index: str,
+          order: "Sequence[str] | None",
+          binary_order: "Sequence[str] | None", engine: str,
+          dynamic_seed: bool, debug: "bool | None", observer,
+          kwargs: dict, parallel: "int | None", materialize: bool,
+          trace_out: "str | None") -> JoinResult:
+    """The paper's door: one of its drivers, built cold.
+
+    The drivers are the tuple Generic Join over a registry index and
+    :data:`TUPLE_DRIVERS`; ``auto`` / ``unified`` picks between the
+    binary pipeline (pinned or greedy order) and the tuple Generic Join
+    by the hybrid optimizer (Table 1).  The ``plan`` span holds that
+    choice (its ``optimize`` span) and the total order; each driver then
+    builds its own structures — a registry index per atom through
+    :func:`build_adapters`, hash tables, sorted tries or row sets —
+    inside the ``prepare`` span, one ``build_index`` span per built
+    atom, with the build time on ``metrics.build_seconds`` (§5.15's
+    build-included timing).  Nothing here is cached or sharded.
     """
     # imported here: hashtrie_join imports this module's build_adapters
     from repro.joins.binary import BinaryHashJoin
@@ -205,14 +332,52 @@ def _run_tuple_plan(bound, join_plan, observer, materialize: bool,
     from repro.joins.hashtrie_join import HashTrieJoin
     from repro.joins.leapfrog import LeapfrogTrieJoin
     from repro.joins.recursive import RecursiveJoin
+    from repro.parallel.pool import resolve_workers
 
+    check_names(algorithm, engine)
+    if algorithm == "unified":
+        algorithm = "auto"
     query, relations = bound.query, bound.relations
-    algorithm, order = join_plan.algorithm, join_plan.total_order
+    if binary_order is not None:
+        if sorted(binary_order) != sorted(a.alias for a in query.atoms):
+            raise QueryError(f"join order {list(binary_order)} does not "
+                             "cover the query atoms")
+        if algorithm not in ("binary", "auto"):
+            raise ConfigurationError(
+                f"algorithm {algorithm!r} cannot honor binary_order; only "
+                "'binary' and 'auto' run the binary pipeline it pins")
+        if algorithm == "auto" and engine == "batch":
+            raise ConfigurationError(
+                f"algorithm {algorithm!r} cannot honor binary_order under "
+                "engine='batch', which has no binary pipeline")
+    if resolve_workers(parallel):
+        raise door_refusal(algorithm, engine)
+    police_options(algorithm, index, kwargs, _DOOR_OPTIONS[
+        "generic" if algorithm == "auto" else algorithm])
+    choice = stats = None
+    with observer.tracer.span("plan"):
+        # the optimizer's estimate is part of every profile (estimated vs
+        # actual), so an enabled observer computes it off the auto path
+        if algorithm == "auto" or observer.enabled:
+            with observer.tracer.span("optimize"):
+                stats = Statistics.collect(relations.values())
+                core = cyclic_core(Hypergraph.from_query(query))
+                choice = HybridOptimizer().decide(
+                    query, stats, not core, estimate=observer.enabled)
+        if algorithm == "auto":
+            algorithm = "binary" if choice.algorithm == "binary" else "generic"
+        if algorithm != "binary":
+            order = resolve_order(query, order,
+                                  resolve_flag(debug, "REPRO_DEBUG"))
     with observer.tracer.span("prepare"):
         if algorithm == "binary":
-            driver = BinaryHashJoin(query, relations,
-                                    order=join_plan.atom_order, obs=observer)
+            driver = BinaryHashJoin(query, relations, order=binary_order,
+                                    stats=stats, obs=observer)
             driver.build()
+            order = driver.order
+        elif algorithm == "hashtrie":
+            driver = HashTrieJoin(query, relations, order=order,
+                                  obs=observer, **kwargs)
         elif algorithm == "leapfrog":
             driver = LeapfrogTrieJoin(query, relations, order=order,
                                       obs=observer)
@@ -221,30 +386,16 @@ def _run_tuple_plan(bound, join_plan, observer, materialize: bool,
             driver = RecursiveJoin(query, relations, order=order,
                                    obs=observer)
         else:
-            # every spec of the plan carries the one option set it made
-            options = dict(join_plan.index_specs[0].options)
-            if algorithm == "hashtrie":
-                driver = HashTrieJoin(query, relations, order=order,
-                                      obs=observer, **options)
-            else:
-                sonic = {}
-                if join_plan.index == "sonic":
-                    sonic = {"sonic_bucket_size": options.pop("bucket_size"),
-                             "sonic_overallocation": options.pop(
-                                 "overallocation")}
-                watch = Stopwatch()
-                adapters = build_adapters(
-                    query, relations, order, index=join_plan.index,
-                    index_options=options, obs=observer, **sonic)
-                driver = GenericJoin(query, adapters, order=order,
-                                     dynamic_seed=join_plan.dynamic_seed,
-                                     obs=observer)
-                driver.metrics.index = join_plan.index
-                driver.metrics.build_seconds = watch.lap()
+            watch = Stopwatch()
+            adapters = build_adapters(query, relations, order, index=index,
+                                      obs=observer, **kwargs)
+            driver = GenericJoin(query, adapters, order=order,
+                                 dynamic_seed=dynamic_seed, obs=observer)
+            driver.metrics.index = index
+            driver.metrics.build_seconds = watch.lap()
     result = driver.run(materialize=materialize)
-    return attach_profile(query, result, observer, join_plan.choice,
-                          order or join_plan.atom_order,
-                          engine=join_plan.engine or None,
+    return attach_profile(query, result, observer, choice, order,
+                          engine="tuple" if algorithm == "generic" else None,
                           trace_out=trace_out)
 
 
@@ -271,10 +422,14 @@ def join(query: "JoinQuery | str",
     the connectivity-aware heuristic of
     :func:`repro.planner.qptree.connectivity_order`; pass
     ``repro.planner.total_order(query)`` for the paper's raw QP-tree
-    order), ``dynamic_seed`` ablates the AGM-guided anchor selection,
-    ``binary_order`` pins the binary pipeline's join order (Fig 1's
-    order-sensitivity axis) and must name every atom exactly once
-    whichever algorithm runs.
+    order; it must name every query attribute exactly once, else
+    :class:`~repro.errors.QueryError` names the missing, repeated or
+    unknown ones), ``dynamic_seed`` ablates the AGM-guided anchor
+    selection, and ``binary_order`` pins the binary pipeline's join
+    order (Fig 1's order-sensitivity axis): it must name every atom
+    exactly once, and only ``binary`` and ``auto`` / ``unified`` off
+    the batch engine honor it (any other algorithm raises
+    :class:`~repro.errors.ConfigurationError`).
 
     ``engine`` selects the Generic Join execution model: ``"auto"``
     (the default) and ``"batch"`` run frontier-at-a-time
@@ -293,33 +448,37 @@ def join(query: "JoinQuery | str",
     — join sets, and raise :class:`~repro.errors.QueryError` naming a
     relation that repeats a row; ``"binary"`` joins bags.  The explicit
     non-generic algorithms have no batch rendering and ignore the knob.
-    ``"auto"`` does not, and ``"unified"`` is another name for it: the
-    hybrid optimizer sends an acyclic query to the binary hash pipeline,
-    and unless ``engine="tuple"`` (or ``binary_order`` pins the binary
-    side) the plan stage runs it on the batch Generic Join instead,
-    whose build is one sort per relation rather than a Python loop per
-    row; a cyclic query runs on the Generic Join with its acyclic ears.
-    ``PlanChoice.reason`` and ``describe()`` say which way it went.
+    ``"auto"`` does not, and ``"unified"`` is another name for it: on
+    the frontier (``engine`` ``"auto"`` or ``"batch"``, no
+    ``binary_order``) every query runs on the batch Generic Join — an
+    acyclic one where the paper's hybrid optimizer would send it to the
+    binary hash pipeline, since its build is one sort per relation
+    rather than a Python loop per row, and a cyclic core with its
+    acyclic ears; ``PlanChoice.reason`` and ``describe()`` say so.  At
+    the paper's door (``engine="tuple"`` or a pinned ``binary_order``)
+    the hybrid optimizer picks between the binary pipeline and the
+    tuple Generic Join, as in Table 1.
 
     ``**index_kwargs`` carries per-algorithm index options
     (``sonic_bucket_size`` / ``sonic_overallocation`` / ``index_options``
     for the Generic Join, ``lazy`` / ``singleton_pruning`` for
     Hash-Trie Join).  Options the chosen algorithm cannot honor raise
-    :class:`~repro.errors.ConfigurationError` at plan time — the seed
-    silently swallowed them.
+    :class:`~repro.errors.ConfigurationError` before anything is built
+    — the seed silently swallowed them.
 
     ``debug`` (default: the ``REPRO_DEBUG`` environment variable) runs the
     static plan validator (:mod:`repro.analysis.plancheck`) on the
-    resolved plan — including the RA306/RA307 IR checks — before
-    execution, raising :class:`~repro.errors.PlanValidationError`
-    instead of silently executing a malformed plan.
+    total order and, on the frontier, on the plan — including the
+    RA306/RA307 IR checks — before execution, raising
+    :class:`~repro.errors.PlanValidationError` instead of silently
+    executing a malformed plan.
 
     ``parallel`` (default: the ``REPRO_WORKERS`` environment variable;
     0 / unset keeps the single-process path) runs a frontier plan as
     ``K`` hash-sharded worker processes over shared-memory columns
-    (:mod:`repro.parallel`); any other plan raises
-    :class:`~repro.errors.ConfigurationError` at plan time, before
-    anything is partitioned or forked.  The plan gains a
+    (:mod:`repro.parallel`); a request for the paper's door raises
+    :class:`~repro.errors.ConfigurationError` instead, before anything
+    is partitioned or forked.  The plan gains a
     :class:`~repro.engine.ir.ShardingSpec` on its leading attribute,
     relations are partitioned into ``/dev/shm`` during prepare, and
     each worker runs the same staged pipeline over its shard before
@@ -342,28 +501,28 @@ def join(query: "JoinQuery | str",
     ``trace_out`` (default: ``REPRO_TRACE_OUT``) additionally writes the
     span trace as Chrome ``trace_event`` JSON to that path.
 
-    Every call runs the full cold pipeline — **bind → plan →
-    prepare(no cache) → execute** — so the ad-hoc index build is part
-    of the reported timing, exactly as the paper measures (§5.15).  A
-    frontier plan prepares its columnar tries; a tuple plan's driver
-    builds its own structures inside the ``prepare`` span instead (no
-    serving layer holds one).
+    Every call runs cold — **bind → plan → prepare(no cache) →
+    execute** — so the ad-hoc index build is part of the reported
+    timing, exactly as the paper measures (§5.15).  The frontier
+    prepares its columnar tries; at the paper's door the driver builds
+    its own structures inside the ``prepare`` span instead.
     """
     # imported here, not at module level: the engine pipeline imports
     # this module's shared helpers (resolve_relations, attach_profile),
     # so the package-level dependency must stay one-directional
-    from repro.engine.pipeline import _prepare, bind, plan, servable
+    from repro.engine.pipeline import bind, plan, prepare
 
     observer = resolve_observer(profile, obs)
     bound = bind(query, source, debug=debug, obs=observer)
+    if door_request(algorithm, engine, binary_order):
+        return _door(bound, algorithm, index, order, binary_order, engine,
+                     dynamic_seed, debug, observer, index_kwargs, parallel,
+                     materialize, trace_out)
     join_plan = plan(bound, algorithm=algorithm, index=index, order=order,
-                     binary_order=binary_order, engine=engine,
-                     dynamic_seed=dynamic_seed, debug=debug, obs=observer,
-                     index_kwargs=index_kwargs, parallel=parallel)
-    if not servable(join_plan):
-        return _run_tuple_plan(bound, join_plan, observer, materialize,
-                               trace_out)
-    prepared = _prepare(bound, join_plan, None, observer)
+                     engine=engine, dynamic_seed=dynamic_seed, debug=debug,
+                     obs=observer, index_kwargs=index_kwargs,
+                     parallel=parallel)
+    prepared = prepare(bound, join_plan, None, observer)
     try:
         return prepared.execute(materialize=materialize, obs=observer,
                                 trace_out=trace_out)

@@ -104,7 +104,7 @@ def _prepare_task(task: dict, obs=None) -> "tuple[object, list]":
     # parent-facing layer above this package, and the import must stay
     # one-directional (pipeline → runner → worker) at module scope
     from repro.engine.ir import BoundQuery
-    from repro.engine.pipeline import _prepare
+    from repro.engine.pipeline import prepare
 
     join_plan = pickle.loads(task["plan"])
     relations = {}
@@ -114,8 +114,8 @@ def _prepare_task(task: dict, obs=None) -> "tuple[object, list]":
             atom.alias, atom.attributes, task["handles"][atom.alias])
         relations[atom.alias] = relation
         attachments.extend(attached)
-    prepared = _prepare(BoundQuery(join_plan.query, relations), join_plan,
-                        None, obs)
+    prepared = prepare(BoundQuery(join_plan.query, relations), join_plan,
+                       None, obs)
     return prepared, attachments
 
 

@@ -17,14 +17,14 @@ Two planners live here:
 That last rule is the paper's, and it compares two compiled
 tuple-at-a-time engines.  It is the optimizer's whole answer only while
 the Generic Join runs tuple-at-a-time too: unless the engine is pinned
-to ``"tuple"``, the engine's stage planner
-(:func:`repro.engine.pipeline.plan`) puts an acyclic query on the
-columnar batch engine, which returns the binary plan's bag of rows on
-any input and builds by one packed sort per relation against a Python
-``dict.setdefault`` loop per row.  That decision needs the engine asked
-for, so it is made there, on top of this module's choice
-(:meth:`HybridOptimizer.decide` takes the acyclicity its one GYO
-reduction found).
+to ``"tuple"`` (or a ``binary_order`` is pinned), the engine's stage
+planner (:func:`repro.engine.pipeline.plan`) puts an acyclic query on
+the columnar batch engine, which returns the binary plan's bag of rows
+on any input and builds by one packed sort per relation against a
+Python ``dict.setdefault`` loop per row.  The paper's door
+(:func:`repro.joins.join` with a tuple driver) keeps this module's
+choice as made (:meth:`HybridOptimizer.decide` takes the acyclicity
+its caller's one GYO reduction found).
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ class HybridOptimizer:
     def decide(self, query: JoinQuery, stats: Statistics, acyclic: bool,
                estimate: bool = True) -> PlanChoice:
         """The choice for ``query``, whose acyclicity the caller already
-        knows (the plan stage runs one GYO reduction per plan and hands
-        it here).  The AGM bound (an LP) and the binary peak estimate (a
+        knows (the plan stage, or the paper's door, runs one GYO
+        reduction per join and hands it here).  The AGM bound (an LP) and the binary peak estimate (a
         distinct-count scan per join column) decide only a multi-atom
         acyclic query; ``estimate=False`` skips them everywhere else,
         where they are a report, not an input."""

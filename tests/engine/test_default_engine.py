@@ -103,8 +103,8 @@ def test_what_runs_when_no_engine_is_named(case, entry):
     (query, make_tables, options, engine, algorithm, kind, driver, index,
      note) = CASES[case]
     tables = make_tables()
-    if engine == "tuple" and entry.startswith("Session"):
-        # a session serves the frontier only: the paper's path is join()'s
+    if engine == "tuple" and entry != "join":
+        # a plan describes the frontier only: the paper's path is join()'s
         with pytest.raises(ConfigurationError,
                            match=r'join\(engine="tuple"\)'):
             ENTRIES[entry](query, tables, **options)

@@ -85,7 +85,7 @@ class TestReuse:
         spy(session_module, "parse_query")
         spy(session_module, "plan")
         spy(pipeline, "resolve_relations")
-        spy(pipeline, "connectivity_order")
+        spy(pipeline, "resolve_order")
         spy(batch, "connectivity_order")
         programs = []
         real_driver = batch.GenericJoinBatch.__init__
@@ -146,18 +146,6 @@ class TestReplan:
         rows = session.execute(STAR, materialize=True).rows
         assert len(rows) == brute_force(STAR, tables)
         assert ("x", 0, 1) in rows
-
-    def test_a_pinned_binary_order_reads_no_statistics(self):
-        # a generic plan checks the pinned order and reads nothing else
-        # of it: a write keeps the plan, as it keeps every frontier plan
-        tables = star_tables()
-        session = Session(tables)
-        session.execute(STAR, algorithm="generic", binary_order=("F", "A"))
-        tables["F"].extend([(4, 7)])
-        assert session.execute(STAR, algorithm="generic",
-                               binary_order=("F", "A")).count \
-            == brute_force(STAR, tables)
-        assert counts(session) == (1, 1)
 
 
 class TestUncached:

@@ -1,4 +1,9 @@
-"""The plan IR: spec construction, RA306/RA307 validation, option policing."""
+"""The plan IR: spec construction, RA306/RA307 validation, option policing.
+
+A plan describes what runs — the frontier.  The paper's tuple drivers
+have none; what they build for themselves at ``join()``'s door is
+checked here through their profiles.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +15,6 @@ import pytest
 from repro.analysis.plancheck import check_join_plan, validate_join_plan
 from repro.engine import (
     COLUMNAR_KIND,
-    HASHTABLE_KIND,
-    TUPLESET_KIND,
     IndexSpec,
     JoinPlan,
     bind,
@@ -19,7 +22,7 @@ from repro.engine import (
     plan,
 )
 from repro.errors import ConfigurationError, PlanValidationError
-from repro.joins import join
+from repro.joins import LeapfrogTrieJoin, join
 from repro.storage.relation import Relation
 
 TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
@@ -39,18 +42,18 @@ def bound(tables):
 class TestPlanConstruction:
     def test_generic_plan_fields(self, bound):
         compiled = plan(bound, algorithm="generic", index="sonic",
-                        engine="tuple")
+                        index_kwargs={"sonic_bucket_size": 4})
         assert compiled.algorithm == "generic"
-        assert compiled.engine == "tuple"
+        assert compiled.engine == "batch"
         assert compiled.index == "sonic"
         assert compiled.total_order == ("a", "b", "c")
-        assert compiled.atom_order == ()
         assert len(compiled.index_specs) == 3
         spec = compiled.spec_for("E3")
         # E3(c,a): total order puts a before c → permutation flips columns
         assert spec.attribute_order == ("a", "c")
         assert spec.permutation == (1, 0)
-        assert dict(spec.options)["bucket_size"] == 8
+        # Sonic's options are accepted and configure nothing built
+        assert spec.kind == COLUMNAR_KIND and spec.options == ()
 
     def test_engine_auto_resolves_at_plan_time(self, bound):
         # batch is a property of the input (every joined column int64),
@@ -61,7 +64,10 @@ class TestPlanConstruction:
             assert compiled.index == index
             assert {s.kind for s in compiled.index_specs} == {COLUMNAR_KIND}
             assert compiled.engine_note == ""
-        assert plan(bound, engine="tuple").engine_note == ""
+        # the tuple engine is the paper's door, which has no plan
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            plan(bound, engine="tuple")
 
     def test_batch_over_object_columns_codes_them(self):
         names = Relation("N", ("src", "dst"),
@@ -107,23 +113,24 @@ class TestPlanConstruction:
         assert compiled.algorithm in ("generic", "binary")
         assert compiled.choice is not None
 
-    def test_binary_plan_uses_atom_order_and_hashtables(self, bound):
-        compiled = plan(bound, algorithm="binary",
-                        binary_order=["E1", "E2", "E3"])
-        assert compiled.atom_order == ("E1", "E2", "E3")
-        assert compiled.total_order == ()
-        assert {s.alias for s in compiled.index_specs} == {"E2", "E3"}
-        stage = compiled.spec_for("E2")
-        assert stage.kind == HASHTABLE_KIND
-        assert stage.key_arity == 1  # probes on b, payload c
+    def test_binary_plan_uses_atom_order_and_hashtables(self, tables):
+        # the binary pipeline has no plan: its run probes in the pinned
+        # order and hashes each non-leading atom inside ``prepare``
+        profile = join(TRIANGLE, tables, algorithm="binary",
+                       binary_order=["E1", "E2", "E3"], profile=True).profile
+        assert profile.order == ("E1", "E2", "E3")
+        assert built(profile) == {"E2": "hashtable", "E3": "hashtable"}
 
-    def test_recursive_plan_uses_tuplesets(self, bound):
-        compiled = plan(bound, algorithm="recursive")
-        assert all(s.kind == TUPLESET_KIND for s in compiled.index_specs)
+    def test_recursive_plan_uses_tuplesets(self, tables):
+        profile = join(TRIANGLE, tables, algorithm="recursive",
+                       profile=True).profile
+        assert built(profile) == dict.fromkeys(tables, "tupleset")
 
     def test_leapfrog_specs_request_presorting(self, bound):
-        compiled = plan(bound, algorithm="leapfrog")
-        assert all(dict(s.options)["sorted"] for s in compiled.index_specs)
+        # LFTJ seeks need its tries ordered up front: its build sorts
+        driver = LeapfrogTrieJoin(bound.query, bound.relations)
+        driver.build()
+        assert not any(trie._dirty for trie in driver._tries.values())
 
     def test_plan_is_inert_and_frozen(self, bound):
         compiled = plan(bound)
@@ -137,10 +144,13 @@ class TestPlanConstruction:
         assert "generic/batch" in text and "order=a,b,c" in text
 
     def test_cache_key_suffix_distinguishes_options(self, bound):
-        # the tuple engine builds the Sonic index the options configure
-        a, b = (plan(bound, engine="tuple",
-                     index_kwargs={"sonic_bucket_size": size}).spec_for("E1")
-                for size in (8, 16))
+        # a trie over coded columns is not the trie over the same
+        # columns uncoded
+        names = Relation("N", ("src", "dst"), [("a", "b"), ("b", "c")])
+        coded = plan(bind(TRIANGLE, dict.fromkeys(("E1", "E2", "E3"),
+                                                  names)))
+        a, b = plan(bound).spec_for("E1"), coded.spec_for("E1")
+        assert a.permutation == b.permutation
         assert a.cache_key_suffix() != b.cache_key_suffix()
         assert canonical_options({"x": 1, "a": 2}) == (("a", 2), ("x", 1))
 
@@ -180,6 +190,12 @@ class TestOptionPolicing:
             join(TRIANGLE, tables, engine="vectorized")
 
 
+def built(profile) -> dict:
+    """alias -> the structure kind each ``build_index`` span built."""
+    return {span["args"]["alias"]: span["args"]["index"]
+            for span in profile.spans if span["name"] == "build_index"}
+
+
 def with_specs(compiled, specs):
     """``compiled`` with its index specs replaced."""
     return dataclasses.replace(compiled, index_specs=specs)
@@ -189,11 +205,11 @@ class TestPlanValidation:
     """RA306/RA307 over hand-corrupted plans."""
 
     def test_sound_plans_pass(self, bound):
-        for algorithm in ("generic", "binary", "hashtrie", "leapfrog",
-                          "recursive"):
-            compiled = plan(bound, algorithm=algorithm)
-            assert validate_join_plan(
-                compiled, relations=bound.relations) == []
+        for algorithm in ("generic", "auto", "unified"):
+            for engine in ("auto", "batch"):
+                compiled = plan(bound, algorithm=algorithm, engine=engine)
+                assert validate_join_plan(
+                    compiled, relations=bound.relations) == []
 
     def test_ra307_unresolved_algorithm(self, bound):
         compiled = dataclasses.replace(plan(bound), algorithm="auto")
@@ -219,14 +235,6 @@ class TestPlanValidation:
         with pytest.raises(PlanValidationError, match="RA306"):
             check_join_plan(compiled)
 
-    def test_ra306_hashtable_without_key_split(self, bound):
-        compiled = plan(bound, algorithm="binary",
-                        binary_order=["E1", "E2", "E3"])
-        bad = dataclasses.replace(compiled.index_specs[0], key_arity=None)
-        compiled = with_specs(compiled, (bad,) + compiled.index_specs[1:])
-        codes = [i.code for i in validate_join_plan(compiled)]
-        assert "RA306" in codes
-
     def test_ra306_foreign_alias(self, bound):
         compiled = plan(bound)
         stray = IndexSpec(alias="Z", kind="sonic",
@@ -243,22 +251,24 @@ class TestPlanValidation:
 
 class TestJoinPlanDataclass:
     def test_plans_hash_and_compare_by_value(self, bound):
-        a = plan(bound, algorithm="leapfrog")
-        b = plan(bound, algorithm="leapfrog")
+        a = plan(bound, algorithm="generic")
+        b = plan(bound, algorithm="generic")
         assert a == b
         assert a is not b
         assert hash(a.index_specs[0]) == hash(b.index_specs[0])
 
 
 class TestOneGyoReduction:
-    """``plan()`` runs the GYO reduction once, however many of its
-    readers — the optimizer's acyclicity test, the acyclic route — need
-    it."""
+    """A join runs the GYO reduction once, however many of its readers
+    — the optimizer's acyclicity test, the acyclic route — need it: in
+    ``plan()`` on the frontier, at the paper's door under the tuple
+    engine."""
 
     @pytest.mark.parametrize("engine", ["auto", "tuple"])
     @pytest.mark.parametrize("algorithm", ["auto", "unified"])
     def test_one_cyclic_core_per_plan(self, monkeypatch, algorithm, engine):
         from repro.engine import pipeline
+        from repro.joins import executor
         from repro.planner import optimizer
 
         calls = []
@@ -270,10 +280,11 @@ class TestOneGyoReduction:
 
         monkeypatch.setattr(optimizer, "cyclic_core", counted)
         monkeypatch.setattr(pipeline, "cyclic_core", counted)
+        monkeypatch.setattr(executor, "cyclic_core", counted)
         tables = {"E": Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)]),
                   "T": Relation("T", ("src", "tag"), [(0, 5), (1, 6)])}
         for query in (TRIANGLE, "E1=E(a,b), E2=E(b,c)",
                       "E1=E(a,b), E2=E(b,c), E3=E(c,a), T(a,d)"):
             calls.clear()
-            plan(bind(query, tables), algorithm=algorithm, engine=engine)
+            join(query, tables, algorithm=algorithm, engine=engine)
             assert len(calls) == 1, query

@@ -87,10 +87,10 @@ class TestMixedPlanEquivalence:
             assert row_set(unified) == row_set(flat), item.name
 
     def test_acyclic_query_gets_binary_root(self, edges):
+        # at the paper's door, which plans nothing: the optimizer's pick
         relations = {"E1": edges, "E2": edges, "E3": edges}
-        compiled = plan(bind(CHAIN, relations), algorithm="unified",
-                        engine="tuple")
-        assert compiled.algorithm == "binary"
+        result = join(CHAIN, relations, algorithm="unified", engine="tuple")
+        assert result.metrics.algorithm == "binary_join"
 
     def test_cyclic_query_gets_generic_root(self, edges):
         relations = {"E1": edges, "E2": edges, "E3": edges}
@@ -141,7 +141,7 @@ class TestStageTreeValidation:
     def unified(self, edges, tail):
         relations = {"E1": edges, "E2": edges, "E3": edges, "T": tail}
         return plan(bind(TRIANGLE_TAIL, relations), algorithm="unified",
-                    engine="tuple")
+                    engine="batch")
 
     def test_clean_unified_plan_passes(self, unified, edges, tail):
         relations = {"E1": edges, "E2": edges, "E3": edges, "T": tail}
@@ -151,4 +151,4 @@ class TestStageTreeValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             unified.algorithm = "binary"
         assert unified.describe() == \
-            "generic/tuple index=sonic order=a,b,c,d"
+            "generic/batch index=sonic built=columnar order=a,b,c,d"

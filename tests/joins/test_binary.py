@@ -1,9 +1,11 @@
 """Binary hash-join pipeline tests."""
 
+import sys
+
 import pytest
 
 from repro.errors import QueryError
-from repro.joins import BinaryHashJoin, resolve_relations
+from repro.joins import BinaryHashJoin, binary, join, resolve_relations
 from repro.planner import parse_query
 from repro.storage import Relation
 
@@ -80,6 +82,30 @@ class TestPipeline:
         build_time = driver.metrics.build_seconds
         driver.run()
         assert driver.metrics.build_seconds == build_time
+
+
+class TestOneStagePlan:
+    @pytest.mark.parametrize("order", [None, ["R", "S", "T"]],
+                             ids=["greedy", "pinned"])
+    def test_a_cold_join_plans_its_stages_once(self, monkeypatch, order):
+        # the driver's build is the one place the stages are planned
+        calls = []
+        real = binary.plan_pipeline
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # wherever it was imported, so that a second planner shows
+        for module in list(sys.modules.values()):
+            if getattr(module, "plan_pipeline", None) is real:
+                monkeypatch.setattr(module, "plan_pipeline", counted)
+        edges = [(0, 1), (1, 2), (2, 0), (0, 2)]
+        tables = {name: Relation(name, ("x", "y"), edges)
+                  for name in "RST"}
+        result = join("R(a,b), S(b,c), T(c,a)", tables, algorithm="binary",
+                      binary_order=order)
+        assert result.count == 3 and len(calls) == 1
 
 
 class TestOrderSensitivity:

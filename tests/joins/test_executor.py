@@ -139,14 +139,16 @@ class TestDebugMode:
                  order=("a", "b"), debug=True)
 
     def test_without_debug_bad_order_fails_later_or_not_at_all(self, edges):
-        # the non-debug path must not import-time-validate: it raises the
-        # adapter's SchemaError instead (pre-existing behaviour)
-        from repro.errors import SchemaError
+        # the non-debug path does not run the plan validator: the one
+        # order check raises a plain QueryError naming the missing
+        # attribute instead
+        from repro.errors import PlanValidationError
 
-        with pytest.raises(SchemaError):
+        with pytest.raises(QueryError, match=r"missing \['c'\]") as error:
             join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
                  {"E1": edges, "E2": edges, "E3": edges},
                  order=("a", "b"), debug=False)
+        assert not isinstance(error.value, PlanValidationError)
 
     def test_env_variable_enables_debug(self, edges, monkeypatch):
         from repro.errors import PlanValidationError
@@ -202,3 +204,29 @@ print(before, plain, unchecked, raised, "repro.analysis.plancheck" in loaded())
                       {"E1": edges, "E2": edges, "E3": edges},
                       algorithm="binary", debug=True)
         assert result.count == triangle_count_truth(edges)
+
+
+class TestTotalOrderIsCheckedOnce:
+    """An ``order=`` that is not a permutation of the query's attributes
+    gets one outcome whichever driver would read it: a ``QueryError``
+    naming what is wrong, before anything is built."""
+
+    TRIANGLE = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
+    #: 3 triangles; the edges themselves are 4 rows
+    EDGES = [(0, 1), (1, 2), (2, 0), (0, 2)]
+
+    @pytest.mark.parametrize("order, named", [
+        (["a", "b"], r"missing \['c'\], repeated \[\], unknown \[\]"),
+        (["a", "b", "z"], r"missing \['c'\], repeated \[\], unknown \['z'\]"),
+        (["a", "a", "b", "c"], r"missing \[\], repeated \['a'\], unknown"),
+    ], ids=["missing", "unknown", "repeated"])
+    @pytest.mark.parametrize("options", [
+        {}, {"engine": "tuple", "index": "sonic"}, {"algorithm": "hashtrie"},
+        {"algorithm": "leapfrog"}, {"algorithm": "recursive"},
+    ], ids=["frontier", "tuple-sonic", "hashtrie", "leapfrog", "recursive"])
+    def test_a_bad_order_raises_naming_it(self, options, order, named):
+        edges = Relation("E", ("src", "dst"), self.EDGES)
+        tables = {"E1": edges, "E2": edges, "E3": edges}
+        assert join(self.TRIANGLE, tables, **options).count == 3
+        with pytest.raises(QueryError, match=named):
+            join(self.TRIANGLE, tables, order=order, **options)

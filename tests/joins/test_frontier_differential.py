@@ -56,8 +56,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Relation, Session, join
-from repro.engine import bind, plan
-from repro.engine.pipeline import servable
 from repro.errors import QueryError
 from repro.joins import (
     BinaryHashJoin,
@@ -69,6 +67,9 @@ from repro.joins import (
     build_adapters,
     resolve_relations,
 )
+from repro.planner.cardinality import Statistics
+from repro.planner.hypergraph import Hypergraph
+from repro.planner.optimizer import HybridOptimizer, is_alpha_acyclic
 from repro.planner.query import Atom, JoinQuery, parse_query
 
 ATTRIBUTES = "abcde"
@@ -165,14 +166,31 @@ def bag(result) -> Counter:
                    for row in result.rows)
 
 
-def refuses(compiled, tables: dict) -> bool:
-    """Does a tuple driver of ``compiled`` read a relation that repeats a
+def driver(query, tables: dict, options) -> str:
+    """The driver a case's request runs: ``"batch"`` on the frontier,
+    else the paper's door's — where ``auto`` is the hybrid optimizer's
+    pick between the binary pipeline and the tuple Generic Join."""
+    algorithm = options["algorithm"]
+    if options["engine"] != "tuple" and algorithm in ("generic", "auto",
+                                                      "unified"):
+        return "batch"
+    if algorithm in ("auto", "unified"):
+        stats = Statistics.collect(resolve_relations(query, tables).values())
+        choice = HybridOptimizer().decide(
+            query, stats, is_alpha_acyclic(Hypergraph.from_query(query)),
+            estimate=False)
+        return "binary" if choice.algorithm == "binary" else "generic"
+    return algorithm
+
+
+def refuses(query, tables: dict, options) -> bool:
+    """Does a tuple driver of the case read a relation that repeats a
     row?  It joins sets, so it must refuse it rather than answer."""
-    if compiled.algorithm == "binary" or compiled.engine == "batch":
+    if driver(query, tables, options) in ("batch", "binary"):
         return False
     return any(len(set(rows)) < len(rows)
                for rows in (tables[atom.relation].rows
-                            for atom in compiled.query.atoms))
+                            for atom in query.atoms))
 
 
 def run(query, tables, order, options, session=None, **extra):
@@ -194,10 +212,7 @@ def run(query, tables, order, options, session=None, **extra):
 def answer(query, tables, order, options, session=None, **extra) -> None:
     """Hold one run to the bag, or to the tuple drivers' refusal."""
     truth = brute_force(query, tables)
-    compiled = plan(bind(query, tables), algorithm=options["algorithm"],
-                    engine=options["engine"], index="sortedtrie",
-                    order=order)
-    if refuses(compiled, tables):
+    if refuses(query, tables, options):
         with pytest.raises(QueryError, match="repeats a row"):
             run(query, tables, order, options, session, **extra)
         return
@@ -227,10 +242,9 @@ def check(query, tables, order, options, **extra) -> None:
         return
     # a session serves frontier plans only: a tuple driver's reads on
     # either side of the write are cold joins
-    compiled = plan(bind(query, tables), algorithm=options["algorithm"],
-                    engine=options["engine"], index="sortedtrie", order=order)
     with Session(tables) as session:
-        reader = session if servable(compiled) else None
+        reader = (session if driver(query, tables, options) == "batch"
+                  else None)
         answer(query, tables, order, options, reader, **extra)
         name, rows = options["write"]
         tables[name].extend(rows)
@@ -779,17 +793,15 @@ def test_route_differential(case):
     answers the bag."""
     query, tables, ordered = case
     truth = brute_force(query, tables)
-    bound = bind(query, tables)
     for algorithm in ("auto", "unified"):
         for engine in ("auto", "batch", "tuple")[:3 if ordered else 2]:
             # sortedtrie: the tuple engine's index that orders floats
             options = {"algorithm": algorithm, "engine": engine,
                        "index": "sortedtrie"}
-            compiled = plan(bound, **options)
             if engine != "tuple":
-                assert (compiled.algorithm, compiled.engine) == \
-                    ("generic", "batch")
-            if refuses(compiled, tables):
+                assert join(query, tables, **options).metrics.algorithm \
+                    == "generic_join_batch"
+            if refuses(query, tables, options):
                 with pytest.raises(QueryError, match="repeats a row"):
                     join(query, tables, **options)
                 continue

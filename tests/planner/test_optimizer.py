@@ -58,12 +58,12 @@ class TestGreedyOrder:
 
 
 TIED_SELF_JOIN = """
-from repro import Relation
-from repro.engine import bind, plan
+from repro import Relation, join
 edges = Relation("E", ("src", "dst"), [(i, (i + 1) % 7) for i in range(7)])
 query = "E1=E(a,b), E2=E(b,c), E3=E(c,d), E4=E(d,e)"
-bound = bind(query, {alias: edges for alias in ("E1", "E2", "E3", "E4")})
-print(",".join(plan(bound, algorithm="binary").atom_order))
+tables = {alias: edges for alias in ("E1", "E2", "E3", "E4")}
+print(",".join(join(query, tables, algorithm="binary",
+                    profile=True).profile.order))
 """
 
 
