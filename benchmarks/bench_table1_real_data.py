@@ -57,6 +57,22 @@ def run_job_workload(queries, options):
     return total
 
 
+def best_of_rounds(run) -> dict:
+    """``{contender: (best ms, [result of each run])}`` over three rounds,
+    each timing ``run(options)`` once per contender: interleaved, so that
+    one slow moment of a shared host costs one run of one contender, not
+    its only run."""
+    runs = {contender: (float("inf"), []) for contender in CONTENDERS}
+    for _ in range(3):
+        for contender, options in CONTENDERS.items():
+            start = time.perf_counter()
+            result = run(options)
+            elapsed = (time.perf_counter() - start) * 1e3
+            best, results = runs[contender]
+            runs[contender] = (min(best, elapsed), results + [result])
+    return runs
+
+
 def test_report_table1(benchmark):
     def body():
         rows = []
@@ -65,13 +81,14 @@ def test_report_table1(benchmark):
             truth = triangle_count_truth(edges)
             row = {"workload": dataset, "edges": len(edges)}
             intermediates = {}
-            for contender, options in CONTENDERS.items():
-                start = time.perf_counter()
-                result = join(TRIANGLE, source, **options)
-                elapsed = time.perf_counter() - start
-                assert result.count == truth, (dataset, contender)
-                intermediates[contender] = result.metrics.intermediate_tuples
-                row[contender] = round(elapsed * 1e3, 1)
+            runs = best_of_rounds(
+                lambda options: join(TRIANGLE, source, **options))
+            for contender, (elapsed, results) in runs.items():
+                for result in results:
+                    assert result.count == truth, (dataset, contender)
+                intermediates[contender] = \
+                    results[0].metrics.intermediate_tuples
+                row[contender] = round(elapsed, 1)
             # paper shape, machine-independent: on every graph the WCOJ
             # candidate work is below the binary pipeline's intermediates
             assert intermediates["GJ_sonic"] <= intermediates["BJ"], dataset
@@ -82,14 +99,14 @@ def test_report_table1(benchmark):
         queries = job_light_queries(catalog, seed=23, max_satellites=2)
         job_row = {"workload": "JOB-light", "edges": catalog.total_rows()}
         reference = None
-        for contender, options in CONTENDERS.items():
-            start = time.perf_counter()
-            total = run_job_workload(queries, options)
-            elapsed = time.perf_counter() - start
+        runs = best_of_rounds(
+            lambda options: run_job_workload(queries, options))
+        for contender, (elapsed, totals) in runs.items():
             if reference is None:
-                reference = total
-            assert total == reference, contender
-            job_row[contender] = round(elapsed * 1e3, 1)
+                reference = totals[0]
+            for total in totals:
+                assert total == reference, contender
+            job_row[contender] = round(elapsed, 1)
         rows.append(job_row)
 
         print_table("Table 1: cycle counting + JOB-light runtimes (ms); "

@@ -433,7 +433,7 @@ class ColumnarTrie:
             # search only the rows whose bit is set in their parent's
             bits = signatures[parents] >> _signature_bits(values)
             found &= (bits & np.uint64(1)).astype(bool)
-            rows = np.flatnonzero(found)
+            rows = found.nonzero()[0]
             wanted = wanted[rows] + parents[rows] * self.spans[depth]
             hits = keys.searchsorted(wanted)
             np.minimum(hits, keys.size - 1, out=hits)

@@ -21,7 +21,7 @@ rows:
    (``dynamic_seed=False`` keeps one static seed per level, by base
    relation size);
 3. **expand** — the seed's children of every row, laid out with
-   ``np.repeat``;
+   ``repeat`` (one ``arange`` for a block from one frontier row);
 4. **intersect** — one packed-key probe per other participant (Alg. 1
    line 15) over the previous one's survivors: a ``searchsorted``, or a
    slot-map gather or signature test once the level has its probe aid.
@@ -77,6 +77,12 @@ the levels its tries hold when the run ends, of those they could.
 Per-level ``candidates`` / ``survivors`` / ``seed_counts`` / ``time_ns``
 cost O(1) per block, so they are always collected, through this one
 path; an enabled observer is handed the same accumulators.
+
+A serve read's blocks are tens of rows, so each numpy call costs about
+its fixed overhead: the driver calls array methods and ufuncs only,
+never a module-level wrapper (``np.repeat``, ``np.argmin``, ...) or
+``ndarray.max`` / ``.sum`` / ``.all``, which run Python code inside
+numpy first (``tests/joins/test_frontier_fixed_cost.py``).
 """
 
 from __future__ import annotations
@@ -96,8 +102,9 @@ from repro.planner.query import JoinQuery
 #: expanded frontier rows per block.  Warm ms with probe aids, 30k-edge
 #: triangle / power-law 4-clique, median of 61 interleaved rounds on two
 #: x86-64 cores: 4 096 rows 16.1 / 46.4, 8 192 14.3 / 41.1, 16 384 13.2
-#: / 35.2, 32 768 15.0 / 35.5.  Below ~8k rows the ~25 numpy calls per
-#: block dominate.  No size beats 8 192 past its quartiles on the
+#: / 35.2, 32 768 15.0 / 35.5.  Below ~8k rows the ~20-30 numpy calls
+#: per block dominate (5 lay out a block from one frontier row, 11 any
+#: other, 9-26 per probe).  No size beats 8 192 past its quartiles on the
 #: triangle (12.0-14.9 ms; on the 4-clique 16k and 32k do), so it stays,
 #: at half the memory of the next size up.
 BLOCK_ROWS = 8192
@@ -111,13 +118,13 @@ def _sum_of_products(columns: list, rows: int) -> int:
         return rows
     bound = rows
     for column in columns:
-        bound *= int(column.max())
+        bound *= int(np.maximum.reduce(column))
     if bound < 2 ** 63 and all(column.dtype == np.int64
                                for column in columns):
         product = columns[0]
         for column in columns[1:]:
             product *= column
-        return int(product.sum())
+        return int(np.add.reduce(product))
     return sum(map(prod, zip(*(column.tolist() for column in columns))))
 
 
@@ -126,7 +133,8 @@ def _weighed(weight: "np.ndarray | None", counts: np.ndarray) -> np.ndarray:
     ints once a product could pass 2**63."""
     if weight is None:
         return counts
-    if int(weight.max()) * int(counts.max()) < 2 ** 63:
+    peak = int(np.maximum.reduce(weight)) * int(np.maximum.reduce(counts))
+    if peak < 2 ** 63:
         return weight * counts
     return weight.astype(object) * counts
 
@@ -346,11 +354,10 @@ class GenericJoinBatch:
             trie = self._tries[atom]
             parents = nodes[atom]
             start, end = trie.child_ranges(depth, parents)
-            count = end - start
             if parents is None and rows > 1:
                 # the root's one range stands for every row of the block
-                start = np.broadcast_to(start, (rows,))
-                count = np.broadcast_to(count, (rows,))
+                start = start.repeat(rows)
+            count = end - start
             tries.append(trie)
             starts.append(start)
             counts.append(count)
@@ -359,9 +366,9 @@ class GenericJoinBatch:
             self._expand(level, position, None, tries, starts[position],
                          counts[position], nodes, bound)
         else:
-            seeds = np.argmin(counts, axis=0)
+            seeds = np.array(counts).argmin(axis=0)
             for position in range(len(participants)):
-                chosen = np.flatnonzero(seeds == position)
+                chosen = (seeds == position).nonzero()[0]
                 if chosen.size == rows:
                     chosen = None
                 elif chosen.size == 0:
@@ -408,7 +415,7 @@ class GenericJoinBatch:
         program = self.program
         seed_alias = program.aliases[program.participants[level][position][0]]
         stats.seed_counts[seed_alias] += len(counts)
-        ends = np.cumsum(counts)
+        ends = counts.cumsum()
         total = int(ends[-1])
         stats.candidates += total
         if total == 0:
@@ -421,14 +428,19 @@ class GenericJoinBatch:
         for low in range(0, total, BLOCK_ROWS):
             high = min(low + BLOCK_ROWS, total)
             first = int(ends.searchsorted(low, side="right"))
-            last = int(ends.searchsorted(high, side="left"))
-            spread = counts[first:last + 1].copy()
-            spread[0] = min(int(ends[first]), high) - low
-            if last > first:
+            if ends[first] >= high:
+                # every row is a child of frontier row ``first``
+                shift = int(shifts[first])
+                children = np.arange(low + shift, high + shift)
+                source = np.arange(first, first + 1).repeat(high - low)
+            else:
+                last = int(ends.searchsorted(high, side="left"))
+                spread = counts[first:last + 1].copy()
+                spread[0] = int(ends[first]) - low
                 spread[-1] = high - int(ends[last]) + int(counts[last])
-            source = np.repeat(np.arange(first, last + 1), spread)
-            children = np.repeat(shifts[first:last + 1], spread)
-            children += np.arange(low, high)
+                source = np.arange(first, last + 1).repeat(spread)
+                children = shifts[first:last + 1].repeat(spread)
+                children += np.arange(low, high)
             if chosen is not None:
                 source = chosen[source]
             size = high - low
@@ -465,8 +477,8 @@ class GenericJoinBatch:
             found, ids = tries[other].probe(depth, parents, values)
             if keeps:
                 kept[atom] = ids
-            if not found.all():
-                alive = np.flatnonzero(found)
+            alive = found.nonzero()[0]
+            if alive.size < found.size:
                 if alive.size == 0:
                     return
                 values = values[alive]
@@ -509,7 +521,7 @@ class GenericJoinBatch:
             if not self._materialize:
                 self._sink.emit_columns((), _sum_of_products([weight], rows))
                 return
-            bound = [np.repeat(column, weight) for column in bound]
+            bound = [column.repeat(weight) for column in bound]
             rows = len(bound[0])
         decoders = self.program.decoders
         if decoders:

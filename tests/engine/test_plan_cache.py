@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import weakref
 from itertools import product
+from pathlib import Path
 
 import repro.engine.pipeline as pipeline
 import repro.engine.session as session_module
@@ -181,6 +182,28 @@ class TestUncached:
         session.execute(TRIANGLE)
         assert planned == [1, 1]
         assert counts(session) == (0, 1)
+
+    def test_the_environment_is_read_on_every_read(self, monkeypatch):
+        """A warm read reads ``REPRO_PROFILE`` / ``REPRO_WORKERS`` afresh:
+        set between two reads of one session, each takes effect on the
+        next, and the sharded read's segments go with ``close()``."""
+        for name in ("REPRO_PROFILE", "REPRO_WORKERS", "REPRO_DEBUG"):
+            monkeypatch.delenv(name, raising=False)
+        tables = {"E": Relation("E", ("src", "dst"), EDGES)}
+        expected = brute_force(TRIANGLE, tables)
+        segments = set(Path("/dev/shm").glob("repro_shm_*"))
+        session = Session(tables)
+        first = session.execute(TRIANGLE)
+        assert first.count == expected and first.profile is None
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        second = session.execute(TRIANGLE)
+        assert second.count == expected and second.profile is not None
+        assert second.profile.shards == []
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        third = session.execute(TRIANGLE)
+        assert third.count == expected and len(third.profile.shards) == 2
+        session.close()
+        assert set(Path("/dev/shm").glob("repro_shm_*")) <= segments
 
     def test_an_unhashable_option_value_is_uncacheable(self):
         tables = star_tables()

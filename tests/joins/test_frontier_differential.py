@@ -733,6 +733,59 @@ def test_block_boundaries(block, what, monkeypatch):
         [(lv.candidates, lv.survivors) for lv in levels]
 
 
+def _held_to_tuple(query, tables, order):
+    """Materialise through the frontier and the tuple driver: same rows,
+    same per-level candidates and survivors; the frontier's levels."""
+    got = join(query, tables, engine="batch", order=order, materialize=True,
+               profile=True)
+    reference = join(query, tables, engine="tuple", index="sortedtrie",
+                     order=order, materialize=True, profile=True)
+    assert sorted(got.rows) == sorted(reference.rows)
+    levels = got.profile.levels
+    assert [(lv.candidates, lv.survivors) for lv in levels] == \
+        [(lv.candidates, lv.survivors) for lv in reference.profile.levels]
+    return levels
+
+
+@pytest.mark.parametrize("block", [3, 4, 5, 8192])
+def test_one_row_blocks_past_the_first_row(block, monkeypatch):
+    """A block whose rows are all children of one frontier row is laid out
+    as one range.  Level ``b`` splits its rows by seed: R seeds ``a=0``
+    (1 child) and ``a=2`` (8), S seeds ``a=1`` (2 of R's 6).  R's
+    ``chosen`` rows are a strict subset, and the second of them — not the
+    block's first, its children not next to the first's — spreads its 8
+    children over several blocks (a block of at least 3 keeps the three
+    ``a`` rows in one frontier; 8192 lays all 9 candidates out at once)."""
+    r = Relation("R", ("a", "b"), [(0, 0)] + [(1, b) for b in range(6)]
+                 + [(2, b) for b in range(8)])
+    s = Relation("S", ("a", "b"), [(0, b) for b in range(5)]
+                 + [(1, 1), (1, 4)] + [(2, b) for b in range(10)])
+    query = JoinQuery([Atom("R", ("a", "b")), Atom("S", ("a", "b"))])
+    monkeypatch.setattr(batch, "BLOCK_ROWS", block)
+    levels = _held_to_tuple(query, {"R": r, "S": s}, ("a", "b"))
+    assert levels[1].seed_counts == {"R": 2, "S": 1}
+    assert (levels[1].candidates, levels[1].survivors) == (11, 11)
+
+
+@pytest.mark.parametrize("block", [1, 2, 8192])
+def test_an_atom_joining_at_its_root_below_the_first_level(block,
+                                                           monkeypatch):
+    """T first joins at level ``b``, still at its root, beside S's nodes
+    under the block's ``a`` rows: its one range stands for all of them
+    (three at 8192, two then one at a block of 2, one at a time at 1),
+    and the seed goes to T where S has more children, to S where fewer."""
+    r = Relation("R", ("a",), [(0,), (1,), (2,)])
+    s = Relation("S", ("a", "b"), [(0, b) for b in range(6)]
+                 + [(1, 2)] + [(2, b) for b in range(1, 5)] + [(3, 0)])
+    t = Relation("T", ("b",), [(1,), (2,), (4,)])
+    query = JoinQuery([Atom("R", ("a",)), Atom("S", ("a", "b")),
+                       Atom("T", ("b",))])
+    monkeypatch.setattr(batch, "BLOCK_ROWS", block)
+    levels = _held_to_tuple(query, {"R": r, "S": s, "T": t}, ("a", "b"))
+    assert levels[1].seed_counts == {"S": 1, "T": 2}
+    assert (levels[1].candidates, levels[1].survivors) == (7, 7)
+
+
 # ----------------------------------------------------------------------
 # route differential: one frontier stage, whatever the data
 # ----------------------------------------------------------------------
