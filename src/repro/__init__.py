@@ -21,13 +21,7 @@ paper-vs-measured record.
 
 from repro.core import SonicConfig, SonicIndex
 from repro.core.adapter import IndexAdapter
-from repro.engine import (
-    IndexCache,
-    JoinPlan,
-    PreparedJoin,
-    Session,
-    ShardingSpec,
-)
+from repro.engine import JoinPlan, PreparedJoin, Session
 from repro.errors import (
     CapacityError,
     ConfigurationError,
@@ -38,44 +32,27 @@ from repro.errors import (
     SchemaError,
     UnsupportedOperationError,
 )
-from repro.joins import (
-    BinaryHashJoin,
-    GenericJoin,
-    HashTrieJoin,
-    JoinResult,
-    LeapfrogTrieJoin,
-    join,
-    triangle_count,
-)
+from repro.joins import JoinResult, join
 from repro.planner import (
     Hypergraph,
     JoinQuery,
-    agm_bound,
-    clique_query,
     cycle_query,
     fractional_cover,
     parse_query,
-    total_order,
 )
-from repro.storage import Catalog, Relation, Schema
+from repro.storage import Relation, Schema
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BinaryHashJoin",
     "CapacityError",
-    "Catalog",
     "ConfigurationError",
     "ExecutionError",
-    "GenericJoin",
-    "HashTrieJoin",
     "Hypergraph",
     "IndexAdapter",
-    "IndexCache",
     "JoinPlan",
     "JoinQuery",
     "JoinResult",
-    "LeapfrogTrieJoin",
     "PlanValidationError",
     "PreparedJoin",
     "QueryError",
@@ -84,16 +61,11 @@ __all__ = [
     "Schema",
     "SchemaError",
     "Session",
-    "ShardingSpec",
     "SonicConfig",
     "SonicIndex",
     "UnsupportedOperationError",
-    "agm_bound",
-    "clique_query",
     "cycle_query",
     "fractional_cover",
     "join",
     "parse_query",
-    "total_order",
-    "triangle_count",
 ]

@@ -22,7 +22,7 @@ import time
 def selfcheck() -> int:
     from repro import __version__, join, parse_query
     from repro.data import random_edge_relation, triangle_count_truth
-    from repro.indexes import prefix_capable_indexes
+    from repro.indexes.registry import prefix_capable_indexes
     from repro.planner import Hypergraph, fractional_cover
 
     print(f"repro {__version__} — SonicJoin reproduction self-check")

@@ -17,63 +17,18 @@ Three engines, one diagnostic currency (:class:`~repro.analysis.findings.Finding
    AGM cover feasibility, schema consistency), run by the executor in
    debug mode.
 
-The CLI gate is ``python -m repro.analysis [paths] [--json] [--rule …]``.
+The CLI gate is ``python -m repro.analysis [paths] [--json] [--rule …]``,
+and it is the package's only interface, so the package exports nothing;
+the engine imports the plan validator from its module.
 
 This package root stays import-light (stdlib only); the contract checker,
-which needs the index registry and therefore numpy, is loaded lazily.
+which needs the index registry and therefore numpy, is loaded by the CLI
+when it runs.
 """
 
 from __future__ import annotations
 
-from repro.analysis.engine import (
-    LintRule,
-    all_rules,
-    analyze_file,
-    analyze_paths,
-    analyze_source,
-    register_rule,
-    select_rules,
-)
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.plancheck import (
-    PlanIssue,
-    check_join_plan,
-    check_plan,
-    validate_join_plan,
-    validate_plan,
-)
-from repro.analysis.reporters import render_json, render_text, summarize
-
 import repro.analysis.rules  # noqa: F401  (importing registers RA101–RA103)
 import repro.analysis.rules_concurrency  # noqa: F401  (registers RA701/703/707)
 
-__all__ = [
-    "Finding",
-    "LintRule",
-    "PlanIssue",
-    "Severity",
-    "all_rules",
-    "analyze_file",
-    "analyze_paths",
-    "analyze_source",
-    "check_join_plan",
-    "check_plan",
-    "check_registry",
-    "register_rule",
-    "render_json",
-    "render_text",
-    "select_rules",
-    "summarize",
-    "validate_join_plan",
-    "validate_plan",
-]
-
-
-def __getattr__(name: str):
-    # `check_registry` imports repro.indexes (numpy & friends); keep the
-    # lint path importable without the numeric stack.
-    if name == "check_registry":
-        from repro.analysis.contracts import check_registry
-
-        return check_registry
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__: list[str] = []

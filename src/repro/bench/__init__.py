@@ -4,29 +4,18 @@ from repro.bench.harness import (
     BUILD_AND_POINT_INDEXES,
     JOIN_INDEXES,
     PREFIX_INDEXES,
-    build_index,
     make_sized_index,
-    sweep,
 )
-from repro.bench.reporting import (
-    print_series,
-    print_table,
-    save_results,
-    speedup_summary,
-)
-from repro.bench.timer import Timing, time_callable
+from repro.bench.reporting import print_series, print_table, save_results
+from repro.bench.timer import time_callable
 
 __all__ = [
     "BUILD_AND_POINT_INDEXES",
     "JOIN_INDEXES",
     "PREFIX_INDEXES",
-    "Timing",
-    "build_index",
     "make_sized_index",
     "print_series",
     "print_table",
     "save_results",
-    "speedup_summary",
-    "sweep",
     "time_callable",
 ]

@@ -61,14 +61,3 @@ def save_results(path: str | Path, experiment: str, payload: object) -> None:
         existing = json.loads(path.read_text())
     existing[experiment] = payload
     path.write_text(json.dumps(existing, indent=2, sort_keys=True))
-
-
-def speedup_summary(baseline: float, measured: Mapping[str, float]) -> dict[str, str]:
-    """Express measurements as speedups over ``baseline`` ("2.5x"-style)."""
-    summary = {}
-    for name, value in measured.items():
-        if value <= 0:
-            summary[name] = "inf"
-        else:
-            summary[name] = f"{baseline / value:.2f}x"
-    return summary

@@ -16,14 +16,6 @@ class Timing:
     mean_seconds: float
     repeats: int
 
-    @property
-    def best_ms(self) -> float:
-        return self.best_seconds * 1e3
-
-    @property
-    def mean_ms(self) -> float:
-        return self.mean_seconds * 1e3
-
 
 def time_callable(fn: Callable[[], object], repeats: int = 3,
                   disable_gc: bool = True) -> Timing:

@@ -1,27 +1,18 @@
 """Sonic — the paper's core contribution (§3) and its supporting pieces."""
 
 from repro.core.adapter import IndexAdapter
-from repro.core.config import DEFAULT_BUCKET_SIZE, DEFAULT_OVERALLOCATION, SonicConfig
-from repro.core.hashing import fmix64, hash_key, hash_tuple, murmur3_bytes
-from repro.core.locks import DEFAULT_GRANULARITY, KeyRangeLockManager
+from repro.core.config import SonicConfig
+from repro.core.locks import KeyRangeLockManager
 from repro.core.memory import sonic_bytes_per_tuple, sonic_space_estimate
-from repro.core.parallel import ParallelSonicBuilder, parallel_build
+from repro.core.parallel import ParallelSonicBuilder
 from repro.core.sonic import SonicIndex
 
 __all__ = [
-    "DEFAULT_BUCKET_SIZE",
-    "DEFAULT_GRANULARITY",
-    "DEFAULT_OVERALLOCATION",
     "IndexAdapter",
     "KeyRangeLockManager",
     "ParallelSonicBuilder",
     "SonicConfig",
     "SonicIndex",
-    "fmix64",
-    "hash_key",
-    "hash_tuple",
-    "murmur3_bytes",
-    "parallel_build",
     "sonic_bytes_per_tuple",
     "sonic_space_estimate",
 ]

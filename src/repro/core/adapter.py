@@ -23,24 +23,6 @@ from repro.errors import SchemaError
 from repro.indexes.base import TupleIndex
 from repro.storage.relation import Relation
 
-#: global switch for the columnar fast build path; the equivalence tests
-#: and the build benchmark flip it to pit ``build_bulk`` against the
-#: per-tuple reference on identical inputs
-_BULK_BUILD = True
-
-
-def bulk_build_enabled() -> bool:
-    """Is the columnar fast build path currently enabled?"""
-    return _BULK_BUILD
-
-
-def set_bulk_build(enabled: bool) -> bool:
-    """Toggle the columnar fast build path; returns the previous setting."""
-    global _BULK_BUILD
-    previous = _BULK_BUILD
-    _BULK_BUILD = bool(enabled)
-    return previous
-
 
 class IndexAdapter:
     """Binds one relation to one index under a query's total order."""
@@ -75,12 +57,12 @@ class IndexAdapter:
         column arrays, permuted into total order, are handed whole to
         :meth:`~repro.indexes.base.TupleIndex.build_bulk` — one vectorized
         sort instead of per-tuple root-to-leaf probing.  Everything else
-        (and runs with the switch off) keeps the per-tuple insert loop.
+        keeps the per-tuple insert loop.
         """
         perm = self._permutation
         index = self.index
         relation = self.relation
-        if _BULK_BUILD and index.SUPPORTS_BULK_BUILD and len(relation):
+        if index.SUPPORTS_BULK_BUILD and len(relation):
             columns = relation.columns()
             index.build_bulk(tuple(columns[i] for i in perm))
             return

@@ -107,14 +107,3 @@ class ParallelSonicBuilder:
             "granularity": float(self.locks.granularity),
             "threads": float(self.num_threads),
         }
-
-
-def parallel_build(rows: Sequence[tuple], arity: int, num_threads: int,
-                   config=None, granularity: int = DEFAULT_GRANULARITY,
-                   ) -> tuple[SonicIndex, dict[str, float]]:
-    """Convenience wrapper: build a Sonic index in parallel, return profile."""
-    index = SonicIndex(arity, config=config)
-    builder = ParallelSonicBuilder(index, num_threads=num_threads,
-                                   granularity=granularity)
-    builder.build(rows)
-    return index, builder.contention_profile()

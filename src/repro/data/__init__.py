@@ -1,16 +1,14 @@
 """Workload generators for every experiment in the evaluation."""
 
 from repro.data.graphs import (
-    barabasi_albert_graph,
     cycle_count_truth,
     edges_relation,
-    erdos_renyi_graph,
     powerlaw_cluster_graph,
     random_edge_relation,
     triangle_count_truth,
 )
-from repro.data.imdb import JobQuery, job_light_queries, make_imdb
-from repro.data.snap import DATASETS, dataset_summary, load_snap_dataset
+from repro.data.imdb import job_light_queries, make_imdb
+from repro.data.snap import DATASETS, load_snap_dataset
 from repro.data.synthetic import (
     adversarial_triangle_tables,
     lookup_workload,
@@ -19,18 +17,14 @@ from repro.data.synthetic import (
     umbra_adversarial_tables,
     zipf_table,
 )
-from repro.data.zipf import ZipfGenerator, zipf_columns
+from repro.data.zipf import ZipfGenerator
 
 __all__ = [
     "DATASETS",
-    "JobQuery",
     "ZipfGenerator",
     "adversarial_triangle_tables",
-    "barabasi_albert_graph",
     "cycle_count_truth",
-    "dataset_summary",
     "edges_relation",
-    "erdos_renyi_graph",
     "job_light_queries",
     "load_snap_dataset",
     "lookup_workload",
@@ -41,6 +35,5 @@ __all__ = [
     "string_table",
     "triangle_count_truth",
     "umbra_adversarial_tables",
-    "zipf_columns",
     "zipf_table",
 ]

@@ -36,16 +36,6 @@ def edges_relation(graph: nx.Graph, name: str = "E",
     return Relation(name, ("src", "dst"), rows)
 
 
-def barabasi_albert_graph(nodes: int, attached_edges: int = 5,
-                          seed: int = 0) -> nx.Graph:
-    """Scale-free graph (preferential attachment): heavy-tailed degrees."""
-    if nodes <= attached_edges:
-        raise ConfigurationError("nodes must exceed attached_edges")
-    import networkx as nx
-
-    return nx.barabasi_albert_graph(nodes, attached_edges, seed=seed)
-
-
 def powerlaw_cluster_graph(nodes: int, attached_edges: int = 5,
                            triangle_probability: float = 0.3,
                            seed: int = 0) -> nx.Graph:
@@ -54,14 +44,6 @@ def powerlaw_cluster_graph(nodes: int, attached_edges: int = 5,
 
     return nx.powerlaw_cluster_graph(nodes, attached_edges,
                                      triangle_probability, seed=seed)
-
-
-def erdos_renyi_graph(nodes: int, probability: float, seed: int = 0,
-                      directed: bool = False) -> nx.Graph:
-    """Uniform random graph."""
-    import networkx as nx
-
-    return nx.gnp_random_graph(nodes, probability, seed=seed, directed=directed)
 
 
 def random_edge_relation(nodes: int, edges: int, seed: int = 0,

@@ -78,13 +78,3 @@ def load_snap_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Relation:
             rows.add((v, u))
             rows.add((u, v))
     return Relation(name, ("src", "dst"), rows)
-
-
-def dataset_summary(scale: float = 1.0, seed: int = 0) -> list[dict[str, object]]:
-    """Name/node/edge summary of the generated datasets (for reports)."""
-    summary = []
-    for name in DATASETS:
-        relation = load_snap_dataset(name, scale=scale, seed=seed)
-        nodes = len({v for row in relation for v in row})
-        summary.append({"dataset": name, "nodes": nodes, "edges": len(relation)})
-    return summary

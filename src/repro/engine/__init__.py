@@ -11,35 +11,18 @@ wrapper over these stages, and is the door to the paper's tuple
 drivers, which have no plan.  See ``docs/architecture.md``.
 """
 
-from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
-from repro.engine.ir import (
-    COLUMNAR_KIND,
-    BoundQuery,
-    IndexSpec,
-    JoinPlan,
-    ShardingSpec,
-    canonical_options,
-)
+from repro.engine.cache import DEFAULT_CACHE_BYTES
+from repro.engine.ir import JoinPlan
 from repro.engine.pipeline import bind, plan, prepare
 from repro.engine.prepared import PreparedJoin
 from repro.engine.session import Session
-from repro.joins.executor import ALGORITHMS, ENGINES
 
 __all__ = [
-    "ALGORITHMS",
-    "ENGINES",
-    "BoundQuery",
-    "COLUMNAR_KIND",
-    "CacheStats",
     "DEFAULT_CACHE_BYTES",
-    "IndexCache",
-    "IndexSpec",
     "JoinPlan",
     "PreparedJoin",
     "Session",
-    "ShardingSpec",
     "bind",
-    "canonical_options",
     "plan",
     "prepare",
 ]

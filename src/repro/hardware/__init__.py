@@ -1,13 +1,6 @@
 """Simulated microarchitecture: caches, memory traces, cost models."""
 
-from repro.hardware.cache import (
-    CacheHierarchy,
-    CacheLevel,
-    CacheStats,
-    HierarchyStats,
-    tiny_hierarchy,
-    xeon_silver_4114,
-)
+from repro.hardware.cache import CacheHierarchy, xeon_silver_4114
 from repro.hardware.cost_model import (
     CycleCostModel,
     ParallelBuildModel,
@@ -17,13 +10,9 @@ from repro.hardware.memtrace import MemoryTracer
 
 __all__ = [
     "CacheHierarchy",
-    "CacheLevel",
-    "CacheStats",
     "CycleCostModel",
-    "HierarchyStats",
     "MemoryTracer",
     "ParallelBuildModel",
     "granularity_sweep",
-    "tiny_hierarchy",
     "xeon_silver_4114",
 ]

@@ -157,12 +157,3 @@ def xeon_silver_4114(line_bytes: int = 64) -> list[CacheLevel]:
         CacheLevel("L2", 256 * 1024, 8, line_bytes),
         CacheLevel("L3", 25600 * 1024, 16, line_bytes),
     ]
-
-
-def tiny_hierarchy(l1_bytes: int = 1024, l2_bytes: int = 8192,
-                   line_bytes: int = 64) -> CacheHierarchy:
-    """A miniature two-level hierarchy for fast unit tests."""
-    return CacheHierarchy([
-        CacheLevel("L1", l1_bytes, 2, line_bytes),
-        CacheLevel("L2", l2_bytes, 4, line_bytes),
-    ])

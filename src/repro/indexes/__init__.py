@@ -25,52 +25,30 @@ the prepare stage whatever ``index=`` says), not a §3.1 tuple index.
 """
 
 from repro.indexes.art import AdaptiveRadixTree
-from repro.indexes.base import (
-    FallbackCursor,
-    PointIndex,
-    PrefixCursor,
-    TupleIndex,
-)
-from repro.indexes.bitvector import BitVector, BitVectorBuilder
+from repro.indexes.base import PrefixCursor, TupleIndex
 from repro.indexes.btree import BPlusTree
-from repro.indexes.columnar import ColumnarTrie
 from repro.indexes.hashset import SwissTableSet
 from repro.indexes.hashtrie import HashTrie
 from repro.indexes.hattrie import HatTrie
 from repro.indexes.hierarchical import HierarchicalHashMap
-from repro.indexes.registry import (
-    ensure_registered,
-    make_index,
-    prefix_capable_indexes,
-    register_index,
-    registered_indexes,
-)
-from repro.indexes.robinhood import RobinHoodMap, RobinHoodTupleIndex
-from repro.indexes.sorted_trie import SortedTrie, TrieIterator
+from repro.indexes.registry import make_index, register_index, registered_indexes
+from repro.indexes.robinhood import RobinHoodTupleIndex
+from repro.indexes.sorted_trie import SortedTrie
 from repro.indexes.surf import SuccinctRangeFilter
 
 __all__ = [
     "AdaptiveRadixTree",
-    "BitVector",
-    "BitVectorBuilder",
     "BPlusTree",
-    "ColumnarTrie",
-    "FallbackCursor",
     "HashTrie",
     "HatTrie",
     "HierarchicalHashMap",
-    "PointIndex",
     "PrefixCursor",
-    "RobinHoodMap",
     "RobinHoodTupleIndex",
     "SortedTrie",
     "SuccinctRangeFilter",
     "SwissTableSet",
-    "TrieIterator",
     "TupleIndex",
-    "ensure_registered",
     "make_index",
-    "prefix_capable_indexes",
     "register_index",
     "registered_indexes",
 ]

@@ -45,32 +45,3 @@ def encode_component(value: object) -> bytes:
 def encode_tuple(row: tuple) -> bytes:
     """Concatenated component encodings; prefixes align with tuple prefixes."""
     return b"".join(encode_component(value) for value in row)
-
-
-def decode_tuple(data: bytes) -> tuple:
-    """Inverse of :func:`encode_tuple` (used by tests and SuRF leaves)."""
-    values = []
-    position = 0
-    size = len(data)
-    while position < size:
-        tag = data[position:position + 1]
-        position += 1
-        if tag == _INT_TAG:
-            word = int.from_bytes(data[position:position + 8], "big")
-            values.append(word - _INT_BIAS)
-            position += 8
-        elif tag == _STR_TAG:
-            chunks = []
-            while True:
-                zero = data.index(b"\x00", position)
-                if data[zero + 1:zero + 2] == b"\xff":  # escaped NUL
-                    chunks.append(data[position:zero] + b"\x00")
-                    position = zero + 2
-                    continue
-                chunks.append(data[position:zero])
-                position = zero + 2  # skip the 00 00 terminator
-                break
-            values.append(b"".join(chunks).decode("utf-8"))
-        else:
-            raise SchemaError(f"bad type tag {tag!r} at offset {position - 1}")
-    return tuple(values)

@@ -7,7 +7,7 @@ The benchmark harness sweeps "every index in the study" (Figs 4–9, 13, 14,
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 from repro.indexes.base import TupleIndex
@@ -63,10 +63,3 @@ def prefix_capable_indexes() -> list[str]:
         if probe.SUPPORTS_PREFIX:
             names.append(name)
     return names
-
-
-def ensure_registered(names: Iterable[str]) -> None:
-    """Raise if any of ``names`` is not registered (harness sanity check)."""
-    missing = [n for n in names if n not in _REGISTRY]
-    if missing:
-        raise ConfigurationError(f"indexes not registered: {missing}")

@@ -1,43 +1,20 @@
 """Join algorithms: Generic Join, binary pipeline, Hash-Trie Join, LFTJ."""
 
-from repro.joins.batch import GenericJoinBatch
 from repro.joins.binary import BinaryHashJoin
-from repro.joins.executor import (
-    ALGORITHMS,
-    ENGINES,
-    build_adapters,
-    join,
-    resolve_relations,
-    triangle_count,
-)
+from repro.joins.executor import join, resolve_relations
 from repro.joins.generic_join import GenericJoin
 from repro.joins.hashtrie_join import HashTrieJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.recursive import RecursiveJoin
-from repro.joins.results import (
-    CountingSink,
-    JoinMetrics,
-    JoinResult,
-    MaterializingSink,
-    ResultSink,
-)
+from repro.joins.results import JoinResult
 
 __all__ = [
-    "ALGORITHMS",
     "BinaryHashJoin",
-    "CountingSink",
-    "ENGINES",
     "GenericJoin",
-    "GenericJoinBatch",
     "HashTrieJoin",
-    "JoinMetrics",
     "JoinResult",
     "LeapfrogTrieJoin",
-    "MaterializingSink",
     "RecursiveJoin",
-    "ResultSink",
-    "build_adapters",
     "join",
     "resolve_relations",
-    "triangle_count",
 ]

@@ -28,11 +28,13 @@ rows:
 
 The expanded frontier is cut into blocks of :data:`BLOCK_ROWS` *expanded*
 rows and the blocks are processed depth-first, so live intermediates are
-bounded by depth x block however wide a level gets, while the candidate
-sets and the intersection discipline are exactly the tuple driver's.  A
-materialising run therefore has the tuple driver's per-level
-intermediate counts, and every configuration answers the brute-force
-bag (``tests/joins/test_frontier_differential.py``).
+bounded by depth x block however wide a level gets.  Rows and
+per-level survivors are the tuple driver's, so a materialising run has
+its per-level intermediate counts, and every configuration answers the
+brute-force bag (``tests/joins/test_frontier_differential.py``).
+Candidates match only where both pick the same seed: the tuple driver
+sizes a participant by the tuples below its prefix
+(``cursor.count()``), the frontier by its distinct children.
 
 **Bags and codes.**  When a trie has ``weights`` (repeated rows,
 :mod:`repro.indexes.columnar`) the frontier carries a weight column:

@@ -64,7 +64,7 @@ from repro.planner.cardinality import Statistics
 from repro.planner.hypergraph import Hypergraph
 from repro.planner.optimizer import HybridOptimizer, cyclic_core
 from repro.planner.qptree import connectivity_order
-from repro.planner.query import Atom, JoinQuery, parse_query
+from repro.planner.query import Atom, JoinQuery
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 
@@ -530,12 +530,3 @@ def join(query: "JoinQuery | str",
         # releases the shared memory of a sharded run; a no-op for
         # ordinary single-process plans
         prepared.close()
-
-
-def triangle_count(edges: Relation, algorithm: str = "generic",
-                   index: str = "sonic", **kwargs) -> int:
-    """Count directed triangles in an edge relation (the paper's Fig 1 query)."""
-    query = parse_query("E1=E(a,b), E2=E(b,c), E3=E(c,a)")
-    result = join(query, {"E1": edges, "E2": edges, "E3": edges},
-                  algorithm=algorithm, index=index, **kwargs)
-    return result.count

@@ -4,9 +4,9 @@ A profiled shard worker answers with its own
 :class:`~repro.obs.profile.JoinProfile`; this module is what lets the
 parent put that profile's spans on its own timeline:
 
-* a :class:`TraceContext` travels with every shard task — a trace id,
-  the parent span it hangs under, and the parent-clock timestamp of
-  dispatch, so a worker's response can be correlated and clock-aligned;
+* every shard task carries the parent-clock timestamp of its dispatch
+  (``task["trace"]["issued_ns"]``), so a worker's response can be
+  clock-aligned;
 * :func:`calibrate_clock_offset` estimates the worker→parent clock
   offset NTP-style from the four stamps around one task round trip
   (parent issue ``T0``, worker receive ``R0``, worker respond ``R1``,
@@ -24,43 +24,6 @@ parallel layer imports this module, never the reverse.
 """
 
 from __future__ import annotations
-
-import uuid
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """What one shard task carries so its worker can join the trace.
-
-    ``issued_ns`` is the parent clock at dispatch (calibration stamp
-    ``T0``); ``trace_id`` names the execution (one id per fan-out) and
-    ``parent_span`` the span the worker's activity nests under.
-    """
-
-    trace_id: str
-    parent_span: str
-    issued_ns: int
-
-    @classmethod
-    def create(cls, parent_span: str = "shard_fanout") -> "TraceContext":
-        from repro.joins.results import Stopwatch
-
-        return cls(trace_id=uuid.uuid4().hex[:16], parent_span=parent_span,
-                   issued_ns=Stopwatch.now_ns())
-
-    def to_wire(self) -> dict:
-        """The picklable form shipped inside the task dict."""
-        return {"trace_id": self.trace_id, "parent_span": self.parent_span,
-                "issued_ns": self.issued_ns}
-
-    @classmethod
-    def from_wire(cls, wire: "dict | None") -> "TraceContext | None":
-        if not wire:
-            return None
-        return cls(trace_id=wire["trace_id"],
-                   parent_span=wire["parent_span"],
-                   issued_ns=wire["issued_ns"])
 
 
 def calibrate_clock_offset(issued_ns: "int | None",

@@ -25,39 +25,11 @@ accumulation, so locked calls happen per phase, not per tuple.
 
 Counter names are dotted strings (``"frontier.blocks"``); the catalog
 lives in ``docs/observability.md``.
-
-For serving, :meth:`Metrics.to_prometheus_text` renders a registry in
-the Prometheus text exposition format (dotted names become underscored,
-histograms expand to ``_count``/``_sum``/``_min``/``_max`` series), and
-a :class:`MetricsRegistry` collects named registries behind one
-``scrape()`` — the shape a ``/metrics`` endpoint needs.
 """
 
 from __future__ import annotations
 
-import re
 import threading
-
-#: characters Prometheus forbids in metric names (dots included)
-_PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str, prefix: str) -> str:
-    """A dotted counter name as a legal Prometheus metric name."""
-    sanitized = _PROM_BAD.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return prefix + sanitized
-
-
-def _prom_labels(labels: "dict[str, str] | None") -> str:
-    if not labels:
-        return ""
-    parts = []
-    for key, value in sorted(labels.items()):
-        escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-        parts.append(f'{key}="{escaped}"')
-    return "{" + ",".join(parts) + "}"
 
 
 class Metrics:
@@ -124,34 +96,6 @@ class Metrics:
             "histograms": self.histograms(),
         }
 
-    def to_prometheus_text(self, prefix: str = "repro_",
-                           labels: "dict[str, str] | None" = None) -> str:
-        """The registry in the Prometheus text exposition format.
-
-        Counters export as ``counter`` series; each histogram expands to
-        ``_count``/``_sum`` (the conventional summary pair) plus
-        ``_min``/``_max`` gauges.  Dotted names are sanitized
-        (``join.emitted`` → ``repro_join_emitted``); ``labels`` are
-        attached to every sample, which is how :class:`MetricsRegistry`
-        distinguishes its sources.
-        """
-        with self._lock:
-            counters = sorted(self.counters.items())
-        label_text = _prom_labels(labels)
-        lines: list[str] = []
-        for name, value in counters:
-            metric = _prom_name(name, prefix)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric}{label_text} {value}")
-        for name, summary in sorted(self.histograms().items()):
-            metric = _prom_name(name, prefix)
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(f"{metric}_count{label_text} {summary['count']}")
-            lines.append(f"{metric}_sum{label_text} {summary['total']}")
-            lines.append(f"{metric}_min{label_text} {summary['min']}")
-            lines.append(f"{metric}_max{label_text} {summary['max']}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def merge(self, other: "Metrics") -> None:
         """Fold another registry's counts into this one.
 
@@ -199,61 +143,3 @@ class NullMetrics(Metrics):
 
 #: the shared disabled registry (never holds data)
 NULL_METRICS = NullMetrics()
-
-
-class MetricsRegistry:
-    """Named :class:`Metrics` sources behind one snapshot-and-scrape API.
-
-    The serving-layer shape: long-lived components (a session, a worker
-    pool, a cache) each :meth:`register` a registry once; a ``/metrics``
-    endpoint calls :meth:`scrape` per request and gets one Prometheus
-    text document with a ``source`` label per registry.  Registration is
-    cheap and scraping never blocks writers beyond the per-registry
-    snapshot locks.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._sources: dict[str, Metrics] = {}  # repro: shared[lock=_lock]
-
-    def register(self, name: str, metrics: "Metrics | None" = None) -> Metrics:
-        """Attach (or create) the registry published under ``name``.
-
-        Re-registering a name replaces the previous source — the
-        restart-friendly behaviour: a rebuilt component republishes
-        itself without a stale twin lingering.
-        """
-        if metrics is None:
-            metrics = Metrics()
-        with self._lock:
-            self._sources[name] = metrics
-        return metrics
-
-    def unregister(self, name: str) -> None:
-        """Drop a source (idempotent)."""
-        with self._lock:
-            self._sources.pop(name, None)
-
-    def sources(self) -> "dict[str, Metrics]":
-        """A point-in-time copy of the name → registry mapping."""
-        with self._lock:
-            return dict(self._sources)
-
-    def snapshot(self) -> Metrics:
-        """All sources folded into one fresh :class:`Metrics`."""
-        merged = Metrics()
-        for _, metrics in sorted(self.sources().items()):
-            merged.merge(metrics)
-        return merged
-
-    def scrape(self, prefix: str = "repro_") -> str:
-        """One Prometheus text document covering every source."""
-        chunks = [
-            metrics.to_prometheus_text(prefix, labels={"source": name})
-            for name, metrics in sorted(self.sources().items())
-        ]
-        return "".join(chunk for chunk in chunks if chunk)
-
-
-#: the process-wide default registry a serving layer scrapes
-METRICS_REGISTRY = MetricsRegistry()

@@ -34,9 +34,7 @@ per span close, never per tuple.
 
 from __future__ import annotations
 
-import json
 import threading
-from pathlib import Path
 
 
 def chrome_event(span: dict, pid: int = 1) -> dict:
@@ -163,12 +161,6 @@ class Tracer:
         """A Chrome ``trace_event`` JSON document (Perfetto-loadable)."""
         return {"traceEvents": [chrome_event(span) for span in self.as_dicts()],
                 "displayTimeUnit": "ms"}
-
-    def write_chrome(self, path: "str | Path") -> Path:
-        """Serialize :meth:`to_chrome` to ``path``; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_chrome(), indent=2) + "\n")
-        return path
 
 
 class _NullSpan:

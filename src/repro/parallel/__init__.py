@@ -24,47 +24,10 @@ concatenate.  Layers, parent → worker:
 * :mod:`repro.parallel.merge` — deterministic concatenation, counter
   fold-in via :meth:`repro.obs.metrics.Metrics.merge`.
 
-Users never touch these classes directly: ``join(..., parallel=K)``
-(or ``REPRO_WORKERS=K``) plants a
+Users never touch these classes directly, so the package exports
+nothing: ``join(..., parallel=K)`` (or ``REPRO_WORKERS=K``) plants a
 :class:`~repro.engine.ir.ShardingSpec` in the plan, and the engine's
 prepare/execute stages route through here.
 """
 
-from repro.parallel.merge import merge_shard_results
-from repro.parallel.partition import (
-    build_sharded_columns,
-    partition_order,
-    shard_ids,
-    shard_of,
-)
-from repro.parallel.pool import WorkerPool, resolve_workers, start_method
-from repro.parallel.runner import ShardedRunner
-from repro.parallel.shm import (
-    SEGMENT_PREFIX,
-    ColumnHandle,
-    Segment,
-    ShardedColumns,
-    attach_array,
-    export_array,
-)
-from repro.parallel.worker import run_shard_task, worker_main
-
-__all__ = [
-    "SEGMENT_PREFIX",
-    "ColumnHandle",
-    "Segment",
-    "ShardedColumns",
-    "ShardedRunner",
-    "WorkerPool",
-    "attach_array",
-    "build_sharded_columns",
-    "export_array",
-    "merge_shard_results",
-    "partition_order",
-    "resolve_workers",
-    "run_shard_task",
-    "shard_ids",
-    "shard_of",
-    "start_method",
-    "worker_main",
-]
+__all__: list[str] = []

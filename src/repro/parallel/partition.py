@@ -69,16 +69,6 @@ def shard_ids(column: np.ndarray, workers: int) -> np.ndarray:
     return ids
 
 
-def shard_of(value: object, workers: int) -> int:
-    """The shard one attribute value routes to (test/debug helper)."""
-    if workers <= 1:
-        return 0
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(_fmix64_array(np.asarray([value], dtype=np.int64))[0]
-                   % np.uint64(workers))
-    return _hash_value(value) % workers
-
-
 def partition_order(column: np.ndarray, workers: int,
                     ) -> "tuple[np.ndarray, np.ndarray]":
     """``(row_order, boundaries)`` grouping rows by shard id.

@@ -26,7 +26,6 @@ from dataclasses import replace
 from repro.core.envflag import env_flag, env_str
 from repro.indexes.columnar import ColumnarTrie
 from repro.joins.results import JoinResult, Stopwatch
-from repro.obs.distributed import TraceContext
 from repro.obs.flightrec import FLIGHT_RECORDER
 from repro.obs.observer import NULL_OBSERVER
 from repro.parallel.merge import (
@@ -93,8 +92,8 @@ class ShardedRunner:
                 build_charge: float = 0.0) -> JoinResult:
         """Run every shard and merge; parent wall clock is the probe.
 
-        Every dispatched task carries a :class:`TraceContext` (one trace
-        id per execution, a per-task parent-clock dispatch stamp), so a
+        Every dispatched task carries its parent-clock dispatch stamp
+        (``task["trace"]``; the fan-out's trace id names its spans), so a
         profiled worker answers with its own profile and the stamps that
         put its spans on the parent's timeline.  An enabled observer
         receives the fan-out and those profiles (``observer.sharding`` /
@@ -114,9 +113,7 @@ class ShardedRunner:
                 if task is None:
                     shard_results.append(_empty_shard_result(shard))
                 else:
-                    task["trace"] = TraceContext(
-                        trace_id, "shard_fanout",
-                        Stopwatch.now_ns()).to_wire()
+                    task["trace"] = {"issued_ns": Stopwatch.now_ns()}
                     shard_results.append(task)  # placeholder, filled below
                     tasks.append(task)
             FLIGHT_RECORDER.record("runner.fanout", trace_id=trace_id,

@@ -1,58 +1,30 @@
 """Planning substrate: hypergraphs, AGM bounds, total orders, optimizers."""
 
-from repro.planner.agm import (
-    FractionalCover,
-    agm_bound,
-    fractional_cover,
-    integral_cover_bound,
-    verify_cover,
-)
-from repro.planner.cardinality import Statistics, estimate_join_size
+from repro.planner.agm import agm_bound, fractional_cover, integral_cover_bound
+from repro.planner.cardinality import Statistics
 from repro.planner.hypergraph import Hypergraph
-from repro.planner.optimizer import (
-    HybridOptimizer,
-    PlanChoice,
-    greedy_join_order,
-    is_alpha_acyclic,
-)
+from repro.planner.optimizer import HybridOptimizer
 from repro.planner.qptree import (
-    QPNode,
     build_qp_tree,
     connectivity_order,
     is_compatible,
-    order_heuristic_cardinality,
     total_order,
 )
-from repro.planner.query import (
-    Atom,
-    JoinQuery,
-    clique_query,
-    cycle_query,
-    parse_query,
-)
+from repro.planner.query import JoinQuery, clique_query, cycle_query, parse_query
 
 __all__ = [
-    "Atom",
-    "FractionalCover",
     "HybridOptimizer",
     "Hypergraph",
     "JoinQuery",
-    "PlanChoice",
-    "QPNode",
     "Statistics",
     "agm_bound",
     "build_qp_tree",
     "clique_query",
     "connectivity_order",
     "cycle_query",
-    "estimate_join_size",
     "fractional_cover",
-    "greedy_join_order",
     "integral_cover_bound",
-    "is_alpha_acyclic",
     "is_compatible",
-    "order_heuristic_cardinality",
     "parse_query",
     "total_order",
-    "verify_cover",
 ]

@@ -136,14 +136,3 @@ def integral_cover_bound(hypergraph: Hypergraph,
     if math.isinf(best):
         raise QueryError(f"no integral edge cover for {hypergraph!r}")
     return best
-
-
-def verify_cover(hypergraph: Hypergraph, weights: Mapping[str, float],
-                 tolerance: float = 1e-9) -> bool:
-    """Check that ``weights`` is a feasible fractional edge cover."""
-    for vertex in hypergraph.vertices:
-        total = sum(weights.get(name, 0.0)
-                    for name in hypergraph.edges_with(vertex))
-        if total < 1.0 - tolerance:
-            return False
-    return all(w >= -tolerance for w in weights.values())

@@ -66,21 +66,6 @@ class Hypergraph:
             chosen |= self.edges[name]
         return chosen >= set(self.vertices)
 
-    def restricted_to(self, vertices: Iterable[str]) -> "Hypergraph":
-        """Sub-hypergraph induced on ``vertices`` (for GJ sub-problems).
-
-        Edges are intersected with the vertex set; empty intersections are
-        dropped.
-        """
-        keep = set(vertices)
-        edges = {}
-        for name, attrs in self.edges.items():
-            shared = attrs & keep
-            if shared:
-                edges[name] = shared
-        order = [v for v in self.vertices if v in keep]
-        return Hypergraph(order, edges)
-
     def is_connected(self) -> bool:
         """Is the hypergraph connected (no cartesian-product components)?"""
         import networkx as nx
@@ -104,11 +89,6 @@ class Hypergraph:
                 if self.edges[left] & self.edges[right]:
                     graph.add_edge(left, right)
         return graph
-
-    def covered_by_single_edge(self) -> bool:
-        """Is some edge a superset of all vertices (trivial query)?"""
-        full = set(self.vertices)
-        return any(attrs >= full for attrs in self.edges.values())
 
     def __repr__(self) -> str:
         edges = ", ".join(f"{n}:{sorted(a)}" for n, a in self.edges.items())

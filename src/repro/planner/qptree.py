@@ -172,19 +172,3 @@ def connectivity_order(query: JoinQuery) -> tuple[str, ...]:
         for atom in query.atoms_with(best):
             bound_atoms.add(atom.alias)
     return tuple(order)
-
-
-def order_heuristic_cardinality(query: JoinQuery,
-                                cardinalities: dict[str, int]) -> tuple[str, ...]:
-    """Alternative total order: greedy by ascending attribute selectivity.
-
-    Orders attributes by the minimum cardinality of the relations binding
-    them (most selective first), a common heuristic in WCOJ systems [34].
-    Exposed so the ablation bench can compare order policies.
-    """
-    def score(attribute: str) -> tuple[int, str]:
-        sizes = [cardinalities.get(atom.alias, 0)
-                 for atom in query.atoms_with(attribute)]
-        return (min(sizes) if sizes else 0, attribute)
-
-    return tuple(sorted(query.attributes, key=score))

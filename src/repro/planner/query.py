@@ -99,30 +99,6 @@ class JoinQuery:
         """All atoms binding ``attribute``."""
         return [a for a in self.atoms if attribute in a.attributes]
 
-    def validate_connected(self) -> None:
-        """Raise if the query hypergraph is disconnected (cartesian product).
-
-        The join algorithms handle disconnected queries (the result is a
-        cross product of components) but callers usually want to know.
-        """
-        remaining = set(range(len(self.atoms)))
-        frontier = {0}
-        remaining.discard(0)
-        covered = set(self.atoms[0].attributes)
-        while frontier:
-            frontier = {
-                i for i in remaining
-                if covered.intersection(self.atoms[i].attributes)
-            }
-            for i in frontier:
-                covered.update(self.atoms[i].attributes)
-            remaining -= frontier
-        if remaining:
-            raise QueryError(
-                f"query {self} is disconnected (cartesian product between "
-                f"atom groups)"
-            )
-
 
 def parse_query(text: str) -> JoinQuery:
     """Parse ``"R(a,b), S(b,c), T(c,a)"`` into a :class:`JoinQuery`.

@@ -1,21 +1,6 @@
-"""Relational substrate: schemas, relations, catalogs, CSV round-tripping."""
+"""Relational substrate: schemas, relations, catalogs, CSV input."""
 
-from repro.storage.catalog import Catalog
-from repro.storage.csvio import (
-    load_edge_list,
-    load_relation,
-    save_edge_list,
-    save_relation,
-)
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
-__all__ = [
-    "Catalog",
-    "Relation",
-    "Schema",
-    "load_edge_list",
-    "load_relation",
-    "save_edge_list",
-    "save_relation",
-]
+__all__ = ["Relation", "Schema"]

@@ -1,9 +1,13 @@
-"""CSV import/export for relations.
+"""CSV input for relations.
 
-Real deployments of the paper's system load SNAP edge lists and IMDB CSV
-dumps; this module provides the equivalent plumbing so the examples can
-round-trip datasets to disk.  Values are stored as text; a per-column type
-row can be embedded so integers survive the round trip.
+The loader behind ``python -m repro.obs --relation ALIAS=PATH``.  The
+first row holds attribute names; an optional second row of per-column
+type tags (``#type:int`` / ``#type:str`` / ``#type:float``) fixes value
+types, and without one a column whose every value parses as ``int``
+becomes ints.  The file comes from outside the program, so a row of the
+wrong width, an unknown type tag or a cell its type tag cannot parse is
+a :class:`~repro.errors.SchemaError` naming the file, the line and the
+width, tag or column.
 """
 
 from __future__ import annotations
@@ -22,34 +26,9 @@ _TYPE_PARSERS = {
 }
 
 
-def save_relation(relation: Relation, path: str | Path, typed: bool = True) -> None:
-    """Write ``relation`` to ``path`` as CSV.
-
-    The first row holds attribute names; when ``typed`` is set, the second
-    row holds per-column type tags (``int``/``str``/``float``) inferred from
-    the first data row so :func:`load_relation` can restore value types.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(relation.schema.attributes)
-        if typed:
-            if len(relation):
-                first = relation.rows[0]
-                tags = [_type_tag(v) for v in first]
-            else:
-                tags = ["str"] * relation.arity
-            writer.writerow([f"#type:{t}" for t in tags])
-        writer.writerows(relation.rows)
-
-
 def load_relation(name: str, path: str | Path,
                   schema: Schema | None = None) -> Relation:
-    """Read a relation written by :func:`save_relation` (or any plain CSV).
-
-    A plain CSV without a type row is loaded with best-effort integer
-    parsing (a column whose every value parses as ``int`` becomes ints).
-    """
+    """Read a CSV file with a header row as the relation ``name``."""
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -57,59 +36,42 @@ def load_relation(name: str, path: str | Path,
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty CSV, cannot infer schema") from None
-        rows = list(reader)
-
-    parsers = None
-    if rows and rows[0] and rows[0][0].startswith("#type:"):
-        tags = [cell.split(":", 1)[1] for cell in rows[0]]
-        parsers = [_TYPE_PARSERS.get(tag, str) for tag in tags]
-        rows = rows[1:]
+        rows = [(reader.line_num, row) for row in reader]
 
     if schema is None:
         schema = Schema(header)
     elif tuple(schema.attributes) != tuple(header):
         raise SchemaError(f"{path}: header {header} does not match schema {schema.attributes}")
 
+    for line, row in rows:
+        if len(row) != len(header):
+            raise SchemaError(f"{path}, line {line}: {len(row)} cells, "
+                              f"but the header names {len(header)} columns")
+
+    parsers = None
+    if rows and rows[0][1] and rows[0][1][0].startswith("#type:"):
+        line, tags = rows.pop(0)
+        known = {f"#type:{kind}" for kind in _TYPE_PARSERS}
+        unknown = sorted(set(tags) - known)
+        if unknown:
+            raise SchemaError(f"{path}, line {line}: unknown type tags "
+                              f"{unknown}; choose from {sorted(_TYPE_PARSERS)}")
+        parsers = [_TYPE_PARSERS[tag.removeprefix("#type:")] for tag in tags]
     if parsers is None:
-        parsers = _infer_parsers(rows, len(header))
+        parsers = _infer_parsers([row for _, row in rows], len(header))
 
-    parsed = (tuple(parse(cell) for parse, cell in zip(parsers, row)) for row in rows)
+    parsed = []
+    for line, row in rows:
+        values = []
+        for attribute, parse, cell in zip(header, parsers, row):
+            try:
+                values.append(parse(cell))
+            except ValueError:
+                raise SchemaError(
+                    f"{path}, line {line}, column {attribute!r}: "
+                    f"{cell!r} is not {parse.__name__}") from None
+        parsed.append(tuple(values))
     return Relation(name, schema, parsed)
-
-
-def save_edge_list(relation: Relation, path: str | Path) -> None:
-    """Write a two-column relation as a whitespace edge list (SNAP format)."""
-    if relation.arity != 2:
-        raise SchemaError("edge lists require a binary relation")
-    path = Path(path)
-    with path.open("w") as handle:
-        for src, dst in relation:
-            handle.write(f"{src}\t{dst}\n")
-
-
-def load_edge_list(name: str, path: str | Path,
-                   attributes: tuple[str, str] = ("src", "dst")) -> Relation:
-    """Read a SNAP-style edge list (``#`` comments allowed) as a relation."""
-    path = Path(path)
-    edges = []
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            src, dst = line.split()[:2]
-            edges.append((int(src), int(dst)))
-    return Relation(name, Schema(attributes), edges)
-
-
-def _type_tag(value: object) -> str:
-    if isinstance(value, bool):
-        return "str"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    return "str"
 
 
 def _infer_parsers(rows: list[list[str]], width: int) -> list:
@@ -119,7 +81,7 @@ def _infer_parsers(rows: list[list[str]], width: int) -> list:
         for row in rows:
             try:
                 int(row[col])
-            except (ValueError, IndexError):
+            except ValueError:
                 all_int = False
                 break
         parsers.append(int if all_int else str)

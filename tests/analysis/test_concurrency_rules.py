@@ -4,7 +4,7 @@ Planted fixtures and clean counterexamples for these rules are checked
 with every other rule's by ``test_lint_rules.TestRuleCatalog``.
 """
 
-from repro.analysis import analyze_source
+from repro.analysis.engine import analyze_source
 
 ANY_PATH = "src/repro/anywhere.py"
 

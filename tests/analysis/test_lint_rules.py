@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_file, analyze_paths, analyze_source
+from repro.analysis.engine import analyze_file, analyze_paths, analyze_source
 from repro.analysis.noqa import BLANKET, line_suppressions
 from repro.analysis.rules import rule_catalog
 
@@ -92,7 +92,7 @@ class TestEngineBehaviour:
         assert findings == sorted(findings)
 
     def test_rule_filter(self):
-        from repro.analysis import select_rules
+        from repro.analysis.engine import select_rules
 
         only = select_rules(["RA102"])
         findings = analyze_paths([TREE], rules=only)

@@ -1,6 +1,6 @@
 """Suppression syntax: # repro: noqa[RULE] and the blanket form."""
 
-from repro.analysis import analyze_source
+from repro.analysis.engine import analyze_source
 from repro.analysis.noqa import BLANKET, is_suppressed, line_suppressions
 
 

@@ -3,14 +3,11 @@
 from repro.bench import (
     BUILD_AND_POINT_INDEXES,
     PREFIX_INDEXES,
-    Timing,
-    build_index,
     make_sized_index,
-    sweep,
     time_callable,
 )
+from repro.bench.timer import Timing
 from repro.core import SonicIndex
-from repro.data import zipf_table
 from repro.indexes import registered_indexes
 
 
@@ -30,25 +27,9 @@ class TestMakeSizedIndex:
         assert set(PREFIX_INDEXES) <= names
 
 
-class TestBuildIndex:
-    def test_builds_over_relation(self):
-        relation = zipf_table("T", 200, 3, seed=1)
-        index = build_index("sonic", relation)
-        assert len(index) == len(relation)
-
-
-class TestSweep:
-    def test_shape(self):
-        xs, series = sweep(["a", "b"], [1, 2, 3],
-                           lambda name, x: float(x if name == "a" else -x))
-        assert xs == [1, 2, 3]
-        assert series == {"a": [1.0, 2.0, 3.0], "b": [-1.0, -2.0, -3.0]}
-
-
 class TestTimer:
     def test_time_callable(self):
         timing = time_callable(lambda: sum(range(1000)), repeats=3)
         assert isinstance(timing, Timing)
         assert 0 <= timing.best_seconds <= timing.mean_seconds
         assert timing.repeats == 3
-        assert timing.best_ms == timing.best_seconds * 1000

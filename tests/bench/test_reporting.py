@@ -2,7 +2,7 @@
 
 import json
 
-from repro.bench import print_series, print_table, save_results, speedup_summary
+from repro.bench import print_series, print_table, save_results
 from repro.bench.reporting import format_value
 
 
@@ -40,11 +40,3 @@ class TestPersistence:
         save_results(path, "fig2", {"y": 2})
         data = json.loads(path.read_text())
         assert data == {"fig1": {"x": 1}, "fig2": {"y": 2}}
-
-
-class TestSpeedups:
-    def test_speedup_summary(self):
-        summary = speedup_summary(10.0, {"fast": 5.0, "slow": 20.0, "zero": 0})
-        assert summary["fast"] == "2.00x"
-        assert summary["slow"] == "0.50x"
-        assert summary["zero"] == "inf"

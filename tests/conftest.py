@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core import SonicConfig, SonicIndex
+from repro.hardware.cache import CacheHierarchy, CacheLevel
 from repro.storage import Relation
 
 
@@ -25,6 +26,15 @@ def matching(rows: list[tuple], prefix: tuple) -> list[tuple]:
     """Ground-truth prefix lookup."""
     width = len(prefix)
     return sorted(row for row in rows if row[:width] == prefix)
+
+
+def tiny_hierarchy(l1_bytes: int = 1024, l2_bytes: int = 8192,
+                   line_bytes: int = 64) -> CacheHierarchy:
+    """A miniature two-level hierarchy for fast unit tests."""
+    return CacheHierarchy([
+        CacheLevel("L1", l1_bytes, 2, line_bytes),
+        CacheLevel("L2", l2_bytes, 4, line_bytes),
+    ])
 
 
 @pytest.fixture

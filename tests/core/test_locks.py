@@ -133,7 +133,7 @@ class TestLockDiscipline:
         from pathlib import Path
 
         import repro.core.locks as locks_module
-        from repro.analysis import analyze_paths
+        from repro.analysis.engine import analyze_paths
 
         findings = analyze_paths([Path(locks_module.__file__)])
         assert [f for f in findings if f.rule.startswith("RA7")] == []

@@ -3,8 +3,15 @@
 import pytest
 
 from conftest import make_rows, matching
-from repro.core import ParallelSonicBuilder, SonicConfig, SonicIndex, parallel_build
+from repro.core import ParallelSonicBuilder, SonicConfig, SonicIndex
 from repro.errors import ConfigurationError
+
+
+def parallel_build(rows, arity, num_threads, config):
+    index = SonicIndex(arity, config=config)
+    builder = ParallelSonicBuilder(index, num_threads=num_threads)
+    builder.build(rows)
+    return index, builder.contention_profile()
 
 
 class TestParallelBuildCorrectness:

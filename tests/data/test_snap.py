@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data import DATASETS, dataset_summary, load_snap_dataset
+from repro.data import DATASETS, load_snap_dataset
 from repro.data.graphs import triangle_count_truth
 from repro.errors import ConfigurationError
 
@@ -36,8 +36,8 @@ class TestDatasets:
         assert asymmetric > 0
 
     def test_relative_sizes_preserved(self):
-        summary = {row["dataset"]: row["edges"]
-                   for row in dataset_summary(scale=0.4, seed=6)}
+        summary = {name: len(load_snap_dataset(name, scale=0.4, seed=6))
+                   for name in DATASETS}
         assert summary["twitter"] > summary["epinions"] > summary["wikivote"]
 
     def test_social_graphs_have_triangles(self):

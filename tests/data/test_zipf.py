@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data import ZipfGenerator, zipf_columns
+from repro.data import ZipfGenerator
+from repro.data.zipf import zipf_columns
 from repro.errors import ConfigurationError
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import IndexCache, Session
+from repro.engine import Session
+from repro.engine.cache import IndexCache
 from repro.storage.relation import Relation
 
 

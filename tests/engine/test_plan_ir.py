@@ -13,14 +13,8 @@ from collections import Counter
 import pytest
 
 from repro.analysis.plancheck import check_join_plan, validate_join_plan
-from repro.engine import (
-    COLUMNAR_KIND,
-    IndexSpec,
-    JoinPlan,
-    bind,
-    canonical_options,
-    plan,
-)
+from repro.engine import JoinPlan, bind, plan
+from repro.engine.ir import COLUMNAR_KIND, IndexSpec, canonical_options
 from repro.errors import ConfigurationError, PlanValidationError
 from repro.joins import LeapfrogTrieJoin, join
 from repro.storage.relation import Relation

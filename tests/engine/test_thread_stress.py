@@ -25,7 +25,7 @@ from itertools import product
 import pytest
 
 from repro.engine import Session
-from repro.indexes import ColumnarTrie
+from repro.indexes.columnar import ColumnarTrie
 from repro.joins import join
 from repro.planner.query import parse_query
 from repro.storage.catalog import Catalog

@@ -2,8 +2,10 @@
 
 import pytest
 
+from conftest import tiny_hierarchy
 from repro.errors import ConfigurationError
-from repro.hardware import CacheHierarchy, CacheLevel, tiny_hierarchy, xeon_silver_4114
+from repro.hardware import CacheHierarchy, xeon_silver_4114
+from repro.hardware.cache import CacheLevel
 
 
 class TestCacheLevel:

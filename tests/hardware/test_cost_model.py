@@ -2,8 +2,9 @@
 
 import pytest
 
+from conftest import tiny_hierarchy
 from repro.errors import ConfigurationError
-from repro.hardware import CycleCostModel, ParallelBuildModel, granularity_sweep, tiny_hierarchy
+from repro.hardware import CycleCostModel, ParallelBuildModel, granularity_sweep
 
 
 class TestParallelBuildModel:

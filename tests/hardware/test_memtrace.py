@@ -2,9 +2,10 @@
 
 import pytest
 
+from conftest import tiny_hierarchy
 from repro.core import SonicConfig, SonicIndex
 from repro.errors import ConfigurationError
-from repro.hardware import CacheHierarchy, MemoryTracer, tiny_hierarchy
+from repro.hardware import CacheHierarchy, MemoryTracer
 
 
 @pytest.fixture

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Session
 from repro.errors import SchemaError
-from repro.indexes import ColumnarTrie, columnar, make_index
+from repro.indexes import columnar, make_index
+from repro.indexes.columnar import ColumnarTrie
 from repro.indexes.base import value_array
 from repro.storage.relation import Relation
 

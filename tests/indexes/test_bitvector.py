@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.indexes import BitVector, BitVectorBuilder
+from repro.indexes.bitvector import BitVector, BitVectorBuilder
 
 
 def reference_rank1(bits, position):

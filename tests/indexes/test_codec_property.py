@@ -3,20 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.indexes import BitVector
-from repro.indexes.keycodec import decode_tuple, encode_tuple
+from repro.indexes.bitvector import BitVector
+from repro.indexes.keycodec import encode_tuple
 
 _components = st.one_of(
     st.integers(-(2**62), 2**62),
     st.text(max_size=12),
 )
 _tuples = st.lists(_components, min_size=1, max_size=4).map(tuple)
-
-
-@settings(max_examples=150, deadline=None)
-@given(row=_tuples)
-def test_roundtrip(row):
-    assert decode_tuple(encode_tuple(row)) == row
 
 
 @settings(max_examples=150, deadline=None)
@@ -30,6 +24,7 @@ def test_order_preservation(left, right):
         # different arities: only prefix-consistent comparisons are defined
         return
     assert (encode_tuple(left) < encode_tuple(right)) == (left < right)
+    assert (encode_tuple(left) == encode_tuple(right)) == (left == right)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,12 +5,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.indexes import (
     SwissTableSet,
-    ensure_registered,
     make_index,
-    prefix_capable_indexes,
     register_index,
     registered_indexes,
 )
+from repro.indexes.registry import prefix_capable_indexes
 
 
 class TestRegistry:
@@ -44,8 +43,3 @@ class TestRegistry:
         assert "btree" in capable
         assert "hashset" not in capable
         assert "surf" not in capable
-
-    def test_ensure_registered(self):
-        ensure_registered(["sonic", "btree"])
-        with pytest.raises(ConfigurationError):
-            ensure_registered(["sonic", "missing-index"])

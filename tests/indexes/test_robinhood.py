@@ -1,7 +1,8 @@
 """Robin Hood map specifics: PSL invariant, backward-shift deletion."""
 
 from conftest import make_rows
-from repro.indexes import RobinHoodMap, RobinHoodTupleIndex
+from repro.indexes import RobinHoodTupleIndex
+from repro.indexes.robinhood import RobinHoodMap
 
 
 class TestMapBasics:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import join, parse_query
-from repro.indexes import prefix_capable_indexes
+from repro.indexes.registry import prefix_capable_indexes
 from repro.storage import Relation
 
 ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog")

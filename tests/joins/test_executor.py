@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro import Catalog, Relation, join, parse_query, triangle_count
+from repro import Relation, join, parse_query
 from repro.data import random_edge_relation, triangle_count_truth
 from repro.errors import ConfigurationError, QueryError
+from repro.storage.catalog import Catalog
 
 
 @pytest.fixture
@@ -117,8 +118,10 @@ class TestLazyOption:
 class TestTriangleCount:
     def test_matches_truth_for_each_algorithm(self, edges):
         truth = triangle_count_truth(edges)
+        query = parse_query("E1=E(a,b), E2=E(b,c), E3=E(c,a)")
+        tables = {"E1": edges, "E2": edges, "E3": edges}
         for algorithm in ("generic", "binary", "hashtrie", "leapfrog"):
-            assert triangle_count(edges, algorithm=algorithm) == truth
+            assert join(query, tables, algorithm=algorithm).count == truth
 
 
 class TestDebugMode:

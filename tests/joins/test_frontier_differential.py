@@ -64,9 +64,9 @@ from repro.joins import (
     LeapfrogTrieJoin,
     RecursiveJoin,
     batch,
-    build_adapters,
     resolve_relations,
 )
+from repro.joins.executor import build_adapters
 from repro.planner.cardinality import Statistics
 from repro.planner.hypergraph import Hypergraph
 from repro.planner.optimizer import HybridOptimizer, is_alpha_acyclic
@@ -784,6 +784,27 @@ def test_an_atom_joining_at_its_root_below_the_first_level(block,
     levels = _held_to_tuple(query, {"R": r, "S": s, "T": t}, ("a", "b"))
     assert levels[1].seed_counts == {"S": 1, "T": 2}
     assert (levels[1].candidates, levels[1].survivors) == (7, 7)
+
+
+def test_seeds_sized_differently_from_the_tuple_driver():
+    """The tuple driver sizes a participant by the tuples below its
+    prefix, the frontier by its distinct children, so at level ``a`` the
+    one seeds R (4 values against S's 11 tuples) and the other S (3
+    values): candidates differ, while rows and survivors are equal."""
+    r = Relation("R", ("a",), [(a,) for a in range(4)])
+    s = Relation("S", ("a", "b"), [(0, b) for b in range(6)] + [(1, 0)]
+                 + [(2, b) for b in range(4)])
+    query = JoinQuery([Atom("R", ("a",)), Atom("S", ("a", "b"))])
+    tables = {"R": r, "S": s}
+    got = join(query, tables, engine="batch", order=("a", "b"),
+               materialize=True, profile=True)
+    reference = join(query, tables, engine="tuple", index="sortedtrie",
+                     order=("a", "b"), materialize=True, profile=True)
+    assert sorted(got.rows) == sorted(reference.rows)
+    assert [lv.survivors for lv in got.profile.levels] == \
+        [lv.survivors for lv in reference.profile.levels]
+    assert (got.profile.levels[0].candidates,
+            reference.profile.levels[0].candidates) == (3, 4)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from repro.core.adapter import IndexAdapter
 from repro.errors import QueryError
 from repro.indexes import BPlusTree
-from repro.joins import GenericJoin, build_adapters, resolve_relations
+from repro.joins import GenericJoin, resolve_relations
+from repro.joins.executor import build_adapters
 from repro.planner import parse_query, total_order
 from repro.storage import Relation
 

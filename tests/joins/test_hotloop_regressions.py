@@ -15,9 +15,9 @@ from repro.joins import (
     GenericJoin,
     LeapfrogTrieJoin,
     RecursiveJoin,
-    build_adapters,
     resolve_relations,
 )
+from repro.joins.executor import build_adapters
 from repro.planner import parse_query, total_order
 from repro.storage import Relation
 

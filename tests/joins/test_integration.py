@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from repro import Catalog, Relation, join, parse_query
+from repro import Relation, join, parse_query
+from repro.storage.catalog import Catalog
 from repro.data import load_snap_dataset, make_imdb, job_light_queries, triangle_count_truth
 from repro.planner import clique_query, cycle_query
 

@@ -2,7 +2,8 @@
 
 import random
 
-from repro.joins import GenericJoin, HashTrieJoin, build_adapters, resolve_relations
+from repro.joins import GenericJoin, HashTrieJoin, resolve_relations
+from repro.joins.executor import build_adapters
 from repro.planner import parse_query
 from repro.planner.qptree import connectivity_order
 from repro.storage import Relation

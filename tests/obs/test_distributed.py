@@ -1,18 +1,13 @@
 """Unit tests for the cross-process trace plumbing.
 
-Calibration math, span rebasing, the wire form of a
-:class:`TraceContext`, the shard-statistics helpers, and the
+Calibration math, span rebasing, the shard-statistics helpers, and the
 ``sharding`` arm of the profile schema validator — which checks every
 shard entry as a profile of its own.
 """
 
 import pytest
 
-from repro.obs.distributed import (
-    TraceContext,
-    calibrate_clock_offset,
-    rebase_spans,
-)
+from repro.obs.distributed import calibrate_clock_offset, rebase_spans
 from repro.obs.profile import (
     JoinProfile,
     ProfileSchemaError,
@@ -20,27 +15,6 @@ from repro.obs.profile import (
     straggler_ratio,
     validate_profile,
 )
-
-
-class TestTraceContext:
-    def test_create_and_wire_roundtrip(self):
-        context = TraceContext.create(parent_span="shard_fanout")
-        assert len(context.trace_id) == 16
-        int(context.trace_id, 16)  # hex
-        assert context.issued_ns > 0
-        wire = context.to_wire()
-        assert wire == {"trace_id": context.trace_id,
-                        "parent_span": "shard_fanout",
-                        "issued_ns": context.issued_ns}
-        assert TraceContext.from_wire(wire) == context
-
-    def test_from_wire_tolerates_missing(self):
-        assert TraceContext.from_wire(None) is None
-        assert TraceContext.from_wire({}) is None
-
-    def test_each_context_gets_its_own_id(self):
-        ids = {TraceContext.create().trace_id for _ in range(8)}
-        assert len(ids) == 8
 
 
 class TestCalibration:

@@ -81,7 +81,7 @@ class TestDumpText:
 class TestCrashAttachment:
     def test_execution_error_carries_flight_log(self):
         from repro.engine.pipeline import bind, plan
-        from repro.parallel import WorkerPool
+        from repro.parallel.pool import WorkerPool
 
         edges = Relation("E", ("src", "dst"), [(0, 1)])
         # a task the worker cannot prepare: no columns for alias E1

@@ -1,7 +1,5 @@
 """Span tracer: nesting, deterministic clocks, and the Chrome export."""
 
-import json
-
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
@@ -66,15 +64,6 @@ class TestChromeExport:
         assert event["pid"] == 1 and event["tid"] == 1
         assert event["ts"] == 0.1 and event["dur"] == 0.4
         assert event["args"] == {"rows": 3}
-
-    def test_write_chrome_is_valid_json(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("probe"):
-            pass
-        path = tracer.write_chrome(tmp_path / "trace.json")
-        doc = json.loads(path.read_text())
-        assert isinstance(doc["traceEvents"], list)
-        assert doc["traceEvents"][0]["name"] == "probe"
 
 
 class TestNullTracer:

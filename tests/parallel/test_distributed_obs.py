@@ -297,7 +297,7 @@ class TestWorkerEnvFlags:
         clock = response["clock"]
         assert (clock["received_ns"] <= clock["origin_ns"]
                 <= clock["responded_ns"])
-        # no TraceContext travelled (task built by hand): stamp degrades
+        # no dispatch stamp travelled (task built by hand): it degrades
         assert clock["issued_ns"] is None
 
     def test_inherited_trace_out_writes_per_shard_file(self, relations,

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.hashing import fmix64, hash_key
-from repro.parallel import build_sharded_columns, partition_order, shard_ids, shard_of
-from repro.parallel.partition import _fmix64_array
+from repro.parallel.partition import (
+    _fmix64_array,
+    build_sharded_columns,
+    partition_order,
+    shard_ids,
+)
 from repro.storage.relation import Relation
 
 
@@ -29,7 +33,6 @@ def test_int64_path_matches_hash_key(workers):
     ids = shard_ids(column, workers)
     for value, sid in zip(column.tolist(), ids.tolist()):
         assert sid == hash_key(value) % workers
-        assert sid == shard_of(value, workers)
 
 
 def test_object_path_agrees_with_int_path_on_integers():

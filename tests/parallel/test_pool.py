@@ -13,7 +13,7 @@ import pytest
 from repro.engine.pipeline import bind, plan
 from repro.errors import ConfigurationError, ExecutionError
 from repro.joins import join
-from repro.parallel import WorkerPool, resolve_workers, start_method
+from repro.parallel.pool import WorkerPool, resolve_workers, start_method
 from repro.planner.query import parse_query
 from repro.storage.relation import Relation
 

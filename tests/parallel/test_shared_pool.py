@@ -31,9 +31,9 @@ import pytest
 from repro.engine import Session
 from repro.errors import ExecutionError
 from repro.joins import join
-from repro.parallel import SEGMENT_PREFIX, start_method
 from repro.parallel import worker
-from repro.parallel.pool import IDLE_POOLS
+from repro.parallel.pool import IDLE_POOLS, start_method
+from repro.parallel.shm import SEGMENT_PREFIX
 from repro.planner.query import parse_query
 from repro.storage.relation import Relation
 

@@ -16,12 +16,8 @@ import pytest
 
 from repro.engine import Session
 from repro.errors import ExecutionError
-from repro.parallel import (
-    SEGMENT_PREFIX,
-    attach_array,
-    build_sharded_columns,
-    export_array,
-)
+from repro.parallel.partition import build_sharded_columns
+from repro.parallel.shm import SEGMENT_PREFIX, attach_array, export_array
 from repro.storage.relation import Relation
 
 

@@ -16,7 +16,6 @@ from repro.planner import (
     fractional_cover,
     integral_cover_bound,
     parse_query,
-    verify_cover,
 )
 
 
@@ -138,11 +137,9 @@ class TestCoverVerification:
     def test_lp_solution_is_feasible(self):
         graph = hypergraph("R(a,b,c), S(c,d), T(d,a)")
         cover = fractional_cover(graph, {"R": 500, "S": 400, "T": 300})
-        assert verify_cover(graph, cover.weights)
-
-    def test_infeasible_weights_detected(self):
-        graph = hypergraph("R(a,b), S(b,c), T(c,a)")
-        assert not verify_cover(graph, {"R": 0.1, "S": 0.1, "T": 0.1})
+        for vertex in graph.vertices:
+            assert sum(cover.weights.get(edge, 0.0)
+                       for edge in graph.edges_with(vertex)) >= 1 - 1e-9
 
     def test_log_bound_consistent(self):
         graph = hypergraph("R(a,b), S(b,c), T(c,a)")

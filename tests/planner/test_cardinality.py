@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.planner import Statistics, estimate_join_size
+from repro.planner import Statistics
+from repro.planner.cardinality import estimate_join_size
 from repro.storage import Relation
 
 

@@ -40,23 +40,3 @@ class TestStructure:
         split = Hypergraph(["a", "b", "x", "y"],
                            {"R": ["a", "b"], "S": ["x", "y"]})
         assert not split.is_connected()
-
-    def test_single_edge_cover(self, triangle):
-        assert not triangle.covered_by_single_edge()
-        wide = Hypergraph(["a", "b"], {"R": ["a", "b"], "S": ["a"]})
-        assert wide.covered_by_single_edge()
-
-
-class TestRestriction:
-    def test_restricted_to(self, triangle):
-        sub = triangle.restricted_to(["a", "b"])
-        assert set(sub.vertices) == {"a", "b"}
-        assert sub.edges["R"] == frozenset({"a", "b"})
-        assert sub.edges["S"] == frozenset({"b"})
-        assert sub.edges["T"] == frozenset({"a"})
-
-    def test_restriction_drops_disjoint_edges(self):
-        graph = Hypergraph(["a", "b", "c"],
-                           {"R": ["a", "b"], "S": ["c"]})
-        sub = graph.restricted_to(["a", "b"])
-        assert "S" not in sub.edges

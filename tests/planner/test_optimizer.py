@@ -12,11 +12,13 @@ from repro.planner import (
     Hypergraph,
     Statistics,
     cycle_query,
-    greedy_join_order,
-    is_alpha_acyclic,
     parse_query,
 )
-from repro.planner.optimizer import cyclic_core
+from repro.planner.optimizer import (
+    cyclic_core,
+    greedy_join_order,
+    is_alpha_acyclic,
+)
 from repro.storage import Relation
 
 SRC = Path(__file__).resolve().parents[2] / "src"

@@ -4,7 +4,6 @@ from repro.planner import (
     build_qp_tree,
     cycle_query,
     is_compatible,
-    order_heuristic_cardinality,
     parse_query,
     total_order,
 )
@@ -67,20 +66,6 @@ class TestCompatibility:
         assert is_compatible(("a", "b", "c"), query)     # S is a suffix
         assert is_compatible(("c", "a", "b"), query)     # R is a suffix
         assert not is_compatible(("b", "a", "c"), query)  # neither
-
-
-class TestHeuristicOrder:
-    def test_orders_by_min_relation_size(self):
-        query = parse_query("R(a,b), S(b,c)")
-        order = order_heuristic_cardinality(query, {"R": 10, "S": 10000})
-        # attributes of the small relation come first
-        assert order.index("a") < order.index("c")
-
-    def test_is_permutation(self):
-        query = cycle_query(5)
-        order = order_heuristic_cardinality(
-            query, {f"E{i}": 10 * i for i in range(1, 6)})
-        assert sorted(order) == sorted(query.attributes)
 
 
 class TestConnectivityOrder:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.planner import Atom, JoinQuery, clique_query, cycle_query, parse_query
+from repro.planner import JoinQuery, clique_query, cycle_query, parse_query
+from repro.planner.query import Atom
 
 
 class TestAtom:
@@ -41,13 +42,6 @@ class TestJoinQuery:
     def test_atoms_with(self):
         query = parse_query("R(a,b), S(b,c), T(c,a)")
         assert [a.alias for a in query.atoms_with("b")] == ["R", "S"]
-
-    def test_connectivity_check(self):
-        connected = parse_query("R(a,b), S(b,c)")
-        connected.validate_connected()
-        disconnected = parse_query("R(a,b), S(x,y)")
-        with pytest.raises(QueryError):
-            disconnected.validate_connected()
 
 
 class TestParser:

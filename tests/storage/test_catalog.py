@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage import Catalog, Relation
+from repro.storage import Relation
+from repro.storage.catalog import Catalog
 
 
 @pytest.fixture
