@@ -11,9 +11,7 @@ not rebuilt (DESIGN.md §1) and appear as "n/a".  Expected shape:
 
 import pytest
 
-import time
-
-from conftest import measure_seconds, run_report
+from conftest import best_of_rounds, measure_seconds, run_report
 from repro.bench import print_table
 from repro.data import (
     DATASETS,
@@ -57,22 +55,6 @@ def run_job_workload(queries, options):
     return total
 
 
-def best_of_rounds(run) -> dict:
-    """``{contender: (best ms, [result of each run])}`` over three rounds,
-    each timing ``run(options)`` once per contender: interleaved, so that
-    one slow moment of a shared host costs one run of one contender, not
-    its only run."""
-    runs = {contender: (float("inf"), []) for contender in CONTENDERS}
-    for _ in range(3):
-        for contender, options in CONTENDERS.items():
-            start = time.perf_counter()
-            result = run(options)
-            elapsed = (time.perf_counter() - start) * 1e3
-            best, results = runs[contender]
-            runs[contender] = (min(best, elapsed), results + [result])
-    return runs
-
-
 def test_report_table1(benchmark):
     def body():
         rows = []
@@ -82,7 +64,7 @@ def test_report_table1(benchmark):
             row = {"workload": dataset, "edges": len(edges)}
             intermediates = {}
             runs = best_of_rounds(
-                lambda options: join(TRIANGLE, source, **options))
+                CONTENDERS, lambda options: join(TRIANGLE, source, **options))
             for contender, (elapsed, results) in runs.items():
                 for result in results:
                     assert result.count == truth, (dataset, contender)
@@ -100,7 +82,7 @@ def test_report_table1(benchmark):
         job_row = {"workload": "JOB-light", "edges": catalog.total_rows()}
         reference = None
         runs = best_of_rounds(
-            lambda options: run_job_workload(queries, options))
+            CONTENDERS, lambda options: run_job_workload(queries, options))
         for contender, (elapsed, totals) in runs.items():
             if reference is None:
                 reference = totals[0]

@@ -19,6 +19,7 @@ crossovers sit) is the reproduction target.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 from repro.bench import save_results, time_callable
@@ -34,6 +35,22 @@ def bench_rows(num_rows: int, num_columns: int, alpha: float = 0.0,
 
 def measure_seconds(fn, repeats: int = 3) -> float:
     return time_callable(fn, repeats=repeats).best_seconds
+
+
+def best_of_rounds(contenders: dict, run) -> dict:
+    """``{contender: (best ms, [result of each run])}`` over three rounds,
+    each timing ``run(options)`` once per entry of ``contenders`` (name →
+    options): interleaved, so that one slow moment of a shared host costs
+    one run of one contender, not its only run."""
+    runs = {contender: (float("inf"), []) for contender in contenders}
+    for _ in range(3):
+        for contender, options in contenders.items():
+            start = time.perf_counter()
+            result = run(options)
+            elapsed = (time.perf_counter() - start) * 1e3
+            best, results = runs[contender]
+            runs[contender] = (min(best, elapsed), results + [result])
+    return runs
 
 
 RESULTS_PATH = Path(__file__).parent / "results.json"

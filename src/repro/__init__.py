@@ -26,7 +26,6 @@ from repro.errors import (
     CapacityError,
     ConfigurationError,
     ExecutionError,
-    PlanValidationError,
     QueryError,
     ReproError,
     SchemaError,
@@ -53,7 +52,6 @@ __all__ = [
     "JoinPlan",
     "JoinQuery",
     "JoinResult",
-    "PlanValidationError",
     "PreparedJoin",
     "QueryError",
     "Relation",

@@ -93,7 +93,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         for entry in rule_catalog():
             print(f"{entry['code']}  [{entry['severity']}]  {entry['title']}")
         print("RA2xx [error]  index contract checks (repro.analysis.contracts)")
-        print("RA3xx [error]  plan validation (repro.analysis.plancheck)")
         return 0
 
     try:

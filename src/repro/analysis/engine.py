@@ -82,10 +82,9 @@ def select_rules(codes: "Sequence[str] | None") -> list[LintRule]:
         return all_rules()
     wanted = {code.upper() for code in codes}
     unknown = wanted - set(_RULES)
-    # contract (RA2xx) and plan (RA3xx) codes are valid filters but are
-    # produced by their own engines, not the lint registry
-    unknown = {c for c in unknown
-               if not (c.startswith("RA2") or c.startswith("RA3"))}
+    # contract (RA2xx) codes are valid filters but are produced by the
+    # contract checker, not the lint registry
+    unknown = {c for c in unknown if not c.startswith("RA2")}
     if unknown:
         raise ValueError(
             f"unknown lint rules {sorted(unknown)}; known: {sorted(_RULES)}"

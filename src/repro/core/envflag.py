@@ -4,8 +4,8 @@ Every runtime toggle in this repo follows the same convention: an
 explicit argument wins, otherwise the environment decides, and the
 falsy spellings are exactly ``"" / 0 / false / no / off`` (case- and
 whitespace-insensitive).  ``joins.executor`` and ``repro.engine`` both
-resolve ``REPRO_DEBUG`` / ``REPRO_PROFILE`` / ``REPRO_TRACE_OUT``
-through these helpers so the spellings can never drift apart.
+resolve ``REPRO_PROFILE`` / ``REPRO_TRACE_OUT`` through these helpers
+so the spellings can never drift apart.
 """
 
 from __future__ import annotations

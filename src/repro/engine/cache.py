@@ -101,11 +101,11 @@ class IndexCache:
 
     One instance lives inside each :class:`~repro.engine.session.Session`;
     the prepare stage of a frontier plan is the only writer, and it
-    publishes only through :meth:`put_if_absent`.  ``max_bytes=0`` (or
-    ``max_entries=0``) disables storage entirely: every lookup is a miss
-    and nothing is retained, so the prepare stage builds every structure
-    fresh, as it does without a cache — the :func:`repro.joins.join`
-    cold path passes none.
+    publishes only through :meth:`put_if_absent`.  ``max_bytes=0``
+    disables storage entirely: every lookup is a miss and nothing is
+    retained, so the prepare stage builds every structure fresh, as it
+    does without a cache — the :func:`repro.joins.join` cold path passes
+    none.
 
     **Thread safety.**  Every public operation takes the single internal
     lock, so get / put_if_absent / invalidate / evict are each
@@ -118,10 +118,8 @@ class IndexCache:
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES,
-                 max_entries: "int | None" = None,
                  metrics: "Metrics | None" = None):
         self.max_bytes = max_bytes
-        self.max_entries = max_entries
         self.metrics = metrics if metrics is not None else Metrics()
         #: codes for the join columns a columnar trie cannot sort (module
         #: docstring)
@@ -135,8 +133,7 @@ class IndexCache:
     # ------------------------------------------------------------------
     @property
     def enabled(self) -> bool:
-        return self.max_bytes > 0 and (self.max_entries is None
-                                       or self.max_entries > 0)
+        return self.max_bytes > 0
 
     def key_for(self, relation: Relation, suffix: tuple,
                 version: "int | None" = None) -> tuple:
@@ -293,11 +290,7 @@ class IndexCache:
 
     def _evict_to_budget(self) -> int:   # repro: borrows-lock[_lock]
         evicted = 0
-        while self._entries and (
-            self._bytes > self.max_bytes
-            or (self.max_entries is not None
-                and len(self._entries) > self.max_entries)
-        ):
+        while self._entries and self._bytes > self.max_bytes:
             # LRU: the OrderedDict's head is the coldest entry
             self._drop(next(iter(self._entries)))
             evicted += 1

@@ -103,8 +103,8 @@ class JoinPlan:
     Everything execution needs except built indexes.  ``algorithm`` is
     the driver that runs, ``"generic"``, and ``engine`` the one it runs
     on, ``"batch"`` — both resolved: ``"auto"`` (and its other name,
-    ``"unified"``) never reaches a plan (RA307) — over ``query``, with
-    one :class:`IndexSpec` per atom in ``index_specs``.
+    ``"unified"``) never reaches a plan — over ``query``, with one
+    :class:`IndexSpec` per atom in ``index_specs``.
     ``total_order`` is the attribute order; ``output`` is the result
     schema in emission order.  ``index`` is the kind the caller named,
     each spec's ``kind`` what gets built.  ``choice`` is the hybrid

@@ -5,8 +5,7 @@ The seed executor did all four stages inline in one monolithic
 stages with inert artifacts in between:
 
 * :func:`bind` — parse the query if needed, resolve each atom against a
-  :class:`~repro.storage.catalog.Catalog` or mapping, and (in debug
-  mode) run the RA301/RA304/RA305 plan checks.  Output:
+  :class:`~repro.storage.catalog.Catalog` or mapping.  Output:
   :class:`~repro.engine.ir.BoundQuery`.
 * :func:`plan` — resolve ``"auto"`` and the engine, derive the total
   attribute order, and emit one columnar
@@ -46,7 +45,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from functools import partial
 
-from repro.core.envflag import resolve_flag
 from repro.engine.cache import IndexCache
 from repro.engine.ir import (
     COLUMNAR_KIND,
@@ -80,25 +78,13 @@ from repro.storage.relation import Relation, Snapshot
 
 def bind(query: "JoinQuery | str",
          source: "Catalog | Mapping[str, Relation]",
-         debug: "bool | None" = None,
          obs=None) -> BoundQuery:
-    """The bind stage: query text → query resolved against relations.
-
-    ``debug`` (default: the ``REPRO_DEBUG`` environment variable) runs
-    the relation-level plan checks (RA301/RA304/RA305) on the resolved
-    atoms, raising :class:`~repro.errors.PlanValidationError` early.
-    """
+    """The bind stage: query text → query resolved against relations."""
     observer = obs if obs is not None else NULL_OBSERVER
     if isinstance(query, str):
         query = parse_query(query)
     with observer.tracer.span("bind"):
         relations = resolve_relations(query, source)
-        if resolve_flag(debug, "REPRO_DEBUG"):
-            # imported where it is called: the checks run in debug mode
-            # only, and their package loads the whole static analyzer
-            from repro.analysis.plancheck import check_plan
-
-            check_plan(query, relations=relations)
     return BoundQuery(query=query, relations=relations)
 
 
@@ -108,7 +94,6 @@ def plan(bound: BoundQuery,
          order: "Sequence[str] | None" = None,
          engine: str = "auto",
          dynamic_seed: bool = True,
-         debug: "bool | None" = None,
          obs=None,
          index_kwargs: "Mapping[str, object] | None" = None,
          parallel: "int | None" = None) -> JoinPlan:
@@ -149,7 +134,6 @@ def plan(bound: BoundQuery,
         raise door_refusal(algorithm, engine)
     police_options(algorithm, index, kwargs, GENERIC_OPTIONS)
     query, relations = bound.query, bound.relations
-    debug_on = resolve_flag(debug, "REPRO_DEBUG")
 
     with observer.tracer.span("plan"):
         # the optimizer's estimate is part of every profile (estimated vs
@@ -169,7 +153,7 @@ def plan(bound: BoundQuery,
                 route = (f"engine={engine}: batch in the binary pipeline's "
                          f"place ({', '.join(a.alias for a in query.atoms)})")
         result = _generic_plan(query, relations,
-                               resolve_order(query, order, debug_on), index,
+                               resolve_order(query, order), index,
                                choice, route, dynamic_seed)
         workers = _resolve_workers(parallel)
         if workers:
@@ -177,11 +161,6 @@ def plan(bound: BoundQuery,
             # it to exactly one value, so shard results are disjoint
             result = replace(result, sharding=ShardingSpec(
                 workers=workers, attribute=result.total_order[0]))
-        if debug_on:
-            # as in bind(): debug mode only, so not at import repro
-            from repro.analysis.plancheck import check_join_plan
-
-            check_join_plan(result, relations=relations)
     return result
 
 

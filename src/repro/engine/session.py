@@ -57,7 +57,6 @@ import threading
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
-from repro.core.envflag import resolve_flag
 from repro.engine.cache import DEFAULT_CACHE_BYTES, CacheStats, IndexCache
 from repro.engine.ir import BoundQuery, JoinPlan, canonical_options
 from repro.engine.pipeline import _resolve_workers, bind, plan, prepare
@@ -129,15 +128,12 @@ class Session:
 
     def __init__(self, source: "Catalog | Mapping[str, Relation]",
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 cache_entries: "int | None" = None,
                  metrics: "Metrics | None" = None):
         self.source = source
         #: session-wide counter registry; the cache reports into it, and
         #: callers can pass it to an observer for unified accounting
         self.metrics = metrics if metrics is not None else Metrics()
-        self.cache = IndexCache(max_bytes=cache_bytes,
-                                max_entries=cache_entries,
-                                metrics=self.metrics)
+        self.cache = IndexCache(max_bytes=cache_bytes, metrics=self.metrics)
         self._plans_lock = threading.Lock()
         #: cached plans by query and canonical options, least recently
         #: used first
@@ -150,7 +146,6 @@ class Session:
                 order: "Sequence[str] | None" = None,
                 dynamic_seed: bool = True,
                 engine: str = "auto",
-                debug: "bool | None" = None,
                 profile: "bool | None" = None,
                 obs=None,
                 parallel: "int | None" = None,
@@ -184,16 +179,16 @@ class Session:
 
         The bind and plan of a call are reused by a later call with the
         same query and options while the plan's inputs are unchanged
-        (see the module docstring).  A profiled or debug call binds and
-        plans afresh: its profile shows those stages and the optimizer's
-        estimates, and debug mode validates them.
+        (see the module docstring).  A profiled call binds and plans
+        afresh: its profile shows those stages and the optimizer's
+        estimates.
         """
         observer = resolve_observer(profile, obs)
         options = dict(algorithm=algorithm, index=index, order=order,
                        engine=engine, dynamic_seed=dynamic_seed,
                        index_kwargs=index_kwargs, parallel=parallel)
         key = None
-        if not observer.enabled and not resolve_flag(debug, "REPRO_DEBUG"):
+        if not observer.enabled:
             key = (query if isinstance(query, str) else query.atoms,
                    algorithm, index,
                    None if order is None else tuple(order),
@@ -202,7 +197,7 @@ class Session:
         while True:
             entry = self._cached_plan(key)
             if entry is None:
-                entry = self._plan(query, debug, observer, options)
+                entry = self._plan(query, observer, options)
                 if key is not None:
                     self._store_plan(key, entry)
             try:
@@ -217,7 +212,7 @@ class Session:
             prepared.programs = entry.programs
             return prepared
 
-    def _plan(self, query: "JoinQuery | str", debug, observer,
+    def _plan(self, query: "JoinQuery | str", observer,
               options: dict) -> _PlanEntry:
         """Bind and plan ``query``, recording what the plan was made from;
         a request :func:`~repro.engine.pipeline.plan` refuses raises
@@ -234,8 +229,8 @@ class Session:
         # (a missing relation: bind raises naming the atom)
         dtypes = tuple(None if relation is None else relation.dtype_classes()
                        for relation in sources)
-        bound = bind(query, self.source, debug=debug, obs=observer)
-        join_plan = plan(bound, debug=debug, obs=observer, **options)
+        bound = bind(query, self.source, obs=observer)
+        join_plan = plan(bound, obs=observer, **options)
         return _PlanEntry(bound, join_plan, sources, dtypes)
 
     def _cached_plan(self, key: "tuple | None") -> "_PlanEntry | None":

@@ -47,19 +47,6 @@ class QueryError(ReproError):
     """
 
 
-class PlanValidationError(QueryError):
-    """A query plan failed static validation before execution.
-
-    Raised by :func:`repro.analysis.plancheck.check_plan` (and by the
-    executor in debug mode) when a plan-level invariant is broken: an
-    attribute covered by no atom, a total order that is not a permutation
-    of the query attributes, an infeasible fractional edge cover, or a
-    relation whose schema disagrees with its atom.  Subclasses
-    :class:`QueryError` so existing callers that catch query problems
-    also catch plan problems.
-    """
-
-
 class ExecutionError(ReproError):
     """A join failed at execution time, outside the caller's plan inputs.
 

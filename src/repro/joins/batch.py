@@ -94,11 +94,9 @@ from math import prod
 
 import numpy as np
 
-from repro.errors import QueryError
 from repro.indexes.columnar import ColumnarTrie
 from repro.joins.results import JoinMetrics, JoinResult, Stopwatch, make_sink
 from repro.obs.observer import NULL_OBSERVER
-from repro.planner.qptree import connectivity_order
 from repro.planner.query import JoinQuery
 
 #: expanded frontier rows per block.  Warm ms with probe aids, 30k-edge
@@ -160,17 +158,12 @@ class FrontierProgram:
     __slots__ = ("query", "order", "aliases", "participants", "weighs",
                  "weighted", "decoders", "tail", "tail_atoms", "labels")
 
-    def __init__(self, query: JoinQuery, order: "Sequence[str] | None",
+    def __init__(self, query: JoinQuery, order: Sequence[str],
                  attribute_orders: Sequence[Sequence[str]],
                  tries: Sequence[ColumnarTrie]):
         self.query = query
-        self.order: tuple[str, ...] = (tuple(order) if order
-                                       else connectivity_order(query))
-        if set(self.order) != set(query.attributes):
-            raise QueryError(
-                f"total order {self.order} does not cover query attributes "
-                f"{query.attributes}"
-            )
+        #: the plan's total order, checked by the plan stage
+        self.order: tuple[str, ...] = tuple(order)
         #: atom aliases in ``query.atoms`` order; a run's tries and the
         #: frontier's node columns are indexed by it
         self.aliases: tuple[str, ...] = tuple(a.alias for a in query.atoms)

@@ -54,7 +54,7 @@ from pathlib import Path
 
 from repro.core.adapter import IndexAdapter
 from repro.core.config import SonicConfig
-from repro.core.envflag import resolve_flag, resolve_str
+from repro.core.envflag import resolve_str
 from repro.errors import ConfigurationError, QueryError
 from repro.indexes.registry import make_index
 from repro.joins.results import JoinResult, Stopwatch
@@ -279,22 +279,15 @@ def police_options(algorithm: str, index: str, kwargs: Mapping[str, object],
             "they apply only with index='sonic'")
 
 
-def resolve_order(query: JoinQuery, order: "Sequence[str] | None",
-                  debug: bool) -> tuple[str, ...]:
+def resolve_order(query: JoinQuery,
+                  order: "Sequence[str] | None") -> tuple[str, ...]:
     """The total attribute order — ``order``, else the connectivity
     order — checked once for every driver.
 
     A missing, repeated or unknown attribute raises
-    :class:`~repro.errors.QueryError` naming it (in debug mode the plan
-    validator's RA302 :class:`~repro.errors.PlanValidationError` first).
+    :class:`~repro.errors.QueryError` naming it.
     """
     total = tuple(order) if order else connectivity_order(query)
-    if debug:
-        # imported where it is called: its package loads the whole
-        # static analyzer, which a process without debug mode never needs
-        from repro.analysis.plancheck import check_plan
-
-        check_plan(query, order=total)
     attributes = query.attributes
     missing = [a for a in attributes if a not in total]
     repeated = sorted({a for a in total if total.count(a) > 1})
@@ -310,7 +303,7 @@ def resolve_order(query: JoinQuery, order: "Sequence[str] | None",
 def _door(bound, algorithm: str, index: str,
           order: "Sequence[str] | None",
           binary_order: "Sequence[str] | None", engine: str,
-          dynamic_seed: bool, debug: "bool | None", observer,
+          dynamic_seed: bool, observer,
           kwargs: dict, parallel: "int | None", materialize: bool,
           trace_out: "str | None") -> JoinResult:
     """The paper's door: one of its drivers, built cold.
@@ -367,8 +360,7 @@ def _door(bound, algorithm: str, index: str,
         if algorithm == "auto":
             algorithm = "binary" if choice.algorithm == "binary" else "generic"
         if algorithm != "binary":
-            order = resolve_order(query, order,
-                                  resolve_flag(debug, "REPRO_DEBUG"))
+            order = resolve_order(query, order)
     with observer.tracer.span("prepare"):
         if algorithm == "binary":
             driver = BinaryHashJoin(query, relations, order=binary_order,
@@ -408,7 +400,6 @@ def join(query: "JoinQuery | str",
          dynamic_seed: bool = True,
          binary_order: Sequence[str] | None = None,
          engine: str = "auto",
-         debug: "bool | None" = None,
          profile: "bool | None" = None,
          obs: "JoinObserver | None" = None,
          trace_out: "str | None" = None,
@@ -466,13 +457,6 @@ def join(query: "JoinQuery | str",
     :class:`~repro.errors.ConfigurationError` before anything is built
     — the seed silently swallowed them.
 
-    ``debug`` (default: the ``REPRO_DEBUG`` environment variable) runs the
-    static plan validator (:mod:`repro.analysis.plancheck`) on the
-    total order and, on the frontier, on the plan — including the
-    RA306/RA307 IR checks — before execution, raising
-    :class:`~repro.errors.PlanValidationError` instead of silently
-    executing a malformed plan.
-
     ``parallel`` (default: the ``REPRO_WORKERS`` environment variable;
     0 / unset keeps the single-process path) runs a frontier plan as
     ``K`` hash-sharded worker processes over shared-memory columns
@@ -513,15 +497,14 @@ def join(query: "JoinQuery | str",
     from repro.engine.pipeline import bind, plan, prepare
 
     observer = resolve_observer(profile, obs)
-    bound = bind(query, source, debug=debug, obs=observer)
+    bound = bind(query, source, obs=observer)
     if door_request(algorithm, engine, binary_order):
         return _door(bound, algorithm, index, order, binary_order, engine,
-                     dynamic_seed, debug, observer, index_kwargs, parallel,
+                     dynamic_seed, observer, index_kwargs, parallel,
                      materialize, trace_out)
     join_plan = plan(bound, algorithm=algorithm, index=index, order=order,
-                     engine=engine, dynamic_seed=dynamic_seed, debug=debug,
-                     obs=observer, index_kwargs=index_kwargs,
-                     parallel=parallel)
+                     engine=engine, dynamic_seed=dynamic_seed, obs=observer,
+                     index_kwargs=index_kwargs, parallel=parallel)
     prepared = prepare(bound, join_plan, None, observer)
     try:
         return prepared.execute(materialize=materialize, obs=observer,

@@ -3,8 +3,8 @@
 Atserias, Grohe and Marx analyze a join query through its *hypergraph*
 ``H(V, E)``: vertices are the query attributes, hyperedges are the atoms
 (each edge containing the attributes its relation binds).  Everything the
-AGM machinery needs — edge covers, connectivity, vertex incidence — lives
-here; the LP itself is in :mod:`repro.planner.agm`.
+AGM machinery needs — edge covers, vertex incidence — lives here; the LP
+itself is in :mod:`repro.planner.agm`.
 """
 
 from __future__ import annotations
@@ -65,30 +65,6 @@ class Hypergraph:
         for name in names:
             chosen |= self.edges[name]
         return chosen >= set(self.vertices)
-
-    def is_connected(self) -> bool:
-        """Is the hypergraph connected (no cartesian-product components)?"""
-        import networkx as nx
-
-        graph = self.intersection_graph()
-        if graph.number_of_nodes() <= 1:
-            return True
-        return nx.is_connected(graph)
-
-    def intersection_graph(self) -> nx.Graph:
-        """Edges as nodes, linked when they share a vertex (the line graph)."""
-        # networkx is needed by these two diagnostics only: imported on
-        # first use so that ``import repro`` does not pay for it
-        import networkx as nx
-
-        graph = nx.Graph()
-        names = list(self.edges)
-        graph.add_nodes_from(names)
-        for i, left in enumerate(names):
-            for right in names[i + 1:]:
-                if self.edges[left] & self.edges[right]:
-                    graph.add_edge(left, right)
-        return graph
 
     def __repr__(self) -> str:
         edges = ", ".join(f"{n}:{sorted(a)}" for n, a in self.edges.items())

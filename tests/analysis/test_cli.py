@@ -67,7 +67,7 @@ class TestOutputs:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ("RA101", "RA102", "RA103", "RA701", "RA703", "RA707",
-                     "RA2xx", "RA3xx"):
+                     "RA2xx"):
             assert rule in out
 
     def test_no_contracts_flag(self, capsys):

@@ -60,19 +60,3 @@ class TestEnvStr:
         assert resolve_str(None, "REPRO_TEST_OUT") == "/env/path"
         assert resolve_str("", "REPRO_TEST_OUT") == "/env/path"
 
-
-class TestExecutorIntegration:
-    """join() resolves its knobs through ``resolve_flag`` — the pipeline
-    and the observer call it directly, under these variable names."""
-
-    def test_debug_env_spellings_match_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG", "off")
-        assert resolve_flag(None, "REPRO_DEBUG") is False
-        monkeypatch.setenv("REPRO_DEBUG", "1")
-        assert resolve_flag(None, "REPRO_DEBUG") is True
-        assert resolve_flag(False, "REPRO_DEBUG") is False
-
-        monkeypatch.setenv("REPRO_PROFILE", "no")
-        assert resolve_flag(None, "REPRO_PROFILE") is False
-        monkeypatch.setenv("REPRO_PROFILE", "on")
-        assert resolve_flag(None, "REPRO_PROFILE") is True

@@ -63,12 +63,6 @@ class TestEviction:
         assert keys[0] in cache
         assert keys[1] not in cache
 
-    def test_entry_cap(self, edges):
-        cache = IndexCache(max_bytes=1 << 20, max_entries=2)
-        for i in range(4):
-            cache.put_if_absent(entry(cache, edges, f"k{i}"), object(), 1)
-        assert len(cache) == 2
-
     def test_disabled_cache_stores_nothing(self, edges):
         cache = IndexCache(max_bytes=0)
         assert not cache.enabled

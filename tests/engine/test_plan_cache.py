@@ -87,7 +87,6 @@ class TestReuse:
         spy(session_module, "plan")
         spy(pipeline, "resolve_relations")
         spy(pipeline, "resolve_order")
-        spy(batch, "connectivity_order")
         programs = []
         real_driver = batch.GenericJoinBatch.__init__
 
@@ -154,9 +153,9 @@ class TestUncached:
         tables = {"E": Relation("E", ("src", "dst"), EDGES)}
         session = Session(tables)
         session.execute(TRIANGLE, algorithm="auto")
-        for debug in (None, True):
+        for _ in range(2):
             result = session.execute(TRIANGLE, algorithm="auto",
-                                     profile=True, debug=debug)
+                                     profile=True)
             names = {span["name"] for span in result.profile.spans}
             assert {"bind", "plan", "optimize", "prepare"} <= names
             estimated = result.profile.optimizer["estimated"]
@@ -164,30 +163,11 @@ class TestUncached:
             assert estimated["binary_peak_intermediates"] is not None
         assert counts(session) == (0, 1)
 
-    def test_debug_calls_plan_afresh(self, monkeypatch):
-        tables = {"E": Relation("E", ("src", "dst"), EDGES)}
-        session = Session(tables)
-        session.execute(TRIANGLE)
-        planned = []
-        real = session_module.plan
-
-        def counted(*args, **kwargs):
-            planned.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(session_module, "plan", counted)
-        assert session.execute(TRIANGLE, debug=True).count \
-            == brute_force(TRIANGLE, tables)
-        assert planned == [1]
-        monkeypatch.setenv("REPRO_DEBUG", "1")
-        session.execute(TRIANGLE)
-        assert planned == [1, 1]
-        assert counts(session) == (0, 1)
-
     def test_the_environment_is_read_on_every_read(self, monkeypatch):
         """A warm read reads ``REPRO_PROFILE`` / ``REPRO_WORKERS`` afresh:
         set between two reads of one session, each takes effect on the
         next, and the sharded read's segments go with ``close()``."""
-        for name in ("REPRO_PROFILE", "REPRO_WORKERS", "REPRO_DEBUG"):
+        for name in ("REPRO_PROFILE", "REPRO_WORKERS"):
             monkeypatch.delenv(name, raising=False)
         tables = {"E": Relation("E", ("src", "dst"), EDGES)}
         expected = brute_force(TRIANGLE, tables)

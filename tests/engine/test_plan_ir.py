@@ -1,4 +1,4 @@
-"""The plan IR: spec construction, RA306/RA307 validation, option policing.
+"""The plan IR: spec construction, the plan's shape, option policing.
 
 A plan describes what runs — the frontier.  The paper's tuple drivers
 have none; what they build for themselves at ``join()``'s door is
@@ -12,10 +12,9 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.plancheck import check_join_plan, validate_join_plan
 from repro.engine import JoinPlan, bind, plan
-from repro.engine.ir import COLUMNAR_KIND, IndexSpec, canonical_options
-from repro.errors import ConfigurationError, PlanValidationError
+from repro.engine.ir import COLUMNAR_KIND, canonical_options
+from repro.errors import ConfigurationError
 from repro.joins import LeapfrogTrieJoin, join
 from repro.storage.relation import Relation
 
@@ -190,57 +189,26 @@ def built(profile) -> dict:
             for span in profile.spans if span["name"] == "build_index"}
 
 
-def with_specs(compiled, specs):
-    """``compiled`` with its index specs replaced."""
-    return dataclasses.replace(compiled, index_specs=specs)
-
-
 class TestPlanValidation:
-    """RA306/RA307 over hand-corrupted plans."""
+    """What ``plan()`` emits is the frontier's one shape."""
 
     def test_sound_plans_pass(self, bound):
         for algorithm in ("generic", "auto", "unified"):
             for engine in ("auto", "batch"):
                 compiled = plan(bound, algorithm=algorithm, engine=engine)
-                assert validate_join_plan(
-                    compiled, relations=bound.relations) == []
-
-    def test_ra307_unresolved_algorithm(self, bound):
-        compiled = dataclasses.replace(plan(bound), algorithm="auto")
-        codes = [i.code for i in validate_join_plan(compiled)]
-        assert "RA307" in codes
-
-    def test_ra307_unknown_engine(self, bound):
-        compiled = dataclasses.replace(plan(bound), engine="vectorized")
-        with pytest.raises(PlanValidationError, match="RA307"):
-            check_join_plan(compiled)
-
-    def test_ra306_bad_permutation(self, bound):
-        compiled = plan(bound)
-        bad = dataclasses.replace(compiled.index_specs[0],
-                                  permutation=(0, 2))
-        compiled = with_specs(compiled, (bad,) + compiled.index_specs[1:])
-        codes = [i.code for i in validate_join_plan(compiled)]
-        assert "RA306" in codes
-
-    def test_ra306_missing_spec(self, bound):
-        compiled = plan(bound)
-        compiled = with_specs(compiled, compiled.index_specs[:2])
-        with pytest.raises(PlanValidationError, match="RA306"):
-            check_join_plan(compiled)
-
-    def test_ra306_foreign_alias(self, bound):
-        compiled = plan(bound)
-        stray = IndexSpec(alias="Z", kind="sonic",
-                          attribute_order=("a", "b"), permutation=(0, 1))
-        compiled = with_specs(compiled, compiled.index_specs + (stray,))
-        codes = [i.code for i in validate_join_plan(compiled)]
-        assert "RA306" in codes
-
-    def test_debug_join_runs_ir_checks(self, tables):
-        # the debug path reaches check_join_plan without raising on a
-        # well-formed query end to end
-        assert join(TRIANGLE, tables, debug=True).count == 3
+                assert (compiled.algorithm, compiled.engine) == \
+                    ("generic", "batch")
+                atoms = {atom.alias: atom for atom in compiled.query.atoms}
+                assert [spec.alias for spec in compiled.index_specs] == \
+                    list(atoms)
+                for spec in compiled.index_specs:
+                    # a permutation of the relation's columns, listing
+                    # the atom's attributes in the total order
+                    assert sorted(spec.permutation) == \
+                        list(range(bound.relations[spec.alias].arity))
+                    assert tuple(atoms[spec.alias].attributes[i]
+                                 for i in spec.permutation) == \
+                        spec.attribute_order
 
 
 class TestJoinPlanDataclass:

@@ -1,15 +1,11 @@
 """Top-level join() API tests."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-from repro import Relation, join, parse_query
+from repro import Relation, Session, join, parse_query
 from repro.data import random_edge_relation, triangle_count_truth
 from repro.errors import ConfigurationError, QueryError
+from repro.obs.observer import JoinObserver
 from repro.storage.catalog import Catalog
 
 
@@ -86,18 +82,21 @@ class TestJoinApi:
 
 class TestLazyOption:
     """``lazy=`` is Hash-Trie Join's own knob (Umbra's lazy expansion);
-    a Generic Join stage has no such option, with or without the plan
-    validator in the way."""
+    a Generic Join stage has no such option."""
 
     QUERY = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 
-    @pytest.mark.parametrize("debug", [False, True])
+    @pytest.mark.parametrize("through_session", [False, True])
     @pytest.mark.parametrize("algorithm", ["generic", "unified", "auto"])
     def test_generic_stages_refuse_it_at_plan_time(self, edges, algorithm,
-                                                   debug):
+                                                   through_session):
+        tables = {"E1": edges, "E2": edges, "E3": edges}
         with pytest.raises(ConfigurationError, match="cannot honor") as error:
-            join(self.QUERY, {"E1": edges, "E2": edges, "E3": edges},
-                 algorithm=algorithm, lazy=True, debug=debug)
+            if through_session:
+                Session(tables).execute(self.QUERY, algorithm=algorithm,
+                                        lazy=True)
+            else:
+                join(self.QUERY, tables, algorithm=algorithm, lazy=True)
         # the message names what it would have accepted
         assert "['lazy']" in str(error.value)
         assert "sonic_bucket_size" in str(error.value)
@@ -124,89 +123,35 @@ class TestTriangleCount:
             assert join(query, tables, algorithm=algorithm).count == truth
 
 
-class TestDebugMode:
-    """join(debug=True) runs the static plan validator before executing."""
+class TestDebugIsNoOption:
+    """Every input is checked once, always, so there is no debug mode: a
+    ``debug=`` argument is an index option nothing honors, refused
+    before anything is built."""
 
-    def test_debug_join_still_correct(self, edges):
-        truth = triangle_count_truth(edges)
-        result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                      {"E1": edges, "E2": edges, "E3": edges}, debug=True)
-        assert result.count == truth
+    QUERY = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
 
-    def test_debug_rejects_bad_order(self, edges):
-        from repro.errors import PlanValidationError
+    @staticmethod
+    def assert_nothing_built(observer):
+        names = {span["name"] for span in observer.tracer.as_dicts()}
+        assert not names & {"prepare", "build_index", "probe"}, names
+        assert observer.build_ns == {}
 
-        with pytest.raises(PlanValidationError, match="RA302"):
-            join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                 {"E1": edges, "E2": edges, "E3": edges},
-                 order=("a", "b"), debug=True)
+    @pytest.mark.parametrize("options", [{}, {"algorithm": "binary"}],
+                             ids=["frontier", "binary"])
+    def test_join_refuses_it(self, edges, options):
+        observer = JoinObserver()
+        with pytest.raises(ConfigurationError, match="'debug'"):
+            join(self.QUERY, {"E1": edges, "E2": edges, "E3": edges},
+                 debug=True, obs=observer, **options)
+        self.assert_nothing_built(observer)
 
-    def test_without_debug_bad_order_fails_later_or_not_at_all(self, edges):
-        # the non-debug path does not run the plan validator: the one
-        # order check raises a plain QueryError naming the missing
-        # attribute instead
-        from repro.errors import PlanValidationError
-
-        with pytest.raises(QueryError, match=r"missing \['c'\]") as error:
-            join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                 {"E1": edges, "E2": edges, "E3": edges},
-                 order=("a", "b"), debug=False)
-        assert not isinstance(error.value, PlanValidationError)
-
-    def test_env_variable_enables_debug(self, edges, monkeypatch):
-        from repro.errors import PlanValidationError
-
-        monkeypatch.setenv("REPRO_DEBUG", "1")
-        with pytest.raises(PlanValidationError):
-            join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                 {"E1": edges, "E2": edges, "E3": edges},
-                 order=("a", "b"))
-
-    def test_env_variable_off_values(self, edges, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG", "0")
-        result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                      {"E1": edges, "E2": edges, "E3": edges})
-        assert result.count == triangle_count_truth(edges)
-
-    def test_the_validator_is_imported_by_the_first_debug_call(self):
-        # the plan checks live in the static analyzer's package, whose
-        # four rule families are a fifth of ``import repro``: a process
-        # that never asks for debug mode never loads them
-        script = """
-import sys
-from repro import Relation, join
-from repro.errors import PlanValidationError
-
-def loaded():
-    return sorted(name for name in sys.modules
-                  if name == "repro.analysis"
-                  or name.startswith("repro.analysis."))
-
-before = loaded()
-edges = Relation("E", ("s", "d"), [(0, 1), (1, 2), (2, 0)])
-tables = {"E1": edges, "E2": edges, "E3": edges}
-query = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
-plain = join(query, tables).count
-unchecked = loaded()
-try:
-    join(query, tables, order=("a", "b"), debug=True)
-    raised = None
-except PlanValidationError as error:
-    raised = "RA302" in str(error)
-print(before, plain, unchecked, raised, "repro.analysis.plancheck" in loaded())
-"""
-        source = Path(__file__).resolve().parents[2] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(source), REPRO_DEBUG="0"),
-            timeout=120, check=True)
-        assert done.stdout.strip() == "[] 3 [] True True"
-
-    def test_debug_binary_path(self, edges):
-        result = join("E1=E(a,b), E2=E(b,c), E3=E(c,a)",
-                      {"E1": edges, "E2": edges, "E3": edges},
-                      algorithm="binary", debug=True)
-        assert result.count == triangle_count_truth(edges)
+    def test_session_execute_refuses_it(self, edges):
+        session = Session({"E1": edges, "E2": edges, "E3": edges})
+        observer = JoinObserver()
+        with pytest.raises(ConfigurationError, match="'debug'"):
+            session.execute(self.QUERY, debug=True, obs=observer)
+        self.assert_nothing_built(observer)
+        assert session.cache_stats().entries == 0
 
 
 class TestTotalOrderIsCheckedOnce:

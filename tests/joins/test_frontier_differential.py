@@ -67,6 +67,7 @@ from repro.joins import (
     resolve_relations,
 )
 from repro.joins.executor import build_adapters
+from repro.planner.agm import fractional_cover
 from repro.planner.cardinality import Statistics
 from repro.planner.hypergraph import Hypergraph
 from repro.planner.optimizer import HybridOptimizer, is_alpha_acyclic
@@ -540,6 +541,48 @@ def test_what_must_not_change_the_bag_does_not(case, algorithm, rng, copies):
                                       tables[name].rows * copies)}
     assert join(query, grown, algorithm=algorithm).count == \
         sum(expected.values()) * copies ** readers
+
+
+# ----------------------------------------------------------------------
+# the AGM bound, level by level
+# ----------------------------------------------------------------------
+@settings(max_examples=40, **SETTINGS)
+@given(cases())
+@examples(BAGS[name] for name in ("triangle", "star_tail"))
+def test_every_level_stays_within_its_agm_bound(case):
+    """A Generic Join is worst-case optimal level by level: the bindings
+    of ``order[:i+1]`` that survive level ``i`` are a subset of the join
+    of the atoms restricted to that prefix, so they number at most its
+    AGM bound, each atom sized by its distinct rows.  Held on the
+    frontier and on the tuple driver, which joins the distinct rows."""
+    query, tables, order, options = case
+    distinct = {name: Relation(name, relation.schema,
+                               list(dict.fromkeys(relation.rows)))
+                for name, relation in tables.items()}
+    sizes = {atom.alias: len(distinct[atom.relation].rows)
+             for atom in query.atoms}
+    options = {**options, "algorithm": "generic", "materialize": True}
+    # strings beside integers have no order: the tuple driver's sorted
+    # trie cannot hold them
+    strings = {isinstance(value, str) for relation in tables.values()
+               for row in relation.rows for value in row}
+    engines = ("auto",) if len(strings) == 2 else ("auto", "tuple")
+    for engine in engines:
+        result = run(query, tables if engine == "auto" else distinct, order,
+                     {**options, "engine": engine}, profile=True)
+        total = tuple(level.label for level in result.profile.levels)
+        for depth, level in enumerate(result.profile.levels):
+            prefix = set(total[:depth + 1])
+            edges = {atom.alias: set(atom.attributes) & prefix
+                     for atom in query.atoms
+                     if prefix.intersection(atom.attributes)}
+            cover = fractional_cover(
+                Hypergraph(total[:depth + 1], edges),
+                {alias: sizes[alias] for alias in edges})
+            assert level.survivors <= cover.bound * (1 + 1e-6), (
+                f"{engine}: level {depth} binds {total[:depth + 1]}: "
+                f"{level.survivors} survivors over the AGM bound "
+                f"{cover.bound:.6g} of cover {cover.weights}")
 
 
 # ----------------------------------------------------------------------

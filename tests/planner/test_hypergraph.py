@@ -35,8 +35,3 @@ class TestStructure:
         assert triangle.is_edge_cover(["R", "S", "T"])
         assert not triangle.is_edge_cover(["R"])
 
-    def test_connected(self, triangle):
-        assert triangle.is_connected()
-        split = Hypergraph(["a", "b", "x", "y"],
-                           {"R": ["a", "b"], "S": ["x", "y"]})
-        assert not split.is_connected()
