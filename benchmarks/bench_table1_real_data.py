@@ -49,10 +49,19 @@ def test_bench_table1_graph(benchmark, dataset, contender):
 
 
 def run_job_workload(queries, options):
-    total = 0
+    """``(results, intermediates, lookups)`` summed over the queries."""
+    totals = [0, 0, 0]
     for job in queries:
-        total += join(job.query, job.relations, **options).count
-    return total
+        metrics = join(job.query, job.relations, **options).metrics
+        totals[0] += metrics.result_count
+        totals[1] += metrics.intermediate_tuples
+        totals[2] += metrics.lookups
+    return tuple(totals)
+
+
+def work(metrics) -> tuple:
+    """A run's work counts, ``(intermediates, lookups)``."""
+    return metrics.intermediate_tuples, metrics.lookups
 
 
 def test_report_table1(benchmark):
@@ -62,54 +71,57 @@ def test_report_table1(benchmark):
             edges, source = graph_source(dataset)
             truth = triangle_count_truth(edges)
             row = {"workload": dataset, "edges": len(edges)}
-            intermediates = {}
+            counts = {}
             runs = best_of_rounds(
                 CONTENDERS, lambda options: join(TRIANGLE, source, **options))
             for contender, (elapsed, results) in runs.items():
                 for result in results:
                     assert result.count == truth, (dataset, contender)
-                intermediates[contender] = \
-                    results[0].metrics.intermediate_tuples
+                # work counts are deterministic: every round's are equal
+                assert len({work(r.metrics) for r in results}) == 1
+                counts[contender] = work(results[0].metrics)
                 row[contender] = round(elapsed, 1)
             # paper shape, machine-independent: on every graph the WCOJ
             # candidate work is below the binary pipeline's intermediates
-            assert intermediates["GJ_sonic"] <= intermediates["BJ"], dataset
-            assert intermediates["HTJ"] <= intermediates["BJ"], dataset
+            assert counts["GJ_sonic"][0] <= counts["BJ"][0], dataset
+            assert counts["HTJ"][0] <= counts["BJ"][0], dataset
+            # GJ_sonic keeps up with the other Generic Join backends: it
+            # issues no more intermediates and lookups than any of them
+            for contender in CONTENDERS:
+                if contender.startswith("GJ_"):
+                    assert counts["GJ_sonic"][0] <= counts[contender][0]
+                    assert counts["GJ_sonic"][1] <= counts[contender][1]
             rows.append(row)
 
         catalog = make_imdb(400, seed=22)
         queries = job_light_queries(catalog, seed=23, max_satellites=2)
         job_row = {"workload": "JOB-light", "edges": catalog.total_rows()}
         reference = None
+        job_counts = {}
         runs = best_of_rounds(
             CONTENDERS, lambda options: run_job_workload(queries, options))
         for contender, (elapsed, totals) in runs.items():
             if reference is None:
-                reference = totals[0]
+                reference = totals[0][0]
             for total in totals:
-                assert total == reference, contender
+                assert total[0] == reference, contender
+            assert len(set(totals)) == 1, contender
+            job_counts[contender] = totals[0][1:]
             job_row[contender] = round(elapsed, 1)
         rows.append(job_row)
 
         print_table("Table 1: cycle counting + JOB-light runtimes (ms); "
                     "EH/Umbra not rebuilt (see DESIGN.md)", rows)
 
-        # paper shape, graphs (wall clock, within tier): GJ_sonic keeps up
-        # with the other pure-Python GJ backends; the per-dataset WCOJ-vs-
-        # binary work comparison is asserted above.  (The paper's absolute
-        # GJ_sonic-vs-BJ wall-clock gap does not transfer to Python — see
-        # EXPERIMENTS.md.)
-        graph_rows = rows[:-1]
-        for row in graph_rows:
-            assert row["GJ_sonic"] <= 2.0 * row["GJ_hattrie"], row
+        # the shapes are asserted in work counts, above for the graphs and
+        # here for JOB; the times are printed, not asserted: on a shared
+        # host their orderings flip (EXPERIMENTS.md)
         # paper shape, JOB: the binary join beats every Generic Join
-        # configuration (not a worst case).  Hash-Trie Join rides CPython's
-        # C dict and can tie or edge out the binary pipeline here — an
-        # implementation-tier artifact (EXPERIMENTS.md) — so the paper's
-        # claim is asserted against the GJ family plus a near-parity check.
-        gj_best = min(job_row[c] for c in CONTENDERS if c.startswith("GJ_"))
-        assert job_row["BJ"] <= gj_best
-        assert job_row["BJ"] <= 1.5 * min(job_row[c] for c in CONTENDERS)
+        # configuration and Hash-Trie Join (not a worst case): fewer
+        # intermediates and fewer lookups than each of them
+        for contender in CONTENDERS:
+            assert job_counts["BJ"][0] <= job_counts[contender][0], contender
+            assert job_counts["BJ"][1] <= job_counts[contender][1], contender
         return {"rows": rows}
 
     run_report(benchmark, body, "table1")

@@ -17,8 +17,9 @@ bumps the shared version counter, so every entry built against the old
 contents stops matching; no invalidation hooks, no back-pointers from
 relations into caches.
 
-A miss after a write rebuilds, and publishing the newer version drops
-the older entries of the same storage and spec — they can never be hit
+A miss after a write merges the appended rows into the older version
+(:meth:`IndexCache.predecessor`), and publishing the newer one drops the
+older entries of the same storage and spec — they can never be hit
 again and would only occupy the byte budget.
 
 The cache also owns its session's
@@ -158,6 +159,15 @@ class IndexCache:
             return None
         self.metrics.inc("cache.hit")
         return entry.value
+
+    def predecessor(self, key: tuple) -> "object | None":
+        """The structure cached for ``key``'s storage and spec at an older
+        version, or None; LRU order and counters stay as they are."""
+        with self._lock:
+            for other in self._other_versions(key):
+                if _version_of(other) < _version_of(key):
+                    return self._entries[other].value
+        return None
 
     def put_if_absent(self, key: tuple, value: object, bytes_: int,
                       built_depth: "int | None" = None) -> object:

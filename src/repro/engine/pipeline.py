@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import replace
-from functools import partial
 
 from repro.engine.cache import IndexCache
 from repro.engine.ir import (
@@ -56,7 +55,7 @@ from repro.engine.ir import (
 )
 from repro.engine.prepared import PreparedJoin
 from repro.errors import SchemaError
-from repro.indexes.columnar import ColumnarTrie, Dictionary
+from repro.indexes.columnar import ColumnarTrie, Dictionary, mergeable
 from repro.joins.executor import (
     GENERIC_OPTIONS,
     check_names,
@@ -194,10 +193,10 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
 
     With a ``cache``, a hit skips the build entirely (and two atoms
     over the same stored relation with the same spec share one build
-    *within* a single prepare, the self-join alias case); a miss
-    publishes under its snapshot's version, which drops the entries of
-    older versions.  Without a cache, every structure is built fresh —
-    the cold-path contract of :func:`repro.joins.join`.
+    *within* a single prepare, the self-join alias case); a miss — a
+    trie merged into its cached older version — publishes under its
+    snapshot's version, dropping older entries.  Without a cache, every
+    structure is built fresh: :func:`repro.joins.join`'s cold path.
 
     The columns a columnar spec codes (its ``coded`` option) are encoded
     by the cache's :class:`~repro.indexes.columnar.Dictionary` — one per
@@ -219,11 +218,16 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
     if sharding is None:
         dictionary = cache.dictionary if cache is not None else Dictionary()
         suffix_of = IndexSpec.cache_key_suffix
-        build = partial(_build_trie, dictionary=dictionary)
 
-        def record(spec: IndexSpec, start_ns: int, tuples: int) -> None:
+        def build(spec: IndexSpec, snapshot: Snapshot, key: "tuple | None"):
+            return _build_trie(spec, snapshot, dictionary,
+                               key and cache.predecessor(key))
+
+        def record(spec: IndexSpec, start_ns: int, tuples: int,
+                   delta: int) -> None:
             observer.record_build(spec.alias, start_ns, index=spec.kind,
-                                  tuples=tuples)
+                                  tuples=tuples,
+                                  **({"delta": delta} if delta else {}))
     else:
         # lazy import, same one-directional rationale as _resolve_workers
         from repro.parallel.partition import build_sharded_columns
@@ -233,7 +237,7 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     _storage_position(spec, sharding.attribute),
                     spec.options)
 
-        def build(spec: IndexSpec, snapshot: Snapshot):
+        def build(spec: IndexSpec, snapshot: Snapshot, key: "tuple | None"):
             # the workers build tries by this plan as it is: refuse a join
             # column turned to objects since the plan read it as int64
             # here, as a trie build would, so a session plans it coded
@@ -245,9 +249,10 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                         "objects; its plan read int64")
             return build_sharded_columns(
                 snapshot.columns, _storage_position(spec, sharding.attribute),
-                sharding.workers)
+                sharding.workers), 0
 
-        def record(spec: IndexSpec, start_ns: int, tuples: int) -> None:
+        def record(spec: IndexSpec, start_ns: int, tuples: int,
+                   delta: int) -> None:
             observer.tracer.add_span(
                 "partition_shards", start_ns, Stopwatch.now_ns() - start_ns,
                 alias=spec.alias, workers=sharding.workers, tuples=tuples)
@@ -271,14 +276,13 @@ def prepare(bound: BoundQuery, join_plan: JoinPlan,
                     # published under exactly that version's key, even
                     # when an extend() landed after the lookup above
                     snapshot = relation.snapshot()
-                    structure = build(spec, snapshot)
+                    key = (cache.key_for(relation, suffix, snapshot.version)
+                           if cache is not None else None)
+                    structure, delta = build(spec, snapshot, key)
                     if obs_enabled:
-                        record(spec, start_ns, snapshot.count)
+                        record(spec, start_ns, snapshot.count, delta)
                     if cache is not None:
-                        structure = _publish(
-                            cache,
-                            cache.key_for(relation, suffix, snapshot.version),
-                            structure)
+                        structure = _publish(cache, key, structure)
                 structures[spec.alias] = structure
     except BaseException:
         if sharding is not None and cache is None:
@@ -400,19 +404,28 @@ def _generic_plan(query: JoinQuery, relations: Mapping[str, Relation],
 # The structure builder (the prepare stage's workhorse)
 # ----------------------------------------------------------------------
 
-def _build_trie(spec: IndexSpec, snapshot: Snapshot,
-                dictionary: Dictionary) -> ColumnarTrie:
+def _build_trie(spec: IndexSpec, snapshot: Snapshot, dictionary: Dictionary,
+                base: "ColumnarTrie | None") -> tuple:
     """Build the columnar trie a spec describes from one consistent
-    read of its relation — exactly the rows the cache key names.
+    read of its relation — exactly the rows the cache key names — and
+    the count of rows merged into ``base`` (0: a fresh build).
 
-    ``dictionary`` encodes the columns the spec codes.  The trie keeps
-    every copy of a repeated row.
-    """
+    ``base``, an older version's trie or None, holds the first
+    ``base.tuples`` rows: unless :func:`~repro.indexes.columnar.mergeable`
+    refuses, only the rest are encoded (by ``dictionary``, where the spec
+    codes them), sorted and merged.  Repeated rows are all kept."""
     columns = snapshot.columns
     coded = dict(spec.options).get("coded", ())
-    trie = ColumnarTrie(tuple(
-        dictionary.encode(columns[i]) if i in coded else columns[i]
-        for i in spec.permutation))
+
+    def encoded(start: int) -> tuple:
+        return tuple(dictionary.encode(columns[i][start:]) if i in coded
+                     else columns[i][start:] for i in spec.permutation)
+
+    delta = encoded(base.tuples) if base is not None else None
+    if mergeable(base, delta):
+        trie = ColumnarTrie(delta, base=base)
+    else:
+        trie, delta = ColumnarTrie(encoded(0)), None
     trie.decoders = tuple(dictionary if i in coded else None
                           for i in spec.permutation)
-    return trie
+    return trie, len(delta[0]) if delta is not None else 0

@@ -77,6 +77,12 @@ else, below the root, a 64-bit **signature** per parent (one bit per
 child, by a hash of its value): a probe searches only the rows whose
 bit is set.  The range check stays either way.
 
+**Appends.**  ``ColumnarTrie(delta, base=older)`` sorts only the rows
+appended since ``older`` and merges them into each level it built (a new
+node goes where ``keys[d]`` sorts it, ``starts[d]`` shift by the new rows
+above) and into the sort buffer of the rest: a fresh build, array for
+array, wherever :func:`mergeable` lets it run.
+
 **Append-only levels.**  Levels are built under the trie's lock and
 published by advancing ``built_depth`` after the level's arrays are in
 place; a published level is never rewritten.  A reader that has called
@@ -165,6 +171,23 @@ def _sorted_unique_columns(columns: Sequence[np.ndarray]) -> tuple:
     return out, weights
 
 
+#: smaller tries are built afresh: there a sort and its level builds cost
+#: what a merge's fixed numpy calls do (20-row deltas, x86-64)
+_MERGED_ROWS = 1 << 13
+
+
+def mergeable(base: "ColumnarTrie | None",
+              delta: "Sequence[np.ndarray] | None") -> bool:
+    """Whether ``ColumnarTrie(delta, base=base)`` may replace a fresh
+    build: not without a ``base``, over a small or lexsorted one, nor for
+    a delta value that is no int64 in its level's ``[lo, hi]``."""
+    return base is not None and len(base) >= _MERGED_ROWS and bool(
+        base._tails) and all(
+        column.dtype == np.int64 and low <= column.min()
+        and column.max() <= high
+        for column, low, high in zip(delta, base.lows, base.highs))
+
+
 class ColumnarTrie:
     """Sorted, deduplicated int64 columns read as per-level arrays, with
     the count of every dropped repeat (see module docstring).
@@ -184,7 +207,8 @@ class ColumnarTrie:
                  "on_deepen", "_rows", "_key", "_tails", "_sorted", "_built",
                  "_lock", "_pending_ns", "_probed", "_aids", "__weakref__")
 
-    def __init__(self, columns: Sequence[np.ndarray]):
+    def __init__(self, columns: Sequence[np.ndarray],
+                 base: "ColumnarTrie | None" = None):
         if not columns:
             raise SchemaError("a columnar trie needs at least one column")
         for column in columns:
@@ -223,6 +247,10 @@ class ColumnarTrie:
         #: called (outside the lock) after levels or aids landed; the session
         #: cache hooks this to re-charge its entry
         self.on_deepen = None
+        if base is not None:
+            with self._lock:
+                self._merge(base, columns)
+            return
         if len(columns[0]) == 0:
             self._rows = 0
             self.lows = [0] * self.arity
@@ -256,6 +284,76 @@ class ColumnarTrie:
         else:
             self._sorted, self.weights = _sorted_unique_columns(columns)
             self._rows = len(self._sorted[0])
+
+    def _merge(self, base: "ColumnarTrie",   # repro: borrows-lock[_lock]
+               delta: Sequence[np.ndarray]) -> None:
+        """``base``'s rows and then ``delta``'s (module docstring,
+        "Appends"), which :func:`mergeable` admits."""
+        self.lows, self.highs = list(base.lows), list(base.highs)
+        self.spans, self._tails = list(base.spans), base._tails
+        self.tuples += base.tuples
+        key, weights = _sorted_unique_key(delta, self.lows, self.spans)
+        # under base's lock: it may be deepening on another thread, and its
+        # last level is decoded in place of its sort buffer
+        with base._lock:
+            built, buffer = base._built, base._key
+            # per built level and delta row: its prefix is old node ``at``
+            # (hit) or a new one inserted before old node ``at``
+            walk, hit, at = [], None, None
+            for depth in range(built):
+                prefix = key // self._tails[depth]
+                wanted = prefix % self.spans[depth]
+                if hit is not None:
+                    wanted += at * self.spans[depth]
+                nodes = base.keys[depth]
+                found = nodes.searchsorted(wanted)
+                same = nodes.take(found, mode="clip") == wanted
+                if hit is not None:
+                    # a new parent's children go before old node at's
+                    same &= hit
+                    found[~hit] = base.indptr[depth][at[~hit]]
+                hit, at = same, found
+                walk.append((prefix, hit, at))
+            if buffer is not None:
+                at = buffer.searchsorted(key)
+                hit = buffer.take(at, mode="clip") == key
+                # the sort buffer of the unbuilt levels takes the new rows
+                self._key = np.insert(buffer, at[~hit], key[~hit])
+            if weights is not None or base.weights is not None or hit.any():
+                # multiplicities: a delta row found adds to its own
+                counts = (np.diff(base.weights) if base.weights is not None
+                          else np.ones(base._rows, dtype=np.int64))
+                added = (np.diff(weights) if weights is not None
+                         else np.ones(len(key), dtype=np.int64))
+                counts[at[hit]] += added[hit]
+                counts = np.insert(counts, at[~hit], added[~hit])
+                self.weights = np.zeros(len(counts) + 1, dtype=np.int64)
+                counts.cumsum(out=self.weights[1:])
+            fresh = ~hit
+            # each new row's place among the merged rows
+            placed = at + np.cumsum(fresh) - fresh
+            self._rows = base._rows + int(np.count_nonzero(fresh))
+            above = np.array([0, self._rows], dtype=np.int64)
+            for depth, (prefix, hit, at) in enumerate(walk):
+                opens = np.ones(len(prefix), dtype=bool)
+                np.not_equal(prefix[1:], prefix[:-1], out=opens[1:])
+                born = opens & ~hit
+                values = np.insert(base.values[depth], at[born],
+                                   prefix[born] % self.spans[depth]
+                                   + self.lows[depth])
+                if depth == self.arity - 1:
+                    node_starts, indptr = None, above
+                else:
+                    # an old node moves down by the new rows sorted above it
+                    starts = base.starts[depth]
+                    moved = np.bincount((at + hit)[fresh],
+                                        minlength=len(starts)).cumsum()
+                    node_starts = np.insert(starts + moved, at[born],
+                                            placed[born])
+                    indptr = node_starts.searchsorted(above)
+                self._add_level(depth, values, indptr, node_starts)
+                above = node_starts
+            self._built = built
 
     # ------------------------------------------------------------------
     @property
@@ -328,20 +426,16 @@ class ColumnarTrie:
             if depth:
                 values %= self.spans[depth]
             values += self.lows[depth]
-        parents = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
-                            np.diff(indptr))
-        codes, keys = self._pack_level(depth, values, parents,
-                                       len(indptr) - 1)
-        self.values.append(values)
-        self.indptr.append(indptr)
-        self.keys.append(keys)
-        self.codes.append(codes)
-        self.starts.append(node_starts)
+        self._add_level(depth, values, indptr, node_starts)
 
-    def _pack_level(self, depth: int, values: np.ndarray,   # repro: borrows-lock[_lock]
-                    parents: np.ndarray, parent_count: int) -> tuple:
-        """``(codes, keys)`` of a level from each node's value and parent
-        id (the root, id 0, is every level-0 node's parent)."""
+    def _add_level(self, depth: int, values: np.ndarray,   # repro: borrows-lock[_lock]
+                   indptr: np.ndarray, starts: "np.ndarray | None") -> None:
+        """Append level ``depth``: each node's value, the child ranges
+        (the root, id 0, is every level-0 node's parent), the ``starts``
+        and the ``codes`` and ``keys`` packed from them."""
+        parent_count = len(indptr) - 1
+        parents = np.repeat(np.arange(parent_count, dtype=np.int64),
+                            np.diff(indptr))
         span = self.spans[depth]
         if span >= PACK_LIMIT or parent_count * span >= PACK_LIMIT:
             # dense rank codes: spans as wide as the level has distinct
@@ -356,7 +450,11 @@ class ColumnarTrie:
             keys = values - self.lows[depth]
         parents *= span
         keys += parents
-        return codes, keys
+        self.values.append(values)
+        self.indptr.append(indptr)
+        self.keys.append(keys)
+        self.codes.append(codes)
+        self.starts.append(starts)
 
     def take_pending_charge(self) -> float:
         """Drain the time :meth:`at_depth` spent building, in seconds —

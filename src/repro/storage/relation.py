@@ -15,10 +15,9 @@ the same storage.  ``(storage identity, version)`` —
 session-scoped index cache (:mod:`repro.engine.cache`) uses to detect
 that a cached index no longer reflects the relation; because rows are
 only ever appended, the first ``n`` rows of any version are the first
-``n`` rows of every later one, which is what lets that cache *extend* a
-structure built at an older version instead of rebuilding it
-(:meth:`Relation.snapshot` is the one consistent read it keys and
-builds from).
+``n`` rows of every later one, which is what lets that cache *merge*
+the appended rows into a trie built at an older version instead of
+rebuilding it (:meth:`Relation.snapshot` is its one consistent read).
 
 Relations are the unit every join algorithm in :mod:`repro.joins` consumes;
 the ``Relation`` here plays the role of the paper's ``Relation<IndexAdapter,
@@ -268,9 +267,9 @@ class Relation:
         renamed view, so all views observe the mutation consistently.
         Materialized column arrays are kept and grow by the appended
         rows' values (new arrays — a reader holding an old one keeps the
-        old version's column).  A session-cached index keyed on the
-        old fingerprint stops matching; the next prepare extends it with
-        the appended rows or rebuilds, and drops it either way.
+        old version's column).  A session-cached trie keyed on the old
+        fingerprint stops matching; the next prepare merges the appended
+        rows into it (or builds afresh) and drops it.
         """
         arity = self.arity
         appended = []

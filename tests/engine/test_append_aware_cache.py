@@ -1,14 +1,21 @@
 """The index cache under writes: what a write costs the next read.
 
-Relations are append-only, and a miss after a write rebuilds the
-columnar trie it missed on — the one structure a session holds besides a
-sharded plan's partitioning — from one consistent read.  These tests
+Relations are append-only, and a miss after a write merges the appended
+rows — read in one consistent snapshot — into the older version of the
+columnar trie it missed on, the one structure a session holds besides a
+sharded plan's partitioning: only the delta is sorted.  These tests
 hold that to the one contract that matters — a session read answers
 exactly as a cold ``join()`` over the same rows — across every frontier
-plan family, and pin the mechanism itself: every miss rebuilds, the
-superseded entry leaves the budget, and a prepared join keeps answering
-from the structures it was prepared with.  The paper's tuple drivers
-are never cached: they rebuild on every cold ``join()``.
+plan family, and pin the mechanism itself: a miss with its predecessor
+cached sorts the written rows only, a delta outside the trie's value
+ranges, a dtype flip, an evicted or a small predecessor builds afresh,
+the superseded entry leaves the budget, and a prepared join keeps
+answering from the structures it was prepared with.  The paper's tuple
+drivers are never cached: they rebuild on every cold ``join()``.
+
+The tables here are far smaller than the tries a session merges into
+(``columnar._MERGED_ROWS``; below it a fresh build is cheaper): the
+tests that exercise the merge lift that floor.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro import Relation, Session, join
 from repro.errors import ConfigurationError
+from repro.indexes import columnar
 from repro.joins import BinaryHashJoin, resolve_relations
 from repro.obs.observer import JoinObserver
 from repro.planner import parse_query
@@ -48,6 +56,12 @@ SHARDED = (TRIANGLE, {**GENERIC_BATCH, "parallel": 2})
 #: beyond int64: the column's dtype class flips to ``object``, which
 #: a batch-engine read joins by dictionary code from then on
 BIG = 2 ** 70
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    """Every cached trie is large enough to merge into."""
+    monkeypatch.setattr(columnar, "_MERGED_ROWS", 0)
 
 
 def base_tables() -> dict:
@@ -87,6 +101,14 @@ def span_names(observer: JoinObserver) -> list:
     return [span["name"] for span in observer.tracer.as_dicts()]
 
 
+def prepare_builds(observer: JoinObserver) -> list:
+    """The ``build_index`` spans of the prepare stage (a level built
+    inside ``probe`` carries ``levels=``)."""
+    return [span["args"] for span in observer.tracer.as_dicts()
+            if span["name"] == "build_index"
+            and "levels" not in span["args"]]
+
+
 def check_reads(session: Session, tables: dict, configs) -> None:
     for query, options in configs:
         assert session.execute(query, **options).count == \
@@ -119,7 +141,10 @@ def replay(steps, configs) -> Session:
                 ("E", "random", 5, 6)])
 @example(steps=[("E", "empty", 0, 0), "read"])
 def test_session_reads_equal_cold_joins(steps):
-    session = replay(steps, CONFIGS)
+    # every miss with its predecessor cached merges, whatever its size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "_MERGED_ROWS", 0)
+        session = replay(steps, CONFIGS)
     session.close()
 
 
@@ -136,7 +161,7 @@ def test_sharded_reads_equal_cold_joins(steps):
 # the mechanism
 # ----------------------------------------------------------------------
 class TestExtendOrRebuild:
-    def test_a_write_is_served_by_a_rebuild(self):
+    def test_a_write_is_served_by_a_merge(self, any_size):
         tables = base_tables()
         session = Session(tables)
         session.execute(CORE_EAR)
@@ -145,13 +170,45 @@ class TestExtendOrRebuild:
         result = session.execute(CORE_EAR, obs=observer)
         assert result.count == join(CORE_EAR, tables, **BINARY).count
         # E is held as two tries (E1 and E2 share one attribute order,
-        # E3 has its own): both missed and both were sorted again from
-        # every row; F's trie was not written, and is a hit
-        sorts = [span["args"] for span in observer.tracer.as_dicts()
-                 if span["name"] == "build_index"
-                 and "levels" not in span["args"]]
+        # E3 has its own): both missed, and each sorted the 2 written
+        # rows into its older version; F's trie was not written, and is
+        # a hit
+        sorts = prepare_builds(observer)
         assert [s["index"] for s in sorts] == ["columnar", "columnar"]
         assert {s["tuples"] for s in sorts} == {len(tables["E"])}
+        assert [s["delta"] for s in sorts] == [2, 2]
+
+    @pytest.mark.parametrize("write", [
+        [(0, 6), (7, 0)],         # 7 lies past the src column's hi
+        [(0, 6), (BIG, 0)],       # the src column turns to objects
+        "evicted",
+        "small",
+    ], ids=["out-of-range", "dtype-flip", "evicted-predecessor",
+            "small-predecessor"])
+    def test_a_write_the_merge_cannot_hold_builds_fresh(self, write,
+                                                        monkeypatch):
+        if write != "small":
+            monkeypatch.setattr(columnar, "_MERGED_ROWS", 0)
+        tables = base_tables()
+        session = Session(tables)
+        session.execute(TRIANGLE)
+        if write == "evicted":
+            tables["E"].extend([(0, 6), (6, 0)])
+            session.clear_cache()
+        else:
+            tables["E"].extend([(0, 6), (6, 0)] if write == "small"
+                               else write)
+        observer = JoinObserver()
+        assert session.execute(TRIANGLE, obs=observer).count == \
+            join(TRIANGLE, tables).count
+        # one sort over every row per attribute order, as a cold build
+        sorts = prepare_builds(observer)
+        assert len(sorts) == 2
+        assert all("delta" not in s for s in sorts)
+        assert {s["tuples"] for s in sorts} == {len(tables["E"])}
+        assert session.cache_stats().bytes == sum(
+            entry.value.memory_usage()
+            for entry in session.cache._entries.values())
 
     def test_stage_tables_rebuild_in_row_order(self):
         # a session holds no stage table: the binary pipeline builds its
@@ -272,10 +329,10 @@ class TestSupersededEntries:
 
 
 class TestBatchRebuilds:
-    """Under the batch engine a write is served by a rebuild: the
-    columnar trie's whole build is one packed sort."""
+    """Under the batch engine a write is served by a merge: the written
+    rows are sorted and merged into every level the older trie built."""
 
-    def test_a_stale_read_is_one_rebuild_per_attribute_order(self):
+    def test_a_stale_read_is_one_merge_per_order(self, any_size):
         tables = base_tables()
         session = Session(tables)
         session.execute(TRIANGLE, **GENERIC_BATCH)
@@ -285,17 +342,17 @@ class TestBatchRebuilds:
         result = session.execute(TRIANGLE, obs=observer, **GENERIC_BATCH)
         assert result.count == join(TRIANGLE, tables, **GENERIC_TUPLE).count
         # E is held under (a,b) — shared by E1 and E2 — and (c,a): two
-        # sorts at prepare, then the execution descends into both levels
-        # of both tries and builds each of the four once
+        # merges of the 2 written rows at prepare, into tries the last
+        # read built to the bottom, so the execution builds no level
         builds = [span["args"] for span in observer.tracer.as_dicts()
                   if span["name"] == "build_index"]
-        sorts = [b for b in builds if "levels" not in b]
-        assert [b["index"] for b in sorts] == ["columnar", "columnar"]
-        deepens = [b for b in builds if "levels" in b]
-        assert {b["index"] for b in deepens} == {"columnar"}
-        assert sum(b["levels"] for b in deepens) == 4
+        assert [(b["index"], b["delta"]) for b in builds] == \
+            [("columnar", 2), ("columnar", 2)]
+        assert [trie.built_depth
+                for trie in session.prepare(
+                    TRIANGLE, **GENERIC_BATCH).structures.values()] == [2] * 3
         # the predecessors left the byte budget: two live entries, charged
-        # what their arrays hold now that the execution has deepened them
+        # what their arrays hold
         stats = session.cache_stats()
         assert stats.entries == warm.entries == 2
         assert stats.evictions == warm.evictions + 2

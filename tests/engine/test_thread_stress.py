@@ -25,6 +25,7 @@ from itertools import product
 import pytest
 
 from repro.engine import Session
+from repro.indexes import columnar
 from repro.indexes.columnar import ColumnarTrie
 from repro.joins import join
 from repro.planner.query import parse_query
@@ -383,6 +384,61 @@ class TestConcurrentInvalidation:
         for case, prepared in zip(triangle_cases, pinned):
             assert sorted(prepared.execute(materialize=True).rows) \
                 == ground_truth[case], case
+
+    def test_inserts_merge_under_load(self, monkeypatch):
+        # as above, but every insert lies inside E's value ranges: each
+        # miss merges the written rows into the older version while other
+        # threads still probe it, and counting PATH reads leave levels for
+        # materialising ones to build on the predecessor mid-merge.  The
+        # inserted edges run from one idle id block into another, closing
+        # no triangle and extending no path
+        edges = Relation("E", ("src", "dst"),
+                         make_edges().rows + [(0, 999), (999, 0)])
+        tables = {"E": Relation("E", ("src", "dst"), list(edges.rows))}
+        truth = [sorted(join(query, tables, materialize=True, **kwargs).rows)
+                 for query, kwargs in CASES]
+        session = Session({"E": edges})
+        merges = Counter()
+        merge = ColumnarTrie._merge
+        # E is far below the size a merge pays at: merge into it anyway
+        monkeypatch.setattr(columnar, "_MERGED_ROWS", 0)
+
+        def counting_merge(trie, base, delta):
+            merges[len(delta[0])] += 1
+            merge(trie, base, delta)
+
+        monkeypatch.setattr(ColumnarTrie, "_merge", counting_merge)
+
+        def worker(tid):
+            for step in range(ITERATIONS):
+                edges.insert((500 + tid * ITERATIONS + step,
+                              600 + tid * ITERATIONS + step))
+                case = (tid + step) % len(CASES)
+                query, kwargs = CASES[case]
+                materialize = bool((tid + step) % 2)
+                result = session.execute(query, materialize=materialize,
+                                         **kwargs)
+                if materialize:
+                    assert sorted(result.rows) == truth[case], (tid, case)
+                else:
+                    assert result.count == len(truth[case]), (tid, case)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(merges.values()) > 0, merges
+        assert_counters_coherent(session)
+        # quiet again: every cached trie holds every row, and answers
+        for (query, kwargs), rows in zip(CASES, truth):
+            assert sorted(session.execute(query, materialize=True,
+                                          **kwargs).rows) == rows
+        assert {entry.value.tuples
+                for entry in session.cache._entries.values()} == \
+            {len(edges)}
+        assert_counters_coherent(session)
 
     def test_concurrent_extend_through_aliased_views(self):
         # extends race through renamed views sharing one storage; the
