@@ -53,6 +53,10 @@ def _version_of(key: tuple) -> int:
     return key[0][1]
 
 
+def _lineage(key: tuple) -> tuple:
+    return key[0][0], *key[1:]
+
+
 class CacheStats:
     """Point-in-time cache accounting, returned by :meth:`IndexCache.stats`."""
 
@@ -127,6 +131,8 @@ class IndexCache:
         self.dictionary = Dictionary()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()  # repro: shared[lock=_lock]
+        #: a key without its version (storage and spec) -> the one cached
+        self._versions: dict = {}   # repro: shared[lock=_lock]
         self._bytes = 0       # repro: shared[lock=_lock]
         self._evictions = 0   # repro: shared[lock=_lock]
         self._stores = 0      # repro: shared[lock=_lock]
@@ -164,9 +170,9 @@ class IndexCache:
         """The structure cached for ``key``'s storage and spec at an older
         version, or None; LRU order and counters stay as they are."""
         with self._lock:
-            for other in self._other_versions(key):
-                if _version_of(other) < _version_of(key):
-                    return self._entries[other].value
+            other = self._versions.get(_lineage(key))
+            if other is not None and _version_of(other) < _version_of(key):
+                return self._entries[other].value
         return None
 
     def put_if_absent(self, key: tuple, value: object, bytes_: int,
@@ -204,16 +210,17 @@ class IndexCache:
                 self._entries.move_to_end(key)
                 value = existing.value
             else:
-                others = self._other_versions(key)
-                stored = all(_version_of(other) < version for other in others)
+                other = self._versions.get(_lineage(key))
+                stored = other is None or _version_of(other) < version
                 if stored:
-                    for other in others:
+                    if other is not None:
                         self._drop(other)
                     self._entries[key] = _Entry(value, bytes_, key[0],
                                                 built_depth=built_depth)
+                    self._versions[_lineage(key)] = key
                     self._bytes += bytes_
                     self._stores += 1
-                    dropped = len(others) + self._evict_to_budget()
+                    dropped = (other is not None) + self._evict_to_budget()
         if not stored:
             self.metrics.inc("cache.race")
             return value
@@ -286,15 +293,9 @@ class IndexCache:
             self.metrics.inc("cache.evict", dropped)
 
     # ------------------------------------------------------------------
-    def _other_versions(self, key: tuple) -> list:   # repro: borrows-lock[_lock]
-        """Keys of ``key``'s storage and spec suffix at any other version."""
-        storage_id, suffix = key[0][0], key[1:]
-        return [other for other, entry in self._entries.items()
-                if entry.fingerprint[0] == storage_id
-                and other[1:] == suffix and other != key]
-
     def _drop(self, key: tuple) -> None:   # repro: borrows-lock[_lock]
         entry = self._entries.pop(key)
+        del self._versions[_lineage(key)]
         self._bytes -= entry.bytes
         self._evictions += 1
 

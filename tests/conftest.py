@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core import SonicConfig, SonicIndex
 from repro.hardware.cache import CacheHierarchy, CacheLevel
 from repro.storage import Relation
+
+#: ``HYPOTHESIS_PROFILE=stress`` (the thread-stress CI job) runs ten times
+#: hypothesis's default example count, and ten times the count of a test
+#: that scales its own by it
+settings.register_profile("stress", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_rows(arity: int, count: int, domain: int, seed: int = 0) -> list[tuple]:

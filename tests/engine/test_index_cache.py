@@ -133,6 +133,40 @@ class TestVersions:
         assert cache.metrics.get("cache.race") == 1
         assert cache.stats().bytes == 130
 
+    def test_versions_among_hundreds_of_entries(self):
+        # 300 relations, two specs each: a write's older version is found
+        # by its storage and spec alone, counters and LRU order untouched
+        cache = IndexCache(max_bytes=1 << 30)
+        relations = [Relation(f"R{i}", ("a", "b"), [(i, i)])
+                     for i in range(300)]
+        for relation in relations:
+            for tag in ("sonic", "btree"):
+                cache.put_if_absent(entry(cache, relation, tag),
+                                    (relation.name, tag, 0), 10)
+        written = relations[123]
+        old = entry(cache, written, "btree")
+        other_spec = entry(cache, written, "sonic")
+        written.insert((7, 7))
+        new = entry(cache, written, "btree")
+        before, order = cache.stats().as_dict(), list(cache._entries)
+        assert cache.predecessor(new) == ("R123", "btree", 0)
+        assert cache.predecessor(old) is None
+        assert cache.predecessor(entry(cache, relations[5], "sonic")) is None
+        assert cache.stats().as_dict() == before
+        assert list(cache._entries) == order
+        # the store drops that one superseded entry, and only that one
+        cache.put_if_absent(new, ("R123", "btree", 1), 12)
+        assert old not in cache and new in cache
+        assert other_spec in cache
+        stats = cache.stats()
+        assert (stats.entries, stats.stores, stats.evictions) == (600, 601, 1)
+        assert stats.bytes == 600 * 10 + 2
+        assert len(cache._versions) == len(cache._entries)
+        assert cache.predecessor(new) is None
+        # a dropped entry leaves the version map with it
+        assert cache.invalidate_relation(written) == 2
+        assert len(cache._versions) == len(cache._entries) == 598
+
     def test_key_for_an_explicit_version(self, edges):
         cache = IndexCache()
         at_zero = entry(cache, edges, "sonic")
