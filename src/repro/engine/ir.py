@@ -119,7 +119,6 @@ class JoinPlan:
     index: str = ""
     total_order: tuple[str, ...] = ()
     index_specs: tuple[IndexSpec, ...] = ()
-    dynamic_seed: bool = True
     choice: "PlanChoice | None" = None
     sharding: "ShardingSpec | None" = None
     #: the routing note — atoms the acyclic rule would give the binary

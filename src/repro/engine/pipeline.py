@@ -92,7 +92,6 @@ def plan(bound: BoundQuery,
          index: str = "sonic",
          order: "Sequence[str] | None" = None,
          engine: str = "auto",
-         dynamic_seed: bool = True,
          obs=None,
          index_kwargs: "Mapping[str, object] | None" = None,
          parallel: "int | None" = None) -> JoinPlan:
@@ -107,20 +106,20 @@ def plan(bound: BoundQuery,
 
     Only the frontier plans: a request for one of the paper's tuple
     drivers (``engine="tuple"``; ``binary``, ``hashtrie``,
-    ``leapfrog`` or ``recursive``; a ``binary_order`` among the index
-    options, as a session passes it on) raises
+    ``leapfrog`` or ``recursive``; a ``binary_order`` or
+    ``dynamic_seed=False`` among the index options, as a session passes
+    them on) raises
     :class:`~repro.errors.ConfigurationError` naming the door that runs
     it, ``join(engine="tuple")``.  ``algorithm="unified"`` is another
     name for ``"auto"``: the frontier runs a cyclic core and its acyclic
     ears as one Generic Join, and an acyclic query where the paper's
     optimizer would pick the binary pipeline.
 
-    ``parallel`` (default: the ``REPRO_WORKERS`` environment variable;
-    0 / unset means single-process) plants a
-    :class:`~repro.engine.ir.ShardingSpec` on the plan: the prepare
-    stage then partitions the relations into that many shared-memory
-    shards on the plan's leading attribute, and execution fans out to a
-    worker-process pool (:mod:`repro.parallel`).  ``parallel=1`` is a
+    ``parallel`` (0 / ``None``, the default, means single-process)
+    plants a :class:`~repro.engine.ir.ShardingSpec` on the plan: the
+    prepare stage then partitions the relations into that many
+    shared-memory shards on the plan's leading attribute, and execution
+    fans out to a worker-process pool (:mod:`repro.parallel`).  ``parallel=1`` is a
     valid degenerate fleet — one worker process, useful as the
     like-for-like baseline when measuring fan-out speedup.
     """
@@ -129,7 +128,8 @@ def plan(bound: BoundQuery,
     if algorithm == "unified":
         algorithm = "auto"
     kwargs = dict(index_kwargs or {})
-    if door_request(algorithm, engine, kwargs.get("binary_order")):
+    if door_request(algorithm, engine, kwargs.get("binary_order"),
+                    kwargs.get("dynamic_seed", True)):
         raise door_refusal(algorithm, engine)
     police_options(algorithm, index, kwargs, GENERIC_OPTIONS)
     query, relations = bound.query, bound.relations
@@ -153,7 +153,7 @@ def plan(bound: BoundQuery,
                          f"place ({', '.join(a.alias for a in query.atoms)})")
         result = _generic_plan(query, relations,
                                resolve_order(query, order), index,
-                               choice, route, dynamic_seed)
+                               choice, route)
         workers = _resolve_workers(parallel)
         if workers:
             # shard on the leading attribute: every result tuple binds
@@ -365,8 +365,8 @@ def _choose(query: JoinQuery, stats: Statistics, core: set,
 
 
 def _generic_plan(query: JoinQuery, relations: Mapping[str, Relation],
-                  total: tuple[str, ...], index: str, choice, note: str,
-                  dynamic_seed: bool) -> JoinPlan:
+                  total: tuple[str, ...], index: str, choice,
+                  note: str) -> JoinPlan:
     """The frontier plan: one columnar trie per atom under ``total``.
 
     An attribute with an object column in any of the query's atoms is
@@ -396,8 +396,8 @@ def _generic_plan(query: JoinQuery, relations: Mapping[str, Relation],
         choice = replace(choice, reason=f"{choice.reason}; {note}")
     return JoinPlan(query=query, algorithm="generic", output=total,
                     engine="batch", index=index, total_order=total,
-                    index_specs=tuple(specs), dynamic_seed=dynamic_seed,
-                    choice=choice, engine_note=note)
+                    index_specs=tuple(specs), choice=choice,
+                    engine_note=note)
 
 
 # ----------------------------------------------------------------------

@@ -87,9 +87,7 @@ class PreparedJoin:
         """A fresh frontier driver over the shared tries."""
         tries = [self.structures[atom.alias]
                  for atom in self.plan.query.atoms]
-        return GenericJoinBatch(self._program(tries), tries,
-                                dynamic_seed=self.plan.dynamic_seed,
-                                obs=observer)
+        return GenericJoinBatch(self._program(tries), tries, obs=observer)
 
     def _program(self, tries: list) -> FrontierProgram:
         """The frontier program for tries of this shape, compiled on
@@ -107,13 +105,13 @@ class PreparedJoin:
 
     # ------------------------------------------------------------------
     def execute(self, materialize: bool = False, obs=None,
-                profile: "bool | None" = None,
+                profile: bool = False,
                 trace_out: "str | None" = None) -> JoinResult:
         """Run the prepared join once: a fresh driver, shared structures.
 
         ``obs`` / ``profile`` / ``trace_out`` mirror
         :func:`repro.joins.join`: an explicit observer wins, else
-        ``profile`` (default ``REPRO_PROFILE``) spins up a private
+        ``profile`` spins up a private
         :class:`~repro.obs.observer.JoinObserver` for this execution.
         Note a warm execution's profile has no ``build_index`` spans —
         the builds happened at prepare time, under the prepare

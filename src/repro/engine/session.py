@@ -12,9 +12,9 @@ holds and runs plans, and a plan describes what runs: the Generic Join
 on the batch engine over columnar tries, which the default options
 resolve to.  A request for one of the paper's tuple drivers
 (``engine="tuple"``, ``binary`` / ``hashtrie`` / ``leapfrog`` /
-``recursive``, or a pinned ``binary_order``) has no plan: it raises
-:class:`~repro.errors.ConfigurationError` and runs cold through
-:func:`repro.joins.join` instead:
+``recursive``, a pinned ``binary_order`` or ``dynamic_seed=False``)
+has no plan: it raises :class:`~repro.errors.ConfigurationError` and
+runs cold through :func:`repro.joins.join` instead:
 
 >>> from repro import Relation, Session
 >>> edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])
@@ -144,20 +144,19 @@ class Session:
                 algorithm: str = "generic",
                 index: str = "sonic",
                 order: "Sequence[str] | None" = None,
-                dynamic_seed: bool = True,
                 engine: str = "auto",
-                profile: "bool | None" = None,
+                profile: bool = False,
                 obs=None,
                 parallel: "int | None" = None,
                 **index_kwargs) -> PreparedJoin:
         """Compile a query down to a :class:`PreparedJoin` (warm path).
 
         Parameters mirror :func:`repro.joins.join`, less
-        ``binary_order``, which only the paper's door reads; the
-        difference is the return value (executable many times) and the
-        build route — every index spec goes through the session cache,
-        so repeated prepares over unchanged relations skip the build
-        entirely.  Only a frontier request plans: ``algorithm``
+        ``binary_order`` and ``dynamic_seed``, which only the paper's
+        door reads; the difference is the return value (executable many
+        times) and the build route — every index spec goes through the
+        session cache, so repeated prepares over unchanged relations skip
+        the build entirely.  Only a frontier request plans: ``algorithm``
         ``"generic"``, ``"auto"`` or ``"unified"`` under
         ``engine="auto"`` or ``"batch"``, with any ``index=``
         (accepted, not built); what is cached is one columnar trie per
@@ -167,8 +166,8 @@ class Session:
         built or cached; run it through :func:`repro.joins.join`, which
         builds its structures cold.
 
-        With ``parallel=K`` (or ``REPRO_WORKERS``), what the cache
-        holds per relation is the shared-memory shard partitioning
+        With ``parallel=K``, what the cache holds per relation is the
+        shared-memory shard partitioning
         (:class:`~repro.parallel.shm.ShardedColumns`) instead of a
         built index — the per-shard index builds happen inside worker
         processes, which every execution borrows from the process-wide
@@ -185,14 +184,14 @@ class Session:
         """
         observer = resolve_observer(profile, obs)
         options = dict(algorithm=algorithm, index=index, order=order,
-                       engine=engine, dynamic_seed=dynamic_seed,
-                       index_kwargs=index_kwargs, parallel=parallel)
+                       engine=engine, index_kwargs=index_kwargs,
+                       parallel=parallel)
         key = None
         if not observer.enabled:
             key = (query if isinstance(query, str) else query.atoms,
                    algorithm, index,
                    None if order is None else tuple(order),
-                   engine, dynamic_seed, canonical_options(index_kwargs),
+                   engine, canonical_options(index_kwargs),
                    _resolve_workers(parallel))
         while True:
             entry = self._cached_plan(key)
@@ -265,7 +264,7 @@ class Session:
     def execute(self, query: "JoinQuery | str",
                 materialize: bool = False,
                 trace_out: "str | None" = None,
-                profile: "bool | None" = None,
+                profile: bool = False,
                 obs=None,
                 **kwargs) -> JoinResult:
         """Prepare-and-run in one call, always against current data.

@@ -284,8 +284,8 @@ class ColumnarTrie:
                                    else np.zeros(1, dtype=np.int64))
             self._built = self.arity
             return
-        self.lows = [int(column.min()) for column in columns]
-        self.highs = [int(column.max()) for column in columns]
+        self.lows = [int(np.minimum.reduce(column)) for column in columns]
+        self.highs = [int(np.maximum.reduce(column)) for column in columns]
         self.spans = [high - low + 1
                       for low, high in zip(self.lows, self.highs)]
         if prod(self.spans) < PACK_LIMIT:
@@ -435,7 +435,7 @@ class ColumnarTrie:
             if key is None:
                 # a row that opens a node one level up opens one here too
                 differs[above[1:-1] - 1] = True
-            opened = np.flatnonzero(differs)
+            opened = differs.nonzero()[0]
             del differs
             node_starts = np.empty(len(opened) + 2, dtype=np.int64)
             node_starts[0] = 0

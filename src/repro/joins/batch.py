@@ -17,9 +17,8 @@ rows:
 1. **degrees** — every participating atom's child count under each
    row's node, read off the trie's CSR ``indptr``;
 2. **seed** — per row, the participant with the fewest children: the
-   Alg. 1 line 9/10 size comparison on exact residual counts
-   (``dynamic_seed=False`` keeps one static seed per level, by base
-   relation size);
+   Alg. 1 line 9/10 size comparison on exact residual counts (its
+   static-seed ablation runs on the tuple driver only);
 3. **expand** — the seed's children of every row, laid out with
    ``repeat`` (one ``arange`` for a block from one frontier row);
 4. **intersect** — one packed-key probe per other participant (Alg. 1
@@ -229,18 +228,14 @@ class GenericJoinBatch:
     published levels are only read (a trie appends missing ones under
     its own lock), so one prepared set serves any number of concurrent
     runs; everything a run writes lives on the driver.
-    ``dynamic_seed=False`` keeps one static seed per level, the
-    participant over the fewest rows.
     """
 
     def __init__(self, program: FrontierProgram,
-                 tries: Sequence[ColumnarTrie],
-                 dynamic_seed: bool = True, obs=None):
+                 tries: Sequence[ColumnarTrie], obs=None):
         self.program = program
         self.query = program.query
         self.order = program.order
         self._tries = tries
-        self.dynamic_seed = dynamic_seed
         self.metrics = JoinMetrics(algorithm="generic_join_batch",
                                    index=ColumnarTrie.NAME)
         self.obs = obs if obs is not None else NULL_OBSERVER
@@ -261,15 +256,6 @@ class GenericJoinBatch:
         self._build_ns = 0
         #: the level a counting run is finished at from subtree sizes
         self._counted_from = len(self.order) if materialize else program.tail
-        #: per level, the static seed as a position into the participant
-        #: list — the atom over the fewest rows; read where one atom
-        #: participates (position 0) or dynamic selection is ablated
-        self._static_pos = [0] * len(self.order)
-        if not self.dynamic_seed:
-            self._static_pos = [
-                min(range(len(level)),
-                    key=lambda p: self._tries[level[p][0]].tuples)
-                for level in program.participants]
         # the root binding: one row, every atom at its trie's root (and
         # a weight of one)
         columns = len(self._tries) + 1 if program.weighted \
@@ -356,10 +342,9 @@ class GenericJoinBatch:
             tries.append(trie)
             starts.append(start)
             counts.append(count)
-        if len(participants) == 1 or not self.dynamic_seed:
-            position = self._static_pos[level]
-            self._expand(level, position, None, tries, starts[position],
-                         counts[position], nodes, bound)
+        if len(participants) == 1:
+            self._expand(level, 0, None, tries, starts[0], counts[0],
+                         nodes, bound)
         else:
             seeds = np.array(counts).argmin(axis=0)
             for position in range(len(participants)):

@@ -12,7 +12,8 @@ alone (:func:`door_request`):
   atom (timed — ad-hoc index build is part of every WCOJ run, §5.15),
   and **execute** the batch Generic Join;
 * the **paper's door** — ``engine="tuple"``, ``binary`` / ``hashtrie``
-  / ``leapfrog`` / ``recursive``, or a pinned ``binary_order``: bind,
+  / ``leapfrog`` / ``recursive``, a pinned ``binary_order`` or
+  ``dynamic_seed=False``: bind,
   then the driver the request names (``auto`` lets the hybrid optimizer
   pick binary or the tuple Generic Join), which builds its own
   structures.  No plan describes it, and nothing serves it warm.
@@ -35,9 +36,9 @@ joins skip the rebuild.
 Algorithms: ``"generic"`` (Generic Join over any registered index),
 ``"binary"`` (pipelined hash joins), ``"hashtrie"`` (Umbra-style),
 ``"leapfrog"`` (LFTJ), or ``"auto"`` (the hybrid optimizer chooses
-binary vs generic, §6/[22]; unless ``engine="tuple"`` or a pinned
-``binary_order`` sends it to the paper's door, an acyclic query goes
-generic too).
+binary vs generic, §6/[22]; unless ``engine="tuple"``, a pinned
+``binary_order`` or ``dynamic_seed=False`` sends it to the paper's door,
+an acyclic query goes generic too).
 
 This module also remains the home of the shared building blocks the
 pipeline stages (and the test suite) use directly:
@@ -54,7 +55,6 @@ from pathlib import Path
 
 from repro.core.adapter import IndexAdapter
 from repro.core.config import SonicConfig
-from repro.core.envflag import resolve_str
 from repro.errors import ConfigurationError, QueryError
 from repro.indexes.registry import make_index
 from repro.joins.results import JoinResult, Stopwatch
@@ -101,7 +101,7 @@ def attach_profile(query, result: JoinResult, observer, choice, order,
                    engine: "str | None" = None,
                    trace_out: "str | None" = None) -> JoinResult:
     """Fold the observer into ``result.profile`` (enabled runs only) and
-    write the Chrome trace if ``trace_out``/``REPRO_TRACE_OUT`` asks."""
+    write the Chrome trace to ``trace_out`` when one is named."""
     if not observer.enabled:
         return result
     profile = build_profile(
@@ -115,9 +115,8 @@ def attach_profile(query, result: JoinResult, observer, choice, order,
         choice=choice,
     )
     result.profile = profile
-    out = resolve_str(trace_out, "REPRO_TRACE_OUT")
-    if out:
-        Path(out).write_text(
+    if trace_out:
+        Path(trace_out).write_text(
             json.dumps(profile.to_chrome_trace(), indent=2) + "\n")
     return result
 
@@ -233,15 +232,17 @@ def check_names(algorithm: str, engine: str) -> None:
 
 
 def door_request(algorithm: str, engine: str,
-                 binary_order: "Sequence[str] | None") -> bool:
+                 binary_order: "Sequence[str] | None",
+                 dynamic_seed: bool) -> bool:
     """Does a request go to the paper's door rather than the frontier?
 
     Decided from the call's arguments alone — no statistics, no GYO
-    reduction: the tuple engine, one of :data:`TUPLE_DRIVERS`, or a
-    pinned ``binary_order`` (the frontier never reads one).
+    reduction: the tuple engine, one of :data:`TUPLE_DRIVERS`, a pinned
+    ``binary_order`` or ``dynamic_seed=False`` (the frontier reads
+    neither; the tuple Generic Join honors the static seed).
     """
     return (engine == "tuple" or algorithm in TUPLE_DRIVERS
-            or binary_order is not None)
+            or binary_order is not None or not dynamic_seed)
 
 
 def door_refusal(algorithm: str, engine: str) -> ConfigurationError:
@@ -250,7 +251,8 @@ def door_refusal(algorithm: str, engine: str) -> ConfigurationError:
     a :func:`door_request`."""
     return ConfigurationError(
         f"algorithm={algorithm!r} engine={engine!r} asks for one of the "
-        "paper's tuple drivers, which run only cold: Session, prepare() "
+        "paper's tuple drivers (so do a pinned binary_order and "
+        "dynamic_seed=False), which run only cold: Session, prepare() "
         "and parallel=K serve frontier plans (algorithm 'generic' on the "
         "batch engine, which engine='auto' resolves to); run the paper's "
         "tuple drivers through a plain join() — join(engine=\"tuple\") for "
@@ -343,6 +345,10 @@ def _door(bound, algorithm: str, index: str,
             raise ConfigurationError(
                 f"algorithm {algorithm!r} cannot honor binary_order under "
                 "engine='batch', which has no binary pipeline")
+    if not dynamic_seed and engine == "batch":
+        raise ConfigurationError(
+            "engine='batch' cannot honor dynamic_seed=False; the tuple "
+            "Generic Join does (engine='tuple')")
     if resolve_workers(parallel):
         raise door_refusal(algorithm, engine)
     police_options(algorithm, index, kwargs, _DOOR_OPTIONS[
@@ -400,7 +406,7 @@ def join(query: "JoinQuery | str",
          dynamic_seed: bool = True,
          binary_order: Sequence[str] | None = None,
          engine: str = "auto",
-         profile: "bool | None" = None,
+         profile: bool = False,
          obs: "JoinObserver | None" = None,
          trace_out: "str | None" = None,
          parallel: "int | None" = None,
@@ -415,8 +421,11 @@ def join(query: "JoinQuery | str",
     ``repro.planner.total_order(query)`` for the paper's raw QP-tree
     order; it must name every query attribute exactly once, else
     :class:`~repro.errors.QueryError` names the missing, repeated or
-    unknown ones), ``dynamic_seed`` ablates the AGM-guided anchor
-    selection, and ``binary_order`` pins the binary pipeline's join
+    unknown ones), ``dynamic_seed=False`` ablates the AGM-guided anchor
+    selection (Alg. 1's size check) and takes the paper's door, where
+    the tuple Generic Join keeps one static seed per level (the
+    frontier has no such switch; ``engine="batch"`` refuses it), and
+    ``binary_order`` pins the binary pipeline's join
     order (Fig 1's order-sensitivity axis): it must name every atom
     exactly once, and only ``binary`` and ``auto`` / ``unified`` off
     the batch engine honor it (any other algorithm raises
@@ -441,14 +450,15 @@ def join(query: "JoinQuery | str",
     non-generic algorithms have no batch rendering and ignore the knob.
     ``"auto"`` does not, and ``"unified"`` is another name for it: on
     the frontier (``engine`` ``"auto"`` or ``"batch"``, no
-    ``binary_order``) every query runs on the batch Generic Join — an
-    acyclic one where the paper's hybrid optimizer would send it to the
-    binary hash pipeline, since its build is one sort per relation
-    rather than a Python loop per row, and a cyclic core with its
-    acyclic ears; ``PlanChoice.reason`` and ``describe()`` say so.  At
-    the paper's door (``engine="tuple"`` or a pinned ``binary_order``)
-    the hybrid optimizer picks between the binary pipeline and the
-    tuple Generic Join, as in Table 1.
+    ``binary_order``, the dynamic seed) every query runs on the batch
+    Generic Join — an acyclic one where the paper's hybrid optimizer
+    would send it to the binary hash pipeline, since its build is one
+    sort per relation rather than a Python loop per row, and a cyclic
+    core with its acyclic ears; ``PlanChoice.reason`` and
+    ``describe()`` say so.  At
+    the paper's door (``engine="tuple"``, a pinned ``binary_order`` or
+    ``dynamic_seed=False``) the hybrid optimizer picks between the
+    binary pipeline and the tuple Generic Join, as in Table 1.
 
     ``**index_kwargs`` carries per-algorithm index options
     (``sonic_bucket_size`` / ``sonic_overallocation`` / ``index_options``
@@ -457,10 +467,10 @@ def join(query: "JoinQuery | str",
     :class:`~repro.errors.ConfigurationError` before anything is built
     — the seed silently swallowed them.
 
-    ``parallel`` (default: the ``REPRO_WORKERS`` environment variable;
-    0 / unset keeps the single-process path) runs a frontier plan as
-    ``K`` hash-sharded worker processes over shared-memory columns
-    (:mod:`repro.parallel`); a request for the paper's door raises
+    ``parallel`` (0 / ``None``, the default, keeps the single-process
+    path) runs a frontier plan as ``K`` hash-sharded worker processes
+    over shared-memory columns (:mod:`repro.parallel`); a request for
+    the paper's door raises
     :class:`~repro.errors.ConfigurationError` instead, before anything
     is partitioned or forked.  The plan gains a
     :class:`~repro.engine.ir.ShardingSpec` on its leading attribute,
@@ -473,17 +483,15 @@ def join(query: "JoinQuery | str",
     (use :meth:`repro.engine.Session.prepare` with ``parallel=K`` to
     keep the partitioning, and the workers' per-shard indexes, warm).
 
-    ``profile`` (default: the ``REPRO_PROFILE`` environment variable)
-    runs the join under a live :class:`~repro.obs.observer.JoinObserver`
-    and attaches the EXPLAIN ANALYZE report to ``result.profile`` (a
+    ``profile`` runs the join under a live
+    :class:`~repro.obs.observer.JoinObserver` and attaches the EXPLAIN
+    ANALYZE report to ``result.profile`` (a
     :class:`~repro.obs.profile.JoinProfile`: per-level candidates /
     survivors / seed choices / time, the hybrid optimizer's estimated vs
     actual cardinalities, counters, spans).  ``obs`` threads a caller-
-    supplied observer instead (e.g. a shared metrics registry, or
-    ``JoinObserver.disabled()`` to pin profiling off whatever
-    ``REPRO_PROFILE`` says);
-    ``trace_out`` (default: ``REPRO_TRACE_OUT``) additionally writes the
-    span trace as Chrome ``trace_event`` JSON to that path.
+    supplied observer instead (e.g. a shared metrics registry);
+    ``trace_out`` additionally writes a profiled run's span trace as
+    Chrome ``trace_event`` JSON to that path.
 
     Every call runs cold — **bind → plan → prepare(no cache) →
     execute** — so the ad-hoc index build is part of the reported
@@ -498,12 +506,12 @@ def join(query: "JoinQuery | str",
 
     observer = resolve_observer(profile, obs)
     bound = bind(query, source, obs=observer)
-    if door_request(algorithm, engine, binary_order):
+    if door_request(algorithm, engine, binary_order, dynamic_seed):
         return _door(bound, algorithm, index, order, binary_order, engine,
                      dynamic_seed, observer, index_kwargs, parallel,
                      materialize, trace_out)
     join_plan = plan(bound, algorithm=algorithm, index=index, order=order,
-                     engine=engine, dynamic_seed=dynamic_seed, obs=observer,
+                     engine=engine, obs=observer,
                      index_kwargs=index_kwargs, parallel=parallel)
     prepared = prepare(bound, join_plan, None, observer)
     try:

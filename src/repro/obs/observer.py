@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-from repro.core.envflag import resolve_flag
 from repro.obs.metrics import Metrics, NULL_METRICS
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -127,13 +126,10 @@ class JoinObserver:
 NULL_OBSERVER = JoinObserver.disabled()
 
 
-def resolve_observer(profile: "bool | None", obs: "JoinObserver | None",
+def resolve_observer(profile: bool, obs: "JoinObserver | None",
                      ) -> JoinObserver:
     """The observer one call runs under: an explicit ``obs`` wins, else
-    ``profile`` (default: the ``REPRO_PROFILE`` environment variable)
-    makes a private one, else the shared disabled one."""
+    ``profile`` makes a private one, else the shared disabled one."""
     if obs is not None:
         return obs
-    if resolve_flag(profile, "REPRO_PROFILE"):
-        return JoinObserver()
-    return NULL_OBSERVER
+    return JoinObserver() if profile else NULL_OBSERVER

@@ -25,7 +25,7 @@ concatenate.  Layers, parent → worker:
   fold-in via :meth:`repro.obs.metrics.Metrics.merge`.
 
 Users never touch these classes directly, so the package exports
-nothing: ``join(..., parallel=K)`` (or ``REPRO_WORKERS=K``) plants a
+nothing: ``join(..., parallel=K)`` plants a
 :class:`~repro.engine.ir.ShardingSpec` in the plan, and the engine's
 prepare/execute stages route through here.
 """

@@ -11,10 +11,9 @@ Pools belong to the process: each sharded fan-out borrows one from
 :data:`IDLE_POOLS`, which forks only when no pool of that size is idle
 and closes its idle pools at interpreter exit.
 
-The start method comes from ``REPRO_MP_START`` when set, else ``fork``
-where available (cheap on Linux — workers inherit the imported engine)
-with ``spawn`` as the portable fallback.  Workers are daemons: an
-abandoned pool cannot outlive its parent.  A worker death or task
+The start method is ``fork`` where available (cheap on Linux — workers
+inherit the imported engine) with ``spawn`` as the portable fallback.
+Workers are daemons: an abandoned pool cannot outlive its parent.  A worker death or task
 timeout surfaces as :class:`~repro.errors.ExecutionError` carrying the
 worker-side traceback when there is one — plus the parent's
 flight-recorder tail (``exc.flight_log``), so the dispatch/collect
@@ -32,7 +31,6 @@ import multiprocessing as mp
 import threading
 from contextlib import contextmanager
 
-from repro.core.envflag import env_int, env_str
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs.flightrec import FLIGHT_RECORDER
 from repro.parallel.worker import worker_main
@@ -55,25 +53,21 @@ DEFAULT_TASK_TIMEOUT = 300.0
 
 
 def resolve_workers(parallel: "int | None") -> int:
-    """The effective worker count: explicit arg wins, else ``REPRO_WORKERS``.
+    """The effective worker count of ``parallel``.
 
-    Returns 0 for "no sharding" (the single-process path); explicit
-    non-positive values other than 0/None are configuration errors.
+    Returns 0 for "no sharding" (the single-process path); values below
+    0 are configuration errors.
     """
-    workers = parallel if parallel is not None else env_int("REPRO_WORKERS", 0)
-    if workers is None or workers == 0:
+    if not parallel:
         return 0
-    if workers < 0:
+    if parallel < 0:
         raise ConfigurationError(
-            f"parallel={workers}: worker count must be >= 1")
-    return int(workers)
+            f"parallel={parallel}: worker count must be >= 1")
+    return int(parallel)
 
 
 def start_method() -> str:
     """The multiprocessing start method the pool will use."""
-    explicit = env_str("REPRO_MP_START")
-    if explicit:
-        return explicit
     methods = mp.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -81,12 +75,12 @@ def start_method() -> str:
 class WorkerPool:
     """K worker processes answering shard tasks over private pipes."""
 
-    def __init__(self, workers: int, method: "str | None" = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ConfigurationError(
                 f"worker pool needs >= 1 worker, got {workers}")
         self.workers = workers
-        self.method = method or start_method()
+        self.method = start_method()
         context = mp.get_context(self.method)
         self._processes = []
         self._connections = []
@@ -110,12 +104,13 @@ class WorkerPool:
         Task payloads are small (handles and plan decisions), so every
         task is sent before any result is read — the pipe buffer
         comfortably holds the requests while workers stream answers.
+        Each result is awaited ``timeout`` seconds, by default
+        :data:`DEFAULT_TASK_TIMEOUT`.
         """
         if self._closed:
             raise execution_error("worker pool is closed")
         if timeout is None:
-            timeout = float(env_int("REPRO_SHARD_TIMEOUT",
-                                    int(DEFAULT_TASK_TIMEOUT)))
+            timeout = DEFAULT_TASK_TIMEOUT
         FLIGHT_RECORDER.record("pool.dispatch", tasks=len(tasks),
                                workers=self.workers)
         assignment = [[] for _ in range(self.workers)]
@@ -155,7 +150,7 @@ class WorkerPool:
             self.close()
             raise execution_error(
                 f"shard worker {worker_id} produced no result within "
-                f"{timeout:.0f}s (REPRO_SHARD_TIMEOUT)",
+                f"{timeout:.0f}s",
                 worker=worker_id, timeout_s=timeout)
         try:
             result = connection.recv()
@@ -221,29 +216,28 @@ class _IdlePools:
 
     def __init__(self):
         self._lock = threading.Lock()
-        #: (workers, start method) → idle pools, most recent last
-        self._idle: "dict[tuple, list[WorkerPool]]" = {}  # repro: shared[lock=_lock]
+        #: worker count → idle pools, most recent last
+        self._idle: "dict[int, list[WorkerPool]]" = {}  # repro: shared[lock=_lock]
 
     @contextmanager
     def borrow(self, workers: int):
         """A live pool of ``workers`` for one fan-out — an idle one, else
         a newly forked one — given back afterwards unless the fan-out
         failed: a failed fan-out's pipes may be out of step."""
-        key = (workers, start_method())
         with self._lock:
-            idle = self._idle.get(key)
+            idle = self._idle.get(workers)
             pool = idle.pop() if idle else None
         if pool is None or not pool.alive():
             if pool is not None:
                 pool.close()  # a worker died while the pool sat idle
-            pool = WorkerPool(*key)
+            pool = WorkerPool(workers)
         try:
             yield pool
         except BaseException:
             pool.close()
             raise
         with self._lock:
-            self._idle.setdefault(key, []).append(pool)
+            self._idle.setdefault(workers, []).append(pool)
 
     def close_idle(self) -> None:
         """Close every idle pool."""

@@ -23,7 +23,6 @@ import pickle
 import uuid
 from dataclasses import replace
 
-from repro.core.envflag import env_flag, env_str
 from repro.indexes.columnar import ColumnarTrie
 from repro.joins.results import JoinResult, Stopwatch
 from repro.obs.flightrec import FLIGHT_RECORDER
@@ -73,17 +72,13 @@ class ShardedRunner:
         signature = (self._plan_bytes, shard,
                      tuple((alias, tuple(h.signature() for h in row))
                            for alias, row in handles.items()))
-        # read here: a pooled worker's environment is that of its fork
-        trace_out = env_str("REPRO_TRACE_OUT") or None
         return {
             "plan": self._plan_bytes,
             "shard": shard,
             "signature": signature,
             "handles": handles,
             "materialize": materialize,
-            "with_counters": (with_counters or bool(trace_out)
-                              or env_flag("REPRO_PROFILE")),
-            "trace_out": trace_out,
+            "with_counters": with_counters,
             "one_shot": self.owned,
         }
 

@@ -8,8 +8,8 @@ or lock.  The worker maps the columns, rebuilds per-shard relations,
 and runs the parent's plan through the **same** prepare loop and
 :class:`~repro.engine.prepared.PreparedJoin` a single-process run takes
 (:mod:`repro.engine.pipeline`): no bind, no re-plan, so each shard
-joins by exactly the parent's decisions — its total order, seed rule
-and dictionary-coded specs — which is what makes the
+joins by exactly the parent's decisions — its total order and
+dictionary-coded specs — which is what makes the
 shard-equivalence property tests meaningful.
 
 Entry points (:func:`worker_main`, :func:`run_shard_task`) are plain
@@ -119,22 +119,6 @@ def _prepare_task(task: dict, obs=None) -> "tuple[object, list]":
     return prepared, attachments
 
 
-def _shard_trace_path(out: str, shard: int) -> str:
-    """A per-shard variant of the caller's ``REPRO_TRACE_OUT`` path.
-
-    Every task carries the same path; writing it verbatim would have K
-    processes clobbering one file, so
-    ``trace.json`` becomes ``trace.shard0.json`` etc.  (The parent
-    separately writes the *merged* multi-pid document to the original
-    path.)
-    """
-    from pathlib import PurePath
-
-    path = PurePath(out)
-    suffix = path.suffix or ".json"
-    return str(path.with_name(f"{path.stem}.shard{shard}{suffix}"))
-
-
 def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
                    ) -> dict:
     """Execute one shard task; returns a picklable result dict.
@@ -146,13 +130,12 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
     attachments are then closed before the answer is returned.
 
     The task's ``with_counters`` turns the worker-side observer on; the
-    parent sets it when it ran profiled or the caller's environment
-    holds ``REPRO_PROFILE`` / ``REPRO_TRACE_OUT`` (the latter rides in
-    ``trace_out``).  A profiled shard answers with its own profile
-    (:meth:`~repro.obs.profile.JoinProfile.as_dict`, carrying its pid)
-    and a ``clock``: its tracer's origin and the calibration stamps the
-    parent rebases its spans by; a trace path is honored per shard
-    (``trace.json`` → ``trace.shard0.json``), never clobbered.
+    parent sets it when it runs profiled.  A profiled shard answers with
+    its own profile (:meth:`~repro.obs.profile.JoinProfile.as_dict`,
+    carrying its pid) and a ``clock``: its tracer's origin and the
+    calibration stamps the parent rebases its spans by.  The shard
+    writes no trace file: the parent's merged multi-pid trace holds its
+    spans.
     """
     from repro.joins.results import Stopwatch
     from repro.obs.observer import JoinObserver, NULL_OBSERVER
@@ -176,10 +159,7 @@ def run_shard_task(task: dict, state_cache: "OrderedDict | None" = None,
                     shm.close()
     prepared, attachments = entry
 
-    trace_out = (_shard_trace_path(task["trace_out"], task["shard"])
-                 if task.get("trace_out") and with_obs else None)
-    result = prepared.execute(materialize=task["materialize"], obs=observer,
-                              trace_out=trace_out)
+    result = prepared.execute(materialize=task["materialize"], obs=observer)
     metrics = result.metrics
     response = {
         "ok": True,

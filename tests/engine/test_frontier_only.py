@@ -1,8 +1,8 @@
 """The serving layers run only the frontier.
 
 ``Session.prepare`` / ``Session.execute``, ``repro.engine.plan`` (and so
-``repro.engine.prepare``) and every sharded run (``parallel=K`` or
-``REPRO_WORKERS``) hold frontier plans only: the Generic Join on the
+``repro.engine.prepare``) and every sharded run (``parallel=K``) hold
+frontier plans only: the Generic Join on the
 batch engine.  Each request for the paper's tuple drivers is refused at
 each of them with a ``ConfigurationError`` that names the cold door,
 ``join(engine="tuple")`` — before anything is built, cached,
@@ -40,26 +40,21 @@ def tables() -> dict:
             "S": Relation("S", ("b", "c"), [(i % 4, i) for i in range(8)])}
 
 
-def via_session_prepare(source, options, monkeypatch, session):
+def via_session_prepare(source, options, session):
     session.prepare(PATH, **options)
 
 
-def via_session_execute(source, options, monkeypatch, session):
+def via_session_execute(source, options, session):
     session.execute(PATH, **options)
 
 
-def via_engine_prepare(source, options, monkeypatch, session):
+def via_engine_prepare(source, options, session):
     bound = bind(PATH, source)
     prepare(bound, plan(bound, **options))
 
 
-def via_parallel(source, options, monkeypatch, session):
+def via_parallel(source, options, session):
     join(PATH, source, parallel=2, **options)
-
-
-def via_workers_env(source, options, monkeypatch, session):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    join(PATH, source, **options)
 
 
 ENTRY_POINTS = {
@@ -67,7 +62,6 @@ ENTRY_POINTS = {
     "Session.execute": via_session_execute,
     "engine.prepare": via_engine_prepare,
     "join(parallel=2)": via_parallel,
-    "REPRO_WORKERS=2": via_workers_env,
 }
 
 
@@ -84,19 +78,42 @@ def idle_pools() -> dict:
     for configuration in CONFIGURATIONS for entry in ENTRY_POINTS
     # plan() takes no binary_order: the frontier never reads one
     if (configuration, entry) != ("auto-binary_order", "engine.prepare")])
-def test_a_serving_layer_refuses_a_tuple_plan(configuration, entry,
-                                              monkeypatch):
+def test_a_serving_layer_refuses_a_tuple_plan(configuration, entry):
     options = CONFIGURATIONS[configuration]
     source = tables()
     session = Session(source)
     segments, idle = shm_segments(), idle_pools()
     with pytest.raises(ConfigurationError,
                        match=r'join\(engine="tuple"\)'):
-        ENTRY_POINTS[entry](source, options, monkeypatch, session)
+        ENTRY_POINTS[entry](source, options, session)
     assert shm_segments() <= segments
     assert idle_pools() == idle
     assert session.cache_stats().entries == 0 and not session._plans
     # the cold door still answers it, as the frontier does
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     assert join(PATH, source, **options).count == join(PATH, source).count
 
+
+def test_a_static_seed_runs_the_tuple_generic_join():
+    """``dynamic_seed=False`` (Alg. 1 without its size check) is a
+    request for the paper's door: ``join()`` runs the tuple Generic
+    Join, one seed per level, and a serving layer refuses it."""
+    rows = sorted({(i, (i * 5 + 1) % 13) for i in range(13)}
+                  | {(i, (i + 3) % 13) for i in range(13)})
+    edges = Relation("E", ("src", "dst"), rows)
+    source = {"E1": edges, "E2": edges, "E3": edges}
+    triangle = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
+    truth = sorted((a, b, c) for a, b in rows for b2, c in rows
+                   for c2, a2 in rows if b == b2 and c == c2 and a == a2)
+    result = join(triangle, source, dynamic_seed=False, materialize=True,
+                  profile=True)
+    assert result.metrics.algorithm == "generic_join"
+    position = [result.attributes.index(name) for name in "abc"]
+    assert sorted(tuple(row[i] for i in position)
+                  for row in result.rows) == truth
+    assert all(sum(1 for n in level.seed_counts.values() if n) <= 1
+               for level in result.profile.levels)
+    with pytest.raises(ConfigurationError,
+                       match=r'join\(engine="tuple"\)'):
+        Session(source).prepare(triangle, dynamic_seed=False)
+    with pytest.raises(ConfigurationError, match="dynamic_seed=False"):
+        join(triangle, source, engine="batch", dynamic_seed=False)

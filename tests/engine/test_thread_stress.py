@@ -37,14 +37,13 @@ PATH = "R1=E(a,b), R2=E(b,c)"
 
 #: (query, kwargs) pairs mixed across the worker pool — every way of
 #: asking for the frontier plan a session serves (algorithm, index,
-#: engine, order and seed rule), aliased relations throughout
+#: engine and order), aliased relations throughout
 CASES = [
     (TRIANGLE, {"algorithm": "generic", "index": "sonic", "engine": "batch"}),
     (TRIANGLE, {"algorithm": "generic", "index": "btree"}),
     (TRIANGLE, {"algorithm": "auto"}),
     (TRIANGLE, {"algorithm": "unified", "engine": "batch"}),
     (TRIANGLE, {"algorithm": "generic", "order": ("b", "c", "a")}),
-    (TRIANGLE, {"algorithm": "generic", "dynamic_seed": False}),
     (PATH, {"algorithm": "auto"}),
     (PATH, {"algorithm": "generic", "index": "sortedtrie",
             "engine": "batch"}),

@@ -42,11 +42,14 @@ def self_join_relations(query, edges: Relation) -> dict:
     return {atom.alias: edges for atom in query.atoms}
 
 
-def assert_engines_agree(query, relations, index: str, **kwargs):
+def assert_engines_agree(query, relations, index: str,
+                         dynamic_seed: bool = True):
+    """``dynamic_seed`` is the tuple driver's: the frontier always picks
+    each row's seed by its residual counts."""
     tuple_result = join(query, relations, index=index, engine="tuple",
-                        materialize=True, **kwargs)
+                        materialize=True, dynamic_seed=dynamic_seed)
     batch_result = join(query, relations, index=index, engine="batch",
-                        materialize=True, **kwargs)
+                        materialize=True)
     assert batch_result.count == tuple_result.count
     assert sorted(batch_result.rows) == sorted(tuple_result.rows)
     for row in batch_result.rows[:50]:

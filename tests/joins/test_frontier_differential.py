@@ -5,7 +5,7 @@ orders that leave an atom's attributes far apart) over hostile data
 (empty and single-row relations, repeated rows, hubs, negative values,
 values at +-2**62 and the int64 extremes, digit strings beside the
 integers they spell, floats, integers past int64) run in one cell of
-algorithm x engine x ``dynamic_seed`` x counting or materialising sink
+algorithm x engine x counting or materialising sink
 x a write between two reads — of one session for a frontier plan, two
 cold joins for a tuple driver, which no session serves — ``unified``
 and ``parallel=2`` included.  Every cell has one expectation: the
@@ -22,7 +22,7 @@ second atom binds — and multiplies subtree sizes instead of expanding
 it, so every counting cell is also held to its own materialising twin
 (same count, no more intermediates), and the ``TAIL`` seeds place the
 tail by hand: shorter than the private set, the whole order, empty,
-over an empty relation, a static seed, one-row blocks, two shards and
+over an empty relation, one-row blocks, two shards and
 a unified plan whose ear rides the core.  The ``BAGS`` seeds put
 repeated rows where their weights have to travel: through a cyclic
 core, into the tail, across one-row blocks, into a materialising sink,
@@ -134,7 +134,6 @@ def cases(draw):
         "algorithm": draw(st.sampled_from(ALGORITHMS[:3] if mixed
                                           else ALGORITHMS)),
         "engine": draw(st.sampled_from(ENGINES[:2] if mixed else ENGINES)),
-        "dynamic_seed": draw(st.booleans()),
         "materialize": draw(st.booleans()),
         "block": draw(st.sampled_from([1, 2, 3, 7, batch.BLOCK_ROWS])),
         "write": draw(st.one_of(st.none(), write)),
@@ -198,8 +197,8 @@ def run(query, tables, order, options, session=None, **extra):
     """One join in the case's cell, through ``session`` when given."""
     keywords = {"algorithm": options["algorithm"],
                 "engine": options["engine"], "index": "sortedtrie",
-                "order": order, "dynamic_seed": options["dynamic_seed"],
-                "materialize": options["materialize"], **extra}
+                "order": order, "materialize": options["materialize"],
+                **extra}
     saved = batch.BLOCK_ROWS
     batch.BLOCK_ROWS = options["block"]
     try:
@@ -261,8 +260,7 @@ def _case(atoms, rows_by_name, order=None, **options):
     query = JoinQuery([Atom(name, tuple(attributes), alias=f"A{i}")
                        for i, (name, attributes) in enumerate(atoms)])
     defaults = {"algorithm": "generic", "engine": "batch",
-                "dynamic_seed": True, "materialize": True, "block": 2,
-                "write": None}
+                "materialize": True, "block": 2, "write": None}
     return query, stored, order, {**defaults, **options}
 
 
@@ -306,8 +304,7 @@ TAIL = {
     # a star whose three satellites are counted from two bound levels,
     # one bound level and the root's neighbour
     "star": _case(*STAR, materialize=False),
-    "star_static_seed_block_1": _case(
-        *STAR, materialize=False, dynamic_seed=False, block=1),
+    "star_block_1": _case(*STAR, materialize=False, block=1),
     # the triangle's ear rides the core's stage and is its tail
     "unified_ear_rides": _case(
         [("E", "ab"), ("E", "bc"), ("E", "ca"), ("R", "ad")],
@@ -420,7 +417,7 @@ def test_unified_shards_a_core_with_ears_and_a_disconnected_atom():
     ("single_atom", 3, 1, 3), ("cross_product", 5, 1, 84),
     ("triangle", 0, 0, 6), ("empty_joined", 2, 0, 0),
     ("empty_factor", 3, 1, 0), ("star", 4, 2, 32),
-    ("star_static_seed_block_1", 4, 2, 32), ("unified_ear_rides", 1, 6, 14),
+    ("star_block_1", 4, 2, 32), ("unified_ear_rides", 1, 6, 14),
 ])
 def test_tail_seeds_meet_the_tail_where_they_say(name, tail_levels,
                                                  tail_rows, count):
@@ -623,8 +620,7 @@ def observed(result, materialize: bool) -> tuple:
 @examples(BAGS[name] for name in ("chain", "strings"))
 def test_levels_appear_between_executions(case):
     query, tables, order, options = case
-    keywords = {"engine": "batch", "index": "sortedtrie", "order": order,
-                "dynamic_seed": options["dynamic_seed"]}
+    keywords = {"engine": "batch", "index": "sortedtrie", "order": order}
     saved = batch.BLOCK_ROWS
     batch.BLOCK_ROWS = options["block"]
     try:
@@ -711,11 +707,10 @@ def test_a_count_past_int64_is_an_exact_python_int(atoms, expected,
     rows = [(key, value) for key, width in enumerate((WIDE, NARROW))
             for value in range(width)]
     query, tables, _, _ = _case(atoms, {"F": rows})
-    for options in ({}, {"dynamic_seed": False}):
-        got = join(query, tables, engine="batch", **options)
-        assert type(got.count) is int and got.count == expected
-        assert type(got.metrics.result_count) is int
-        assert got.metrics.result_count == expected
+    got = join(query, tables, engine="batch")
+    assert type(got.count) is int and got.count == expected
+    assert type(got.metrics.result_count) is int
+    assert got.metrics.result_count == expected
     query, tables, _, _ = _case(atoms[:3], {"F": rows})
     small = join(query, tables, engine="batch")
     assert type(small.count) is int and small.count == without_last
@@ -728,10 +723,9 @@ def test_weights_past_int64_are_exact_python_ints():
     rows = [(0,)] * WIDE + [(1,)] * NARROW
     atoms = [("F", "t")] * 4
     query, tables, _, _ = _case(atoms, {"F": rows})
-    for options in ({}, {"dynamic_seed": False}):
-        got = join(query, tables, engine="batch", **options)
-        assert type(got.count) is int
-        assert got.count == WIDE ** 4 + NARROW ** 4
+    got = join(query, tables, engine="batch")
+    assert type(got.count) is int
+    assert got.count == WIDE ** 4 + NARROW ** 4
     query, tables, _, _ = _case(atoms[:3], {"F": rows})
     assert join(query, tables).count == WIDE ** 3 + NARROW ** 3
 

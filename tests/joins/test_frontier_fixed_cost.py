@@ -21,7 +21,9 @@ through a signature aid.
 A read after a write pays for the rows written: the same hook lists the
 numpy frames entered from :mod:`repro.indexes.columnar` while
 :func:`~repro.indexes.columnar.mergeable` and the merging constructor
-run, over writes that take each of the merge's paths.
+run, over writes that take each of the merge's paths.  A read below the
+merge's size floor builds afresh, and a fresh build to the bottom level
+enters no numpy frame either.
 """
 
 from __future__ import annotations
@@ -206,3 +208,14 @@ def test_a_stale_read_merges_through_no_wrapper():
         assert result.count == join(query, source).count
         assert spy.called
         assert entered == []
+
+
+def test_a_fresh_build_enters_no_wrapper():
+    # what a stale read below the merge floor pays: a sort and every
+    # level, from int64 columns
+    rng = np.random.default_rng(13)
+    columns = [rng.integers(0, 40, 3000, dtype=np.int64) for _ in range(3)]
+    trie, entered, _ = traced(lambda: ColumnarTrie(columns).at_depth(3))
+    assert trie.built_depth == 3
+    assert len(trie) == len(set(zip(*(c.tolist() for c in columns))))
+    assert entered == []

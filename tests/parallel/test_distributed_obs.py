@@ -1,4 +1,4 @@
-"""Distributed observability: sharded profiles, merged traces, env flags.
+"""Distributed observability: sharded profiles, merged traces, worker obs.
 
 Three contracts from the distributed-obs layer:
 
@@ -13,10 +13,9 @@ Three contracts from the distributed-obs layer:
 * **Merged trace** — ``join(..., parallel=K, profile=True, trace_out=…)``
   writes one Chrome ``trace_event`` document whose parent spans and
   per-worker spans sit on distinct real-pid rows, labelled for Perfetto.
-* **Worker env flags** — a worker honors inherited ``REPRO_PROFILE`` /
-  ``REPRO_TRACE_OUT`` even when the parent did not request counters
-  (the regression: worker-side obs used to be pinned off unless the
-  task asked).
+* **Worker observer** — a worker profiles exactly when its task asks,
+  and writes no trace file of its own: the parent's merged document is
+  the only one.
 """
 
 import json
@@ -234,29 +233,21 @@ class TestMergedTrace:
         for pid in worker_pids:
             assert {"build_index", "probe"} <= spans_by_pid[pid]
 
-    def test_per_shard_trace_files_sit_next_to_merged(self, relations,
-                                                      tmp_path, monkeypatch):
-        # the env route: every worker inherits REPRO_TRACE_OUT and must
-        # suffix it per shard instead of clobbering the merged document
+    def test_one_trace_file_holds_every_process(self, relations, tmp_path):
+        # the workers write none of their own: the parent's merged
+        # document carries every executed shard's spans
         out = tmp_path / "trace.json"
-        monkeypatch.setenv("REPRO_TRACE_OUT", str(out))
-        result = join(TRIANGLE, relations, profile=True, parallel=2)
-        assert result.profile is not None
+        result = join(TRIANGLE, relations, profile=True, parallel=2,
+                      trace_out=str(out))
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.json"]
         merged = json.loads(out.read_text())
         assert {e["pid"] for e in merged["traceEvents"]
                 if e["ph"] == "X"} == {
             result.profile.pid,
             *(s.pid for s in executed_shards(result.profile))}
-        for position, shard in enumerate(result.profile.shards):
-            if shard is None:
-                continue
-            shard_doc = tmp_path / f"trace.shard{position}.json"
-            assert shard_doc.exists()
-            json.loads(shard_doc.read_text())
-
 
 # ----------------------------------------------------------------------
-# worker-side env flags (the silently-disabled-obs regression)
+# worker-side observer: on when the task asks
 # ----------------------------------------------------------------------
 def sharded_prepared(relations, workers=2):
     bound = bind(TRIANGLE, relations)
@@ -274,20 +265,17 @@ def first_nonempty_task(prepared, with_counters=False):
 
 
 class TestWorkerEnvFlags:
-    def test_obs_off_by_default(self, relations, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_OUT", raising=False)
+    def test_obs_off_by_default(self, relations):
         with sharded_prepared(relations) as prepared:
             response = run_shard_task(first_nonempty_task(prepared))
         assert response["ok"]
         assert "profile" not in response
         assert "clock" not in response
 
-    def test_inherited_profile_flag_enables_obs(self, relations, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.delenv("REPRO_TRACE_OUT", raising=False)
+    def test_task_request_still_wins_without_env(self, relations):
         with sharded_prepared(relations) as prepared:
-            response = run_shard_task(first_nonempty_task(prepared))
+            response = run_shard_task(
+                first_nonempty_task(prepared, with_counters=True))
         assert response["ok"]
         assert response["profile"]["counters"]["join.emitted"] \
             == response["count"]
@@ -299,27 +287,3 @@ class TestWorkerEnvFlags:
                 <= clock["responded_ns"])
         # no dispatch stamp travelled (task built by hand): it degrades
         assert clock["issued_ns"] is None
-
-    def test_inherited_trace_out_writes_per_shard_file(self, relations,
-                                                       tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.setenv("REPRO_TRACE_OUT", str(tmp_path / "trace.json"))
-        with sharded_prepared(relations) as prepared:
-            task = first_nonempty_task(prepared)
-            response = run_shard_task(task)
-        assert response["ok"]
-        assert response["profile"] is not None  # trace flag implies obs
-        shard_doc = tmp_path / f"trace.shard{task['shard']}.json"
-        assert shard_doc.exists()
-        doc = json.loads(shard_doc.read_text())
-        assert any(event.get("name") == "probe"
-                   for event in doc["traceEvents"])
-
-    def test_task_request_still_wins_without_env(self, relations,
-                                                 monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_OUT", raising=False)
-        with sharded_prepared(relations) as prepared:
-            response = run_shard_task(
-                first_nonempty_task(prepared, with_counters=True))
-        assert response["profile"] is not None

@@ -12,47 +12,19 @@ import pytest
 
 from repro.engine.pipeline import bind, plan
 from repro.errors import ConfigurationError, ExecutionError
-from repro.joins import join
-from repro.parallel.pool import WorkerPool, resolve_workers, start_method
-from repro.planner.query import parse_query
+from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.storage.relation import Relation
 
-TRIANGLE = parse_query("E1=E(a,b), E2=E(b,c), E3=E(c,a)")
 
-
-def test_resolve_workers_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_resolve_workers_reads_only_its_argument():
     assert resolve_workers(None) == 0
+    assert resolve_workers(0) == 0
     assert resolve_workers(3) == 3
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(4) == 4  # explicit beats env
-    assert resolve_workers(0) == 0  # explicit zero disables
 
 
 def test_resolve_workers_rejects_negative():
     with pytest.raises(ConfigurationError):
         resolve_workers(-1)
-
-
-def test_resolve_workers_rejects_bad_env(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "many")
-    with pytest.raises(ValueError, match="REPRO_WORKERS"):
-        resolve_workers(None)
-
-
-def test_start_method_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START", "spawn")
-    assert start_method() == "spawn"
-
-
-def test_env_workers_drives_join(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])
-    relations = {"E1": edges, "E2": edges, "E3": edges}
-    result = join(TRIANGLE, relations, profile=True)
-    assert result.count == 3
-    assert result.profile.counters["parallel.executions"] == 1
 
 
 def test_worker_task_error_propagates_with_traceback():

@@ -31,7 +31,7 @@ import pytest
 from repro.engine import Session
 from repro.errors import ExecutionError
 from repro.joins import join
-from repro.parallel import worker
+from repro.parallel import pool, worker
 from repro.parallel.pool import IDLE_POOLS, start_method
 from repro.parallel.shm import SEGMENT_PREFIX
 from repro.planner.query import parse_query
@@ -60,7 +60,7 @@ def truth(relations):
 @pytest.fixture
 def no_idle_pools():
     """Start and end with an empty free list: the next sharded call
-    forks a pool of the code and environment as the test left them."""
+    forks a pool of the code as the test left it."""
     IDLE_POOLS.close_idle()
     yield
     IDLE_POOLS.close_idle()
@@ -210,7 +210,7 @@ def test_stalled_worker_times_out(relations, truth, no_idle_pools,
     before = segments()
     with monkeypatch.context() as patch:
         patch.setattr(worker, "run_shard_task", stalled)
-        patch.setenv("REPRO_SHARD_TIMEOUT", "1")
+        patch.setattr(pool, "DEFAULT_TASK_TIMEOUT", 1.0)
         with pytest.raises(ExecutionError, match="no result") as excinfo:
             join(TRIANGLE, relations, parallel=2)
     assert_failed_cleanly(excinfo, before)
