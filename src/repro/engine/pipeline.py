@@ -106,7 +106,7 @@ def plan(bound: BoundQuery,
 
     Only the frontier plans: a request for one of the paper's tuple
     drivers (``engine="tuple"``; ``binary``, ``hashtrie``,
-    ``leapfrog`` or ``recursive``; a ``binary_order`` or
+    ``leapfrog`` or ``recursive``; a pinned ``binary_order`` or
     ``dynamic_seed=False`` among the index options, as a session passes
     them on) raises
     :class:`~repro.errors.ConfigurationError` naming the door that runs
@@ -128,8 +128,8 @@ def plan(bound: BoundQuery,
     if algorithm == "unified":
         algorithm = "auto"
     kwargs = dict(index_kwargs or {})
-    if door_request(algorithm, engine, kwargs.get("binary_order"),
-                    kwargs.get("dynamic_seed", True)):
+    if door_request(algorithm, engine, kwargs.pop("binary_order", None),
+                    kwargs.pop("dynamic_seed", True)):
         raise door_refusal(algorithm, engine)
     police_options(algorithm, index, kwargs, GENERIC_OPTIONS)
     query, relations = bound.query, bound.relations

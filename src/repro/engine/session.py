@@ -151,9 +151,9 @@ class Session:
                 **index_kwargs) -> PreparedJoin:
         """Compile a query down to a :class:`PreparedJoin` (warm path).
 
-        Parameters mirror :func:`repro.joins.join`, less
-        ``binary_order`` and ``dynamic_seed``, which only the paper's
-        door reads; the difference is the return value (executable many
+        Parameters mirror :func:`repro.joins.join`; ``binary_order`` and
+        ``dynamic_seed``, which only the paper's door reads, are taken at
+        their defaults only; the difference is the return value (executable many
         times) and the build route — every index spec goes through the
         session cache, so repeated prepares over unchanged relations skip
         the build entirely.  Only a frontier request plans: ``algorithm``

@@ -72,10 +72,11 @@ in Free Join's COLT and Worst-Case Optimal Radix Triejoin (PAPERS.md),
 a level gets one lookup aid, built under the lock once it has answered
 as many probe rows as it has nodes (a read that probes less never pays
 for one): a **slot map** ``slots[key] -> node id`` (-1: absent) where
-its key space is at most 4x its nodes, a probe then being one gather;
-else, below the root, a 64-bit **signature** per parent (one bit per
-child, by a hash of its value): a probe searches only the rows whose
-bit is set.  The range check stays either way.
+its key space ``parents * span`` is at most 4x its nodes, a probe then
+being one gather; else a **bit array** of at most 256 bits a key, one
+per key where the key space fits (a clear bit is a miss, a set one a
+hit that searches only for its node id), else one per key's hash (the
+search confirms a set bit).  The range check stays either way.
 
 **Appends.**  ``ColumnarTrie(delta, base=older)`` sorts only the rows
 appended since ``older`` and merges them, one scatter per array, into
@@ -112,15 +113,39 @@ PACK_LIMIT = 2 ** 62
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-#: smaller probes skip the signature test: below ~500 rows its dozen numpy
-#: calls cost more than the searches they spare (30k keys, x86-64)
-_SIGNED_ROWS = 512
+#: a probe-aid bit array's cap, in bits a key: the slot map's 32 bytes
+_BITS_A_KEY = 256
+#: smaller probes skip the bit test: the search wins up to ~256 rows on
+#: exact bits, ~512 on hashed ones, and loses 7x at 8 192 (x86-64)
+_BIT_ROWS = 512
 
 
-def _signature_bits(values: np.ndarray) -> np.ndarray:
-    """Each value's signature bit: a Fibonacci hash's top 6 bits."""
-    return values.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) \
-        >> np.uint64(58)
+def _hashed(keys: np.ndarray, words: int) -> np.ndarray:
+    """Each key's bit among ``words`` (a power of two) words' bits."""
+    shift = np.uint64(59 - words.bit_length())
+    return (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            >> shift).view(np.int64)
+
+
+def _bit_array(positions: np.ndarray, words: int) -> np.ndarray:
+    """``words`` int64 words, bit ``p`` set for each ascending position
+    ``p`` (repeats allowed): a word sums its distinct bits, the running
+    sum's difference over the word's run, exact even where it wraps."""
+    fresh = np.empty(len(positions), dtype=bool)
+    fresh[0] = True
+    np.not_equal(positions[1:], positions[:-1], out=fresh[1:])
+    positions = positions[fresh]
+    word = positions >> 6
+    sums = np.left_shift(1, positions & 63).cumsum()
+    closes = np.empty(len(word), dtype=bool)
+    closes[-1] = True
+    np.not_equal(word[1:], word[:-1], out=closes[:-1])
+    last = closes.nonzero()[0]
+    sums = sums[last]
+    sums[1:] -= sums[:-1]
+    bits = np.zeros(words, dtype=np.int64)
+    bits[word[last]] = sums
+    return bits
 
 
 def _weights(keep: np.ndarray) -> "np.ndarray | None":
@@ -257,7 +282,7 @@ class ColumnarTrie:
         self._lock = threading.Lock()
         self._pending_ns = 0      # repro: shared[lock=_lock]
         #: per level, rows probed and the aid, published once: None until
-        #: decided, then ``()``, ``(slots, None)`` or ``(None, signatures)``
+        #: decided, then ``(slots, None)`` or ``(None, bits)``
         self._probed = [0] * self.arity   # repro: shared[lock=_lock]
         self._aids = [None] * self.arity  # repro: shared[lock=_lock]
         #: called (outside the lock) after levels or aids landed; the session
@@ -532,18 +557,18 @@ class ColumnarTrie:
         return weights[starts[nodes + 1]] - weights[starts[nodes]]
 
     def probe(self, depth: int, parents: "np.ndarray | None",
-              values: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+              values: np.ndarray, ids: bool = True) -> tuple:
         """Find the child of ``parents[i]`` holding ``values[i]``, for all i.
 
         Returns ``(found, node_ids)``: ``node_ids[i]`` is the level-
-        ``depth`` node where ``found[i]``, and meaningless where not.
+        ``depth`` node where ``found[i]``, and meaningless where not
+        (``None`` when exact bits answered a caller that wants no ``ids``).
         ``parents=None`` probes below the root.
         """
         keys = self.keys[depth]
         if keys.size == 0:
             return (np.zeros(values.size, dtype=bool),
                     np.zeros(values.size, dtype=np.int64))
-        aid = self._aids[depth]
         codes = self.codes[depth]
         if codes is None:
             found = values >= self.lows[depth]
@@ -553,31 +578,41 @@ class ColumnarTrie:
             wanted = codes.searchsorted(values)
             np.minimum(wanted, codes.size - 1, out=wanted)
             found = codes[wanted] == values
-        slots, signatures = aid or (None, None)
-        if signatures is not None and values.size >= _SIGNED_ROWS:
-            # search only the rows whose bit is set in their parent's
-            bits = signatures[parents] >> _signature_bits(values)
-            found &= (bits & np.uint64(1)).astype(bool)
-            rows = found.nonzero()[0]
-            wanted = wanted[rows] + parents[rows] * self.spans[depth]
-            hits = keys.searchsorted(wanted)
-            np.minimum(hits, keys.size - 1, out=hits)
-            found[rows] = keys[hits] == wanted
-            node_ids = np.zeros(values.size, dtype=np.int64)
-            node_ids[rows] = hits
-            return found, node_ids
+        span = self.spans[depth]
         if parents is not None:
-            wanted += parents * self.spans[depth]
+            wanted += parents * span
+        aid = self._aids[depth]
+        slots, bits = aid or (None, None)
         if slots is not None:
             # the range check keeps an out-of-range key off the map
             node_ids = slots.take(wanted, mode="clip")
             found &= node_ids >= 0
             return found, node_ids
-        node_ids = keys.searchsorted(wanted)
-        np.minimum(node_ids, keys.size - 1, out=node_ids)
-        found &= keys[node_ids] == wanted
-        if aid is None:
-            self._build_aid(depth, values.size)
+        if bits is None or values.size < _BIT_ROWS:
+            node_ids = keys.searchsorted(wanted)
+            np.minimum(node_ids, keys.size - 1, out=node_ids)
+            found &= keys[node_ids] == wanted
+            if aid is None:
+                self._build_aid(depth, values.size)
+            return found, node_ids
+        # a clear bit is a miss; a set one is a hit, once the search
+        # confirms it where the bits are hashed
+        hashed = bits.size << 6 < (len(self.indptr[depth]) - 1) * span
+        at = _hashed(wanted, bits.size) if hashed else wanted
+        words = bits.take(at >> 6, mode="clip")
+        words >>= at & 63
+        words &= 1
+        found &= words.astype(bool)
+        if not (ids or hashed):
+            return found, None
+        rows = found.nonzero()[0]
+        wanted = wanted[rows]
+        hits = keys.searchsorted(wanted)
+        if hashed:
+            np.minimum(hits, keys.size - 1, out=hits)
+            found[rows] = keys[hits] == wanted
+        node_ids = np.zeros(values.size, dtype=np.int64)
+        node_ids[rows] = hits
         return found, node_ids
 
     def _build_aid(self, depth: int, rows: int) -> None:
@@ -588,17 +623,21 @@ class ColumnarTrie:
             self._probed[depth] += rows
             if self._aids[depth] is not None or self._probed[depth] < len(keys):
                 return
-            space, aid = (len(indptr) - 1) * self.spans[depth], ()
+            space = (len(indptr) - 1) * self.spans[depth]
             if space <= 4 * keys.size:
                 aid = np.full(space, -1, dtype=np.int64), None
                 aid[0][keys] = np.arange(keys.size, dtype=np.int64)
-            elif depth:
-                bits = np.uint64(1) << _signature_bits(self.values[depth])
-                # every parent has a child: no range of the reduce is empty
-                aid = None, np.bitwise_or.reduceat(bits, indptr[:-1])
+            elif space <= _BITS_A_KEY * keys.size:
+                aid = None, _bit_array(keys, -(-space // 64))
+            else:
+                # the largest power of two of words within the cap
+                words = 1 << ((_BITS_A_KEY * keys.size).bit_length() - 7)
+                at = _hashed(keys, words)
+                at.sort()
+                aid = None, _bit_array(at, words)
             self._aids[depth] = aid
             callback = self.on_deepen
-        if aid and callback is not None:
+        if callback is not None:
             callback(self)
 
     def memory_usage(self) -> int:

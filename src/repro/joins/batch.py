@@ -23,7 +23,8 @@ rows:
    ``repeat`` (one ``arange`` for a block from one frontier row);
 4. **intersect** — one packed-key probe per other participant (Alg. 1
    line 15) over the previous one's survivors: a ``searchsorted``, or a
-   slot-map gather or signature test once the level has its probe aid.
+   slot-map gather or a bit test once the level has its probe aid; where
+   the bits are exact, an atom's last level is not searched for its ids.
 
 The expanded frontier is cut into blocks of :data:`BLOCK_ROWS` *expanded*
 rows and the blocks are processed depth-first, so live intermediates are
@@ -454,7 +455,7 @@ class GenericJoinBatch:
             parents = nodes[atom]
             if parents is not None:
                 parents = parents[source]
-            found, ids = tries[other].probe(depth, parents, values)
+            found, ids = tries[other].probe(depth, parents, values, keeps)
             if keeps:
                 kept[atom] = ids
             alive = found.nonzero()[0]

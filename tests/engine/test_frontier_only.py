@@ -117,3 +117,23 @@ def test_a_static_seed_runs_the_tuple_generic_join():
         Session(source).prepare(triangle, dynamic_seed=False)
     with pytest.raises(ConfigurationError, match="dynamic_seed=False"):
         join(triangle, source, engine="batch", dynamic_seed=False)
+
+
+def test_the_door_arguments_at_their_defaults_ask_for_nothing():
+    """``binary_order=None`` and ``dynamic_seed=True`` are ``join()``'s
+    own defaults: a session handed them answers as ``join()`` does, on
+    the frontier, and a pinned order or a static seed is still refused."""
+    source = tables()
+    session = Session(source)
+    defaults = {"binary_order": None, "dynamic_seed": True}
+    prepared = session.prepare(PATH, **defaults)
+    assert prepared.plan.engine == "batch"
+    assert prepared.execute().count == join(PATH, source, **defaults).count
+    assert session.execute(PATH, **defaults).count == join(PATH, source).count
+    for refused in ({"binary_order": ["R", "S"]}, {"dynamic_seed": False}):
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            session.prepare(PATH, **refused)
+        with pytest.raises(ConfigurationError,
+                           match=r'join\(engine="tuple"\)'):
+            session.execute(PATH, **refused)

@@ -245,7 +245,8 @@ class TestAppendOnlyLevels:
     def test_warm_triangles_agree_while_probe_aids_land(self):
         """4 threads warm-execute one prepared triangle whose levels are
         built and whose aids are not: the first probes decide them
-        mid-run, each once, and every count is the single-thread one."""
+        mid-run, each once — bit arrays among them — and every count is
+        the single-thread one."""
         edges = sorted({(i % 400, (i * 37 + i // 400) % 400)
                         for i in range(4000)})
         tables = {"E": Relation("E", ("src", "dst"), edges)}
@@ -260,7 +261,7 @@ class TestAppendOnlyLevels:
         for _ in range(12):
             alone.execute()
         built: list = []
-        landed = 0
+        landed = bit_arrays = 0
 
         def listening(hook):
             def on_deepen(trie):
@@ -289,8 +290,11 @@ class TestAppendOnlyLevels:
                 assert counts == [truth] * 12
                 # the levels a single thread would have given an aid
                 assert undecided(prepared) == undecided(alone)
-                landed += sum(bool(aid) for trie in tries.values()
+                landed += sum(aid is not None for trie in tries.values()
                               for aid in trie._aids)
+                bit_arrays += sum(aid is not None and aid[1] is not None
+                                  for trie in tries.values()
+                                  for aid in trie._aids)
                 stats = session.cache_stats()
                 assert stats.bytes == sum(
                     trie.memory_usage() for trie in tries.values())
@@ -298,6 +302,7 @@ class TestAppendOnlyLevels:
             sys.setswitchinterval(interval)
         # every aid of every round's tries built once
         assert landed and len(built) == landed
+        assert bit_arrays
 
 
 class TestConcurrentInvalidation:

@@ -64,11 +64,17 @@ def resident_bytes(trie: ColumnarTrie) -> int:
 
 
 def aid_kinds(trie: ColumnarTrie) -> list:
-    """Per level, the probe aid it holds: ``"slots"``, ``"signatures"``,
-    ``"none"`` (decided against) or None (undecided)."""
-    return [None if aid is None else "none" if not aid
-            else "slots" if aid[0] is not None else "signatures"
-            for aid in trie._aids]
+    """Per level, the probe aid it holds: ``"slots"``, ``"bits"`` or None
+    (undecided)."""
+    return [None if aid is None else "slots" if aid[0] is not None
+            else "bits" for aid in trie._aids]
+
+
+def hashed(trie: ColumnarTrie, depth: int) -> bool:
+    """Whether level ``depth``'s bit array holds hashes of its keys, not
+    the keys themselves: it has fewer bits than the level's key space."""
+    space = (len(trie.indptr[depth]) - 1) * trie.spans[depth]
+    return trie._aids[depth][1].size * 64 < space
 
 
 def with_aids(trie: ColumnarTrie) -> ColumnarTrie:
@@ -242,13 +248,15 @@ class TestProbe:
             found, _ = trie.probe(
                 0, None, np.array([INT64.min, INT64.min + 1, 0]))
             assert not found.any()
-        # ... and below a parent, on a sparse packed level (signatures):
-        # neither ``INT64.min - 5`` nor ``INT64.max`` is any parent's key
+        # ... and below a parent, on a packed level too sparse for exact
+        # bits (a 2**40 span is hashed): neither ``INT64.min - 5`` nor
+        # ``INT64.max`` is any parent's key
         for trie in searched_and_aided([(0, 5), (0, 2 ** 40), (1, 7)], 2,
-                                       ["slots", "signatures"]):
+                                       ["slots", "bits"]):
             assert trie.codes[1] is None
-            # as many times over as takes the signature test
-            times = -(-columnar._SIGNED_ROWS // 7)
+            assert trie._aids[1] is None or hashed(trie, 1)
+            # as many times over as takes the bit test
+            times = -(-columnar._BIT_ROWS // 7)
             parents = np.tile([0, 0, 0, 0, 1, 1, 1], times)
             values = np.tile([INT64.min, INT64.max, 2 ** 40, 5, 5,
                               INT64.min, 7], times)
@@ -256,28 +264,34 @@ class TestProbe:
                 [False, False, True, True, False, False, True] * times,
                 [1, 0, 2] * times)
 
-    def test_children_strided_by_64_keep_distinct_signature_bits(self):
-        # ``value & 63`` would put every child of a parent on one bit;
-        # the multiplicative hash spreads them, and a missing multiple
-        # of 64 between two present ones is still a miss
-        rows = [(parent, 64 * child) for parent in range(4)
-                for child in range(0, 400, 3 + parent)]
-        wanted = [(parent, 64 * child) for parent in range(4)
-                  for child in range(-2, 402)]
-        for trie in searched_and_aided(rows, 2, ["slots", "signatures"]):
+    @pytest.mark.parametrize("stride, hashes", [(3, False), (2 ** 20, True)])
+    def test_a_parent_with_400_children_answers_exactly(self, stride, hashes):
+        # one hub of 400 children among parents of one: every child is a
+        # hit, every value between two of them a miss, whether its bits
+        # are the packed keys (stride 3) or their hashes (stride 2**20)
+        rows = sorted([(0, stride * child) for child in range(400)]
+                      + [(1, 5), (2, stride * 7)])
+        wanted = [(0, stride * child + step) for child in range(-1, 401)
+                  for step in (-1, 0, 1)]
+        wanted += [(1, 5), (1, 6), (2, stride * 7), (2, 0)]
+        for trie in searched_and_aided(rows, 2, ["slots", "bits"]):
+            assert len(wanted) >= columnar._BIT_ROWS
             found, ids = trie.probe(1, np.array([p for p, _ in wanted]),
                                     np.array([v for _, v in wanted]))
             assert [row for row, hit in zip(wanted, found) if hit] == rows
             assert ids[found].tolist() == list(range(len(rows)))
-        assert all(bin(int(bits)).count("1") > 8 for bits in trie._aids[1][1])
+        assert hashed(trie, 1) == hashes
 
-    def test_a_sparse_root_keeps_its_search(self):
+    def test_a_sparse_root_takes_hashed_bits(self):
+        # a 2001-value span over 3 keys: more than 256 bits a key
+        times = -(-columnar._BIT_ROWS // 5)
         for trie in searched_and_aided([(0,), (1000,), (-1000,)], 1,
-                                       ["none"]):
+                                       ["bits"]):
             found, ids = trie.probe(
-                0, None, np.array([1000, 999, -1000, 0, 1]))
-            assert found.tolist() == [True, False, True, True, False]
-            assert ids[found].tolist() == [2, 0, 1]
+                0, None, np.tile([1000, 999, -1000, 0, 1], times))
+            assert found.tolist() == [True, False, True, True, False] * times
+            assert ids[found].tolist() == [2, 0, 1] * times
+        assert hashed(trie, 0)
 
     def test_object_columns_are_refused(self):
         column = np.empty(2, dtype=object)
@@ -374,8 +388,8 @@ def test_packed_and_rank_coded_levels_answer_alike(case, limit, stride):
         parent_count = len(packed.indptr[depth]) - 1
         if parent_count == 0:
             continue
-        # a block big enough for the signature test, and a serve-sized one
-        size = columnar._SIGNED_ROWS
+        # a block big enough for the bit test, and a serve-sized one
+        size = columnar._BIT_ROWS
         values = np.array([rng.choice(pool) for _ in range(size)],
                           dtype=np.int64)
         parents = (None if depth == 0 else
@@ -390,6 +404,60 @@ def test_packed_and_rank_coded_levels_answer_alike(case, limit, stride):
         if rows:
             assert None not in aid_kinds(packed)[:depth + 1]
             assert None not in aid_kinds(coded)[:depth + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_sets(), st.sampled_from([1, 7, 2 ** 20]),
+       st.sampled_from([1, columnar.PACK_LIMIT]), st.randoms())
+@example((1, [(0,), (7,), (14,), (21,), (35,)]), 1, columnar.PACK_LIMIT,
+         random.Random(0))                               # exact bits, root
+@example((1, [(0,), (1000,), (-1000,)]), 1, columnar.PACK_LIMIT,
+         random.Random(0))                               # hashed bits, root
+@example((2, [(p, 7 * c) for p in range(3) for c in range(p, 9)]), 1,
+         columnar.PACK_LIMIT, random.Random(0))          # exact bits below
+@example((2, [(0, 5), (0, 2 ** 40), (1, 7)]), 1, columnar.PACK_LIMIT,
+         random.Random(0))                               # hashed bits below
+@example((2, [(p, 10 * p) for p in range(10)]), 1, 1,
+         random.Random(0))                               # bits on rank codes
+@example((3, []), 1, columnar.PACK_LIMIT, random.Random(0))  # empty levels
+def test_an_aided_probe_answers_as_the_plain_search(case, stride, limit, rng):
+    """A level's first probe of at least as many rows as it has nodes is
+    the plain search, and decides the aid; the same probe through the
+    aid (a slot map, exact or hashed bits) gives the same answer, with
+    or without the node ids."""
+    arity, rows = case
+    rows = strided(rows, stride)
+    saved = columnar.PACK_LIMIT
+    columnar.PACK_LIMIT = limit     # 1: np.lexsort and rank codes
+    try:
+        trie = build_trie(rows, arity)
+    finally:
+        columnar.PACK_LIMIT = saved
+    pool = sorted({value for row in rows for value in row}
+                  | {0, 1, -1, INT64.min, INT64.max})
+    pool += [value + step for value in pool[:40] for step in (-1, 1)
+             if INT64.min <= value + step <= INT64.max]
+    for depth in range(arity):
+        parent_count = len(trie.indptr[depth]) - 1
+        if parent_count == 0:
+            continue
+        size = max(columnar._BIT_ROWS, trie.keys[depth].size)
+        values = np.array([rng.choice(pool) for _ in range(size)],
+                          dtype=np.int64)
+        parents = (None if depth == 0 else
+                   np.array([rng.randrange(parent_count)
+                             for _ in range(size)]))
+        assert trie._aids[depth] is None
+        searched = answer(trie, depth, parents, values)
+        if trie.keys[depth].size == 0:
+            assert searched == ([False] * size, [])
+            assert trie._aids[depth] is None
+            continue
+        assert aid_kinds(trie)[depth] is not None
+        assert answer(trie, depth, parents, values) == searched
+        # a caller that discards the node ids gets the same mask
+        found, _ = trie.probe(depth, parents, values, ids=False)
+        assert found.tolist() == searched[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,7 +597,7 @@ def test_an_aid_waits_until_a_level_has_answered_its_node_count():
     trie = build_trie(rows, arity=2)
     heard = []
     trie.on_deepen = heard.append
-    for depth, kind in enumerate(("slots", "signatures")):
+    for depth, kind in enumerate(("slots", "bits")):
         nodes = trie.keys[depth].size
         for low in range(0, nodes - 1, 97):
             size = min(97, nodes - 1 - low)

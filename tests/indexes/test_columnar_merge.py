@@ -71,7 +71,7 @@ def _assert_same_array(a, b, name: str) -> None:
 
 def _add_probe_aids(trie: ColumnarTrie) -> None:
     """Probe every built level with as many rows as it has nodes, which
-    decides its aid (a slot map, signatures or none)."""
+    decides its aid (a slot map or a bit array)."""
     for depth in range(trie.built_depth):
         counts = np.diff(trie.indptr[depth])
         parents = (None if depth == 0 else

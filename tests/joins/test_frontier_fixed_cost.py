@@ -15,8 +15,8 @@ whose caller is :mod:`repro.joins.batch` or
 The reads cover the frontier's paths: a hot triangle whose dynamic seed
 splits a block between two participants, a counting star over repeated
 rows (weights, then the tail's sum of products), a materialising bag
-read over a coded column, and a probe of at least ``_SIGNED_ROWS`` rows
-through a signature aid.
+read over a coded column, and a read that decides a level's bit arrays
+(exact, then hashed) and probes at least ``_BIT_ROWS`` rows through it.
 
 A read after a write pays for the rows written: the same hook lists the
 numpy frames entered from :mod:`repro.indexes.columnar` while
@@ -34,10 +34,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from repro import Relation, Session, join
 from repro.indexes import columnar
-from repro.indexes.columnar import _SIGNED_ROWS, ColumnarTrie
+from repro.indexes.columnar import _BIT_ROWS, ColumnarTrie
 from repro.joins import batch
 
 NUMPY = str(Path(np.__file__).parent)
@@ -51,8 +52,8 @@ MERGE = {columnar.mergeable.__code__, columnar.ColumnarTrie.__init__.__code__}
 def traced(call, within: "set | None" = None):
     """``call()``'s result; the numpy frames the frontier entered (only
     inside a call of a code object in ``within``, when given); the
-    ``(rows, signed)`` of each probe it made — ``signed``: the level had
-    a signature aid."""
+    ``(rows, bits)`` of each probe it made — ``bits``: the level had a
+    bit array."""
     entered, probes, inside = [], [], [within is None]
 
     def hook(frame, event, arg):
@@ -70,7 +71,7 @@ def traced(call, within: "set | None" = None):
             local = frame.f_locals
             aid = local["self"]._aids[local["depth"]]
             probes.append((local["values"].size,
-                           bool(aid) and aid[1] is not None))
+                           aid is not None and aid[1] is not None))
 
     sys.setprofile(hook)
     try:
@@ -166,17 +167,29 @@ def test_materialising_bag_read_over_a_coded_column():
     assert entered == []
 
 
-def test_probe_through_signatures():
-    # a sparse edge set over a wide id space: below the root the key
-    # space is far more than 4x the nodes, so a level earns signatures
+@pytest.mark.parametrize("spread", [2_000, 1_000_000])
+def test_a_read_builds_and_probes_bit_arrays(spread):
+    # 400 vertices drawn from ``spread`` ids: below the root the key space
+    # is more than 4x the nodes, so the level earns bits — exact ones over
+    # 2 000 ids, hashed ones over a million.  The levels are built before
+    # the traced read, which decides the aids and probes through them
     rng = random.Random(7)
-    ids = rng.sample(range(1_000_000), 400)
+    ids = rng.sample(range(spread), 400)
     rows = sorted({(ids[a], ids[b]) for a, b in edges(400, 6000, seed=5)})
     source = {"E": Relation("E", ("src", "dst"), rows)}
     query = "E1=E(a,b), E2=E(b,c), E3=E(c,a)"
     session = Session(source)
-    _, entered, probes = warm_read(session, query)
-    assert any(signed and size >= _SIGNED_ROWS for size, signed in probes)
+    tries = set(session.prepare(query).structures.values())
+    for trie in tries:
+        trie.at_depth(trie.arity)
+        assert trie._aids == [None, None]
+    result, entered, probes = traced(lambda: session.execute(query))
+    assert result.count == join(query, source).count
+    for trie in tries:
+        bits = trie._aids[1][1]
+        space = (len(trie.indptr[1]) - 1) * trie.spans[1]
+        assert (bits.size * 64 < space) == (spread > 2_000)
+    assert any(bits and size >= _BIT_ROWS for size, bits in probes)
     assert entered == []
 
 
