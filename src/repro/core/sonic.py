@@ -763,74 +763,6 @@ class SonicIndex(TupleIndex):
     def __iter__(self) -> Iterator[tuple]:
         return self._lookup(())
 
-    def iter_next_values(self, prefix: tuple) -> Iterator:
-        """Distinct child keys below ``prefix`` — a direct level walk.
-
-        The Generic Join's candidate enumeration.  Values come straight
-        from the target level's bucket chain (no payload materialization);
-        grandparent-level false positives can surface (the join driver
-        re-verifies every candidate against all atoms), duplicates cannot.
-        """
-        prefix = self._check_prefix(tuple(prefix))
-        position = len(prefix)
-        if position >= self.arity:
-            # delegate so the base class raises its no-next-component error
-            # (yield from, not return: inside a generator a returned
-            # iterator would silently be discarded)
-            yield from super().iter_next_values(prefix)
-            return
-        if position >= self.num_levels:
-            # the final component lives only in payloads: project rows
-            yield from super().iter_next_values(prefix)
-            return
-        level = self._levels[position]
-        if position == 0:
-            seen = set() if level.is_last else None
-            for slot in range(level.capacity):
-                key = level.keys[slot]
-                if key is None:
-                    continue
-                if seen is None:
-                    yield key  # first-level keys are unique by construction
-                elif key not in seen:
-                    seen.add(key)
-                    yield key
-            return
-        parent_slot = self._descend_exact(prefix)
-        if parent_slot is None:
-            return
-        designated = self._levels[position - 1].next_bucket[parent_slot]
-        parent_key = prefix[-1]
-        if not (level.spilled or level.shared):
-            # fast path (see _enumerate): the bucket is exclusively ours
-            base = designated * level.bucket_size
-            seen = set() if level.is_last else None
-            for slot in range(base, base + level.bucket_size):
-                key = level.keys[slot]
-                if key is None:
-                    continue
-                if seen is None:
-                    yield key
-                elif key not in seen:
-                    seen.add(key)
-                    yield key
-            return
-        seen = set()
-        for slot in self._bucket_chain(level, designated):
-            key = level.keys[slot]
-            if key is None or key in seen:
-                continue
-            if self._parent_matches(level, slot, parent_key):
-                seen.add(key)
-                yield key
-
-    def has_prefix(self, prefix: tuple) -> bool:
-        """Existence probe; exact (payload-verified through ``_lookup``)."""
-        prefix = self._check_prefix(tuple(prefix))
-        for _ in self._lookup(prefix):
-            return True
-        return False
-
     def cursor(self) -> "SonicCursor":
         """Native incremental descent cursor (the Generic Join's probe API).
 

@@ -9,7 +9,7 @@ frontier plan, the only kind a session serves: a built columnar trie —
 or a sharded plan's shared-memory partitioning of a relation — is stored
 under
 
-    ``(relation fingerprint, kind, column permutation, options, key arity)``
+    ``(relation fingerprint, kind, column permutation, options)``
 
 where the fingerprint is :meth:`repro.storage.relation.Relation.
 fingerprint` — ``(storage identity, version)``.  Mutating a relation
@@ -26,9 +26,9 @@ The cache also owns its session's
 :class:`~repro.indexes.columnar.Dictionary`, so any two cached tries
 compare codes; :meth:`~IndexCache.clear` leaves it.
 
-Eviction is LRU under two budgets: an entry-count cap and a byte budget
-fed by what each structure reports of itself (``memory_usage()``; a
-trie's grows as joins build its levels and probe aids).  Counters
+Eviction is LRU under a byte budget fed by what each structure reports
+of itself (``memory_usage()``; a trie's grows as joins build its levels
+and probe aids, and :meth:`IndexCache.recharge` reads it again).  Counters
 (``cache.hit`` / ``cache.miss`` / ``cache.store`` / ``cache.evict``) go
 to the registry the cache was constructed with — a session's registry,
 so hit rates survive across runs — and are mirrored into any enabled
@@ -88,17 +88,12 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("value", "bytes", "fingerprint", "built_depth")
+    __slots__ = ("value", "bytes", "fingerprint")
 
-    def __init__(self, value: object, bytes_: int, fingerprint: tuple,
-                 built_depth: "int | None" = None):
+    def __init__(self, value: object, bytes_: int, fingerprint: tuple):
         self.value = value
         self.bytes = bytes_
         self.fingerprint = fingerprint
-        #: columnar tries: how many trie levels were materialized when
-        #: the entry was last charged (None for structures that are
-        #: whole once built)
-        self.built_depth = built_depth
 
 
 class IndexCache:
@@ -175,8 +170,7 @@ class IndexCache:
                 return self._entries[other].value
         return None
 
-    def put_if_absent(self, key: tuple, value: object, bytes_: int,
-                      built_depth: "int | None" = None) -> object:
+    def put_if_absent(self, key: tuple, value: object, bytes_: int) -> object:
         """Publish a built structure unless one is already cached.
 
         The compare-and-swap half of the prepare stage's miss path: the
@@ -192,12 +186,9 @@ class IndexCache:
         LRU reaches them (superseded shard columns are released by their
         finalizer).  By the same rule a publisher that arrives after a
         *newer* version is not stored at all: it keeps its own
-        structure, and is counted as ``cache.race`` too.
-
-        ``built_depth`` seeds the depth component
-        of a structure that materialises levels as joins descend — a
-        columnar trie (see :meth:`upgrade_depth`); structures that are
-        whole once built leave it ``None``.
+        structure, and is counted as ``cache.race`` too.  A structure
+        that grows after it is stored — a columnar trie materialising
+        levels as joins descend — is charged again by :meth:`recharge`.
         """
         if not self.enabled:
             return value
@@ -215,8 +206,7 @@ class IndexCache:
                 if stored:
                     if other is not None:
                         self._drop(other)
-                    self._entries[key] = _Entry(value, bytes_, key[0],
-                                                built_depth=built_depth)
+                    self._entries[key] = _Entry(value, bytes_, key[0])
                     self._versions[_lineage(key)] = key
                     self._bytes += bytes_
                     self._stores += 1
@@ -229,40 +219,28 @@ class IndexCache:
             self.metrics.inc("cache.evict", dropped)
         return value
 
-    def upgrade_depth(self, key: tuple, built_depth: int, bytes_: int) -> bool:
-        """Record that a cached structure materialized deeper levels.
+    def recharge(self, key: tuple) -> None:
+        """Charge ``key``'s entry what its structure reports now.
 
         A columnar trie is stored shallow and cheap; when a join
-        descends further (or builds a probe aid), its deepen callback reports
-        the new depth and the re-estimated byte footprint here, upgrading
-        the cached entry **in place** — no re-keying, no duplicate entry.
-        No-ops (returning False) when the entry has been evicted/invalidated
-        meanwhile or the report is stale: shallower, or as deep and no
-        larger (at one depth only aids add bytes); a growing footprint can
-        push colder entries out of the byte budget."""
+        descends further (or builds a probe aid), its deepen callback
+        calls here, and the entry is re-charged **in place** from the
+        trie's ``memory_usage()``, read under the lock — no re-keying, no
+        duplicate entry, and no report that could arrive stale.  An
+        entry evicted or invalidated meanwhile is left gone; a growing
+        footprint can push colder entries out of the byte budget."""
         if not self.enabled:
-            return False
+            return
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                return False
-            if entry.built_depth is not None and (
-                    entry.built_depth, entry.bytes) >= (built_depth, bytes_):
-                return False
+                return
+            bytes_ = entry.value.memory_usage()
             self._bytes += bytes_ - entry.bytes
             entry.bytes = bytes_
-            entry.built_depth = built_depth
             evicted = self._evict_to_budget()
         if evicted:
             self.metrics.inc("cache.evict", evicted)
-        return True
-
-    def built_depth(self, key: tuple) -> "int | None":
-        """The recorded build depth for ``key`` (None when absent or
-        whole once built)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.built_depth if entry is not None else None
 
     def invalidate_relation(self, relation: Relation) -> int:
         """Drop every entry built from ``relation``'s storage, any version.

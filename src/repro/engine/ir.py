@@ -3,7 +3,7 @@
 Following Free Join (Wang et al.), a plan describes what runs: the
 frontier, the Generic Join on the batch engine over one columnar trie
 per atom.  The paper's tuple drivers — binary pipeline, tuple Generic
-Join, Hash-Trie Join, Leapfrog Triejoin, recursive NPRR — have no plan:
+Join, Hash-Trie Join, Leapfrog Triejoin — have no plan:
 :func:`repro.joins.join` sends them to their own door, where each builds
 its own structures.  The artifacts:
 

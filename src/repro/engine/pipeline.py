@@ -105,10 +105,9 @@ def plan(bound: BoundQuery,
     nothing is built until :func:`prepare`.
 
     Only the frontier plans: a request for one of the paper's tuple
-    drivers (``engine="tuple"``; ``binary``, ``hashtrie``,
-    ``leapfrog`` or ``recursive``; a pinned ``binary_order`` or
-    ``dynamic_seed=False`` among the index options, as a session passes
-    them on) raises
+    drivers (``engine="tuple"``; ``binary``, ``hashtrie`` or
+    ``leapfrog``; a pinned ``binary_order`` or ``dynamic_seed=False``
+    among the index options, as a session passes them on) raises
     :class:`~repro.errors.ConfigurationError` naming the door that runs
     it, ``join(engine="tuple")``.  ``algorithm="unified"`` is another
     name for ``"auto"``: the frontier runs a cyclic core and its acyclic
@@ -312,17 +311,8 @@ def _publish(cache: IndexCache, key: tuple, structure):
         if published is not structure:
             structure.close()
         return published
-    structure.on_deepen = _depth_upgrader(cache, key)
-    return cache.put_if_absent(key, structure, structure.memory_usage(),
-                               built_depth=structure.built_depth)
-
-
-def _depth_upgrader(cache: IndexCache, key: tuple):
-    """The deepen callback of a columnar trie: upgrade the cached entry
-    in place — new ``built_depth``, the trie's new byte footprint."""
-    def _on_deepen(trie) -> None:
-        cache.upgrade_depth(key, trie.built_depth, trie.memory_usage())
-    return _on_deepen
+    structure.on_deepen = lambda trie: cache.recharge(key)
+    return cache.put_if_absent(key, structure, structure.memory_usage())
 
 
 def _storage_position(spec: IndexSpec, attribute: str) -> "int | None":

@@ -11,10 +11,10 @@ through the staged pipeline (:mod:`repro.engine.pipeline`).  A session
 holds and runs plans, and a plan describes what runs: the Generic Join
 on the batch engine over columnar tries, which the default options
 resolve to.  A request for one of the paper's tuple drivers
-(``engine="tuple"``, ``binary`` / ``hashtrie`` / ``leapfrog`` /
-``recursive``, a pinned ``binary_order`` or ``dynamic_seed=False``)
-has no plan: it raises :class:`~repro.errors.ConfigurationError` and
-runs cold through :func:`repro.joins.join` instead:
+(``engine="tuple"``, ``binary`` / ``hashtrie`` / ``leapfrog``, a
+pinned ``binary_order`` or ``dynamic_seed=False``) has no plan: it
+raises :class:`~repro.errors.ConfigurationError` and runs cold through
+:func:`repro.joins.join` instead:
 
 >>> from repro import Relation, Session
 >>> edges = Relation("E", ("src", "dst"), [(0, 1), (1, 2), (2, 0)])

@@ -172,10 +172,9 @@ class TupleIndex(abc.ABC):
     def has_prefix(self, prefix: tuple) -> bool:
         """Does at least one stored tuple match ``prefix``?
 
-        The membership test at the heart of the Generic Join's candidate
-        elimination (Alg. 1 line 15).  The default asks :meth:`prefix_lookup`
-        for a first match; structures with a cheaper existence probe
-        override it.
+        Asks :meth:`prefix_lookup` for a first match: the descent test
+        of :class:`FallbackCursor`, the cursor of indexes without a
+        native one.
         """
         for _ in self.prefix_lookup(prefix):
             return True
@@ -184,10 +183,9 @@ class TupleIndex(abc.ABC):
     def iter_next_values(self, prefix: tuple) -> Iterator:
         """Distinct values of component ``len(prefix)`` among matching tuples.
 
-        The Generic Join's per-attribute candidate enumeration: given the
-        bound prefix, enumerate the possible next attribute values.  The
-        default projects and deduplicates :meth:`prefix_lookup`; trie-like
-        structures override with a direct child walk.
+        Projects and deduplicates :meth:`prefix_lookup`: the child values
+        of :class:`FallbackCursor`, the cursor of indexes without a
+        native one.
         """
         position = len(prefix)
         if position >= self.arity:

@@ -228,33 +228,6 @@ class HashTrie(TupleIndex):
     def __iter__(self) -> Iterator[tuple]:
         return self._iter_subtree(self._root)
 
-    def iter_next_values(self, prefix: tuple) -> Iterator:
-        """Distinct child values; triggers the same lazy expansion as probes."""
-        prefix = self._check_prefix(tuple(prefix))
-        position = len(prefix)
-        if position >= self.arity:
-            yield from super().iter_next_values(prefix)
-            return
-        if position == 0:
-            yield from self._root.table.keys()
-            return
-        entry = self._lookup_entry(prefix)
-        if entry is None:
-            return
-        if isinstance(entry, list):
-            seen = set()
-            for row in entry:
-                if row[:position] == prefix and row[position] not in seen:
-                    seen.add(row[position])
-                    yield row[position]
-            return
-        if entry.depth == position:
-            yield from entry.table.keys()
-            return
-        # expanded levels skipped past `position` cannot happen: expansion
-        # proceeds one level at a time along probed prefixes
-        yield from super().iter_next_values(prefix)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -116,22 +116,6 @@ class HierarchicalHashMap(TupleIndex):
     def __iter__(self) -> Iterator[tuple]:
         return self.prefix_lookup(())
 
-    def iter_next_values(self, prefix: tuple) -> Iterator:
-        """Distinct child values: the keys of the level table below ``prefix``."""
-        prefix = self._check_prefix(tuple(prefix))
-        position = len(prefix)
-        if position >= self.arity:
-            yield from super().iter_next_values(prefix)
-            return
-        node = self._descend(prefix)
-        if node is None:
-            return
-        yield from node.table.keys()
-
-    def has_prefix(self, prefix: tuple) -> bool:
-        prefix = self._check_prefix(tuple(prefix))
-        return self._descend(prefix) is not None
-
     # ------------------------------------------------------------------
     # Introspection (the drawbacks §3.1 enumerates, made measurable)
     # ------------------------------------------------------------------

@@ -164,26 +164,6 @@ class SortedTrie(TupleIndex):
         self._ensure_sorted()
         return len(self._rows) * 8 * self.arity
 
-    def iter_next_values(self, prefix: tuple) -> Iterator:
-        """Distinct child values by galloping over the sorted range."""
-        prefix = self._check_prefix(tuple(prefix))
-        position = len(prefix)
-        if position >= self.arity:
-            yield from super().iter_next_values(prefix)
-            return
-        self._ensure_sorted()
-        low, high = self._prefix_range(prefix)
-        while low < high:
-            value = self._rows[low][position]
-            yield value
-            low = bisect.bisect_right(self._rows, prefix + (value, _Top()), low, high)
-
-    def has_prefix(self, prefix: tuple) -> bool:
-        prefix = self._check_prefix(tuple(prefix))
-        self._ensure_sorted()
-        low, high = self._prefix_range(prefix)
-        return low < high
-
     # ------------------------------------------------------------------
     # LFTJ iterator and Generic Join cursor
     # ------------------------------------------------------------------

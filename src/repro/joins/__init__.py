@@ -5,7 +5,6 @@ from repro.joins.executor import join, resolve_relations
 from repro.joins.generic_join import GenericJoin
 from repro.joins.hashtrie_join import HashTrieJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
-from repro.joins.recursive import RecursiveJoin
 from repro.joins.results import JoinResult
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "HashTrieJoin",
     "JoinResult",
     "LeapfrogTrieJoin",
-    "RecursiveJoin",
     "join",
     "resolve_relations",
 ]

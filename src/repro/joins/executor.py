@@ -12,10 +12,9 @@ alone (:func:`door_request`):
   atom (timed — ad-hoc index build is part of every WCOJ run, §5.15),
   and **execute** the batch Generic Join;
 * the **paper's door** — ``engine="tuple"``, ``binary`` / ``hashtrie``
-  / ``leapfrog`` / ``recursive``, a pinned ``binary_order`` or
-  ``dynamic_seed=False``: bind,
-  then the driver the request names (``auto`` lets the hybrid optimizer
-  pick binary or the tuple Generic Join), which builds its own
+  / ``leapfrog``, a pinned ``binary_order`` or ``dynamic_seed=False``:
+  bind, then the driver the request names (``auto`` lets the hybrid
+  optimizer pick binary or the tuple Generic Join), which builds its own
   structures.  No plan describes it, and nothing serves it warm.
 
 Each ``join()`` call is a one-shot cold session: no index cache, so
@@ -70,8 +69,8 @@ from repro.storage.relation import Relation
 
 #: the join drivers, and the optimizer's pick: ``"auto"``, also named
 #: ``"unified"`` (the plan stage resolves it to a driver)
-ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive",
-              "unified", "auto")
+ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "unified",
+              "auto")
 
 #: execution models for the Generic Join driver: tuple-at-a-time (the
 #: paper's Alg. 1 rendering), batch (frontier-at-a-time over columnar
@@ -80,7 +79,7 @@ ENGINES = ("tuple", "batch", "auto")
 
 #: the paper's drivers besides its Generic Join; with the tuple engine,
 #: what only :func:`join`'s door runs
-TUPLE_DRIVERS = ("binary", "hashtrie", "leapfrog", "recursive")
+TUPLE_DRIVERS = ("binary", "hashtrie", "leapfrog")
 
 #: the Generic Join's index options — the frontier accepts them and
 #: builds no index they configure; the tuple engine builds with them
@@ -93,7 +92,6 @@ _DOOR_OPTIONS = {
     "hashtrie": frozenset({"lazy", "singleton_pruning"}),
     "binary": frozenset(),
     "leapfrog": frozenset(),
-    "recursive": frozenset(),
 }
 
 
@@ -316,7 +314,7 @@ def _door(bound, algorithm: str, index: str,
     by the hybrid optimizer (Table 1).  The ``plan`` span holds that
     choice (its ``optimize`` span) and the total order; each driver then
     builds its own structures — a registry index per atom through
-    :func:`build_adapters`, hash tables, sorted tries or row sets —
+    :func:`build_adapters`, hash tables or sorted tries —
     inside the ``prepare`` span, one ``build_index`` span per built
     atom, with the build time on ``metrics.build_seconds`` (§5.15's
     build-included timing).  Nothing here is cached or sharded.
@@ -326,7 +324,6 @@ def _door(bound, algorithm: str, index: str,
     from repro.joins.generic_join import GenericJoin
     from repro.joins.hashtrie_join import HashTrieJoin
     from repro.joins.leapfrog import LeapfrogTrieJoin
-    from repro.joins.recursive import RecursiveJoin
     from repro.parallel.pool import resolve_workers
 
     check_names(algorithm, engine)
@@ -380,9 +377,6 @@ def _door(bound, algorithm: str, index: str,
             driver = LeapfrogTrieJoin(query, relations, order=order,
                                       obs=observer)
             driver.build()
-        elif algorithm == "recursive":
-            driver = RecursiveJoin(query, relations, order=order,
-                                   obs=observer)
         else:
             watch = Stopwatch()
             adapters = build_adapters(query, relations, order, index=index,
@@ -444,9 +438,9 @@ def join(query: "JoinQuery | str",
     a row stored twice is counted twice, and a column of strings,
     floats or integers beyond int64 is joined by dictionary code
     (materialised rows carry the stored values).  The tuple drivers —
-    ``engine="tuple"``, ``"hashtrie"``, ``"leapfrog"``, ``"recursive"``
-    — join sets, and raise :class:`~repro.errors.QueryError` naming a
-    relation that repeats a row; ``"binary"`` joins bags.  The explicit
+    ``engine="tuple"``, ``"hashtrie"``, ``"leapfrog"`` — join sets, and
+    raise :class:`~repro.errors.QueryError` naming a relation that
+    repeats a row; ``"binary"`` joins bags.  The explicit
     non-generic algorithms have no batch rendering and ignore the knob.
     ``"auto"`` does not, and ``"unified"`` is another name for it: on
     the frontier (``engine`` ``"auto"`` or ``"batch"``, no

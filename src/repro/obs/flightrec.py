@@ -16,10 +16,7 @@ the dispatch/collect history leading up to the failure.
 
 The recorder is process-local (each shard worker has its own, started
 at fork/spawn); only the parent's recorder feeds error reports, which
-is the side that observes deaths and timeouts.  Hot join loops must
-still never call :meth:`record` unguarded: per-iteration calls sit
-behind ``recorder.enabled``, the same way metrics and tracer calls do
-in ``joins/``.
+is the side that observes deaths and timeouts.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ DEFAULT_CAPACITY = 256
 
 class FlightRecorder:
     """A fixed-size ring of ``(ts_ns, pid, category, message, fields)``."""
-
-    #: loop call sites branch on this before paying the append
-    enabled = True
 
     __slots__ = ("_lock", "_events", "_next", "_recorded", "capacity")
 

@@ -118,10 +118,8 @@ class WorkerPool:
             assignment[position % self.workers].append(position)
         for worker_id, positions in enumerate(assignment):
             for position in positions:
-                if FLIGHT_RECORDER.enabled:
-                    FLIGHT_RECORDER.record(
-                        "task.send", worker=worker_id,
-                        shard=tasks[position].get("shard"))
+                FLIGHT_RECORDER.record("task.send", worker=worker_id,
+                                       shard=tasks[position].get("shard"))
                 try:
                     self._connections[worker_id].send(("run", tasks[position]))
                 except (BrokenPipeError, OSError):
@@ -167,10 +165,9 @@ class WorkerPool:
             from repro.joins.results import Stopwatch
 
             result["collected_ns"] = Stopwatch.now_ns()
-            if FLIGHT_RECORDER.enabled:
-                FLIGHT_RECORDER.record("task.collect", worker=worker_id,
-                                       shard=result.get("shard"),
-                                       ok=result.get("ok"))
+            FLIGHT_RECORDER.record("task.collect", worker=worker_id,
+                                   shard=result.get("shard"),
+                                   ok=result.get("ok"))
         return result
 
     # ------------------------------------------------------------------

@@ -80,7 +80,6 @@ def relation_from_handles(name: str, attributes: "tuple[str, ...]",
     relation.schema = Schema(attributes)
     relation._mutlock = threading.Lock()
     relation._rows = _ColumnRows(length)
-    relation._columns = {}
     relation._arrays = {i: array for i, array in enumerate(arrays)}
     relation._dtype_classes = {
         i: ("int64" if array.dtype == np.int64 else "object")

@@ -85,8 +85,8 @@ class Snapshot(NamedTuple):
 class Relation:
     """A named bag of tuples over a schema (append-only mutation)."""
 
-    __slots__ = ("name", "schema", "_rows", "_columns", "_arrays",
-                 "_dtype_classes", "_version", "_mutlock")
+    __slots__ = ("name", "schema", "_rows", "_arrays", "_dtype_classes",
+                 "_version", "_mutlock")
 
     def __init__(self, name: str, schema: Schema | Sequence[str], rows: Iterable[tuple]):
         if not isinstance(schema, Schema):
@@ -107,10 +107,9 @@ class Relation:
         # the caches and version box it is shared across renamed views
         self._mutlock = threading.Lock()
         self._rows = stored                       # repro: shared[lock=_mutlock]
-        # column/array caches and the version counter are *shared objects*
-        # across renamed views (positions align), so a mutation through any
-        # view invalidates every view's caches and fingerprint at once
-        self._columns: dict[int, list] = {}       # repro: shared[lock=_mutlock]
+        # array caches and the version counter are *shared objects* across
+        # renamed views (positions align), so a mutation through any view
+        # moves every view's caches and fingerprint at once
         self._arrays: dict[int, np.ndarray] = {}  # repro: shared[lock=_mutlock]
         self._dtype_classes: dict[int, str] = {}  # repro: shared[lock=_mutlock]
         self._version: list[int] = [0]            # repro: shared[lock=_mutlock]
@@ -143,22 +142,9 @@ class Relation:
     # Columnar access
     # ------------------------------------------------------------------
     def column(self, attribute: str) -> list:
-        """All values of ``attribute``, in row order (lazily materialized).
-
-        Double-checked fill: the lock-free fast path serves the common
-        already-cached case; the fill itself happens under the mutation
-        lock so it cannot pin a column snapshot taken mid-``extend``
-        (the cache-clearing there runs under the same lock).
-        """
-        position = self.schema.position(attribute)
-        cached = self._columns.get(position)
-        if cached is None:
-            with self._mutlock:
-                cached = self._columns.get(position)
-                if cached is None:
-                    cached = [row[position] for row in self._rows]
-                    self._columns[position] = cached
-        return cached
+        """All values of ``attribute``, in row order: a new list read
+        from :meth:`column_array`."""
+        return self.column_array(attribute).tolist()
 
     def column_array(self, attribute: str) -> np.ndarray:
         """``attribute``'s values as a numpy array, in row order.
@@ -263,7 +249,7 @@ class Relation:
     def extend(self, rows: Iterable[tuple]) -> None:
         """Append tuples, moving the fingerprint on.
 
-        The column/array caches and version counter are shared with every
+        The array caches and version counter are shared with every
         renamed view, so all views observe the mutation consistently.
         Materialized column arrays are kept and grow by the appended
         rows' values (new arrays — a reader holding an old one keeps the
@@ -285,7 +271,6 @@ class Relation:
             return
         with self._mutlock:
             self._rows.extend(appended)
-            self._columns.clear()
             for position, array in list(self._arrays.items()):
                 self._set_array(position, _appended_array(
                     array, [row[position] for row in appended]))
@@ -339,7 +324,6 @@ class Relation:
         view._rows = self._rows
         # positions align, so the caches, version box and mutation lock
         # are shared — a write through any view is serialized with all
-        view._columns = self._columns
         view._arrays = self._arrays
         view._dtype_classes = self._dtype_classes
         view._version = self._version

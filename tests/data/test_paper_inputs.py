@@ -1,11 +1,11 @@
 """The paper harness feeds the tuple drivers relations without repeats.
 
 The tuple drivers (``engine="tuple"``, Hash-Trie Join, Leapfrog
-Triejoin, the recursive driver) join sets, and refuse a relation that
-repeats a row.  Every generator a ``benchmarks/bench_*.py`` join or an
-end-to-end workload feeds to a join is held here — at reduced scale, on
-the figures' seeds — to relations in which no row repeats, so that the
-refusal cannot fire on a figure.
+Triejoin) join sets, and refuse a relation that repeats a row.  Every
+generator a ``benchmarks/bench_*.py`` join or an end-to-end workload
+feeds to a join is held here — at reduced scale, on the figures' seeds
+— to relations in which no row repeats, so that the refusal cannot
+fire on a figure.
 """
 
 from repro.data import (

@@ -233,7 +233,7 @@ class TestExtendOrRebuild:
 
     @pytest.mark.parametrize("options", [
         {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"},
-        {"algorithm": "recursive"}, GENERIC_TUPLE, {},
+        GENERIC_TUPLE, {},
         {"algorithm": "generic", "index": "sortedtrie", "engine": "tuple"},
     ], ids=lambda o: "-".join(str(v) for v in o.values()) or "default")
     def test_other_kinds_keep_rebuilding(self, options):
@@ -414,7 +414,7 @@ class TestBytesFollowTheLevels:
         assert (tries["F"].built_depth, tries["A"].built_depth) == (2, 3)
         assert session.cache_stats().bytes == self.resident(session)
         assert session.cache_stats().bytes != counted
-        depths = {entry.built_depth
+        depths = {entry.value.built_depth
                   for entry in session.cache._entries.values()}
         assert depths == {2, 3}
         # nothing left to build: a third run moves no byte

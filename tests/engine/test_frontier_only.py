@@ -23,14 +23,13 @@ from repro.parallel.pool import IDLE_POOLS
 
 PATH = "R(a,b), S(b,c)"
 
-#: every request for the paper's door: the tuple engine, the four other
+#: every request for the paper's door: the tuple engine, the three other
 #: drivers, and a pinned binary order
 CONFIGURATIONS = {
     "tuple": {"engine": "tuple"},
     "binary": {"algorithm": "binary"},
     "hashtrie": {"algorithm": "hashtrie"},
     "leapfrog": {"algorithm": "leapfrog"},
-    "recursive": {"algorithm": "recursive"},
     "auto-binary_order": {"algorithm": "auto", "binary_order": ["R", "S"]},
 }
 

@@ -4,10 +4,10 @@ A request — algorithm × engine × a pinned ``binary_order`` — goes to
 one of two doors, decided from its arguments alone.  The frontier's
 requests compile to one plan that runs one driver, the batch Generic
 Join, and ``unified`` is another name for ``auto``.  The paper's door
-(``engine="tuple"``; ``binary``, ``hashtrie``, ``leapfrog`` or
-``recursive``; a pinned ``binary_order``) has no plan: ``plan()``
-raises ``ConfigurationError`` naming ``join(engine="tuple")``, and
-``join()`` runs the driver.  What a caller can see — the frontier's
+(``engine="tuple"``; ``binary``, ``hashtrie`` or ``leapfrog``; a
+pinned ``binary_order``) has no plan: ``plan()`` raises
+``ConfigurationError`` naming ``join(engine="tuple")``, and ``join()``
+runs the driver.  What a caller can see — the frontier's
 ``describe()`` and the metrics labels — is pinned in ``GOLDEN``.
 """
 
@@ -61,7 +61,6 @@ REQUESTS = {
         "binary_order": _in_query_order(TRIANGLE)}),
     "hashtrie": (TRIANGLE, {"algorithm": "hashtrie"}),
     "leapfrog": (TRIANGLE, {"algorithm": "leapfrog"}),
-    "recursive": (TRIANGLE, {"algorithm": "recursive"}),
     "auto star": (STAR, {"algorithm": "auto", "engine": "tuple"}),
     "auto star/auto": (STAR, {"algorithm": "auto", "engine": "auto"}),
     "auto star pinned/auto": (STAR, {"algorithm": "auto", "engine": "auto",
@@ -100,7 +99,6 @@ GOLDEN = {
     "binary pinned/batch": (None, *_BINARY),
     "hashtrie": (None, "hashtrie_join", "hashtrie"),
     "leapfrog": (None, "leapfrog", "sortedtrie"),
-    "recursive": (None, "recursive_join", "hashmap"),
     "auto star": (None, *_BINARY),
     "auto star/auto": ("generic/batch index=sonic built=columnar "
                        f"[{_STAR_RIDES}] order=a,b,c,d", *_FRONTIER),
@@ -211,11 +209,11 @@ class TestBinaryOrderIsHonoredOrRefused:
 
     @pytest.mark.parametrize("options", [
         {"algorithm": "generic"}, {"algorithm": "hashtrie"},
-        {"algorithm": "leapfrog"}, {"algorithm": "recursive"},
+        {"algorithm": "leapfrog"},
         {"algorithm": "generic", "engine": "tuple"},
         {"algorithm": "auto", "engine": "batch"},
         {"algorithm": "unified", "engine": "batch"},
-    ], ids=["generic", "hashtrie", "leapfrog", "recursive", "generic/tuple",
+    ], ids=["generic", "hashtrie", "leapfrog", "generic/tuple",
             "auto/batch", "unified/batch"])
     def test_an_algorithm_that_cannot_honor_it_refuses(self, options):
         # no binary pipeline reads the order: refused like any option

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.engine import JoinPlan, bind, plan
+from repro.engine import JoinPlan, Session, bind, plan
 from repro.engine.ir import COLUMNAR_KIND, canonical_options
 from repro.errors import ConfigurationError
 from repro.joins import LeapfrogTrieJoin, join
@@ -114,11 +114,6 @@ class TestPlanConstruction:
         assert profile.order == ("E1", "E2", "E3")
         assert built(profile) == {"E2": "hashtable", "E3": "hashtable"}
 
-    def test_recursive_plan_uses_tuplesets(self, tables):
-        profile = join(TRIANGLE, tables, algorithm="recursive",
-                       profile=True).profile
-        assert built(profile) == dict.fromkeys(tables, "tupleset")
-
     def test_leapfrog_specs_request_presorting(self, bound):
         # LFTJ seeks need its tries ordered up front: its build sorts
         driver = LeapfrogTrieJoin(bound.query, bound.relations)
@@ -151,7 +146,7 @@ class TestPlanConstruction:
 class TestOptionPolicing:
     """Satellite: index options the algorithm cannot honor must raise."""
 
-    @pytest.mark.parametrize("algorithm", ["binary", "leapfrog", "recursive"])
+    @pytest.mark.parametrize("algorithm", ["binary", "leapfrog"])
     def test_index_kwargs_rejected(self, tables, algorithm):
         with pytest.raises(ConfigurationError, match="cannot honor"):
             join(TRIANGLE, tables, algorithm=algorithm, sonic_bucket_size=4)
@@ -181,6 +176,11 @@ class TestOptionPolicing:
             join(TRIANGLE, tables, algorithm="nested-loop")
         with pytest.raises(ConfigurationError, match="unknown engine"):
             join(TRIANGLE, tables, engine="vectorized")
+        # the relation-recursive driver is gone: its name is unknown
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            join(TRIANGLE, tables, algorithm="recursive")
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
+            Session(tables).prepare(TRIANGLE, algorithm="recursive")
 
 
 def built(profile) -> dict:

@@ -31,7 +31,6 @@ ALGORITHM_CASES = [
     {"algorithm": "hashtrie"},
     {"algorithm": "hashtrie", "lazy": False},
     {"algorithm": "leapfrog"},
-    {"algorithm": "recursive"},
     {"algorithm": "auto"},
 ]
 

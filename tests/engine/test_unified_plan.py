@@ -129,8 +129,8 @@ class TestLazyThreadStress:
             # a permutation over the same relation)
             stats = session.cache_stats()
             assert stats.entries == 2
-            for key in list(session.cache._entries):
-                assert session.cache.built_depth(key) == 2
+            for entry in list(session.cache._entries.values()):
+                assert entry.value.built_depth == 2
 
 
 class TestStageTreeValidation:

@@ -19,7 +19,7 @@ from repro.indexes.base import bulk_columns, sorted_unique_rows
 from repro.indexes.sorted_trie import SortedTrie
 from repro.storage import Relation
 
-ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive")
+ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog")
 
 
 def columns_of(rows, arity):

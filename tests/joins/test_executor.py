@@ -170,8 +170,8 @@ class TestTotalOrderIsCheckedOnce:
     ], ids=["missing", "unknown", "repeated"])
     @pytest.mark.parametrize("options", [
         {}, {"engine": "tuple", "index": "sonic"}, {"algorithm": "hashtrie"},
-        {"algorithm": "leapfrog"}, {"algorithm": "recursive"},
-    ], ids=["frontier", "tuple-sonic", "hashtrie", "leapfrog", "recursive"])
+        {"algorithm": "leapfrog"},
+    ], ids=["frontier", "tuple-sonic", "hashtrie", "leapfrog"])
     def test_a_bad_order_raises_naming_it(self, options, order, named):
         edges = Relation("E", ("src", "dst"), self.EDGES)
         tables = {"E1": edges, "E2": edges, "E3": edges}

@@ -62,7 +62,6 @@ from repro.joins import (
     GenericJoin,
     HashTrieJoin,
     LeapfrogTrieJoin,
-    RecursiveJoin,
     batch,
     resolve_relations,
 )
@@ -90,7 +89,7 @@ POOLS = {
     "huge": [2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1, 0, 1],
 }
 ALGORITHMS = ("generic", "auto", "unified", "binary", "hashtrie",
-              "leapfrog", "recursive")
+              "leapfrog")
 ENGINES = ("auto", "batch", "tuple")
 SETTINGS = {"deadline": None,
             "suppress_health_check": [HealthCheck.too_slow,
@@ -470,8 +469,7 @@ def test_every_engine_answers_the_bag(name):
                     engine="tuple").count == count
     # the tuple drivers join sets, and refuse the relation by name
     for options in ({"algorithm": "generic", "engine": "tuple"},
-                    {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"},
-                    {"algorithm": "recursive"}):
+                    {"algorithm": "hashtrie"}, {"algorithm": "leapfrog"}):
         with pytest.raises(QueryError, match=f"'{first}' repeats a row"):
             join(query, tables, **options)
 
@@ -479,7 +477,6 @@ def test_every_engine_answers_the_bag(name):
 #: a tuple driver constructed directly, as the paper's benches do
 DIRECT = {
     "leapfrog": lambda q, r: LeapfrogTrieJoin(q, r),
-    "recursive": lambda q, r: RecursiveJoin(q, r),
     "hashtrie": lambda q, r: HashTrieJoin(q, r),
     "generic": lambda q, r: GenericJoin(q, build_adapters(
         q, r, ("a", "b", "c"))),

@@ -14,7 +14,6 @@ from repro.joins import (
     BinaryHashJoin,
     GenericJoin,
     LeapfrogTrieJoin,
-    RecursiveJoin,
     resolve_relations,
 )
 from repro.joins.executor import build_adapters
@@ -51,14 +50,6 @@ class TestDriversAgreeAfterRestructure:
         binary = BinaryHashJoin(query, relations).run(materialize=True)
         attrs = ("a", "b", "c")
         assert normalized(leapfrog, attrs) == normalized(binary, attrs)
-
-    def test_recursive_matches_binary_on_triangle(self):
-        query, tables = triangle_setup(n=120)
-        relations = resolve_relations(query, tables)
-        recursive = RecursiveJoin(query, relations).run(materialize=True)
-        binary = BinaryHashJoin(query, relations).run(materialize=True)
-        attrs = ("a", "b", "c")
-        assert normalized(recursive, attrs) == normalized(binary, attrs)
 
     def test_generic_join_static_and_dynamic_agree(self):
         query, tables = triangle_setup(n=100, seed=9)

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.errors import ExecutionError
-from repro.obs.flightrec import FLIGHT_RECORDER, FlightRecorder
+from repro.obs.flightrec import FlightRecorder
 from repro.storage.relation import Relation
 
 
@@ -45,12 +45,6 @@ class TestRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             FlightRecorder(capacity=0)
-
-    def test_enabled_is_a_class_flag(self):
-        # loop call sites branch on this; it must be
-        # a plain attribute, not a property doing work
-        assert FlightRecorder.enabled is True
-        assert FLIGHT_RECORDER.enabled is True
 
 
 class TestDumpText:

@@ -24,7 +24,7 @@ BOWTIE = parse_query(
     "E1=E(a,b), E2=E(b,c), E3=E(c,a), E4=E(a,d), E5=E(d,e), E6=E(e,a)")
 CHAIN3 = parse_query("E1=E(a,b), E2=E(b,c), E3=E(c,d)")
 
-ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog", "recursive")
+ALGORITHMS = ("generic", "binary", "hashtrie", "leapfrog")
 
 
 def random_edges(count: int, domain: int, seed: int) -> Relation:
